@@ -3,8 +3,12 @@
 The Section 2.4 build algorithm needs a fully dynamic structure ``T`` over
 the current net ``Y_i`` answering 2-ANN queries with insertions and
 deletions (``t_qry``, ``t_upd``).  Cover trees (Beygelzimer, Kakade &
-Langford) provide exactly that contract on bounded-doubling metrics; see
-DESIGN.md §5 for the substitution rationale.
+Langford) provide exactly that contract on bounded-doubling metrics.  The
+substitution is safe because the build algorithm uses ``T`` only through
+that contract: an exact nearest neighbour (what this tree returns) is in
+particular a 2-ANN, so the retrieval loop's stopping rule holds verbatim
+and the edge set is the definition's; only ``t_qry``/``t_upd`` — the
+build time, not the graph — depend on which structure stands behind it.
 
 Representation (implicit/nested form)
 -------------------------------------

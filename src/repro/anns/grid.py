@@ -9,6 +9,12 @@ query thanks to the net's ``2^i`` separation (Fact 2.3 bounds occupancy).
 Works for any ``Lp`` metric on coordinate data because an ``Lp`` ball of
 radius ``r`` is contained in the ``L_inf`` box of radius ``r``: the grid
 over-approximates with the box and filters by true metric distance.
+
+Radii and the cell width are given in the dataset *metric's* units; under
+a :class:`~repro.metrics.base.ScaledMetric` (every normalized dataset)
+those are ``factor`` times coordinate units, so the grid divides by the
+factor :func:`~repro.metrics.euclidean.lp_decompose` reports before it
+touches a coordinate.
 """
 
 from __future__ import annotations
@@ -21,8 +27,14 @@ import numpy as np
 
 from repro.anns.base import DynamicANN
 from repro.metrics.base import Dataset
+from repro.metrics.euclidean import lp_decompose
 
 __all__ = ["GridANN"]
+
+# The box is cut in coordinate units from a radius divided by the scale
+# factor; this relative slack keeps it a superset of the metric ball when
+# that division (or the box corners) round the wrong way.
+_BOX_SLACK = 1.0 + 2.0**-20
 
 
 class GridANN(DynamicANN):
@@ -34,8 +46,9 @@ class GridANN(DynamicANN):
         Dataset whose ``points`` is an ``(n, d)`` float array and whose
         metric is coordinate-based (``L2``, ``L_inf``, ``Lp``).
     cell_size:
-        Grid cell width.  Choose it near the typical query radius; range
-        queries remain exact for any radius, only efficiency varies.
+        Grid cell width, in the metric's units like every radius.  Choose
+        it near the typical query radius; range queries remain exact for
+        any radius, only efficiency varies.
     """
 
     def __init__(self, dataset: Dataset, cell_size: float, point_ids: Any = ()):
@@ -45,9 +58,17 @@ class GridANN(DynamicANN):
             raise ValueError("GridANN requires (n, d) coordinate data")
         if cell_size <= 0:
             raise ValueError("cell size must be positive")
+        decomposed = lp_decompose(dataset.metric)
+        if decomposed is None:
+            raise ValueError(
+                "GridANN requires an L_p coordinate metric (optionally "
+                f"scaled or counted), got {type(dataset.metric).__name__}"
+            )
         self._coords = coords
         self.dim = coords.shape[1]
         self.cell_size = float(cell_size)
+        self._factor = decomposed[1]  # metric units per coordinate unit
+        self._cell_width = self.cell_size / self._factor
         self._cells: dict[tuple[int, ...], set[int]] = {}
         self._live: set[int] = set()
         self.insert_many(point_ids)
@@ -55,7 +76,7 @@ class GridANN(DynamicANN):
     # ------------------------------------------------------------------
 
     def _cell_of(self, point: np.ndarray) -> tuple[int, ...]:
-        return tuple(np.floor(np.asarray(point) / self.cell_size).astype(int))
+        return tuple(np.floor(np.asarray(point) / self._cell_width).astype(int))
 
     def insert(self, point_id: int) -> None:
         point_id = int(point_id)
@@ -83,8 +104,9 @@ class GridANN(DynamicANN):
     def _candidates_in_box(self, query: np.ndarray, radius: float) -> np.ndarray:
         """Ids stored in cells intersecting the L_inf box of ``radius``."""
         q = np.asarray(query, dtype=np.float64)
-        lo = np.floor((q - radius) / self.cell_size).astype(int)
-        hi = np.floor((q + radius) / self.cell_size).astype(int)
+        reach = radius / self._factor * _BOX_SLACK
+        lo = np.floor((q - reach) / self._cell_width).astype(int)
+        hi = np.floor((q + reach) / self._cell_width).astype(int)
         span = hi - lo + 1
         n_cells = int(np.prod(span))
         if n_cells > 8 * max(len(self._cells), 1):
@@ -155,8 +177,8 @@ class GridANN(DynamicANN):
         return [(int(ids[j]), float(dists[j])) for j in order]
 
     def _search_radius_cap(self) -> float:
-        spread = float(self._coords.max() - self._coords.min()) + self.cell_size
-        return 4.0 * math.sqrt(self.dim) * spread
+        spread = float(self._coords.max() - self._coords.min()) * self._factor
+        return 4.0 * math.sqrt(self.dim) * (spread + self.cell_size)
 
     def __len__(self) -> int:
         return len(self._live)

@@ -49,8 +49,8 @@ from repro.graphs.engine import (
     snapshot_graph,
 )
 from repro.graphs.navigability import NavigabilityViolation, find_violations
-from repro.metrics.base import Dataset, MetricSpace, ScaledMetric
-from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric, MinkowskiMetric
+from repro.metrics.base import Dataset, MetricSpace
+from repro.metrics.euclidean import EuclideanMetric, lp_decompose
 from repro.metrics.scaling import normalize_min_distance
 from repro.storage import make_store, validate_storage_options
 from repro.storage.base import VectorStore
@@ -536,15 +536,15 @@ class ProximityGraphIndex:
         return self.id_map.assign(count, ids)
 
     def _dynamic_feasible(self) -> bool:
-        if self.built.name != "gnet" or self._point_rank() != 1:
-            return False
-        metric = self.dataset.metric
-        inner = metric.inner if isinstance(metric, ScaledMetric) else metric
-        return isinstance(inner, (EuclideanMetric, ChebyshevMetric, MinkowskiMetric))
+        return (
+            self.built.name == "gnet"
+            and self._point_rank() == 1
+            and lp_decompose(self.dataset.metric) is not None
+        )
 
     def _dynamic_factor(self) -> float:
-        metric = self.dataset.metric
-        return metric.factor if isinstance(metric, ScaledMetric) else 1.0
+        decomposed = lp_decompose(self.dataset.metric)
+        return decomposed[1] if decomposed is not None else 1.0
 
     def _upgrade_dynamic(self) -> None:
         """First dynamic add: adopt the collection into a DynamicGNet.
@@ -556,15 +556,14 @@ class ProximityGraphIndex:
         """
         from repro.graphs.dynamic import DynamicGNet
 
-        if not self._dynamic_feasible():
+        decomposed = lp_decompose(self.dataset.metric)
+        if decomposed is None or not self._dynamic_feasible():
             raise ValueError(
                 "mode='dynamic' requires a gnet index over a coordinate "
                 "metric; use mode='repair'"
             )
-        metric = self.dataset.metric
-        inner = metric.inner if isinstance(metric, ScaledMetric) else metric
-        coords = np.asarray(self.dataset.points, dtype=np.float64)
-        coords = coords * self._dynamic_factor()
+        inner, factor = decomposed
+        coords = np.asarray(self.dataset.points, dtype=np.float64) * factor
         try:
             self._dynamic = DynamicGNet.from_points(inner, coords, self.epsilon)
         except ValueError as exc:

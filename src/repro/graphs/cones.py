@@ -13,7 +13,9 @@ We therefore substitute *circular* cones about a family of axis
 directions whose spherical covering radius is ``theta / 2`` (every unit
 vector is within angle ``theta/2`` of some axis); the designated ray of a
 cone is its axis.  Angular diameter is then at most ``theta`` and all
-three properties hold — see DESIGN.md §5.
+three properties hold; circular cones overlap where Yao's partition
+does not, which costs a constant factor in the cone count and nothing
+in the proof.
 
 Constructions:
 

@@ -14,7 +14,12 @@ from repro.metrics.doubling import (
     greedy_half_radius_cover,
     packing_bound,
 )
-from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric, MinkowskiMetric
+from repro.metrics.euclidean import (
+    ChebyshevMetric,
+    EuclideanMetric,
+    MinkowskiMetric,
+    lp_decompose,
+)
 from repro.metrics.scaling import (
     SpreadEstimate,
     estimate_extremes,
@@ -46,6 +51,7 @@ __all__ = [
     "estimate_extremes",
     "greedy_half_radius_cover",
     "lca_level",
+    "lp_decompose",
     "metric_from_spec",
     "metric_to_spec",
     "normalize_min_distance",

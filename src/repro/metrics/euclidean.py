@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics.base import MetricSpace
+from repro.metrics.base import MetricSpace, ScaledMetric
+from repro.metrics.counting import CountingMetric
 
-__all__ = ["EuclideanMetric", "ChebyshevMetric", "MinkowskiMetric"]
+__all__ = ["EuclideanMetric", "ChebyshevMetric", "MinkowskiMetric", "lp_decompose"]
 
 
 class EuclideanMetric(MetricSpace):
@@ -128,3 +129,25 @@ class MinkowskiMetric(MetricSpace):
         batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
         diff = np.abs(batch - np.repeat(queries, np.asarray(lens), axis=0))
         return (diff**self.p).sum(axis=1) ** (1.0 / self.p)
+
+
+def lp_decompose(metric: MetricSpace) -> tuple[MetricSpace, float] | None:
+    """``(inner, factor)`` with ``metric == factor * inner`` and ``inner``
+    one of the ``L_p`` coordinate metrics above, or ``None`` for any other
+    metric.  Sees through :class:`ScaledMetric` and
+    :class:`CountingMetric` wrappers in any nesting.
+
+    This is the single answer to "may coordinates stand in for
+    distances?": an ``L_p`` norm is homogeneous, so ``factor * x`` are
+    coordinates whose plain ``inner`` distances are ``metric``'s, and
+    every ``|x_k - y_k| * factor`` is at most ``metric.distance(x, y)`` —
+    the ``L_inf`` box of radius ``r`` contains the metric's ``r``-ball.
+    """
+    factor = 1.0
+    while isinstance(metric, (ScaledMetric, CountingMetric)):
+        if isinstance(metric, ScaledMetric):
+            factor *= metric.factor
+        metric = metric.inner
+    if isinstance(metric, (EuclideanMetric, ChebyshevMetric, MinkowskiMetric)):
+        return metric, factor
+    return None

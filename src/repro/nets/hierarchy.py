@@ -15,11 +15,13 @@ farthest-point (Gonzalez) traversal, which yields **all** levels at once:
     * covering — every non-prefix point is within ``d_{k+1} < r`` of the
       prefix (the traversal always picks the farthest remaining point).
 
-Consequently the levels are *nested* (``Y_h ⊆ ... ⊆ Y_0``), which is a
-convenience the paper does not require but never hurts.  The traversal
-costs ``O(n^2)`` scalar distance evaluations (vectorized row-at-a-time);
-see DESIGN.md §5 for why this substitution preserves every property the
-proofs consume.
+Consequently the levels are *nested* (``Y_h ⊆ ... ⊆ Y_0``), which the
+paper does not require but the G_net range join exploits (one join per
+``Y_i - Y_(i+1)``, see :mod:`repro.graphs.gnet`).  The traversal costs
+``O(n^2)`` scalar distance evaluations (vectorized row-at-a-time) against
+[15]'s ``O(n log(n Delta))``.  The substitution is safe because the
+proofs of Section 2 consume nothing about ``Y_i`` beyond the two r-net
+properties shown above — only the hierarchy's build time differs.
 """
 
 from __future__ import annotations

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from repro.anns import BruteForceANN, CoverTree, GridANN
-from repro.metrics import ChebyshevMetric, Dataset, EuclideanMetric, TreeMetric
+from repro.metrics import (
+    ChebyshevMetric,
+    Dataset,
+    EuclideanMetric,
+    ExplicitMatrixMetric,
+    TreeMetric,
+)
 
 
 def _random_dataset(rng, n=60, dim=2):
@@ -220,6 +226,28 @@ class TestGridANN:
         assert 5 not in {i for i, _ in grid.range_search(ds.points[5], 1e9)}
         grid.insert(5)
         assert grid.nearest(ds.points[5]) == (5, pytest.approx(0.0))
+
+    def test_buckets_in_metric_units_under_a_scaled_metric(self, uniform2d):
+        """Radii and the cell width arrive in the *metric's* units; a
+        normalized dataset's metric is a ScaledMetric, and bucketing its
+        raw coordinates by those numbers left one occupied cell."""
+        level0_radius = 9.0  # phi * 2^0 at eps = 1
+        grid = GridANN(uniform2d, cell_size=level0_radius, point_ids=range(uniform2d.n))
+        brute = BruteForceANN(uniform2d, point_ids=range(uniform2d.n))
+        assert len(grid._cells) > 1
+        low, high = uniform2d.points.min(axis=0), uniform2d.points.max(axis=0)
+        for q in np.random.default_rng(3).uniform(low, high, size=(12, 2)):
+            for radius in (level0_radius, 4 * level0_radius):
+                assert grid.range_search(q, radius) == brute.range_search(q, radius)
+            assert grid.nearest(q) == brute.nearest(q)
+            assert grid.knn(q, 5) == brute.knn(q, 5)
+        far = high + 50.0 * (high - low)
+        assert grid.nearest(far) == brute.nearest(far)
+
+    def test_rejects_non_coordinate_metric(self, rng):
+        ds = Dataset(ExplicitMatrixMetric(np.zeros((6, 6))), rng.uniform(size=(6, 2)))
+        with pytest.raises(ValueError, match="L_p coordinate metric"):
+            GridANN(ds, cell_size=1.0)
 
     def test_rejects_bad_cell_size(self, rng):
         ds = _random_dataset(rng, n=5)

@@ -7,11 +7,62 @@ import math
 import numpy as np
 import pytest
 
-from repro.anns import BruteForceANN
+import repro.graphs.gnet as gnet_module
+from repro import ProximityGraphIndex
+from repro.anns import BruteForceANN, GridANN
 from repro.graphs import build_gnet, find_violations, gnet_parameters, greedy
 from repro.graphs.gnet import GNetParameters
-from repro.metrics import Dataset, TreeMetric
+from repro.metrics import (
+    ChebyshevMetric,
+    CountingMetric,
+    Dataset,
+    EuclideanMetric,
+    MetricSpace,
+    MinkowskiMetric,
+    TreeMetric,
+)
+from repro.metrics.scaling import normalize_min_distance
+from repro.nets import NetHierarchy
 from tests.conftest import mixed_queries
+
+
+def planted_pair_cube(rng, n: int, d: int, delta: float) -> np.ndarray:
+    """Uniform points in the unit cube whose closest pair is points 0 and
+    1 at distance exactly ``delta`` (every other pair is farther apart),
+    so the aspect ratio — hence the G-net's height — does not depend on
+    ``n`` or the seed.  The shape of the benchmark's ``build_gnet`` input."""
+    direction = rng.normal(size=d)
+    kept = [np.full(d, 0.5)]
+    kept.append(kept[0] + delta * direction / np.linalg.norm(direction))
+    while len(kept) < n:
+        p = rng.uniform(size=d)
+        if (np.linalg.norm(np.array(kept) - p, axis=1) >= 1.02 * delta).all():
+            kept.append(p)
+    return np.array(kept)
+
+
+def assert_same_build(got, want) -> None:
+    """Equal as *arrays* (CSR offsets and targets) and in the per-level
+    bookkeeping, not merely as edge sets."""
+    got_offsets, got_targets = got.graph.csr()
+    want_offsets, want_targets = want.graph.csr()
+    assert np.array_equal(got_offsets, want_offsets)
+    assert np.array_equal(got_targets, want_targets)
+    assert got.level_edge_counts == want.level_edge_counts
+    assert got.level_sizes == want.level_sizes
+
+
+def definition_edges(dataset, res) -> set[tuple[int, int]]:
+    """Section 2.1 read literally: (p, y) for every level i, every y in
+    Y_i with D(p, y) <= phi * 2^i, y != p."""
+    want: set[tuple[int, int]] = set()
+    for i in range(res.params.height + 1):
+        level = res.hierarchy.level(i)
+        radius = res.params.level_radius(i)
+        for p in range(dataset.n):
+            d = dataset.distances_from_index(p, level)
+            want.update((p, int(y)) for y in level[d <= radius] if int(y) != p)
+    return want
 
 
 class TestParameters:
@@ -59,17 +110,7 @@ class TestEdgeSetDefinition:
         """Every edge (p, y) must be witnessed by some level i with
         y in Y_i and D(p, y) <= phi * 2^i, and conversely."""
         res = build_gnet(uniform2d, epsilon=1.0, method="vectorized")
-        want: set[tuple[int, int]] = set()
-        for i in range(res.params.height + 1):
-            level = res.hierarchy.level(i)
-            radius = res.params.level_radius(i)
-            for p in range(uniform2d.n):
-                d = uniform2d.distances_from_index(p, level)
-                for y in level[d <= radius]:
-                    if int(y) != p:
-                        want.add((p, int(y)))
-        got = set(res.graph.edges())
-        assert got == want
+        assert set(res.graph.edges()) == definition_edges(uniform2d, res)
 
     def test_methods_agree_vectorized_grid(self, uniform2d):
         a = build_gnet(uniform2d, epsilon=1.0, method="vectorized")
@@ -91,10 +132,46 @@ class TestEdgeSetDefinition:
         )
         assert a.graph == b.graph
 
+    def test_methods_agree_paper_grid_ann(self, rng):
+        """GridANN under a normalized (scaled) metric: real bucketing."""
+        ds, _ = normalize_min_distance(
+            Dataset(EuclideanMetric(), rng.uniform(size=(40, 2)))
+        )
+        a = build_gnet(ds, epsilon=1.0, method="vectorized")
+        b = build_gnet(
+            ds,
+            epsilon=1.0,
+            method="paper",
+            ann_factory=lambda ds, ids: GridANN(ds, cell_size=18.0, point_ids=ids),
+        )
+        assert a.graph == b.graph
+
     def test_auto_dispatch(self, uniform2d):
         res = build_gnet(uniform2d, epsilon=1.0, method="auto")
         ref = build_gnet(uniform2d, epsilon=1.0, method="vectorized")
         assert res.graph == ref.graph
+
+    def test_auto_dispatches_on_the_metric_not_the_dtype(self, rng):
+        """A non-L_p metric over float rows: its balls are not inside
+        L_inf boxes (the first coordinate counts a fifth, so a ball
+        reaches five radii along it) and the grid filter would lose
+        edges; auto must take the reference path and an explicit "grid"
+        must refuse."""
+
+        class StretchedFirstAxis(MetricSpace):
+            def distance(self, a, b):
+                return float(self.distances(a, np.asarray(b)[None, :])[0])
+
+            def distances(self, a, batch):
+                diff = np.abs(np.asarray(batch) - np.asarray(a)[None, :])
+                return 0.2 * diff[:, 0] + diff[:, 1]
+
+        pts = rng.uniform(0, 300, size=(70, 2))
+        ds = Dataset(StretchedFirstAxis(), pts)
+        res = build_gnet(ds, epsilon=1.0, method="auto")
+        assert set(res.graph.edges()) == definition_edges(ds, res)
+        with pytest.raises(ValueError, match="L_p coordinate metric"):
+            build_gnet(ds, epsilon=1.0, method="grid")
 
     def test_unknown_method(self, uniform2d):
         with pytest.raises(ValueError, match="unknown build method"):
@@ -209,3 +286,77 @@ class TestDiameterEstimates:
         assert sum(res.level_edge_counts) == res.graph.num_edges
         assert res.level_sizes[0] == uniform2d.n
         assert res.level_sizes[-1] >= 1
+
+
+_METRICS = {
+    "l2": EuclideanMetric,
+    "linf": ChebyshevMetric,
+    "l3": lambda: MinkowskiMetric(3.0),
+}
+
+
+class TestGridJoin:
+    """``method="grid"`` — the array-level range join — against the
+    ``"vectorized"`` reference, array for array."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("metric", sorted(_METRICS))
+    def test_csr_and_bookkeeping_equal_reference(self, rng, metric, normalized, dim):
+        pts = rng.uniform(0, 40, size=(130, dim))
+        # Raw: a pair closer than 2^0, so Y_0 is a strict subset of P and
+        # the point left out of it must receive no in-edge.
+        pts[1] = pts[0] + 0.3
+        ds = Dataset(_METRICS[metric](), pts)
+        if normalized:
+            ds, _ = normalize_min_distance(ds)
+        grid = build_gnet(ds, epsilon=1.0, method="grid")
+        assert_same_build(grid, build_gnet(ds, epsilon=1.0, method="vectorized"))
+        if not normalized:
+            assert grid.level_sizes[0] < ds.n
+
+    @pytest.mark.parametrize(
+        "constant, value",
+        [("_JOIN_BLOCK_COORDS", 50), ("_JOIN_MAX_CELLS_PER_AXIS", 3)],
+    )
+    def test_tuning_constants_do_not_change_the_result(
+        self, uniform3d, monkeypatch, constant, value
+    ):
+        """Tiny blocks (many block boundaries, single-point blocks over
+        budget) and a cell cap that widens every cell past its radius."""
+        want = build_gnet(uniform3d, epsilon=0.5, method="vectorized")
+        monkeypatch.setattr(gnet_module, constant, value)
+        assert_same_build(build_gnet(uniform3d, epsilon=0.5, method="grid"), want)
+
+    def test_benchmark_shaped_default_build(self, rng):
+        """n = 1000, d = 3, planted closest pair, through the front door
+        (normalization paid, method "auto")."""
+        pts = planted_pair_cube(rng, 1000, 3, 0.02)
+        index = ProximityGraphIndex.build(pts, epsilon=1.0, method="gnet")
+        want = build_gnet(index.dataset, epsilon=1.0, method="vectorized")
+        offsets, targets = index.graph.csr()
+        want_offsets, want_targets = want.graph.csr()
+        assert np.array_equal(offsets, want_offsets)
+        assert np.array_equal(targets, want_targets)
+        assert index.built.meta["level_edge_counts"] == want.level_edge_counts
+
+    def test_distance_evaluations_are_output_sensitive(self, rng):
+        """Theorem 1.1's shape as a count, which repeats exactly: the join
+        evaluates a pinned fraction of the n * sum |Y_i| pairs a scan of
+        every level costs, never a pair twice, and grows sub-quadratically
+        in n at a fixed aspect ratio."""
+        counts = {}
+        for n in (1000, 2000):
+            pts = planted_pair_cube(rng, n, 2, 0.002)
+            ds, _ = normalize_min_distance(Dataset(EuclideanMetric(), pts))
+            counting = CountingMetric(ds.metric)
+            ds = Dataset(counting, pts)
+            hierarchy = NetHierarchy(ds)
+            counting.reset()
+            res = build_gnet(ds, epsilon=1.0, method="grid", hierarchy=hierarchy)
+            counts[n] = counting.reset()
+            assert res.graph.num_edges <= counts[n] <= n * n
+            assert counts[n] < 0.10 * n * sum(res.level_sizes)
+            build_gnet(ds, epsilon=1.0, method="grid", hierarchy=hierarchy)
+            assert counting.count == counts[n]
+        assert counts[2000] < 3.0 * counts[1000]

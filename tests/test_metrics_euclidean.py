@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.metrics import ChebyshevMetric, EuclideanMetric, MinkowskiMetric
+from repro.metrics import (
+    ChebyshevMetric,
+    CountingMetric,
+    EuclideanMetric,
+    MinkowskiMetric,
+    ScaledMetric,
+    TreeMetric,
+    lp_decompose,
+)
 
 finite_floats = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -106,3 +114,19 @@ class TestMinkowski:
     @settings(max_examples=20, deadline=None)
     def test_axioms_property(self, pts):
         MinkowskiMetric(3.0).check_axioms(pts, rtol=1e-8)
+
+
+class TestLpDecompose:
+    def test_sees_through_scaled_and_counted_wrappers(self, rng):
+        inner = MinkowskiMetric(3.0)
+        wrapped = ScaledMetric(CountingMetric(ScaledMetric(inner, 4.0)), 2.5)
+        got = lp_decompose(wrapped)
+        assert got is not None and got[0] is inner and got[1] == 10.0
+        a, b = rng.normal(size=(2, 3))
+        assert wrapped.distance(a, b) == pytest.approx(10.0 * inner.distance(a, b))
+        for plain in (EuclideanMetric(), ChebyshevMetric(), inner):
+            assert lp_decompose(plain) == (plain, 1.0)
+
+    def test_other_metrics_are_not_coordinate_metrics(self):
+        assert lp_decompose(TreeMetric(height=3)) is None
+        assert lp_decompose(ScaledMetric(CountingMetric(TreeMetric(height=3)), 2.0)) is None

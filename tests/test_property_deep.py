@@ -11,8 +11,15 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.anns import BruteForceANN, CoverTree
-from repro.graphs import ProximityGraph, build_theta_graph
-from repro.metrics import BlockAdversarialMetric, Dataset, EuclideanMetric
+from repro.graphs import ProximityGraph, build_gnet, build_theta_graph
+from repro.metrics import (
+    BlockAdversarialMetric,
+    ChebyshevMetric,
+    Dataset,
+    EuclideanMetric,
+    MinkowskiMetric,
+    normalize_min_distance,
+)
 
 
 # ----------------------------------------------------------------------
@@ -107,6 +114,32 @@ class TestThetaBuilderEquivalence:
         a = build_theta_graph(ds, theta, method="sweep")
         b = build_theta_graph(ds, theta, method="vectorized", cones=a.cones)
         assert a.graph == b.graph
+
+
+class TestGNetJoinEquivalence:
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(5, 40),
+        dim=st.integers(1, 4),
+        metric=st.sampled_from(
+            [EuclideanMetric(), ChebyshevMetric(), MinkowskiMetric(1.0), MinkowskiMetric(3.0)]
+        ),
+        normalized=st.booleans(),
+        epsilon=st.sampled_from([1.0, 0.5, 0.2]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_grid_join_equals_vectorized(self, seed, n, dim, metric, normalized, epsilon):
+        """The range join against the level-by-level reference: same CSR
+        arrays, same per-level bookkeeping."""
+        rng = np.random.default_rng(seed)
+        ds = Dataset(metric, rng.uniform(0, 50, size=(n, dim)))
+        if normalized:
+            ds, _ = normalize_min_distance(ds)
+        a = build_gnet(ds, epsilon, method="grid")
+        b = build_gnet(ds, epsilon, method="vectorized")
+        for got, want in zip(a.graph.csr(), b.graph.csr()):
+            assert np.array_equal(got, want)
+        assert a.level_edge_counts == b.level_edge_counts
 
 
 class TestAdversarialMetricRandomized:
