@@ -284,6 +284,7 @@ def test_serving_smoke_gate():
         "recall_at_1": round(_recall(r["answers"], gt), 4),
         "torn_reads": len(r["torn"]),
         "generation": r["stats"]["index"]["generation"],
+        "writer": r["stats"]["writer"],
     }
     _write_json("gate_32_clients", record)
     assert record["max_batch_size"] > 1, (
@@ -294,6 +295,9 @@ def test_serving_smoke_gate():
     assert record["p99_ms"] < 2000, record
     assert record["torn_reads"] == 0, r["torn"]
     assert record["generation"] >= 8  # the writer's adds+deletes landed
+    # /stats counts every swap the holder made, with its wall time.
+    assert record["writer"]["mutations"] == record["generation"] > 0, record
+    assert record["writer"]["total_ms"] >= record["writer"]["last_ms"] > 0, record
 
 
 def test_serving_acceptance_64_clients():

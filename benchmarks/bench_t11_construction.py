@@ -95,9 +95,12 @@ def test_construction_phase_breakdown(benchmark, bench_rng):
         ["n", "hierarchy_s", "edge_generation_s"],
         rows,
         notes=(
-            "The hierarchy phase is our Gonzalez substitution (DESIGN.md §5); "
-            "the edge-generation phase is the part Theorem 1.1's "
-            "output-sensitivity argument is about."
+            "The hierarchy phase is our Gonzalez substitution: one "
+            "farthest-point traversal gives every level Y_i as a prefix "
+            "(O(n^2) distances against Har-Peled & Mendel's O(n log(n "
+            "Delta)); the proofs use only the r-net properties, see "
+            "nets/hierarchy.py); the edge-generation phase is the part "
+            "Theorem 1.1's output-sensitivity argument is about."
         ),
     )
 

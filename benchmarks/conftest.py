@@ -1,10 +1,13 @@
 """Shared benchmark utilities.
 
-Every bench regenerates one of the paper's quantitative claims (see
-DESIGN.md §3 for the experiment index).  Bench output goes two places:
-stdout (visible with ``pytest benchmarks/ --benchmark-only -s``) and
-``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can reference a
-reproducible artifact.
+Every bench regenerates one of the paper's quantitative claims.  The
+experiment index is the table titles themselves: E1 G_net size, E2
+greedy query cost, E3 construction time (Theorem 1.1), E4 tree and E5
+block lower bounds (Theorem 1.2), E6/E7 the Euclidean separation
+(Theorem 1.3), E8 builders against the Section 2.3 bounds, E9 geometry
+facts and engine throughput.  Bench output goes two places: stdout
+(visible with ``pytest benchmarks/ --benchmark-only -s``) and
+``benchmarks/results/<name>.txt``, a reproducible artifact per table.
 
 Conventions: seeds are fixed; sizes are laptop-scale (the goal is the
 *shape* of each curve — who wins, what grows with what — not absolute

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 from pathlib import Path
@@ -281,6 +282,8 @@ def _cmd_save_index(args: argparse.Namespace) -> int:
     """Build a full index over a points file and persist it — one .npz
     for the flat index, a manifest directory when ``--shards > 1``."""
     points = _load_points(args.points)
+    # Only wave builders take batch_size; the others reject the keyword.
+    batch = {} if args.batch_size is None else {"batch_size": args.batch_size}
     if args.shards > 1:
         index, seconds = timed(
             lambda: ShardedIndex.build(
@@ -292,11 +295,7 @@ def _cmd_save_index(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 assignment=args.assignment,
                 storage=args.storage,
-                **(
-                    {}
-                    if args.batch_size is None
-                    else {"batch_size": args.batch_size}
-                ),
+                **batch,
             )
         )
     else:
@@ -306,8 +305,8 @@ def _cmd_save_index(args: argparse.Namespace) -> int:
                 epsilon=args.epsilon,
                 method=args.method,
                 seed=args.seed,
-                batch_size=args.batch_size,
                 storage=args.storage,
+                **batch,
             )
         )
     written, save_seconds = timed(
@@ -576,6 +575,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import IndexHolder, SearchServer
 
+    logging.basicConfig(
+        level=logging.INFO, format="%(asctime)s %(name)s %(levelname)s %(message)s"
+    )
+    log = logging.getLogger("repro.serve")
+    # Warm once before binding, so "auto" (the default of /search and of
+    # the snapshot writer) means the compiled backend from the first
+    # request on, not "numpy until some client names a backend".
+    try:
+        warmed = accel.warm()
+    except accel.AccelError as exc:
+        log.warning("no compiled accel backend (%s); serving on numpy", exc)
+    else:
+        log.info(
+            "accel backend %s (warmed in %.3f s)",
+            warmed["backend"], warmed["compile_seconds"],
+        )
     index = load_any(args.index, mmap=True if args.mmap else None)
     if args.workers is not None and isinstance(index, ShardedIndex):
         index.workers = args.workers

@@ -46,7 +46,6 @@ from repro.graphs.engine import (
     beam_search_batch,
     bulk_insert,
     greedy_batch,
-    snapshot_graph,
 )
 from repro.graphs.navigability import NavigabilityViolation, find_violations
 from repro.metrics.base import Dataset, MetricSpace
@@ -614,15 +613,21 @@ class ProximityGraphIndex:
     def _add_repair(
         self, new_pts: np.ndarray, batch_size: int, backend: str | None = None
     ) -> None:
+        """Link ``new_pts`` into the graph by wave-batched repair.
+
+        Cost per call: distance work proportional to ``count * beam *
+        degree`` (locate + RobustPrune, through ``backend``), plus a
+        constant number of array copies of the point and edge arrays —
+        the frozen CSR is packed into :class:`RepairInserter`'s padded
+        row store, repaired there, and frozen again, all with array ops.
+        Nothing here visits every vertex or edge in Python.
+        """
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         n_old, count = self.dataset.n, len(new_pts)
         points = np.concatenate([np.asarray(self.dataset.points), new_pts], axis=0)
         dataset = Dataset(self.dataset.metric, points)
         graph = self.graph
-        adj = [
-            [int(v) for v in graph.out_neighbors(u)] for u in range(n_old)
-        ] + [[] for _ in range(count)]
         degree_cap = max(8, int(math.ceil(graph.mean_out_degree())))
         # Entry point: the medoid of a sample — the sample member with
         # the smallest summed distance to the rest (metric-generic).
@@ -632,13 +637,13 @@ class ProximityGraphIndex:
         pair = dataset.metric.pairwise(dataset.points[sample])
         entry = int(sample[np.argmin(pair.sum(axis=1))])
         inserter = RepairInserter(
-            dataset, adj, entry,
+            dataset, graph, entry,
             max_degree=degree_cap, beam_width=max(32, 2 * degree_cap),
             backend=backend,
         )
         bulk_insert(inserter, range(n_old, n_old + count), batch_size, ramp=False)
         self.dataset = dataset
-        self.built.graph = snapshot_graph(len(adj), adj, sort=True)
+        self.built.graph = inserter.graph()
         self.built.backend = None
         # Any dynamic net predates the repair and no longer mirrors the
         # collection; the next dynamic add must re-upgrade from scratch.

@@ -298,8 +298,8 @@ class IdMap:
         new = self.check_assignable(count, external_ids)
         base = len(self._ext)
         self._ext = np.concatenate([self._ext, new])
-        for i, e in enumerate(new.tolist()):
-            self._int[e] = base + i
+        if self._reverse is not None:  # still lazy: nothing to keep in step
+            self._reverse.update(zip(new.tolist(), range(base, base + count)))
         self._next = max(self._next, int(new.max()) + 1) if len(new) else self._next
         return new
 

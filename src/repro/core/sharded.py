@@ -1014,6 +1014,7 @@ class ShardedIndex:
         ids: Sequence[int] | None = None,
         mode: str = "auto",
         batch_size: int = 64,
+        backend: str | None = None,
     ) -> np.ndarray:
         """Insert new points; returns their external ids.
 
@@ -1022,7 +1023,8 @@ class ShardedIndex:
         shard sizes balanced under streaming ingestion while preserving
         the flat index's ``add`` semantics inside the shard — including
         the ``mode`` knob (``"repair"`` / ``"dynamic"`` / ``"auto"``)
-        and its guarantee bookkeeping.  Fresh ids are global: unique
+        and its guarantee bookkeeping, and the ``backend`` of the repair
+        path, which runs in this process.  Fresh ids are global: unique
         across every shard.
         """
         new_pts, _single = self.shards[0]._normalize_queries(points)
@@ -1046,7 +1048,8 @@ class ShardedIndex:
             range(self.n_shards), key=lambda j: (self.shards[j].active_count, j)
         )
         out = self.shards[target].add(
-            new_pts, ids=new_ids, mode=mode, batch_size=batch_size
+            new_pts, ids=new_ids, mode=mode, batch_size=batch_size,
+            backend=backend,
         )
         for e in out.tolist():
             self._owner[int(e)] = target

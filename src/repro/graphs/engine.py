@@ -811,9 +811,10 @@ def locate_wave_pools(
     :func:`construction_beam_batch` from ``entry`` for the whole wave.
     This is the ``locate_wave`` body every RobustPrune-style inserter
     shares.  Returns ``(ids, distances)`` pools ascending by distance.
-    When an **active** ``mirror`` holds the adjacency (compiled commit
-    path), the CSR prefix is frozen straight off its padded rows —
-    row-for-row the same graph the list snapshot would give.
+    When an **active** ``mirror`` holds the adjacency (a builder's
+    compiled commit path; the repair path always), the CSR prefix is
+    frozen straight off its padded rows — row-for-row the same graph
+    the list snapshot would give.
     """
     idx = np.asarray(pids, dtype=np.intp)
     if mirror is not None and mirror.active:
@@ -832,7 +833,7 @@ def locate_wave_pools(
 
 def prune_and_link(
     dataset: Dataset,
-    adj: list[list[int]],
+    adj: Any,
     pid: int,
     v_arr: np.ndarray,
     d_arr: np.ndarray,
@@ -842,37 +843,51 @@ def prune_and_link(
 ) -> None:
     """Commit one point from its located pool: RobustPrune its out-edges,
     then add backlinks with overflow re-pruning — the ``commit`` body
-    every RobustPrune-style inserter shares.
+    every RobustPrune-style inserter shares.  ``adj`` is indexed by
+    vertex and its rows are read and assigned whole, so a list of lists
+    (the builders) and a :class:`CommitMirror` (the repair path, which
+    never holds lists) both serve.
     """
-    adj[pid] = robust_prune(dataset, pid, v_arr, d_arr, alpha, max_degree, backend=backend)
-    for v in adj[pid]:
+    kept = robust_prune(dataset, pid, v_arr, d_arr, alpha, max_degree, backend=backend)
+    adj[pid] = kept
+    for v in kept:
         nbrs = adj[v]
-        if pid not in nbrs:
-            nbrs.append(pid)
-            if len(nbrs) > max_degree:
-                arr = np.asarray(nbrs, dtype=np.intp)
-                dists = dataset.distances_from_index(v, arr)
-                adj[v] = robust_prune(
-                    dataset, v, arr, dists, alpha, max_degree, backend=backend
-                )
+        if pid in nbrs:
+            continue
+        grown = [*nbrs, pid]
+        if len(grown) > max_degree:
+            arr = np.asarray(grown, dtype=np.intp)
+            dists = dataset.distances_from_index(v, arr)
+            grown = robust_prune(
+                dataset, v, arr, dists, alpha, max_degree, backend=backend
+            )
+        adj[v] = grown
 
 
 class CommitMirror:
-    """Padded int64 mirror of a list-of-lists adjacency for wave commits.
+    """Padded int64 row store for wave commits: ``(n, cap)`` rows plus a
+    ``deg`` length vector, the layout the compiled commit kernel
+    (``accel.run_commit_wave``) mutates in place.
 
-    The compiled commit path (:func:`commit_wave_pools` dispatching to
-    ``accel.run_commit_wave``) mutates adjacency rows hundreds of
-    thousands of times per build; doing that through Python lists costs
-    more than the pruning itself.  Instead the kernel operates on a
-    ``(n, cap)`` int64 row store with a ``deg`` length vector — this
-    mirror — which stays **authoritative between waves**: wave location
-    snapshots CSR straight off it (:meth:`snapshot`) and only
-    :meth:`flush` writes the rows back into the list adjacency (at the
-    end of a bulk phase, or before any code path that mutates the lists
-    directly).  While inactive (``arr is None``) the mirror is inert
-    and the list adjacency is authoritative — the numpy path never
-    touches it.  ``scratch`` persists the dispatch layer's kernel
-    buffers across waves.
+    It serves two kinds of owner:
+
+    * A **builder** (Vamana) keeps a list-of-lists adjacency and uses
+      this as its mirror: the first compiled wave loads the lists with
+      :meth:`pack`, the store then stays authoritative between waves
+      (wave location snapshots CSR straight off it), and :meth:`flush`
+      writes the rows back before any code that mutates the lists
+      directly.  While inactive (``arr is None``) it is inert and the
+      lists are authoritative — the numpy build path never touches it.
+    * The **repair path** (:class:`RepairInserter`) has no lists at all:
+      :meth:`from_csr` packs the frozen graph with array ops, the store
+      *is* the adjacency that :func:`prune_and_link` and the wave kernel
+      both work on (``store[v]`` reads a row, ``store[v] = ids`` assigns
+      one), and ``snapshot(sort=True)`` emits the finished graph.
+      Nothing on that path iterates over vertices in Python.
+
+    Memory is ``n * cap`` int64 with ``cap`` one more than the longest
+    row.  ``scratch`` persists the dispatch layer's kernel buffers
+    across waves.
     """
 
     def __init__(self) -> None:
@@ -885,38 +900,77 @@ class CommitMirror:
     def active(self) -> bool:
         return self.arr is not None
 
-    def pack(self, adj: Sequence[Sequence[int]], max_degree: int) -> None:
-        """Load the list adjacency into the padded store.  ``cap`` leaves
-        one slot of headroom over the longest row (and ``max_degree``)
-        for the transient pre-prune backlink append."""
-        n = len(adj)
-        longest = max((len(row) for row in adj), default=0)
-        self.cap = max(int(max_degree), longest) + 1
+    def _allocate(self, n: int, longest: int, max_degree: int) -> None:
+        # One slot of headroom over the longest row (and ``max_degree``)
+        # for the transient pre-prune backlink append.
+        self.cap = max(int(max_degree), int(longest)) + 1
         self.arr = np.zeros((n, self.cap), dtype=np.int64)
         self.deg = np.zeros(n, dtype=np.int64)
-        for i, row in enumerate(adj):
-            m = len(row)
-            if m:
-                self.arr[i, :m] = row
-                self.deg[i] = m
 
-    def snapshot(self) -> ProximityGraph:
-        """CSR freeze of the padded rows — row-for-row identical to
-        ``snapshot_graph(n, adj, sort=False)`` over the flushed lists."""
+    def _valid(self) -> np.ndarray:
+        """Boolean ``(n, cap)`` mask of the occupied slots, row-major —
+        i.e. in CSR order."""
+        return np.arange(self.cap, dtype=np.int64)[None, :] < self.deg[:, None]
+
+    @classmethod
+    def from_csr(
+        cls, graph: ProximityGraph, extra: int, max_degree: int
+    ) -> "CommitMirror":
+        """The store holding ``graph``'s rows in their CSR order,
+        followed by ``extra`` empty rows for the vertices about to be
+        inserted."""
+        offsets, targets = graph.csr()
+        lens = np.diff(offsets)
+        store = cls()
+        store._allocate(graph.n + extra, lens.max(initial=0), max_degree)
+        store.deg[: graph.n] = lens
+        store.arr[store._valid()] = targets
+        return store
+
+    def pack(self, adj: Sequence[Sequence[int]], max_degree: int) -> None:
+        """Load a list adjacency into the padded store."""
+        self._allocate(
+            len(adj), max((len(row) for row in adj), default=0), max_degree
+        )
+        for i, row in enumerate(adj):
+            if row:
+                self[i] = row
+
+    def __getitem__(self, v: int) -> np.ndarray:
+        return self.arr[v, : self.deg[v]]
+
+    def __setitem__(self, v: int, row: Sequence[int]) -> None:
+        m = len(row)
+        self.arr[v, :m] = row
+        self.deg[v] = m
+
+    def snapshot(self, sort: bool = False) -> ProximityGraph:
+        """CSR freeze of the padded rows.  Rows keep their store order —
+        row-for-row ``snapshot_graph(n, adj, sort=False)`` over the
+        equivalent lists, which is all a beam's pool needs; ``sort=True``
+        orders every row ascending instead (padding sorts last), the
+        graph container's canonical form."""
         n = len(self.deg)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.deg, out=offsets[1:])
-        mask = np.arange(self.cap, dtype=np.int64)[None, :] < self.deg[:, None]
-        flat = self.arr[mask].astype(np.intp, copy=False)
+        valid = self._valid()
+        rows = self.arr
+        if sort:
+            rows = np.sort(
+                np.where(valid, rows, np.iinfo(np.int64).max), axis=1
+            )
+        flat = rows[valid].astype(np.intp, copy=False)
         return ProximityGraph.from_csr(n, offsets, flat, validate=False)
 
-    def flush(self, adj: list[list[int]]) -> None:
+    def flush(self, adj: Any) -> None:
         """Write every row back into the list adjacency and deactivate.
 
         Deactivating (rather than staying synced) makes staleness
         impossible: any later direct list mutation happens while the
-        mirror is inert, and the next wave commit re-packs."""
-        if self.arr is None:
+        mirror is inert, and the next wave commit re-packs.  A store
+        that is itself the adjacency (``adj is self``) has nothing to
+        write back and stays active."""
+        if self.arr is None or adj is self:
             return
         arr, deg = self.arr, self.deg
         self.arr = None
@@ -928,7 +982,7 @@ class CommitMirror:
 
 def commit_wave_pools(
     dataset: Dataset,
-    adj: list[list[int]],
+    adj: Any,
     pids: Sequence[int],
     pools: Sequence[tuple[np.ndarray, np.ndarray]],
     alpha: float,
@@ -977,7 +1031,7 @@ def commit_wave_pools(
         pid = int(pid)
         v_arr = np.asarray(pool[0], dtype=np.intp)
         d_arr = np.asarray(pool[1], dtype=np.float64)
-        if include_own and adj[pid]:
+        if include_own and len(adj[pid]):
             own = np.asarray(adj[pid], dtype=np.intp)
             own_d = dataset.distances_from_index(pid, own)
             v_arr = np.concatenate([v_arr, own])
@@ -997,12 +1051,19 @@ class RepairInserter:
     at the price of the paper's worst-case guarantee (the facade clears
     ``guaranteed`` on this path; ``gnet`` indexes keep it via the
     dynamic-net path instead).
+
+    ``graph`` is the frozen graph over the first ``graph.n`` points of
+    ``dataset``; the rest are the points to insert.  The adjacency
+    lives in a :class:`CommitMirror` packed from the CSR arrays and is
+    read back with :meth:`graph`, so the cost besides the distance work
+    is a constant number of array copies of the edge set: no step
+    visits every vertex or edge in Python, whichever backend commits.
     """
 
     def __init__(
         self,
         dataset: Dataset,
-        adj: list[list[int]],
+        graph: ProximityGraph,
         entry: int,
         max_degree: int,
         beam_width: int,
@@ -1010,13 +1071,18 @@ class RepairInserter:
         backend: str | None = None,
     ):
         self.dataset = dataset
-        self._adj = adj
         self.entry = int(entry)
         self.max_degree = int(max_degree)
         self.beam_width = int(beam_width)
         self.alpha = float(alpha)
         self.backend = backend
-        self._mirror = CommitMirror()
+        self._rows = CommitMirror.from_csr(
+            graph, dataset.n - graph.n, self.max_degree
+        )
+
+    def graph(self) -> ProximityGraph:
+        """The repaired graph, rows sorted (the container's invariant)."""
+        return self._rows.snapshot(sort=True)
 
     # -- WaveInserter protocol -----------------------------------------
 
@@ -1025,17 +1091,14 @@ class RepairInserter:
 
     def locate_wave(self, pids: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
         return locate_wave_pools(
-            self.dataset, self._adj, self.entry, pids, self.beam_width,
-            backend=self.backend, mirror=self._mirror,
+            self.dataset, self._rows, self.entry, pids, self.beam_width,
+            backend=self.backend, mirror=self._rows,
         )
 
     def commit(self, pid: int, pool: tuple[np.ndarray, np.ndarray]) -> None:
-        # Direct list mutation below — the mirror (if a compiled wave
-        # left it active) must be written back first.
-        self._mirror.flush(self._adj)
         prune_and_link(
             self.dataset,
-            self._adj,
+            self._rows,
             int(pid),
             np.asarray(pool[0], dtype=np.intp),
             np.asarray(pool[1], dtype=np.float64),
@@ -1050,12 +1113,9 @@ class RepairInserter:
         pools: Sequence[tuple[np.ndarray, np.ndarray]],
     ) -> None:
         commit_wave_pools(
-            self.dataset, self._adj, pids, pools, self.alpha,
-            self.max_degree, backend=self.backend, mirror=self._mirror,
+            self.dataset, self._rows, pids, pools, self.alpha,
+            self.max_degree, backend=self.backend, mirror=self._rows,
         )
-
-    def finish_waves(self) -> None:
-        self._mirror.flush(self._adj)
 
 
 def snapshot_graph(n: int, rows: Sequence[Any], sort: bool = True) -> ProximityGraph:

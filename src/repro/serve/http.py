@@ -25,7 +25,8 @@ keep-alive.  Request/response bodies are JSON.  Endpoints:
     ``{"status": "ok", "n": .., "active": .., "generation": g}``.
 ``GET /stats``
     Coalescer counters (batch-size histogram), cache hit/miss, index
-    stats, uptime.
+    stats, the ``writer`` block (``mutations`` swapped in, ``last_ms``,
+    ``total_ms``), uptime.
 
 Writes run on a dedicated single worker thread (serialized anyway by
 the holder's lock); searches run on the coalescer's executor.  The
@@ -356,5 +357,6 @@ class SearchServer:
                 "tombstones": int(index.tombstone_count),
                 "generation": generation,
             },
+            "writer": self.holder.writer_stats,
             "uptime_seconds": round(time.monotonic() - self._started, 3),
         }

@@ -22,11 +22,24 @@ The holder removes the race wholesale instead of locking the hot path:
 
 ``generation`` increments on every swap; the query cache folds it into
 its keys, so a swap implicitly invalidates every cached result.
+
+What a write costs.  The snapshot shares the heavy arrays, and ``add``
+repairs the graph with array operations only: per call, distance work
+proportional to ``count * beam * degree`` plus a constant number of
+copies of the point and edge arrays — no interpreter work per vertex,
+so the writer's hold on the GIL (which is what readers wait for) does
+not grow with the collection the way a thaw-to-lists repair did.  The
+writer passes ``backend="auto"``, the same default ``/search`` uses:
+once a compiled backend is warmed (``repro serve`` warms one before
+binding) the wave location and commit run in its kernels, which are
+pinned bit-identical to numpy.  ``delete`` flips tombstone bits.
+:attr:`writer_stats` counts the swaps and their wall time.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -40,6 +53,7 @@ class IndexHolder:
     def __init__(self, index: Any) -> None:
         self._state: tuple[Any, int] = (index, 0)
         self._write_lock = threading.Lock()
+        self._writer = {"mutations": 0, "last_ms": 0.0, "total_ms": 0.0}
 
     # -- readers --------------------------------------------------------
 
@@ -60,6 +74,12 @@ class IndexHolder:
     def generation(self) -> int:
         return self._state[1]
 
+    @property
+    def writer_stats(self) -> dict[str, float]:
+        """``mutations`` swapped in so far, and the wall time of the
+        last one and of all of them (snapshot + mutation + swap, ms)."""
+        return dict(self._writer)
+
     # -- writers --------------------------------------------------------
 
     def mutate(self, fn: Callable[[Any], Any]) -> Any:
@@ -72,16 +92,23 @@ class IndexHolder:
         contract.  Returns whatever ``fn`` returned.
         """
         with self._write_lock:
+            t0 = time.perf_counter()
             index, generation = self._state
             snap = index.snapshot()
             out = fn(snap)
             self._state = (snap, generation + 1)
+            ms = (time.perf_counter() - t0) * 1e3
+            self._writer = {
+                "mutations": self._writer["mutations"] + 1,
+                "last_ms": ms,
+                "total_ms": self._writer["total_ms"] + ms,
+            }
             return out
 
     # Convenience wrappers the HTTP layer calls from its writer thread.
 
     def add(self, points: Any, ids: Sequence[int] | None = None) -> np.ndarray:
-        return self.mutate(lambda ix: ix.add(points, ids=ids))
+        return self.mutate(lambda ix: ix.add(points, ids=ids, backend="auto"))
 
     def delete(self, ids: Any) -> int:
         return self.mutate(lambda ix: ix.delete(ids))

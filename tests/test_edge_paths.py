@@ -101,6 +101,43 @@ class TestCliStartPinning:
             main(["validate", str(pts_path), str(g_path)])
 
 
+class TestCliSaveIndex:
+    """``save-index`` passes ``batch_size`` only when ``--batch-size`` is
+    given: the builders without an insertion loop reject the keyword."""
+
+    @pytest.mark.parametrize(
+        "method, extra",
+        [("gnet", []), ("knn", []), ("vamana", []), ("vamana", ["--batch-size", "16"])],
+    )
+    def test_save_then_reload(self, tmp_path, rng, capsys, method, extra):
+        from repro.cli import main
+        from repro.core.persistence import load_any
+
+        pts = uniform_cube(60, 2, rng)
+        pts_path = tmp_path / "p.npy"
+        np.save(pts_path, pts)
+        idx_path = tmp_path / "idx.npz"
+        assert main(
+            ["save-index", str(pts_path), str(idx_path), "--method", method,
+             "--epsilon", "1.0", *extra]
+        ) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert ("batch_size" in out) == bool(extra)
+        index = load_any(idx_path)
+        assert index.n == 60 and index.built.name == method
+        assert index.search(pts[7]).top1() == (7, 0.0)
+        assert main(["load-index", str(idx_path), "--q", "0.3", "0.3"]) == 0
+
+    def test_batch_size_on_a_non_wave_builder_is_named(self, tmp_path, rng):
+        from repro.cli import main
+
+        pts_path = tmp_path / "p.npy"
+        np.save(pts_path, uniform_cube(30, 2, rng))
+        with pytest.raises(ValueError, match="does not support batched"):
+            main(["save-index", str(pts_path), str(tmp_path / "i.npz"),
+                  "--method", "gnet", "--batch-size", "8"])
+
+
 class TestTopLevelExports:
     def test_package_all_importable(self):
         import repro

@@ -337,6 +337,16 @@ class TestIdMapUnit:
         assert compacted.externals.tolist() == [0, 1, 3]
         assert compacted.assign(1).tolist() == [5]  # not a recycled 2 or 4
 
+    def test_assign_keeps_the_reverse_map_lazy_and_in_step(self):
+        lazy = IdMap.identity(3)
+        lazy.assign(2)
+        assert lazy._reverse is None  # fresh ids need no lookup: no O(n) dict
+        assert lazy.to_internal([4, 0]).tolist() == [4, 0]
+        built = IdMap.identity(3)
+        assert 2 in built  # forces the reverse map
+        built.assign(2, [40, 30])
+        assert built.to_internal([30, 40, 2]).tolist() == [4, 3, 2]
+
     def test_assign_explicit_clash_rejected(self):
         m = IdMap([0, 1])
         with pytest.raises(ValueError, match="already in use"):

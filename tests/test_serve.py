@@ -10,6 +10,10 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
+import logging
+import sys
+import threading
+import warnings
 import urllib.error
 import urllib.request
 
@@ -134,6 +138,65 @@ class TestIndexHolder:
         holder.add(np.random.default_rng(0).uniform(size=(1, 4)))
         assert holder.generation == gen + 1
         assert pinned.n == 40  # the pinned object never changed
+
+    def test_writer_stats_count_swaps_only(self):
+        holder = IndexHolder(_flat(n=40))
+        assert holder.writer_stats == {"mutations": 0, "last_ms": 0.0, "total_ms": 0.0}
+        holder.add(np.random.default_rng(0).uniform(size=(2, 4)))
+        first = holder.writer_stats
+        assert first["mutations"] == 1 and first["last_ms"] > 0.0
+        assert first["total_ms"] == first["last_ms"]
+        with pytest.raises(KeyError):
+            holder.delete([99999])
+        assert holder.writer_stats == first  # nothing swapped, nothing counted
+        holder.delete([0])
+        second = holder.writer_stats
+        assert second["mutations"] == 2
+        assert second["total_ms"] == pytest.approx(first["total_ms"] + second["last_ms"])
+        first["mutations"] = 99  # a copy: callers cannot reach the counters
+        assert holder.writer_stats["mutations"] == 2
+
+    def test_concurrent_writers_lose_no_count(self):
+        holder = IndexHolder(_flat(n=60))
+        workers, each = 6, 5  # more writers than cores, on purpose
+        errors: list[BaseException] = []
+
+        def writer(w: int) -> None:
+            try:
+                for j in range(each):
+                    holder.delete([w * each + j])
+                    assert holder.writer_stats["mutations"] <= workers * each
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(w,)) for w in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        stats = holder.writer_stats
+        assert stats["mutations"] == workers * each == holder.generation
+        assert holder.current.tombstone_count == workers * each
+        assert stats["total_ms"] >= stats["last_ms"] > 0.0
+
+    def test_add_runs_the_repair_on_the_auto_backend(self, monkeypatch):
+        index = _flat(n=40)
+        seen = []
+        original = type(index).add
+
+        def spy(self, points, **kwargs):
+            seen.append(kwargs)
+            return original(self, points, **kwargs)
+
+        monkeypatch.setattr(type(index), "add", spy)
+        IndexHolder(index).add(np.zeros((1, 4)), ids=[77])
+        assert seen == [{"ids": [77], "backend": "auto"}]
 
 
 # ----------------------------------------------------------------------
@@ -403,6 +466,19 @@ class TestHTTP:
         assert found["ids"][0] == added["ids"][0]
         assert found["generation"] == 1
 
+    def test_stats_expose_the_writer_block(self):
+        async def go(base, _server):
+            _, before = await _afetch(base, "/stats")
+            _, added = await _afetch(base, "/add", {"points": [[9.0, 9.0, 9.0, 9.0]]})
+            await _afetch(base, "/delete", {"ids": added["ids"]})
+            _, after = await _afetch(base, "/stats")
+            return before, after
+
+        before, after = _serve_test(go)
+        assert before["writer"] == {"mutations": 0, "last_ms": 0.0, "total_ms": 0.0}
+        assert after["writer"]["mutations"] == 2 == after["index"]["generation"]
+        assert 0.0 < after["writer"]["last_ms"] < after["writer"]["total_ms"]
+
     def test_delete_is_atomic_over_http(self):
         async def go(base, _server):
             try:
@@ -494,3 +570,45 @@ class TestHTTP:
 
         torn = _serve_test(go, index=index, cache_size=0, max_wait_ms=0.5)
         assert torn == []
+
+
+# ----------------------------------------------------------------------
+# ``repro serve`` start-up
+# ----------------------------------------------------------------------
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_warms_before_binding_and_logs_the_backend(
+        self, tmp_path, monkeypatch, caplog, compiled
+    ):
+        from repro import accel
+        from repro.accel import dispatch
+        from repro.cli import main
+
+        path = tmp_path / "served.npz"
+        _flat(n=40).save(path)
+        at_bind = []
+
+        async def bind(self, host, port):
+            at_bind.append(accel.get_backend())
+
+        monkeypatch.setattr(SearchServer, "serve_forever", bind)
+        if not compiled:
+            monkeypatch.setattr(dispatch, "available_backends", lambda: [])
+        accel.reset()
+        try:
+            with warnings.catch_warnings(), caplog.at_level(
+                logging.INFO, logger="repro.serve"
+            ):
+                # Without a compiled backend warm() warns once and the
+                # server starts on numpy: not fatal.
+                warnings.simplefilter("ignore", accel.AccelFallbackWarning)
+                assert main(["serve", str(path), "--port", "0"]) == 0
+                best = accel.warm()["backend"]
+        finally:
+            accel.reset()
+        assert compiled or best == "numpy"
+        assert at_bind == [best]  # "auto" already means the best backend
+        messages = [r.getMessage() for r in caplog.records if r.name == "repro.serve"]
+        assert any(f"accel backend {best}" in m for m in messages), messages
