@@ -35,9 +35,8 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "beam_kernel",
+    "SearchKernels",
     "construction_kernel",
-    "greedy_kernel",
     "robust_prune_kernel",
     "commit_wave_kernel",
     "cache_dir",
@@ -57,7 +56,7 @@ int64_t repro_beam(
     int64_t beam_width, int64_t k_fetch, int64_t budget,
     const uint8_t *allowed, int32_t has_allowed,
     int64_t *out_ids, double *out_dists, int64_t *out_evals,
-    int32_t *visited, double *cand_d, int64_t *cand_v,
+    int64_t gen0, int32_t *visited, double *cand_d, int64_t *cand_v,
     double *pool_d, int64_t *pool_v, double *contrib);
 
 int64_t repro_greedy(
@@ -331,11 +330,11 @@ int64_t repro_beam(
     int64_t beam_width, int64_t k_fetch, int64_t budget,
     const uint8_t *allowed, int32_t has_allowed,
     int64_t *out_ids, double *out_dists, int64_t *out_evals,
-    int32_t *visited, double *cand_d, int64_t *cand_v,
+    int64_t gen0, int32_t *visited, double *cand_d, int64_t *cand_v,
     double *pool_d, int64_t *pool_v, double *contrib)
 {
     for (int64_t qi = 0; qi < nq; qi++) {
-        int32_t gen = (int32_t)(qi + 1);
+        int32_t gen = (int32_t)(gen0 + qi + 1);
         int64_t s = starts[qi];
         int64_t csize = cand_push(cand_d, cand_v, 0, d0[qi], s);
         int64_t psize = 0;
@@ -877,77 +876,91 @@ def _load():
 
 
 def _f64(ffi, arr: np.ndarray):
-    return ffi.cast("const double *", arr.ctypes.data)
+    return ffi.from_buffer("double[]", arr)
 
 
 def _i64(ffi, arr: np.ndarray):
-    return ffi.cast("const int64_t *", arr.ctypes.data)
+    return ffi.from_buffer("int64_t[]", arr)
 
 
 def _u8(ffi, arr: np.ndarray):
-    return ffi.cast("const uint8_t *", arr.ctypes.data)
+    return ffi.from_buffer("uint8_t[]", arr)
 
 
-def beam_kernel(
-    offsets, targets, kind, factor, power, Q, data, codes, minv, scale, luts,
-    starts, d0, beam_width, k_fetch, budget, allowed, has_allowed,
-    out_ids, out_dists, out_evals, visited, cand_d, cand_v, pool_d, pool_v, contrib,
-):
-    """Same signature/semantics as :func:`repro.accel.kernels.beam_kernel`."""
-    lib, ffi = _load()
-    return lib.repro_beam(
-        _i64(ffi, offsets), _i64(ffi, targets),
-        int(kind), float(factor), float(power),
-        _f64(ffi, Q), Q.shape[1] if Q.ndim == 2 else 0,
-        _f64(ffi, data), data.shape[1],
-        _u8(ffi, codes), codes.shape[1],
-        _f64(ffi, minv), _f64(ffi, scale),
-        _f64(ffi, luts), luts.shape[1], luts.shape[2],
-        _i64(ffi, starts), _f64(ffi, d0), starts.shape[0],
-        int(beam_width), int(k_fetch), int(budget),
-        _u8(ffi, allowed), int(has_allowed),
-        ffi.cast("int64_t *", out_ids.ctypes.data),
-        ffi.cast("double *", out_dists.ctypes.data),
-        ffi.cast("int64_t *", out_evals.ctypes.data),
-        ffi.cast("int32_t *", visited.ctypes.data),
-        ffi.cast("double *", cand_d.ctypes.data),
-        ffi.cast("int64_t *", cand_v.ctypes.data),
-        ffi.cast("double *", pool_d.ctypes.data),
-        ffi.cast("int64_t *", pool_v.ctypes.data),
-        ffi.cast("double *", contrib.ctypes.data),
-    )
+class SearchKernels:
+    """``repro_beam`` / ``repro_greedy`` bound to the arrays that outlive
+    a call — same interface as :class:`repro.accel.kernels.SearchKernels`.
 
+    The pointers of the CSR arrays, the stored vectors and the quantiser
+    parameters are resolved here, once; :meth:`beam` and :meth:`greedy`
+    marshal only what changes from call to call.  Every pointer comes
+    from ``ffi.from_buffer``, which holds its array (or mapping) alive
+    and refuses one that is not C-contiguous.
+    """
 
-def greedy_kernel(
-    offsets, targets, kind, factor, power, Q, data, codes, minv, scale, luts,
-    starts, d0, budget, allowed, has_allowed,
-    out_p, out_d, out_evals, out_hops, out_term, out_best_p, out_best_d,
-    hops_buf, hops_cap, contrib,
-):
-    """Same signature/semantics as :func:`repro.accel.kernels.greedy_kernel`."""
-    lib, ffi = _load()
-    return lib.repro_greedy(
-        _i64(ffi, offsets), _i64(ffi, targets),
-        int(kind), float(factor), float(power),
-        _f64(ffi, Q), Q.shape[1] if Q.ndim == 2 else 0,
-        _f64(ffi, data), data.shape[1],
-        _u8(ffi, codes), codes.shape[1],
-        _f64(ffi, minv), _f64(ffi, scale),
-        _f64(ffi, luts), luts.shape[1], luts.shape[2],
-        _i64(ffi, starts), _f64(ffi, d0), starts.shape[0],
-        int(budget),
-        _u8(ffi, allowed), int(has_allowed),
-        ffi.cast("int64_t *", out_p.ctypes.data),
-        ffi.cast("double *", out_d.ctypes.data),
-        ffi.cast("int64_t *", out_evals.ctypes.data),
-        ffi.cast("int64_t *", out_hops.ctypes.data),
-        ffi.cast("int64_t *", out_term.ctypes.data),
-        ffi.cast("int64_t *", out_best_p.ctypes.data),
-        ffi.cast("double *", out_best_d.ctypes.data),
-        ffi.cast("int64_t *", hops_buf.ctypes.data),
-        int(hops_cap),
-        ffi.cast("double *", contrib.ctypes.data),
-    )
+    def __init__(self, offsets, targets, kind, factor, power, data, codes, minv, scale):
+        self._lib, ffi = _load()
+        self._buf = buf = ffi.from_buffer
+        self._f64 = f64 = ffi.typeof("double[]")
+        self._i64 = i64 = ffi.typeof("int64_t[]")
+        self._u8 = u8 = ffi.typeof("uint8_t[]")
+        self._graph = (
+            buf(i64, offsets), buf(i64, targets),
+            int(kind), float(factor), float(power),
+        )
+        self._vectors = (
+            buf(f64, data), data.shape[1], buf(u8, codes), codes.shape[1],
+            buf(f64, minv), buf(f64, scale),
+        )
+
+    def scratch(self, visited, cand_d, cand_v, pool_d, pool_v, contrib):
+        """Per-thread scratch arrays in the form :meth:`beam` takes them."""
+        buf, f64, i64 = self._buf, self._f64, self._i64
+        return (
+            buf("int32_t[]", visited), buf(f64, cand_d), buf(i64, cand_v),
+            buf(f64, pool_d), buf(i64, pool_v), buf(f64, contrib),
+        )
+
+    def _queries(self, Q, luts, starts, d0):
+        buf, f64 = self._buf, self._f64
+        return (
+            *self._graph,
+            buf(f64, Q), Q.shape[1],
+            *self._vectors,
+            buf(f64, luts), luts.shape[1], luts.shape[2],
+            buf(self._i64, starts), buf(f64, d0), starts.shape[0],
+        )
+
+    def beam(
+        self, Q, luts, starts, d0, beam_width, k_fetch, budget, allowed, has_allowed,
+        out_ids, out_dists, out_evals, gen0, *scratch,
+    ):
+        """Same semantics as :func:`repro.accel.kernels.beam_kernel`."""
+        buf, f64, i64 = self._buf, self._f64, self._i64
+        return self._lib.repro_beam(
+            *self._queries(Q, luts, starts, d0),
+            beam_width, k_fetch, budget,
+            buf(self._u8, allowed), has_allowed,
+            buf(i64, out_ids), buf(f64, out_dists), buf(i64, out_evals),
+            gen0, *scratch,
+        )
+
+    def greedy(
+        self, Q, luts, starts, d0, budget, allowed, has_allowed,
+        out_p, out_d, out_evals, out_hops, out_term, out_best_p, out_best_d,
+        hops_buf, hops_cap, contrib,
+    ):
+        """Same semantics as :func:`repro.accel.kernels.greedy_kernel`."""
+        buf, f64, i64 = self._buf, self._f64, self._i64
+        return self._lib.repro_greedy(
+            *self._queries(Q, luts, starts, d0),
+            budget,
+            buf(self._u8, allowed), has_allowed,
+            buf(i64, out_p), buf(f64, out_d), buf(i64, out_evals),
+            buf(i64, out_hops), buf(i64, out_term),
+            buf(i64, out_best_p), buf(f64, out_best_d),
+            buf(i64, hops_buf), hops_cap, buf(f64, contrib),
+        )
 
 
 def construction_kernel(
@@ -967,13 +980,9 @@ def construction_kernel(
         _f64(ffi, luts), luts.shape[1], luts.shape[2],
         _i64(ffi, starts), _f64(ffi, d0), starts.shape[0],
         int(beam_width), int(expand_per_round),
-        ffi.cast("int64_t *", out_ids.ctypes.data),
-        ffi.cast("double *", out_dists.ctypes.data),
-        ffi.cast("int64_t *", out_sizes.ctypes.data),
-        ffi.cast("int32_t *", visited.ctypes.data),
-        ffi.cast("uint8_t *", pexp.ctypes.data),
-        ffi.cast("int64_t *", sel_buf.ctypes.data),
-        ffi.cast("double *", contrib.ctypes.data),
+        _i64(ffi, out_ids), _f64(ffi, out_dists), _i64(ffi, out_sizes),
+        ffi.from_buffer("int32_t[]", visited), _u8(ffi, pexp), _i64(ffi, sel_buf),
+        _f64(ffi, contrib),
     )
 
 
@@ -988,11 +997,8 @@ def robust_prune_kernel(
         int(kind), float(factor), int(pid),
         _i64(ffi, v_in), _f64(ffi, d_in), v_in.shape[0],
         float(alpha), int(max_degree),
-        ffi.cast("int64_t *", vs.ctypes.data),
-        ffi.cast("double *", ds.ctypes.data),
-        ffi.cast("uint8_t *", alive.ctypes.data),
-        ffi.cast("double *", sq.ctypes.data),
-        ffi.cast("int64_t *", out.ctypes.data),
+        _i64(ffi, vs), _f64(ffi, ds), _u8(ffi, alive), _f64(ffi, sq),
+        _i64(ffi, out),
     )
 
 
@@ -1009,14 +1015,8 @@ def commit_wave_kernel(
         _i64(ffi, pids), pids.shape[0],
         _i64(ffi, pool_ids), _f64(ffi, pool_d), _i64(ffi, pool_off),
         int(include_own), float(alpha), int(max_degree),
-        ffi.cast("int64_t *", adj.ctypes.data), adj.shape[1],
-        ffi.cast("int64_t *", deg.ctypes.data),
-        ffi.cast("int64_t *", cand_v.ctypes.data),
-        ffi.cast("double *", cand_d.ctypes.data),
-        ffi.cast("int64_t *", vs.ctypes.data),
-        ffi.cast("double *", ds.ctypes.data),
-        ffi.cast("uint8_t *", alive.ctypes.data),
-        ffi.cast("double *", sq.ctypes.data),
-        ffi.cast("int64_t *", out.ctypes.data),
-        ffi.cast("int64_t *", out2.ctypes.data),
+        _i64(ffi, adj), adj.shape[1], _i64(ffi, deg),
+        _i64(ffi, cand_v), _f64(ffi, cand_d),
+        _i64(ffi, vs), _f64(ffi, ds), _u8(ffi, alive), _f64(ffi, sq),
+        _i64(ffi, out), _i64(ffi, out2),
     )

@@ -1,4 +1,4 @@
-"""Backend registry, workload planning, and result assembly.
+"""Backend registry, workload planning, and batch execution.
 
 This module owns the three runtime questions the accel layer answers:
 
@@ -17,25 +17,37 @@ This module owns the three runtime questions the accel layer answers:
    explicit name → warm-on-demand or :class:`AccelUnavailableError`.
 
 3. **Can this workload run compiled?**  :func:`_plan` classifies the
-   (dataset, store, queries) combination into a kernel distance mode —
+   (dataset, store) combination into a kernel distance mode —
    flat/SQ8 Euclidean and Chebyshev, PQ-ADC sum/power/max — and raises
    :class:`UnsupportedWorkloadError` for everything else (object points,
    explicit distance matrices, Minkowski over raw coordinates, ...),
    which ``backend="auto"`` treats as a silent numpy fallback.
 
 :func:`run_beam` / :func:`run_greedy` then execute a whole batch in one
-kernel call and assemble results in the engines' exact output shapes.
-Reported distances are **re-evaluated through the same numpy distance
+kernel call.  What does not change between two searches of one index
+generation — the classification, the contiguous CSR / vector / quantiser
+exports, the backend's kernels bound to them (for cffi: the C pointers)
+and per-thread scratch — is a :class:`_SearchPlan`, built by the first
+search and kept on the graph object; :func:`_search_plan` uses it only
+for the very graph arrays, dataset, store and code matrix it was built
+from, so nothing has to invalidate it.  Per call: the numpy distance
+view of the batch, the query / start / output arrays and their
+pointers.
+
+Reported distances are **evaluated through the same numpy distance
 view** the engines use (``FlatQueryView`` / SQ8 / PQ-ADC ``segmented``),
 so a compiled search returns bit-identical floats whenever it makes the
 same routing decisions — and the kernels replicate the engines' decision
-arithmetic (see :mod:`repro.accel.kernels`).
+arithmetic (see :mod:`repro.accel.kernels`).  :func:`run_beam` leaves
+that evaluation to the first read of ``BeamBatch.dists``: the two-stage
+search over a quantized store reranks from the ids and never reads them.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import shutil
+import threading
 import time
 import warnings
 from typing import Any
@@ -43,8 +55,10 @@ from typing import Any
 import numpy as np
 
 from repro.accel import kernels as _K
+from repro.graphs.engine import _distance_view
+from repro.graphs.greedy import BeamBatch, GreedyResult
 from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric
-from repro.storage.base import FlatQueryView, decompose_metric
+from repro.storage.base import decompose_metric
 
 __all__ = [
     "AccelError",
@@ -203,8 +217,7 @@ def warm(backend: str | None = None) -> dict[str, Any]:
     if backend not in available_backends():
         raise AccelUnavailableError(_unavailable_message(backend))
     t0 = time.perf_counter()
-    _kernel_fns(backend)  # compile / load
-    _self_check(backend)
+    _self_check(backend)  # the first kernel call compiles / loads
     seconds = time.perf_counter() - t0
     _WARM[backend] = {"compile_seconds": seconds}
     return {"backend": backend, "compile_seconds": seconds}
@@ -251,33 +264,23 @@ def resolve_backend(requested: str | None) -> str:
         raise ValueError(
             f"unknown accel backend {requested!r}; choose from {BACKEND_CHOICES}"
         )
-    warm(requested)
+    if requested not in _WARM:
+        warm(requested)
     return requested
 
 
-def _kernel_fns(backend: str):
-    """``(beam_fn, greedy_fn, construction_fn, prune_fn, commit_fn)``
-    for a backend, loading/compiling it."""
+def _kernels(backend: str) -> Any:
+    """The module holding a backend's kernels: ``SearchKernels``,
+    ``construction_kernel``, ``robust_prune_kernel`` and
+    ``commit_wave_kernel``, one calling convention for both."""
     if backend in ("numba", "python"):
         # One source: kernels.py self-compiled under numba when
         # importable, interpreted otherwise.
-        return (
-            _K.beam_kernel,
-            _K.greedy_kernel,
-            _K.construction_kernel,
-            _K.robust_prune_kernel,
-            _K.commit_wave_kernel,
-        )
+        return _K
     if backend == "cffi":
         from repro.accel import cbackend
 
-        return (
-            cbackend.beam_kernel,
-            cbackend.greedy_kernel,
-            cbackend.construction_kernel,
-            cbackend.robust_prune_kernel,
-            cbackend.commit_wave_kernel,
-        )
+        return cbackend
     raise AccelUnavailableError(_unavailable_message(backend))
 
 
@@ -286,17 +289,20 @@ def _kernel_fns(backend: str):
 
 
 class _Plan:
-    """Kernel-consumable layout of one (dataset, store, Q) workload."""
+    """Kernel-consumable layout of one (dataset, store) workload: the
+    distance mode and the exported arrays.  Nothing in it depends on the
+    query batch, so a search plan keeps it for as long as it lives."""
 
     __slots__ = (
-        "kind", "factor", "power", "Q", "data", "codes",
-        "minv", "scale", "luts", "msub", "view",
+        "kind", "factor", "power", "dim", "msub",
+        "data", "codes", "minv", "scale",
     )
 
 
 _EMPTY_F2 = np.empty((0, 0), dtype=np.float64)
 _EMPTY_U2 = np.empty((0, 0), dtype=np.uint8)
 _EMPTY_F1 = np.empty(0, dtype=np.float64)
+_EMPTY_U1 = np.empty(0, dtype=np.uint8)
 _EMPTY_F3 = np.empty((0, 0, 0), dtype=np.float64)
 
 
@@ -324,12 +330,13 @@ def _coords_f64(arr: Any, who: str) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
-def _plan(dataset: Any, store: Any, Q: Any) -> _Plan:
+def _plan(dataset: Any, store: Any, Q: np.ndarray) -> _Plan:
     """Classify the workload and export kernel-ready arrays.
 
-    The distance *view* (the numpy oracle) is built exactly as the
-    engines build it — it seeds start distances and re-evaluates every
-    reported candidate, which is what makes results bit-identical.
+    ``Q`` only says what kind of rows the batch holds: the workload is
+    classified through a view bound to none of them (``Q[:0]`` — PQ
+    binds no lookup table for it), reading the fields the engines' own
+    view reads.
 
     Memmap-backed arrays (a v5 disk-tier index's codes, points, and CSR
     mappings) pass through without copying: every export below goes via
@@ -346,47 +353,26 @@ def _plan(dataset: Any, store: Any, Q: Any) -> _Plan:
     plan.codes = _EMPTY_U2
     plan.minv = _EMPTY_F1
     plan.scale = _EMPTY_F1
-    plan.luts = _EMPTY_F3
     plan.power = 2.0
     plan.msub = 0
 
     kind = getattr(store, "kind", "flat") if store is not None else "flat"
     if kind == "flat":
-        view = (
-            FlatQueryView(dataset.metric, dataset.points, Q)
-            if store is None
-            else store.bind(Q)
-        )
-        plan.view = view
-        plan.Q = _coords_f64(Q, "queries")
+        view = _distance_view(dataset, Q[:0], store)
         plan.data = _coords_f64(view.points, "points")
         plan.kind, plan.factor = _coord_kind(
             view.metric, _K.KIND_FLAT_L2, _K.KIND_FLAT_LINF
         )
-        if plan.Q.shape[1] != plan.data.shape[1]:
-            raise UnsupportedWorkloadError(
-                f"query dimension {plan.Q.shape[1]} does not match point "
-                f"dimension {plan.data.shape[1]}"
-            )
+        plan.dim = plan.data.shape[1]
     elif kind == "sq8":
-        view = store.bind(Q)
-        plan.view = view
-        plan.Q = _coords_f64(view.Q, "queries")  # the view's float64 cast
         plan.kind, plan.factor = _coord_kind(
             store.metric, _K.KIND_SQ8_L2, _K.KIND_SQ8_LINF
         )
         plan.codes = np.ascontiguousarray(store.codes)
         plan.minv = np.ascontiguousarray(store.params.minv, dtype=np.float64)
         plan.scale = np.ascontiguousarray(store.params.scale, dtype=np.float64)
-        if plan.Q.shape[1] != plan.codes.shape[1]:
-            raise UnsupportedWorkloadError(
-                f"query dimension {plan.Q.shape[1]} does not match sq8 code "
-                f"dimension {plan.codes.shape[1]}"
-            )
+        plan.dim = plan.codes.shape[1]
     elif kind == "pq":
-        view = store.bind(Q)  # validates dims, pays the ADC LUTs once
-        plan.view = view
-        plan.Q = _EMPTY_F2  # PQ traversal reads only LUTs + codes
         plan.codes = np.ascontiguousarray(store.codes)
         plan.msub = int(plan.codes.shape[1])
         if plan.msub > 128:
@@ -395,8 +381,9 @@ def _plan(dataset: Any, store: Any, Q: Any) -> _Plan:
                 "replicate numpy's pairwise summation only up to 128 — use "
                 "backend='numpy'"
             )
-        plan.luts = np.ascontiguousarray(view.luts)
+        view = store.bind(Q[:0])  # validates dims
         plan.factor = float(view.factor)
+        plan.dim = 0  # PQ traversal reads only LUTs + codes
         if view.combine == "max":
             plan.kind = _K.KIND_PQ_MAX
         elif view.power == 2.0:
@@ -411,8 +398,18 @@ def _plan(dataset: Any, store: Any, Q: Any) -> _Plan:
     return plan
 
 
-# ---------------------------------------------------------------------------
-# batch execution + result assembly
+def _query_arrays(plan: _Plan, view: Any) -> tuple[np.ndarray, np.ndarray]:
+    """The kernels' per-batch inputs ``(Q, luts)`` of a bound view."""
+    if plan.msub:
+        return _EMPTY_F2, np.ascontiguousarray(view.luts)
+    # A quantized view holds its own float64 cast of the queries.
+    Q = _coords_f64(view.Q, "queries")
+    if Q.shape[1] != plan.dim:
+        raise UnsupportedWorkloadError(
+            f"query dimension {Q.shape[1]} does not match the stored "
+            f"vectors' dimension {plan.dim}"
+        )
+    return Q, _EMPTY_F3
 
 
 def _query_array(queries: Any) -> np.ndarray:
@@ -425,11 +422,125 @@ def _query_array(queries: Any) -> np.ndarray:
     return arr
 
 
-def _start_distances(view: Any, starts: np.ndarray) -> np.ndarray:
-    return np.array(
-        [view.scalar(i, int(starts[i])) for i in range(len(starts))],
-        dtype=np.float64,
+# ---------------------------------------------------------------------------
+# the search plan: what one index generation's searches share
+
+# Largest visited stamp an int32 array can hold.
+_MAX_STAMP = 2**31 - 1
+
+
+class _Scratch:
+    """One thread's kernel buffers under one search plan.
+
+    ``visited`` is never cleared between calls: every query stamps it
+    with a generation number of its own, and :meth:`stamps` hands out
+    numbers that continue where the previous call stopped (clearing only
+    when int32 would overflow).
+    """
+
+    __slots__ = ("width", "visited", "args", "_next")
+
+    def __init__(self, plan: "_SearchPlan", width: int) -> None:
+        n = plan.n
+        self.width = width
+        self.visited = np.zeros(n, dtype=np.int32)
+        self.args = plan.kernels.scratch(
+            self.visited,
+            np.empty(n + 1, dtype=np.float64),  # candidate heap
+            np.empty(n + 1, dtype=np.int64),
+            np.empty(width + 1, dtype=np.float64),  # result pool
+            np.empty(width + 1, dtype=np.int64),
+            np.empty(max(plan.layout.msub, 1), dtype=np.float64),
+        )
+        self._next = 0
+
+    def stamps(self, m: int) -> int:
+        """Reserve ``m`` generations; returns the kernel's ``gen0``."""
+        if self._next + m > _MAX_STAMP:
+            self.visited.fill(0)
+            self._next = 0
+        gen0 = self._next
+        self._next += m
+        return gen0
+
+
+class _SearchPlan:
+    """Everything the searches of one (graph, dataset, store) share.
+
+    Built by the first compiled search and kept on the graph object, so
+    it lives exactly as long as that index generation: ``add`` and
+    ``compact`` install a new graph, and a plan is only ever used for
+    the very objects it was built from (:func:`_search_plan` compares
+    identities — a new store, or an old one whose code matrix was
+    rebound, gets a new plan).  Holds the workload's :class:`_Plan`, the
+    backend's kernels bound to the CSR and vector arrays (for cffi:
+    their C pointers), and per-thread scratch — two threads may search
+    one index object at once.
+    """
+
+    __slots__ = ("key", "layout", "kernels", "n", "_local")
+
+    def __init__(self, key: tuple, graph: Any, layout: _Plan) -> None:
+        offsets, targets = graph.csr()
+        self.key = key
+        self.layout = layout
+        self.n = graph.n
+        self.kernels = _kernels(key[0]).SearchKernels(
+            np.ascontiguousarray(offsets, dtype=np.int64),
+            np.ascontiguousarray(targets, dtype=np.int64),
+            layout.kind, layout.factor, layout.power,
+            layout.data, layout.codes, layout.minv, layout.scale,
+        )
+        self._local = threading.local()
+
+    def scratch(self, width: int) -> _Scratch:
+        """This thread's buffers, wide enough for a ``width`` beam."""
+        scratch = getattr(self._local, "scratch", None)
+        if scratch is None or scratch.width < width:
+            scratch = self._local.scratch = _Scratch(self, width)
+        return scratch
+
+
+def _search_plan(
+    backend: str, graph: Any, dataset: Any, store: Any, Q: np.ndarray
+) -> _SearchPlan:
+    """The plan of this (backend, graph, dataset, store), built on first use."""
+    targets = graph.csr()[1]
+    codes = None if store is None else store.codes
+    plan = getattr(graph, "_accel_plan", None)
+    if plan is not None:
+        p_backend, p_targets, p_dataset, p_store, p_codes = plan.key
+        if (
+            p_backend == backend and p_targets is targets
+            and p_dataset is dataset and p_store is store and p_codes is codes
+        ):
+            return plan
+    plan = graph._accel_plan = _SearchPlan(
+        (backend, targets, dataset, store, codes), graph, _plan(dataset, store, Q)
     )
+    return plan
+
+
+def _allowed_arg(allowed: np.ndarray | None) -> tuple[np.ndarray, int]:
+    if allowed is None:
+        return _EMPTY_U1, 0
+    return np.ascontiguousarray(allowed).view(np.uint8), 1
+
+
+def _reported_distances(
+    view: Any, ids: np.ndarray, starts: np.ndarray, d0: np.ndarray
+) -> np.ndarray:
+    """Distances of the reported ``(m, k)`` ids through the numpy view,
+    ``inf`` where a row is padded — the floats the engines report: one
+    ``segmented()`` call, and a start vertex keeps its ``scalar()``
+    value, exactly as ``_BeamState`` seeds it."""
+    found = ids >= 0
+    counts = found.sum(axis=1)
+    rows = np.flatnonzero(counts)
+    dists = np.full(ids.shape, np.inf, dtype=np.float64)
+    if len(rows):
+        dists[found] = view.segmented(rows, ids[found], counts[rows])
+    return np.where(ids == starts[:, None], d0[:, None], dists)
 
 
 def run_beam(
@@ -443,70 +554,42 @@ def run_beam(
     budget: int | None = None,
     allowed: np.ndarray | None = None,
     store: Any = None,
-) -> list[tuple[list[tuple[int, float]], int]]:
-    """Whole-batch compiled beam search; output shape and values match
-    ``engine.beam_search_batch`` (callers validate arguments first)."""
-    beam_fn = _kernel_fns(backend)[0]
-    Q = _query_array(queries)
-    plan = _plan(dataset, store, Q)
-    graph.freeze()
-    offsets, targets = graph.csr()
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    targets = np.ascontiguousarray(targets, dtype=np.int64)
+) -> BeamBatch:
+    """Whole-batch compiled beam search; the result equals
+    ``engine.beam_search_batch``'s (callers validate arguments first).
+
+    Ids and eval counts come straight from the kernel.  The distances
+    are evaluated through the numpy view when a caller first reads them
+    — a flat search does, they are its answer; the two-stage search
+    never does, it reranks from the ids alone.
+    """
     m = len(queries)
-    if m == 0:
-        return []
-    starts64 = np.ascontiguousarray(np.asarray(starts), dtype=np.int64)
-    d0 = _start_distances(plan.view, starts64)
-    n = graph.n
     k_eff = max(int(k), 1)
-    if allowed is not None:
-        allowed_u8 = np.ascontiguousarray(allowed).view(np.uint8)
-        has_allowed = 1
-    else:
-        allowed_u8 = np.zeros(0, dtype=np.uint8)
-        has_allowed = 0
     out_ids = np.full((m, k_eff), -1, dtype=np.int64)
-    out_dists = np.full((m, k_eff), np.inf, dtype=np.float64)
+    out_dists = np.empty((m, k_eff), dtype=np.float64)
     out_evals = np.zeros(m, dtype=np.int64)
-    visited = np.zeros(n, dtype=np.int32)
-    cand_d = np.empty(n + 1, dtype=np.float64)
-    cand_v = np.empty(n + 1, dtype=np.int64)
-    pool_d = np.empty(int(beam_width) + 1, dtype=np.float64)
-    pool_v = np.empty(int(beam_width) + 1, dtype=np.int64)
-    contrib = np.empty(max(plan.msub, 1), dtype=np.float64)
-    beam_fn(
-        offsets, targets, plan.kind, plan.factor, plan.power,
-        plan.Q, plan.data, plan.codes, plan.minv, plan.scale, plan.luts,
-        starts64, d0, int(beam_width), k_eff,
+    if m == 0:
+        return BeamBatch(out_ids, out_dists, out_evals)
+    Q = _query_array(queries)
+    plan = _search_plan(backend, graph, dataset, store, Q)
+    view = _distance_view(dataset, Q, store)
+    q_arr, luts = _query_arrays(plan.layout, view)
+    starts64 = np.ascontiguousarray(starts, dtype=np.int64)
+    d0 = view.start_distances(starts64)
+    width = int(beam_width)
+    scratch = plan.scratch(width)
+    plan.kernels.beam(
+        q_arr, luts, starts64, d0, width, k_eff,
         -1 if budget is None else int(budget),
-        allowed_u8, has_allowed,
+        *_allowed_arg(allowed),
         out_ids, out_dists, out_evals,
-        visited, cand_d, cand_v, pool_d, pool_v, contrib,
+        scratch.stamps(m), *scratch.args,
     )
-    # Re-evaluate reported distances through the numpy view so the
-    # floats are bit-identical to the engines' (start vertices keep
-    # their scalar() value, exactly as _BeamState seeds them).
-    counts = (out_ids >= 0).sum(axis=1).astype(np.int64)
-    flat = out_ids[out_ids >= 0]
-    exact = np.empty(len(flat), dtype=np.float64)
-    nonzero = counts > 0
-    if flat.size:
-        exact[:] = plan.view.segmented(
-            np.flatnonzero(nonzero), flat, counts[nonzero]
-        )
-    out: list[tuple[list[tuple[int, float]], int]] = []
-    pos = 0
-    for qi in range(m):
-        c = int(counts[qi])
-        pairs = []
-        for j in range(c):
-            v = int(out_ids[qi, j])
-            d = d0[qi] if v == int(starts64[qi]) else exact[pos + j]
-            pairs.append((v, float(d)))
-        pos += c
-        out.append((pairs, int(out_evals[qi])))
-    return out
+    return BeamBatch(
+        out_ids,
+        lambda: _reported_distances(view, out_ids, starts64, d0),
+        out_evals,
+    )
 
 
 def run_greedy(
@@ -518,29 +601,19 @@ def run_greedy(
     budget: int | None = None,
     allowed: np.ndarray | None = None,
     store: Any = None,
-) -> list[Any]:
+) -> list[GreedyResult]:
     """Whole-batch compiled greedy routing; returns the engines'
     ``GreedyResult`` objects (full hop paths included)."""
-    from repro.graphs.greedy import GreedyResult
-
-    greedy_fn = _kernel_fns(backend)[1]
-    Q = _query_array(queries)
-    plan = _plan(dataset, store, Q)
-    graph.freeze()
-    offsets, targets = graph.csr()
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    targets = np.ascontiguousarray(targets, dtype=np.int64)
     m = len(queries)
     if m == 0:
         return []
-    starts64 = np.ascontiguousarray(np.asarray(starts), dtype=np.int64)
-    d0 = _start_distances(plan.view, starts64)
-    if allowed is not None:
-        allowed_u8 = np.ascontiguousarray(allowed).view(np.uint8)
-        has_allowed = 1
-    else:
-        allowed_u8 = np.zeros(0, dtype=np.uint8)
-        has_allowed = 0
+    Q = _query_array(queries)
+    plan = _search_plan(backend, graph, dataset, store, Q)
+    view = _distance_view(dataset, Q, store)
+    q_arr, luts = _query_arrays(plan.layout, view)
+    starts64 = np.ascontiguousarray(starts, dtype=np.int64)
+    d0 = view.start_distances(starts64)
+    allowed_u8, has_allowed = _allowed_arg(allowed)
     out_p = np.zeros(m, dtype=np.int64)
     out_d = np.zeros(m, dtype=np.float64)
     out_evals = np.zeros(m, dtype=np.int64)
@@ -548,15 +621,13 @@ def run_greedy(
     out_term = np.zeros(m, dtype=np.int64)
     out_best_p = np.zeros(m, dtype=np.int64)
     out_best_d = np.zeros(m, dtype=np.float64)
-    contrib = np.empty(max(plan.msub, 1), dtype=np.float64)
+    contrib = np.empty(max(plan.layout.msub, 1), dtype=np.float64)
     budget_i = -1 if budget is None else int(budget)
     hops_cap = 64
     while True:
         hops_buf = np.zeros((m, hops_cap), dtype=np.int64)
-        maxnh = greedy_fn(
-            offsets, targets, plan.kind, plan.factor, plan.power,
-            plan.Q, plan.data, plan.codes, plan.minv, plan.scale, plan.luts,
-            starts64, d0, budget_i, allowed_u8, has_allowed,
+        maxnh = plan.kernels.greedy(
+            q_arr, luts, starts64, d0, budget_i, allowed_u8, has_allowed,
             out_p, out_d, out_evals, out_hops, out_term,
             out_best_p, out_best_d, hops_buf, hops_cap, contrib,
         )
@@ -571,7 +642,7 @@ def run_greedy(
     need = np.flatnonzero((rep_p >= 0) & (rep_p != starts64))
     exact = np.empty(m, dtype=np.float64)
     if len(need):
-        exact[need] = plan.view.segmented(
+        exact[need] = view.segmented(
             need, rep_p[need], np.ones(len(need), dtype=np.int64)
         )
     results = []
@@ -608,21 +679,22 @@ def run_construction(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Whole-wave compiled construction beam; output shape and values
     match ``engine.construction_beam_batch`` (callers validate first)."""
-    construction_fn = _kernel_fns(backend)[2]
+    w = len(queries)
+    if w == 0:
+        return []
     Q = _query_array(queries)
     plan = _plan(dataset, store, Q)
+    view = _distance_view(dataset, Q, store)
+    q_arr, luts = _query_arrays(plan, view)
     graph.freeze()
     offsets, targets = graph.csr()
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     targets = np.ascontiguousarray(targets, dtype=np.int64)
-    w = len(queries)
-    if w == 0:
-        return []
     starts64 = np.ascontiguousarray(np.asarray(starts), dtype=np.int64)
     # The numpy path seeds every pool through one segmented() call;
     # replicate that composition so seed floats are bit-identical.
     d0 = np.ascontiguousarray(
-        plan.view.segmented(
+        view.segmented(
             np.arange(w, dtype=np.intp), starts64, np.ones(w, dtype=np.int64)
         ),
         dtype=np.float64,
@@ -636,9 +708,9 @@ def run_construction(
     pexp = np.zeros(ef, dtype=np.uint8)
     sel_buf = np.zeros(max(int(expand_per_round), 1), dtype=np.int64)
     contrib = np.empty(max(plan.msub, 1), dtype=np.float64)
-    construction_fn(
+    _kernels(backend).construction_kernel(
         offsets, targets, plan.kind, plan.factor, plan.power,
-        plan.Q, plan.data, plan.codes, plan.minv, plan.scale, plan.luts,
+        q_arr, plan.data, plan.codes, plan.minv, plan.scale, luts,
         starts64, d0, ef, int(expand_per_round),
         out_ids, out_dists, out_sizes, visited, pexp, sel_buf, contrib,
     )
@@ -651,7 +723,7 @@ def run_construction(
     exact = np.empty(len(flat), dtype=np.float64)
     nonzero = counts > 0
     if flat.size:
-        exact[:] = plan.view.segmented(
+        exact[:] = view.segmented(
             np.flatnonzero(nonzero), flat, counts[nonzero]
         )
     out: list[tuple[np.ndarray, np.ndarray]] = []
@@ -678,7 +750,7 @@ def run_robust_prune(
     uses exact points regardless of the traversal store), so only the
     dataset's metric and point layout gate kernel support.
     """
-    prune_fn = _kernel_fns(backend)[3]
+    prune_fn = _kernels(backend).robust_prune_kernel
     pts = _coords_f64(dataset.points, "points")
     kind, factor = _coord_kind(
         dataset.metric, _K.KIND_FLAT_L2, _K.KIND_FLAT_LINF
@@ -724,7 +796,7 @@ def run_commit_wave(
     in-kernel with the same sequential arithmetic stance as the
     traversal kernels.
     """
-    commit_fn = _kernel_fns(backend)[4]
+    commit_fn = _kernels(backend).commit_wave_kernel
     pts = _coords_f64(dataset.points, "points")
     kind, factor = _coord_kind(
         dataset.metric, _K.KIND_FLAT_L2, _K.KIND_FLAT_LINF
@@ -792,7 +864,6 @@ def _self_check(backend: str) -> None:
     from repro.graphs import engine
     from repro.graphs.base import ProximityGraph
     from repro.metrics.base import Dataset
-    from repro.metrics.euclidean import EuclideanMetric
 
     rng = np.random.default_rng(12345)
     n, d, mq = 48, 6, 8

@@ -24,7 +24,9 @@ in :mod:`repro.graphs.engine`:
 * ``allowed`` masks gate pool membership (beam) and best-so-far
   bookkeeping (greedy) but never traversal, as in the engines;
 * the visited structure is a generation-stamped ``int32`` array —
-  allocated once per batch, reset by bumping the generation per query.
+  reset by bumping the generation per query, never by clearing (the
+  beam kernel's stamps continue from the caller's ``gen0``, so one
+  array serves every call a thread makes).
 
 Floating-point contract: distances accumulate sequentially in float64
 (the documented arithmetic compiled backends reproduce under strict
@@ -65,6 +67,7 @@ __all__ = [
     "construction_kernel",
     "robust_prune_kernel",
     "commit_wave_kernel",
+    "SearchKernels",
 ]
 
 KIND_FLAT_L2 = 0
@@ -324,6 +327,7 @@ def beam_kernel(
     out_ids,
     out_dists,
     out_evals,
+    gen0,
     visited,
     cand_d,
     cand_v,
@@ -340,10 +344,14 @@ def beam_kernel(
     ``out_dists`` hold each query's pool sorted ascending by
     ``(distance, vertex)``, ``-1`` / ``inf`` padded past the pool size;
     ``out_evals`` the exact distance-evaluation counts.
+
+    ``visited`` is reused from call to call without clearing: query
+    ``qi`` stamps it with ``gen0 + qi + 1``, so the caller hands in a
+    ``gen0`` no smaller than any stamp the array already holds.
     """
     nq = starts.shape[0]
     for qi in range(nq):
-        gen = qi + 1
+        gen = gen0 + qi + 1
         s = starts[qi]
         csize = _cand_push(cand_d, cand_v, 0, d0[qi], s)
         psize = 0
@@ -864,3 +872,31 @@ def greedy_kernel(
         if nh > maxnh:
             maxnh = nh
     return maxnh
+
+
+class SearchKernels:
+    """The two search kernels bound to the arrays that outlive a call.
+
+    :mod:`repro.accel.dispatch` builds one per search plan — the CSR
+    arrays, the distance mode and the stored vectors are fixed for the
+    plan's lifetime — and passes only the per-call arguments afterwards.
+    This form (interpreted or numba) just holds the arrays;
+    :class:`repro.accel.cbackend.SearchKernels` holds their C pointers.
+    """
+
+    def __init__(self, offsets, targets, kind, factor, power, data, codes, minv, scale):
+        self._graph = (offsets, targets, kind, factor, power)
+        self._vectors = (data, codes, minv, scale)
+
+    @staticmethod
+    def scratch(*arrays):
+        """Per-thread scratch arrays in the form :meth:`beam` takes them."""
+        return arrays
+
+    def beam(self, Q, luts, *rest):
+        """:func:`beam_kernel`; ``rest`` is its arguments from ``starts`` on."""
+        return beam_kernel(*self._graph, Q, *self._vectors, luts, *rest)
+
+    def greedy(self, Q, luts, *rest):
+        """:func:`greedy_kernel`; ``rest`` is its arguments from ``starts`` on."""
+        return greedy_kernel(*self._graph, Q, *self._vectors, luts, *rest)

@@ -119,6 +119,8 @@ class ProximityGraphIndex:
         if self._tombstones.shape != (dataset.n,):
             raise ValueError("tombstone mask must cover every point")
         self._dynamic = None  # DynamicGNet, after a gnet index's first add()
+        # Last default start draw: ((seed, n, m), starts); see _default_starts.
+        self._start_draw: tuple[tuple[int, int, int], np.ndarray] | None = None
 
     # ------------------------------------------------------------------
 
@@ -238,7 +240,7 @@ class ProximityGraphIndex:
     # ------------------------------------------------------------------
 
     def _point_rank(self) -> int:
-        return max(np.asarray(self.dataset.points).ndim - 1, 0)
+        return max(np.ndim(self.dataset.points) - 1, 0)
 
     def _normalize_queries(self, queries: Any) -> tuple[Any, bool]:
         """Canonicalize to a batch array; flag whether input was single."""
@@ -273,13 +275,12 @@ class ProximityGraphIndex:
         arr = np.asarray(Q)
         if arr.dtype == object or arr.size == 0:
             return
-        pts = np.asarray(self.dataset.points)
-        if pts.ndim == 2 and arr.ndim == 2 and arr.shape[1] != pts.shape[1]:
+        shape = np.shape(self.dataset.points)
+        if len(shape) == 2 and arr.ndim == 2 and arr.shape[1] != shape[1]:
             raise ValueError(
-                f"query dim {arr.shape[1]} does not match index dim "
-                f"{pts.shape[1]}"
+                f"query dim {arr.shape[1]} does not match index dim {shape[1]}"
             )
-        if np.issubdtype(arr.dtype, np.floating) and not np.isfinite(arr).all():
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise ValueError("query contains non-finite values")
 
     def _allowed_mask(self, params: SearchParams) -> np.ndarray | None:
@@ -356,8 +357,8 @@ class ProximityGraphIndex:
 
         ids = np.full((m, k), -1, dtype=np.int64)
         dists = np.full((m, k), np.inf, dtype=np.float64)
-        evals = np.zeros(m, dtype=np.int64)
         if m == 0 or (allowed is not None and not allowed.any()):
+            evals = np.zeros(m, dtype=np.int64)
             hops = np.zeros(m, dtype=np.int64) if mode == "greedy" else None
             return SearchResult(ids, dists, evals, hops=hops, single=single)
 
@@ -366,10 +367,9 @@ class ProximityGraphIndex:
             if len(starts) != m:
                 raise ValueError("need exactly one start vertex per query")
         else:
-            gen = np.random.default_rng(
-                self.seed if params.seed is None else params.seed
+            starts = self._default_starts(
+                self.seed if params.seed is None else params.seed, m
             )
-            starts = gen.integers(self.n, size=m)
 
         if mode == "greedy":
             results = greedy_batch(
@@ -378,7 +378,9 @@ class ProximityGraphIndex:
                 backend=params.backend,
             )
             ids[:, 0] = self.id_map.to_external([r.point for r in results])
-            evals[:] = [r.distance_evals for r in results]
+            evals = np.fromiter(
+                (r.distance_evals for r in results), dtype=np.int64, count=m
+            )
             if quantized:
                 # The walk measured code distances; report the exact one
                 # (through the store's rerank hook, so a disk-tier store
@@ -421,41 +423,48 @@ class ProximityGraphIndex:
             beam_width=width, k=k_fetch, budget=params.budget, allowed=allowed,
             store=traversal_store, backend=params.backend,
         )
+        evals = found.evals
         if not two_stage:
-            for i, (pairs, ev) in enumerate(found):
-                evals[i] = ev
-                take = min(len(pairs), k)
-                if take:
-                    ids[i, :take] = self.id_map.to_external(
-                        [v for v, _ in pairs[:take]]
-                    )
-                    dists[i, :take] = [self._to_original(d) for _, d in pairs[:take]]
-            return SearchResult(ids, dists, evals, hops=None, single=single)
-
-        # Stage 2: exact rerank of the survivors with the flat metric.
-        # A flat store's traversal distances are already exact, so only
-        # quantized stores re-evaluate (and charge) the candidate pool.
-        for i, (pairs, ev) in enumerate(found):
-            if pairs:
-                cand = np.fromiter(
-                    (v for v, _ in pairs), dtype=np.intp, count=len(pairs)
+            # k_fetch == k: the engine's (m, k) arrays are the answer.
+            ids, dists = found.ids, found.dists
+        else:
+            # Stage 2: exact rerank of the survivors with the flat metric.
+            # A flat store's traversal distances are already exact, so only
+            # quantized stores re-evaluate (and charge) the candidate pool.
+            counts = (found.ids >= 0).sum(axis=1)
+            if quantized:
+                evals = evals + counts
+            for i, count in enumerate(counts.tolist()):
+                if not count:
+                    continue
+                cand = found.ids[i, :count]
+                # store.rerank_distances == dataset.distances_to_query
+                # bit-for-bit; disk-tier stores gather the rows in
+                # ascending file-offset order first.
+                exact = (
+                    store.rerank_distances(self.dataset, Q[i], cand)
+                    if quantized
+                    else found.dists[i, :count]
                 )
-                if quantized:
-                    # store.rerank_distances == dataset.distances_to_query
-                    # bit-for-bit; disk-tier stores gather the rows in
-                    # ascending file-offset order first.
-                    exact = store.rerank_distances(self.dataset, Q[i], cand)
-                    ev += len(cand)
-                else:
-                    exact = np.fromiter(
-                        (d for _, d in pairs), dtype=np.float64, count=len(pairs)
-                    )
                 order = np.lexsort((cand, exact))[:k]
-                take = len(order)
-                ids[i, :take] = self.id_map.to_external(cand[order])
-                dists[i, :take] = [self._to_original(d) for d in exact[order]]
-            evals[i] = ev
-        return SearchResult(ids, dists, evals, hops=None, single=single)
+                ids[i, : len(order)] = cand[order]
+                dists[i, : len(order)] = exact[order]
+        return SearchResult(
+            self.id_map.to_external(ids), dists / self.scale, evals,
+            hops=None, single=single,
+        )
+
+    def _default_starts(self, seed: int, m: int) -> np.ndarray:
+        """``default_rng(seed).integers(n, size=m)``, the last draw kept:
+        a caller that repeats one batch size and seed — a query loop —
+        builds no generator after its first call.  Every such call gets
+        the same array; the engines only read it."""
+        key = (seed, self.n, m)
+        memo = self._start_draw
+        if memo is None or memo[0] != key:
+            starts = np.random.default_rng(seed).integers(self.n, size=m)
+            memo = self._start_draw = (key, starts)
+        return memo[1]
 
     # ------------------------------------------------------------------
     # Mutation: add / delete / compact

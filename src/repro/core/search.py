@@ -261,8 +261,10 @@ class IdMap:
         """Map internal indices to external ids; ``-1`` passes through as
         the not-found sentinel."""
         arr = np.asarray(internal, dtype=np.int64)
-        out = np.where(arr >= 0, self._ext[np.clip(arr, 0, None)], -1)
-        return out.astype(np.int64, copy=False)
+        missing = arr < 0
+        if not missing.any():
+            return self._ext[arr]
+        return np.where(missing, -1, self._ext[np.where(missing, 0, arr)])
 
     # ------------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from repro.graphs.gnet import (
     build_gnet,
     gnet_parameters,
 )
-from repro.graphs.greedy import GreedyResult, beam_search, greedy, query
+from repro.graphs.greedy import BeamBatch, GreedyResult, beam_search, greedy, query
 from repro.graphs.merged import MergedBuildResult, build_merged_graph, jackpot_rate
 from repro.graphs.navigability import (
     NavigabilityViolation,
@@ -37,6 +37,7 @@ from repro.graphs.validate import (
 )
 
 __all__ = [
+    "BeamBatch",
     "ConeFamily",
     "DynamicGNet",
     "GNetBuildResult",

@@ -29,7 +29,7 @@ from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.graphs.base import ProximityGraph
-from repro.graphs.greedy import GreedyResult
+from repro.graphs.greedy import BeamBatch, GreedyResult
 from repro.metrics.base import Dataset
 from repro.storage.base import FlatQueryView
 
@@ -295,13 +295,16 @@ def beam_search_batch(
     allowed: np.ndarray | None = None,
     store: Any = None,
     backend: str | None = None,
-) -> list[tuple[list[tuple[int, float]], int]]:
+) -> BeamBatch:
     """Lockstep best-first beam search over a query batch.
 
     Per round every live query pops its best candidate and contributes
     its unvisited out-neighbors to one shared segmented distance call;
     heap updates then replay the scalar :func:`beam_search` logic per
     query, so results and eval counts match the scalar routine exactly.
+    The :class:`~repro.graphs.greedy.BeamBatch` returned holds them as
+    dense arrays; ``batch[i]`` is the scalar routine's ``(pairs,
+    evals)`` of query ``i``.
 
     ``allowed`` (a boolean mask over the vertex set) restricts which
     vertices may enter the *result pool*: disallowed vertices are still
@@ -424,11 +427,15 @@ def beam_search_batch(
                                 heapq.heappop(st.pool)
         live = [i for i in next_live if not states[i].done]
 
-    out: list[tuple[list[tuple[int, float]], int]] = []
-    for st in states:
-        best = sorted((-d, v) for d, v in st.pool)[: max(k, 1)]
-        out.append(([(v, d) for d, v in best], st.evals))
-    return out
+    width = max(k, 1)
+    ids = np.full((m, width), -1, dtype=np.int64)
+    dists = np.full((m, width), np.inf, dtype=np.float64)
+    for i, st in enumerate(states):
+        best = sorted((-d, v) for d, v in st.pool)[:width]
+        if best:
+            dists[i, : len(best)], ids[i, : len(best)] = zip(*best)
+    evals = np.fromiter((st.evals for st in states), dtype=np.int64, count=m)
+    return BeamBatch(ids, dists, evals)
 
 
 def construction_beam_batch(

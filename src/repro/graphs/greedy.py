@@ -22,7 +22,7 @@ import numpy as np
 from repro.graphs.base import ProximityGraph
 from repro.metrics.base import Dataset
 
-__all__ = ["GreedyResult", "greedy", "query", "beam_search"]
+__all__ = ["GreedyResult", "BeamBatch", "greedy", "query", "beam_search"]
 
 
 @dataclass
@@ -51,6 +51,60 @@ class GreedyResult:
     hops: list[int] = field(default_factory=list)
     distance_evals: int = 0
     self_terminated: bool = True
+
+
+class BeamBatch:
+    """One beam-search batch as dense arrays — what both batch engines
+    (``engine.beam_search_batch`` and ``accel.run_beam``) return.
+
+    ``ids`` is ``(m, max(k, 1))`` int64: row ``i`` holds query ``i``'s
+    pool ascending by ``(distance, vertex)``, ``-1`` past what it found;
+    ``dists`` the matching float64 distances, ``inf`` where padded;
+    ``evals`` the ``(m,)`` int64 distance-evaluation counts.  ``dists``
+    may be given as a zero-argument callable, run the first time the
+    attribute is read — a compiled search hands over ids and counts and
+    leaves its distances unevaluated for callers that only rerank.
+
+    Indexing and iterating yield each query's ``(pairs, evals)``, the
+    scalar :func:`beam_search`'s return value, and a batch equals a list
+    of those tuples (or another batch) holding the same values.
+    """
+
+    __slots__ = ("ids", "evals", "_dists")
+
+    def __init__(self, ids: np.ndarray, dists: Any, evals: np.ndarray) -> None:
+        self.ids = ids
+        self.evals = evals
+        self._dists = dists
+
+    @property
+    def dists(self) -> np.ndarray:
+        if callable(self._dists):
+            self._dists = self._dists()
+        return self._dists
+
+    def __len__(self) -> int:
+        return len(self.evals)
+
+    def __getitem__(self, i: int) -> tuple[list[tuple[int, float]], int]:
+        ids = self.ids[i]
+        count = int((ids >= 0).sum())
+        pairs = list(zip(ids[:count].tolist(), self.dists[i, :count].tolist()))
+        return pairs, int(self.evals[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, BeamBatch):
+            return (
+                np.array_equal(self.ids, other.ids)
+                and np.array_equal(self.dists, other.dists)
+                and np.array_equal(self.evals, other.evals)
+            )
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
 
 
 def greedy(

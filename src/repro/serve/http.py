@@ -26,7 +26,12 @@ keep-alive.  Request/response bodies are JSON.  Endpoints:
 ``GET /stats``
     Coalescer counters (batch-size histogram), cache hit/miss, index
     stats, the ``writer`` block (``mutations`` swapped in, ``last_ms``,
-    ``total_ms``), uptime.
+    ``total_ms``), the ``http`` block (``rejected``: requests refused
+    for their framing, by status code), uptime.
+
+A request with a malformed request line or ``Content-Length`` gets a 400,
+one announcing more than 64 MiB a 413; both carry ``Connection: close``
+and the connection is closed, because the end of the body is unknown.
 
 Writes run on a dedicated single worker thread (serialized anyway by
 the holder's lock); searches run on the coalescer's executor.  The
@@ -51,10 +56,21 @@ from repro.serve.state import IndexHolder
 __all__ = ["SearchServer"]
 
 _MAX_BODY = 64 * 1024 * 1024
+_MAX_BODY_DIGITS = len(str(_MAX_BODY))
 
 
 class _BadRequest(ValueError):
     """Client error → 400 with ``{"error": ...}``."""
+
+
+class _Rejected(Exception):
+    """A request whose framing cannot be trusted (request line, body
+    length): answered with ``status`` and ``{"error": ...}``, after
+    which the connection closes — where its body ends is unknown."""
+
+    def __init__(self, status: HTTPStatus, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 def _json_row(row: RowResult, generation: int, cached: bool) -> dict[str, Any]:
@@ -134,6 +150,7 @@ class SearchServer:
         self.cache = QueryCache(cache_size)
         self._writer_pool = ThreadPoolExecutor(max_workers=1)
         self._started = time.monotonic()
+        self._rejected: dict[int, int] = {}  # status code -> requests refused
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.StreamWriter] = set()
         self._handlers: set[asyncio.Task] = set()
@@ -181,7 +198,16 @@ class SearchServer:
         self._connections.add(writer)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _Rejected as exc:
+                    code = exc.status.value
+                    self._rejected[code] = self._rejected.get(code, 0) + 1
+                    self._write_response(
+                        writer, exc.status, {"error": str(exc)}, keep_alive=False
+                    )
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -216,7 +242,7 @@ class SearchServer:
             return None
         parts = line.decode("latin-1").split()
         if len(parts) != 3:
-            return None
+            raise _Rejected(HTTPStatus.BAD_REQUEST, "malformed request line")
         method, path, _version = parts
         headers: dict[str, str] = {}
         while True:
@@ -225,9 +251,19 @@ class SearchServer:
                 break
             name, _, value = h.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0))
-        if length > _MAX_BODY:
-            raise asyncio.IncompleteReadError(b"", length)
+        announced = headers.get("content-length", "0")
+        if not (announced.isascii() and announced.isdigit()):
+            raise _Rejected(
+                HTTPStatus.BAD_REQUEST,
+                f"Content-Length must be a non-negative integer, got {announced!r}",
+            )
+        # Digits are counted first: int() itself refuses very long strings.
+        if len(announced.lstrip("0")) > _MAX_BODY_DIGITS or int(announced) > _MAX_BODY:
+            raise _Rejected(
+                HTTPStatus.REQUEST_ENTITY_TOO_LARGE,
+                f"body of {announced[:32]} bytes is over the {_MAX_BODY}-byte limit",
+            )
+        length = int(announced)
         body = await reader.readexactly(length) if length else b""
         return method, path.split("?", 1)[0], headers, body
 
@@ -358,5 +394,8 @@ class SearchServer:
                 "generation": generation,
             },
             "writer": self.holder.writer_stats,
+            "http": {
+                "rejected": {str(c): n for c, n in sorted(self._rejected.items())}
+            },
             "uptime_seconds": round(time.monotonic() - self._started, 3),
         }

@@ -105,14 +105,37 @@ class QueryDistanceView:
 
     The view is also the **bit-identity oracle** of the compiled accel
     backends (:mod:`repro.accel`): a compiled traversal makes its
-    routing decisions in kernel arithmetic but re-evaluates every
-    *reported* distance through :meth:`segmented` (and seeds start
-    vertices from :meth:`scalar`), so whatever floats a view produces
-    are the floats every backend returns.
+    routing decisions in kernel arithmetic, seeded from
+    :meth:`start_distances`, and no float it computes is ever reported.
+    Where a reported distance comes from, per path:
+
+    * flat store, any backend — the view: the numpy engines report the
+      :meth:`segmented` values they routed on, a compiled beam search
+      evaluates its reported ids in one :meth:`segmented` call when the
+      distances are first read (``BeamBatch.dists``); a start vertex
+      keeps its :meth:`scalar` value on both;
+    * quantized store (``sq8``/``pq``/flat-float32) through
+      ``index.search()`` — the exact rerank
+      (:meth:`VectorStore.rerank_distances` over the candidate ids);
+      the traversal's approximate distances are not read, so a compiled
+      search does not evaluate them;
+    * quantized store through the engines directly
+      (``beam_search_batch(..., store=...)``) — the view, as for flat.
+
+    So whatever floats a view produces are the floats every backend
+    returns.
     """
 
     def scalar(self, qi: int, v: int) -> float:
         raise NotImplementedError
+
+    def start_distances(self, starts: np.ndarray) -> np.ndarray:
+        """``scalar(i, starts[i])`` for every row of the batch.  A view
+        overrides this only where one array call returns the same floats."""
+        return np.array(
+            [self.scalar(i, v) for i, v in enumerate(starts.tolist())],
+            dtype=np.float64,
+        )
 
     def segmented(
         self, q_rows: np.ndarray, cand: np.ndarray, lens: np.ndarray

@@ -178,10 +178,11 @@ class DiskTierStore(VectorStore):
         metric's ``distances`` kernel is row-wise — row order cannot
         change any row's float).
         """
-        cand = np.asarray(cand, dtype=np.intp)
-        order = np.argsort(cand, kind="stable")
-        gathered = np.asarray(self.vectors[cand[order]])
-        out = np.empty(len(cand), dtype=np.float64)
+        order = cand.argsort(kind="stable")
+        # Index a plain-ndarray view of the mapping: the same pages, but
+        # the gather skips np.memmap's per-result subclass bookkeeping.
+        gathered = np.asarray(self.vectors)[cand[order]]
+        out = np.empty(len(order), dtype=np.float64)
         out[order] = dataset.metric.distances(q, gathered)
         return out
 

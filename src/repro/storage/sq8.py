@@ -107,6 +107,18 @@ class _SQ8View(QueryDistanceView):
         row = decode_sq8(self.params, self.codes[v][None, :])
         return float(self.metric.distances(self.Q[qi], row)[0])
 
+    def start_distances(self, starts: np.ndarray) -> np.ndarray:
+        # scalar() is one row of a row-wise kernel (decode, then the
+        # metric's per-row reduction), so all rows at once — one segment
+        # per query — are the same floats.  A single query skips the
+        # segment bookkeeping: that call is scalar() itself.
+        decoded = decode_sq8(self.params, self.codes[starts])
+        if len(decoded) == 1:
+            return self.metric.distances(self.Q[0], decoded)
+        return self.metric.distances_many(
+            self.Q, decoded, np.ones(len(decoded), dtype=np.int64)
+        )
+
     def segmented(
         self, q_rows: np.ndarray, cand: np.ndarray, lens: np.ndarray
     ) -> np.ndarray:

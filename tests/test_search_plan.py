@@ -1,0 +1,343 @@
+"""The per-generation search plan and the array-native result path.
+
+Contract under test (ISSUE 19):
+
+* a batch is its rows: with ``SearchParams.starts`` pinned,
+  ``search(q_i)`` one row at a time equals row ``i`` of ``search(Q)`` —
+  ids, distances, evals, dtypes — for flat / flat-float32 / sq8 / pq
+  storage, in RAM and off a memory-mapped v5 directory, on the numpy
+  engines, on ``"auto"`` and on an explicitly named compiled backend,
+  for a plain search, ``k`` above the number of live points, an
+  ``allowed_ids`` filter, a ``budget`` and a fully tombstoned index;
+* a plan never outlives what it was built from: after ``add``,
+  ``delete``, ``compact``, ``set_storage``, an in-place rewiring of the
+  graph and a ``snapshot()``-then-mutate, an index that has already
+  searched (so holds a plan) answers exactly like a freshly loaded copy
+  of itself, and the old snapshot still answers as before;
+* scratch is per thread: two threads searching one index object at a
+  10 µs switch interval return exactly the serial answers;
+* the interpreter work of one warmed single-query search is bounded and
+  does not grow with the collection: its cProfile call count stays
+  under :data:`CALL_CEILING` (the parent made 402 on cffi) and is the
+  same at n = 2 000 and n = 16 000;
+* a plan stays where it was built: sharded shards that hold plans still
+  ship to pool workers (under ``spawn`` too — CI's spawn job runs this
+  file), and a snapshot outlives the shared-memory arena its source's
+  plans point into.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import pstats
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro import ProximityGraphIndex, SearchParams, ShardedIndex, accel
+from repro.core.builders import BuiltGraph
+from repro.core.persistence import load_any
+from repro.graphs.base import ProximityGraph
+from repro.metrics import Dataset, EuclideanMetric
+from repro.workloads import uniform_cube
+
+COMPILED = [b for b in ("numba", "cffi") if b in accel.available_backends()]
+needs_compiled = pytest.mark.skipif(
+    not COMPILED, reason="no compiled accel backend is importable here"
+)
+#: ``"auto"`` runs after ``accel.warm()``, so it is the compiled backend
+#: wherever one exists; ``"compiled"`` names that backend explicitly.
+ROUTES = [
+    "numpy",
+    pytest.param("auto", marks=needs_compiled),
+    pytest.param("compiled", marks=needs_compiled),
+]
+STORAGES = {
+    "flat": ("flat", None),
+    "flat32": ("flat", {"dtype": "float32"}),
+    "sq8": ("sq8", None),
+    "pq": ("pq", {"m": 4, "ks": 16}),
+}
+N, DIM, M = 400, 8, 12
+CALL_CEILING = 160
+
+
+@pytest.fixture(autouse=True)
+def _reset_accel():
+    yield
+    accel.reset()
+
+
+def _backend(route: str) -> str:
+    if route == "numpy":
+        return "numpy"
+    accel.warm()
+    return "auto" if route == "auto" else COMPILED[0]
+
+
+@pytest.fixture(scope="module")
+def queries():
+    return np.random.default_rng(31).uniform(size=(M, DIM))
+
+
+@pytest.fixture(scope="module")
+def indexes(tmp_path_factory):
+    """Every storage, built once, in RAM and reopened through mmap."""
+    points = uniform_cube(N, DIM, np.random.default_rng(17))
+    out = {}
+    for name, (storage, options) in STORAGES.items():
+        ram = ProximityGraphIndex.build(
+            points, epsilon=1.0, method="vamana", seed=3,
+            storage=storage, storage_options=options,
+        )
+        path = ram.save(tmp_path_factory.mktemp(name) / "v5", format="disk")
+        out[name, "ram"] = ram
+        out[name, "mmap"] = load_any(path)
+    return out
+
+
+def _assert_same(got, want, ctx):
+    __tracebackhide__ = True
+    for field in ("ids", "distances", "evals"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, (ctx, field)
+        assert np.array_equal(a, b), (ctx, field)
+
+
+# ----------------------------------------------------------------------
+# (1) a batch is its rows
+# ----------------------------------------------------------------------
+
+
+def _case(name: str, index: ProximityGraphIndex):
+    """``(index, k, extra SearchParams fields)`` of one scenario; the
+    mutating ones run on a snapshot."""
+    ids = index.id_map.externals
+    if name == "plain":
+        return index, 10, {}
+    if name == "k_over_live":
+        snap = index.snapshot()
+        snap.delete(ids[7:])
+        return snap, 10, {}
+    if name == "filter":
+        allowed = np.random.default_rng(5).choice(ids, size=25, replace=False)
+        return index, 10, {"allowed_ids": allowed.tolist()}
+    if name == "budget":
+        return index, 10, {"budget": 50}
+    assert name == "all_tombstoned"
+    snap = index.snapshot()
+    snap.delete(ids)
+    return snap, 10, {}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("residency", ["ram", "mmap"])
+@pytest.mark.parametrize("storage", list(STORAGES))
+@pytest.mark.parametrize(
+    "case", ["plain", "k_over_live", "filter", "budget", "all_tombstoned"]
+)
+def test_each_row_alone_equals_its_row_of_the_batch(
+    indexes, queries, storage, residency, route, case
+):
+    backend = _backend(route)
+    index, k, extra = _case(case, indexes[storage, residency])
+    starts = np.random.default_rng(9).integers(index.n, size=M)
+
+    def search(Q, rows):
+        params = SearchParams(
+            beam_width=32, starts=starts[rows], backend=backend, **extra
+        )
+        return index.search(Q, k=k, params=params)
+
+    if storage == "flat32" and route == "compiled" and case != "all_tombstoned":
+        # No kernel reads float32 rows: a named backend says so, "auto"
+        # (covered by its own route) serves numpy.
+        with pytest.raises(accel.UnsupportedWorkloadError):
+            search(queries, slice(None))
+        return
+    batch = search(queries, slice(None))
+    assert batch.ids.shape == batch.distances.shape == (M, k)
+    for i in range(M):
+        row = search(queries[i], slice(i, i + 1))
+        assert row.ids.shape == (1, k)
+        for field in ("ids", "distances", "evals"):
+            a, b = getattr(row, field)[0], getattr(batch, field)[i]
+            assert a.dtype == b.dtype and np.array_equal(a, b), (i, field)
+    if case == "k_over_live":
+        assert ((batch.ids >= 0).sum(axis=1) <= 7).all()
+    if case == "all_tombstoned":
+        assert (batch.ids == -1).all() and np.isinf(batch.distances).all()
+
+
+# ----------------------------------------------------------------------
+# (2) plan lifetime
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("storage", ["flat", "sq8"])
+def test_a_mutated_index_answers_like_a_fresh_copy_of_itself(
+    storage, route, queries, tmp_path
+):
+    backend = _backend(route)
+    rng = np.random.default_rng(41)
+    index = ProximityGraphIndex.build(
+        uniform_cube(300, DIM, rng), epsilon=1.0, method="vamana", seed=2,
+        storage=storage,
+    )
+    params = SearchParams(beam_width=24, seed=1, backend=backend)
+    step = 0
+
+    def check(ctx):
+        nonlocal step
+        step += 1
+        fresh = load_any(index.save(tmp_path / f"step{step}", format="disk"))
+        _assert_same(
+            index.search(queries, k=5, params=params),
+            fresh.search(queries, k=5, params=params),
+            ctx,
+        )
+
+    check("built")  # the index now holds a plan; every mutation must shed it
+    index.add(rng.uniform(size=(9, DIM)), mode="repair")
+    check("add")
+    index.delete(index.id_map.externals[:40])
+    check("delete")
+    index.compact()
+    check("compact")
+    index.set_storage("pq", m=4, ks=16)
+    check("set_storage")
+    graph = index.graph  # same object, new CSR arrays
+    for u in range(0, graph.n, 2):
+        graph.set_out_neighbors(u, graph.out_neighbors(u)[:1])
+    graph.freeze()
+    check("graph rewired in place")
+
+    old = index.snapshot()
+    before = old.search(queries, k=5, params=params)
+    index.add(rng.uniform(size=(5, DIM)), mode="repair")
+    index.delete(index.id_map.externals[:3])
+    check("snapshot, then mutate")
+    _assert_same(old.search(queries, k=5, params=params), before, "old snapshot")
+
+
+# ----------------------------------------------------------------------
+# (3) two threads, one index object
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("route", ["numpy", pytest.param("auto", marks=needs_compiled)])
+def test_concurrent_searches_return_the_serial_answers(indexes, route):
+    backend = _backend(route)
+    index = indexes["sq8", "mmap"]
+    rng = np.random.default_rng(53)
+    # Different batch sizes, widths and seeds per thread: the scratch is
+    # regrown for the wider beam and the start-draw memo is contended.
+    jobs = [
+        [
+            (rng.uniform(size=(m, DIM)), SearchParams(beam_width=w, seed=s, backend=backend))
+            for m, w, s in spec
+        ]
+        for spec in ([(1, 16, 0), (5, 48, 1)], [(3, 64, 2), (1, 24, 0)])
+    ]
+    serial = [[index.search(Q, k=6, params=p) for Q, p in job] for job in jobs]
+    errors: list[BaseException] = []
+
+    def reader(job, want):
+        try:
+            for _ in range(60):
+                for (Q, p), expected in zip(job, want):
+                    _assert_same(index.search(Q, k=6, params=p), expected, "thread")
+        except BaseException as exc:  # surfaced by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=reader, args=(job, want))
+            for job, want in zip(jobs, serial)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+
+
+# ----------------------------------------------------------------------
+# (4) interpreter work of one call
+# ----------------------------------------------------------------------
+
+
+def lattice_index(n: int) -> ProximityGraphIndex:
+    """A fixed-degree circulant graph over random points with sq8
+    storage, without a builder's cost; search only needs a frozen graph."""
+    jumps = np.array([1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, n // 2])
+    rows = np.sort((np.arange(n)[:, None] + jumps[None, :]) % n, axis=1)
+    graph = ProximityGraph.from_csr(
+        n, np.arange(n + 1) * len(jumps), rows.ravel()
+    )
+    pts = np.random.default_rng(5).standard_normal((n, DIM))
+    index = ProximityGraphIndex(
+        Dataset(EuclideanMetric(), pts),
+        BuiltGraph("lattice", graph, 1.0, False),
+        scale=1.0,
+        rng=np.random.default_rng(0),
+    )
+    return index.set_storage("sq8")
+
+
+def calls_of_one_search(n: int) -> int:
+    index = lattice_index(n)
+    params = SearchParams(beam_width=64, backend="auto")
+    q = np.random.default_rng(6).standard_normal(DIM)
+    for _ in range(3):
+        index.search(q, k=10, params=params)
+    profile = cProfile.Profile()
+    profile.enable()
+    index.search(q, k=10, params=params)
+    profile.disable()
+    return pstats.Stats(profile).total_calls
+
+
+@needs_compiled
+def test_one_search_makes_a_bounded_number_of_calls_whatever_n():
+    accel.warm()
+    small, large = calls_of_one_search(2_000), calls_of_one_search(16_000)
+    assert small == large, (small, large)
+    assert large <= CALL_CEILING
+
+
+# ----------------------------------------------------------------------
+# (5) a plan stays in the process, and on the arrays, it was built for
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("route", ["numpy", pytest.param("auto", marks=needs_compiled)])
+def test_sharded_shards_that_hold_plans_still_ship_and_detach(route):
+    """Shards searched in the parent hold plans (C pointers into the
+    shared-memory arena, thread-local scratch).  The pooled fan-out must
+    still pickle its shard payloads, and a snapshot taken before the
+    arena is unlinked must answer from its own copy afterwards."""
+    backend = _backend(route)
+    pts = uniform_cube(240, DIM, np.random.default_rng(61))
+    queries = np.random.default_rng(62).uniform(size=(6, DIM))
+    params = SearchParams(beam_width=16, seed=4, backend=backend)
+    with ShardedIndex.build(
+        pts, epsilon=1.0, method="vamana", seed=6, shards=2, workers=2,
+        storage="sq8",
+    ) as sharded:
+        in_parent = [s.search(queries, k=4, params=params) for s in sharded.shards]
+        pooled = sharded.search(queries, k=4, params=params)
+        assert pooled.evals.tolist() == sum(r.evals for r in in_parent).tolist()
+        snap = sharded.snapshot()
+        before = snap.search(queries, k=4, params=params)
+        _assert_same(before, pooled, "snapshot")
+    # The arena is unlinked now; a stale plan would read freed memory.
+    _assert_same(snap.search(queries, k=4, params=params), before, "after close")
+    snap.close()

@@ -520,6 +520,42 @@ class TestHTTP:
 
         assert _serve_test(go) == 404
 
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"POST /search HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+            (b"POST /search HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            (b"POST /search HTTP/1.1\r\nContent-Length: 67108865\r\n\r\n", 413),
+            (b"POST /search HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n", 413),
+            (b"GARBAGE\r\n\r\n", 400),
+        ],
+        ids=["length-not-a-number", "length-negative", "length-over-limit",
+             "length-too-long-for-int", "request-line"],
+    )
+    def test_untrustworthy_framing_is_answered_counted_and_closed(self, head, status):
+        """A request line or Content-Length the server cannot trust gets
+        a JSON error and ``Connection: close`` — not an empty reply and
+        an unhandled exception in the connection callback — and /stats
+        counts it."""
+
+        async def go(base, _server):
+            host, port = base.removeprefix("http://").split(":")
+            reader, writer = await asyncio.open_connection(host, int(port))
+            writer.write(head)
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.read(), timeout=10)  # to EOF
+            writer.close()
+            await writer.wait_closed()
+            _, stats = await _afetch(base, "/stats")
+            return reply, stats
+
+        reply, stats = _serve_test(go)
+        head_part, _, body = reply.partition(b"\r\n\r\n")
+        assert head_part.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"Connection: close" in head_part
+        assert "error" in json.loads(body)
+        assert stats["http"]["rejected"] == {str(status): 1}
+
     def test_interleaved_writes_never_expose_partial_state(self):
         """The acceptance invariant, in miniature: a writer repeatedly
         adds and deletes a complete 4-point cluster at a far corner
