@@ -41,7 +41,13 @@ __all__ = [
     "commit_wave_kernel",
     "cache_dir",
     "ensure_compiled",
+    "RELEASES_GIL",
 ]
+
+#: cffi drops the GIL around every call into the shared object, so two
+#: threads can be inside these kernels at once; ``repro.accel.dispatch``
+#: splits the rows of a large call across cores only for such a backend.
+RELEASES_GIL = True
 
 _CDEF = """
 int64_t repro_beam(

@@ -34,6 +34,15 @@ from, so nothing has to invalidate it.  Per call: the numpy distance
 view of the batch, the query / start / output arrays and their
 pointers.
 
+The rows of a batch are independent, so :func:`run_beam` and
+:func:`run_construction` give a call with enough of them to
+:func:`_split_rows`: contiguous row chunks, each run by the same bound
+kernel on the matching slices of the inputs and outputs, claimed by the
+calling thread and by a process-wide pool of helper threads — one per
+further usable core (``os.sched_getaffinity``), and only for a backend
+whose kernels release the GIL.  A short call, one core or a GIL-holding
+backend is the same function with the caller as its only worker.
+
 Reported distances are **evaluated through the same numpy distance
 view** the engines use (``FlatQueryView`` / SQ8 / PQ-ADC ``segmented``),
 so a compiled search returns bit-identical floats whenever it makes the
@@ -46,11 +55,15 @@ search over a quantized store reranks from the ids and never reads them.
 from __future__ import annotations
 
 import importlib.util
+import itertools
+import logging
+import os
 import shutil
 import threading
 import time
 import warnings
-from typing import Any
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable
 
 import numpy as np
 
@@ -163,11 +176,23 @@ def backend_status() -> dict[str, Any]:
             "warm": rec is not None,
             "compile_seconds": None if rec is None else rec["compile_seconds"],
         }
-    return {"active": get_backend(), "backends": backends}
+    active = get_backend()
+    releases_gil = _releases_gil(active)
+    return {
+        "active": active,
+        "backends": backends,
+        "threads": {
+            "split": _usable_cores() if releases_gil else 1,
+            "releases_gil": releases_gil,
+        },
+    }
 
 
 def reset() -> None:
-    """Forget warm state and the fallback-warning latch (test isolation)."""
+    """Forget warm state and the fallback-warning latch (test isolation).
+
+    The row-split helper threads are not warm state: they belong to the
+    process, not to a backend, and stay."""
     global _WARNED_NO_COMPILED
     _WARM.clear()
     _WARNED_NO_COMPILED = False
@@ -282,6 +307,133 @@ def _kernels(backend: str) -> Any:
 
         return cbackend
     raise AccelUnavailableError(_unavailable_message(backend))
+
+
+# ---------------------------------------------------------------------------
+# the row split: the independent rows of one call, over the usable cores
+
+#: Rows a thread must be given before a helper is worth waking.  Handing a
+#: chunk to a parked helper costs 0.1-0.2 ms on the box this was sized on
+#: (queue hand-off, then the GIL changes hands) against ~60 us for one
+#: beam row (n = 20 000, d = 16, beam 64), so under ~8 rows per thread the
+#: split loses; a call is split once it has that many rows for two threads.
+_ROWS_PER_THREAD = 8
+
+_log = logging.getLogger("repro.accel")
+
+# The process-wide helper threads, (executor, thread count), started by the
+# first call that is split.  One pool for every caller: a server's executor
+# threads and the helpers are one budget, callers + cores - 1 kernel
+# threads at most.  A forked child inherits the executor object but none
+# of its threads, so it drops the pool and starts its own on first use.
+_helpers: tuple[ThreadPoolExecutor, int] | None = None
+_helpers_lock = threading.Lock()
+_forked = False
+
+
+def _drop_helpers_in_child() -> None:
+    global _helpers, _helpers_lock, _forked
+    _helpers = None
+    _helpers_lock = threading.Lock()
+    _forked = True
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helpers_in_child)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity mask (``taskset``,
+    cgroup cpusets), not the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _releases_gil(backend: str) -> bool:
+    """Do this backend's kernels run with the GIL released?  Only then can
+    two threads be inside a kernel at once."""
+    if backend == "numpy":
+        return False
+    return bool(getattr(_kernels(backend), "RELEASES_GIL", False))
+
+
+def _helper_pool(count: int) -> ThreadPoolExecutor:
+    """The process's helper threads, ``count`` of them or more."""
+    global _helpers, _forked
+    helpers = _helpers
+    if helpers is not None and helpers[1] >= count:
+        return helpers[0]
+    with _helpers_lock:
+        if _helpers is None or _helpers[1] < count:
+            if _helpers is not None:
+                # More cores than when it started (the affinity mask was
+                # widened).  The old executor is let go, not shut down: a
+                # caller may be about to hand it work, and its threads
+                # exit once its last user has dropped it.
+                what = "grown"
+            else:
+                what = "rebuilt after fork" if _forked else "started"
+            _log.info(
+                "row-split helper pool %s: %d helper thread(s) beside each "
+                "calling thread", what, count,
+            )
+            _forked = False
+            _helpers = (
+                ThreadPoolExecutor(count, thread_name_prefix="repro-accel"),
+                count,
+            )
+        return _helpers[0]
+
+
+def _split_rows(
+    backend: str,
+    m: int,
+    arrays: tuple[np.ndarray, ...],
+    run: Callable[..., None],
+) -> None:
+    """Run a kernel over the ``m`` rows of one call, cut into chunks.
+
+    ``arrays`` are the call's row-aligned inputs and outputs (one that
+    the workload does not use has no rows and stays empty when cut);
+    ``run(*arrays)`` executes the kernel on them, with scratch of the
+    thread it runs on.  A row never sees another row's state, so however
+    the rows are cut and whichever thread runs a chunk, every row's
+    result is the one-call result.  With enough rows, more than one
+    usable core and kernels that release the GIL, ``run`` gets
+    contiguous row ranges of every array, claimed by the caller and by
+    helper threads as they come free; otherwise the caller is the only
+    worker and runs all rows at once.
+    """
+    cores = threads = 1
+    if m >= 2 * _ROWS_PER_THREAD and _releases_gil(backend):
+        cores = _usable_cores()
+        threads = min(cores, m // _ROWS_PER_THREAD)
+    if threads == 1:
+        run(*arrays)
+        return
+    # Rows differ in cost, so chunks are claimed, not dealt: ~8 a thread,
+    # and the last one to finish is a small share of the call.
+    chunk = max(_ROWS_PER_THREAD, m // (8 * threads))
+    claims = itertools.count()
+
+    def work() -> None:
+        while True:
+            lo = next(claims) * chunk
+            if lo >= m:
+                return
+            run(*[a[lo : lo + chunk] for a in arrays])
+
+    pool = _helper_pool(cores - 1)  # threads start as work arrives
+    helping = [pool.submit(work) for _ in range(threads - 1)]
+    try:
+        work()
+    finally:
+        for future in helping:
+            # A helper still queued behind another caller's chunks has
+            # nothing left to claim; one that started is awaited.
+            if not future.cancel():
+                future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -577,13 +729,21 @@ def run_beam(
     starts64 = np.ascontiguousarray(starts, dtype=np.int64)
     d0 = view.start_distances(starts64)
     width = int(beam_width)
-    scratch = plan.scratch(width)
-    plan.kernels.beam(
-        q_arr, luts, starts64, d0, width, k_eff,
-        -1 if budget is None else int(budget),
-        *_allowed_arg(allowed),
-        out_ids, out_dists, out_evals,
-        scratch.stamps(m), *scratch.args,
+    budget_i = -1 if budget is None else int(budget)
+    allowed_u8, has_allowed = _allowed_arg(allowed)
+
+    def rows(q_arr, luts, starts, d0, out_ids, out_dists, out_evals) -> None:
+        scratch = plan.scratch(width)  # of the thread these rows run on
+        plan.kernels.beam(
+            q_arr, luts, starts, d0, width, k_eff, budget_i,
+            allowed_u8, has_allowed, out_ids, out_dists, out_evals,
+            scratch.stamps(len(starts)), *scratch.args,
+        )
+
+    _split_rows(
+        backend, m,
+        (q_arr, luts, starts64, d0, out_ids, out_dists, out_evals),
+        rows,
     )
     return BeamBatch(
         out_ids,
@@ -704,15 +864,26 @@ def run_construction(
     out_ids = np.full((w, ef), -1, dtype=np.int64)
     out_dists = np.full((w, ef), np.inf, dtype=np.float64)
     out_sizes = np.zeros(w, dtype=np.int64)
-    visited = np.zeros(n, dtype=np.int32)
-    pexp = np.zeros(ef, dtype=np.uint8)
-    sel_buf = np.zeros(max(int(expand_per_round), 1), dtype=np.int64)
-    contrib = np.empty(max(plan.msub, 1), dtype=np.float64)
-    _kernels(backend).construction_kernel(
-        offsets, targets, plan.kind, plan.factor, plan.power,
-        q_arr, plan.data, plan.codes, plan.minv, plan.scale, luts,
-        starts64, d0, ef, int(expand_per_round),
-        out_ids, out_dists, out_sizes, visited, pexp, sel_buf, contrib,
+    expand = int(expand_per_round)
+    kernel = _kernels(backend).construction_kernel
+
+    def rows(q_arr, luts, starts, d0, out_ids, out_dists, out_sizes) -> None:
+        kernel(
+            offsets, targets, plan.kind, plan.factor, plan.power,
+            q_arr, plan.data, plan.codes, plan.minv, plan.scale, luts,
+            starts, d0, ef, expand, out_ids, out_dists, out_sizes,
+            # The kernel stamps ``visited`` from 1 in every call, so each
+            # chunk gets a zeroed one, and the small buffers with it.
+            np.zeros(n, dtype=np.int32),
+            np.zeros(ef, dtype=np.uint8),  # pexp
+            np.zeros(max(expand, 1), dtype=np.int64),  # sel_buf
+            np.empty(max(plan.msub, 1), dtype=np.float64),  # contrib
+        )
+
+    _split_rows(
+        backend, w,
+        (q_arr, luts, starts64, d0, out_ids, out_dists, out_sizes),
+        rows,
     )
     # Re-evaluate every reported pool distance through the numpy view —
     # segmented() reductions are per-row independent, so these floats
@@ -866,24 +1037,27 @@ def _self_check(backend: str) -> None:
     from repro.metrics.base import Dataset
 
     rng = np.random.default_rng(12345)
-    n, d, mq = 48, 6, 8
+    # Two threads' worth of rows in the beam batch and in the construction
+    # wave: wherever there is a second core the row split cuts both, so a
+    # backend whose rows do not survive being run in chunks on helper
+    # threads is refused here, not found out in a result.
+    n, d, mq = 48, 6, 2 * _ROWS_PER_THREAD
     points = rng.standard_normal((n, d))
     dataset = Dataset(EuclideanMetric(), points)
-    edges = []
-    for u in range(n):
-        for v in rng.choice(n, size=4, replace=False):
-            if int(v) != u:
-                edges.append((u, int(v)))
-    graph = ProximityGraph.from_edge_list(n, edges).freeze()
+    # Four draws a vertex; duplicates and self-loops drop out, so the
+    # degrees vary.
+    graph = ProximityGraph(n, rng.integers(0, n, size=(n, 4))).freeze()
     Q = rng.standard_normal((mq, d))
     starts = rng.integers(0, n, size=mq)
+    wave = [int(p) for p in rng.permutation(n)[:mq]]
 
     want_beam = engine.beam_search_batch(graph, dataset, starts, Q, beam_width=6, k=4)
     got_beam = run_beam(backend, graph, dataset, starts, Q, beam_width=6, k=4)
-    want_greedy = engine.greedy_batch(graph, dataset, starts, Q)
-    got_greedy = run_greedy(backend, graph, dataset, starts, Q)
-    want_c = engine.construction_beam_batch(graph, dataset, starts, Q, beam_width=6)
-    got_c = run_construction(backend, graph, dataset, starts, Q, beam_width=6)
+    want_greedy = engine.greedy_batch(graph, dataset, starts[:8], Q[:8])
+    got_greedy = run_greedy(backend, graph, dataset, starts[:8], Q[:8])
+    # The wave locates members of the graph, as a build does.
+    want_c = engine.construction_beam_batch(graph, dataset, starts, points[wave], beam_width=6)
+    got_c = run_construction(backend, graph, dataset, starts, points[wave], beam_width=6)
     same_c = len(want_c) == len(got_c) and all(
         np.array_equal(wi, gi) and np.array_equal(wd, gd)
         for (wi, wd), (gi, gd) in zip(want_c, got_c)
@@ -892,14 +1066,12 @@ def _self_check(backend: str) -> None:
     d_arr = dataset.distances_from_index(0, v_arr)
     want_p = engine.robust_prune(dataset, 0, v_arr, d_arr, 1.2, 6)
     got_p = run_robust_prune(backend, dataset, 0, v_arr, d_arr, 1.2, 6)
-    # One whole-wave commit against a partially linked adjacency,
-    # kernel vs the pinned per-member prune-and-link loop.
+    # One whole-wave commit of half that wave and its pools against a
+    # partially linked adjacency (the commit is order-dependent and never
+    # split), kernel vs the pinned per-member prune-and-link loop.
     adj_want = [sorted(graph.out_neighbors(u).tolist())[:3] for u in range(n)]
     adj_got = [list(row) for row in adj_want]
-    wave = [int(p) for p in rng.permutation(n)[:mq]]
-    pools_w = engine.construction_beam_batch(
-        graph, dataset, [0] * len(wave), points[wave], beam_width=6
-    )
+    wave, pools_w = wave[:8], want_c[:8]
     engine.commit_wave_pools(dataset, adj_want, wave, pools_w, 1.2, 4)
     mirror = engine.CommitMirror()
     run_commit_wave(backend, dataset, adj_got, wave, pools_w, 1.2, 4, False, mirror)

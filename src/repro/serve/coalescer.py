@@ -164,9 +164,21 @@ class Coalescer:
             self._flush(key)
 
     def close(self) -> None:
+        """Stop the timers and answer every request still waiting for its
+        tick: with the timers gone nothing would ever dispatch it, so its
+        future fails now instead of hanging its client."""
         for timer in self._timers.values():
             timer.cancel()
         self._timers.clear()
+        for group in self._pending.values():
+            for _, fut in group:
+                if not fut.done():
+                    fut.set_exception(
+                        RuntimeError(
+                            "server shutting down: the request was not dispatched"
+                        )
+                    )
+        self._pending.clear()
         if self._owns_executor:
             self._executor.shutdown(wait=False)
 

@@ -49,6 +49,7 @@ from typing import Any
 
 import numpy as np
 
+from repro import accel
 from repro.serve.cache import QueryCache
 from repro.serve.coalescer import BatchKey, Coalescer, RowResult
 from repro.serve.state import IndexHolder
@@ -394,6 +395,8 @@ class SearchServer:
                 "generation": generation,
             },
             "writer": self.holder.writer_stats,
+            # Active backend, and the threads a large batch is split over.
+            "accel": accel.backend_status(),
             "http": {
                 "rejected": {str(c): n for c, n in sorted(self._rejected.items())}
             },

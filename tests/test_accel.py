@@ -288,6 +288,23 @@ class TestStatusReporting:
         finally:
             accel.reset()
 
+    def test_status_reports_the_row_split(self, index, monkeypatch):
+        """The thread count a large call is split over: the usable cores
+        when the active backend's kernels release the GIL, else one."""
+        monkeypatch.setattr(dispatch, "_usable_cores", lambda: 5)
+        accel.reset()
+        try:
+            threads = index.stats()["accel"]["threads"]
+            assert threads == {"split": 1, "releases_gil": False}
+            for name in BACKENDS:
+                accel.reset()
+                accel.warm(name)
+                threads = accel.backend_status()["threads"]
+                assert threads["releases_gil"] is (name == "cffi")
+                assert threads["split"] == (5 if name == "cffi" else 1)
+        finally:
+            accel.reset()
+
     def test_status_is_json_safe(self, index):
         import json
 

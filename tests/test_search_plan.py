@@ -24,11 +24,24 @@ Contract under test (ISSUE 19):
   ship to pool workers (under ``spawn`` too — CI's spawn job runs this
   file), and a snapshot outlives the shared-memory arena its source's
   plans point into.
+
+And of the row split (ISSUE 21), which ``M = 12`` rows never reach:
+
+* a call cut into chunks and run on helper threads is still its rows: a
+  70-row batch equals its rows searched one at a time for flat / sq8 /
+  pq x RAM / mmap x plain / ``allowed_ids`` / ``budget`` with 1 to 4
+  usable cores (more than this box has: uneven chunks, idle helpers),
+  and a 300-row construction wave equals the one-thread wave;
+* the helper threads are one pool for every caller: two threads issuing
+  split batches on one index return the serial answers;
+* a child process, forked or spawned after the parent's helper threads
+  exist, starts its own and answers a split search.
 """
 
 from __future__ import annotations
 
 import cProfile
+import multiprocessing
 import pstats
 import sys
 import threading
@@ -37,6 +50,7 @@ import numpy as np
 import pytest
 
 from repro import ProximityGraphIndex, SearchParams, ShardedIndex, accel
+from repro.accel import dispatch
 from repro.core.builders import BuiltGraph
 from repro.core.persistence import load_any
 from repro.graphs.base import ProximityGraph
@@ -228,26 +242,14 @@ def test_a_mutated_index_answers_like_a_fresh_copy_of_itself(
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("route", ["numpy", pytest.param("auto", marks=needs_compiled)])
-def test_concurrent_searches_return_the_serial_answers(indexes, route):
-    backend = _backend(route)
-    index = indexes["sq8", "mmap"]
-    rng = np.random.default_rng(53)
-    # Different batch sizes, widths and seeds per thread: the scratch is
-    # regrown for the wider beam and the start-draw memo is contended.
-    jobs = [
-        [
-            (rng.uniform(size=(m, DIM)), SearchParams(beam_width=w, seed=s, backend=backend))
-            for m, w, s in spec
-        ]
-        for spec in ([(1, 16, 0), (5, 48, 1)], [(3, 64, 2), (1, 24, 0)])
-    ]
-    serial = [[index.search(Q, k=6, params=p) for Q, p in job] for job in jobs]
+def _race(index, jobs, serial, rounds):
+    """One thread per job, each repeating its ``(Q, params)`` searches on
+    ``index`` at a 10 us switch interval and comparing with ``serial``."""
     errors: list[BaseException] = []
 
     def reader(job, want):
         try:
-            for _ in range(60):
+            for _ in range(rounds):
                 for (Q, p), expected in zip(job, want):
                     _assert_same(index.search(Q, k=6, params=p), expected, "thread")
         except BaseException as exc:  # surfaced by the assert below
@@ -267,6 +269,24 @@ def test_concurrent_searches_return_the_serial_answers(indexes, route):
     finally:
         sys.setswitchinterval(interval)
     assert not errors and not any(t.is_alive() for t in threads)
+
+
+@pytest.mark.parametrize("route", ["numpy", pytest.param("auto", marks=needs_compiled)])
+def test_concurrent_searches_return_the_serial_answers(indexes, route):
+    backend = _backend(route)
+    index = indexes["sq8", "mmap"]
+    rng = np.random.default_rng(53)
+    # Different batch sizes, widths and seeds per thread: the scratch is
+    # regrown for the wider beam and the start-draw memo is contended.
+    jobs = [
+        [
+            (rng.uniform(size=(m, DIM)), SearchParams(beam_width=w, seed=s, backend=backend))
+            for m, w, s in spec
+        ]
+        for spec in ([(1, 16, 0), (5, 48, 1)], [(3, 64, 2), (1, 24, 0)])
+    ]
+    serial = [[index.search(Q, k=6, params=p) for Q, p in job] for job in jobs]
+    _race(index, jobs, serial, rounds=60)
 
 
 # ----------------------------------------------------------------------
@@ -341,3 +361,168 @@ def test_sharded_shards_that_hold_plans_still_ship_and_detach(route):
     # The arena is unlinked now; a stale plan would read freed memory.
     _assert_same(snap.search(queries, k=4, params=params), before, "after close")
     snap.close()
+
+
+# ----------------------------------------------------------------------
+# (6) the row split
+# ----------------------------------------------------------------------
+
+#: The backend whose kernels release the GIL, the only one that is split.
+needs_cffi = pytest.mark.skipif(
+    "cffi" not in accel.available_backends(), reason="the cffi backend cannot run here"
+)
+#: Not a multiple of the chunk length: the last chunk is a short one.
+ROWS = 70
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Set how many cores the split believes it may use; ``set.helpers``
+    collects how many helper threads each split call then asked for."""
+    accel.warm("cffi")  # its self-check makes split calls of its own
+
+    def set_cores(count: int) -> None:
+        monkeypatch.setattr(dispatch, "_usable_cores", lambda: count)
+
+    helper_pool = dispatch._helper_pool
+    set_cores.helpers = []
+
+    def spy(count: int):
+        set_cores.helpers.append(count)
+        return helper_pool(count)
+
+    monkeypatch.setattr(dispatch, "_helper_pool", spy)
+    return set_cores
+
+
+@needs_cffi
+@pytest.mark.parametrize("usable", [1, 2, 3, 4])
+@pytest.mark.parametrize("residency", ["ram", "mmap"])
+@pytest.mark.parametrize("storage", ["flat", "sq8", "pq"])
+@pytest.mark.parametrize("case", ["plain", "filter", "budget"])
+def test_a_split_batch_equals_its_rows_searched_alone(
+    indexes, cores, storage, residency, case, usable
+):
+    cores(usable)
+    index, k, extra = _case(case, indexes[storage, residency])
+    Q = np.random.default_rng(71).uniform(size=(ROWS, DIM))
+    starts = np.random.default_rng(72).integers(index.n, size=ROWS)
+
+    def search(Q, rows):
+        params = SearchParams(beam_width=32, starts=starts[rows], backend="cffi", **extra)
+        return index.search(Q, k=k, params=params)
+
+    batch = search(Q, slice(None))
+    for i in range(ROWS):
+        row = search(Q[i], slice(i, i + 1))  # one row is never split
+        for field in ("ids", "distances", "evals"):
+            a, b = getattr(row, field)[0], getattr(batch, field)[i]
+            assert a.dtype == b.dtype and np.array_equal(a, b), (i, field)
+    # The batch was split over every core, a single row never is.
+    assert cores.helpers == ([usable - 1] if usable > 1 else [])
+
+
+@needs_cffi
+def test_a_split_construction_wave_equals_the_one_thread_wave(indexes, cores):
+    index = indexes["flat", "ram"]
+    rng = np.random.default_rng(73)
+    wave = rng.uniform(size=(300, DIM))
+    starts = rng.integers(index.n, size=len(wave))
+
+    def locate():
+        return accel.run_construction(
+            "cffi", index.graph, index.dataset, starts, wave, beam_width=24
+        )
+
+    cores(1)
+    alone = locate()
+    assert not cores.helpers
+    for usable in (2, 3):
+        cores(usable)
+        split = locate()
+        assert cores.helpers.pop() == usable - 1
+        assert len(split) == len(alone)
+        for (ids, dists), (want_ids, want_dists) in zip(split, alone):
+            assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
+            assert dists.dtype == want_dists.dtype and np.array_equal(dists, want_dists)
+
+
+@needs_cffi
+def test_two_callers_share_the_helper_threads_and_get_the_serial_answers(indexes, cores):
+    index = indexes["sq8", "mmap"]
+    rng = np.random.default_rng(74)
+    jobs = [
+        [(rng.uniform(size=(m, DIM)), SearchParams(beam_width=w, seed=s, backend="cffi"))]
+        for m, w, s in [(ROWS, 48, 1), (40, 64, 2)]
+    ]
+    cores(1)
+    serial = [[index.search(Q, k=6, params=p) for Q, p in job] for job in jobs]
+    cores(3)  # two callers and two helpers on this box's two cores
+    _race(index, jobs, serial, rounds=40)
+    assert set(cores.helpers) == {2}
+
+
+def _split_search_in_a_child(source, Q, starts, conn):
+    """Child-process entry: believe in three cores, search, and send the
+    rows, what ``repro.accel`` logged and the helper threads alive here."""
+    import logging
+
+    logged: list[str] = []
+    handler = logging.Handler()
+    handler.emit = lambda record: logged.append(record.getMessage())
+    logger = logging.getLogger("repro.accel")
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    dispatch._usable_cores = lambda: 3
+    index = source if isinstance(source, ProximityGraphIndex) else load_any(source)
+    params = SearchParams(beam_width=32, starts=starts, backend="cffi")
+    result = index.search(Q, k=10, params=params)
+    helpers = [t.name for t in threading.enumerate() if t.name.startswith("repro-accel")]
+    conn.send((result.ids, result.distances, result.evals, logged, helpers))
+    conn.close()
+
+
+@needs_cffi
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_a_child_process_starts_helper_threads_of_its_own(indexes, cores, tmp_path, method):
+    """A forked child inherits the parent's executor object and none of
+    its threads: work handed to it is never picked up.  The child drops
+    it and starts its own on its first split call."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    index = indexes["sq8", "ram"]
+    Q = np.random.default_rng(75).uniform(size=(ROWS, DIM))
+    starts = np.random.default_rng(76).integers(index.n, size=ROWS)
+    cores(3)
+    params = SearchParams(beam_width=32, starts=starts, backend="cffi")
+    want = index.search(Q, k=10, params=params)  # the parent's helpers now exist
+    assert cores.helpers == [2]
+    # fork hands the child the very objects (plan and scratch included);
+    # spawn pickles its arguments, and a plan stays in its process.
+    source = index if method == "fork" else index.save(tmp_path / "v5", format="disk")
+    ctx = multiprocessing.get_context(method)
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_split_search_in_a_child, args=(source, Q, starts, send))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(30), "the child never answered its split search"
+        ids, distances, evals, logged, helpers = recv.recv()
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    for got, field in ((ids, "ids"), (distances, "distances"), (evals, "evals")):
+        assert np.array_equal(got, getattr(want, field)), field
+    assert helpers  # the executor starts its threads as work arrives
+    # The forked child found the parent's warm state and its dead pool;
+    # the spawned one started from nothing (its warm-time self-check
+    # splits too, so its pool started smaller and grew).
+    pool_lines = [m.split(":")[0] for m in logged if "helper pool" in m]
+    assert pool_lines[0] == "row-split helper pool " + (
+        "rebuilt after fork" if method == "fork" else "started"
+    )
+    assert "rebuilt after fork" not in " ".join(pool_lines[1:])
+    assert "2 helper thread(s)" in logged[-1]

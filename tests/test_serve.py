@@ -20,7 +20,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro import ProximityGraphIndex, ShardedIndex
+from repro import ProximityGraphIndex, ShardedIndex, accel
 from repro.serve import BatchKey, Coalescer, IndexHolder, QueryCache, SearchServer
 from repro.workloads import uniform_cube
 
@@ -299,6 +299,27 @@ class TestCoalescer:
         assert all(isinstance(r, ValueError) for r in results)
         assert stats["errors"] == 1
 
+    def test_close_answers_requests_still_inside_the_wait_window(self):
+        holder = IndexHolder(_flat())
+
+        async def run():
+            # A long tick: close() arrives before any flush can.
+            coalescer = Coalescer(holder, max_batch=64, max_wait_ms=5000.0)
+            futures = [
+                coalescer.submit(np.full(4, 0.5), BatchKey(k=1)),
+                coalescer.submit(np.full(4, 0.5), BatchKey(k=3)),
+            ]
+            coalescer.close()
+            results = await asyncio.wait_for(
+                asyncio.gather(*futures, return_exceptions=True), timeout=1.0
+            )
+            return results, coalescer._pending, coalescer.stats.summary()
+
+        results, pending, stats = asyncio.run(run())
+        assert all(isinstance(r, RuntimeError) for r in results)
+        assert all("shutting down" in str(r) for r in results)
+        assert not pending and stats["batches"] == 0
+
 
 # ----------------------------------------------------------------------
 # Query cache
@@ -478,6 +499,14 @@ class TestHTTP:
         assert before["writer"] == {"mutations": 0, "last_ms": 0.0, "total_ms": 0.0}
         assert after["writer"]["mutations"] == 2 == after["index"]["generation"]
         assert 0.0 < after["writer"]["last_ms"] < after["writer"]["total_ms"]
+
+    def test_stats_show_the_accel_backend_and_its_threads(self):
+        async def go(base, _server):
+            return (await _afetch(base, "/stats"))[1]
+
+        stats = _serve_test(go)
+        assert stats["accel"] == accel.backend_status()
+        assert set(stats["accel"]["threads"]) == {"split", "releases_gil"}
 
     def test_delete_is_atomic_over_http(self):
         async def go(base, _server):
