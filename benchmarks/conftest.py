@@ -5,7 +5,8 @@ experiment index is the table titles themselves: E1 G_net size, E2
 greedy query cost, E3 construction time (Theorem 1.1), E4 tree and E5
 block lower bounds (Theorem 1.2), E6/E7 the Euclidean separation
 (Theorem 1.3), E8 builders against the Section 2.3 bounds, E9 geometry
-facts and engine throughput.  Bench output goes two places: stdout
+facts (engine and build throughput are measured by ``harness/``, not
+here).  Bench output goes two places: stdout
 (visible with ``pytest benchmarks/ --benchmark-only -s``) and
 ``benchmarks/results/<name>.txt``, a reproducible artifact per table.
 

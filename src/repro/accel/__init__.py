@@ -15,20 +15,19 @@ query batch inside compiled code instead:
 * ``allowed``-mask and ``budget`` semantics replicated operation for
   operation from the numpy engines.
 
-Three backends share one kernel semantics (see
+Two backends share one kernel semantics (see
 :mod:`repro.accel.kernels` for the pinned reference source):
 
-``numba``
-    The kernels compiled by :func:`numba.njit` with ``cache=True``
-    (install via ``pip install repro-proximity-graphs[accel]``).
 ``cffi``
-    The same kernels as C, compiled on demand with the system C
-    compiler under strict IEEE semantics (``-ffp-contract=off``) and
-    cached on disk.  Available wherever ``cffi`` and a C compiler are.
+    The kernels as C, compiled on demand with the system C compiler
+    under strict IEEE semantics (``-ffp-contract=off``) and cached on
+    disk.  Available wherever ``cffi`` (``pip install
+    repro-proximity-graphs[accel]``) and a C compiler are.
 ``python``
     The kernel source executed by the plain interpreter — slow, but
-    exactly the arithmetic the compiled backends must reproduce; the
-    equivalence suites pin compiled backends against it bit for bit.
+    exactly the arithmetic the compiled backend must reproduce; the
+    equivalence suites pin cffi against it bit for bit.  Never what
+    ``"auto"`` picks.
 
 Backend selection is runtime and graceful.  A backend only serves
 searches after it has been **warmed** (compiled and self-checked) by
@@ -38,12 +37,12 @@ threads the choice through ``index.search()``, the sharded fan-out
 (the resolved backend name travels in the pickled worker task and is
 compiled once per worker process), and ``measure_queries``:
 
-* ``"auto"`` (the default) — the best *warmed* compiled backend, else
-  the numpy engines (see :func:`get_backend`);
+* ``"auto"`` (the default) — cffi once *warmed*, else the numpy
+  engines (see :func:`get_backend`);
 * ``"numpy"`` — always the pinned engines;
-* ``"numba"`` / ``"cffi"`` / ``"python"`` — that backend, warmed on
-  demand; raises :class:`AccelUnavailableError` with a clear message
-  when the backend cannot run here (e.g. numba not installed).
+* ``"cffi"`` / ``"python"`` — that backend, warmed on demand; raises
+  :class:`AccelUnavailableError` with a clear message when the backend
+  cannot run here (e.g. no C compiler).
 
 Reported distances are bit-identical to the numpy engines by
 construction: kernels drive the traversal with their own deterministic
@@ -68,6 +67,7 @@ dispatch overhead that otherwise dominates a compiled build.
 """
 
 from repro.accel.dispatch import (
+    BACKEND_CHOICES,
     AccelError,
     AccelFallbackWarning,
     AccelUnavailableError,
@@ -87,6 +87,7 @@ from repro.accel.dispatch import (
 )
 
 __all__ = [
+    "BACKEND_CHOICES",
     "AccelError",
     "AccelFallbackWarning",
     "AccelUnavailableError",

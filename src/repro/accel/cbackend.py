@@ -1,8 +1,8 @@
 """The ``cffi`` backend: the traversal kernels as C, compiled on demand.
 
-This backend exists so environments without numba (but with a C
-toolchain) still get compiled traversal: the C below is a line-for-line
-transcription of :mod:`repro.accel.kernels` — same heap comparators,
+This is the one compiled backend (it needs :mod:`cffi` and a C
+toolchain): the C below is a line-for-line transcription of
+:mod:`repro.accel.kernels` — same heap comparators,
 same slice-order iteration, same budget checkpoints, same sequential
 float64 accumulation, and the same replica of numpy's pairwise
 summation for PQ-ADC rows.
@@ -11,22 +11,24 @@ Floating-point contract: the shared object is built with
 ``-ffp-contract=off`` and without any fast-math flag, so the compiler
 neither fuses multiply-adds nor reassociates reductions — the C
 arithmetic is the IEEE-754 sequence the kernel source spells out,
-matching the interpreted kernels (and numba's default strict mode)
-bit for bit.  The warm-time self-check in
-:mod:`repro.accel.dispatch` enforces this before the backend serves
-any search.
+matching the interpreted kernels bit for bit.  The warm-time
+self-check in :mod:`repro.accel.dispatch` enforces this before the
+backend serves any search.
 
 Build artifacts are content-addressed (source hash + compiler) and
 cached under ``$REPRO_ACCEL_CACHE`` (default: a per-user directory in
-the system temp dir), so each environment compiles once — a few
-hundred milliseconds — and every later process ``dlopen``\\ s the cached
-shared object.
+the system temp dir, created 0o700), so each environment compiles once
+— a few hundred milliseconds — and every later process ``dlopen``\\ s
+the cached shared object, after checking that the directory and the
+file are this user's own and not symlinks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import shutil
+import stat
 import subprocess
 import tempfile
 import threading
@@ -817,13 +819,31 @@ def cache_dir() -> Path:
     env = os.environ.get("REPRO_ACCEL_CACHE")
     if env:
         return Path(env)
-    uid = os.getuid() if hasattr(os, "getuid") else 0
-    return Path(tempfile.gettempdir()) / f"repro-accel-cache-{uid}"
+    return Path(tempfile.gettempdir()) / f"repro-accel-cache-{_uid()}"
+
+
+def _uid() -> int:
+    # No uids on Windows, where ``st_uid`` reads 0 as well.
+    return os.getuid() if hasattr(os, "getuid") else 0
+
+
+def _require_own(path: Path, is_kind, what: str) -> None:
+    """Refuse a cache ``path`` that is not itself (``lstat``: a symlink
+    is not) a ``what`` owned by this user — the default location is
+    predictable, so on a shared temp dir anyone can put one there first,
+    and what is found in it is ``dlopen``ed."""
+    from repro.accel.dispatch import AccelUnavailableError
+
+    st = os.lstat(path)
+    if not is_kind(st.st_mode) or st.st_uid != _uid():
+        raise AccelUnavailableError(
+            f"refusing the cffi accel cache {what} {path}: it is not a "
+            f"real {what} owned by uid {_uid()} (set $REPRO_ACCEL_CACHE to "
+            "a directory of your own)"
+        )
 
 
 def _find_compiler() -> str | None:
-    import shutil
-
     for cc in ("cc", "gcc", "clang"):
         path = shutil.which(cc)
         if path:
@@ -844,9 +864,14 @@ def ensure_compiled() -> Path:
         (_SOURCE + "\0" + " ".join(_CFLAGS) + "\0" + cc).encode()
     ).hexdigest()[:16]
     cdir = cache_dir()
-    cdir.mkdir(parents=True, exist_ok=True)
+    try:
+        cdir.mkdir(mode=0o700, parents=True, exist_ok=True)
+    except FileExistsError:
+        pass  # not a directory: refused just below
+    _require_own(cdir, stat.S_ISDIR, "directory")
     so_path = cdir / f"repro_accel_{key}.so"
-    if so_path.exists():
+    if os.path.lexists(so_path):
+        _require_own(so_path, stat.S_ISREG, "file")
         return so_path
     c_path = cdir / f"repro_accel_{key}.c"
     c_path.write_text(_SOURCE)

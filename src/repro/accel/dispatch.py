@@ -2,18 +2,17 @@
 
 This module owns the three runtime questions the accel layer answers:
 
-1. **Which backends can run here?**  ``"numba"`` when the kernels in
-   :mod:`repro.accel.kernels` self-compiled at import, ``"cffi"`` when
-   the :mod:`cffi` package and a system C compiler are present,
-   ``"python"`` (the interpreted kernel source, the bit-exact reference)
-   whenever numba is absent.  ``available_backends()`` reports them.
+1. **Which backends can run here?**  ``"cffi"`` when the :mod:`cffi`
+   package and a system C compiler are present, ``"python"`` (the
+   interpreted kernel source in :mod:`repro.accel.kernels`, the
+   bit-exact reference) always.  ``available_backends()`` reports them.
 
 2. **Which backend serves a search?**  A backend must be *warmed*
    (compiled and self-checked against the numpy engines, via
    :func:`warm`) before :func:`get_backend` will return it — so nothing
    changes behavior until a caller opts in.  :func:`resolve_backend`
    maps a ``SearchParams.backend`` request to a concrete name:
-   ``"auto"`` → the warmed best (else ``"numpy"``, never an error), an
+   ``"auto"`` → cffi once warmed (else ``"numpy"``, never an error), an
    explicit name → warm-on-demand or :class:`AccelUnavailableError`.
 
 3. **Can this workload run compiled?**  :func:`_plan` classifies the
@@ -58,7 +57,6 @@ import importlib.util
 import itertools
 import logging
 import os
-import shutil
 import threading
 import time
 import warnings
@@ -67,6 +65,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.accel import cbackend as _C
 from repro.accel import kernels as _K
 from repro.graphs.engine import _distance_view
 from repro.graphs.greedy import BeamBatch, GreedyResult
@@ -78,7 +77,7 @@ __all__ = [
     "AccelUnavailableError",
     "UnsupportedWorkloadError",
     "AccelFallbackWarning",
-    "COMPILED_PRIORITY",
+    "BACKEND_CHOICES",
     "available_backends",
     "backend_status",
     "get_backend",
@@ -112,12 +111,16 @@ class AccelFallbackWarning(UserWarning):
     compiled backend is available, and the numpy engines serve instead."""
 
 
-#: Preference order of compiled backends for ``"auto"`` / ``warm()``.
-#: The interpreted ``"python"`` backend is never auto-selected — it is
-#: slower than the numpy engines and exists as the bit-exact reference.
-COMPILED_PRIORITY = ("numba", "cffi")
+#: Every value a ``backend=`` takes; ``SearchParams``, the CLI and the
+#: HTTP body validate against this one tuple.  ``"auto"`` / ``warm()``
+#: only ever pick cffi: the interpreted ``"python"`` backend is slower
+#: than the numpy engines and exists as the bit-exact reference.
+BACKEND_CHOICES = ("auto", "numpy", "cffi", "python")
 
-BACKEND_CHOICES = ("auto", "numpy", "numba", "cffi", "python")
+# The modules holding a backend's kernels: ``SearchKernels``,
+# ``construction_kernel``, ``robust_prune_kernel`` and
+# ``commit_wave_kernel``, one calling convention for both.
+_KERNELS = {"cffi": _C, "python": _K}
 
 # name -> {"compile_seconds": float}; a backend listed here has been
 # compiled and has passed its self-check this process.
@@ -125,42 +128,24 @@ _WARM: dict[str, dict[str, Any]] = {}
 _WARNED_NO_COMPILED = False
 
 
-def _numba_available() -> bool:
-    return bool(_K.NUMBA_COMPILED)
-
-
-def _cffi_available() -> bool:
-    if importlib.util.find_spec("cffi") is None:
-        return False
-    return any(shutil.which(cc) for cc in ("cc", "gcc", "clang"))
-
-
 def available_backends() -> list[str]:
     """Compiled/reference backends that *can* run here (warm or not)."""
-    out = []
-    if _numba_available():
-        out.append("numba")
-    if _cffi_available():
-        out.append("cffi")
-    if not _numba_available():
-        out.append("python")
-    return out
+    compiled = (
+        importlib.util.find_spec("cffi") is not None
+        and _C._find_compiler() is not None
+    )
+    return ["cffi", "python"] if compiled else ["python"]
 
 
 def get_backend() -> str:
     """The backend that serves ``backend="auto"`` searches right now:
-    the highest-priority *warmed* compiled backend, else ``"numpy"``.
+    ``"cffi"`` once warmed, else ``"numpy"``.
 
     Never warms, warns, or raises — before any :func:`warm` call this
     is always ``"numpy"``, which is what keeps the accel layer inert
     until a caller opts in.
     """
-    for name in COMPILED_PRIORITY:
-        if name in _WARM:
-            return name
-    if "python" in _WARM:
-        return "python"
-    return "numpy"
+    return "cffi" if "cffi" in _WARM else "numpy"
 
 
 def backend_status() -> dict[str, Any]:
@@ -169,7 +154,7 @@ def backend_status() -> dict[str, Any]:
     backends: dict[str, Any] = {
         "numpy": {"available": True, "warm": True, "compile_seconds": 0.0}
     }
-    for name in ("numba", "cffi", "python"):
+    for name in _KERNELS:
         rec = _WARM.get(name)
         backends[name] = {
             "available": name in available,
@@ -201,76 +186,53 @@ def reset() -> None:
 def warm(backend: str | None = None) -> dict[str, Any]:
     """Compile and self-check a backend; returns its warm record.
 
-    ``backend=None`` (or ``"auto"``) picks the best available compiled
-    backend; when none is available it emits one
-    :class:`AccelFallbackWarning` per process and records ``"numpy"`` —
-    callers keep working on the pinned engines.  An explicit name warms
-    that backend or raises :class:`AccelUnavailableError`.
+    ``backend=None`` (or ``"auto"``) picks cffi; when it is not
+    available it emits one :class:`AccelFallbackWarning` per process and
+    records ``"numpy"`` — callers keep working on the pinned engines.
+    An explicit name warms that backend or raises
+    :class:`AccelUnavailableError`.
 
-    Warming compiles both kernels (numba's lazy JIT fires here, under
-    ``cache=True`` so later processes reuse the on-disk cache; the cffi
-    backend compiles-or-dlopens its cached shared object) and runs a
-    small beam + greedy + construction + prune workload against the
-    numpy engines, refusing to
-    install a backend that does not reproduce them exactly.  The
-    elapsed time is recorded as ``compile_seconds`` — the benches report
-    it separately so QPS numbers are not polluted by first-call JIT.
+    Warming loads the kernels (the cffi backend compiles-or-dlopens its
+    cached shared object) and runs a small beam + greedy + construction
+    + prune workload against the numpy engines, refusing to install a
+    backend that does not reproduce them exactly.  The elapsed time is
+    recorded as ``compile_seconds``.
     """
     global _WARNED_NO_COMPILED
     if backend is None or backend == "auto":
-        for name in COMPILED_PRIORITY:
-            if name in available_backends():
-                backend = name
-                break
-        else:
+        if "cffi" not in available_backends():
             if not _WARNED_NO_COMPILED:
                 warnings.warn(
-                    "no compiled accel backend is available (numba is not "
-                    "installed and no C compiler/cffi was found); searches "
-                    "continue on the pinned numpy engines. Install the "
-                    "'accel' extra (pip install repro-proximity-graphs"
-                    "[accel]) for compiled kernels.",
+                    "no compiled accel backend is available (no C "
+                    "compiler/cffi was found); searches continue on the "
+                    "pinned numpy engines. Install the 'accel' extra (pip "
+                    "install repro-proximity-graphs[accel]) and a C "
+                    "compiler for compiled kernels.",
                     AccelFallbackWarning,
                     stacklevel=2,
                 )
                 _WARNED_NO_COMPILED = True
             return {"backend": "numpy", "compile_seconds": 0.0}
+        backend = "cffi"
     if backend == "numpy":
         return {"backend": "numpy", "compile_seconds": 0.0}
     if backend in _WARM:
         return dict(_WARM[backend], backend=backend)
+    if backend not in _KERNELS:
+        raise ValueError(
+            f"unknown accel backend {backend!r}; choose from {BACKEND_CHOICES}"
+        )
     if backend not in available_backends():
-        raise AccelUnavailableError(_unavailable_message(backend))
+        raise AccelUnavailableError(
+            "backend='cffi' was requested but cffi and/or a system C "
+            "compiler (cc/gcc/clang) is not available. Use backend='auto' "
+            "to fall back gracefully."
+        )
     t0 = time.perf_counter()
     _self_check(backend)  # the first kernel call compiles / loads
     seconds = time.perf_counter() - t0
     _WARM[backend] = {"compile_seconds": seconds}
     return {"backend": backend, "compile_seconds": seconds}
-
-
-def _unavailable_message(backend: str) -> str:
-    if backend == "numba":
-        return (
-            "backend='numba' was requested but numba is not importable in "
-            "this environment. Install it with the 'accel' extra "
-            "(pip install repro-proximity-graphs[accel]) or use "
-            "backend='auto' to fall back gracefully."
-        )
-    if backend == "cffi":
-        return (
-            "backend='cffi' was requested but cffi and/or a system C "
-            "compiler (cc/gcc/clang) is not available. Use backend='auto' "
-            "to fall back gracefully."
-        )
-    if backend == "python":
-        return (
-            "backend='python' (the interpreted reference kernels) is only "
-            "selectable when numba is absent; with numba installed the "
-            "same source is compiled — use backend='numba'."
-        )
-    raise ValueError(
-        f"unknown accel backend {backend!r}; choose from {BACKEND_CHOICES}"
-    )
 
 
 def resolve_backend(requested: str | None) -> str:
@@ -285,28 +247,9 @@ def resolve_backend(requested: str | None) -> str:
         return "numpy"
     if requested == "auto":
         return get_backend()
-    if requested not in BACKEND_CHOICES:
-        raise ValueError(
-            f"unknown accel backend {requested!r}; choose from {BACKEND_CHOICES}"
-        )
     if requested not in _WARM:
-        warm(requested)
+        warm(requested)  # raises for an unknown or unavailable name
     return requested
-
-
-def _kernels(backend: str) -> Any:
-    """The module holding a backend's kernels: ``SearchKernels``,
-    ``construction_kernel``, ``robust_prune_kernel`` and
-    ``commit_wave_kernel``, one calling convention for both."""
-    if backend in ("numba", "python"):
-        # One source: kernels.py self-compiled under numba when
-        # importable, interpreted otherwise.
-        return _K
-    if backend == "cffi":
-        from repro.accel import cbackend
-
-        return cbackend
-    raise AccelUnavailableError(_unavailable_message(backend))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +298,7 @@ def _releases_gil(backend: str) -> bool:
     two threads be inside a kernel at once."""
     if backend == "numpy":
         return False
-    return bool(getattr(_kernels(backend), "RELEASES_GIL", False))
+    return bool(getattr(_KERNELS[backend], "RELEASES_GIL", False))
 
 
 def _helper_pool(count: int) -> ThreadPoolExecutor:
@@ -637,7 +580,7 @@ class _SearchPlan:
         self.key = key
         self.layout = layout
         self.n = graph.n
-        self.kernels = _kernels(key[0]).SearchKernels(
+        self.kernels = _KERNELS[key[0]].SearchKernels(
             np.ascontiguousarray(offsets, dtype=np.int64),
             np.ascontiguousarray(targets, dtype=np.int64),
             layout.kind, layout.factor, layout.power,
@@ -865,7 +808,7 @@ def run_construction(
     out_dists = np.full((w, ef), np.inf, dtype=np.float64)
     out_sizes = np.zeros(w, dtype=np.int64)
     expand = int(expand_per_round)
-    kernel = _kernels(backend).construction_kernel
+    kernel = _KERNELS[backend].construction_kernel
 
     def rows(q_arr, luts, starts, d0, out_ids, out_dists, out_sizes) -> None:
         kernel(
@@ -921,7 +864,7 @@ def run_robust_prune(
     uses exact points regardless of the traversal store), so only the
     dataset's metric and point layout gate kernel support.
     """
-    prune_fn = _kernels(backend).robust_prune_kernel
+    prune_fn = _KERNELS[backend].robust_prune_kernel
     pts = _coords_f64(dataset.points, "points")
     kind, factor = _coord_kind(
         dataset.metric, _K.KIND_FLAT_L2, _K.KIND_FLAT_LINF
@@ -967,7 +910,7 @@ def run_commit_wave(
     in-kernel with the same sequential arithmetic stance as the
     traversal kernels.
     """
-    commit_fn = _kernels(backend).commit_wave_kernel
+    commit_fn = _KERNELS[backend].commit_wave_kernel
     pts = _coords_f64(dataset.points, "points")
     kind, factor = _coord_kind(
         dataset.metric, _K.KIND_FLAT_L2, _K.KIND_FLAT_LINF

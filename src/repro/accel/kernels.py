@@ -1,12 +1,10 @@
 """The traversal kernels — pinned reference source for every backend.
 
-Each function below is written in the restricted style :func:`numba.njit`
-compiles (flat loops over preallocated arrays, no Python containers, no
-closures) and is decorated with ``@njit(cache=True)`` automatically when
-numba is importable.  Without numba the very same functions run under
-the plain interpreter — that is the ``"python"`` backend the equivalence
-suites pin the compiled backends against, and the semantics contract the
-C backend (:mod:`repro.accel.cbackend`) mirrors line for line.
+Each function below is written as flat loops over preallocated arrays
+(no Python containers, no closures) and runs under the plain interpreter
+— that is the ``"python"`` backend the equivalence suites pin the
+compiled backend against, and the semantics contract the C backend
+(:mod:`repro.accel.cbackend`) mirrors line for line.
 
 Semantics are replicated operation-for-operation from the numpy engines
 in :mod:`repro.graphs.engine`:
@@ -29,10 +27,9 @@ in :mod:`repro.graphs.engine`:
   array serves every call a thread makes).
 
 Floating-point contract: distances accumulate sequentially in float64
-(the documented arithmetic compiled backends reproduce under strict
-IEEE rules — numba's default ``fastmath=False``, C under
-``-ffp-contract=off``).  PQ-ADC row reductions replicate numpy's
-pairwise summation exactly (:func:`pairwise_sum`), because the numpy
+(the documented arithmetic the compiled backend reproduces under strict
+IEEE rules — C under ``-ffp-contract=off``).  PQ-ADC row reductions
+replicate numpy's pairwise summation exactly (:func:`pairwise_sum`), because the numpy
 engine sums LUT contributions with ``ndarray.sum``.  Traversal
 *decisions* therefore agree with the numpy engines wherever the numpy
 path's SIMD-dispatched ``einsum`` accumulation does not flip a
@@ -48,7 +45,6 @@ and PQ traversals; unused model arrays are passed empty.
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -60,7 +56,6 @@ __all__ = [
     "KIND_PQ_SUM2",
     "KIND_PQ_SUMP",
     "KIND_PQ_MAX",
-    "NUMBA_COMPILED",
     "pairwise_sum",
     "beam_kernel",
     "greedy_kernel",
@@ -80,34 +75,7 @@ KIND_PQ_MAX = 6
 
 _INF = np.inf
 
-# Self-decorate with numba when importable (and not explicitly disabled,
-# which the no-numba CI leg uses to prove the interpreted path).  The
-# decoration is lazy-compiling: importing this module never compiles;
-# the first kernel call does, and ``cache=True`` persists the compiled
-# machine code on disk so later processes skip compilation.
-if os.environ.get("REPRO_ACCEL_DISABLE_NUMBA"):  # pragma: no cover
-    NUMBA_COMPILED = False
 
-    def _jit(fn):
-        return fn
-
-else:
-    try:
-        from numba import njit as _njit
-
-        NUMBA_COMPILED = True
-
-        def _jit(fn):
-            return _njit(cache=True, fastmath=False)(fn)
-
-    except ImportError:
-        NUMBA_COMPILED = False
-
-        def _jit(fn):
-            return fn
-
-
-@_jit
 def pairwise_sum(a, lo, n):
     """numpy's pairwise summation of ``a[lo : lo + n]``, bit for bit.
 
@@ -149,7 +117,6 @@ def pairwise_sum(a, lo, n):
     return res
 
 
-@_jit
 def _dist(kind, factor, power, Q, qi, data, codes, minv, scale, luts, contrib, v):
     """Distance from query row ``qi`` to stored vector ``v``.
 
@@ -213,7 +180,6 @@ def _dist(kind, factor, power, Q, qi, data, codes, minv, scale, luts, contrib, v
 # heap reproduces the numpy sequence exactly.
 
 
-@_jit
 def _cand_push(cd, cv, size, d, v):
     i = size
     cd[i] = d
@@ -229,7 +195,6 @@ def _cand_push(cd, cv, size, d, v):
     return size + 1
 
 
-@_jit
 def _cand_pop(cd, cv, size):
     size -= 1
     cd[0] = cd[size]
@@ -254,7 +219,6 @@ def _cand_pop(cd, cv, size):
     return size
 
 
-@_jit
 def _pool_worse(d1, v1, d2, v2):
     """True when entry 1 is evicted before entry 2 — heapq order on
     ``(-d, v)``: larger distance first, smaller id among ties."""
@@ -265,7 +229,6 @@ def _pool_worse(d1, v1, d2, v2):
     return False
 
 
-@_jit
 def _pool_push(pd, pv, size, d, v):
     i = size
     pd[i] = d
@@ -281,7 +244,6 @@ def _pool_push(pd, pv, size, d, v):
     return size + 1
 
 
-@_jit
 def _pool_pop(pd, pv, size):
     size -= 1
     pd[0] = pd[size]
@@ -304,7 +266,6 @@ def _pool_pop(pd, pv, size):
     return size
 
 
-@_jit
 def beam_kernel(
     offsets,
     targets,
@@ -418,7 +379,6 @@ def beam_kernel(
     return 0
 
 
-@_jit
 def construction_kernel(
     offsets,
     targets,
@@ -520,7 +480,6 @@ def construction_kernel(
     return 0
 
 
-@_jit
 def _point_dist(points, kind, factor, a, b):
     """Distance between two stored points over raw float64 coordinates.
 
@@ -546,7 +505,6 @@ def _point_dist(points, kind, factor, a, b):
     return factor * acc
 
 
-@_jit
 def _prune_core(
     points, kind, factor, pid, v_in, d_in, P, alpha, max_degree,
     vs, ds, alive, sq, out,
@@ -635,7 +593,6 @@ def _prune_core(
     return kept
 
 
-@_jit
 def robust_prune_kernel(
     points,
     kind,
@@ -673,7 +630,6 @@ def robust_prune_kernel(
     )
 
 
-@_jit
 def commit_wave_kernel(
     points,
     kind,
@@ -763,7 +719,6 @@ def commit_wave_kernel(
     return 0
 
 
-@_jit
 def greedy_kernel(
     offsets,
     targets,
@@ -880,7 +835,7 @@ class SearchKernels:
     :mod:`repro.accel.dispatch` builds one per search plan — the CSR
     arrays, the distance mode and the stored vectors are fixed for the
     plan's lifetime — and passes only the per-call arguments afterwards.
-    This form (interpreted or numba) just holds the arrays;
+    This interpreted form just holds the arrays;
     :class:`repro.accel.cbackend.SearchKernels` holds their C pointers.
     """
 

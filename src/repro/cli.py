@@ -5,9 +5,6 @@ graphs from the shell.
     python -m repro query   points.npy graph.npz --q 0.25 0.75
     python -m repro stats   points.npy graph.npz
     python -m repro validate points.npy graph.npz --queries 200
-    python -m repro bench-throughput points.npy --method vamana --queries 1000
-    python -m repro bench-build points.npy --method vamana --batch-size 500
-    python -m repro bench-build points.npy --method vamana --shards 4 --workers 4
     python -m repro save-index points.npy index.npz --method vamana
     python -m repro save-index points.npy index_dir --shards 4 --workers 4
     python -m repro save-index points.npy index.npz --storage pq
@@ -50,7 +47,6 @@ import argparse
 import json
 import logging
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +66,6 @@ from repro.core.stats import (
 )
 from repro.storage import STORAGE_KINDS
 from repro.graphs.base import ProximityGraph
-from repro.graphs.engine import beam_search_batch, greedy_batch
 from repro.graphs.greedy import greedy
 from repro.graphs.navigability import find_violations
 from repro.metrics.base import Dataset
@@ -197,85 +192,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         )
     )
     return 0 if not violations else 1
-
-
-def _cmd_bench_throughput(args: argparse.Namespace) -> int:
-    """Scalar loop vs lockstep batch engine on one workload: report QPS."""
-    points = _load_points(args.points)
-    dataset, _factor = _dataset(points)
-    rng = np.random.default_rng(args.seed)
-    built, build_seconds = timed(
-        lambda: build(args.method, dataset, args.epsilon, rng)
-    )
-    graph = built.graph
-    m = args.queries
-    queries = np.concatenate(
-        [
-            uniform_queries(m // 2, points, rng),
-            near_data_queries(m - m // 2, points, rng),
-        ]
-    )
-    starts = rng.integers(graph.n, size=len(queries))
-
-    # Warm the requested backend before the clock starts (JIT/C
-    # compilation reported separately) and run one untimed warm-up
-    # batch so first-call costs never pollute the QPS numbers.
-    backend = args.backend
-    compile_seconds = 0.0
-    if backend != "numpy":
-        rec = accel.warm(None if backend == "auto" else backend)
-        compile_seconds = rec["compile_seconds"]
-        if backend == "auto":
-            backend = rec["backend"]
-    warm_m = min(len(queries), 64)
-    greedy_batch(
-        graph, dataset, starts[:warm_m], queries[:warm_m],
-        budget=args.budget, backend=backend,
-    )
-
-    t0 = time.perf_counter()
-    batch = greedy_batch(
-        graph, dataset, starts, queries, budget=args.budget, backend=backend
-    )
-    batch_seconds = time.perf_counter() - t0
-
-    scalar_seconds = None
-    identical = None
-    if not args.skip_scalar:
-        t0 = time.perf_counter()
-        scalar = [
-            greedy(graph, dataset, int(s), q, budget=args.budget)
-            for q, s in zip(queries, starts)
-        ]
-        scalar_seconds = time.perf_counter() - t0
-        identical = all(
-            a.point == b.point
-            and a.distance == b.distance
-            and a.distance_evals == b.distance_evals
-            for a, b in zip(scalar, batch)
-        )
-
-    out = {
-        "method": args.method,
-        "epsilon": args.epsilon,
-        "n": int(graph.n),
-        "edges": graph.num_edges,
-        "queries": len(queries),
-        "build_seconds": round(build_seconds, 3),
-        "mean_distance_evals": round(
-            float(np.mean([r.distance_evals for r in batch])), 1
-        ),
-        "batch_qps": round(len(queries) / batch_seconds, 1),
-        "backend": backend,
-        "jit_compile_seconds": round(compile_seconds, 3),
-        "warmup_batch": warm_m,
-    }
-    if scalar_seconds is not None:
-        out["scalar_qps"] = round(len(queries) / scalar_seconds, 1)
-        out["speedup"] = round(scalar_seconds / batch_seconds, 2)
-        out["results_identical"] = identical
-    print(json.dumps(out, indent=2))
-    return 0 if identical in (None, True) else 1
 
 
 def _cmd_save_index(args: argparse.Namespace) -> int:
@@ -608,120 +524,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_build(args: argparse.Namespace) -> int:
-    """Sequential vs batched build of one insertion-based builder:
-    wall-clock build time plus recall of both graphs on one workload.
-    With ``--shards > 1`` the comparison is flat-vs-sharded instead:
-    the default flat build against the sharded parallel build engine
-    (``--workers`` processes), recall measured through each front door.
-    """
-    points = _load_points(args.points)
-    dataset, _factor = _dataset(points)
-    rng = np.random.default_rng(args.seed)
-    queries = np.concatenate(
-        [
-            uniform_queries(args.queries // 2, points, rng),
-            near_data_queries(args.queries - args.queries // 2, points, rng),
-        ]
-    )
-    starts = rng.integers(dataset.n, size=len(queries))
-    gt, _gt_dists = compute_ground_truth_k(dataset, queries, k=args.k)
-
-    def recall(graph) -> float:
-        found = beam_search_batch(
-            graph, dataset, starts, queries, beam_width=max(args.k * 4, 32),
-            k=args.k,
-        )
-        hits = sum(
-            len({v for v, _ in pairs} & set(gt[i].tolist()))
-            for i, (pairs, _evals) in enumerate(found)
-        )
-        return hits / (len(queries) * args.k)
-
-    def index_recall(index) -> float:
-        return recall_at_k(
-            index, queries, gt, args.k,
-            params=SearchParams(beam_width=max(args.k * 4, 32), seed=args.seed),
-        )
-
-    if args.shards > 1:
-        flat, flat_seconds = timed(
-            lambda: ProximityGraphIndex.build(
-                points, epsilon=args.epsilon, method=args.method, seed=args.seed
-            )
-        )
-        sharded, sharded_seconds = timed(
-            lambda: ShardedIndex.build(
-                points, epsilon=args.epsilon, method=args.method,
-                seed=args.seed, shards=args.shards, workers=args.workers,
-            )
-        )
-        out = {
-            "method": args.method,
-            "n": dataset.n,
-            "shards": args.shards,
-            "workers": args.workers,
-            "flat_seconds": round(flat_seconds, 3),
-            "sharded_seconds": round(sharded_seconds, 3),
-            "speedup": round(flat_seconds / sharded_seconds, 2),
-            f"flat_recall_at_{args.k}": round(index_recall(flat), 4),
-            f"sharded_recall_at_{args.k}": round(index_recall(sharded), 4),
-        }
-        sharded.close()
-        print(json.dumps(out, indent=2))
-        return 0
-
-    seq, seq_seconds = timed(
-        lambda: build(args.method, dataset, args.epsilon, np.random.default_rng(args.seed))
-    )
-    bat, bat_seconds = timed(
-        lambda: build(
-            args.method, dataset, args.epsilon, np.random.default_rng(args.seed),
-            batch_size=args.batch_size,
-        )
-    )
-    out = {
-        "method": args.method,
-        "n": dataset.n,
-        "batch_size": args.batch_size,
-        "sequential_seconds": round(seq_seconds, 3),
-        "batched_seconds": round(bat_seconds, 3),
-        "speedup": round(seq_seconds / bat_seconds, 2),
-        f"sequential_recall_at_{args.k}": round(recall(seq.graph), 4),
-        f"batched_recall_at_{args.k}": round(recall(bat.graph), 4),
-    }
-    if args.backend is not None and args.backend != "numpy":
-        # Warm (compile + self-check) BEFORE the clock so the timing
-        # below measures steady-state throughput, not JIT latency...
-        compile_seconds = accel.warm(args.backend)["compile_seconds"]
-        resolved = accel.resolve_backend(args.backend)
-        # ...and run one small untimed warm-up build so any remaining
-        # lazy state (kernel caches, scratch buffers) is paid here.
-        warm_n = min(dataset.n, 2000)
-        build(
-            args.method,
-            Dataset(dataset.metric, np.asarray(dataset.points)[:warm_n]),
-            args.epsilon, np.random.default_rng(args.seed),
-            batch_size=args.batch_size, backend=resolved,
-        )
-        acc, acc_seconds = timed(
-            lambda: build(
-                args.method, dataset, args.epsilon,
-                np.random.default_rng(args.seed),
-                batch_size=args.batch_size, backend=resolved,
-            )
-        )
-        out.update({
-            "backend": resolved,
-            "jit_compile_seconds": round(compile_seconds, 3),
-            "compiled_seconds": round(acc_seconds, 3),
-            "compiled_speedup": round(bat_seconds / acc_seconds, 2),
-            f"compiled_recall_at_{args.k}": round(recall(acc.graph), 4),
-        })
-    print(json.dumps(out, indent=2))
-    return 0
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -815,11 +617,12 @@ def _parser() -> argparse.ArgumentParser:
                    "+ exact-rerank pipeline (quantized indexes; default: "
                    "the storage's own, 2 for sq8 / 4 for pq)")
     p.add_argument("--backend", default="auto",
-                   choices=["auto", "numpy", "numba", "cffi", "python"],
-                   help="traversal backend: 'auto' uses the best warmed "
-                   "compiled backend (numpy until repro.accel.warm() ran), "
-                   "'numpy' pins the pure-numpy engines, a backend name "
-                   "forces it (warming on demand; error if unavailable)")
+                   choices=accel.BACKEND_CHOICES,
+                   help="traversal backend: 'auto' uses the compiled cffi "
+                   "kernels once warmed (numpy until repro.accel.warm() ran), "
+                   "'numpy' pins the pure-numpy engines, 'cffi' / 'python' "
+                   "(the interpreted reference) force that backend "
+                   "(warming on demand; error if unavailable)")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("index", help="saved-index utilities")
@@ -939,51 +742,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser(
-        "bench-throughput",
-        help="QPS of the lockstep batch engine vs the scalar greedy loop",
-    )
-    p.add_argument("points")
-    p.add_argument("--method", default="vamana", choices=available_builders())
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--queries", type=int, default=1000)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--skip-scalar",
-        action="store_true",
-        help="report only the batch engine (skip the slow scalar baseline)",
-    )
-    p.add_argument("--backend", default="numpy",
-                   choices=["auto", "numpy", "numba", "cffi", "python"],
-                   help="traversal backend for the batch engine; non-numpy "
-                   "backends are warmed before the clock starts and their "
-                   "compile time is reported as jit_compile_seconds")
-    p.set_defaults(fn=_cmd_bench_throughput)
-
-    p = sub.add_parser(
-        "bench-build",
-        help="sequential vs batched construction: build time and recall",
-    )
-    p.add_argument("points")
-    p.add_argument("--method", default="vamana", choices=sorted(BATCHED_BUILDERS))
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--batch-size", type=int, default=500)
-    p.add_argument("--queries", type=int, default=200)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shards", type=int, default=1,
-                   help="> 1 benches the sharded parallel build against "
-                   "the flat default build instead")
-    p.add_argument("--workers", type=int, default=1,
-                   help="process-pool size for the sharded side")
-    p.add_argument("--backend", default=None,
-                   help="accel backend for a third, compiled-build leg "
-                   "(numba/cffi/python/auto); warmed before the clock — "
-                   "JIT/C compile time reports as jit_compile_seconds and "
-                   "one untimed warm-up build runs first")
-    p.set_defaults(fn=_cmd_bench_build)
 
     p = sub.add_parser(
         "bench-storage",

@@ -188,8 +188,8 @@ def build(
     larger waves build several times faster but locate candidates
     against a prefix that is up to one wave stale, which can shave a
     hair off recall — empirically < 0.01 recall@10 at ``batch_size <=
-    n/10`` (see ``benchmarks/bench_build_throughput.py`` and the recall
-    regression suite).  Passing ``batch_size`` to any other builder
+    n/10`` (``tests/test_recall_regression.py`` holds wave builds to the
+    sequential builds' floors).  Passing ``batch_size`` to any other builder
     raises ``ValueError``: the paper's constructions (gnet/theta/merged)
     are not insertion-ordered, so the knob has no meaning there.
 
@@ -197,9 +197,13 @@ def build(
     construction inner loops (candidate location + RobustPrune):
     ``None``/``"numpy"`` run the pinned numpy engines, ``"auto"`` the
     best warmed compiled backend (falling back silently), and an
-    explicit name (``"numba"``/``"cffi"``/``"python"``) that backend,
-    warmed on demand, raising when unavailable.  Like ``batch_size``
-    it is rejected for builders without an insertion loop.
+    explicit name (``"cffi"``/``"python"``) that backend, warmed on
+    demand, raising when unavailable.  Like ``batch_size`` it is
+    rejected for builders without an insertion loop.  It is an
+    execution choice, not provenance — every backend builds the same
+    graph — so unlike ``batch_size`` it is not recorded in
+    ``built.options``: where an index was built must not decide where
+    it can be compacted.
     """
     if name not in BUILDERS:
         raise ValueError(f"unknown builder {name!r}; have {available_builders()}")
@@ -224,7 +228,7 @@ def build(
         rng=rng or np.random.default_rng(0),
         **options,
     )
-    built.options = dict(options)
+    built.options = {k: v for k, v in options.items() if k != "backend"}
     # Finished graphs are CSR-native: freeze the builder's mutable buffer
     # so queries gather from flat storage (mutation transparently thaws).
     built.graph.freeze()

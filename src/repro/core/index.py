@@ -37,7 +37,12 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.builders import BuiltGraph, build, validate_builder_options
+from repro.core.builders import (
+    BATCHED_BUILDERS,
+    BuiltGraph,
+    build,
+    validate_builder_options,
+)
 from repro.core.search import IdMap, SearchParams, SearchResult
 from repro.core.stats import QueryStats, measure_queries
 from repro.graphs.base import ProximityGraph
@@ -682,9 +687,10 @@ class ProximityGraphIndex:
         """Rebuild over the surviving points, dropping tombstones.
 
         Replays the original construction (same builder, epsilon, and
-        recorded options) on the survivors; external ids are preserved,
-        internal indices renumber densely.  A no-op without tombstones.
-        Returns ``self`` for chaining.
+        recorded options) on the survivors, on ``backend="auto"`` where
+        the builder takes one; external ids are preserved, internal
+        indices renumber densely.  A no-op without tombstones.  Returns
+        ``self`` for chaining.
         """
         if not self._tombstones.any():
             return self
@@ -698,7 +704,9 @@ class ProximityGraphIndex:
         dataset = Dataset(self.dataset.metric, points)
         rng = np.random.default_rng(self.seed if seed is None else seed)
         self.built = build(
-            self.built.name, dataset, self.epsilon, rng, **self.built.options
+            self.built.name, dataset, self.epsilon, rng,
+            backend="auto" if self.built.name in BATCHED_BUILDERS else None,
+            **self.built.options,
         )
         self.dataset = dataset
         self.id_map = self.id_map.compact(keep)

@@ -159,6 +159,16 @@ def _rehydrate_meta(kept: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
+def _stored_options(header: dict[str, Any]) -> dict[str, Any]:
+    """The builder options ``compact()`` replays.  Headers written
+    before the accel backend stopped being recorded may name one — an
+    execution choice of the box that built the index, which this box
+    may not have (or know): dropped."""
+    options = dict(header.get("options") or {})
+    options.pop("backend", None)
+    return options
+
+
 def _flat_header(index: "ProximityGraphIndex") -> dict[str, Any]:
     """The JSON header both flat writers (v4 .npz, v5 disk dir) share."""
     spec = metric_to_spec(index.dataset.metric)
@@ -424,7 +434,7 @@ def _load_disk_index(
         epsilon=float(header["epsilon"]),
         guaranteed=bool(header["guaranteed"]),
         meta=_rehydrate_meta(header["meta"]),
-        options=dict(header.get("options") or {}),
+        options=_stored_options(header),
     )
     if header["meta_dropped"]:
         built.meta["meta_dropped"] = list(header["meta_dropped"])
@@ -548,7 +558,7 @@ def load_index(
         epsilon=float(header["epsilon"]),
         guaranteed=bool(header["guaranteed"]),
         meta=_rehydrate_meta(header["meta"]),
-        options=dict(header.get("options") or {}),
+        options=_stored_options(header),
     )
     if header["meta_dropped"]:
         built.meta["meta_dropped"] = list(header["meta_dropped"])

@@ -28,6 +28,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.accel import BACKEND_CHOICES
+
 __all__ = ["SearchParams", "SearchResult", "IdMap"]
 
 
@@ -76,9 +78,10 @@ class SearchParams:
         :mod:`repro.accel` compiled backend and otherwise the pinned
         numpy engines — nothing changes until ``repro.accel.warm()``
         has been called in the process.  ``"numpy"`` always runs the
-        pinned engines.  ``"numba"`` / ``"cffi"`` / ``"python"`` force
-        a specific accel backend (warming it on demand) and raise
-        ``AccelUnavailableError`` when it cannot run here.  Results are
+        pinned engines.  ``"cffi"`` (the compiled kernels) / ``"python"``
+        (their interpreted reference) force that accel backend, warming
+        it on demand, and raise ``AccelUnavailableError`` when it cannot
+        run here.  Results are
         bit-identical across backends; the sharded fan-out resolves
         ``"auto"`` in the parent and ships the concrete name to its
         workers, which compile once per process.
@@ -98,10 +101,10 @@ class SearchParams:
             raise ValueError(
                 f"unknown search mode {self.mode!r}; use 'auto', 'greedy' or 'beam'"
             )
-        if self.backend not in ("auto", "numpy", "numba", "cffi", "python"):
+        if self.backend not in BACKEND_CHOICES:
             raise ValueError(
-                f"unknown backend {self.backend!r}; use 'auto', 'numpy', "
-                "'numba', 'cffi' or 'python'"
+                f"unknown accel backend {self.backend!r}; choose from "
+                f"{BACKEND_CHOICES}"
             )
         if self.beam_width is not None and self.beam_width < 1:
             raise ValueError("beam_width must be at least 1")

@@ -2,10 +2,10 @@
 
 Contract under test:
 
-* every available accel backend (numba when installed, the cffi C
-  backend when a compiler is present, the interpreted ``python``
-  reference otherwise) returns **bit-identical** results to the pinned
-  numpy engines — ids, distances, eval counts, hop counts — across
+* every available accel backend (the cffi C backend when a compiler
+  is present, the interpreted ``python`` reference always) returns
+  **bit-identical** results to the pinned numpy engines — ids,
+  distances, eval counts, hop counts — across
   3 seeds, both engine modes, and all three storages (flat/SQ8/PQ);
 * edge semantics survive compilation exactly: ``k > beam_width``,
   allowed masks (subset, empty, fully-masked), and budget truncation;
@@ -25,22 +25,24 @@ Contract under test:
 
 from __future__ import annotations
 
+import os
+import stat
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
 
 from repro import ProximityGraphIndex, SearchParams, accel
-from repro.accel import dispatch, kernels
+from repro.accel import cbackend, dispatch, kernels
 from repro.core.sharded import ShardedIndex
 from repro.graphs.engine import beam_search_batch, greedy_batch
 from repro.workloads import uniform_cube
 
-#: Backends this environment can actually run (numba and/or cffi and/or
-#: the interpreted reference).  Always non-empty: "python" is available
-#: whenever numba is absent.
-BACKENDS = [b for b in ("numba", "cffi", "python")
-            if b in accel.available_backends()]
+#: Backends this environment can actually run (cffi and/or the
+#: interpreted reference).  Always non-empty: "python" is available
+#: on every box.
+BACKENDS = accel.available_backends()
 SEEDS = (0, 1, 2)
 
 
@@ -184,16 +186,27 @@ class TestBitIdentity:
 
 
 class TestBackendSelection:
-    def test_unavailable_backend_raises_clear_error(self, index, queries):
-        missing = "numba" if "numba" not in BACKENDS else "python"
-        with pytest.raises(accel.AccelUnavailableError, match=missing):
+    def test_unavailable_backend_raises_clear_error(
+        self, index, queries, monkeypatch
+    ):
+        accel.reset()
+        monkeypatch.setattr(cbackend, "_find_compiler", lambda: None)
+        with pytest.raises(accel.AccelUnavailableError, match="cffi"):
             index.search(
-                queries, k=4, params=SearchParams(seed=0, backend=missing)
+                queries, k=4, params=SearchParams(seed=0, backend="cffi")
             )
 
     def test_unknown_backend_name_rejected_early(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            SearchParams(backend="cuda")
+        # "numba" is a name like any other the library never heard of.
+        for name in ("cuda", "numba"):
+            with pytest.raises(ValueError, match="unknown accel backend"):
+                SearchParams(backend=name)
+
+    def test_python_reference_is_available_everywhere(self, monkeypatch):
+        assert "python" in accel.available_backends()
+        assert "python" in accel.BACKEND_CHOICES
+        monkeypatch.setattr(cbackend, "_find_compiler", lambda: None)
+        assert accel.available_backends() == ["python"]
 
     def test_auto_is_inert_until_warmed(self, index, queries):
         accel.reset()
@@ -217,8 +230,9 @@ class TestBackendSelection:
             rec = accel.warm(BACKENDS[0])
             assert rec["backend"] == BACKENDS[0]
             assert rec["compile_seconds"] >= 0.0
+            # "auto" only ever resolves to the compiled backend.
             assert accel.get_backend() == (
-                BACKENDS[0] if BACKENDS[0] != "python" else "python"
+                "cffi" if BACKENDS[0] == "cffi" else "numpy"
             )
             ref = index.search(
                 queries, k=4, params=SearchParams(seed=0, backend="numpy")
@@ -257,16 +271,77 @@ class TestBackendSelection:
             accel.reset()
 
     def test_python_backend_never_auto_selected(self, monkeypatch):
-        """The interpreted reference is opt-in only: with numba absent
-        and no C compiler, ``warm(auto)`` prefers numpy over it."""
+        """The interpreted reference is opt-in only: with no C compiler,
+        ``warm(auto)`` prefers numpy over it, and once warmed by name it
+        still is not what ``"auto"`` resolves to."""
         accel.reset()
         monkeypatch.setattr(dispatch, "available_backends", lambda: ["python"])
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", accel.AccelFallbackWarning)
                 assert accel.warm()["backend"] == "numpy"
+            assert accel.warm("python")["backend"] == "python"
+            assert accel.get_backend() == "numpy"
+            assert accel.resolve_backend("auto") == "numpy"
+            assert accel.backend_status()["active"] == "numpy"
         finally:
             accel.reset()
+
+
+    def test_cli_search_rejects_an_unknown_backend(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "unused.npz", "--q", "0.5", "--backend", "numba"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'numba'" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(
+    cbackend._find_compiler() is None, reason="no C compiler here"
+)
+class TestCompileCache:
+    """``ensure_compiled`` loads what it finds in the cache, so the cache
+    must be this user's own: a real directory and a regular file."""
+
+    def test_refuses_a_symlinked_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "real").mkdir()
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "real")
+        monkeypatch.setenv("REPRO_ACCEL_CACHE", str(link))
+        with pytest.raises(accel.AccelUnavailableError, match=str(link)):
+            cbackend.ensure_compiled()
+
+    def test_refuses_a_directory_of_another_uid(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_ACCEL_CACHE", str(tmp_path))
+        monkeypatch.setattr(os, "getuid", lambda: tmp_path.stat().st_uid + 1)
+        with pytest.raises(accel.AccelUnavailableError, match=str(tmp_path)):
+            cbackend.ensure_compiled()
+        assert not list(tmp_path.iterdir())  # nothing was written into it
+
+    def test_accepts_its_own_group_writable_directory(
+        self, tmp_path, monkeypatch
+    ):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cache.chmod(0o775)
+        monkeypatch.setenv("REPRO_ACCEL_CACHE", str(cache))
+        so_path = cbackend.ensure_compiled()
+        assert so_path.parent == cache and so_path.is_file()
+        assert cbackend.ensure_compiled() == so_path  # reused, not rebuilt
+        # The same name as a symlink to someone else's object: refused.
+        elsewhere = tmp_path / "planted.so"
+        so_path.rename(elsewhere)
+        so_path.symlink_to(elsewhere)
+        with pytest.raises(accel.AccelUnavailableError, match=so_path.name):
+            cbackend.ensure_compiled()
+
+    def test_default_directory_is_created_private(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_ACCEL_CACHE", raising=False)
+        monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
+        cache = cbackend.ensure_compiled().parent
+        assert cache.parent == tmp_path
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o700
 
 
 class TestStatusReporting:
@@ -281,8 +356,10 @@ class TestStatusReporting:
                 assert status["backends"][name]["warm"] is False
             accel.warm(BACKENDS[0])
             status = index.stats()["accel"]
-            if BACKENDS[0] in dispatch.COMPILED_PRIORITY:
-                assert status["active"] == BACKENDS[0]
+            assert status["active"] == (
+                "cffi" if BACKENDS[0] == "cffi" else "numpy"
+            )
+            assert set(status["backends"]) == {"numpy", "cffi", "python"}
             assert status["backends"][BACKENDS[0]]["warm"] is True
             assert status["backends"][BACKENDS[0]]["compile_seconds"] >= 0.0
         finally:

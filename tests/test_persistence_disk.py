@@ -57,6 +57,18 @@ def queries() -> np.ndarray:
     return np.random.default_rng(7).uniform(size=(16, D))
 
 
+def _edit_npz_header(path, edit) -> None:
+    """Rewrite a v4 ``.npz`` in place with ``edit(header)`` applied."""
+    with np.load(path) as data:
+        payload = {k: data[k] for k in data.files}
+    header = json.loads(bytes(payload["header"].tobytes()).decode())
+    edit(header)
+    payload["header"] = np.frombuffer(
+        json.dumps(header).encode(), dtype=np.uint8
+    )
+    np.savez(path, **payload)
+
+
 def _search(index, queries, k: int = 5):
     return index.search(queries, k=k, params=SearchParams(seed=0))
 
@@ -178,6 +190,46 @@ class TestUncompressedNpz:
             save_index(_build("flat"), tmp_path / "x", format="tar")
 
 
+class TestStoredBackendIsIgnored:
+    """Headers written while ``build()`` still recorded the accel
+    backend name one (here: one this library no longer knows).  It was
+    an execution choice of the box that built the index, not
+    provenance: it must neither stop ``compact()`` nor change what
+    ``compact()`` builds."""
+
+    def _plant(self, path, fmt: str) -> None:
+        def stale(header):
+            header["options"]["backend"] = "numba"
+
+        if fmt == "npz":
+            _edit_npz_header(path, stale)
+            return
+        header = json.loads((path / DISK_HEADER_NAME).read_text())
+        stale(header)
+        (path / DISK_HEADER_NAME).write_text(json.dumps(header))
+
+    @pytest.mark.parametrize("fmt", ["npz", "disk"])
+    def test_stale_backend_loads_and_compacts_identically(self, fmt, tmp_path):
+        pts = uniform_cube(N, D, np.random.default_rng(3))
+        index = ProximityGraphIndex.build(
+            pts, epsilon=1.0, method="vamana", seed=3,
+            batch_size=16, backend="auto",
+        )
+        assert index.built.options == {"batch_size": 16}
+        clean = index.save(tmp_path / "clean", format=fmt)
+        stale = index.save(tmp_path / "stale", format=fmt)
+        self._plant(stale, fmt)
+        compacted = []
+        for path in (clean, stale):
+            loaded = load_any(path)
+            assert loaded.built.options == {"batch_size": 16}
+            loaded.delete([0, 1, 2])
+            loaded.compact()
+            compacted.append([np.asarray(a) for a in loaded.graph.csr()])
+        for want, got in zip(*compacted):
+            assert np.array_equal(want, got) and want.dtype == got.dtype
+
+
 # ----------------------------------------------------------------------
 # Precise wrong-loader errors (satellite: SUPPORTED_VERSIONS handling)
 # ----------------------------------------------------------------------
@@ -185,14 +237,7 @@ class TestUncompressedNpz:
 
 class TestPreciseLoaderErrors:
     def _relabel(self, path, version: int) -> None:
-        with np.load(path) as data:
-            payload = {k: data[k] for k in data.files}
-        header = json.loads(bytes(payload["header"].tobytes()).decode())
-        header["format_version"] = version
-        payload["header"] = np.frombuffer(
-            json.dumps(header).encode(), dtype=np.uint8
-        )
-        np.savez(path, **payload)
+        _edit_npz_header(path, lambda h: h.update(format_version=version))
 
     def test_v3_labeled_flat_file_names_the_sharded_loader(self, tmp_path):
         """A flat file can never carry v3; the error must say so and

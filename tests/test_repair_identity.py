@@ -37,7 +37,7 @@ from repro.graphs.engine import (
 from repro.metrics import Dataset, EuclideanMetric
 from repro.metrics.euclidean import MinkowskiMetric
 
-COMPILED = [b for b in ("numba", "cffi") if b in accel.available_backends()]
+COMPILED = [b for b in ("cffi",) if b in accel.available_backends()]
 needs_compiled = pytest.mark.skipif(
     not COMPILED, reason="no compiled accel backend is warmable here"
 )

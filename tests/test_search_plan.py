@@ -57,7 +57,7 @@ from repro.graphs.base import ProximityGraph
 from repro.metrics import Dataset, EuclideanMetric
 from repro.workloads import uniform_cube
 
-COMPILED = [b for b in ("numba", "cffi") if b in accel.available_backends()]
+COMPILED = [b for b in ("cffi",) if b in accel.available_backends()]
 needs_compiled = pytest.mark.skipif(
     not COMPILED, reason="no compiled accel backend is importable here"
 )

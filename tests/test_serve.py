@@ -459,6 +459,7 @@ class TestHTTP:
                 "missing": {"k": 1},
                 "bad_k": {"query": [0.5] * 4, "k": 0},
                 "not_numeric": {"query": ["a", "b"]},
+                "unknown_backend": {"query": [0.5] * 4, "backend": "numba"},
             }.items():
                 try:
                     await _afetch(base, "/search", payload)
