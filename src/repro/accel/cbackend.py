@@ -1,11 +1,13 @@
 """The ``cffi`` backend: the traversal kernels as C, compiled on demand.
 
 This is the one compiled backend (it needs :mod:`cffi` and a C
-toolchain): the C below is a line-for-line transcription of
-:mod:`repro.accel.kernels` — same heap comparators,
-same slice-order iteration, same budget checkpoints, same sequential
-float64 accumulation, and the same replica of numpy's pairwise
-summation for PQ-ADC rows.
+toolchain): the C below transcribes :mod:`repro.accel.kernels` — same
+heap comparators, same slice-order iteration, same budget checkpoints,
+same sequential float64 accumulation per distance, and the same replica
+of numpy's pairwise summation for PQ-ADC rows.  It differs in *when* a
+distance is computed, never in its value or in the order results are
+ranked: an expansion gathers a row's unvisited targets into a block,
+prefetches their stored rows, evaluates the block, then ranks it.
 
 Floating-point contract: the shared object is built with
 ``-ffp-contract=off`` and without any fast-math flag, so the compiler
@@ -157,76 +159,120 @@ static double pairwise_sum(const double *a, int64_t n)
 #define KIND_PQ_SUMP 5
 #define KIND_PQ_MAX 6
 
-static double dist_eval(
+/* One expansion step works on a block: up to BLOCK unvisited targets of
+ * a row are gathered, their stored rows prefetched while the scan goes
+ * on, then evaluated together, then ranked in gather order; a longer row
+ * (G-net rows hold hundreds) takes several.  Blocks live on the C stack. */
+#define BLOCK 32
+
+/* Gather into blk the next targets of row [*pos, end) not stamped gen, at
+ * most BLOCK, in row order, and start fetching every cache line of each
+ * one's stored row.  Advances *pos past what it scanned; stamps nothing. */
+static inline int64_t gather_block(
+    const int64_t *targets, int64_t *pos, int64_t end,
+    const int32_t *visited, int32_t gen, int32_t kind,
+    const double *data, int64_t ddim, const uint8_t *codes, int64_t cdim,
+    int64_t *blk)
+{
+    const char *rows = kind <= KIND_FLAT_LINF ? (const char *)data : (const char *)codes;
+    int64_t row_bytes = kind <= KIND_FLAT_LINF ? ddim * (int64_t)sizeof(double) : cdim;
+    int64_t nb = 0;
+    int64_t ei = *pos;
+    for (; ei < end && nb < BLOCK; ei++) {
+        int64_t v = targets[ei];
+        if (visited[v] == gen)
+            continue;
+        blk[nb++] = v;
+        for (int64_t o = 0; o < row_bytes; o += 64)
+            __builtin_prefetch(rows + v * row_bytes + o);
+        __builtin_prefetch(rows + (v + 1) * row_bytes - 1);
+    }
+    *pos = ei;
+    return nb;
+}
+
+/* out[b] = distance from query qi to vertex vs[b], b < nb.  kind is switched
+ * once a block; each distance is the kernel source's _dist, operation for
+ * operation, so every float is the one a vertex-at-a-time call returns. */
+static inline void dist_block(
     int32_t kind, double factor, double power,
     const double *Q, int64_t qdim, int64_t qi,
     const double *data, int64_t ddim,
     const uint8_t *codes, int64_t cdim,
     const double *minv, const double *scale,
     const double *luts, int64_t msub, int64_t ks,
-    double *contrib, int64_t v)
+    double *contrib, const int64_t *vs, int64_t nb, double *out)
 {
-    if (kind == KIND_FLAT_L2) {
-        const double *q = Q + qi * qdim;
-        const double *x = data + v * ddim;
-        double acc = 0.0;
-        for (int64_t j = 0; j < ddim; j++) {
-            double t = q[j] - x[j];
-            acc += t * t;
-        }
-        return factor * sqrt(acc);
-    }
-    if (kind == KIND_FLAT_LINF) {
-        const double *q = Q + qi * qdim;
-        const double *x = data + v * ddim;
-        double acc = 0.0;
-        for (int64_t j = 0; j < ddim; j++) {
-            double t = fabs(q[j] - x[j]);
-            if (t > acc)
-                acc = t;
-        }
-        return factor * acc;
-    }
-    if (kind == KIND_SQ8_L2) {
-        const double *q = Q + qi * qdim;
-        const uint8_t *c = codes + v * cdim;
-        double acc = 0.0;
-        for (int64_t j = 0; j < cdim; j++) {
-            double t = q[j] - ((double)c[j] * scale[j] + minv[j]);
-            acc += t * t;
-        }
-        return factor * sqrt(acc);
-    }
-    if (kind == KIND_SQ8_LINF) {
-        const double *q = Q + qi * qdim;
-        const uint8_t *c = codes + v * cdim;
-        double acc = 0.0;
-        for (int64_t j = 0; j < cdim; j++) {
-            double t = fabs(q[j] - ((double)c[j] * scale[j] + minv[j]));
-            if (t > acc)
-                acc = t;
-        }
-        return factor * acc;
-    }
+    const double *q = Q + qi * qdim;
     /* PQ-ADC: per-subspace LUT gather, then numpy's own reduction. */
-    {
-        const uint8_t *c = codes + v * cdim;
-        const double *lut = luts + qi * msub * ks;
-        if (kind == KIND_PQ_MAX) {
+    const double *lut = luts + qi * msub * ks;
+    switch (kind) {
+    case KIND_FLAT_L2:
+        for (int64_t b = 0; b < nb; b++) {
+            const double *x = data + vs[b] * ddim;
+            double acc = 0.0;
+            for (int64_t j = 0; j < ddim; j++) {
+                double t = q[j] - x[j];
+                acc += t * t;
+            }
+            out[b] = factor * sqrt(acc);
+        }
+        return;
+    case KIND_FLAT_LINF:
+        for (int64_t b = 0; b < nb; b++) {
+            const double *x = data + vs[b] * ddim;
+            double acc = 0.0;
+            for (int64_t j = 0; j < ddim; j++) {
+                double t = fabs(q[j] - x[j]);
+                if (t > acc)
+                    acc = t;
+            }
+            out[b] = factor * acc;
+        }
+        return;
+    case KIND_SQ8_L2:
+        for (int64_t b = 0; b < nb; b++) {
+            const uint8_t *c = codes + vs[b] * cdim;
+            double acc = 0.0;
+            for (int64_t j = 0; j < cdim; j++) {
+                double t = q[j] - ((double)c[j] * scale[j] + minv[j]);
+                acc += t * t;
+            }
+            out[b] = factor * sqrt(acc);
+        }
+        return;
+    case KIND_SQ8_LINF:
+        for (int64_t b = 0; b < nb; b++) {
+            const uint8_t *c = codes + vs[b] * cdim;
+            double acc = 0.0;
+            for (int64_t j = 0; j < cdim; j++) {
+                double t = fabs(q[j] - ((double)c[j] * scale[j] + minv[j]));
+                if (t > acc)
+                    acc = t;
+            }
+            out[b] = factor * acc;
+        }
+        return;
+    case KIND_PQ_MAX:
+        for (int64_t b = 0; b < nb; b++) {
+            const uint8_t *c = codes + vs[b] * cdim;
             double acc = 0.0;
             for (int64_t j = 0; j < msub; j++) {
                 double t = lut[j * ks + c[j]];
                 if (j == 0 || t > acc)
                     acc = t;
             }
-            return factor * acc;
+            out[b] = factor * acc;
         }
-        for (int64_t j = 0; j < msub; j++)
-            contrib[j] = lut[j * ks + c[j]];
-        double acc = pairwise_sum(contrib, msub);
-        if (kind == KIND_PQ_SUM2)
-            return factor * sqrt(acc);
-        return factor * pow(acc, 1.0 / power);
+        return;
+    default:
+        for (int64_t b = 0; b < nb; b++) {
+            const uint8_t *c = codes + vs[b] * cdim;
+            for (int64_t j = 0; j < msub; j++)
+                contrib[j] = lut[j * ks + c[j]];
+            double acc = pairwise_sum(contrib, msub);
+            out[b] = factor * (kind == KIND_PQ_SUM2 ? sqrt(acc) : pow(acc, 1.0 / power));
+        }
     }
 }
 
@@ -341,6 +387,8 @@ int64_t repro_beam(
     int64_t gen0, int32_t *visited, double *cand_d, int64_t *cand_v,
     double *pool_d, int64_t *pool_v, double *contrib)
 {
+    int64_t blk[BLOCK];
+    double dblk[BLOCK];
     for (int64_t qi = 0; qi < nq; qi++) {
         int32_t gen = (int32_t)(gen0 + qi + 1);
         int64_t s = starts[qi];
@@ -356,43 +404,46 @@ int64_t repro_beam(
             csize = cand_pop(cand_d, cand_v, csize);
             if (psize >= beam_width && dcur > pool_d[0])
                 break;
-            int64_t beg = offsets[u];
+            int64_t ei = offsets[u];
             int64_t end = offsets[u + 1];
-            int64_t cnt = 0;
-            for (int64_t ei = beg; ei < end; ei++) {
-                if (visited[targets[ei]] != gen)
-                    cnt++;
-            }
-            if (cnt == 0)
-                continue;
-            if (budget >= 0 && evals >= budget)
-                break;
-            int64_t take = cnt;
-            if (budget >= 0 && evals + cnt > budget)
-                take = budget - evals;
-            int64_t processed = 0;
-            for (int64_t ei = beg; ei < end; ei++) {
-                if (processed >= take)
+            while (ei < end) {
+                int64_t nb = gather_block(targets, &ei, end, visited, gen, kind,
+                                          data, ddim, codes, cdim, blk);
+                if (nb == 0)
                     break;
-                int64_t v = targets[ei];
-                if (visited[v] == gen)
-                    continue;
-                processed++;
-                visited[v] = gen;
-                double dv = dist_eval(kind, factor, power, Q, qdim, qi,
-                                      data, ddim, codes, cdim, minv, scale,
-                                      luts, msub, ks, contrib, v);
-                evals++;
-                if (psize < beam_width || dv < pool_d[0]) {
-                    csize = cand_push(cand_d, cand_v, csize, dv, v);
-                    if (has_allowed == 0 || allowed[v] != 0) {
-                        psize = pool_push(pool_d, pool_v, psize, dv, v);
-                        if (psize > beam_width)
-                            psize = pool_pop(pool_d, pool_v, psize);
+                if (budget >= 0 && evals >= budget)
+                    goto report;
+                int64_t take = nb;
+                if (budget >= 0 && evals + nb > budget)
+                    take = budget - evals;
+                for (int64_t b = 0; b < take; b++)
+                    visited[blk[b]] = gen;
+                dist_block(kind, factor, power, Q, qdim, qi, data, ddim,
+                           codes, cdim, minv, scale, luts, msub, ks,
+                           contrib, blk, take, dblk);
+                evals += take;
+                for (int64_t b = 0; b < take; b++) {
+                    int64_t v = blk[b];
+                    double dv = dblk[b];
+                    if (psize < beam_width || dv < pool_d[0]) {
+                        csize = cand_push(cand_d, cand_v, csize, dv, v);
+                        if (has_allowed == 0 || allowed[v] != 0) {
+                            psize = pool_push(pool_d, pool_v, psize, dv, v);
+                            if (psize > beam_width)
+                                psize = pool_pop(pool_d, pool_v, psize);
+                        }
                     }
                 }
+                /* The budget cut this row: nothing more can be evaluated,
+                 * so the pops the kernel source still makes change nothing. */
+                if (take < nb)
+                    goto report;
             }
+            /* The next pop is the heap's root: fetch its adjacency row. */
+            if (csize > 0)
+                __builtin_prefetch(targets + offsets[cand_v[0]]);
         }
+    report:
         /* Insertion-sort the pool ascending by (d, v) — the numpy
          * path's sorted((-d, v)) report order. */
         for (int64_t a = 1; a < psize; a++) {
@@ -433,6 +484,7 @@ int64_t repro_greedy(
     int64_t *out_best_p, double *out_best_d,
     int64_t *hops_buf, int64_t hops_cap, double *contrib)
 {
+    double dblk[BLOCK];
     int64_t maxnh = 0;
     for (int64_t qi = 0; qi < nq; qi++) {
         int64_t p = starts[qi];
@@ -470,18 +522,23 @@ int64_t repro_greedy(
             int64_t bestv = -1;
             double hop_ad = INFINITY;
             int64_t hop_av = -1;
-            for (int64_t i = 0; i < take; i++) {
-                int64_t v = targets[beg + i];
-                double dv = dist_eval(kind, factor, power, Q, qdim, qi,
-                                      data, ddim, codes, cdim, minv, scale,
-                                      luts, msub, ks, contrib, v);
-                if (has_allowed != 0 && allowed[v] != 0 && dv < hop_ad) {
-                    hop_ad = dv;
-                    hop_av = v;
-                }
-                if (dv < bestd) {
-                    bestd = dv;
-                    bestv = v;
+            for (int64_t i = 0; i < take; i += BLOCK) {
+                const int64_t *vs = targets + beg + i;
+                int64_t nb = take - i < BLOCK ? take - i : BLOCK;
+                dist_block(kind, factor, power, Q, qdim, qi, data, ddim,
+                           codes, cdim, minv, scale, luts, msub, ks,
+                           contrib, vs, nb, dblk);
+                for (int64_t b = 0; b < nb; b++) {
+                    int64_t v = vs[b];
+                    double dv = dblk[b];
+                    if (has_allowed != 0 && allowed[v] != 0 && dv < hop_ad) {
+                        hop_ad = dv;
+                        hop_av = v;
+                    }
+                    if (dv < bestd) {
+                        bestd = dv;
+                        bestv = v;
+                    }
                 }
             }
             evals += take;
@@ -531,6 +588,8 @@ int64_t repro_construction(
     int64_t *out_ids, double *out_dists, int64_t *out_sizes,
     int32_t *visited, uint8_t *pexp, int64_t *sel_buf, double *contrib)
 {
+    int64_t blk[BLOCK];
+    double dblk[BLOCK];
     int64_t ef = beam_width;
     for (int64_t qi = 0; qi < nq; qi++) {
         int32_t gen = (int32_t)(qi + 1);
@@ -557,33 +616,39 @@ int64_t repro_construction(
                 break;
             for (int64_t si = 0; si < nsel; si++) {
                 int64_t u = sel_buf[si];
-                for (int64_t ei = offsets[u]; ei < offsets[u + 1]; ei++) {
-                    int64_t v = targets[ei];
-                    if (visited[v] == gen)
-                        continue;
-                    visited[v] = gen;
-                    double dv = dist_eval(kind, factor, power, Q, qdim, qi,
-                                          data, ddim, codes, cdim, minv, scale,
-                                          luts, msub, ks, contrib, v);
-                    int64_t pos;
-                    if (psize < ef) {
-                        pos = psize;
-                        psize++;
-                    } else if (dv < dists[ef - 1]) {
-                        pos = ef - 1;
-                    } else {
-                        continue;
+                int64_t ei = offsets[u];
+                int64_t end = offsets[u + 1];
+                while (ei < end) {
+                    int64_t nb = gather_block(targets, &ei, end, visited, gen, kind,
+                                              data, ddim, codes, cdim, blk);
+                    for (int64_t b = 0; b < nb; b++)
+                        visited[blk[b]] = gen;
+                    dist_block(kind, factor, power, Q, qdim, qi, data, ddim,
+                               codes, cdim, minv, scale, luts, msub, ks,
+                               contrib, blk, nb, dblk);
+                    for (int64_t b = 0; b < nb; b++) {
+                        int64_t v = blk[b];
+                        double dv = dblk[b];
+                        int64_t pos;
+                        if (psize < ef) {
+                            pos = psize;
+                            psize++;
+                        } else if (dv < dists[ef - 1]) {
+                            pos = ef - 1;
+                        } else {
+                            continue;
+                        }
+                        int64_t j = pos;
+                        while (j > 0 && dists[j - 1] > dv) {
+                            dists[j] = dists[j - 1];
+                            ids[j] = ids[j - 1];
+                            pexp[j] = pexp[j - 1];
+                            j--;
+                        }
+                        dists[j] = dv;
+                        ids[j] = v;
+                        pexp[j] = 0;
                     }
-                    int64_t j = pos;
-                    while (j > 0 && dists[j - 1] > dv) {
-                        dists[j] = dists[j - 1];
-                        ids[j] = ids[j - 1];
-                        pexp[j] = pexp[j - 1];
-                        j--;
-                    }
-                    dists[j] = dv;
-                    ids[j] = v;
-                    pexp[j] = 0;
                 }
             }
         }

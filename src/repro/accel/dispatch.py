@@ -257,9 +257,10 @@ def resolve_backend(requested: str | None) -> str:
 
 #: Rows a thread must be given before a helper is worth waking.  Handing a
 #: chunk to a parked helper costs 0.1-0.2 ms on the box this was sized on
-#: (queue hand-off, then the GIL changes hands) against ~60 us for one
-#: beam row (n = 20 000, d = 16, beam 64), so under ~8 rows per thread the
-#: split loses; a call is split once it has that many rows for two threads.
+#: (queue hand-off, then the GIL changes hands) against ~43 us for one
+#: beam row (n = 20 000, d = 16, beam 64).  Re-measured at that row cost:
+#: 16 rows take 0.68-0.86 ms split and 0.80-0.82 ms on one thread (64 rows:
+#: 1.8-2.2 against 2.5-2.7), so 8 rows a thread is still the break-even.
 _ROWS_PER_THREAD = 8
 
 _log = logging.getLogger("repro.accel")
@@ -671,7 +672,9 @@ def run_beam(
     q_arr, luts = _query_arrays(plan.layout, view)
     starts64 = np.ascontiguousarray(starts, dtype=np.int64)
     d0 = view.start_distances(starts64)
-    width = int(beam_width)
+    # A pool never holds more than the graph's n vertices, so a wider beam
+    # is the same search; scratch is sized by this, not by the request.
+    width = min(int(beam_width), graph.n)
     budget_i = -1 if budget is None else int(budget)
     allowed_u8, has_allowed = _allowed_arg(allowed)
 

@@ -323,6 +323,9 @@ class SearchServer:
         # Pin one (index, generation) pair for validation, cache lookup,
         # and dispatch — never re-read the holder mid-request.
         index, generation = self.holder.state
+        if key.k > index.n:
+            # search() answers with dense (m, k) arrays: k sizes an allocation.
+            raise _BadRequest(f"k = {key.k} exceeds the index's {index.n} points")
         # Validate HERE, not inside the batch: one NaN query must fail
         # alone, not error every future sharing its dispatch.
         index.validate_queries(q.reshape(1, -1))

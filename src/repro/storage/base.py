@@ -163,6 +163,14 @@ class FlatQueryView(QueryDistanceView):
     def scalar(self, qi: int, v: int) -> float:
         return self.metric.distance(self.Q[qi], self.points[v])
 
+    def start_distances(self, starts: np.ndarray) -> np.ndarray:
+        # scalar() row by row, the stored rows fetched by one gather: on a
+        # mapped index each ``points[v]`` is a new memmap view, m dominate.
+        distance, Q, rows = self.metric.distance, self.Q, self.points[starts]
+        return np.array(
+            [distance(Q[i], rows[i]) for i in range(len(rows))], dtype=np.float64
+        )
+
     def segmented(
         self, q_rows: np.ndarray, cand: np.ndarray, lens: np.ndarray
     ) -> np.ndarray:

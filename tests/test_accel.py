@@ -9,6 +9,11 @@ Contract under test:
   3 seeds, both engine modes, and all three storages (flat/SQ8/PQ);
 * edge semantics survive compilation exactly: ``k > beam_width``,
   allowed masks (subset, empty, fully-masked), and budget truncation;
+* the C kernels expand a vertex in 32-target blocks: on rows longer than
+  one block and than two, every distance kind, budgets around the block
+  and row ends, the compiled results equal the interpreted reference's
+  and the numpy engines' — once more under UBSan — and the C source
+  compiles warning-free;
 * an explicitly requested backend that cannot run here raises
   :class:`AccelUnavailableError` with an actionable message, while
   ``backend="auto"`` silently serves numpy (one
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import os
 import stat
+import subprocess
 import tempfile
 import warnings
 
@@ -36,7 +42,15 @@ import pytest
 from repro import ProximityGraphIndex, SearchParams, accel
 from repro.accel import cbackend, dispatch, kernels
 from repro.core.sharded import ShardedIndex
-from repro.graphs.engine import beam_search_batch, greedy_batch
+from repro.graphs.base import ProximityGraph
+from repro.graphs.engine import (
+    beam_search_batch,
+    construction_beam_batch,
+    greedy_batch,
+)
+from repro.metrics.base import Dataset
+from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric, MinkowskiMetric
+from repro.storage import make_store
 from repro.workloads import uniform_cube
 
 #: Backends this environment can actually run (cffi and/or the
@@ -183,6 +197,170 @@ class TestBitIdentity:
                 )
                 _assert_equal(got, ref, (backend, mode, budget))
                 assert (got.evals <= budget).all()
+
+
+#: Every distance mode the kernels switch on: (metric, store kind).
+KERNEL_KINDS = {
+    "flat-l2": (EuclideanMetric(), None),
+    "flat-linf": (ChebyshevMetric(), None),
+    "sq8-l2": (EuclideanMetric(), "sq8"),
+    "sq8-linf": (ChebyshevMetric(), "sq8"),
+    "pq-sum2": (EuclideanMetric(), "pq"),
+    "pq-sump": (MinkowskiMetric(3.0), "pq"),
+    "pq-max": (ChebyshevMetric(), "pq"),
+}
+
+
+def _long_row_workload(kind):
+    """A graph whose rows hold 77-93 targets — three 32-target blocks —
+    under one kernel distance mode; every query starts at vertex 0."""
+    rng = np.random.default_rng(5)
+    n, d, m = 300, 8, 6
+    points = rng.standard_normal((n, d))
+    graph = ProximityGraph(n, rng.integers(0, n, (n, 100))).freeze()
+    metric, store_kind = KERNEL_KINDS[kind]
+    store = make_store(store_kind, metric, points, seed=0) if store_kind else None
+    Q = rng.standard_normal((m, d))
+    return graph, Dataset(metric, points), store, Q, np.zeros(m, dtype=np.int64)
+
+
+def _check_long_rows(kind, backends):
+    """``backends`` against the numpy engines over :func:`_long_row_workload`:
+    beam (ids, distances, evals), greedy, and the construction pools."""
+    graph, dataset, store, Q, starts = _long_row_workload(kind)
+    n, row = graph.n, len(graph.out_neighbors(0))
+    assert row > 2 * 32
+    allowed = np.zeros(n, dtype=bool)
+    allowed[::3] = True
+    # The start is evaluation 1, its row's three blocks end at 33, 65 and
+    # 1 + row: budgets before the first block, inside one, on a block end,
+    # on the row end, and inside a later row.
+    budgets = (None, 1, 20, 33, 50, 65, 1 + row, 150)
+    for budget in budgets:
+        for mask in (None, allowed):
+            ctx = (kind, budget, mask is not None)
+            for width, k in ((8, 4), (4, 16), (n + 50, 5)):
+                ref = beam_search_batch(
+                    graph, dataset, starts, Q, beam_width=width, k=k,
+                    budget=budget, allowed=mask, store=store,
+                )
+                for backend in backends:
+                    # BeamBatch equality: ids, distances and evals.
+                    assert ref == beam_search_batch(
+                        graph, dataset, starts, Q, beam_width=width, k=k,
+                        budget=budget, allowed=mask, store=store, backend=backend,
+                    ), (*ctx, width, backend)
+            ref = greedy_batch(
+                graph, dataset, starts, Q, budget=budget, allowed=mask, store=store
+            )
+            for backend in backends:
+                assert ref == greedy_batch(
+                    graph, dataset, starts, Q, budget=budget, allowed=mask,
+                    store=store, backend=backend,
+                ), (*ctx, backend)
+    # Construction pools: against the interpreted kernel always, against
+    # the numpy engine where distances are continuous — it merges a round
+    # at once, so quantised L-infinity ties come out in another order.
+    pools = {
+        backend: construction_beam_batch(
+            graph, dataset, starts, Q, beam_width=40, store=store, backend=backend
+        )
+        for backend in {*backends, "python"}
+    }
+    if kind not in ("sq8-linf", "pq-max"):
+        pools["numpy"] = construction_beam_batch(
+            graph, dataset, starts, Q, beam_width=40, store=store
+        )
+    for backend, got in pools.items():
+        assert [len(ids) for ids, _ in got] == [40] * len(Q), (kind, backend)
+        for (ids, dists), (ref_ids, ref_dists) in zip(got, pools["python"]):
+            assert np.array_equal(ids, ref_ids), (kind, backend)
+            assert np.array_equal(dists, ref_dists), (kind, backend)
+
+
+class TestBlockExpansion:
+    """Rows longer than the C kernels' 32-target block, every kind."""
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_long_rows_every_kind(self, kind):
+        _check_long_rows(kind, BACKENDS)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_gnet_rows_through_the_front_door(self, backend):
+        points = uniform_cube(200, 2, np.random.default_rng(3))
+        index = ProximityGraphIndex.build(points, epsilon=0.5, method="gnet")
+        offsets, _ = index.graph.csr()
+        assert np.diff(offsets).max() > 2 * 32
+        Q = np.random.default_rng(4).uniform(size=(8, 2))
+        for budget in (None, 33, 40, 65, 200):
+            for params in (
+                dict(mode="beam", beam_width=8),
+                dict(mode="beam", beam_width=10_000),  # wider than n
+                dict(mode="beam", beam_width=8, allowed_ids=list(range(0, 200, 3))),
+                dict(mode="greedy"),
+            ):
+                k = 1 if params["mode"] == "greedy" else 12  # k > beam_width
+                ref = index.search(
+                    Q, k=k, params=SearchParams(budget=budget, seed=0, **params)
+                )
+                got = index.search(
+                    Q, k=k,
+                    params=SearchParams(budget=budget, seed=0, backend=backend, **params),
+                )
+                _assert_equal(got, ref, (backend, budget, params))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_beam_wider_than_any_pool_sizes_nothing_by_the_request(
+        self, index, queries, backend
+    ):
+        """A pool never holds more than n entries: a 2**31 beam is the
+        n-wide search on every engine, and allocates like it."""
+        results = [
+            index.search(
+                queries, k=3,
+                params=SearchParams(backend=name, beam_width=width, seed=0),
+            )
+            for name in ("numpy", backend)
+            for width in (index.n, 2**31)
+        ]
+        for got in results[1:]:
+            _assert_equal(got, results[0], backend)
+        assert (results[0].evals == index.n).all()
+
+
+@pytest.mark.skipif(
+    cbackend._find_compiler() is None, reason="no C compiler here"
+)
+class TestCSource:
+    def test_compiles_without_a_warning(self, tmp_path):
+        source = tmp_path / "kernels.c"
+        source.write_text(cbackend._SOURCE)
+        proc = subprocess.run(
+            [cbackend._find_compiler(), "-Wall", "-Wextra", "-Werror",
+             "-fsyntax-only", str(source)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.skipif("cffi" not in BACKENDS, reason="cffi is not installed")
+    def test_long_rows_under_ubsan(self, monkeypatch):
+        """The same cases against a shared object built to abort on
+        undefined behaviour (``bounds`` covers the fixed-size stack
+        blocks).  The flags are part of the cache key, so it is a
+        shared object of its own."""
+        monkeypatch.setattr(
+            cbackend, "_CFLAGS",
+            cbackend._CFLAGS
+            + ["-fsanitize=undefined", "-fno-sanitize-recover=undefined"],
+        )
+        monkeypatch.setattr(cbackend, "_lib", None)
+        monkeypatch.setattr(cbackend, "_ffi", None)
+        accel.reset()
+        try:
+            for kind in KERNEL_KINDS:
+                _check_long_rows(kind, ["cffi"])
+        finally:
+            accel.reset()
 
 
 class TestBackendSelection:

@@ -472,6 +472,23 @@ class TestHTTP:
         codes = _serve_test(go)
         assert all(code == 400 for code in codes.values()), codes
 
+    def test_k_beyond_the_point_count_is_400(self):
+        """``search()`` answers with dense ``(m, k)`` arrays, so a served
+        ``k`` is bounded by the snapshot's point count before anything is
+        allocated; the refusal names both numbers."""
+
+        async def go(base, _server):
+            ok = await _afetch(base, "/search", {"query": [0.5] * 4, "k": 90})
+            try:
+                await _afetch(base, "/search", {"query": [0.5] * 4, "k": 91})
+            except urllib.error.HTTPError as exc:
+                return ok, exc.code, json.loads(exc.read())["error"]
+            return ok, 200, ""
+
+        (status, body), code, error = _serve_test(go)
+        assert status == 200 and len(body["ids"]) == 90
+        assert code == 400 and "91" in error and "90" in error
+
     def test_add_then_search_sees_new_point_and_generation(self):
         async def go(base, _server):
             far = [40.0, 40.0, 40.0, 40.0]

@@ -138,7 +138,7 @@ class TestPQEncoder:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
+every_view_metric = pytest.mark.parametrize(
     "metric",
     [
         EuclideanMetric(),
@@ -148,6 +148,9 @@ class TestPQEncoder:
     ],
     ids=["euclidean", "chebyshev", "minkowski3", "scaled-euclidean"],
 )
+
+
+@every_view_metric
 @pytest.mark.parametrize("kind", ["sq8", "pq"])
 def test_store_views_approximate_the_metric(points, kind, metric):
     store = make_store(kind, metric, points, seed=0)
@@ -174,6 +177,26 @@ def test_flat_store_is_exact(points):
     got = store.bind(Q).segmented(np.arange(4), idx, lens)
     want = metric.distances_many(Q, points[idx], lens)
     assert np.array_equal(got, want)
+
+
+@every_view_metric
+@pytest.mark.parametrize("mapped", [False, True], ids=["ram", "mmap"])
+def test_flat_start_distances_are_scalar_row_by_row(points, metric, mapped, tmp_path):
+    """One gather of the start rows, then ``scalar()``'s own call per
+    row: every float equals ``scalar(i, starts[i])``, in RAM and off a
+    memory-mapped matrix, one row or many, repeated starts included."""
+    if mapped:
+        np.save(tmp_path / "points.npy", points)
+        points = np.load(tmp_path / "points.npy", mmap_mode="r")
+    rng = np.random.default_rng(5)
+    for m in (1, 64):
+        Q = rng.normal(size=(m, points.shape[1]))
+        starts = rng.integers(len(points), size=m)
+        starts[-1] = starts[0]
+        view = FlatStore(metric, points).bind(Q)
+        got = view.start_distances(starts)
+        want = [view.scalar(i, int(v)) for i, v in enumerate(starts)]
+        assert got.dtype == np.float64 and got.tolist() == want
 
 
 # ----------------------------------------------------------------------
