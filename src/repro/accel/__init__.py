@@ -61,9 +61,10 @@ builders / ``ProximityGraphIndex.build(...)`` /
 semantics as search.  :func:`run_commit_wave` goes one step further
 and commits an entire insertion wave — every RobustPrune, backlink,
 and overflow re-prune, with candidate distances computed in-kernel —
-in a single kernel call against a padded adjacency mirror
-(``graphs.engine.CommitMirror``), which removes the per-commit
-dispatch overhead that otherwise dominates a compiled build.
+in a single kernel call on the caller's adjacency, the padded row
+store ``graphs.engine.CommitMirror`` that builds and repairs hold from
+their first insertion, which removes the per-commit dispatch overhead
+that otherwise dominates a compiled build.
 """
 
 from repro.accel.dispatch import (

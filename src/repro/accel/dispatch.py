@@ -892,34 +892,30 @@ def run_robust_prune(
 def run_commit_wave(
     backend: str,
     dataset: Any,
-    adj: Any,
     pids: Any,
     pools: Any,
     alpha: float,
     max_degree: int,
     include_own: bool,
-    mirror: Any,
+    rows: Any,
 ) -> None:
     """Commit a whole construction wave in one compiled kernel call.
 
-    ``mirror`` is the caller's :class:`repro.graphs.engine.CommitMirror`
-    — the padded int64 row store the kernel mutates in place of the
-    list-of-lists adjacency.  The workload is validated (and
-    :class:`UnsupportedWorkloadError` raised) *before* the mirror is
-    packed or touched, so a failed dispatch leaves the list adjacency
-    authoritative and the numpy fallback picks up cleanly.  Like the
-    per-call prune, this always operates on the raw float64
-    coordinates; own-edge and backlink candidate distances are computed
-    in-kernel with the same sequential arithmetic stance as the
-    traversal kernels.
+    ``rows`` is the caller's adjacency, a
+    :class:`repro.graphs.engine.CommitMirror` — the padded int64 row
+    store the kernel mutates in place.  The workload is validated (and
+    :class:`UnsupportedWorkloadError` raised) *before* the store is
+    touched, so after a failed dispatch the numpy fallback picks up on
+    the same rows.  Like the per-call prune, this always operates on the
+    raw float64 coordinates; own-edge and backlink candidate distances
+    are computed in-kernel with the same sequential arithmetic stance as
+    the traversal kernels.
     """
     commit_fn = _KERNELS[backend].commit_wave_kernel
     pts = _coords_f64(dataset.points, "points")
     kind, factor = _coord_kind(
         dataset.metric, _K.KIND_FLAT_L2, _K.KIND_FLAT_LINF
     )
-    if not mirror.active:
-        mirror.pack(adj, max_degree)
     w = len(pids)
     lens = np.fromiter((len(p[0]) for p in pools), dtype=np.int64, count=w)
     pool_off = np.zeros(w + 1, dtype=np.int64)
@@ -931,9 +927,9 @@ def run_commit_wave(
         pool_ids[pool_off[i] : pool_off[i + 1]] = ids
         pool_d[pool_off[i] : pool_off[i + 1]] = dists
     pids64 = np.ascontiguousarray(np.asarray(pids), dtype=np.int64)
-    max_p = (int(lens.max()) if w else 0) + mirror.cap
+    max_p = (int(lens.max()) if w else 0) + rows.cap
     md = max(int(max_degree), 1)
-    sc = mirror.scratch
+    sc = rows.scratch
     if sc.get("max_p", -1) < max_p or sc.get("md", -1) < md:
         sc["max_p"] = max_p
         sc["md"] = md
@@ -948,7 +944,7 @@ def run_commit_wave(
     commit_fn(
         pts, kind, factor, pids64, pool_ids, pool_d, pool_off,
         1 if include_own else 0, float(alpha), int(max_degree),
-        mirror.arr, mirror.deg,
+        rows.arr, rows.deg,
         sc["cand_v"], sc["cand_d"], sc["vs"], sc["ds"],
         sc["alive"], sc["sq"], sc["out"], sc["out2"],
     )
@@ -1012,22 +1008,20 @@ def _self_check(backend: str) -> None:
     d_arr = dataset.distances_from_index(0, v_arr)
     want_p = engine.robust_prune(dataset, 0, v_arr, d_arr, 1.2, 6)
     got_p = run_robust_prune(backend, dataset, 0, v_arr, d_arr, 1.2, 6)
-    # One whole-wave commit of half that wave and its pools against a
-    # partially linked adjacency (the commit is order-dependent and never
-    # split), kernel vs the pinned per-member prune-and-link loop.
-    adj_want = [sorted(graph.out_neighbors(u).tolist())[:3] for u in range(n)]
-    adj_got = [list(row) for row in adj_want]
+    # One whole-wave commit of half that wave and its pools onto the
+    # graph's rows (the commit is order-dependent and never split),
+    # kernel vs the pinned per-member prune-and-link loop.
+    rows_want = engine.CommitMirror.from_csr(graph, 0, 4)
+    rows_got = engine.CommitMirror.from_csr(graph, 0, 4)
     wave, pools_w = wave[:8], want_c[:8]
-    engine.commit_wave_pools(dataset, adj_want, wave, pools_w, 1.2, 4)
-    mirror = engine.CommitMirror()
-    run_commit_wave(backend, dataset, adj_got, wave, pools_w, 1.2, 4, False, mirror)
-    mirror.flush(adj_got)
+    engine.commit_wave_pools(dataset, rows_want, wave, pools_w, 1.2, 4)
+    run_commit_wave(backend, dataset, wave, pools_w, 1.2, 4, False, rows_got)
     if (
         want_beam != got_beam
         or want_greedy != got_greedy
         or not same_c
         or want_p != got_p
-        or adj_want != adj_got
+        or rows_want.snapshot() != rows_got.snapshot()
     ):
         raise AccelError(
             f"accel backend {backend!r} failed its warm-time self-check "

@@ -32,12 +32,12 @@ lockstep engine); the recall benches show no measurable quality loss.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Any, Sequence
 
 import numpy as np
 
+from repro.baselines.nsw import scalar_beam
 from repro.graphs.base import ProximityGraph
 from repro.graphs.engine import bulk_insert, construction_beam_batch, snapshot_graph
 from repro.metrics.base import Dataset
@@ -135,28 +135,9 @@ class HNSWIndex:
     ) -> list[tuple[float, int]]:
         """Beam search within one layer; returns up to ``ef`` closest
         ``(distance, id)`` pairs, ascending."""
-        visited = set(entry)
-        cand: list[tuple[float, int]] = []
-        best: list[tuple[float, int]] = []  # max-heap via negation
-        for e in entry:
-            d = self._distance(q, e)
-            heapq.heappush(cand, (d, e))
-            heapq.heappush(best, (-d, e))
-        while cand:
-            d, u = heapq.heappop(cand)
-            if d > -best[0][0] and len(best) >= ef:
-                break
-            for v in self.neighbors(u, level):
-                if v in visited:
-                    continue
-                visited.add(v)
-                dv = self._distance(q, v)
-                if len(best) < ef or dv < -best[0][0]:
-                    heapq.heappush(cand, (dv, v))
-                    heapq.heappush(best, (-dv, v))
-                    if len(best) > ef:
-                        heapq.heappop(best)
-        return sorted((-d, v) for d, v in best)
+        return scalar_beam(
+            self.dataset, lambda u: self.neighbors(u, level), q, entry, ef
+        )
 
     def _select_neighbors(
         self, candidates: list[tuple[float, int]], m: int

@@ -15,7 +15,7 @@ prefix graph.  ``batch_size=1`` is edge-identical to the sequential build.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -23,7 +23,44 @@ from repro.graphs.base import ProximityGraph
 from repro.graphs.engine import bulk_insert, construction_beam_batch, snapshot_graph
 from repro.metrics.base import Dataset
 
-__all__ = ["NSWIndex"]
+__all__ = ["NSWIndex", "scalar_beam"]
+
+
+def scalar_beam(
+    dataset: Dataset,
+    neighbors: Callable[[int], Iterable[int]],
+    q: Any,
+    entry: Sequence[int],
+    ef: int,
+) -> list[tuple[float, int]]:
+    """Best-first beam from the ``entry`` vertices over the adjacency
+    ``neighbors(u)`` yields, one scalar distance per discovered vertex;
+    returns up to ``ef`` closest ``(distance, id)`` pairs, ascending.
+    The sequential reference search of every insertion baseline here
+    (NSW, HNSW's ``SEARCH-LAYER``, Vamana): ids stay whatever
+    ``neighbors`` hands out, so Python ints in give Python ints out."""
+    visited = set(entry)
+    cand: list[tuple[float, int]] = []
+    best: list[tuple[float, int]] = []  # max-heap via negation
+    for e in entry:
+        d = dataset.distance_to_query(q, e)
+        heapq.heappush(cand, (d, e))
+        heapq.heappush(best, (-d, e))
+    while cand:
+        d, u = heapq.heappop(cand)
+        if len(best) >= ef and d > -best[0][0]:
+            break
+        for v in neighbors(u):
+            if v in visited:
+                continue
+            visited.add(v)
+            dv = dataset.distance_to_query(q, v)
+            if len(best) < ef or dv < -best[0][0]:
+                heapq.heappush(cand, (dv, v))
+                heapq.heappush(best, (-dv, v))
+                if len(best) > ef:
+                    heapq.heappop(best)
+    return sorted((-d, v) for d, v in best)
 
 
 class NSWIndex:
@@ -59,35 +96,17 @@ class NSWIndex:
     def _insert(self, pid: int) -> None:
         if self._members:
             found = self._beam(
-                self.dataset.points[pid],
-                ef=max(self.ef_construction, self.m),
-                entry=self._members[0],
+                self.dataset.points[pid], max(self.ef_construction, self.m)
             )
             for _, v in found[: self.m]:
                 self._adj[pid].add(v)
                 self._adj[v].add(pid)
         self._members.append(pid)
 
-    def _beam(self, q: Any, ef: int, entry: int) -> list[tuple[float, int]]:
-        d0 = self.dataset.distance_to_query(q, entry)
-        visited = {entry}
-        cand = [(d0, entry)]
-        best = [(-d0, entry)]
-        while cand:
-            d, u = heapq.heappop(cand)
-            if len(best) >= ef and d > -best[0][0]:
-                break
-            for v in self._adj[u]:
-                if v in visited:
-                    continue
-                visited.add(v)
-                dv = self.dataset.distance_to_query(q, v)
-                if len(best) < ef or dv < -best[0][0]:
-                    heapq.heappush(cand, (dv, v))
-                    heapq.heappush(best, (-dv, v))
-                    if len(best) > ef:
-                        heapq.heappop(best)
-        return sorted((-d, v) for d, v in best)
+    def _beam(self, q: Any, ef: int) -> list[tuple[float, int]]:
+        return scalar_beam(
+            self.dataset, self._adj.__getitem__, q, [self._members[0]], ef
+        )
 
     # ------------------------------------------------------------------
     # WaveInserter protocol (repro.graphs.engine.bulk_insert)
@@ -149,5 +168,4 @@ class NSWIndex:
         if not self._members:
             return []
         ef = max(int(ef) if ef is not None else self.ef_construction, k)
-        found = self._beam(q, ef=ef, entry=self._members[0])
-        return [(v, d) for d, v in found[:k]]
+        return [(v, d) for d, v in self._beam(q, ef)[:k]]

@@ -15,13 +15,16 @@ Included as a baseline so benches can show all three regimes:
 guaranteed-but-quadratic (diskann slow), fast-but-unguaranteed (vamana,
 HNSW), and fast-and-guaranteed (G_net).
 
-Construction runs in one of two schedules:
+Construction runs in one of two schedules, both on one adjacency — the
+:class:`~repro.graphs.engine.CommitMirror` row store ``add()`` repairs
+on — through the one RobustPrune wave inserter,
+:class:`~repro.graphs.engine.RepairInserter`:
 
 * **sequential** (``batch_size=None``) — the reference loop: one scalar
   beam search per insertion;
 * **batched** (``batch_size=k``) — the :func:`~repro.graphs.engine.bulk_insert`
   wave schedule: each wave of ``k`` points is located with one lockstep
-  :func:`~repro.graphs.engine.beam_search_batch` against the frozen
+  :func:`~repro.graphs.engine.construction_beam_batch` against the frozen
   prefix graph, then committed in order.  ``batch_size=1`` replays the
   sequential insertions exactly (identical edges); larger waves trade a
   little candidate staleness for vectorized distance evaluation.
@@ -29,21 +32,13 @@ Construction runs in one of two schedules:
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Sequence
+import warnings
+from typing import Any
 
 import numpy as np
 
-import warnings
-
-from repro.graphs.base import ProximityGraph
-from repro.graphs.engine import (
-    CommitMirror,
-    bulk_insert,
-    commit_wave_pools,
-    locate_wave_pools,
-    prune_and_link,
-)
+from repro.baselines.nsw import scalar_beam
+from repro.graphs.engine import RepairInserter, bulk_insert
 from repro.graphs.engine import robust_prune as _engine_robust_prune
 from repro.metrics.base import Dataset
 
@@ -72,8 +67,15 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class VamanaIndex:
+class VamanaIndex(RepairInserter):
     """Two-pass Vamana graph with beam-search queries.
+
+    The wave protocol (``locate_wave`` / ``commit`` / ``commit_wave``)
+    and the adjacency are :class:`~repro.graphs.engine.RepairInserter`'s,
+    started from an empty prefix; this class adds the entry choice, the
+    two-pass schedule and the sequential reference insertion.  The entry
+    point is the first point of a 256-point random sample — not a
+    medoid, see ``__init__``.
 
     Parameters
     ----------
@@ -91,8 +93,11 @@ class VamanaIndex:
         Accel backend for the batched waves' candidate location and
         RobustPrune (``None``/``"numpy"`` = the pinned engines,
         ``"auto"`` = best warmed compiled backend, or an explicit
-        backend name).  The sequential schedule ignores it.
+        backend name).  The sequential schedule's beam ignores it.
     """
+
+    # A re-inserted point's current out-edges join its candidate pool.
+    include_own = True
 
     def __init__(
         self,
@@ -110,159 +115,53 @@ class VamanaIndex:
             beam_width = max_degree
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        self.dataset = dataset
-        self.max_degree = int(max_degree)
-        self.beam_width = int(beam_width)
-        self.alpha = float(alpha)
-        self.batch_size = batch_size
-        self.backend = backend
         n = dataset.n
-        self._adj: list[list[int]] = [[] for _ in range(n)]
-        self._mirror = CommitMirror()
-        # Medoid approximation: the point closest to the centroid of a
-        # sample — the canonical Vamana entry point.
+        # Entry point: the sample member closest to the sample's FIRST
+        # point — which is that point itself, so the entry is simply
+        # ``sample[0]``, a uniformly random vertex.  The canonical Vamana
+        # entry is the medoid (``ProximityGraphIndex._add_repair``
+        # computes a real sample medoid for its repair waves); switching
+        # changes every Vamana graph, so it waits for ROADMAP item 4(b).
         sample = rng.choice(n, size=min(n, 256), replace=False)
         coords_like = dataset.points[sample]
-        center_id = int(
+        entry = int(
             sample[np.argmin(dataset.metric.distances(coords_like[0], coords_like))]
         )
-        self.entry_point = center_id
-        self._pass_alpha = 1.0
+        super().__init__(
+            dataset, None, entry, max_degree, beam_width, alpha, backend
+        )
+        self.batch_size = batch_size
 
         order = rng.permutation(n)
-        # Pass 1 (alpha = 1), pass 2 (alpha = self.alpha), as in [19].
+        # Pass 1 (alpha = 1), pass 2 (the configured alpha), as in [19];
+        # ``self.alpha`` is the slack the commits of the current pass use.
         for pass_no, pass_alpha in enumerate((1.0, self.alpha)):
-            self._pass_alpha = pass_alpha
+            self.alpha = pass_alpha
             if batch_size is None:
                 for pid in order:
-                    self._insert(int(pid), pass_alpha)
+                    self.insert_one(pid)
             else:
                 # Ramp waves only while the graph is filling up (pass 1);
                 # pass 2 re-inserts into a complete graph, where full
                 # waves are never stale enough to matter.
                 bulk_insert(self, order, batch_size, ramp=pass_no == 0)
 
-    # ------------------------------------------------------------------
-
     def _beam(self, q: Any, ef: int) -> list[tuple[float, int]]:
-        start = self.entry_point
-        d0 = self.dataset.distance_to_query(q, start)
-        visited = {start}
-        cand = [(d0, start)]
-        best = [(-d0, start)]
-        while cand:
-            d, u = heapq.heappop(cand)
-            if len(best) >= ef and d > -best[0][0]:
-                break
-            for v in self._adj[u]:
-                if v in visited:
-                    continue
-                visited.add(v)
-                dv = self.dataset.distance_to_query(q, v)
-                if len(best) < ef or dv < -best[0][0]:
-                    heapq.heappush(cand, (dv, v))
-                    heapq.heappush(best, (-dv, v))
-                    if len(best) > ef:
-                        heapq.heappop(best)
-        return sorted((-d, v) for d, v in best)
-
-    def _robust_prune(
-        self, pid: int, candidates: list[tuple[float, int]], alpha: float
-    ) -> list[int]:
-        """The RobustPrune of [19]: keep the closest candidate, discard
-        any candidate ``v`` with ``alpha * D(kept, v) <= D(pid, v)``."""
-        if not candidates:
-            return []
-        d_arr = np.fromiter(
-            (d for d, _ in candidates), dtype=np.float64, count=len(candidates)
+        return scalar_beam(
+            self.dataset, self._rows.__getitem__, q, [self.entry_point], ef
         )
-        v_arr = np.fromiter(
-            (v for _, v in candidates), dtype=np.intp, count=len(candidates)
-        )
-        return self._robust_prune_arrays(pid, v_arr, d_arr, alpha)
-
-    def _robust_prune_arrays(
-        self, pid: int, v_arr: np.ndarray, d_arr: np.ndarray, alpha: float
-    ) -> list[int]:
-        return _engine_robust_prune(
-            self.dataset, pid, v_arr, d_arr, alpha, self.max_degree,
-            backend=self.backend,
-        )
-
-    def _commit_arrays(
-        self, pid: int, v_arr: np.ndarray, d_arr: np.ndarray, alpha: float
-    ) -> None:
-        """Neighbor selection + bidirectional linking for one insertion."""
-        # Direct list mutation — write back the padded mirror first if a
-        # compiled wave commit left it authoritative.
-        self._mirror.flush(self._adj)
-        if self._adj[pid]:
-            own = np.asarray(self._adj[pid], dtype=np.intp)
-            own_d = self.dataset.distances_from_index(pid, own)
-            v_arr = np.concatenate([v_arr, own])
-            d_arr = np.concatenate([d_arr, own_d])
-        prune_and_link(
-            self.dataset, self._adj, pid, v_arr, d_arr, alpha, self.max_degree,
-            backend=self.backend,
-        )
-
-    def _insert(self, pid: int, alpha: float) -> None:
-        q = self.dataset.points[pid]
-        found = self._beam(q, self.beam_width)
-        self._commit_arrays(
-            pid,
-            np.fromiter((v for _, v in found), dtype=np.intp, count=len(found)),
-            np.fromiter((d for d, _ in found), dtype=np.float64, count=len(found)),
-            alpha,
-        )
-
-    # ------------------------------------------------------------------
-    # WaveInserter protocol (repro.graphs.engine.bulk_insert)
-    # ------------------------------------------------------------------
 
     def insert_one(self, pid: int) -> None:
-        self._insert(int(pid), self._pass_alpha)
-
-    def locate_wave(
-        self, pids: Sequence[int]
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """One vectorized lockstep beam for the whole wave against the
-        frozen prefix adjacency; returns ``(ids, distances)`` pools,
-        ascending by distance."""
-        return locate_wave_pools(
-            self.dataset, self._adj, self.entry_point, pids, self.beam_width,
-            backend=self.backend, mirror=self._mirror,
-        )
-
-    def commit(self, pid: int, pool: tuple[np.ndarray, np.ndarray]) -> None:
-        v_arr, d_arr = pool
-        self._commit_arrays(
-            int(pid), np.asarray(v_arr, dtype=np.intp), d_arr, self._pass_alpha
-        )
-
-    def commit_wave(
-        self,
-        pids: Sequence[int],
-        pools: Sequence[tuple[np.ndarray, np.ndarray]],
-    ) -> None:
-        """Whole-wave commit: Vamana concatenates each member's current
-        out-edges into its candidate pool (``include_own``), then runs
-        the shared prune-and-link wave body."""
-        commit_wave_pools(
-            self.dataset, self._adj, pids, pools, self._pass_alpha,
-            self.max_degree, backend=self.backend, mirror=self._mirror,
-            include_own=True,
-        )
-
-    def finish_waves(self) -> None:
-        self._mirror.flush(self._adj)
-
-    # ------------------------------------------------------------------
-
-    def graph(self) -> ProximityGraph:
-        return ProximityGraph(
-            self.dataset.n,
-            [np.array(a, dtype=np.intp) for a in self._adj],
+        """The sequential reference insertion: one scalar beam, then the
+        shared commit."""
+        pid = int(pid)
+        found = self._beam(self.dataset.points[pid], self.beam_width)
+        self.commit(
+            pid,
+            (
+                np.fromiter((v for _, v in found), dtype=np.intp, count=len(found)),
+                np.fromiter((d for d, _ in found), dtype=np.float64, count=len(found)),
+            ),
         )
 
     def search(self, q: Any, k: int = 1, ef: int | None = None) -> list[tuple[int, float]]:

@@ -51,7 +51,6 @@ class BuiltGraph:
     epsilon: float
     guaranteed: bool  # does this construction carry a (1+eps)-PG proof?
     meta: dict[str, Any] = field(default_factory=dict)
-    backend: Any = None  # native index object (HNSW/NSW) when applicable
     # The exact keyword options the builder ran with — recorded by
     # build() so a mutable index can replay the construction (compact()
     # rebuilds over the surviving points with the same knobs).
@@ -332,7 +331,6 @@ def _build_hnsw(
         epsilon=epsilon,
         guaranteed=False,
         meta={"m": index.m, "max_level": index.max_level},
-        backend=index,
     )
 
 
@@ -348,7 +346,6 @@ def _build_nsw(
         epsilon=epsilon,
         guaranteed=False,
         meta={"m": index.m},
-        backend=index,
     )
 
 
@@ -365,7 +362,6 @@ def _build_vamana(
         epsilon=epsilon,
         guaranteed=False,
         meta={"max_degree": index.max_degree, "alpha": index.alpha},
-        backend=index,
     )
 
 

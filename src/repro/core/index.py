@@ -613,7 +613,6 @@ class ProximityGraphIndex:
         points = np.concatenate([np.asarray(self.dataset.points), new_pts], axis=0)
         self.dataset = Dataset(self.dataset.metric, points)
         self.built.graph = self._dynamic.graph().freeze()
-        self.built.backend = None
         # Static net provenance no longer describes the graph.
         for stale in ("hierarchy", "level_sizes", "level_edge_counts"):
             self.built.meta.pop(stale, None)
@@ -632,9 +631,12 @@ class ProximityGraphIndex:
         Cost per call: distance work proportional to ``count * beam *
         degree`` (locate + RobustPrune, through ``backend``), plus a
         constant number of array copies of the point and edge arrays —
-        the frozen CSR is packed into :class:`RepairInserter`'s padded
-        row store, repaired there, and frozen again, all with array ops.
-        Nothing here visits every vertex or edge in Python.
+        the frozen CSR is loaded into :class:`RepairInserter`'s padded
+        row store (the one adjacency a Vamana build also runs on),
+        repaired there, and frozen again, all with array ops.  Nothing
+        here visits every vertex or edge in Python.  The entry point is
+        a real sample medoid, unlike ``VamanaIndex``'s (see its
+        ``__init__``).
         """
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
@@ -658,7 +660,6 @@ class ProximityGraphIndex:
         bulk_insert(inserter, range(n_old, n_old + count), batch_size, ramp=False)
         self.dataset = dataset
         self.built.graph = inserter.graph()
-        self.built.backend = None
         # Any dynamic net predates the repair and no longer mirrors the
         # collection; the next dynamic add must re-upgrade from scratch.
         self._dynamic = None
@@ -726,7 +727,7 @@ class ProximityGraphIndex:
         The copy shares the (never mutated in place) heavy arrays —
         points, graph CSR, quantized codes — but owns every container a
         mutation writes through: the :class:`BuiltGraph` wrapper (whose
-        ``graph``/``backend``/``meta`` attributes ``add`` rebinds), the
+        ``graph``/``meta`` attributes ``add`` rebinds), the
         ``meta``/``options`` dicts, the id map, the tombstone mask, and
         the vector store.  ``add``/``delete``/``compact`` on either side
         are invisible to the other, which is what the serving layer's
@@ -743,7 +744,6 @@ class ProximityGraphIndex:
             epsilon=self.built.epsilon,
             guaranteed=self.built.guaranteed,
             meta=dict(self.built.meta),
-            backend=self.built.backend,
             options=dict(self.built.options),
         )
         return ProximityGraphIndex(

@@ -689,14 +689,12 @@ def bulk_insert(
     ``self.backend`` through their ``locate_wave`` / ``commit`` bodies
     pick up the accel seam without a protocol change.
 
-    Two optional hooks extend the protocol for the compiled commit
+    One optional hook extends the protocol for the compiled commit
     path: an inserter exposing ``commit_wave(pids, pools)`` receives
     each multi-member wave whole (instead of per-member ``commit``
-    calls) so it can commit the wave in one kernel dispatch, and one
-    exposing ``finish_waves()`` is called once after the last wave to
-    flush any mirrored adjacency state.  Singleton waves still go
-    through ``insert_one``, which keeps ``batch_size=1`` bit-identical
-    to the sequential build by construction.
+    calls) so it can commit the wave in one kernel dispatch.  Singleton
+    waves still go through ``insert_one``, which keeps ``batch_size=1``
+    bit-identical to the sequential build by construction.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
@@ -724,21 +722,20 @@ def bulk_insert(
         else:
             for pid, pool in zip(wave, pools):
                 inserter.commit(pid, pool)
-    finish = getattr(inserter, "finish_waves", None)
-    if finish is not None:
-        finish()
     return waves
 
 
 # ----------------------------------------------------------------------
 # Shared wave-repair plumbing: locate / prune / link
 #
-# Every insertion-based construction and every incremental repair does
-# the same two things per point: *locate* a candidate pool by beam
-# search over the graph as it stands, and *commit* the point by
-# RobustPrune + bidirectional linking with overflow re-pruning.  These
-# helpers are that plumbing, shared by the Vamana builder and the index
-# facade's ``add()`` repair path (via :class:`RepairInserter`).
+# Every RobustPrune construction and every incremental repair does the
+# same two things per point: *locate* a candidate pool by beam search
+# over the graph as it stands, and *commit* the point by RobustPrune +
+# bidirectional linking with overflow re-pruning.  These helpers are
+# that plumbing and :class:`RepairInserter` is the one inserter built
+# on them — the index facade's ``add()`` repair uses it as is, the
+# Vamana builder subclasses it — over one adjacency, a
+# :class:`CommitMirror`.
 # ----------------------------------------------------------------------
 
 
@@ -806,30 +803,20 @@ def robust_prune(
 
 def locate_wave_pools(
     dataset: Dataset,
-    adj: Sequence[Any],
+    rows: "CommitMirror",
     entry: int,
     pids: Sequence[int],
     beam_width: int,
     backend: str | None = None,
-    mirror: "CommitMirror | None" = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Locate one candidate pool per wave member against the frozen
-    prefix: snapshot the mutable adjacency once, then run one lockstep
+    prefix: freeze the row store's CSR once, then run one lockstep
     :func:`construction_beam_batch` from ``entry`` for the whole wave.
-    This is the ``locate_wave`` body every RobustPrune-style inserter
-    shares.  Returns ``(ids, distances)`` pools ascending by distance.
-    When an **active** ``mirror`` holds the adjacency (a builder's
-    compiled commit path; the repair path always), the CSR prefix is
-    frozen straight off its padded rows — row-for-row the same graph
-    the list snapshot would give.
+    Returns ``(ids, distances)`` pools ascending by distance.
     """
     idx = np.asarray(pids, dtype=np.intp)
-    if mirror is not None and mirror.active:
-        prefix = mirror.snapshot()
-    else:
-        prefix = snapshot_graph(len(adj), adj, sort=False)
     return construction_beam_batch(
-        prefix,
+        rows.snapshot(),
         dataset,
         [int(entry)] * len(idx),
         dataset.points[idx],
@@ -851,9 +838,9 @@ def prune_and_link(
     """Commit one point from its located pool: RobustPrune its out-edges,
     then add backlinks with overflow re-pruning — the ``commit`` body
     every RobustPrune-style inserter shares.  ``adj`` is indexed by
-    vertex and its rows are read and assigned whole, so a list of lists
-    (the builders) and a :class:`CommitMirror` (the repair path, which
-    never holds lists) both serve.
+    vertex and its rows are read and assigned whole, so a
+    :class:`CommitMirror` (every caller in the package) and a plain list
+    of lists (the tests' reference repair) both serve.
     """
     kept = robust_prune(dataset, pid, v_arr, d_arr, alpha, max_degree, backend=backend)
     adj[pid] = kept
@@ -872,47 +859,32 @@ def prune_and_link(
 
 
 class CommitMirror:
-    """Padded int64 row store for wave commits: ``(n, cap)`` rows plus a
-    ``deg`` length vector, the layout the compiled commit kernel
-    (``accel.run_commit_wave``) mutates in place.
+    """The adjacency of a RobustPrune construction or repair: a padded
+    int64 row store, ``(n, cap)`` rows plus a ``deg`` length vector —
+    the layout the compiled commit kernel (``accel.run_commit_wave``)
+    mutates in place.
 
-    It serves two kinds of owner:
+    Despite the name it mirrors nothing: it is allocated once — empty
+    for a from-scratch build, by :meth:`from_csr` for a repair — and is
+    the only copy of the edges until :meth:`snapshot` freezes them.
+    ``store[v]`` reads a row (a list of Python ints, in insertion order)
+    and ``store[v] = ids`` assigns one, which is all
+    :func:`prune_and_link` needs; the wave kernel works on ``arr`` and
+    ``deg`` directly; ``snapshot()`` freezes CSR in store order for wave
+    location and ``snapshot(sort=True)`` emits the finished graph.
+    Nothing iterates over vertices in Python.
 
-    * A **builder** (Vamana) keeps a list-of-lists adjacency and uses
-      this as its mirror: the first compiled wave loads the lists with
-      :meth:`pack`, the store then stays authoritative between waves
-      (wave location snapshots CSR straight off it), and :meth:`flush`
-      writes the rows back before any code that mutates the lists
-      directly.  While inactive (``arr is None``) it is inert and the
-      lists are authoritative — the numpy build path never touches it.
-    * The **repair path** (:class:`RepairInserter`) has no lists at all:
-      :meth:`from_csr` packs the frozen graph with array ops, the store
-      *is* the adjacency that :func:`prune_and_link` and the wave kernel
-      both work on (``store[v]`` reads a row, ``store[v] = ids`` assigns
-      one), and ``snapshot(sort=True)`` emits the finished graph.
-      Nothing on that path iterates over vertices in Python.
-
-    Memory is ``n * cap`` int64 with ``cap`` one more than the longest
-    row.  ``scratch`` persists the dispatch layer's kernel buffers
-    across waves.
+    Memory is ``n * cap`` int64, with ``cap`` one more than the longer
+    of ``max_degree`` and the ``longest`` row — headroom for the
+    transient pre-prune backlink append.  ``scratch`` persists the
+    dispatch layer's kernel buffers across waves.
     """
 
-    def __init__(self) -> None:
-        self.arr: np.ndarray | None = None
-        self.deg: np.ndarray | None = None
-        self.cap = 0
-        self.scratch: dict[str, Any] = {}
-
-    @property
-    def active(self) -> bool:
-        return self.arr is not None
-
-    def _allocate(self, n: int, longest: int, max_degree: int) -> None:
-        # One slot of headroom over the longest row (and ``max_degree``)
-        # for the transient pre-prune backlink append.
+    def __init__(self, n: int, longest: int, max_degree: int) -> None:
         self.cap = max(int(max_degree), int(longest)) + 1
         self.arr = np.zeros((n, self.cap), dtype=np.int64)
         self.deg = np.zeros(n, dtype=np.int64)
+        self.scratch: dict[str, Any] = {}
 
     def _valid(self) -> np.ndarray:
         """Boolean ``(n, cap)`` mask of the occupied slots, row-major —
@@ -928,23 +900,13 @@ class CommitMirror:
         inserted."""
         offsets, targets = graph.csr()
         lens = np.diff(offsets)
-        store = cls()
-        store._allocate(graph.n + extra, lens.max(initial=0), max_degree)
+        store = cls(graph.n + extra, lens.max(initial=0), max_degree)
         store.deg[: graph.n] = lens
         store.arr[store._valid()] = targets
         return store
 
-    def pack(self, adj: Sequence[Sequence[int]], max_degree: int) -> None:
-        """Load a list adjacency into the padded store."""
-        self._allocate(
-            len(adj), max((len(row) for row in adj), default=0), max_degree
-        )
-        for i, row in enumerate(adj):
-            if row:
-                self[i] = row
-
-    def __getitem__(self, v: int) -> np.ndarray:
-        return self.arr[v, : self.deg[v]]
+    def __getitem__(self, v: int) -> list[int]:
+        return self.arr[v, : self.deg[v]].tolist()
 
     def __setitem__(self, v: int, row: Sequence[int]) -> None:
         m = len(row)
@@ -969,108 +931,110 @@ class CommitMirror:
         flat = rows[valid].astype(np.intp, copy=False)
         return ProximityGraph.from_csr(n, offsets, flat, validate=False)
 
-    def flush(self, adj: Any) -> None:
-        """Write every row back into the list adjacency and deactivate.
 
-        Deactivating (rather than staying synced) makes staleness
-        impossible: any later direct list mutation happens while the
-        mirror is inert, and the next wave commit re-packs.  A store
-        that is itself the adjacency (``adj is self``) has nothing to
-        write back and stays active."""
-        if self.arr is None or adj is self:
-            return
-        arr, deg = self.arr, self.deg
-        self.arr = None
-        self.deg = None
-        for i in range(len(adj)):
-            d = int(deg[i])
-            adj[i] = arr[i, :d].tolist() if d else []
+def _commit_pool(
+    dataset: Dataset,
+    rows: Any,
+    pid: int,
+    pool: tuple[np.ndarray, np.ndarray],
+    alpha: float,
+    max_degree: int,
+    include_own: bool,
+    backend: str | None = None,
+) -> None:
+    """One member's commit: :func:`prune_and_link` over its located
+    pool, joined under ``include_own`` by its current out-edges at
+    recomputed distances (a Vamana re-insertion competes with what the
+    point already has)."""
+    v_arr = np.asarray(pool[0], dtype=np.intp)
+    d_arr = np.asarray(pool[1], dtype=np.float64)
+    own = rows[pid] if include_own else ()
+    if len(own):
+        own = np.asarray(own, dtype=np.intp)
+        own_d = dataset.distances_from_index(pid, own)
+        v_arr = np.concatenate([v_arr, own])
+        d_arr = np.concatenate([d_arr, own_d])
+    prune_and_link(
+        dataset, rows, pid, v_arr, d_arr, alpha, max_degree, backend=backend
+    )
 
 
 def commit_wave_pools(
     dataset: Dataset,
-    adj: Any,
+    rows: CommitMirror,
     pids: Sequence[int],
     pools: Sequence[tuple[np.ndarray, np.ndarray]],
     alpha: float,
     max_degree: int,
     backend: str | None = None,
-    mirror: CommitMirror | None = None,
     include_own: bool = False,
 ) -> None:
-    """Commit a whole wave of located pools in order — the
-    ``commit_wave`` body every RobustPrune-style inserter shares.
+    """Commit a whole wave of located pools in order.
 
     Per member this is exactly :func:`prune_and_link` (prepended, when
     ``include_own`` is set, by Vamana's own-edge concatenation at
-    recomputed distances).  With a compiled ``backend`` and a
-    ``mirror``, the entire wave — every RobustPrune, backlink append,
-    and overflow re-prune — runs in **one** kernel call against the
-    mirror's padded rows, which is where the compiled build path's
-    throughput comes from: the per-commit Python and FFI overhead of
-    dispatching ~6 prunes per insertion otherwise dominates the build.
-    ``backend=None``/``"numpy"`` run the pinned per-member loop.
+    recomputed distances).  With a compiled ``backend`` the entire wave
+    — every RobustPrune, backlink append, and overflow re-prune — runs
+    in **one** kernel call against the store's padded rows, which is
+    where the compiled build path's throughput comes from: the
+    per-commit Python and FFI overhead of dispatching ~6 prunes per
+    insertion otherwise dominates the build.  ``backend=None`` /
+    ``"numpy"`` run the pinned per-member loop.
     """
     if backend is not None and backend != "numpy":
         from repro import accel
 
         resolved = accel.resolve_backend(backend)
         if resolved != "numpy":
-            # A caller without a persistent mirror still gets the wave
-            # kernel through a transient one, flushed before returning.
-            transient = mirror is None
-            m = CommitMirror() if transient else mirror
             try:
                 accel.run_commit_wave(
-                    resolved, dataset, adj, pids, pools, alpha, max_degree,
-                    include_own, m,
+                    resolved, dataset, pids, pools, alpha, max_degree,
+                    include_own, rows,
                 )
+                return
             except accel.UnsupportedWorkloadError:
                 if backend != "auto":
                     raise
-            else:
-                if transient:
-                    m.flush(adj)
-                return
-    if mirror is not None:
-        mirror.flush(adj)
     for pid, pool in zip(pids, pools):
-        pid = int(pid)
-        v_arr = np.asarray(pool[0], dtype=np.intp)
-        d_arr = np.asarray(pool[1], dtype=np.float64)
-        if include_own and len(adj[pid]):
-            own = np.asarray(adj[pid], dtype=np.intp)
-            own_d = dataset.distances_from_index(pid, own)
-            v_arr = np.concatenate([v_arr, own])
-            d_arr = np.concatenate([d_arr, own_d])
-        prune_and_link(dataset, adj, pid, v_arr, d_arr, alpha, max_degree)
+        _commit_pool(dataset, rows, int(pid), pool, alpha, max_degree, include_own)
 
 
 class RepairInserter:
-    """:class:`WaveInserter` linking new points into a finished graph.
+    """The :class:`WaveInserter` for RobustPrune graphs: one adjacency
+    (a :class:`CommitMirror`), located and committed wave by wave.
 
-    Vamana-style incremental repair: each new point's candidate pool is
-    located by beam search over the current graph (vectorized per wave
-    by :func:`bulk_insert` + :func:`locate_wave_pools`), its out-edges
-    chosen by RobustPrune, and backlinks added with overflow re-pruning
-    (:func:`prune_and_link`).  Works for any builder's graph — it only
-    needs the dataset's distances — which is what lets every index grow,
-    at the price of the paper's worst-case guarantee (the facade clears
-    ``guaranteed`` on this path; ``gnet`` indexes keep it via the
-    dynamic-net path instead).
+    Each point's candidate pool is located by beam search over the
+    current graph (vectorized per wave by :func:`bulk_insert` +
+    :func:`locate_wave_pools`), its out-edges chosen by RobustPrune, and
+    backlinks added with overflow re-pruning (:func:`prune_and_link`).
+    Two users:
 
-    ``graph`` is the frozen graph over the first ``graph.n`` points of
-    ``dataset``; the rest are the points to insert.  The adjacency
-    lives in a :class:`CommitMirror` packed from the CSR arrays and is
-    read back with :meth:`graph`, so the cost besides the distance work
-    is a constant number of array copies of the edge set: no step
-    visits every vertex or edge in Python, whichever backend commits.
+    * **Repair** (the index facade's ``add()``): ``graph`` is the frozen
+      graph over the first ``graph.n`` points of ``dataset``, the rest
+      are the points to insert.  Works for any builder's graph — it only
+      needs the dataset's distances — which is what lets every index
+      grow, at the price of the paper's worst-case guarantee (the facade
+      clears ``guaranteed`` on this path; ``gnet`` indexes keep it via
+      the dynamic-net path instead).
+    * **Construction** (:class:`~repro.baselines.vamana.VamanaIndex`, a
+      subclass): ``graph=None`` is the empty prefix over all of
+      ``dataset``; the subclass sets ``include_own`` (a re-inserted
+      point's current out-edges join its pool), moves ``alpha`` between
+      its passes and overrides :meth:`insert_one` with its sequential
+      reference insertion.
+
+    The finished graph is read back with :meth:`graph`.  Besides the
+    distance work the cost is a constant number of array copies of the
+    edge set: no step visits every vertex or edge in Python, whichever
+    backend commits.
     """
+
+    include_own = False
 
     def __init__(
         self,
         dataset: Dataset,
-        graph: ProximityGraph,
+        graph: ProximityGraph | None,
         entry: int,
         max_degree: int,
         beam_width: int,
@@ -1078,17 +1042,20 @@ class RepairInserter:
         backend: str | None = None,
     ):
         self.dataset = dataset
-        self.entry = int(entry)
+        self.entry_point = int(entry)
         self.max_degree = int(max_degree)
         self.beam_width = int(beam_width)
         self.alpha = float(alpha)
         self.backend = backend
-        self._rows = CommitMirror.from_csr(
-            graph, dataset.n - graph.n, self.max_degree
-        )
+        if graph is None:
+            self._rows = CommitMirror(dataset.n, 0, self.max_degree)
+        else:
+            self._rows = CommitMirror.from_csr(
+                graph, dataset.n - graph.n, self.max_degree
+            )
 
     def graph(self) -> ProximityGraph:
-        """The repaired graph, rows sorted (the container's invariant)."""
+        """The graph as it stands, rows sorted (the container's invariant)."""
         return self._rows.snapshot(sort=True)
 
     # -- WaveInserter protocol -----------------------------------------
@@ -1098,20 +1065,14 @@ class RepairInserter:
 
     def locate_wave(self, pids: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
         return locate_wave_pools(
-            self.dataset, self._rows, self.entry, pids, self.beam_width,
-            backend=self.backend, mirror=self._rows,
+            self.dataset, self._rows, self.entry_point, pids, self.beam_width,
+            backend=self.backend,
         )
 
     def commit(self, pid: int, pool: tuple[np.ndarray, np.ndarray]) -> None:
-        prune_and_link(
-            self.dataset,
-            self._rows,
-            int(pid),
-            np.asarray(pool[0], dtype=np.intp),
-            np.asarray(pool[1], dtype=np.float64),
-            self.alpha,
-            self.max_degree,
-            backend=self.backend,
+        _commit_pool(
+            self.dataset, self._rows, int(pid), pool, self.alpha,
+            self.max_degree, self.include_own, backend=self.backend,
         )
 
     def commit_wave(
@@ -1121,7 +1082,7 @@ class RepairInserter:
     ) -> None:
         commit_wave_pools(
             self.dataset, self._rows, pids, pools, self.alpha,
-            self.max_degree, backend=self.backend, mirror=self._rows,
+            self.max_degree, backend=self.backend, include_own=self.include_own,
         )
 
 

@@ -19,6 +19,10 @@ Coverage:
 * unavailable-backend error vs silent ``"auto"`` fallback (unwarmed
   auto builds run numpy and never warn), and the explicit-backend
   ``UnsupportedWorkloadError`` on a metric without a kernel route;
+* one inserter: ``add()``'s repair and a Vamana pass are the same
+  class over the same row store (``include_own`` off / on), array-equal
+  across numpy and every available backend on waves that mix vertices
+  holding out-edges with edgeless ones;
 * sharded pooled-build identity: worker processes (spawn) build each
   shard with the shipped concrete backend, bit-identical to the
   in-process numpy build.
@@ -33,8 +37,11 @@ import pytest
 
 from repro import accel
 from repro.accel import cbackend
+from repro.baselines import VamanaIndex
 from repro.core.index import ProximityGraphIndex
 from repro.core.sharded import ShardedIndex
+from repro.graphs.engine import RepairInserter, bulk_insert
+from repro.metrics import Dataset, EuclideanMetric
 from repro.metrics.euclidean import MinkowskiMetric
 
 BACKENDS = accel.available_backends()
@@ -129,6 +136,49 @@ class TestBuilderBitIdentity:
             backend=backend, **BUILDERS["vamana"],
         )
         _assert_same_graph(got, _csr(seq), (backend, "batch_size=1"))
+
+
+class TestOneInserter:
+    @pytest.mark.parametrize("include_own", [False, True])
+    def test_repair_and_vamana_pass_share_the_wave_protocol(
+        self, points, include_own
+    ):
+        """``add()`` repairs with ``RepairInserter`` as is; a Vamana pass
+        is the same ``locate_wave`` / ``commit`` / ``commit_wave`` with
+        ``include_own`` set.  Both stay array-equal — rows in store
+        order — on numpy and on every backend, over waves holding
+        vertices that already have out-edges next to new, edgeless ones."""
+        for name in ("locate_wave", "commit", "commit_wave", "graph"):
+            assert getattr(VamanaIndex, name) is getattr(RepairInserter, name)
+        assert (RepairInserter.include_own, VamanaIndex.include_own) == (False, True)
+
+        n0 = N - 60
+        base = VamanaIndex(
+            Dataset(EuclideanMetric(), points[:n0]), np.random.default_rng(0),
+            **BUILDERS["vamana"],
+        ).graph()
+        dataset = Dataset(EuclideanMetric(), points)
+        # Old and new ids alternate, so every wave (and the trailing
+        # singleton, which goes through ``insert_one``) mixes the two.
+        order = np.stack([np.arange(0, 3 * 60, 3), np.arange(n0, N)], axis=1)
+        order = order.ravel().tolist() + [1]
+        assert base.out_degrees()[order[0]] > 0 and order[1] >= n0
+
+        def run(backend, own=include_own):
+            inserter = RepairInserter(
+                dataset, base, 0, backend=backend, **BUILDERS["vamana"]
+            )
+            inserter.include_own = own
+            bulk_insert(inserter, order, BATCH, ramp=False)
+            return inserter._rows.snapshot(), inserter.graph()
+
+        want = run(None)
+        for backend in BACKENDS:
+            for got, expected in zip(run(backend), want):
+                for g, w in zip(got.csr(), expected.csr()):
+                    assert np.array_equal(g, w), (backend, include_own)
+        # ``include_own`` is not a no-op on this input.
+        assert run(None, own=not include_own)[1] != want[1]
 
 
 class TestBackendSelection:

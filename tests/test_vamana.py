@@ -64,7 +64,6 @@ class TestBuilderIntegration:
         assert built.name == "vamana"
         assert not built.guaranteed
         assert built.meta["max_degree"] == 8
-        assert built.backend is not None
 
     def test_smaller_than_guaranteed_graphs(self, uniform2d, rng):
         vamana = build("vamana", uniform2d, 1.0, rng, max_degree=8)
