@@ -250,7 +250,7 @@ def _write_json(key: str, record) -> None:
 def _run(index, queries, clients, requests_per_client, max_batch, with_writer):
     return asyncio.run(
         _drive(
-            {"max_batch": max_batch, "max_wait_ms": 2.0, "search_workers": 2},
+            {"max_batch": max_batch},
             index,
             queries,
             clients,

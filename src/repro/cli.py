@@ -486,7 +486,7 @@ def _cmd_bench_storage(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Serve a saved index over HTTP with micro-batched search."""
+    """Serve a saved index over HTTP, one search batch in flight."""
     import asyncio
 
     from repro.serve import IndexHolder, SearchServer
@@ -511,11 +511,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers is not None and isinstance(index, ShardedIndex):
         index.workers = args.workers
     server = SearchServer(
-        IndexHolder(index),
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        cache_size=args.cache_size,
-        search_workers=args.search_workers,
+        IndexHolder(index), max_batch=args.max_batch, cache_size=args.cache_size
     )
     try:
         asyncio.run(server.serve_forever(args.host, args.port))
@@ -696,8 +692,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="serve a saved index over HTTP (coalesced micro-batching; "
-        "POST /search /add /delete, GET /healthz /stats)",
+        help="serve a saved index over HTTP (requests that arrive while a "
+        "search runs go out as the next batch; POST /search /add /delete, "
+        "GET /healthz /stats)",
     )
     p.add_argument("index", help="saved index (.npz file, manifest dir, "
                    "or v5 disk dir)")
@@ -709,13 +706,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080)
     p.add_argument("--max-batch", type=int, default=64,
-                   help="flush a coalescing bucket at this many requests")
-    p.add_argument("--max-wait-ms", type=float, default=2.0,
-                   help="longest a lone request waits for batch-mates")
+                   help="most requests one search batch takes")
     p.add_argument("--cache-size", type=int, default=1024,
                    help="LRU query-cache entries (0 disables)")
-    p.add_argument("--search-workers", type=int, default=2,
-                   help="threads running coalesced search batches")
     p.add_argument("--workers", type=int, default=None,
                    help="fan-out worker processes (sharded indexes only)")
     p.set_defaults(fn=_cmd_serve)

@@ -5,12 +5,13 @@ make *batches* 5-30x cheaper per query than single calls — but a
 network front door receives queries one at a time.  This package closes
 the gap with three cooperating pieces, all stdlib-only:
 
-* :class:`~repro.serve.coalescer.Coalescer` — collects concurrent
-  single-query requests that are compatible on ``(k, beam_width,
-  rerank_factor, backend, filter)`` for up to ``max_wait_ms`` (or
-  ``max_batch`` requests, whichever first) and dispatches them as **one**
-  ``index.search()`` batch, scattering per-row results back to the
-  awaiting futures.
+* :class:`~repro.serve.coalescer.Coalescer` — keeps one
+  ``index.search()`` batch in flight.  Requests compatible on ``(k,
+  beam_width, rerank_factor, backend, filter)`` that arrive while it
+  runs go out together as the next batch (up to ``max_batch``), so
+  batches grow with load and an idle server dispatches at once; per-row
+  results are scattered back to the awaiting futures.  The cores a
+  batch gets come from the accel layer's row split, not from here.
 * :class:`~repro.serve.cache.QueryCache` — an LRU over exact
   ``(query bytes, params, index generation)`` keys; hit/miss counters
   surface in ``/stats``.

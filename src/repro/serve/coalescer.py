@@ -3,24 +3,29 @@
 Requests arrive one query at a time; the lockstep engines want batches.
 The coalescer buckets pending requests by :class:`BatchKey` — the
 parameters that must agree for two queries to share one
-``index.search()`` call — and flushes a bucket when it reaches
-``max_batch`` requests or its oldest request has waited ``max_wait_ms``,
-whichever comes first.  The batch runs in a thread-pool executor (the
-search is CPU-bound numpy; the event loop keeps accepting requests
-while it runs), and each awaiting future receives its own row of the
-:class:`~repro.core.search.SearchResult`.
+``index.search()`` call — and keeps **one batch in flight**: a request
+that finds the search thread idle is dispatched on the next turn of the
+event loop (with whatever else was parsed in the same turn), and every
+request that arrives while a batch runs waits for it to finish and then
+leaves with the next one — the oldest bucket first, at most
+``max_batch`` rows.  No timer decides when to dispatch, so batches grow
+with load instead of with a tick.  The batch runs on the coalescer's one
+search thread (the search is CPU-bound; the event loop keeps accepting
+requests while it runs), and each awaiting future receives its own row
+of the :class:`~repro.core.search.SearchResult`.
 
-Latency/throughput knobs: ``max_wait_ms`` is how long a bucket's first
-request waits for company (one tick), ``max_batch`` bounds per-flush
-lockstep state.  Measured cost model (benchmark workload ``serve_mixed``:
-15 closed-loop readers and one writer on 16 connections, defaults 64 /
-2 ms): a closed loop of 15 can never fill a 64-row bucket, so nearly
-every dispatch is a timer flush of about 12 rows and the tick is paid in
-full — the median request waits 3.2–3.9 ms here
-(``serve.coalescer.wait_ms_p50``: the 2 ms tick plus the queue behind
-the two executor threads) for a search that takes about 3.5 ms per
-batch.  Waiting costs as much as searching; the tick is not free under
-load.
+Cores come from the search call, not from here: a compiled batch of 16
+rows or more is split over the usable cores by the accel layer's row
+split, so one batch in flight already uses every core a large batch can
+use, and a second one would only queue behind it for the same cores.
+
+Cost model (benchmark workload ``serve_mixed``: 15 closed-loop readers
+and one writer on 16 connections): a request waits for the rest of the
+batch in flight, then searches in the next one; it never waits for a
+tick.  Against a 2 ms tick and two search threads, the median wait
+(``serve.coalescer.wait_ms_p50``) fell from 3.1 ms to 1.4–1.9 ms and
+the batch from about 15 rows to about 6.5, and the end-to-end
+``p50_ms`` from about 5.0 ms to 3.0 ms (``CHANGES.md`` has the runs).
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ class RowResult:
     distances: np.ndarray
     evals: int
     batch_size: int  # how many requests shared the dispatch
+    generation: int  # the index generation the batch searched
 
 
 @dataclass
@@ -109,32 +115,28 @@ class CoalescerStats:
         }
 
 
-class Coalescer:
-    """Gather compatible requests, dispatch one lockstep batch per tick.
+_Group = list[tuple[np.ndarray, "asyncio.Future[RowResult]"]]
 
-    Single-threaded with the event loop: :meth:`submit` and the flush
-    callbacks all run on the loop, so the pending dict needs no lock.
-    Only the search itself leaves the loop (into ``executor``).
+
+class Coalescer:
+    """Gather compatible requests; keep one lockstep batch in flight.
+
+    Single-threaded with the event loop: :meth:`submit`, the drain and
+    the scatter all run on the loop, so the pending dict and the
+    in-flight flag need no lock.  Only the search itself leaves the loop,
+    onto the coalescer's one search thread.
     """
 
-    def __init__(
-        self,
-        holder: Any,
-        max_batch: int = 64,
-        max_wait_ms: float = 2.0,
-        executor: ThreadPoolExecutor | None = None,
-    ) -> None:
+    def __init__(self, holder: Any, max_batch: int = 64) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         self.holder = holder
         self.max_batch = int(max_batch)
-        self.max_wait_ms = float(max_wait_ms)
-        self._executor = executor or ThreadPoolExecutor(max_workers=2)
-        self._owns_executor = executor is None
-        self._pending: dict[BatchKey, list[tuple[np.ndarray, asyncio.Future]]] = {}
-        self._timers: dict[BatchKey, asyncio.TimerHandle] = {}
+        self._executor = ThreadPoolExecutor(max_workers=1)
+        # Buckets in the order their oldest waiting request arrived.
+        self._pending: dict[BatchKey, _Group] = {}
+        # A batch is running, or a drain is already due on the loop.
+        self._in_flight = False
         self.stats = CoalescerStats()
 
     def submit(self, query: np.ndarray, key: BatchKey) -> "asyncio.Future[RowResult]":
@@ -146,30 +148,32 @@ class Coalescer:
         batch-mate's future.
         """
         loop = asyncio.get_running_loop()
-        fut: asyncio.Future = loop.create_future()
-        group = self._pending.setdefault(key, [])
-        group.append((np.asarray(query, dtype=np.float64), fut))
+        fut: asyncio.Future[RowResult] = loop.create_future()
+        self._pending.setdefault(key, []).append(
+            (np.asarray(query, dtype=np.float64), fut)
+        )
         self.stats.requests += 1
-        if len(group) >= self.max_batch:
-            self._flush(key)
-        elif len(group) == 1:
-            self._timers[key] = loop.call_later(
-                self.max_wait_ms / 1000.0, self._flush, key
-            )
+        if not self._in_flight:
+            # Not at once: every request parsed in this turn of the loop
+            # joins the batch.
+            self._in_flight = True
+            loop.call_soon(self._drain)
         return fut
 
-    async def flush_all(self) -> None:
-        """Dispatch every pending bucket now (shutdown/test hook)."""
-        for key in list(self._pending):
-            self._flush(key)
+    def summary(self) -> dict[str, Any]:
+        """The counters, plus the queue right now: ``in_flight`` (0 or 1)
+        and ``pending`` (requests waiting for the next batch)."""
+        return dict(
+            self.stats.summary(),
+            in_flight=int(self._in_flight),
+            pending=sum(len(group) for group in self._pending.values()),
+        )
 
     def close(self) -> None:
-        """Stop the timers and answer every request still waiting for its
-        tick: with the timers gone nothing would ever dispatch it, so its
-        future fails now instead of hanging its client."""
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
+        """Answer every request still queued with an error — nothing will
+        dispatch it, so its future fails now instead of hanging its
+        client — and let the search thread go.  A batch already in
+        flight still answers."""
         for group in self._pending.values():
             for _, fut in group:
                 if not fut.done():
@@ -179,24 +183,28 @@ class Coalescer:
                         )
                     )
         self._pending.clear()
-        if self._owns_executor:
-            self._executor.shutdown(wait=False)
+        self._executor.shutdown(wait=False)
 
     # ------------------------------------------------------------------
 
-    def _flush(self, key: BatchKey) -> None:
-        timer = self._timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
-        group = self._pending.pop(key, None)
-        if not group:
+    def _drain(self) -> None:
+        """Dispatch the next batch, or go idle when nothing is queued."""
+        if not self._pending:
+            self._in_flight = False
             return
-        loop = asyncio.get_running_loop()
+        key = next(iter(self._pending))
+        group = self._pending[key]
+        batch = group[: self.max_batch]
+        if len(group) > self.max_batch:
+            self._pending[key] = group[self.max_batch :]  # keeps its place
+        else:
+            del self._pending[key]
         # Pin the index object for the whole batch: the holder may swap
-        # mid-search, but this batch keeps traversing its own snapshot.
-        index, _generation = self.holder.state
-        Q = np.stack([q for q, _ in group])
-        self.stats.record(len(group))
+        # mid-search, but this batch keeps traversing its own snapshot,
+        # and its rows report the generation they were answered from.
+        index, generation = self.holder.state
+        Q = np.stack([q for q, _ in batch])
+        self.stats.record(len(batch))
         # Vary the traversal seed per dispatched batch.  Start vertices
         # derive from the search seed, and with the library default
         # (seed=None -> the index's build seed) every 1-row batch would
@@ -205,21 +213,19 @@ class Coalescer:
         # query stream wants start diversity, and result quality must
         # not depend on how traffic happened to coalesce.
         seq = self.stats.batches
-        task = loop.run_in_executor(
+        task = asyncio.get_running_loop().run_in_executor(
             self._executor,
             lambda: index.search(Q, k=key.k, params=key.params(seed=seq)),
         )
-        task.add_done_callback(lambda t: self._scatter(t, group))
+        task.add_done_callback(lambda t: self._scatter(t, batch, generation))
 
-    def _scatter(
-        self,
-        task: "asyncio.Future",
-        group: list[tuple[np.ndarray, asyncio.Future]],
-    ) -> None:
+    def _scatter(self, task: "asyncio.Future[Any]", batch: _Group, generation: int) -> None:
+        # The search thread is free: send what queued meanwhile first.
+        self._drain()
         exc = task.exception() if not task.cancelled() else None
         if task.cancelled() or exc is not None:
             self.stats.errors += 1
-            for _, fut in group:
+            for _, fut in batch:
                 if not fut.done():
                     if exc is not None:
                         fut.set_exception(exc)
@@ -227,13 +233,14 @@ class Coalescer:
                         fut.cancel()
             return
         result = task.result()
-        for i, (_, fut) in enumerate(group):
+        for i, (_, fut) in enumerate(batch):
             if not fut.done():  # client may have gone away
                 fut.set_result(
                     RowResult(
                         ids=result.ids[i],
                         distances=result.distances[i],
                         evals=int(result.evals[i]),
-                        batch_size=len(group),
+                        batch_size=len(batch),
+                        generation=generation,
                     )
                 )

@@ -24,18 +24,21 @@ keep-alive.  Request/response bodies are JSON.  Endpoints:
 ``GET /healthz``
     ``{"status": "ok", "n": .., "active": .., "generation": g}``.
 ``GET /stats``
-    Coalescer counters (batch-size histogram), cache hit/miss, index
-    stats, the ``writer`` block (``mutations`` swapped in, ``last_ms``,
-    ``total_ms``), the ``http`` block (``rejected``: requests refused
-    for their framing, by status code), uptime.
+    Coalescer counters (batch-size histogram) and queue (``in_flight``:
+    0 or 1 batch searching, ``pending``: requests queued behind it),
+    cache hit/miss, index stats, the ``writer`` block (``mutations``
+    swapped in, ``last_ms``, ``total_ms``), the ``http`` block
+    (``rejected``: requests refused for their framing, by status code),
+    uptime.
 
 A request with a malformed request line or ``Content-Length`` gets a 400,
 one announcing more than 64 MiB a 413; both carry ``Connection: close``
 and the connection is closed, because the end of the body is unknown.
 
 Writes run on a dedicated single worker thread (serialized anyway by
-the holder's lock); searches run on the coalescer's executor.  The
-event loop itself never blocks on index work.
+the holder's lock); searches run one batch at a time on the
+coalescer's search thread.  The event loop itself never blocks on
+index work.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ class _Rejected(Exception):
         self.status = status
 
 
-def _json_row(row: RowResult, generation: int, cached: bool) -> dict[str, Any]:
+def _json_row(row: RowResult) -> dict[str, Any]:
     ids = [int(v) for v in row.ids]
     return {
         "ids": ids,
@@ -83,8 +86,8 @@ def _json_row(row: RowResult, generation: int, cached: bool) -> dict[str, Any]:
         ],
         "evals": row.evals,
         "batch_size": row.batch_size,
-        "cached": cached,
-        "generation": generation,
+        "cached": False,
+        "generation": row.generation,
     }
 
 
@@ -132,22 +135,9 @@ def _parse_query(body: dict[str, Any]) -> np.ndarray:
 class SearchServer:
     """The coalescer, cache, and holder behind one HTTP listener."""
 
-    def __init__(
-        self,
-        holder: IndexHolder,
-        max_batch: int = 64,
-        max_wait_ms: float = 2.0,
-        cache_size: int = 1024,
-        search_workers: int = 2,
-    ) -> None:
+    def __init__(self, holder: IndexHolder, max_batch: int = 64, cache_size: int = 1024) -> None:
         self.holder = holder
-        self.coalescer = Coalescer(
-            holder,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            executor=ThreadPoolExecutor(max_workers=max(1, search_workers)),
-        )
-        self.coalescer._owns_executor = True  # shut down with the server
+        self.coalescer = Coalescer(holder, max_batch=max_batch)
         self.cache = QueryCache(cache_size)
         self._writer_pool = ThreadPoolExecutor(max_workers=1)
         self._started = time.monotonic()
@@ -320,8 +310,10 @@ class SearchServer:
     async def _search(self, body: dict[str, Any]) -> dict[str, Any]:
         q = _parse_query(body)
         key = _parse_batch_key(body)
-        # Pin one (index, generation) pair for validation, cache lookup,
-        # and dispatch — never re-read the holder mid-request.
+        # Pin one (index, generation) pair for validation and the cache
+        # lookup.  The batch searches whatever generation is current when
+        # it is dispatched, and the reply reports and is cached under that
+        # one (``row.generation``), which may be newer.
         index, generation = self.holder.state
         if key.k > index.n:
             # search() answers with dense (m, k) arrays: k sizes an allocation.
@@ -336,8 +328,8 @@ class SearchServer:
             out["cached"] = True
             return out
         row = await self.coalescer.submit(q, key)
-        out = _json_row(row, generation, cached=False)
-        self.cache.put(cache_key, out)
+        out = _json_row(row)
+        self.cache.put(QueryCache.key(q, key, row.generation), out)
         return out
 
     async def _add(self, body: dict[str, Any]) -> dict[str, Any]:
@@ -389,7 +381,7 @@ class SearchServer:
     def _stats(self) -> dict[str, Any]:
         index, generation = self.holder.state
         return {
-            "coalescer": self.coalescer.stats.summary(),
+            "coalescer": self.coalescer.summary(),
             "cache": self.cache.summary(),
             "index": {
                 "n": int(index.n),

@@ -13,21 +13,85 @@ import json
 import logging
 import sys
 import threading
+import time
 import warnings
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import ProximityGraphIndex, ShardedIndex, accel
 from repro.serve import BatchKey, Coalescer, IndexHolder, QueryCache, SearchServer
+from repro.serve.coalescer import RowResult
 from repro.workloads import uniform_cube
 
 
 def _flat(n: int = 90, seed: int = 2) -> ProximityGraphIndex:
     pts = uniform_cube(n, 4, np.random.default_rng(seed))
     return ProximityGraphIndex.build(pts, epsilon=1.0, method="vamana", seed=seed)
+
+
+class _HeldIndex:
+    """An index stub whose ``search`` blocks until ``release`` is set.
+
+    It records every call as ``(k, rows)``, the most calls it saw running
+    at once, and answers row ``i`` with id ``int(Q[i, 0])`` so a test can
+    check that each request got its own row back.
+    """
+
+    def __init__(self, hold: bool = True, work_s: float = 0.0) -> None:
+        self.release = threading.Event()
+        if not hold:
+            self.release.set()
+        self.entered = threading.Event()
+        self.work_s = work_s
+        self.calls: list[tuple[int, int]] = []
+        self.peak = 0
+        self._running = 0
+        self._lock = threading.Lock()
+
+    def search(self, Q, k, params):
+        with self._lock:
+            self._running += 1
+            self.peak = max(self.peak, self._running)
+            self.calls.append((k, len(Q)))
+        try:
+            self.entered.set()
+            assert self.release.wait(timeout=10)
+            time.sleep(self.work_s)
+        finally:
+            with self._lock:
+                self._running -= 1
+        ids = np.repeat(Q[:, :1].astype(np.int64), k, axis=1)
+        return SimpleNamespace(
+            ids=ids, distances=np.zeros(ids.shape), evals=np.ones(len(Q), np.int64)
+        )
+
+
+def _hold_searches(index) -> threading.Event:
+    """Make ``index.search`` wait until the returned event is set."""
+    release = threading.Event()
+    search = index.search
+
+    def held(*args, **kwargs):
+        assert release.wait(timeout=10)
+        return search(*args, **kwargs)
+
+    index.search = held
+    return release
+
+
+async def _until(predicate, timeout: float = 10.0) -> None:
+    """Poll ``predicate`` on the event loop until it holds."""
+
+    async def poll():
+        while not predicate():
+            await asyncio.sleep(0.001)
+
+    await asyncio.wait_for(poll(), timeout)
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +274,7 @@ class TestCoalescer:
         holder = IndexHolder(index)
 
         async def run():
-            coalescer = Coalescer(holder, max_batch=64, max_wait_ms=20.0)
+            coalescer = Coalescer(holder, max_batch=64)
             try:
                 Q = uniform_cube(10, 4, np.random.default_rng(3))
                 key = BatchKey(k=3)
@@ -238,7 +302,7 @@ class TestCoalescer:
         holder = IndexHolder(_flat())
 
         async def run():
-            coalescer = Coalescer(holder, max_batch=64, max_wait_ms=10.0)
+            coalescer = Coalescer(holder, max_batch=64)
             try:
                 q = np.full(4, 0.5)
                 await asyncio.gather(
@@ -258,8 +322,7 @@ class TestCoalescer:
         holder = IndexHolder(_flat())
 
         async def run():
-            # A long tick: only the size trigger can flush in time.
-            coalescer = Coalescer(holder, max_batch=4, max_wait_ms=5000.0)
+            coalescer = Coalescer(holder, max_batch=4)
             try:
                 Q = uniform_cube(8, 4, np.random.default_rng(1))
                 key = BatchKey(k=2)
@@ -280,7 +343,7 @@ class TestCoalescer:
         holder = IndexHolder(_flat())
 
         async def run():
-            coalescer = Coalescer(holder, max_batch=64, max_wait_ms=5.0)
+            coalescer = Coalescer(holder, max_batch=64)
             try:
                 # Bypass front-door validation to force an engine error
                 # inside the dispatched batch (the HTTP layer prevents
@@ -303,8 +366,8 @@ class TestCoalescer:
         holder = IndexHolder(_flat())
 
         async def run():
-            # A long tick: close() arrives before any flush can.
-            coalescer = Coalescer(holder, max_batch=64, max_wait_ms=5000.0)
+            # close() arrives in the same loop turn, before the drain.
+            coalescer = Coalescer(holder, max_batch=64)
             futures = [
                 coalescer.submit(np.full(4, 0.5), BatchKey(k=1)),
                 coalescer.submit(np.full(4, 0.5), BatchKey(k=3)),
@@ -319,6 +382,135 @@ class TestCoalescer:
         assert all(isinstance(r, RuntimeError) for r in results)
         assert all("shutting down" in str(r) for r in results)
         assert not pending and stats["batches"] == 0
+
+    def test_a_lone_request_is_searching_after_one_loop_turn(self):
+        stub = _HeldIndex()
+
+        async def run():
+            coalescer = Coalescer(IndexHolder(stub))
+            try:
+                fut = coalescer.submit(np.full(4, 7.0), BatchKey(k=1))
+                await asyncio.sleep(0)
+                entered = stub.entered.wait(timeout=5)
+                stub.release.set()
+                return entered, await asyncio.wait_for(fut, timeout=10)
+            finally:
+                stub.release.set()
+                coalescer.close()
+
+        entered, row = asyncio.run(run())
+        assert entered and stub.calls == [(1, 1)]
+        assert row.batch_size == 1 and row.ids.tolist() == [7]
+
+    def test_requests_queued_behind_a_batch_leave_as_one(self):
+        stub = _HeldIndex()
+
+        async def run():
+            coalescer = Coalescer(IndexHolder(stub), max_batch=64)
+            try:
+                first = coalescer.submit(np.zeros(4), BatchKey(k=2))
+                await asyncio.sleep(0)
+                assert stub.entered.wait(timeout=10)
+                queued = [
+                    coalescer.submit(np.full(4, float(i)), BatchKey(k=2))
+                    for i in range(1, 10)
+                ]
+                held = coalescer.summary()
+                stub.release.set()
+                rows = await asyncio.wait_for(asyncio.gather(first, *queued), timeout=10)
+                return held, rows, coalescer.summary()
+            finally:
+                stub.release.set()
+                coalescer.close()
+
+        held, rows, after = asyncio.run(run())
+        assert stub.calls == [(2, 1), (2, 9)]
+        assert [r.batch_size for r in rows] == [1] + [9] * 9
+        assert [r.ids.tolist() for r in rows] == [[i, i] for i in range(10)]
+        # /stats shows the queue: one batch searching, nine behind it.
+        assert (held["in_flight"], held["pending"], held["batches"]) == (1, 9, 1)
+        assert (after["in_flight"], after["pending"], after["batches"]) == (0, 0, 2)
+
+    def test_a_bucket_over_the_cap_keeps_its_place_in_line(self):
+        stub = _HeldIndex()
+        cap = 3
+
+        async def run():
+            coalescer = Coalescer(IndexHolder(stub), max_batch=cap)
+            try:
+                first = coalescer.submit(np.zeros(4), BatchKey(k=9))
+                await asyncio.sleep(0)
+                assert stub.entered.wait(timeout=10)
+                # 2 * cap + 1 requests; the k=1 bucket is the older one.
+                keys = [1, 2, 1, 1, 1, 1, 1]
+                queued = [
+                    coalescer.submit(np.full(4, float(i)), BatchKey(k=k))
+                    for i, k in enumerate(keys, start=1)
+                ]
+                stub.release.set()
+                return await asyncio.wait_for(asyncio.gather(first, *queued), timeout=10)
+            finally:
+                stub.release.set()
+                coalescer.close()
+
+        rows = asyncio.run(run())
+        assert stub.calls == [(9, 1), (1, cap), (1, cap), (2, 1)]
+        assert [int(r.ids[0]) for r in rows] == list(range(8))
+
+    def test_close_fails_only_the_queued_requests(self):
+        stub = _HeldIndex()
+
+        async def run():
+            coalescer = Coalescer(IndexHolder(stub))
+            try:
+                first = coalescer.submit(np.full(4, 3.0), BatchKey(k=1))
+                await asyncio.sleep(0)
+                assert stub.entered.wait(timeout=10)
+                queued = [
+                    coalescer.submit(np.ones(4), BatchKey(k=1)),
+                    coalescer.submit(np.ones(4), BatchKey(k=2)),
+                ]
+                coalescer.close()
+                stub.release.set()
+                return await asyncio.wait_for(
+                    asyncio.gather(first, *queued, return_exceptions=True), timeout=10
+                )
+            finally:
+                stub.release.set()
+
+        row, *failed = asyncio.run(run())
+        assert isinstance(row, RowResult) and row.ids.tolist() == [3]
+        assert all(isinstance(r, RuntimeError) for r in failed)
+        assert all("shutting down" in str(r) for r in failed)
+        assert stub.calls == [(1, 1)]
+
+    def test_never_two_searches_at_once(self):
+        stub = _HeldIndex(hold=False, work_s=0.0005)
+
+        async def client(coalescer, c):
+            for r in range(10):
+                await coalescer.submit(np.full(4, float(r)), BatchKey(k=1 + (c + r) % 3))
+
+        async def run():
+            coalescer = Coalescer(IndexHolder(stub), max_batch=4)
+            try:
+                await asyncio.wait_for(
+                    asyncio.gather(*[client(coalescer, c) for c in range(8)]), timeout=60
+                )
+                return coalescer
+            finally:
+                coalescer.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            coalescer = asyncio.run(run())
+        finally:
+            sys.setswitchinterval(interval)
+        assert stub.peak == 1
+        summary = coalescer.summary()
+        assert sum(rows for _k, rows in stub.calls) == summary["requests"] == 80
+        assert summary["in_flight"] == summary["pending"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -416,22 +608,41 @@ class TestHTTP:
         index = _flat()
         Q = uniform_cube(12, 4, np.random.default_rng(11))
 
-        async def go(base, _server):
-            results = await asyncio.gather(
-                *[
-                    _afetch(base, "/search", {"query": q.tolist(), "k": 3})
-                    for q in Q
-                ]
-            )
-            _, stats = await _afetch(base, "/stats")
-            return results, stats
+        direct = index.search(Q[:1], k=3, params=BatchKey(k=3).params(seed=1))
+        release = _hold_searches(index)
 
-        results, stats = _serve_test(go, index=index, max_wait_ms=25.0)
+        async def go(base, server):
+            loop = asyncio.get_running_loop()
+            coalescer = server.coalescer
+            # One thread per client: all of them must be waiting at once.
+            with ThreadPoolExecutor(len(Q)) as pool:
+
+                def post(q):
+                    body = {"query": q.tolist(), "k": 3}
+                    return loop.run_in_executor(pool, _fetch, base, "/search", body)
+
+                try:
+                    # The first request is searching, and held there ...
+                    first = post(Q[0])
+                    await _until(lambda: coalescer.stats.batches == 1)
+                    # ... so the other eleven queue behind it.
+                    rest = [post(q) for q in Q[1:]]
+                    await _until(lambda: coalescer.summary()["pending"] == len(Q) - 1)
+                    _, held = await _afetch(base, "/stats")
+                finally:
+                    release.set()
+                results = await asyncio.gather(first, *rest)
+            _, stats = await _afetch(base, "/stats")
+            return held, results, stats
+
+        held, results, stats = _serve_test(go, index=index)
+        assert held["coalescer"]["in_flight"] == 1
+        assert held["coalescer"]["pending"] == 11
         assert all(status == 200 for status, _ in results)
-        assert stats["coalescer"]["max_batch_size"] > 1
-        # Recall parity with a direct batch call: same ids whenever the
-        # server coalesced the full set into one dispatch; at minimum
-        # every response is a valid k=3 row.
+        assert stats["coalescer"]["batch_size_counts"] == {"1": 1, "11": 1}
+        assert (stats["coalescer"]["in_flight"], stats["coalescer"]["pending"]) == (0, 0)
+        # The lone first batch IS a direct call with the first seed.
+        assert results[0][1]["ids"] == direct.ids[0].tolist()
         for _, body in results:
             assert len(body["ids"]) == 3
             assert all(v >= 0 for v in body["ids"])
@@ -504,6 +715,34 @@ class TestHTTP:
         assert added["generation"] == 1
         assert found["ids"][0] == added["ids"][0]
         assert found["generation"] == 1
+
+    def test_reply_reports_the_generation_its_batch_searched(self):
+        """A swap between the request's cache lookup and its dispatch: the
+        answer comes from the newer generation, so it must say so and be
+        cached under it."""
+        pts = uniform_cube(200, 4, np.random.default_rng(7))
+        holder = IndexHolder(
+            ProximityGraphIndex.build(pts, epsilon=1.0, method="vamana", seed=7)
+        )
+        body = {"query": pts[5].tolist(), "k": 1}
+
+        async def run():
+            server = SearchServer(holder)
+            try:
+                reply = asyncio.create_task(server._search(dict(body)))
+                # _search has looked up generation 0 and queued its query;
+                # the drain that dispatches it is due on the next turn.
+                await asyncio.sleep(0)
+                holder.delete([5])
+                reply = await asyncio.wait_for(reply, timeout=30)
+                return reply, await server._search(dict(body))
+            finally:
+                await server.stop()
+
+        reply, again = asyncio.run(run())
+        assert holder.generation == 1
+        assert reply["generation"] == 1 and reply["ids"] != [5]
+        assert again["cached"] and again["ids"] == reply["ids"]
 
     def test_stats_expose_the_writer_block(self):
         async def go(base, _server):
@@ -651,7 +890,7 @@ class TestHTTP:
             await asyncio.gather(writer(), reader(), reader())
             return torn
 
-        torn = _serve_test(go, index=index, cache_size=0, max_wait_ms=0.5)
+        torn = _serve_test(go, index=index, cache_size=0)
         assert torn == []
 
 
@@ -695,3 +934,12 @@ class TestServeCommand:
         assert at_bind == [best]  # "auto" already means the best backend
         messages = [r.getMessage() for r in caplog.records if r.name == "repro.serve"]
         assert any(f"accel backend {best}" in m for m in messages), messages
+
+    def test_the_tick_and_worker_flags_are_gone(self, tmp_path, capsys):
+        from repro.cli import main
+
+        for flag in ("--max-wait-ms", "--search-workers"):
+            with pytest.raises(SystemExit) as exc:
+                main(["serve", str(tmp_path / "unused.npz"), flag, "2"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
