@@ -41,7 +41,7 @@ from repro.graphs import (
     greedy_batch,
 )
 from repro.metrics import Dataset, EuclideanMetric, MetricSpace
-from repro.storage import FlatStore, PQStore, SQ8Store, VectorStore, make_store
+from repro.storage import FlatStore, SQ8Store, VectorStore, make_store
 
 __version__ = "1.0.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "FlatStore",
     "IdMap",
     "MetricSpace",
-    "PQStore",
     "ProximityGraph",
     "ProximityGraphIndex",
     "SQ8Store",

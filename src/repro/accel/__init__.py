@@ -10,7 +10,7 @@ query batch inside compiled code instead:
 * CSR neighbor gather straight from ``graph.csr()`` arrays,
 * fixed-capacity array heaps for the candidate queue and result pool,
 * a generation-stamped visited array (allocated once per batch),
-* inline Euclidean / SQ8 / PQ-ADC distance evaluation against the
+* inline Euclidean / Chebyshev distance evaluation, flat or SQ8, against the
   contiguous point / code arrays,
 * ``allowed``-mask and ``budget`` semantics replicated operation for
   operation from the numpy engines.

@@ -3,9 +3,8 @@
 This is the one compiled backend (it needs :mod:`cffi` and a C
 toolchain): the C below transcribes :mod:`repro.accel.kernels` — same
 heap comparators, same slice-order iteration, same budget checkpoints,
-same sequential float64 accumulation per distance, and the same replica
-of numpy's pairwise summation for PQ-ADC rows.  It differs in *when* a
-distance is computed, never in its value or in the order results are
+and the same sequential float64 accumulation per distance.  It differs
+in *when* a distance is computed, never in its value or in the order results are
 ranked: an expansion gathers a row's unvisited targets into a block,
 prefetches their stored rows, evaluates the block, then ranks it.
 
@@ -56,47 +55,44 @@ RELEASES_GIL = True
 _CDEF = """
 int64_t repro_beam(
     const int64_t *offsets, const int64_t *targets,
-    int32_t kind, double factor, double power,
+    int32_t kind, double factor,
     const double *Q, int64_t qdim,
     const double *data, int64_t ddim,
     const uint8_t *codes, int64_t cdim,
     const double *minv, const double *scale,
-    const double *luts, int64_t msub, int64_t ks,
     const int64_t *starts, const double *d0, int64_t nq,
     int64_t beam_width, int64_t k_fetch, int64_t budget,
     const uint8_t *allowed, int32_t has_allowed,
     int64_t *out_ids, double *out_dists, int64_t *out_evals,
     int64_t gen0, int32_t *visited, double *cand_d, int64_t *cand_v,
-    double *pool_d, int64_t *pool_v, double *contrib);
+    double *pool_d, int64_t *pool_v);
 
 int64_t repro_greedy(
     const int64_t *offsets, const int64_t *targets,
-    int32_t kind, double factor, double power,
+    int32_t kind, double factor,
     const double *Q, int64_t qdim,
     const double *data, int64_t ddim,
     const uint8_t *codes, int64_t cdim,
     const double *minv, const double *scale,
-    const double *luts, int64_t msub, int64_t ks,
     const int64_t *starts, const double *d0, int64_t nq,
     int64_t budget,
     const uint8_t *allowed, int32_t has_allowed,
     int64_t *out_p, double *out_d, int64_t *out_evals,
     int64_t *out_hops, int64_t *out_term,
     int64_t *out_best_p, double *out_best_d,
-    int64_t *hops_buf, int64_t hops_cap, double *contrib);
+    int64_t *hops_buf, int64_t hops_cap);
 
 int64_t repro_construction(
     const int64_t *offsets, const int64_t *targets,
-    int32_t kind, double factor, double power,
+    int32_t kind, double factor,
     const double *Q, int64_t qdim,
     const double *data, int64_t ddim,
     const uint8_t *codes, int64_t cdim,
     const double *minv, const double *scale,
-    const double *luts, int64_t msub, int64_t ks,
     const int64_t *starts, const double *d0, int64_t nq,
     int64_t beam_width, int64_t expand_per_round,
     int64_t *out_ids, double *out_dists, int64_t *out_sizes,
-    int32_t *visited, uint8_t *pexp, int64_t *sel_buf, double *contrib);
+    int32_t *visited, uint8_t *pexp, int64_t *sel_buf);
 
 int64_t repro_robust_prune(
     const double *points, int64_t ddim,
@@ -121,43 +117,10 @@ _SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
 
-/* numpy's pairwise summation for a contiguous float64 run (n <= 128):
- * sequential below 8 elements, else an 8-accumulator unrolled pass
- * combined as ((r0+r1) + (r2+r3)) + ((r4+r5) + (r6+r7)). */
-static double pairwise_sum(const double *a, int64_t n)
-{
-    if (n < 8) {
-        double res = 0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    double r0 = a[0], r1 = a[1], r2 = a[2], r3 = a[3];
-    double r4 = a[4], r5 = a[5], r6 = a[6], r7 = a[7];
-    int64_t i = 8;
-    for (; i + 8 <= n; i += 8) {
-        r0 += a[i];
-        r1 += a[i + 1];
-        r2 += a[i + 2];
-        r3 += a[i + 3];
-        r4 += a[i + 4];
-        r5 += a[i + 5];
-        r6 += a[i + 6];
-        r7 += a[i + 7];
-    }
-    double res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
-    for (; i < n; i++)
-        res += a[i];
-    return res;
-}
-
 #define KIND_FLAT_L2 0
 #define KIND_FLAT_LINF 1
 #define KIND_SQ8_L2 2
 #define KIND_SQ8_LINF 3
-#define KIND_PQ_SUM2 4
-#define KIND_PQ_SUMP 5
-#define KIND_PQ_MAX 6
 
 /* One expansion step works on a block: up to BLOCK unvisited targets of
  * a row are gathered, their stored rows prefetched while the scan goes
@@ -195,17 +158,14 @@ static inline int64_t gather_block(
  * once a block; each distance is the kernel source's _dist, operation for
  * operation, so every float is the one a vertex-at-a-time call returns. */
 static inline void dist_block(
-    int32_t kind, double factor, double power,
+    int32_t kind, double factor,
     const double *Q, int64_t qdim, int64_t qi,
     const double *data, int64_t ddim,
     const uint8_t *codes, int64_t cdim,
     const double *minv, const double *scale,
-    const double *luts, int64_t msub, int64_t ks,
-    double *contrib, const int64_t *vs, int64_t nb, double *out)
+    const int64_t *vs, int64_t nb, double *out)
 {
     const double *q = Q + qi * qdim;
-    /* PQ-ADC: per-subspace LUT gather, then numpy's own reduction. */
-    const double *lut = luts + qi * msub * ks;
     switch (kind) {
     case KIND_FLAT_L2:
         for (int64_t b = 0; b < nb; b++) {
@@ -241,7 +201,7 @@ static inline void dist_block(
             out[b] = factor * sqrt(acc);
         }
         return;
-    case KIND_SQ8_LINF:
+    default: /* KIND_SQ8_LINF */
         for (int64_t b = 0; b < nb; b++) {
             const uint8_t *c = codes + vs[b] * cdim;
             double acc = 0.0;
@@ -251,27 +211,6 @@ static inline void dist_block(
                     acc = t;
             }
             out[b] = factor * acc;
-        }
-        return;
-    case KIND_PQ_MAX:
-        for (int64_t b = 0; b < nb; b++) {
-            const uint8_t *c = codes + vs[b] * cdim;
-            double acc = 0.0;
-            for (int64_t j = 0; j < msub; j++) {
-                double t = lut[j * ks + c[j]];
-                if (j == 0 || t > acc)
-                    acc = t;
-            }
-            out[b] = factor * acc;
-        }
-        return;
-    default:
-        for (int64_t b = 0; b < nb; b++) {
-            const uint8_t *c = codes + vs[b] * cdim;
-            for (int64_t j = 0; j < msub; j++)
-                contrib[j] = lut[j * ks + c[j]];
-            double acc = pairwise_sum(contrib, msub);
-            out[b] = factor * (kind == KIND_PQ_SUM2 ? sqrt(acc) : pow(acc, 1.0 / power));
         }
     }
 }
@@ -374,18 +313,17 @@ static int64_t pool_pop(double *pd, int64_t *pv, int64_t size)
 
 int64_t repro_beam(
     const int64_t *offsets, const int64_t *targets,
-    int32_t kind, double factor, double power,
+    int32_t kind, double factor,
     const double *Q, int64_t qdim,
     const double *data, int64_t ddim,
     const uint8_t *codes, int64_t cdim,
     const double *minv, const double *scale,
-    const double *luts, int64_t msub, int64_t ks,
     const int64_t *starts, const double *d0, int64_t nq,
     int64_t beam_width, int64_t k_fetch, int64_t budget,
     const uint8_t *allowed, int32_t has_allowed,
     int64_t *out_ids, double *out_dists, int64_t *out_evals,
     int64_t gen0, int32_t *visited, double *cand_d, int64_t *cand_v,
-    double *pool_d, int64_t *pool_v, double *contrib)
+    double *pool_d, int64_t *pool_v)
 {
     int64_t blk[BLOCK];
     double dblk[BLOCK];
@@ -418,9 +356,8 @@ int64_t repro_beam(
                     take = budget - evals;
                 for (int64_t b = 0; b < take; b++)
                     visited[blk[b]] = gen;
-                dist_block(kind, factor, power, Q, qdim, qi, data, ddim,
-                           codes, cdim, minv, scale, luts, msub, ks,
-                           contrib, blk, take, dblk);
+                dist_block(kind, factor, Q, qdim, qi, data, ddim,
+                           codes, cdim, minv, scale, blk, take, dblk);
                 evals += take;
                 for (int64_t b = 0; b < take; b++) {
                     int64_t v = blk[b];
@@ -470,19 +407,18 @@ int64_t repro_beam(
 
 int64_t repro_greedy(
     const int64_t *offsets, const int64_t *targets,
-    int32_t kind, double factor, double power,
+    int32_t kind, double factor,
     const double *Q, int64_t qdim,
     const double *data, int64_t ddim,
     const uint8_t *codes, int64_t cdim,
     const double *minv, const double *scale,
-    const double *luts, int64_t msub, int64_t ks,
     const int64_t *starts, const double *d0, int64_t nq,
     int64_t budget,
     const uint8_t *allowed, int32_t has_allowed,
     int64_t *out_p, double *out_d, int64_t *out_evals,
     int64_t *out_hops, int64_t *out_term,
     int64_t *out_best_p, double *out_best_d,
-    int64_t *hops_buf, int64_t hops_cap, double *contrib)
+    int64_t *hops_buf, int64_t hops_cap)
 {
     double dblk[BLOCK];
     int64_t maxnh = 0;
@@ -525,9 +461,8 @@ int64_t repro_greedy(
             for (int64_t i = 0; i < take; i += BLOCK) {
                 const int64_t *vs = targets + beg + i;
                 int64_t nb = take - i < BLOCK ? take - i : BLOCK;
-                dist_block(kind, factor, power, Q, qdim, qi, data, ddim,
-                           codes, cdim, minv, scale, luts, msub, ks,
-                           contrib, vs, nb, dblk);
+                dist_block(kind, factor, Q, qdim, qi, data, ddim,
+                           codes, cdim, minv, scale, vs, nb, dblk);
                 for (int64_t b = 0; b < nb; b++) {
                     int64_t v = vs[b];
                     double dv = dblk[b];
@@ -577,16 +512,15 @@ int64_t repro_greedy(
  * pool rows. */
 int64_t repro_construction(
     const int64_t *offsets, const int64_t *targets,
-    int32_t kind, double factor, double power,
+    int32_t kind, double factor,
     const double *Q, int64_t qdim,
     const double *data, int64_t ddim,
     const uint8_t *codes, int64_t cdim,
     const double *minv, const double *scale,
-    const double *luts, int64_t msub, int64_t ks,
     const int64_t *starts, const double *d0, int64_t nq,
     int64_t beam_width, int64_t expand_per_round,
     int64_t *out_ids, double *out_dists, int64_t *out_sizes,
-    int32_t *visited, uint8_t *pexp, int64_t *sel_buf, double *contrib)
+    int32_t *visited, uint8_t *pexp, int64_t *sel_buf)
 {
     int64_t blk[BLOCK];
     double dblk[BLOCK];
@@ -623,9 +557,8 @@ int64_t repro_construction(
                                               data, ddim, codes, cdim, blk);
                     for (int64_t b = 0; b < nb; b++)
                         visited[blk[b]] = gen;
-                    dist_block(kind, factor, power, Q, qdim, qi, data, ddim,
-                               codes, cdim, minv, scale, luts, msub, ks,
-                               contrib, blk, nb, dblk);
+                    dist_block(kind, factor, Q, qdim, qi, data, ddim,
+                               codes, cdim, minv, scale, blk, nb, dblk);
                     for (int64_t b = 0; b < nb; b++) {
                         int64_t v = blk[b];
                         double dv = dblk[b];
@@ -994,47 +927,45 @@ class SearchKernels:
     and refuses one that is not C-contiguous.
     """
 
-    def __init__(self, offsets, targets, kind, factor, power, data, codes, minv, scale):
+    def __init__(self, offsets, targets, kind, factor, data, codes, minv, scale):
         self._lib, ffi = _load()
         self._buf = buf = ffi.from_buffer
         self._f64 = f64 = ffi.typeof("double[]")
         self._i64 = i64 = ffi.typeof("int64_t[]")
         self._u8 = u8 = ffi.typeof("uint8_t[]")
         self._graph = (
-            buf(i64, offsets), buf(i64, targets),
-            int(kind), float(factor), float(power),
+            buf(i64, offsets), buf(i64, targets), int(kind), float(factor),
         )
         self._vectors = (
             buf(f64, data), data.shape[1], buf(u8, codes), codes.shape[1],
             buf(f64, minv), buf(f64, scale),
         )
 
-    def scratch(self, visited, cand_d, cand_v, pool_d, pool_v, contrib):
+    def scratch(self, visited, cand_d, cand_v, pool_d, pool_v):
         """Per-thread scratch arrays in the form :meth:`beam` takes them."""
         buf, f64, i64 = self._buf, self._f64, self._i64
         return (
             buf("int32_t[]", visited), buf(f64, cand_d), buf(i64, cand_v),
-            buf(f64, pool_d), buf(i64, pool_v), buf(f64, contrib),
+            buf(f64, pool_d), buf(i64, pool_v),
         )
 
-    def _queries(self, Q, luts, starts, d0):
+    def _queries(self, Q, starts, d0):
         buf, f64 = self._buf, self._f64
         return (
             *self._graph,
             buf(f64, Q), Q.shape[1],
             *self._vectors,
-            buf(f64, luts), luts.shape[1], luts.shape[2],
             buf(self._i64, starts), buf(f64, d0), starts.shape[0],
         )
 
     def beam(
-        self, Q, luts, starts, d0, beam_width, k_fetch, budget, allowed, has_allowed,
+        self, Q, starts, d0, beam_width, k_fetch, budget, allowed, has_allowed,
         out_ids, out_dists, out_evals, gen0, *scratch,
     ):
         """Same semantics as :func:`repro.accel.kernels.beam_kernel`."""
         buf, f64, i64 = self._buf, self._f64, self._i64
         return self._lib.repro_beam(
-            *self._queries(Q, luts, starts, d0),
+            *self._queries(Q, starts, d0),
             beam_width, k_fetch, budget,
             buf(self._u8, allowed), has_allowed,
             buf(i64, out_ids), buf(f64, out_dists), buf(i64, out_evals),
@@ -1042,43 +973,41 @@ class SearchKernels:
         )
 
     def greedy(
-        self, Q, luts, starts, d0, budget, allowed, has_allowed,
+        self, Q, starts, d0, budget, allowed, has_allowed,
         out_p, out_d, out_evals, out_hops, out_term, out_best_p, out_best_d,
-        hops_buf, hops_cap, contrib,
+        hops_buf, hops_cap,
     ):
         """Same semantics as :func:`repro.accel.kernels.greedy_kernel`."""
         buf, f64, i64 = self._buf, self._f64, self._i64
         return self._lib.repro_greedy(
-            *self._queries(Q, luts, starts, d0),
+            *self._queries(Q, starts, d0),
             budget,
             buf(self._u8, allowed), has_allowed,
             buf(i64, out_p), buf(f64, out_d), buf(i64, out_evals),
             buf(i64, out_hops), buf(i64, out_term),
             buf(i64, out_best_p), buf(f64, out_best_d),
-            buf(i64, hops_buf), hops_cap, buf(f64, contrib),
+            buf(i64, hops_buf), hops_cap,
         )
 
 
 def construction_kernel(
-    offsets, targets, kind, factor, power, Q, data, codes, minv, scale, luts,
+    offsets, targets, kind, factor, Q, data, codes, minv, scale,
     starts, d0, beam_width, expand_per_round,
-    out_ids, out_dists, out_sizes, visited, pexp, sel_buf, contrib,
+    out_ids, out_dists, out_sizes, visited, pexp, sel_buf,
 ):
     """Same signature/semantics as :func:`repro.accel.kernels.construction_kernel`."""
     lib, ffi = _load()
     return lib.repro_construction(
         _i64(ffi, offsets), _i64(ffi, targets),
-        int(kind), float(factor), float(power),
-        _f64(ffi, Q), Q.shape[1] if Q.ndim == 2 else 0,
+        int(kind), float(factor),
+        _f64(ffi, Q), Q.shape[1],
         _f64(ffi, data), data.shape[1],
         _u8(ffi, codes), codes.shape[1],
         _f64(ffi, minv), _f64(ffi, scale),
-        _f64(ffi, luts), luts.shape[1], luts.shape[2],
         _i64(ffi, starts), _f64(ffi, d0), starts.shape[0],
         int(beam_width), int(expand_per_round),
         _i64(ffi, out_ids), _f64(ffi, out_dists), _i64(ffi, out_sizes),
         ffi.from_buffer("int32_t[]", visited), _u8(ffi, pexp), _i64(ffi, sel_buf),
-        _f64(ffi, contrib),
     )
 
 

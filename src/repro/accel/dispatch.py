@@ -16,8 +16,8 @@ This module owns the three runtime questions the accel layer answers:
    explicit name → warm-on-demand or :class:`AccelUnavailableError`.
 
 3. **Can this workload run compiled?**  :func:`_plan` classifies the
-   (dataset, store) combination into a kernel distance mode —
-   flat/SQ8 Euclidean and Chebyshev, PQ-ADC sum/power/max — and raises
+   (dataset, store) combination into a kernel distance mode — flat or
+   SQ8, Euclidean or Chebyshev — and raises
    :class:`UnsupportedWorkloadError` for everything else (object points,
    explicit distance matrices, Minkowski over raw coordinates, ...),
    which ``backend="auto"`` treats as a silent numpy fallback.
@@ -43,7 +43,7 @@ whose kernels release the GIL.  A short call, one core or a GIL-holding
 backend is the same function with the caller as its only worker.
 
 Reported distances are **evaluated through the same numpy distance
-view** the engines use (``FlatQueryView`` / SQ8 / PQ-ADC ``segmented``),
+view** the engines use (``FlatQueryView`` / SQ8 ``segmented``),
 so a compiled search returns bit-identical floats whenever it makes the
 same routing decisions — and the kernels replicate the engines' decision
 arithmetic (see :mod:`repro.accel.kernels`).  :func:`run_beam` leaves
@@ -389,17 +389,13 @@ class _Plan:
     distance mode and the exported arrays.  Nothing in it depends on the
     query batch, so a search plan keeps it for as long as it lives."""
 
-    __slots__ = (
-        "kind", "factor", "power", "dim", "msub",
-        "data", "codes", "minv", "scale",
-    )
+    __slots__ = ("kind", "factor", "dim", "data", "codes", "minv", "scale")
 
 
 _EMPTY_F2 = np.empty((0, 0), dtype=np.float64)
 _EMPTY_U2 = np.empty((0, 0), dtype=np.uint8)
 _EMPTY_F1 = np.empty(0, dtype=np.float64)
 _EMPTY_U1 = np.empty(0, dtype=np.uint8)
-_EMPTY_F3 = np.empty((0, 0, 0), dtype=np.float64)
 
 
 def _coord_kind(metric: Any, l2_kind: int, linf_kind: int) -> tuple[int, float]:
@@ -429,10 +425,9 @@ def _coords_f64(arr: Any, who: str) -> np.ndarray:
 def _plan(dataset: Any, store: Any, Q: np.ndarray) -> _Plan:
     """Classify the workload and export kernel-ready arrays.
 
-    ``Q`` only says what kind of rows the batch holds: the workload is
-    classified through a view bound to none of them (``Q[:0]`` — PQ
-    binds no lookup table for it), reading the fields the engines' own
-    view reads.
+    ``Q`` only says what kind of rows the batch holds: a flat workload
+    is classified through a view bound to none of them (``Q[:0]``),
+    reading the fields the engines' own view reads.
 
     Memmap-backed arrays (a v5 disk-tier index's codes, points, and CSR
     mappings) pass through without copying: every export below goes via
@@ -449,8 +444,6 @@ def _plan(dataset: Any, store: Any, Q: np.ndarray) -> _Plan:
     plan.codes = _EMPTY_U2
     plan.minv = _EMPTY_F1
     plan.scale = _EMPTY_F1
-    plan.power = 2.0
-    plan.msub = 0
 
     kind = getattr(store, "kind", "flat") if store is not None else "flat"
     if kind == "flat":
@@ -468,25 +461,6 @@ def _plan(dataset: Any, store: Any, Q: np.ndarray) -> _Plan:
         plan.minv = np.ascontiguousarray(store.params.minv, dtype=np.float64)
         plan.scale = np.ascontiguousarray(store.params.scale, dtype=np.float64)
         plan.dim = plan.codes.shape[1]
-    elif kind == "pq":
-        plan.codes = np.ascontiguousarray(store.codes)
-        plan.msub = int(plan.codes.shape[1])
-        if plan.msub > 128:
-            raise UnsupportedWorkloadError(
-                f"pq store has {plan.msub} subspaces; compiled ADC kernels "
-                "replicate numpy's pairwise summation only up to 128 — use "
-                "backend='numpy'"
-            )
-        view = store.bind(Q[:0])  # validates dims
-        plan.factor = float(view.factor)
-        plan.dim = 0  # PQ traversal reads only LUTs + codes
-        if view.combine == "max":
-            plan.kind = _K.KIND_PQ_MAX
-        elif view.power == 2.0:
-            plan.kind = _K.KIND_PQ_SUM2
-        else:
-            plan.kind = _K.KIND_PQ_SUMP
-            plan.power = float(view.power)
     else:
         raise UnsupportedWorkloadError(
             f"no compiled kernel for store kind {kind!r}; use backend='numpy'"
@@ -494,10 +468,8 @@ def _plan(dataset: Any, store: Any, Q: np.ndarray) -> _Plan:
     return plan
 
 
-def _query_arrays(plan: _Plan, view: Any) -> tuple[np.ndarray, np.ndarray]:
-    """The kernels' per-batch inputs ``(Q, luts)`` of a bound view."""
-    if plan.msub:
-        return _EMPTY_F2, np.ascontiguousarray(view.luts)
+def _query_arrays(plan: _Plan, view: Any) -> np.ndarray:
+    """The kernels' per-batch query matrix ``Q`` of a bound view."""
     # A quantized view holds its own float64 cast of the queries.
     Q = _coords_f64(view.Q, "queries")
     if Q.shape[1] != plan.dim:
@@ -505,7 +477,7 @@ def _query_arrays(plan: _Plan, view: Any) -> tuple[np.ndarray, np.ndarray]:
             f"query dimension {Q.shape[1]} does not match the stored "
             f"vectors' dimension {plan.dim}"
         )
-    return Q, _EMPTY_F3
+    return Q
 
 
 def _query_array(queries: Any) -> np.ndarray:
@@ -546,7 +518,6 @@ class _Scratch:
             np.empty(n + 1, dtype=np.int64),
             np.empty(width + 1, dtype=np.float64),  # result pool
             np.empty(width + 1, dtype=np.int64),
-            np.empty(max(plan.layout.msub, 1), dtype=np.float64),
         )
         self._next = 0
 
@@ -584,7 +555,7 @@ class _SearchPlan:
         self.kernels = _KERNELS[key[0]].SearchKernels(
             np.ascontiguousarray(offsets, dtype=np.int64),
             np.ascontiguousarray(targets, dtype=np.int64),
-            layout.kind, layout.factor, layout.power,
+            layout.kind, layout.factor,
             layout.data, layout.codes, layout.minv, layout.scale,
         )
         self._local = threading.local()
@@ -669,7 +640,7 @@ def run_beam(
     Q = _query_array(queries)
     plan = _search_plan(backend, graph, dataset, store, Q)
     view = _distance_view(dataset, Q, store)
-    q_arr, luts = _query_arrays(plan.layout, view)
+    q_arr = _query_arrays(plan.layout, view)
     starts64 = np.ascontiguousarray(starts, dtype=np.int64)
     d0 = view.start_distances(starts64)
     # A pool never holds more than the graph's n vertices, so a wider beam
@@ -678,17 +649,17 @@ def run_beam(
     budget_i = -1 if budget is None else int(budget)
     allowed_u8, has_allowed = _allowed_arg(allowed)
 
-    def rows(q_arr, luts, starts, d0, out_ids, out_dists, out_evals) -> None:
+    def rows(q_arr, starts, d0, out_ids, out_dists, out_evals) -> None:
         scratch = plan.scratch(width)  # of the thread these rows run on
         plan.kernels.beam(
-            q_arr, luts, starts, d0, width, k_eff, budget_i,
+            q_arr, starts, d0, width, k_eff, budget_i,
             allowed_u8, has_allowed, out_ids, out_dists, out_evals,
             scratch.stamps(len(starts)), *scratch.args,
         )
 
     _split_rows(
         backend, m,
-        (q_arr, luts, starts64, d0, out_ids, out_dists, out_evals),
+        (q_arr, starts64, d0, out_ids, out_dists, out_evals),
         rows,
     )
     return BeamBatch(
@@ -716,7 +687,7 @@ def run_greedy(
     Q = _query_array(queries)
     plan = _search_plan(backend, graph, dataset, store, Q)
     view = _distance_view(dataset, Q, store)
-    q_arr, luts = _query_arrays(plan.layout, view)
+    q_arr = _query_arrays(plan.layout, view)
     starts64 = np.ascontiguousarray(starts, dtype=np.int64)
     d0 = view.start_distances(starts64)
     allowed_u8, has_allowed = _allowed_arg(allowed)
@@ -727,15 +698,14 @@ def run_greedy(
     out_term = np.zeros(m, dtype=np.int64)
     out_best_p = np.zeros(m, dtype=np.int64)
     out_best_d = np.zeros(m, dtype=np.float64)
-    contrib = np.empty(max(plan.layout.msub, 1), dtype=np.float64)
     budget_i = -1 if budget is None else int(budget)
     hops_cap = 64
     while True:
         hops_buf = np.zeros((m, hops_cap), dtype=np.int64)
         maxnh = plan.kernels.greedy(
-            q_arr, luts, starts64, d0, budget_i, allowed_u8, has_allowed,
+            q_arr, starts64, d0, budget_i, allowed_u8, has_allowed,
             out_p, out_d, out_evals, out_hops, out_term,
-            out_best_p, out_best_d, hops_buf, hops_cap, contrib,
+            out_best_p, out_best_d, hops_buf, hops_cap,
         )
         if int(maxnh) <= hops_cap:
             break
@@ -791,7 +761,7 @@ def run_construction(
     Q = _query_array(queries)
     plan = _plan(dataset, store, Q)
     view = _distance_view(dataset, Q, store)
-    q_arr, luts = _query_arrays(plan, view)
+    q_arr = _query_arrays(plan, view)
     graph.freeze()
     offsets, targets = graph.csr()
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
@@ -813,22 +783,21 @@ def run_construction(
     expand = int(expand_per_round)
     kernel = _KERNELS[backend].construction_kernel
 
-    def rows(q_arr, luts, starts, d0, out_ids, out_dists, out_sizes) -> None:
+    def rows(q_arr, starts, d0, out_ids, out_dists, out_sizes) -> None:
         kernel(
-            offsets, targets, plan.kind, plan.factor, plan.power,
-            q_arr, plan.data, plan.codes, plan.minv, plan.scale, luts,
+            offsets, targets, plan.kind, plan.factor,
+            q_arr, plan.data, plan.codes, plan.minv, plan.scale,
             starts, d0, ef, expand, out_ids, out_dists, out_sizes,
             # The kernel stamps ``visited`` from 1 in every call, so each
             # chunk gets a zeroed one, and the small buffers with it.
             np.zeros(n, dtype=np.int32),
             np.zeros(ef, dtype=np.uint8),  # pexp
             np.zeros(max(expand, 1), dtype=np.int64),  # sel_buf
-            np.empty(max(plan.msub, 1), dtype=np.float64),  # contrib
         )
 
     _split_rows(
         backend, w,
-        (q_arr, luts, starts64, d0, out_ids, out_dists, out_sizes),
+        (q_arr, starts64, d0, out_ids, out_dists, out_sizes),
         rows,
     )
     # Re-evaluate every reported pool distance through the numpy view —

@@ -28,20 +28,18 @@ in :mod:`repro.graphs.engine`:
 
 Floating-point contract: distances accumulate sequentially in float64
 (the documented arithmetic the compiled backend reproduces under strict
-IEEE rules — C under ``-ffp-contract=off``).  PQ-ADC row reductions
-replicate numpy's pairwise summation exactly (:func:`pairwise_sum`), because the numpy
-engine sums LUT contributions with ``ndarray.sum``.  Traversal
-*decisions* therefore agree with the numpy engines wherever the numpy
-path's SIMD-dispatched ``einsum`` accumulation does not flip a
-comparison at 1-ulp scale — which the 3-seed equivalence suites pin
-empirically — and *reported* distances are recomputed through the numpy
-distance view by the dispatch layer, so results are bit-identical
-whenever decisions agree.
+IEEE rules — C under ``-ffp-contract=off``).  Traversal *decisions*
+therefore agree with the numpy engines wherever the numpy path's
+SIMD-dispatched ``einsum`` accumulation does not flip a comparison at
+1-ulp scale — which the 3-seed equivalence suites pin empirically — and
+*reported* distances are recomputed through the numpy distance view by
+the dispatch layer, so results are bit-identical whenever decisions
+agree.
 
 Kernels never allocate: every output and scratch array is provided by
 :mod:`repro.accel.dispatch`.  Distance-mode selection is a runtime
-``kind`` code (`KIND_*`), so one compiled signature serves flat, SQ8,
-and PQ traversals; unused model arrays are passed empty.
+``kind`` code (`KIND_*`), so one compiled signature serves flat and SQ8
+traversals; unused model arrays are passed empty.
 """
 
 import math
@@ -53,10 +51,6 @@ __all__ = [
     "KIND_FLAT_LINF",
     "KIND_SQ8_L2",
     "KIND_SQ8_LINF",
-    "KIND_PQ_SUM2",
-    "KIND_PQ_SUMP",
-    "KIND_PQ_MAX",
-    "pairwise_sum",
     "beam_kernel",
     "greedy_kernel",
     "construction_kernel",
@@ -69,55 +63,11 @@ KIND_FLAT_L2 = 0
 KIND_FLAT_LINF = 1
 KIND_SQ8_L2 = 2
 KIND_SQ8_LINF = 3
-KIND_PQ_SUM2 = 4
-KIND_PQ_SUMP = 5
-KIND_PQ_MAX = 6
 
 _INF = np.inf
 
 
-def pairwise_sum(a, lo, n):
-    """numpy's pairwise summation of ``a[lo : lo + n]``, bit for bit.
-
-    Replicates ``pairwise_sum_DOUBLE`` from numpy's reduction loops for
-    the contiguous unit-stride case: sequential below 8 elements, an
-    8-accumulator unrolled pass combined as ``((r0+r1) + (r2+r3)) +
-    ((r4+r5) + (r6+r7))`` up to the 128-element block size.  (The
-    recursive >128 splitting is not replicated; the dispatch layer
-    rejects PQ stores with more than 128 subspaces.)
-    """
-    if n < 8:
-        res = 0.0
-        for i in range(n):
-            res += a[lo + i]
-        return res
-    r0 = a[lo]
-    r1 = a[lo + 1]
-    r2 = a[lo + 2]
-    r3 = a[lo + 3]
-    r4 = a[lo + 4]
-    r5 = a[lo + 5]
-    r6 = a[lo + 6]
-    r7 = a[lo + 7]
-    i = 8
-    while i + 8 <= n:
-        r0 += a[lo + i]
-        r1 += a[lo + i + 1]
-        r2 += a[lo + i + 2]
-        r3 += a[lo + i + 3]
-        r4 += a[lo + i + 4]
-        r5 += a[lo + i + 5]
-        r6 += a[lo + i + 6]
-        r7 += a[lo + i + 7]
-        i += 8
-    res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    while i < n:
-        res += a[lo + i]
-        i += 1
-    return res
-
-
-def _dist(kind, factor, power, Q, qi, data, codes, minv, scale, luts, contrib, v):
+def _dist(kind, factor, Q, qi, data, codes, minv, scale, v):
     """Distance from query row ``qi`` to stored vector ``v``.
 
     Sequential float64 accumulation; ``factor`` is the unwrapped
@@ -143,29 +93,13 @@ def _dist(kind, factor, power, Q, qi, data, codes, minv, scale, luts, contrib, v
             t = Q[qi, j] - (codes[v, j] * scale[j] + minv[j])
             acc += t * t
         return factor * math.sqrt(acc)
-    if kind == KIND_SQ8_LINF:
-        acc = 0.0
-        for j in range(codes.shape[1]):
-            t = abs(Q[qi, j] - (codes[v, j] * scale[j] + minv[j]))
-            if t > acc:
-                acc = t
-        return factor * acc
-    # PQ-ADC: gather per-subspace LUT contributions, then combine the
-    # row with numpy's own reduction arithmetic.
-    msub = codes.shape[1]
-    if kind == KIND_PQ_MAX:
-        acc = 0.0
-        for j in range(msub):
-            t = luts[qi, j, codes[v, j]]
-            if j == 0 or t > acc:
-                acc = t
-        return factor * acc
-    for j in range(msub):
-        contrib[j] = luts[qi, j, codes[v, j]]
-    acc = pairwise_sum(contrib, 0, msub)
-    if kind == KIND_PQ_SUM2:
-        return factor * math.sqrt(acc)
-    return factor * acc ** (1.0 / power)
+    # KIND_SQ8_LINF
+    acc = 0.0
+    for j in range(codes.shape[1]):
+        t = abs(Q[qi, j] - (codes[v, j] * scale[j] + minv[j]))
+        if t > acc:
+            acc = t
+    return factor * acc
 
 
 # -- array heaps --------------------------------------------------------
@@ -271,13 +205,11 @@ def beam_kernel(
     targets,
     kind,
     factor,
-    power,
     Q,
     data,
     codes,
     minv,
     scale,
-    luts,
     starts,
     d0,
     beam_width,
@@ -294,7 +226,6 @@ def beam_kernel(
     cand_v,
     pool_d,
     pool_v,
-    contrib,
 ):
     """Best-first beam search for every query of the batch.
 
@@ -348,9 +279,7 @@ def beam_kernel(
                     continue
                 processed += 1
                 visited[v] = gen
-                dv = _dist(
-                    kind, factor, power, Q, qi, data, codes, minv, scale, luts, contrib, v
-                )
+                dv = _dist(kind, factor, Q, qi, data, codes, minv, scale, v)
                 evals += 1
                 if psize < beam_width or dv < pool_d[0]:
                     csize = _cand_push(cand_d, cand_v, csize, dv, v)
@@ -384,13 +313,11 @@ def construction_kernel(
     targets,
     kind,
     factor,
-    power,
     Q,
     data,
     codes,
     minv,
     scale,
-    luts,
     starts,
     d0,
     beam_width,
@@ -401,7 +328,6 @@ def construction_kernel(
     visited,
     pexp,
     sel_buf,
-    contrib,
 ):
     """Construction-wave beam location for every query of the batch.
 
@@ -457,9 +383,7 @@ def construction_kernel(
                     if visited[v] == gen:
                         continue
                     visited[v] = gen
-                    dv = _dist(
-                        kind, factor, power, Q, qi, data, codes, minv, scale, luts, contrib, v
-                    )
+                    dv = _dist(kind, factor, Q, qi, data, codes, minv, scale, v)
                     if psize < ef:
                         pos = psize
                         psize += 1
@@ -724,13 +648,11 @@ def greedy_kernel(
     targets,
     kind,
     factor,
-    power,
     Q,
     data,
     codes,
     minv,
     scale,
-    luts,
     starts,
     d0,
     budget,
@@ -745,7 +667,6 @@ def greedy_kernel(
     out_best_d,
     hops_buf,
     hops_cap,
-    contrib,
 ):
     """Greedy routing for every query of the batch.
 
@@ -795,9 +716,7 @@ def greedy_kernel(
             hop_av = -1
             for i in range(take):
                 v = targets[beg + i]
-                dv = _dist(
-                    kind, factor, power, Q, qi, data, codes, minv, scale, luts, contrib, v
-                )
+                dv = _dist(kind, factor, Q, qi, data, codes, minv, scale, v)
                 if has_allowed != 0 and allowed[v] != 0 and dv < hop_ad:
                     hop_ad = dv
                     hop_av = v
@@ -839,8 +758,8 @@ class SearchKernels:
     :class:`repro.accel.cbackend.SearchKernels` holds their C pointers.
     """
 
-    def __init__(self, offsets, targets, kind, factor, power, data, codes, minv, scale):
-        self._graph = (offsets, targets, kind, factor, power)
+    def __init__(self, offsets, targets, kind, factor, data, codes, minv, scale):
+        self._graph = (offsets, targets, kind, factor)
         self._vectors = (data, codes, minv, scale)
 
     @staticmethod
@@ -848,10 +767,10 @@ class SearchKernels:
         """Per-thread scratch arrays in the form :meth:`beam` takes them."""
         return arrays
 
-    def beam(self, Q, luts, *rest):
+    def beam(self, Q, *rest):
         """:func:`beam_kernel`; ``rest`` is its arguments from ``starts`` on."""
-        return beam_kernel(*self._graph, Q, *self._vectors, luts, *rest)
+        return beam_kernel(*self._graph, Q, *self._vectors, *rest)
 
-    def greedy(self, Q, luts, *rest):
+    def greedy(self, Q, *rest):
         """:func:`greedy_kernel`; ``rest`` is its arguments from ``starts`` on."""
-        return greedy_kernel(*self._graph, Q, *self._vectors, luts, *rest)
+        return greedy_kernel(*self._graph, Q, *self._vectors, *rest)

@@ -750,7 +750,7 @@ def _expected_store_kinds() -> tuple[str, ...]:
 
         return tuple(STORAGE_KINDS)
     except Exception:  # pragma: no cover - only outside the package
-        return ("flat", "sq8", "pq")
+        return ("flat", "sq8")
 
 
 class KernelParityRule(Rule):

@@ -7,7 +7,7 @@ graphs from the shell.
     python -m repro validate points.npy graph.npz --queries 200
     python -m repro save-index points.npy index.npz --method vamana
     python -m repro save-index points.npy index_dir --shards 4 --workers 4
-    python -m repro save-index points.npy index.npz --storage pq
+    python -m repro save-index points.npy index.npz --storage sq8
     python -m repro save-index points.npy index.v5 --format disk
     python -m repro load-index index.npz --q 0.25 0.75
     python -m repro load-index index.v5 --mmap --q 0.25 0.75
@@ -15,7 +15,6 @@ graphs from the shell.
     python -m repro search index.npz --q 0.25 0.75 --k 10 --rerank-factor 4
     python -m repro search index_dir --queries-file queries.npy --k 10 --workers 4
     python -m repro index info index.npz
-    python -m repro bench-storage points.npy --method vamana
     python -m repro serve  index.npz --port 8080 --max-batch 64
     python -m repro add    index.npz points.npy
     python -m repro delete index.npz --ids 3 17 29 --compact
@@ -31,10 +30,9 @@ builds a sharded index instead (process-parallel with ``--workers``)
 and saves it as a manifest *directory*; every index-consuming
 subcommand (``search``/``add``/``delete``/``load-index``/``index
 info``) accepts either kind transparently.  ``save-index --storage
-{flat,sq8,pq}`` selects the vector storage (quantized indexes traverse
+{flat,sq8}`` selects the vector storage (sq8 indexes traverse
 compressed codes and exact-rerank; tune with ``search
---rerank-factor``); ``index info`` prints the memory breakdown and
-``bench-storage`` compares the three storages on one workload.
+--rerank-factor``); ``index info`` prints the memory breakdown.
 ``save-index --format disk`` writes the memory-mappable v5 directory
 (``--no-compress`` speeds up the npz path); ``load-index``/``serve``
 ``--mmap`` lazily attach it so the index opens in milliseconds and the
@@ -57,13 +55,7 @@ from repro.core.index import ProximityGraphIndex
 from repro.core.persistence import load_any
 from repro.core.search import SearchParams
 from repro.core.sharded import ShardedIndex
-from repro.core.stats import (
-    compute_ground_truth_k,
-    measure_queries,
-    recall_at_k,
-    storage_breakdown,
-    timed,
-)
+from repro.core.stats import measure_queries, storage_breakdown, timed
 from repro.storage import STORAGE_KINDS
 from repro.graphs.base import ProximityGraph
 from repro.graphs.greedy import greedy
@@ -433,58 +425,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _cmd_bench_storage(args: argparse.Namespace) -> int:
-    """Flat vs SQ8 vs PQ on one workload: recall@k (rerank on), memory
-    breakdown, and search wall time — one graph, three storages."""
-    points = _load_points(args.points)
-    rng = np.random.default_rng(args.seed)
-    queries = np.concatenate(
-        [
-            uniform_queries(args.queries // 2, points, rng),
-            near_data_queries(args.queries - args.queries // 2, points, rng),
-        ]
-    )
-    gt, _ = compute_ground_truth_k(
-        Dataset(EuclideanMetric(), points), queries, k=args.k
-    )
-    index, build_seconds = timed(
-        lambda: ProximityGraphIndex.build(
-            points, epsilon=args.epsilon, method=args.method, seed=args.seed
-        )
-    )
-    params = SearchParams(
-        beam_width=args.beam_width, seed=args.seed,
-        rerank_factor=args.rerank_factor,
-    )
-    rows = []
-    for kind in STORAGE_KINDS:
-        index.set_storage(kind)
-        recall, seconds = timed(
-            lambda: recall_at_k(index, queries, gt, args.k, params=params)
-        )
-        mem = storage_breakdown(index)
-        rows.append(
-            {
-                "storage": kind,
-                f"recall_at_{args.k}": round(recall, 4),
-                "bytes_per_vector": mem["traversal_bytes_per_vector"],
-                "compression": mem["compression"],
-                "search_seconds": round(seconds, 3),
-            }
-        )
-    out = {
-        "method": args.method,
-        "n": int(len(points)),
-        "queries": len(queries),
-        "beam_width": args.beam_width,
-        "rerank_factor": args.rerank_factor,
-        "build_seconds": round(build_seconds, 3),
-        "storages": rows,
-    }
-    print(json.dumps(out, indent=2))
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve a saved index over HTTP, one search batch in flight."""
     import asyncio
@@ -562,8 +502,8 @@ def _parser() -> argparse.ArgumentParser:
                    choices=["random", "kmeans"],
                    help="shard assignment policy")
     p.add_argument("--storage", default="flat", choices=list(STORAGE_KINDS),
-                   help="vector storage: flat (exact), sq8 (8-bit scalar "
-                   "quantization), pq (product quantization + ADC)")
+                   help="vector storage: flat (exact) or sq8 (8-bit scalar "
+                   "quantization)")
     p.add_argument("--format", default="npz", choices=["npz", "disk"],
                    help="persistence format: npz (single compressed file, "
                    "v4) or disk (v5 directory of raw array files that "
@@ -611,7 +551,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--rerank-factor", type=int, default=None,
                    help="over-fetch multiplier of the compressed-traversal "
                    "+ exact-rerank pipeline (quantized indexes; default: "
-                   "the storage's own, 2 for sq8 / 4 for pq)")
+                   "the storage's own, 2 for sq8)")
     p.add_argument("--backend", default="auto",
                    choices=accel.BACKEND_CHOICES,
                    help="traversal backend: 'auto' uses the compiled cffi "
@@ -736,20 +676,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_validate)
 
-    p = sub.add_parser(
-        "bench-storage",
-        help="flat vs sq8 vs pq on one graph: recall, memory, wall time",
-    )
-    p.add_argument("points")
-    p.add_argument("--method", default="vamana", choices=available_builders())
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--queries", type=int, default=200)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--beam-width", type=int, default=64)
-    p.add_argument("--rerank-factor", type=int, default=None,
-                   help="rerank over-fetch (default: each storage's own)")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_bench_storage)
     return parser
 
 

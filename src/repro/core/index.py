@@ -169,12 +169,12 @@ class ProximityGraphIndex:
         storage:
             How the index *holds* its vectors for graph traversal:
             ``"flat"`` (raw float array, exact — the default, and
-            bit-identical to indexes built before the storage layer),
-            ``"sq8"`` (8-bit scalar quantization), or ``"pq"`` (product
-            quantization with ADC lookup tables).  Quantized indexes
+            bit-identical to indexes built before the storage layer) or
+            ``"sq8"`` (8-bit scalar quantization).  Quantized indexes
             traverse compressed and exact-rerank an over-fetched pool —
             see ``SearchParams.rerank_factor``.  ``storage_options``
-            passes quantizer knobs through (e.g. ``m``/``ks`` for pq).
+            passes store options through (``dtype`` for flat; sq8
+            takes none).
 
         Extra options (including ``batch_size``, the batched
         construction wave size for the insertion builders — see
@@ -189,11 +189,7 @@ class ProximityGraphIndex:
             points = np.asarray(points, dtype=np.float64)
             metric = EuclideanMetric()
         # Fail fast on a bad quantizer config, BEFORE the graph build.
-        arr = np.asarray(points)
-        validate_storage_options(
-            storage, storage_options,
-            dim=int(arr.shape[1]) if arr.ndim == 2 else None,
-        )
+        validate_storage_options(storage, storage_options)
         dataset = Dataset(metric, points)
         scale = 1.0
         if normalize:
@@ -318,12 +314,12 @@ class ProximityGraphIndex:
         identical arguments return identical results: default start
         vertices come from a fresh seeded generator, never shared state.
 
-        With quantized storage (``sq8``/``pq``) the search is
-        **two-stage**: the graph walk runs over the store's compressed
-        codes (PQ binds its ADC lookup tables once per batch), an
-        over-fetched pool of ``k * rerank_factor`` candidates survives,
-        and one exact-distance pass over the raw vectors returns the top
-        ``k`` — reported distances are always exact, in original units.
+        With quantized storage (``sq8``, or flat ``dtype="float32"``)
+        the search is **two-stage**: the graph walk runs over the
+        store's compressed codes, an over-fetched pool of ``k *
+        rerank_factor`` candidates survives, and one exact-distance pass
+        over the raw vectors returns the top ``k`` — reported distances
+        are always exact, in original units.
         The rerank's exact evaluations are included in ``evals`` (they
         are not subject to ``budget``, which caps traversal only).
         """
@@ -762,7 +758,7 @@ class ProximityGraphIndex:
     ) -> "ProximityGraphIndex":
         """Re-encode the collection under a different vector storage.
 
-        Trains a fresh store of ``kind`` (``"flat"``/``"sq8"``/``"pq"``)
+        Trains a fresh store of ``kind`` (``"flat"``/``"sq8"``)
         over the current points and installs it; the graph is untouched,
         only traversal distances change.  Returns ``self`` for chaining.
         """
@@ -893,7 +889,7 @@ class ProximityGraphIndex:
 
         Either form holds the graph's CSR arrays verbatim, the
         normalized points, the external id map and tombstone mask, the
-        vector store's codes + training state (codebooks / scales, when
+        vector store's codes + training state (offsets / scales, when
         quantized), and a JSON header with the builder provenance,
         scale, build options, metric spec, and storage spec — a loaded
         index answers :meth:`search` with identical ids and distances.

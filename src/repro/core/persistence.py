@@ -28,7 +28,7 @@ dispatches on the manifest and returns whichever index type was saved.
 
 Format v4 adds the **vector store**: the storage spec (kind, quantizer
 options, training stats including the drift counter) joins the JSON
-header, and the store's arrays — codes, PQ codebooks, SQ8 scales — are
+header, and the store's arrays — SQ8 codes, offsets and scales — are
 written as ``store_*`` members.  Flat-storage indexes carry only the
 spec (no extra arrays).  v1–v3 files still load (as flat storage);
 sharded directories keep the v3 manifest and simply hold v4 shard files
@@ -45,7 +45,7 @@ directory of raw, page-aligned binary files —
     vectors.bin          (n, d) float64 full-precision rows     | COLD tier
     external_ids.bin     (n,)   int64   stable external ids
     tombstones.bin       (n,)   uint8   deletion mask
-    store_*.bin          quantizer training state (scales, codebooks)
+    store_*.bin          quantizer training state (SQ8 offsets, scales)
 
 — each array in its own file at offset 0, so ``load(path, mmap=True)``
 attaches every large array with a read-only ``np.memmap`` in
@@ -471,7 +471,7 @@ def load_index(
     use.  v1 files predate the mutable collection: they load with the
     identity id map and no tombstones.  v1–v3-era files predate the
     storage layer: they load as flat (exact) storage; v4 files restore
-    the saved store — codes, codebooks/scales, and training stats
+    the saved store — codes, offsets/scales, and training stats
     (including the drift counter) — exactly.
 
     A v5 disk directory (``header.json`` inside) lazily attaches via

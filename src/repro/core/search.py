@@ -69,10 +69,10 @@ class SearchParams:
         rerank_factor`` candidates and a single exact-distance pass over
         them returns the top ``k``.  ``None`` (default) resolves to the
         index's storage default — 1 for flat storage (no second stage;
-        results bit-identical to the pre-storage pipeline), 2 for SQ8,
-        4 for PQ.  ``rerank_factor=1`` keeps the candidate set of the
-        plain traversal and only replaces its approximate distances
-        with exact ones.
+        results bit-identical to the pre-storage pipeline), 2 for SQ8.
+        ``rerank_factor=1`` keeps the candidate set of the plain
+        traversal and only replaces its approximate distances with
+        exact ones.
     backend:
         Traversal engine: ``"auto"`` (default) runs the best *warmed*
         :mod:`repro.accel` compiled backend and otherwise the pinned

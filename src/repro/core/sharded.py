@@ -253,7 +253,7 @@ def shard_payload(
     when the shard's dataset is still arena-backed, or inline otherwise
     (after a mutation replaced the shard's point array).  A quantized
     shard additionally ships its storage: the spec and training arrays
-    (codebooks/scales — small) inline, and the code matrix either by
+    (offsets/scales — small) inline, and the code matrix either by
     codes-arena reference (``code_arena_spec`` + ``code_span``) or
     inline.
     """
@@ -502,10 +502,10 @@ class ShardedIndex:
         Shard ``j`` builds with seed ``seed + j``; external ids
         (``ids``, defaulting to ``0..n-1``) are global and stable.
 
-        ``storage`` selects the vector store (``"flat"``/``"sq8"``/
-        ``"pq"``).  Quantizer training runs **once** over the whole
-        collection — every shard shares the same codebooks / scales —
-        and with a pooled build the per-shard code matrices live in a
+        ``storage`` selects the vector store (``"flat"``/``"sq8"``).
+        Quantizer training runs **once** over the whole collection —
+        every shard shares the same SQ8 offsets / scales — and with a
+        pooled build the per-shard code matrices live in a
         second :class:`~repro.metrics.arena.SharedArena`, so fan-out
         search workers attach to the compressed shards zero-copy.
 
@@ -527,11 +527,7 @@ class ShardedIndex:
         # Fail fast on a bad quantizer config — BEFORE the (potentially
         # multi-process, minutes-long) graph build, mirroring the
         # metric_to_spec fail-fast below.
-        arr = np.asarray(points)
-        validate_storage_options(
-            storage, storage_options,
-            dim=int(arr.shape[1]) if arr.ndim == 2 else None,
-        )
+        validate_storage_options(storage, storage_options)
         n = len(points)
         rng = np.random.default_rng(seed)
         members = partition_points(points, shards, assignment, rng)
@@ -768,7 +764,7 @@ class ShardedIndex:
         )
 
     # ------------------------------------------------------------------
-    # Storage: codebooks trained once, shared by every shard
+    # Storage: quantizer trained once, shared by every shard
     # ------------------------------------------------------------------
 
     def set_storage(
@@ -776,7 +772,7 @@ class ShardedIndex:
     ) -> "ShardedIndex":
         """Re-encode every shard under storage ``kind``, training once.
 
-        Quantizer training (PQ codebooks, SQ8 scales) runs over the
+        Quantizer training (SQ8 offsets and scales) runs over the
         concatenated collection so all shards share one training state
         — a fan-out search therefore measures every candidate against
         the same geometry, and cross-shard merge order is consistent.
@@ -785,10 +781,7 @@ class ShardedIndex:
         workers fan out over the compressed shards zero-copy.
         """
         seed = self.seed if seed is None else seed
-        pts0 = np.asarray(self.shards[0].dataset.points)
-        validate_storage_options(
-            kind, options, dim=int(pts0.shape[1]) if pts0.ndim == 2 else None
-        )
+        validate_storage_options(kind, options)
         self._close_code_arena()
         if kind == "flat":
             for shard in self.shards:
@@ -1081,7 +1074,7 @@ class ShardedIndex:
         raises (like the flat index) with the shard named, leaving the
         other shards untouched.  With quantized storage the quantizer
         retrains **shared**, like the build: one training pass over the
-        surviving collection, the same codebooks/scales in every shard
+        surviving collection, the same offsets/scales in every shard
         — per-shard retraining would leave the fan-out measuring
         candidates against diverging geometries.
         """

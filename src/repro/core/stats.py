@@ -174,13 +174,12 @@ def storage_breakdown(index: Any) -> dict:
     Works for both front-door kinds (flat
     :class:`~repro.core.index.ProximityGraphIndex` and
     :class:`~repro.core.sharded.ShardedIndex` — shards aggregate) and is
-    what the ``repro index info`` CLI subcommand and ``bench-storage``
-    print.  Fields:
+    what the ``repro index info`` CLI subcommand prints.  Fields:
 
     * ``traversal_bytes_per_vector`` / ``traversal_bytes`` — what graph
       traversal touches per candidate (codes for quantized stores, the
       raw rows for flat);
-    * ``aux_bytes`` — fixed quantizer state (codebooks, scales);
+    * ``aux_bytes`` — fixed quantizer state (SQ8's offsets and scales);
     * ``exact_bytes`` — the raw vector array (kept by quantized indexes
       for the exact rerank stage; *the* vector storage for flat);
     * ``flat_bytes_per_vector`` — the raw cost per vector, so
@@ -199,7 +198,7 @@ def storage_breakdown(index: Any) -> dict:
                 round(traversal / total_n, 2) if total_n else 0.0
             ),
             "traversal_bytes": traversal,
-            # Training state (codebooks/scales) is trained once and
+            # Training state (offsets/scales) is trained once and
             # shared across shards, so it counts once — matching
             # ShardedIndex.stats()["storage"].
             "aux_bytes": parts[0]["aux_bytes"],

@@ -76,8 +76,7 @@ def _distance_view(dataset: Dataset, Q: np.ndarray, store: Any):
     and points — the very calls the engines made before the storage
     layer existed, so results stay bit-identical.  A quantized
     :class:`~repro.storage.base.VectorStore` binds its approximate
-    per-batch state here instead (PQ computes its ADC lookup tables
-    once, in this call).
+    view here instead.
     """
     if store is None:
         return FlatQueryView(dataset.metric, dataset.points, Q)

@@ -11,9 +11,9 @@ through one of the factories here:
   ``build(..., storage=...)`` path);
 * :func:`train_store_params` / :func:`store_from_params` /
   :func:`encode_with_params` — the split form the sharded index uses to
-  train codebooks **once** over the whole collection and share them
-  across shards (each shard encodes its own rows against the shared
-  training state);
+  train SQ8's per-dimension scales **once** over the whole collection
+  and share them across shards (each shard encodes its own rows against
+  the shared training state);
 * :func:`store_from_arrays` — reconstruction from a persisted or
   process-shipped wire form (spec dict + arrays).
 """
@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.storage.base import (
     FlatQueryView,
-    QuantizerTrainingError,
     QueryDistanceView,
     StorageConfigError,
     StorageError,
@@ -35,7 +34,6 @@ from repro.storage.base import (
 )
 from repro.storage.disk import DiskTierStore, advise_memmap
 from repro.storage.flat import FLAT_DTYPES, FlatStore
-from repro.storage.pq import PQParams, PQStore, encode_pq, train_pq
 from repro.storage.sq8 import SQ8Params, SQ8Store, encode_sq8, train_sq8
 
 __all__ = [
@@ -44,9 +42,6 @@ __all__ = [
     "DiskTierStore",
     "FlatQueryView",
     "FlatStore",
-    "PQParams",
-    "PQStore",
-    "QuantizerTrainingError",
     "QueryDistanceView",
     "SQ8Params",
     "SQ8Store",
@@ -63,23 +58,19 @@ __all__ = [
     "validate_storage_options",
 ]
 
-STORAGE_KINDS = ("flat", "sq8", "pq")
+STORAGE_KINDS = ("flat", "sq8")
 
-_PQ_OPTION_KEYS = frozenset({"m", "ks", "strict"})
 _FLAT_OPTION_KEYS = frozenset({"dtype"})
 
 
-def validate_storage_options(
-    kind: str, options: dict[str, Any] | None = None, dim: int | None = None
-) -> None:
+def validate_storage_options(kind: str, options: dict[str, Any] | None = None) -> None:
     """Fail-fast, data-free validation of a storage configuration.
 
     The one home of the per-kind option rules: every front door (flat
-    and sharded ``build``/``set_storage``, the factories here, the pq
-    trainer) routes through it, so a bad quantizer config raises
-    :class:`StorageConfigError` *before* any expensive work — in
-    particular before a multi-process sharded graph build.  ``dim``
-    (when already known) additionally checks the pq subspace split.
+    and sharded ``build``/``set_storage``, the factories here) routes
+    through it, so a bad config raises :class:`StorageConfigError`
+    *before* any expensive work — in particular before a multi-process
+    sharded graph build.
     """
     opts = dict(options or {})
     if kind not in STORAGE_KINDS:
@@ -99,49 +90,20 @@ def validate_storage_options(
                 f"flat dtype must be one of {FLAT_DTYPES}, got {dtype!r}"
             )
         return
-    if kind == "sq8":
-        if opts:
-            raise StorageConfigError(
-                f"{kind} storage takes no options, got {sorted(opts)}"
-            )
-        return
-    unknown = set(opts) - _PQ_OPTION_KEYS
-    if unknown:
+    if opts:
         raise StorageConfigError(
-            f"unknown pq options {sorted(unknown)}; "
-            f"valid: {sorted(_PQ_OPTION_KEYS)}"
+            f"{kind} storage takes no options, got {sorted(opts)}"
         )
-    ks = int(opts.get("ks", 256))
-    if not 1 <= ks <= 256:
-        raise StorageConfigError(
-            f"pq centroid count ks={ks} must be in 1..256 (codes are uint8)"
-        )
-    m = opts.get("m")
-    if m is not None and dim is not None:
-        m = int(m)
-        if m < 1 or m > dim:
-            raise StorageConfigError(f"pq needs 1 <= m <= d={dim}, got m={m}")
-        if dim % m != 0:
-            raise StorageConfigError(
-                f"pq subspace count m={m} must divide the dimension d={dim}"
-            )
-
-
-def _point_dim(points: Any) -> int | None:
-    arr = np.asarray(points)
-    return int(arr.shape[1]) if arr.ndim == 2 else None
 
 
 def make_store(
     kind: str, metric: Any, points: Any, seed: int = 0, **options: Any
 ) -> VectorStore:
     """Train a store of ``kind`` over ``points`` and encode them."""
-    validate_storage_options(kind, options, dim=_point_dim(points))
+    validate_storage_options(kind, options)
     if kind == "flat":
         return FlatStore(metric, points, **options)
-    if kind == "sq8":
-        return SQ8Store.train(metric, points, seed=seed, **options)
-    return PQStore.train(metric, points, seed=seed, **options)
+    return SQ8Store.train(metric, points, seed=seed, **options)
 
 
 def train_store_params(
@@ -153,12 +115,10 @@ def train_store_params(
     this, then hands the same params to every shard's
     :func:`store_from_params`.
     """
-    validate_storage_options(kind, options, dim=_point_dim(points))
+    validate_storage_options(kind, options)
     if kind == "flat":
         return None
-    if kind == "sq8":
-        return train_sq8(points)
-    return train_pq(points, seed=seed, **options)
+    return train_sq8(points)
 
 
 def encode_with_params(kind: str, params: Any, points: Any) -> np.ndarray | None:
@@ -167,8 +127,6 @@ def encode_with_params(kind: str, params: Any, points: Any) -> np.ndarray | None
         return None
     if kind == "sq8":
         return encode_sq8(params, points)
-    if kind == "pq":
-        return encode_pq(params, points)
     raise StorageConfigError(
         f"unknown storage kind {kind!r}; use one of {STORAGE_KINDS}"
     )
@@ -189,24 +147,15 @@ def store_from_params(
         return FlatStore(metric, points, **(options or {}))
     if codes is None:
         codes = encode_with_params(kind, params, points)
-    if kind == "sq8":
-        return SQ8Store(
-            metric, params, codes, options=options, trained_on=trained_on
-        )
-    if kind == "pq":
-        return PQStore(
-            metric, params, codes, options=options, trained_on=trained_on
-        )
-    raise StorageConfigError(
-        f"unknown storage kind {kind!r}; use one of {STORAGE_KINDS}"
-    )
+    return SQ8Store(metric, params, codes, options=options, trained_on=trained_on)
 
 
 def store_from_arrays(
     spec: dict[str, Any], arrays: dict[str, np.ndarray], metric: Any, points: Any
 ) -> VectorStore:
     """Inverse of ``store.spec()`` + ``store.arrays()`` — the load path
-    of persistence format v4 and of worker shard payloads."""
+    of persistence format v4 and v5, of sharded manifests' shard files
+    and of worker shard payloads."""
     kind = spec.get("kind", "flat")
     if kind == "flat":
         return FlatStore(metric, points, dtype=spec.get("dtype", "float64"))
@@ -224,16 +173,11 @@ def store_from_arrays(
             trained_on=spec.get("trained_on"),
         )
     if kind == "pq":
-        params = PQParams(
-            codebooks=np.asarray(arrays["codebooks"], dtype=np.float64),
-            ks_requested=int(spec.get("ks", arrays["codebooks"].shape[1])),
-        )
-        return PQStore(
-            metric,
-            params,
-            np.asarray(arrays["codes"], dtype=np.uint8),
-            options=spec.get("options"),
-            drift=int(spec.get("drift", 0)),
-            trained_on=spec.get("trained_on"),
+        raise StorageConfigError(
+            "this index was saved with storage kind 'pq' (product "
+            "quantization), which is no longer supported. To recover it, "
+            "open it with a release that still reads PQ, call "
+            "set_storage(\"sq8\") and save it again; the points and the "
+            "graph are kept."
         )
     raise StorageConfigError(f"unknown storage spec {spec!r}")

@@ -13,11 +13,9 @@ bytes per vector.  A :class:`VectorStore` decouples them.  It sits
 A store answers one question: *given a query batch, what is the
 (possibly approximate) distance from query i to stored vector v?*  The
 engines consume that through a per-batch :class:`QueryDistanceView`,
-bound once per search batch via :meth:`VectorStore.bind` — which is
-where product quantization pays its asymmetric-distance (ADC) lookup
-tables *once per batch* instead of once per hop.
+bound once per search batch via :meth:`VectorStore.bind`.
 
-Three stores ship:
+Two stores ship:
 
 * :class:`~repro.storage.flat.FlatStore` — the raw array, distances
   delegated verbatim to the metric.  Bit-identical to the
@@ -26,8 +24,6 @@ Three stores ship:
   quantization (``8x`` smaller than float64); candidates are dequantized
   on the fly and fed to the *same* metric kernels, so every coordinate
   metric works.
-* :class:`~repro.storage.pq.PQStore` — product quantization with
-  k-means codebooks and ADC tables; ``m`` bytes per vector.
 
 Approximate traversal pairs with an **exact rerank** stage in
 ``index.search()`` (see ``SearchParams.rerank_factor``): the graph walk
@@ -48,7 +44,6 @@ from repro.metrics.base import MetricSpace, ScaledMetric
 __all__ = [
     "StorageError",
     "StorageConfigError",
-    "QuantizerTrainingError",
     "QueryDistanceView",
     "FlatQueryView",
     "VectorStore",
@@ -62,12 +57,8 @@ class StorageError(Exception):
 
 class StorageConfigError(StorageError, ValueError):
     """A store was configured with parameters it cannot honor (wrong
-    point shape, indivisible subspace count, unsupported metric, ...)."""
-
-
-class QuantizerTrainingError(StorageError, ValueError):
-    """Training data cannot support the requested quantizer (e.g. fewer
-    points than centroids under ``strict=True``)."""
+    point shape, unknown kind or option, a kind no longer supported,
+    ...)."""
 
 
 def decompose_metric(metric: MetricSpace) -> tuple[MetricSpace, float]:
@@ -89,9 +80,9 @@ def decompose_metric(metric: MetricSpace) -> tuple[MetricSpace, float]:
 class QueryDistanceView:
     """Per-batch distance oracle the lockstep engines traverse against.
 
-    Bound once per query batch by :meth:`VectorStore.bind`; holds
-    whatever per-batch state the store needs (nothing for flat/SQ8, the
-    ADC lookup tables for PQ).  Engines call exactly two methods:
+    Bound once per query batch by :meth:`VectorStore.bind`; holds the
+    batch's queries beside the store's vectors.  Engines call exactly two
+    methods:
 
     * :meth:`scalar` — distance from query row ``qi`` to stored vector
       ``v`` (start-vertex initialization);
@@ -114,7 +105,7 @@ class QueryDistanceView:
       evaluates its reported ids in one :meth:`segmented` call when the
       distances are first read (``BeamBatch.dists``); a start vertex
       keeps its :meth:`scalar` value on both;
-    * quantized store (``sq8``/``pq``/flat-float32) through
+    * quantized store (``sq8``/flat-float32) through
       ``index.search()`` — the exact rerank
       (:meth:`VectorStore.rerank_distances` over the candidate ids);
       the traversal's approximate distances are not read, so a compiled
@@ -182,9 +173,8 @@ class FlatQueryView(QueryDistanceView):
 class VectorStore(ABC):
     """How an index holds (and measures distances over) its vectors.
 
-    Concrete stores are :class:`~repro.storage.flat.FlatStore`,
-    :class:`~repro.storage.sq8.SQ8Store`, and
-    :class:`~repro.storage.pq.PQStore`; build them through
+    Concrete stores are :class:`~repro.storage.flat.FlatStore` and
+    :class:`~repro.storage.sq8.SQ8Store`; build them through
     :func:`repro.storage.make_store`.  The mutable-index facade keeps its
     store in sync with the collection: ``add()`` routes new points
     through :meth:`refresh` (encoding with the *frozen* training state
@@ -209,7 +199,7 @@ class VectorStore(ABC):
 
     @abstractmethod
     def bind(self, Q: Any) -> QueryDistanceView:
-        """Bind a query batch; per-batch work (PQ's ADC LUTs) runs here."""
+        """Bind a query batch; per-batch work runs here."""
 
     def rerank_distances(self, dataset: Any, q: Any, cand: np.ndarray) -> np.ndarray:
         """Exact distances from query ``q`` to candidate rows ``cand``.
@@ -250,7 +240,7 @@ class VectorStore(ABC):
 
     @abstractmethod
     def aux_bytes(self) -> int:
-        """Fixed overhead (codebooks, per-dimension scales, ...)."""
+        """Fixed overhead (SQ8's per-dimension offsets and scales)."""
 
     # -- wire form ------------------------------------------------------
 
@@ -264,8 +254,8 @@ class VectorStore(ABC):
         """JSON-safe description (kind, options, training stats)."""
 
     def param_arrays(self) -> dict[str, np.ndarray]:
-        """Training-state arrays *excluding* codes (small; codebooks,
-        scales).  Ships inline in worker payloads while codes may
+        """Training-state arrays *excluding* codes (small; SQ8's offsets
+        and scales).  Ships inline in worker payloads while codes may
         travel by shared-memory reference."""
         return {}
 

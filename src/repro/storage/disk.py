@@ -12,7 +12,7 @@ and still answer bit-identically to the in-RAM index.
 :class:`DiskTierStore` is the load-time wrapper persistence format v5
 installs (see :mod:`repro.core.persistence`): it delegates the whole
 :class:`~repro.storage.base.VectorStore` traversal surface to an inner
-SQ8/PQ/flat store — same ``kind``, same ``codes``, same ``bind`` — so
+SQ8/flat store — same ``kind``, same ``codes``, same ``bind`` — so
 the engines, the accel planner, and ``store.spec()`` round-trips are
 all unchanged, and overrides exactly the three behaviors where disk
 residency matters:
@@ -34,8 +34,8 @@ residency matters:
 
 With flat inner storage there is no hot/cold split — traversal reads
 the raw rows, i.e. the cold tier itself — so the wrapper still works
-but every hop may fault a page; prefer quantized storage (``sq8``/
-``pq``) for indexes that exceed RAM.
+but every hop may fault a page; prefer ``sq8`` storage for indexes
+that exceed RAM.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ Contract under test:
   is present, the interpreted ``python`` reference always) returns
   **bit-identical** results to the pinned numpy engines — ids,
   distances, eval counts, hop counts — across
-  3 seeds, both engine modes, and all three storages (flat/SQ8/PQ);
+  3 seeds, both engine modes, and both storages (flat/SQ8);
 * edge semantics survive compilation exactly: ``k > beam_width``,
   allowed masks (subset, empty, fully-masked), and budget truncation;
 * the C kernels expand a vertex in 32-target blocks: on rows longer than
@@ -22,8 +22,6 @@ Contract under test:
 * backends are inert until warmed: ``get_backend()`` is ``"numpy"`` in
   a fresh process, flips after :func:`repro.accel.warm`, and
   ``index.stats()["accel"]`` reports the live status;
-* the kernels' ``pairwise_sum`` replicates numpy's pairwise summation
-  bit-exactly (the property PQ-ADC bit-identity rests on);
 * the sharded fan-out resolves ``backend="auto"`` in the parent and
   ships a concrete backend name to its workers.
 """
@@ -40,7 +38,7 @@ import numpy as np
 import pytest
 
 from repro import ProximityGraphIndex, SearchParams, accel
-from repro.accel import cbackend, dispatch, kernels
+from repro.accel import cbackend, dispatch
 from repro.core.sharded import ShardedIndex
 from repro.graphs.base import ProximityGraph
 from repro.graphs.engine import (
@@ -49,7 +47,7 @@ from repro.graphs.engine import (
     greedy_batch,
 )
 from repro.metrics.base import Dataset
-from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric, MinkowskiMetric
+from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric
 from repro.storage import make_store
 from repro.workloads import uniform_cube
 
@@ -65,7 +63,7 @@ def points():
     return uniform_cube(300, 4, np.random.default_rng(11))
 
 
-@pytest.fixture(scope="module", params=["flat", "sq8", "pq"])
+@pytest.fixture(scope="module", params=["flat", "sq8"])
 def storage_index(request, points):
     index = ProximityGraphIndex.build(
         points, epsilon=1.0, method="vamana", seed=4
@@ -205,9 +203,6 @@ KERNEL_KINDS = {
     "flat-linf": (ChebyshevMetric(), None),
     "sq8-l2": (EuclideanMetric(), "sq8"),
     "sq8-linf": (ChebyshevMetric(), "sq8"),
-    "pq-sum2": (EuclideanMetric(), "pq"),
-    "pq-sump": (MinkowskiMetric(3.0), "pq"),
-    "pq-max": (ChebyshevMetric(), "pq"),
 }
 
 
@@ -267,7 +262,7 @@ def _check_long_rows(kind, backends):
         )
         for backend in {*backends, "python"}
     }
-    if kind not in ("sq8-linf", "pq-max"):
+    if kind != "sq8-linf":
         pools["numpy"] = construction_beam_batch(
             graph, dataset, starts, Q, beam_width=40, store=store
         )
@@ -564,19 +559,6 @@ class TestStatusReporting:
         import json
 
         json.dumps(accel.backend_status())
-
-
-class TestPairwiseSum:
-    def test_matches_numpy_bit_exactly(self):
-        rng = np.random.default_rng(99)
-        for m in list(range(1, 33)) + [48, 63, 64, 65, 100, 127, 128]:
-            a = rng.standard_normal(m) * rng.uniform(0.1, 1e6)
-            got = kernels.pairwise_sum(a, 0, m)
-            assert got == np.sum(a), m
-
-    def test_respects_offset(self):
-        a = np.arange(20, dtype=np.float64) * np.pi
-        assert kernels.pairwise_sum(a, 5, 10) == np.sum(a[5:15])
 
 
 class TestSharded:

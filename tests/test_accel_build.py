@@ -107,7 +107,7 @@ class TestBuilderBitIdentity:
         _assert_same_graph(got, want_csr, (backend, method, seed))
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("storage", ["flat", "sq8", "pq"])
+    @pytest.mark.parametrize("storage", ["flat", "sq8"])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_storage_kinds_do_not_perturb_construction(
         self, points, backend, storage, seed

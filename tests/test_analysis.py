@@ -585,14 +585,14 @@ class TestKernelParityRule:
             "kernel-parity",
         )
         missing = " ".join(f.message for f in hits)
-        assert "'sq8'" in missing and "'pq'" in missing
+        assert "'sq8'" in missing and "'pq'" not in missing
 
     def test_missing_metric_fires(self):
         hits = run_rule(
             """
             def _plan(dataset, store, Q):
                 kind = store.kind
-                if kind in ("flat", "sq8", "pq"):
+                if kind in ("flat", "sq8"):
                     return _coord_kind(dataset.metric)
 
             def _coord_kind(metric):
@@ -622,8 +622,6 @@ class TestKernelParityRule:
                 return flat_plan()
             elif kind == "sq8":
                 return sq8_plan()
-            elif kind == "pq":
-                return pq_plan()
             raise UnsupportedWorkloadError(kind)
 
         def _coord_kind(metric):

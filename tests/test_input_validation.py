@@ -29,7 +29,7 @@ from repro.core.builders import (
 from repro.workloads import uniform_cube
 
 KINDS = ["flat", "sharded"]
-STORAGES = ["flat", "sq8", "pq"]
+STORAGES = ["flat", "sq8"]
 
 
 def _build(kind: str, storage: str = "flat", n: int = 80, seed: int = 3):

@@ -37,12 +37,13 @@ from repro.core.persistence import (
     save_index,
 )
 from repro.serve.state import IndexHolder
+from repro.storage import StorageConfigError
 from repro.storage.disk import DiskTierStore, advise_memmap
 from repro.workloads import uniform_cube
 
 N = 110
 D = 3
-STORAGES = ["flat", "sq8", "pq"]
+STORAGES = ["flat", "sq8"]
 
 
 def _build(storage: str = "sq8", n: int = N, seed: int = 3) -> ProximityGraphIndex:
@@ -134,7 +135,7 @@ class TestV5RoundTrip:
             assert (out / entry["file"]).stat().st_size == expected
 
     def test_second_generation_disk_round_trip(self, queries, tmp_path):
-        index = _build("pq")
+        index = _build("sq8")
         index.save(tmp_path / "gen1", format="disk")
         gen1 = load_any(tmp_path / "gen1")
         gen1.save(tmp_path / "gen2", format="disk")
@@ -281,6 +282,35 @@ class TestPreciseLoaderErrors:
             ValueError, match=rf"{DISK_HEADER_NAME}.*{MANIFEST_NAME}"
         ):
             load_index(tmp_path / "junk")
+
+    @pytest.mark.parametrize("form", ["v4", "v5", "sharded"])
+    def test_a_stored_pq_index_names_the_way_back(self, form, tmp_path):
+        """Product quantization is gone: an index saved with it fails in
+        every loader with one error naming the kind and the recovery."""
+
+        def to_pq(header):
+            header["storage"]["kind"] = "pq"
+
+        if form == "sharded":
+            pts = uniform_cube(90, D, np.random.default_rng(2))
+            out = ShardedIndex.build(
+                pts, method="vamana", shards=2, seed=2, storage="sq8"
+            ).save(tmp_path / "sharded")
+            manifest = json.loads((out / MANIFEST_NAME).read_text())
+            _edit_npz_header(out / manifest["shard_files"][0], to_pq)
+        elif form == "v4":
+            out = _build("sq8").save(tmp_path / "idx.npz")
+            _edit_npz_header(out, to_pq)
+        else:
+            out = _build("sq8").save(tmp_path / "idx", format="disk")
+            header = json.loads((out / DISK_HEADER_NAME).read_text())
+            to_pq(header)
+            (out / DISK_HEADER_NAME).write_text(json.dumps(header))
+        with pytest.raises(StorageConfigError) as exc:
+            load_any(out)
+        message = str(exc.value)
+        assert "'pq'" in message and "no longer supported" in message
+        assert 'set_storage("sq8")' in message and "save it again" in message
 
 
 # ----------------------------------------------------------------------

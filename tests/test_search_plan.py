@@ -4,7 +4,7 @@ Contract under test (ISSUE 19):
 
 * a batch is its rows: with ``SearchParams.starts`` pinned,
   ``search(q_i)`` one row at a time equals row ``i`` of ``search(Q)`` —
-  ids, distances, evals, dtypes — for flat / flat-float32 / sq8 / pq
+  ids, distances, evals, dtypes — for flat / flat-float32 / sq8
   storage, in RAM and off a memory-mapped v5 directory, on the numpy
   engines, on ``"auto"`` and on an explicitly named compiled backend,
   for a plain search, ``k`` above the number of live points, an
@@ -28,8 +28,8 @@ Contract under test (ISSUE 19):
 And of the row split (ISSUE 21), which ``M = 12`` rows never reach:
 
 * a call cut into chunks and run on helper threads is still its rows: a
-  70-row batch equals its rows searched one at a time for flat / sq8 /
-  pq x RAM / mmap x plain / ``allowed_ids`` / ``budget`` with 1 to 4
+  70-row batch equals its rows searched one at a time for flat / sq8
+  x RAM / mmap x plain / ``allowed_ids`` / ``budget`` with 1 to 4
   usable cores (more than this box has: uneven chunks, idle helpers),
   and a 300-row construction wave equals the one-thread wave;
 * the helper threads are one pool for every caller: two threads issuing
@@ -72,7 +72,6 @@ STORAGES = {
     "flat": ("flat", None),
     "flat32": ("flat", {"dtype": "float32"}),
     "sq8": ("sq8", None),
-    "pq": ("pq", {"m": 4, "ks": 16}),
 }
 N, DIM, M = 400, 8, 12
 CALL_CEILING = 160
@@ -221,7 +220,7 @@ def test_a_mutated_index_answers_like_a_fresh_copy_of_itself(
     check("delete")
     index.compact()
     check("compact")
-    index.set_storage("pq", m=4, ks=16)
+    index.set_storage("sq8" if storage == "flat" else "flat")
     check("set_storage")
     graph = index.graph  # same object, new CSR arrays
     for u in range(0, graph.n, 2):
@@ -398,7 +397,7 @@ def cores(monkeypatch):
 @needs_cffi
 @pytest.mark.parametrize("usable", [1, 2, 3, 4])
 @pytest.mark.parametrize("residency", ["ram", "mmap"])
-@pytest.mark.parametrize("storage", ["flat", "sq8", "pq"])
+@pytest.mark.parametrize("storage", ["flat", "sq8"])
 @pytest.mark.parametrize("case", ["plain", "filter", "budget"])
 def test_a_split_batch_equals_its_rows_searched_alone(
     indexes, cores, storage, residency, case, usable

@@ -136,7 +136,7 @@ class TestSnapshot:
         assert snap.tombstone_count == 0 and snap.n == 37
         assert index.tombstone_count == 3 and index.n == 40
 
-    @pytest.mark.parametrize("storage", ["sq8", "pq"])
+    @pytest.mark.parametrize("storage", ["sq8"])
     def test_quantized_snapshot_refresh_is_isolated(self, storage):
         pts = uniform_cube(80, 4, np.random.default_rng(5))
         index = ProximityGraphIndex.build(

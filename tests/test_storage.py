@@ -1,5 +1,5 @@
 """The storage layer: encoders, degenerate-data guards, views, and the
-v4 persistence of codes + codebooks + training stats."""
+v4 persistence of codes + scales + training stats."""
 
 from __future__ import annotations
 
@@ -11,14 +11,11 @@ from repro.metrics.base import ScaledMetric
 from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric, MinkowskiMetric
 from repro.storage import (
     FlatStore,
-    PQStore,
-    QuantizerTrainingError,
     StorageConfigError,
     make_store,
     store_from_arrays,
     train_store_params,
 )
-from repro.storage.pq import default_subspaces, encode_pq, train_pq
 from repro.storage.sq8 import decode_sq8, encode_sq8, train_sq8
 from repro.workloads import uniform_cube
 
@@ -75,65 +72,6 @@ class TestSQ8Encoder:
 
 
 # ----------------------------------------------------------------------
-# PQ encoder
-# ----------------------------------------------------------------------
-
-
-class TestPQEncoder:
-    def test_default_subspaces_divide_the_dimension(self):
-        assert default_subspaces(8) == 8
-        assert default_subspaces(12) == 6
-        assert default_subspaces(7) == 7
-        assert default_subspaces(26) == 2
-        assert default_subspaces(1) == 1
-
-    def test_indivisible_m_raises_named_error(self, points):
-        with pytest.raises(StorageConfigError, match="must divide"):
-            train_pq(points, m=3)
-
-    def test_ks_over_256_raises_named_error(self, points):
-        with pytest.raises(StorageConfigError, match="1..256"):
-            train_pq(points, ks=512)
-
-    def test_few_points_fall_back_to_ks_n(self):
-        """Satellite guard: n < ks must fall back (ks_effective = n),
-        never divide by zero on an empty cluster."""
-        pts = np.random.default_rng(1).normal(size=(40, 4))
-        params = train_pq(pts, ks=256)
-        assert params.ks == 40 and params.ks_requested == 256
-        codes = encode_pq(params, pts)
-        assert codes.max() < 40
-        # With every point its own candidate centroid the training data
-        # reconstructs near-exactly.
-        store = PQStore(EuclideanMetric(), params, codes)
-        view = store.bind(pts[:3])
-        d = view.segmented(np.array([0, 1, 2]), np.array([0, 1, 2]),
-                           np.array([1, 1, 1]))
-        assert np.all(d < 1e-6)
-
-    def test_few_points_strict_raises_named_error(self):
-        pts = np.random.default_rng(1).normal(size=(40, 4))
-        with pytest.raises(QuantizerTrainingError, match="at least ks=256"):
-            train_pq(pts, ks=256, strict=True)
-
-    def test_training_is_deterministic(self, points):
-        a = train_pq(points, seed=5)
-        b = train_pq(points, seed=5)
-        assert np.array_equal(a.codebooks, b.codebooks)
-
-    def test_unsupported_metric_raises_named_error(self, points):
-        from repro.metrics.base import ExplicitMatrixMetric
-
-        params = train_pq(points)
-        with pytest.raises(StorageConfigError, match="pq ADC supports"):
-            PQStore(
-                ExplicitMatrixMetric(np.zeros((2, 2))),
-                params,
-                encode_pq(params, points),
-            )
-
-
-# ----------------------------------------------------------------------
 # View correctness: approximate distances track the exact metric
 # ----------------------------------------------------------------------
 
@@ -151,7 +89,7 @@ every_view_metric = pytest.mark.parametrize(
 
 
 @every_view_metric
-@pytest.mark.parametrize("kind", ["sq8", "pq"])
+@pytest.mark.parametrize("kind", ["sq8"])
 def test_store_views_approximate_the_metric(points, kind, metric):
     store = make_store(kind, metric, points, seed=0)
     rng = np.random.default_rng(3)
@@ -160,10 +98,8 @@ def test_store_views_approximate_the_metric(points, kind, metric):
     lens = np.full(10, 5, dtype=np.int64)
     approx = store.bind(Q).segmented(np.arange(10), idx, lens)
     exact = metric.distances_many(Q, points[idx], lens)
-    # 8-bit-per-dim scalar error is tiny; PQ with ks=256 over 400 points
-    # is coarser but must still track the metric closely on this scale.
-    tol = 0.05 if kind == "sq8" else 0.8
-    assert np.all(np.abs(approx - exact) <= tol * (1.0 + exact))
+    # 8-bit-per-dim scalar error is tiny.
+    assert np.all(np.abs(approx - exact) <= 0.05 * (1.0 + exact))
     # scalar() agrees with segmented()
     assert store.bind(Q).scalar(0, int(idx[0])) == pytest.approx(approx[0])
 
@@ -247,7 +183,7 @@ def test_construction_beam_batch_traverses_a_store(points):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["flat", "sq8", "pq"])
+@pytest.mark.parametrize("kind", ["flat", "sq8"])
 def test_add_encodes_through_frozen_store_and_counts_drift(kind):
     pts = uniform_cube(120, 3, np.random.default_rng(2))
     idx = ProximityGraphIndex.build(
@@ -266,7 +202,7 @@ def test_add_encodes_through_frozen_store_and_counts_drift(kind):
     assert int(r.ids[0, 0]) == int(new[-1])
 
 
-@pytest.mark.parametrize("kind", ["sq8", "pq"])
+@pytest.mark.parametrize("kind", ["sq8"])
 def test_compact_retrains_and_resets_drift(kind):
     pts = uniform_cube(120, 3, np.random.default_rng(2))
     idx = ProximityGraphIndex.build(
@@ -285,19 +221,19 @@ def test_set_storage_swaps_without_touching_the_graph():
     pts = uniform_cube(100, 3, np.random.default_rng(5))
     idx = ProximityGraphIndex.build(pts, epsilon=1.0, method="vamana", seed=1)
     edges_before = idx.graph.num_edges
-    idx.set_storage("pq", m=3, ks=64)
-    assert idx.store.kind == "pq" and idx.store.params.m == 3
+    idx.set_storage("sq8")
+    assert idx.store.kind == "sq8" and idx.store.params.dim == 3
     assert idx.graph.num_edges == edges_before
     idx.set_storage("flat")
     assert idx.store.kind == "flat"
 
 
 # ----------------------------------------------------------------------
-# Persistence v4: codes + codebooks + training stats round-trip
+# Persistence v4: codes + scales + training stats round-trip
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["flat", "sq8", "pq"])
+@pytest.mark.parametrize("kind", ["flat", "sq8"])
 def test_v4_round_trip_preserves_store_and_answers(kind, tmp_path):
     pts = uniform_cube(150, 3, np.random.default_rng(9))
     idx = ProximityGraphIndex.build(
@@ -318,7 +254,7 @@ def test_v4_round_trip_preserves_store_and_answers(kind, tmp_path):
     assert np.array_equal(want.distances, got.distances)
 
 
-@pytest.mark.parametrize("kind", ["sq8", "pq"])
+@pytest.mark.parametrize("kind", ["sq8"])
 def test_sharded_save_load_preserves_shared_storage(kind, tmp_path):
     pts = uniform_cube(160, 3, np.random.default_rng(11))
     sharded = ShardedIndex.build(
@@ -346,7 +282,7 @@ def test_store_from_arrays_rejects_unknown_kind(points):
 
 
 # ----------------------------------------------------------------------
-# Shared codebooks across shards
+# One training state shared across shards
 # ----------------------------------------------------------------------
 
 
@@ -372,14 +308,14 @@ def test_sharded_compact_restores_shared_codebooks():
     build — per-shard retraining would diverge the fan-out geometry."""
     pts = uniform_cube(200, 4, np.random.default_rng(23))
     sharded = ShardedIndex.build(
-        pts, epsilon=1.0, method="vamana", seed=3, shards=2, storage="pq",
-        storage_options={"ks": 32},
+        pts, epsilon=1.0, method="vamana", seed=3, shards=2, storage="sq8",
     )
     try:
         sharded.delete([int(sharded.shards[0].id_map.externals[0])])
         sharded.compact()
-        a, b = (s.store.params.codebooks for s in sharded.shards)
-        assert np.array_equal(a, b)
+        a, b = (s.store.params for s in sharded.shards)
+        assert np.array_equal(a.minv, b.minv)
+        assert np.array_equal(a.scale, b.scale)
         assert len({s.store.trained_on for s in sharded.shards}) == 1
         assert all(s.store.drift == 0 for s in sharded.shards)
     finally:
@@ -414,7 +350,7 @@ def test_both_front_doors_reject_flat_storage_options():
 
 
 def test_sharded_build_fails_fast_on_bad_quantizer_config():
-    """A bad pq config must raise BEFORE the (expensive, possibly
+    """A bad sq8 config must raise BEFORE the (expensive, possibly
     multi-process) graph build runs, not after."""
     pts = uniform_cube(100, 4, np.random.default_rng(26))
     import repro.core.sharded as sharded_module
@@ -425,16 +361,13 @@ def test_sharded_build_fails_fast_on_bad_quantizer_config():
     orig = sharded_module.partition_points
     sharded_module.partition_points = boom
     try:
-        with pytest.raises(StorageConfigError, match="must divide"):
+        with pytest.raises(StorageConfigError, match="no options"):
             ShardedIndex.build(
-                pts, method="vamana", shards=2, storage="pq",
+                pts, method="vamana", shards=2, storage="sq8",
                 storage_options={"m": 3},
             )
-        with pytest.raises(StorageConfigError, match="unknown pq options"):
-            ShardedIndex.build(
-                pts, method="vamana", shards=2, storage="pq",
-                storage_options={"centroids": 9},
-            )
+        with pytest.raises(StorageConfigError, match="unknown storage kind"):
+            ShardedIndex.build(pts, method="vamana", shards=2, storage="pq")
     finally:
         sharded_module.partition_points = orig
 
@@ -451,9 +384,9 @@ def test_flat_build_fails_fast_on_bad_quantizer_config():
 
     index_module.build = boom
     try:
-        with pytest.raises(StorageConfigError, match="must divide"):
+        with pytest.raises(StorageConfigError, match="no options"):
             ProximityGraphIndex.build(
-                pts, method="vamana", storage="pq", storage_options={"m": 3}
+                pts, method="vamana", storage="sq8", storage_options={"m": 3}
             )
     finally:
         index_module.build = orig
@@ -461,14 +394,14 @@ def test_flat_build_fails_fast_on_bad_quantizer_config():
 
 def test_sharded_quantized_fanout_workers_match_in_process():
     """The pooled fan-out (codes shipped by shared-memory arena or
-    inline, ADC rebuilt in each worker) answers exactly like the
-    in-process fan-out over the same shards."""
+    inline, the SQ8 view rebuilt in each worker) answers exactly like
+    the in-process fan-out over the same shards."""
     pts = uniform_cube(240, 4, np.random.default_rng(17))
     queries = np.random.default_rng(18).uniform(size=(9, 4))
     p = SearchParams(beam_width=32, seed=0)
     pooled = ShardedIndex.build(
         pts, epsilon=1.0, method="vamana", seed=3, shards=2, workers=2,
-        storage="pq", storage_options={"ks": 32},
+        storage="sq8",
     )
     try:
         want = pooled.search(queries, k=5, params=p)
@@ -483,12 +416,12 @@ def test_sharded_quantized_fanout_workers_match_in_process():
 def test_sharded_build_trains_codebooks_once():
     pts = uniform_cube(200, 4, np.random.default_rng(13))
     sharded = ShardedIndex.build(
-        pts, epsilon=1.0, method="vamana", seed=3, shards=4, storage="pq",
-        storage_options={"ks": 64},
+        pts, epsilon=1.0, method="vamana", seed=3, shards=4, storage="sq8",
     )
-    books = [s.store.params.codebooks for s in sharded.shards]
-    for other in books[1:]:
-        assert books[0] is other or np.array_equal(books[0], other)
+    params = [s.store.params for s in sharded.shards]
+    for other in params[1:]:
+        assert np.array_equal(params[0].minv, other.minv)
+        assert np.array_equal(params[0].scale, other.scale)
     # trained over the whole collection, not the shard
     assert all(s.store.trained_on == 200 for s in sharded.shards)
     sharded.close()

@@ -1,13 +1,13 @@
-"""Search-path edge cases across all three stores, for both index kinds.
+"""Search-path edge cases across both stores, for both index kinds.
 
-The satellite contract of the storage PR: every (storage, kind)
-combination keeps the never-raising front-door semantics — empty
-``allowed_ids``, a fully tombstoned collection, ``k`` larger than the
-live point count — and ``rerank_factor=1`` pins down the two-stage
-pipeline's no-over-fetch behavior.  The FlatStore bit-identity class at
-the bottom is the acceptance pin: with flat storage, ``search()``
-reproduces the raw pre-storage-layer engine calls bit for bit across 3
-seeds.
+Every (storage, kind) combination keeps the never-raising front-door
+semantics — empty ``allowed_ids``, a fully tombstoned collection, ``k``
+larger than the live point count — and ``rerank_factor=1`` pins down
+the two-stage pipeline's no-over-fetch behavior.  Two acceptance pins
+close the file: with flat storage, ``search()`` reproduces the raw
+pre-storage-layer engine calls bit for bit across 3 seeds; and SQ8
+keeps recall@10 within 0.02 of flat at equal beam width while its
+traversal bytes are 8x smaller.
 """
 
 from __future__ import annotations
@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 
 from repro import ProximityGraphIndex, SearchParams, ShardedIndex
+from repro.core.stats import compute_ground_truth_k, recall_at_k, storage_breakdown
 from repro.graphs.engine import beam_search_batch, greedy_batch
-from repro.workloads import uniform_cube
+from repro.metrics import Dataset, EuclideanMetric
+from repro.workloads import gaussian_clusters, uniform_cube, uniform_queries
 
 KINDS = ["flat", "sharded"]
-STORAGES = ["flat", "sq8", "pq"]
+STORAGES = ["flat", "sq8"]
 
 
 def _build(kind: str, storage: str, n: int = 90, seed: int = 1):
@@ -149,7 +151,7 @@ class TestEdgeCases:
                 assert d == pytest.approx(true, rel=1e-9)
 
 
-@pytest.mark.parametrize("storage", ["sq8", "pq"])
+@pytest.mark.parametrize("storage", ["sq8"])
 def test_quantized_greedy_mode_reports_exact_distance(storage, queries):
     index = _build("flat", storage)
     r = index.search(queries, k=1, params=SearchParams(mode="greedy", seed=0))
@@ -225,3 +227,22 @@ class TestFlatStoreBitIdentity:
             np.array([g.distance for g in results]) / index.scale,
         )
         assert r.evals.tolist() == [g.distance_evals for g in results]
+
+
+def test_sq8_recall_tracks_flat_at_an_eighth_of_the_bytes():
+    """One vamana graph, its store swapped: at equal beam width SQ8's
+    compressed traversal plus exact rerank keeps recall@10 within 0.02
+    of flat, and its traversal rows are 8x smaller than float64.  The
+    beam is narrow enough (recall ~0.96) that a worse store shows."""
+    pts = gaussian_clusters(2000, 4, np.random.default_rng(11), clusters=20)
+    queries = uniform_queries(200, pts, np.random.default_rng(2025))
+    gt, _ = compute_ground_truth_k(Dataset(EuclideanMetric(), pts), queries, k=10)
+    index = ProximityGraphIndex.build(
+        pts, epsilon=1.0, method="vamana", seed=42, batch_size=250
+    )
+    params = SearchParams(beam_width=16, seed=7)
+    flat = recall_at_k(index, queries, gt, 10, params=params)
+    index.set_storage("sq8")
+    sq8 = recall_at_k(index, queries, gt, 10, params=params)
+    assert sq8 >= flat - 0.02, (flat, sq8)
+    assert storage_breakdown(index)["compression"] == 8.0
