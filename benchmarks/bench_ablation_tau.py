@@ -21,7 +21,7 @@ THETA = 0.25
 def test_tau_sweep(benchmark, bench_rng):
     pts = exponential_cluster_chain(12, 25, np.random.default_rng(13), base=2.5)
     ds = make_dataset(pts)
-    gnet = build_gnet(ds, EPS, method="grid")
+    gnet = build_gnet(ds, EPS)
     geo = build_theta_graph(ds, THETA, method="sweep")
     queries = list(uniform_queries(60, np.asarray(ds.points), bench_rng))
     starts = list(bench_rng.integers(ds.n, size=len(queries)))
@@ -77,7 +77,7 @@ def test_hops_shrink_with_tau(benchmark, bench_rng):
     fall as jackpot density rises."""
     pts = exponential_cluster_chain(20, 6, np.random.default_rng(17), base=2.5)
     ds = make_dataset(pts)
-    gnet = build_gnet(ds, EPS, method="grid")
+    gnet = build_gnet(ds, EPS)
     geo = build_theta_graph(ds, THETA, method="sweep")
     coords = np.asarray(ds.points)
     q = coords[np.argmax(coords[:, 0])] + np.array([5.0, 0.0])

@@ -29,7 +29,7 @@ def test_baseline_comparison(benchmark, bench_rng):
 
     configs = [
         ("gnet", {}),
-        ("merged", {"theta": 0.25, "gnet_method": "grid", "theta_method": "sweep"}),
+        ("merged", {"theta": 0.25, "theta_method": "sweep"}),
         ("theta", {"theta": 0.25, "method": "sweep"}),
         ("diskann", {}),
         ("vamana", {"max_degree": 16}),
@@ -96,7 +96,7 @@ def test_theory_vs_measured_constants(benchmark, bench_rng):
         ("clustered", make_dataset(
             gaussian_clusters(600, 2, np.random.default_rng(2), clusters=8))),
     ]:
-        res = build_gnet(ds, epsilon=1.0, method="grid")
+        res = build_gnet(ds, epsilon=1.0)
         report = gnet_theory_report(res, doubling_dimension=2.0)
         rows.append(
             [
@@ -122,7 +122,7 @@ def test_theory_vs_measured_constants(benchmark, bench_rng):
 
     ds = make_dataset(gaussian_clusters(600, 2, np.random.default_rng(2)))
     benchmark.pedantic(
-        lambda: build_gnet(ds, epsilon=1.0, method="grid"), rounds=1, iterations=1
+        lambda: build_gnet(ds, epsilon=1.0), rounds=1, iterations=1
     )
 
 

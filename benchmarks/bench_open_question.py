@@ -46,7 +46,7 @@ def test_candidate_budget_and_failures(benchmark, bench_rng):
     rows = []
     any_violation = 0
     for name, ds in workloads:
-        gnet = build_gnet(ds, EPS, method="grid")
+        gnet = build_gnet(ds, EPS)
         points = np.asarray(ds.points)
         queries = list(uniform_queries(80, points, bench_rng))
         queries += [points[i] * (1 + 1e-9) for i in range(0, ds.n, 10)]

@@ -94,12 +94,12 @@ def test_build_from_estimates_end_to_end(benchmark, bench_rng):
     ds = Dataset(EuclideanMetric(), pts)
 
     exact_ds, _ = normalize_min_distance(ds)
-    exact_res = build_gnet(exact_ds, epsilon=1.0, method="grid")
+    exact_res = build_gnet(exact_ds, epsilon=1.0)
 
     est = estimate_extremes(ds)
     est_ds, _ = normalize_min_distance(ds, spread=est)
     est_res = build_gnet(
-        est_ds, epsilon=1.0, method="grid", diameter=est.d_max_hat * 2.0 / est.d_min_hat
+        est_ds, epsilon=1.0, diameter=est.d_max_hat * 2.0 / est.d_min_hat
     )
 
     queries = list(uniform_queries(50, np.asarray(est_ds.points), bench_rng))
@@ -126,7 +126,7 @@ def test_build_from_estimates_end_to_end(benchmark, bench_rng):
     assert rows[0][2] <= 4.0
 
     benchmark.pedantic(
-        lambda: build_gnet(est_ds, epsilon=1.0, method="grid"),
+        lambda: build_gnet(est_ds, epsilon=1.0),
         rounds=1,
         iterations=1,
     )

@@ -24,7 +24,7 @@ def test_query_cost_vs_log_delta(benchmark, bench_rng):
     for clusters in [2, 4, 8, 16]:
         pts = exponential_cluster_chain(clusters, 30, np.random.default_rng(3))
         ds = make_dataset(pts)
-        res = build_gnet(ds, epsilon=1.0, method="grid")
+        res = build_gnet(ds, epsilon=1.0)
         queries = list(uniform_queries(60, np.asarray(ds.points), bench_rng))
         stats = measure_queries(res.graph, ds, queries, epsilon=1.0)
         h = res.params.height
@@ -59,7 +59,7 @@ def test_query_cost_vs_log_delta(benchmark, bench_rng):
 
     pts = exponential_cluster_chain(16, 30, np.random.default_rng(3))
     ds = make_dataset(pts)
-    res = build_gnet(ds, epsilon=1.0, method="grid")
+    res = build_gnet(ds, epsilon=1.0)
     queries = list(uniform_queries(60, np.asarray(ds.points), bench_rng))
     benchmark.pedantic(
         lambda: measure_queries(res.graph, ds, queries, epsilon=1.0),
@@ -75,7 +75,7 @@ def test_hops_bounded_by_h(benchmark, bench_rng):
 
     ds = make_dataset(uniform_cube(800, 2, bench_rng))
     eps = 0.5
-    res = build_gnet(ds, epsilon=eps, method="grid")
+    res = build_gnet(ds, epsilon=eps)
     h = res.params.height
     rows = []
     worst_first_ann = 0
@@ -121,7 +121,7 @@ def test_query_cost_vs_epsilon(benchmark, bench_rng):
     gt = compute_ground_truth(ds, queries)
     rows = []
     for eps in [1.0, 0.5, 0.25]:
-        res = build_gnet(ds, epsilon=eps, method="grid")
+        res = build_gnet(ds, epsilon=eps)
         stats = measure_queries(res.graph, ds, queries, epsilon=eps, ground_truth=gt)
         rows.append(
             [
@@ -146,7 +146,7 @@ def test_query_cost_vs_epsilon(benchmark, bench_rng):
     evals = [r[2] for r in rows]
     assert evals[0] <= evals[-1], "smaller eps should cost more distance evals"
 
-    res = build_gnet(ds, epsilon=0.25, method="grid")
+    res = build_gnet(ds, epsilon=0.25)
     benchmark.pedantic(
         lambda: measure_queries(res.graph, ds, queries, epsilon=0.25),
         rounds=1,

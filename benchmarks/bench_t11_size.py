@@ -31,7 +31,7 @@ def test_edges_vs_n(benchmark, bench_rng):
     rows, xs, edges = [], [], []
     for side in sides:
         ds = make_dataset(jittered_grid(side, 2, bench_rng, jitter=0.05))
-        res = build_gnet(ds, epsilon=1.0, method="grid")
+        res = build_gnet(ds, epsilon=1.0)
         e = res.graph.num_edges
         log_delta = max(res.params.height - 1, 1)
         xs.append(ds.n * log_delta)
@@ -54,7 +54,7 @@ def test_edges_vs_n(benchmark, bench_rng):
 
     ds = make_dataset(jittered_grid(sides[-1], 2, bench_rng, jitter=0.05))
     benchmark.pedantic(
-        lambda: build_gnet(ds, epsilon=1.0, method="grid"), rounds=1, iterations=1
+        lambda: build_gnet(ds, epsilon=1.0), rounds=1, iterations=1
     )
 
 
@@ -66,7 +66,7 @@ def test_edges_vs_log_delta(benchmark, bench_rng):
             clusters, cluster_size, np.random.default_rng(7)
         )
         ds = make_dataset(pts)
-        res = build_gnet(ds, epsilon=1.0, method="grid")
+        res = build_gnet(ds, epsilon=1.0)
         log_delta = max(res.params.height - 1, 1)
         e = res.graph.num_edges
         log_deltas.append(log_delta)
@@ -92,7 +92,7 @@ def test_edges_vs_log_delta(benchmark, bench_rng):
     pts = exponential_cluster_chain(16, cluster_size, np.random.default_rng(7))
     ds = make_dataset(pts)
     benchmark.pedantic(
-        lambda: build_gnet(ds, epsilon=1.0, method="grid"), rounds=1, iterations=1
+        lambda: build_gnet(ds, epsilon=1.0), rounds=1, iterations=1
     )
 
 
@@ -101,7 +101,7 @@ def test_edges_vs_epsilon(benchmark, bench_rng):
     ds = make_dataset(uniform_cube(n, 2, bench_rng))
     rows, inv_eps, edges = [], [], []
     for eps in [1.0, 0.5, 0.25, 0.125]:
-        res = build_gnet(ds, epsilon=eps, method="grid")
+        res = build_gnet(ds, epsilon=eps)
         e = res.graph.num_edges
         inv_eps.append(1 / eps)
         edges.append(e)
@@ -121,5 +121,5 @@ def test_edges_vs_epsilon(benchmark, bench_rng):
     assert edges == sorted(edges), "smaller eps must not shrink the graph"
 
     benchmark.pedantic(
-        lambda: build_gnet(ds, epsilon=0.125, method="grid"), rounds=1, iterations=1
+        lambda: build_gnet(ds, epsilon=0.125), rounds=1, iterations=1
     )

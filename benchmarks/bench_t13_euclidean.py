@@ -34,7 +34,7 @@ def test_separation_edges_vs_log_delta(benchmark, bench_rng):
     for clusters in [2, 4, 8, 16]:
         pts = exponential_cluster_chain(clusters, cluster_size, np.random.default_rng(5))
         ds = make_dataset(pts)
-        gnet = build_gnet(ds, EPS, method="grid")
+        gnet = build_gnet(ds, EPS)
         geo = build_theta_graph(ds, THETA, method="sweep")
         merged = build_merged_graph(
             ds, EPS, np.random.default_rng(11), gnet=gnet, geo=geo
@@ -79,8 +79,7 @@ def test_separation_edges_vs_log_delta(benchmark, bench_rng):
     ds = make_dataset(pts)
     benchmark.pedantic(
         lambda: build_merged_graph(
-            ds, EPS, np.random.default_rng(11), theta=THETA, gnet_method="grid",
-            theta_method="sweep",
+            ds, EPS, np.random.default_rng(11), theta=THETA, theta_method="sweep",
         ),
         rounds=1,
         iterations=1,
@@ -96,7 +95,7 @@ def test_merged_query_quality_and_cost(benchmark, bench_rng):
         ds = make_dataset(pts)
         merged = build_merged_graph(
             ds, EPS, np.random.default_rng(11), theta=THETA,
-            gnet_method="grid", theta_method="sweep",
+            theta_method="sweep",
         )
         queries = list(uniform_queries(50, np.asarray(ds.points), bench_rng))
         stats = measure_queries(merged.graph, ds, queries, epsilon=EPS)
@@ -124,7 +123,7 @@ def test_merged_query_quality_and_cost(benchmark, bench_rng):
     ds = make_dataset(pts)
     merged = build_merged_graph(
         ds, EPS, np.random.default_rng(11), theta=THETA,
-        gnet_method="grid", theta_method="sweep",
+        theta_method="sweep",
     )
     queries = list(uniform_queries(50, np.asarray(ds.points), bench_rng))
     benchmark.pedantic(
@@ -141,7 +140,7 @@ def test_best_of_runs_size_control(benchmark, bench_rng):
     ds = make_dataset(pts)
     merged = build_merged_graph(
         ds, EPS, np.random.default_rng(23), theta=THETA, runs=10,
-        gnet_method="grid", theta_method="sweep",
+        theta_method="sweep",
     )
     counts = merged.runs_edge_counts
     rows = [[i, c] for i, c in enumerate(counts)]
@@ -161,7 +160,7 @@ def test_best_of_runs_size_control(benchmark, bench_rng):
     benchmark.pedantic(
         lambda: build_merged_graph(
             ds, EPS, np.random.default_rng(23), theta=THETA, runs=10,
-            gnet_method="grid", theta_method="sweep",
+            theta_method="sweep",
         ),
         rounds=1,
         iterations=1,

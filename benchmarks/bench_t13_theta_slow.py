@@ -29,7 +29,7 @@ def test_theta_alone_creeps_merged_flies(benchmark, bench_rng):
         )
         ds = make_dataset(pts)
         geo = build_theta_graph(ds, THETA, method="sweep")
-        gnet = build_gnet(ds, EPS, method="grid")
+        gnet = build_gnet(ds, EPS)
         merged = build_merged_graph(
             ds, EPS, np.random.default_rng(3), gnet=gnet, geo=geo, z=4.0
         )
@@ -97,7 +97,7 @@ def test_jackpot_condition_empirics(benchmark, bench_rng):
     pts = exponential_cluster_chain(12, 10, np.random.default_rng(4), base=2.5)
     ds = make_dataset(pts)
     geo = build_theta_graph(ds, THETA, method="sweep")
-    gnet = build_gnet(ds, EPS, method="grid")
+    gnet = build_gnet(ds, EPS)
     rows = []
     for z in [1.0, 2.0, 4.0]:
         merged = build_merged_graph(

@@ -34,7 +34,7 @@ def main() -> None:
     rng = np.random.default_rng(3)
     n = 600
     ds = make_dataset(uniform_cube(n, 2, rng))  # sensor positions
-    res = build_gnet(ds, epsilon=0.5, method="grid")
+    res = build_gnet(ds, epsilon=0.5)
     points = np.asarray(ds.points)
     queries = list(uniform_queries(400, points, rng))
 

@@ -46,7 +46,7 @@ def main() -> None:
     for clusters in [2, 4, 8, 16, 24]:
         pts = exponential_cluster_chain(clusters, 40, np.random.default_rng(5))
         ds = make_dataset(pts)
-        gnet = build_gnet(ds, EPS, method="grid")
+        gnet = build_gnet(ds, EPS)
         geo = build_theta_graph(ds, THETA, method="sweep")
         merged = build_merged_graph(ds, EPS, np.random.default_rng(11), gnet=gnet, geo=geo)
         log_delta = gnet.params.height - 1

@@ -182,8 +182,8 @@ class ProximityGraphIndex:
         """
         rng = np.random.default_rng(seed)
         # Fail fast on an unknown builder or a misspelled build option
-        # (e.g. builder= instead of method=), BEFORE the O(n^2)
-        # normalization pass and the graph build.
+        # (e.g. builder= instead of method=), BEFORE the normalization
+        # pass (a closest-pair search) and the graph build.
         validate_builder_options(method, options)
         if metric is None:
             points = np.asarray(points, dtype=np.float64)

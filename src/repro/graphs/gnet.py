@@ -22,40 +22,31 @@ Properties proved in the paper and checked by our tests:
 
 Three interchangeable build strategies produce the identical edge set:
 
+* ``"auto"`` — the edges read off the net traversal (the default; any
+  metric);
 * ``"vectorized"`` — per level, batched distance rows against ``Y_i``
-  (the correctness reference; works for every metric);
+  (the correctness reference);
 * ``"paper"`` — the Section 2.4 loop verbatim: a dynamic ANN structure
   per level, repeated 2-ANN extraction with deletions until the paper's
-  ``2 * phi * 2^i`` stopping rule fires, then re-insertion;
-* ``"grid"`` — one array-level range join for ``L_p`` coordinate metrics
-  (the output-sensitive fast path, and what ``"auto"`` picks for them).
+  ``2 * phi * 2^i`` stopping rule fires, then re-insertion.
 
-The join rests on the hierarchy's nestedness.  The levels are prefixes
-of one traversal (``Y_h ⊆ ... ⊆ Y_0``) and the radius doubles per level,
-so with ``top(y)`` the highest level containing ``y``
+The default rests on the hierarchy's nestedness: the levels are prefixes
+of one farthest-point traversal (``Y_h ⊆ ... ⊆ Y_0``) and the radius
+doubles per level, so with ``top(y)`` the highest level containing ``y``
 
-    ``(p, y) in E  <=>  D(p, y) <= phi * 2^top(y)``:
+    ``(p, y) in E  <=>  D(p, y) <= phi * 2^top(y)``.
 
-the ``h + 1`` overlapping per-level range queries collapse to ``h + 1``
-*disjoint* joins of ``P`` against ``Y_i - Y_(i+1)``, each pair is
-evaluated at most once, and nothing needs deduplicating.  The level an
-edge would first have been added at (``level_edge_counts``) is read off
-the same distance: the first ``i`` with ``D(p, y) <= phi * 2^i``.  Per
-join, net points are sorted by the key of their grid cell — cells of
-width ``phi * 2^i`` in the *metric's* units, i.e. over coordinates times
-the normalization factor — and the ``3^d`` neighbour cells of every
-point resolve to runs of that sorted array by binary search.  Candidate
-pairs are filtered by the metric's own segmented primitive
-(:meth:`~repro.metrics.base.MetricSpace.distances_many`, bit-identical
-per element to the ``distances`` rows the reference evaluates) against
-the same float radius, so the edge set *equals* the reference's,
-boundary ties included; rows and targets leave through one sort straight
-into CSR.
+The traversal computes the row ``D(y, .)`` of every point ``y`` it
+selects and knows ``top(y)`` from ``y``'s insertion distance, so
+:class:`~repro.nets.hierarchy.NetHierarchy` keeps ``y``'s in-neighbours
+from that row (``D(y, p)`` is the same float as ``D(p, y)`` for every
+metric here): ``n^2`` evaluations in all, each edge recorded once.  An
+edge's level in ``level_edge_counts`` is the first ``i`` with
+``D(p, y) <= phi * 2^i``; one sort of the pairs turns them into CSR.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -66,25 +57,11 @@ from repro.anns.base import DynamicANN
 from repro.anns.cover_tree import CoverTree
 from repro.graphs.base import ProximityGraph
 from repro.metrics.base import Dataset
-from repro.metrics.euclidean import lp_decompose
 from repro.nets.hierarchy import NetHierarchy
 
 __all__ = ["GNetParameters", "GNetBuildResult", "gnet_parameters", "build_gnet"]
 
-# The join evaluates candidate pairs in blocks of whole points holding at
-# most this many gathered coordinates (2 MiB of float64 per temporary),
-# so peak memory does not grow with the candidate count.
-_JOIN_BLOCK_COORDS = 1 << 18
-# Coordinates the cells are cut on (the widest ones): every point probes
-# 3^g cells, and any subset of coordinates still gives a superset filter
-# because |x_k - y_k| * factor <= D(x, y) for each k.
-_JOIN_GRID_DIMS = 3
-# Cells per axis are capped (wider cells only admit more candidates) so a
-# cell's linear key stays far inside int64 and inside float64's integers.
-_JOIN_MAX_CELLS_PER_AXIS = 1 << 20
-# Cells are this much wider than the radius: pairs at distance <= radius
-# stay in adjacent cells even when the keys' floor() rounds against them.
-_JOIN_CELL_SLACK = 1.0 + 2.0**-20
+_METHODS = ("auto", "vectorized", "paper")
 
 
 @dataclass(frozen=True)
@@ -124,14 +101,18 @@ class GNetParameters:
 def gnet_parameters(epsilon: float, diameter: float) -> GNetParameters:
     """Compute ``(h, eta, phi)`` from ``eps`` and (an upper bound on) the
     diameter of the normalized input."""
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
+    eta, phi = _eta_phi(epsilon)
     if diameter < 2:
         raise ValueError("normalized diameter must be at least 2")
     height = max(1, math.ceil(math.log2(diameter)))
-    eta = math.ceil(math.log2(1.0 + 2.0 / epsilon))
-    phi = 1.0 + float(2 ** (eta + 1))
     return GNetParameters(epsilon=epsilon, height=height, eta=eta, phi=phi)
+
+
+def _eta_phi(epsilon: float) -> tuple[int, float]:
+    if not 0 < epsilon <= 1:
+        raise ValueError("epsilon must be in (0, 1]")
+    eta = math.ceil(math.log2(1.0 + 2.0 / epsilon))
+    return eta, 1.0 + float(2 ** (eta + 1))
 
 
 @dataclass
@@ -149,7 +130,6 @@ def build_gnet(
     dataset: Dataset,
     epsilon: float,
     method: str = "auto",
-    hierarchy: NetHierarchy | None = None,
     diameter: float | None = None,
     ann_factory: Callable[[Dataset, np.ndarray], DynamicANN] | None = None,
 ) -> GNetBuildResult:
@@ -159,40 +139,38 @@ def build_gnet(
     Parameters
     ----------
     method:
-        ``"vectorized"``, ``"paper"``, ``"grid"``, or ``"auto"`` (grid for
-        ``(n, d)`` arrays under an ``L_p`` coordinate metric, possibly
-        scaled or counted; vectorized otherwise).
+        ``"auto"`` (edges recorded by the net traversal itself),
+        ``"vectorized"`` or ``"paper"`` (see the module docstring).
     diameter:
         Upper bound on ``diam(P)`` within a factor 2 (the Section 2.4
-        remark's ``d_max_hat``).  Defaults to twice the eccentricity of
-        the hierarchy's start point, which satisfies that contract.
+        remark's ``d_max_hat``); it fixes ``h`` before the traversal.
+        Defaults to twice the eccentricity of the hierarchy's start
+        point, which satisfies that contract.
     ann_factory:
         For ``method="paper"``: builds the dynamic ANN structure over a
         net level; defaults to :class:`~repro.anns.cover_tree.CoverTree`.
     """
-    if hierarchy is None:
-        hierarchy = NetHierarchy(dataset, height=None)
-    if diameter is None:
-        diameter = 2.0 * hierarchy.max_insertion_distance
-    params = gnet_parameters(epsilon, diameter)
-    if params.height > hierarchy.height:
-        hierarchy = NetHierarchy(dataset, height=params.height)
-
-    lp = lp_decompose(dataset.metric) if np.ndim(dataset.points) == 2 else None
-    if method == "auto":
-        method = "grid" if lp is not None else "vectorized"
+    if method not in _METHODS:
+        raise ValueError(
+            f"unknown build method {method!r}; expected one of "
+            + ", ".join(map(repr, _METHODS))
+        )
+    _, phi = _eta_phi(epsilon)  # a bad epsilon fails before the traversal
+    params = None if diameter is None else gnet_parameters(epsilon, diameter)
+    hierarchy = NetHierarchy(
+        dataset,
+        height=None if params is None else params.height,
+        phi=phi if method == "auto" else None,
+    )
+    if params is None:
+        params = gnet_parameters(epsilon, 2.0 * hierarchy.max_insertion_distance)
 
     level_sizes = [hierarchy.level_size(i) for i in range(params.height + 1)]
-    if method == "grid":
-        if lp is None:
-            raise ValueError(
-                'method="grid" needs (n, d) points under an L_p coordinate '
-                f"metric, got {type(dataset.metric).__name__}"
-            )
-        graph, level_edge_counts = _edges_grid_join(
-            dataset, hierarchy.order, level_sizes, params, factor=lp[1]
+    if method == "auto":
+        graph, level_edge_counts = _csr_from_in_edges(
+            dataset.n, hierarchy.take_in_edges(), params
         )
-    elif method in ("vectorized", "paper"):
+    else:
         out_sets: list[set[int]] = [set() for _ in range(dataset.n)]
         level_edge_counts = []
         for i in range(params.height + 1):
@@ -209,8 +187,6 @@ def build_gnet(
                 )
             level_edge_counts.append(added)
         graph = ProximityGraph.from_sets(dataset.n, out_sets)
-    else:
-        raise ValueError(f"unknown build method {method!r}")
 
     return GNetBuildResult(
         graph=graph,
@@ -219,6 +195,30 @@ def build_gnet(
         level_sizes=level_sizes,
         level_edge_counts=level_edge_counts,
     )
+
+
+def _csr_from_in_edges(
+    n: int,
+    in_edges: tuple[np.ndarray, np.ndarray, np.ndarray],
+    params: GNetParameters,
+) -> tuple[ProximityGraph, list[int]]:
+    """The traversal's ``(sources, targets, distances)`` as CSR, plus the
+    number of edges a level-by-level build in ascending order would first
+    have added at each level."""
+    sources, targets, distances = in_edges
+    # Each (p, y) was recorded once, so sorting the pairs is all that is
+    # left of the CSR invariant (rows strictly increasing, no self-loop).
+    pair = sources * n + targets
+    pair.sort()
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=n), out=offsets[1:])
+    # An edge is first added at the lowest level whose radius covers it.
+    covered = [
+        np.count_nonzero(distances <= params.level_radius(i))
+        for i in range(params.height + 1)
+    ]
+    graph = ProximityGraph.from_csr(n, offsets, pair % n, validate=False)
+    return graph, np.diff(covered, prepend=0).tolist()
 
 
 def _level_edges_vectorized(
@@ -238,95 +238,6 @@ def _level_edges_vectorized(
                 out_sets[p].add(y)
                 added += 1
     return added
-
-
-def _edges_grid_join(
-    dataset: Dataset,
-    order: np.ndarray,
-    level_sizes: list[int],
-    params: GNetParameters,
-    factor: float,
-) -> tuple[ProximityGraph, list[int]]:
-    """Fast path for ``L_p`` coordinate data: the whole edge set as one
-    range join, emitted as CSR (see the module docstring).
-
-    ``order`` is the hierarchy's traversal and ``level_sizes[i]`` the
-    length of its prefix ``Y_i``; ``factor`` is the metric's scale over
-    plain coordinates.  Returns the graph and, per level, the number of
-    edges a level-by-level build in ascending order would first have
-    added there.
-    """
-    n, height = dataset.n, params.height
-    radii = np.array([params.level_radius(i) for i in range(height + 1)])
-
-    coords = np.asarray(dataset.points, dtype=np.float64)
-    low = coords.min(axis=0)
-    axes = np.argsort(low - coords.max(axis=0), kind="stable")[:_JOIN_GRID_DIMS]
-    grid = (coords[:, axes] - low[axes]) * factor  # metric units, >= 0
-    min_width = float(grid.max()) / _JOIN_MAX_CELLS_PER_AXIS
-    # Cell offsets of the neighbourhood over all but the last grid axis;
-    # along the last axis the three cells have consecutive keys: one run.
-    neighbours = np.array(
-        list(itertools.product((-1, 0, 1), repeat=len(axes) - 1)), dtype=np.int64
-    )
-    block_pairs = max(_JOIN_BLOCK_COORDS // coords.shape[1], 1)
-
-    rows_out = [np.empty(0, dtype=np.int64)]  # seeded: an edgeless result
-    cols_out = [np.empty(0, dtype=np.int64)]  # must still concatenate
-    level_edge_counts = np.zeros(height + 1, dtype=np.int64)
-    for i in range(height + 1):
-        # Net points whose top level is i: Y_i minus Y_(i+1), a slice of
-        # the traversal order (the whole top net for i = h).
-        members = order[(level_sizes[i + 1] if i < height else 0) : level_sizes[i]]
-        radius = radii[i]
-        width = max(radius, min_width) * _JOIN_CELL_SLACK
-        cells = np.floor(grid / width).astype(np.int64) + 1  # >= 1: room for -1
-        dims = cells.max(axis=0) + 2
-        keys = np.ravel_multi_index(tuple(cells.T), tuple(dims))
-        outer_strides = np.cumprod(dims[:0:-1])[::-1]  # the last axis has 1
-        run_keys = keys[:, None] + neighbours @ outer_strides
-
-        member_keys = keys[members]
-        by_key = np.argsort(member_keys, kind="stable")
-        members, member_keys = members[by_key], member_keys[by_key]
-        run_start = np.searchsorted(member_keys, run_keys - 1, side="left")
-        run_len = np.searchsorted(member_keys, run_keys + 1, side="right") - run_start
-        per_point = run_len.sum(axis=1)
-        done = np.cumsum(per_point)
-
-        a = 0
-        while a < n:
-            # Whole points while the block stays within budget, never none.
-            taken = done[a - 1] if a else 0
-            b = max(int(np.searchsorted(done, taken + block_pairs, side="right")), a + 1)
-            total = int(done[b - 1] - taken)
-            if total:
-                # Expand the runs [start, start + len) to flat positions.
-                lens = run_len[a:b].ravel()
-                ends = np.cumsum(lens)
-                flat = np.repeat(run_start[a:b].ravel() - (ends - lens), lens)
-                flat += np.arange(total)
-                cand = members[flat]
-                dists = dataset.distances_to_queries(
-                    dataset.points[a:b], cand, per_point[a:b]
-                )
-                rows = np.repeat(np.arange(a, b), per_point[a:b])
-                keep = (dists <= radius) & (cand != rows)
-                rows_out.append(rows[keep])
-                cols_out.append(cand[keep])
-                first = np.searchsorted(radii, dists[keep], side="left")
-                level_edge_counts += np.bincount(first, minlength=height + 1)
-            a = b
-
-    # Each (p, y) was produced once, so sorting the pairs is all that is
-    # left of the CSR invariant (rows strictly increasing, no self-loop).
-    rows = np.concatenate(rows_out)
-    pair = rows * n + np.concatenate(cols_out)
-    pair.sort()
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
-    graph = ProximityGraph.from_csr(n, offsets, pair % n)
-    return graph, level_edge_counts.tolist()
 
 
 def _level_edges_paper(

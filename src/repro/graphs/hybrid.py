@@ -49,31 +49,19 @@ class HybridBuildResult:
     lateral_edges: int
 
 
-def _top_levels(hierarchy: NetHierarchy) -> np.ndarray:
-    """Highest level at which each point appears in the (nested) nets."""
-    n = len(hierarchy.order)
-    top = np.zeros(n, dtype=np.intp)
-    for i in range(hierarchy.height + 1):
-        for pid in hierarchy.level(i):
-            top[pid] = i
-    return top
-
-
 def build_hybrid_candidate(
     dataset: Dataset,
     epsilon: float,
-    hierarchy: NetHierarchy | None = None,
     diameter: float | None = None,
 ) -> HybridBuildResult:
-    """Build the spine + own-scale-laterals candidate structure."""
-    if hierarchy is None:
-        hierarchy = NetHierarchy(dataset)
-    if diameter is None:
-        diameter = 2.0 * hierarchy.max_insertion_distance
-    params = gnet_parameters(epsilon, diameter)
-    if params.height > hierarchy.height:
-        hierarchy = NetHierarchy(dataset, height=params.height)
-    top = _top_levels(hierarchy)
+    """Build the spine + own-scale-laterals candidate structure; an
+    explicit ``diameter`` fixes ``h`` before the net traversal, as in
+    :func:`~repro.graphs.gnet.build_gnet`."""
+    params = None if diameter is None else gnet_parameters(epsilon, diameter)
+    hierarchy = NetHierarchy(dataset, height=None if params is None else params.height)
+    if params is None:
+        params = gnet_parameters(epsilon, 2.0 * hierarchy.max_insertion_distance)
+    top = hierarchy.top_level
 
     out: list[set[int]] = [set() for _ in range(dataset.n)]
     spine = 0

@@ -7,7 +7,9 @@ distance of ``P`` is exactly 2, so that the aspect ratio is
 
 * :func:`normalize_min_distance` — wrap a metric so the minimum inter-point
   distance becomes 2 (a pure rescaling; preserves axioms, doubling
-  dimension, and aspect ratio);
+  dimension, and aspect ratio).  Its exact ``d_min`` comes from a sorted
+  sweep along the widest axis for ``(n, d)`` points under an ``L_p``
+  metric, and from one distance row per point for any other metric;
 * :func:`estimate_extremes` — the remark of Section 2.4 (footnote 1): from
   ``n`` ANN queries obtain ``d_min_hat in [d_min/2, d_min]`` and
   ``d_max_hat in [d_max, 2*d_max]`` without a quadratic scan, so the
@@ -23,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from repro.metrics.base import Dataset, ScaledMetric
+from repro.metrics.euclidean import lp_decompose
 
 __all__ = [
     "normalize_min_distance",
@@ -30,6 +33,11 @@ __all__ = [
     "spread_parameters",
     "SpreadEstimate",
 ]
+
+# The sweep stops once the smallest gap along its axis, in the metric's
+# units, clears the best distance by this factor: a pair's computed
+# distance may round a few ulps below its own computed gap.
+_SWEEP_SLACK = 1.0 + 2.0**-20
 
 
 class SpreadEstimate:
@@ -103,14 +111,7 @@ def normalize_min_distance(
     :class:`SpreadEstimate` it lands in ``[target, 2*target]``, which every
     construction in the paper tolerates (constants absorb the factor 2).
     """
-    d_min = spread.d_min_hat if spread is not None else None
-    if d_min is None:
-        d_min = float(
-            min(
-                _row_min_excluding_self(dataset, i)
-                for i in range(dataset.n)
-            )
-        )
+    d_min = spread.d_min_hat if spread is not None else _min_distance(dataset)
     if d_min <= 0:
         raise ValueError("dataset contains duplicate points (d_min = 0)")
     # The 1e-12 headroom keeps the *recomputed* minimum at or above the
@@ -121,10 +122,39 @@ def normalize_min_distance(
     return scaled, factor
 
 
-def _row_min_excluding_self(dataset: Dataset, i: int) -> float:
-    row = dataset.distances_from_index_to_all(i)
-    row[i] = np.inf
-    return float(row.min())
+def _min_distance(dataset: Dataset) -> float:
+    """The exact smallest inter-point distance, as the same float a scan
+    of every distance row finds."""
+    lp = lp_decompose(dataset.metric) if np.ndim(dataset.points) == 2 else None
+    if lp is None:
+        return dataset.min_interpoint_distance()
+    return _sweep_min_distance(dataset, factor=lp[1])
+
+
+def _sweep_min_distance(dataset: Dataset, factor: float) -> float:
+    """Sorted sweep for ``(n, d)`` points under ``factor * L_p``.
+
+    Sort along the widest axis; shift ``s`` evaluates every pair ``s``
+    apart in that order (one :meth:`~repro.metrics.base.MetricSpace
+    .distances_many` call, per element the float the distance rows give).
+    A pair ``t >= s`` apart spans at least the smallest shift-``s`` gap
+    along the axis, and ``|x_k - y_k| * factor <= D(x, y)``, so once that
+    gap clears the best distance found no later shift can beat it.
+    """
+    n = dataset.n
+    coords = np.asarray(dataset.points, dtype=np.float64)
+    axis = int(np.argmax(coords.max(axis=0) - coords.min(axis=0)))
+    order = np.argsort(coords[:, axis], kind="stable")
+    along = coords[order, axis]
+    best = np.inf
+    for shift in range(1, n):
+        if float((along[shift:] - along[:-shift]).min()) * factor >= best * _SWEEP_SLACK:
+            break
+        dists = dataset.distances_to_queries(
+            dataset.points[order[:-shift]], order[shift:], np.ones(n - shift, dtype=np.int64)
+        )
+        best = min(best, float(dists.min()))
+    return best
 
 
 def spread_parameters(diameter: float) -> tuple[int, float]:

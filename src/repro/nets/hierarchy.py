@@ -16,17 +16,21 @@ farthest-point (Gonzalez) traversal, which yields **all** levels at once:
       prefix (the traversal always picks the farthest remaining point).
 
 Consequently the levels are *nested* (``Y_h ⊆ ... ⊆ Y_0``), which the
-paper does not require but the G_net range join exploits (one join per
-``Y_i - Y_(i+1)``, see :mod:`repro.graphs.gnet`).  The traversal costs
-``O(n^2)`` scalar distance evaluations (vectorized row-at-a-time) against
-[15]'s ``O(n log(n Delta))``.  The substitution is safe because the
-proofs of Section 2 consume nothing about ``Y_i`` beyond the two r-net
-properties shown above — only the hierarchy's build time differs.
+paper does not require but G_net exploits: with ``top(y)`` the highest
+level holding ``y`` and radii doubling per level, ``(p, y)`` is an edge
+iff ``D(p, y) <= phi * 2^top(y)``, and the row ``D(y, .)`` is computed
+anyway when ``y`` is selected — so, given ``phi``, the traversal records
+every edge into ``y`` (see :mod:`repro.graphs.gnet`).  The traversal
+costs ``O(n^2)`` scalar distance evaluations (vectorized row-at-a-time)
+against [15]'s ``O(n log(n Delta))``.  The substitution is safe because
+the proofs of Section 2 consume nothing about ``Y_i`` beyond the two
+r-net properties shown above — only the hierarchy's build time differs.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +40,9 @@ __all__ = ["NetHierarchy", "farthest_point_order"]
 
 
 def farthest_point_order(
-    dataset: Dataset, start: int = 0
+    dataset: Dataset,
+    start: int = 0,
+    visit: Callable[[int, np.ndarray, float], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gonzalez farthest-point traversal of the whole dataset.
 
@@ -44,7 +50,9 @@ def farthest_point_order(
     permutation of ``0..n-1`` and ``insertion_distances[k]`` is the
     distance of ``order[k]`` to the first ``k`` points at selection time
     (``inf`` for the first point).  Ties are broken toward the smaller
-    point id, making the traversal deterministic.
+    point id, making the traversal deterministic.  ``visit(y, row,
+    insertion)``, if given, is called with each selected point, its row
+    ``D(y, .)`` over all points and its insertion distance, in order.
     """
     n = dataset.n
     order = np.empty(n, dtype=np.intp)
@@ -58,9 +66,17 @@ def farthest_point_order(
         d = dataset.distances_from_index_to_all(current)
         np.minimum(cover, d, out=cover)
         cover[current] = -np.inf  # never re-selected
+        if visit is not None:
+            visit(current, d, float(insertion[k]))
         if k + 1 < n:
             current = int(np.argmax(cover))
     return order, insertion
+
+
+def _derived_height(max_finite: float) -> int:
+    if max_finite <= 0:
+        raise ValueError("degenerate dataset: all points identical")
+    return max(1, math.ceil(math.log2(2.0 * max_finite)))
 
 
 class NetHierarchy:
@@ -77,30 +93,76 @@ class NetHierarchy:
         derived from the largest insertion distance (which equals the
         eccentricity of the start point, a 2-approximation of the
         diameter, so the derived ``h`` may exceed the exact one by 1 —
-        harmless: top levels just repeat the singleton net).
+        harmless: top levels just repeat the singleton net).  The start
+        point's row holds that distance, so ``h`` is known after one row.
+    phi:
+        If given, the G_net radius factor: while each net point ``y`` is
+        selected, record its in-neighbours ``{p != y : D(p, y) <= phi *
+        2^top(y)}`` for :meth:`take_in_edges`.  Points in no level get
+        none.
     """
 
-    def __init__(self, dataset: Dataset, height: int | None = None, start: int = 0):
+    def __init__(
+        self,
+        dataset: Dataset,
+        height: int | None = None,
+        start: int = 0,
+        phi: float | None = None,
+    ):
         self.dataset = dataset
-        self.order, self.insertion_distances = farthest_point_order(dataset, start)
+        self._height = height
+        self._phi = phi
+        self._in_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.order, self.insertion_distances = farthest_point_order(
+            dataset, start, visit=None if phi is None else self._record_in_edges
+        )
         finite = self.insertion_distances[1:]
         self._max_finite = float(finite.max()) if len(finite) else 0.0
-        if height is None:
-            if self._max_finite <= 0:
-                raise ValueError("degenerate dataset: all points identical")
-            height = max(1, math.ceil(math.log2(2.0 * self._max_finite)))
-        self.height = int(height)
+        self.height = int(height if height is not None else _derived_height(self._max_finite))
 
         # prefix_len[i] = |Y_i| = number of traversal points with insertion
-        # distance >= 2^i.  insertion_distances is non-increasing after the
-        # first entry, so a binary search suffices; we keep it simple.
-        self._prefix_len = np.empty(self.height + 1, dtype=np.intp)
-        for i in range(self.height + 1):
-            self._prefix_len[i] = int(
-                np.count_nonzero(self.insertion_distances >= float(2**i))
-            )
+        # distance >= 2^i.
+        self._prefix_len = np.array(
+            [np.count_nonzero(self.insertion_distances >= float(2**i))
+             for i in range(self.height + 1)],
+            dtype=np.intp,
+        )
         if self._prefix_len.min() < 1:
             raise ValueError("every net level must contain at least one point")
+
+        # Traversal position k lies in Y_i iff k < prefix_len[i], and
+        # prefix_len falls with i: the count of levels holding k, minus one.
+        held = np.searchsorted(-self._prefix_len, -np.arange(dataset.n), side="left")
+        self.top_level = np.empty(dataset.n, dtype=np.intp)
+        self.top_level[self.order] = np.maximum(held - 1, 0)
+
+    def _record_in_edges(self, y: int, row: np.ndarray, insertion: float) -> None:
+        """``visit`` hook of the traversal: keep the pairs ``(p, y)``,
+        ``p != y``, with ``D(p, y) <= phi * 2^top(y)`` from ``y``'s row."""
+        if insertion < 1.0:
+            return  # in no level: below Y_0 (only without normalization)
+        if insertion == math.inf and self._height is None:
+            # The start point comes first; the largest finite insertion
+            # distance is its row's maximum over the other points (the
+            # point the traversal picks next), so h is known from here on.
+            self._height = _derived_height(float(np.delete(row, y).max()))
+        top = self._height
+        if insertion < math.inf:  # largest i with 2^i <= insertion, at most h
+            top = min(math.frexp(insertion)[1] - 1, top)
+        within = row <= self._phi * float(2**top)
+        within[y] = False  # not its own in-neighbour
+        sources = within.nonzero()[0]
+        self._in_parts.append((sources, np.full(len(sources), y, dtype=np.intp), row[sources]))
+
+    def take_in_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The recorded G_net edges ``p -> y`` as ``(sources, targets,
+        distances)`` arrays, grouped by target in traversal order, sources
+        ascending within a target; the record is released."""
+        parts, self._in_parts = self._in_parts, []
+        if not parts:
+            raise ValueError("no in-edges recorded: pass phi, and take them once")
+        sources, targets, distances = map(np.concatenate, zip(*parts))
+        return sources, targets, distances
 
     # ------------------------------------------------------------------
 

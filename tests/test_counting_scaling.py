@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.metrics import (
+    ChebyshevMetric,
     CountingMetric,
     Dataset,
     EuclideanMetric,
+    MinkowskiMetric,
+    ScaledMetric,
     SpreadEstimate,
+    TreeMetric,
     estimate_extremes,
     normalize_min_distance,
     spread_parameters,
@@ -77,6 +81,70 @@ class TestNormalization:
         scaled, _ = normalize_min_distance(ds, spread=est)
         got = scaled.min_interpoint_distance()
         assert 2.0 - 1e-9 <= got <= 4.0 + 1e-9
+
+
+_LP = {
+    "l2": EuclideanMetric,
+    "linf": ChebyshevMetric,
+    "l3": lambda: MinkowskiMetric(3.0),
+}
+
+
+class TestSortedSweep:
+    """normalize_min_distance's exact d_min for (n, d) points under an
+    L_p metric: a sorted sweep, bit-equal to scanning every row."""
+
+    @pytest.mark.parametrize("metric", sorted(_LP))
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_equal_to_the_row_loop(self, metric, dim, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-30, 30, size=(int(rng.integers(2, 160)), dim))
+        ds = Dataset(_LP[metric](), pts)
+        scaled, factor = normalize_min_distance(ds)
+        assert factor == (2.0 / ds.min_interpoint_distance()) * (1.0 + 1e-12)
+        # A wrapped metric: the gap is read in the metric's own units.
+        wrapped = Dataset(CountingMetric(ScaledMetric(_LP[metric](), 3.7)), pts)
+        want = 2.0 / wrapped.min_interpoint_distance() * (1.0 + 1e-12)
+        assert normalize_min_distance(wrapped)[1] == want
+
+    @pytest.mark.parametrize("metric", sorted(_LP))
+    @pytest.mark.parametrize("shape", [(7, 5), (4, 4, 3), (40,)])
+    def test_integer_grids_with_ties(self, metric, shape):
+        """Every axis equally wide and many pairs at exactly d_min."""
+        grid = np.stack(np.meshgrid(*[np.arange(k) for k in shape]), axis=-1)
+        pts = grid.reshape(-1, len(shape))[::-1].astype(np.int64)
+        ds = Dataset(_LP[metric](), pts)
+        assert normalize_min_distance(ds)[1] == 2.0 / ds.min_interpoint_distance() * (1.0 + 1e-12)
+
+    def test_sweep_evaluates_fewer_pairs_than_the_rows(self, rng):
+        counting = CountingMetric(EuclideanMetric())
+        ds = Dataset(counting, rng.uniform(size=(500, 3)))
+        normalize_min_distance(ds)
+        assert 0 < counting.count < ds.n * (ds.n - 1) // 2
+
+    def test_other_metrics_take_the_row_loop(self, rng):
+        counting = CountingMetric(TreeMetric(height=8))
+        leaves = rng.choice(256, size=40, replace=False).astype(np.int64)
+        ds = Dataset(counting, leaves)
+        _, factor = normalize_min_distance(ds)
+        assert counting.count == ds.n * ds.n
+        assert factor == 2.0 / 2.0 * (1.0 + 1e-12)  # leaves are >= 2 apart
+
+    @pytest.mark.parametrize("metric", sorted(_LP))
+    def test_duplicates_far_apart_in_the_sort_order_raise(self, metric):
+        # Same first coordinate as two other points: the copies are not
+        # neighbours along the sweep axis.
+        pts = np.array([[0.0, 0.0], [0.0, 5.0], [0.0, 0.0], [9.0, 1.0], [0.0, 9.0]])
+        with pytest.raises(ValueError, match="duplicate"):
+            normalize_min_distance(Dataset(_LP[metric](), pts))
+        with pytest.raises(ValueError, match="duplicate"):
+            normalize_min_distance(Dataset(_LP[metric](), pts[:, ::-1].copy()))
+
+    def test_one_dimensional_duplicates_raise(self):
+        pts = np.array([[3.0], [1.0], [3.0], [7.0]])
+        with pytest.raises(ValueError, match="duplicate"):
+            normalize_min_distance(Dataset(EuclideanMetric(), pts))
 
 
 class TestSpreadEstimate:

@@ -44,7 +44,7 @@ class TestTheoryBudgetsDriveQueries:
         query(), must always land on a (1+eps)-ANN."""
         eps = 0.5
         ds = make_dataset(uniform_cube(200, 2, rng))
-        res = build_gnet(ds, epsilon=eps, method="grid")
+        res = build_gnet(ds, epsilon=eps)
         budget = res.params.query_budget(doubling_dimension=2.0)
         for _ in range(10):
             q = rng.uniform(-5, 40, size=2)

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-import repro.graphs.gnet as gnet_module
 from repro import ProximityGraphIndex
 from repro.anns import BruteForceANN, GridANN
 from repro.graphs import build_gnet, find_violations, gnet_parameters, greedy
@@ -22,7 +21,6 @@ from repro.metrics import (
     TreeMetric,
 )
 from repro.metrics.scaling import normalize_min_distance
-from repro.nets import NetHierarchy
 from tests.conftest import mixed_queries
 
 
@@ -50,6 +48,19 @@ def assert_same_build(got, want) -> None:
     assert np.array_equal(got_targets, want_targets)
     assert got.level_edge_counts == want.level_edge_counts
     assert got.level_sizes == want.level_sizes
+
+
+class StretchedFirstAxis(MetricSpace):
+    """A non-L_p metric over float rows: its balls are not inside L_inf
+    boxes (the first coordinate counts a fifth, so a ball reaches five
+    radii along it)."""
+
+    def distance(self, a, b):
+        return float(self.distances(a, np.asarray(b)[None, :])[0])
+
+    def distances(self, a, batch):
+        diff = np.abs(np.asarray(batch) - np.asarray(a)[None, :])
+        return 0.2 * diff[:, 0] + diff[:, 1]
 
 
 def definition_edges(dataset, res) -> set[tuple[int, int]]:
@@ -114,8 +125,7 @@ class TestEdgeSetDefinition:
 
     def test_methods_agree_vectorized_grid(self, uniform2d):
         a = build_gnet(uniform2d, epsilon=1.0, method="vectorized")
-        b = build_gnet(uniform2d, epsilon=1.0, method="grid")
-        assert a.graph == b.graph
+        assert_same_build(build_gnet(uniform2d, epsilon=1.0), a)
 
     def test_methods_agree_vectorized_paper_cover_tree(self, clustered2d):
         a = build_gnet(clustered2d, epsilon=1.0, method="vectorized")
@@ -152,30 +162,21 @@ class TestEdgeSetDefinition:
         assert res.graph == ref.graph
 
     def test_auto_dispatches_on_the_metric_not_the_dtype(self, rng):
-        """A non-L_p metric over float rows: its balls are not inside
-        L_inf boxes (the first coordinate counts a fifth, so a ball
-        reaches five radii along it) and the grid filter would lose
-        edges; auto must take the reference path and an explicit "grid"
-        must refuse."""
-
-        class StretchedFirstAxis(MetricSpace):
-            def distance(self, a, b):
-                return float(self.distances(a, np.asarray(b)[None, :])[0])
-
-            def distances(self, a, batch):
-                diff = np.abs(np.asarray(batch) - np.asarray(a)[None, :])
-                return 0.2 * diff[:, 0] + diff[:, 1]
-
+        """The default path serves any metric: on a non-L_p metric over
+        float rows it still builds the definition's edge set, array for
+        array the reference's."""
         pts = rng.uniform(0, 300, size=(70, 2))
         ds = Dataset(StretchedFirstAxis(), pts)
         res = build_gnet(ds, epsilon=1.0, method="auto")
         assert set(res.graph.edges()) == definition_edges(ds, res)
-        with pytest.raises(ValueError, match="L_p coordinate metric"):
-            build_gnet(ds, epsilon=1.0, method="grid")
+        assert_same_build(res, build_gnet(ds, epsilon=1.0, method="vectorized"))
 
     def test_unknown_method(self, uniform2d):
-        with pytest.raises(ValueError, match="unknown build method"):
-            build_gnet(uniform2d, epsilon=1.0, method="nope")
+        with pytest.raises(
+            ValueError,
+            match="unknown build method 'grid'; expected one of 'auto', 'vectorized', 'paper'$",
+        ):
+            build_gnet(uniform2d, epsilon=1.0, method="grid")
 
 
 class TestProposition21:
@@ -296,8 +297,9 @@ _METRICS = {
 
 
 class TestGridJoin:
-    """``method="grid"`` — the array-level range join — against the
-    ``"vectorized"`` reference, array for array."""
+    """The default build — G_net's edges recorded by the farthest-point
+    traversal itself — against the ``"vectorized"`` reference, array for
+    array, on L_p coordinate data and on other metrics."""
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     @pytest.mark.parametrize("normalized", [True, False])
@@ -310,23 +312,37 @@ class TestGridJoin:
         ds = Dataset(_METRICS[metric](), pts)
         if normalized:
             ds, _ = normalize_min_distance(ds)
-        grid = build_gnet(ds, epsilon=1.0, method="grid")
-        assert_same_build(grid, build_gnet(ds, epsilon=1.0, method="vectorized"))
+        got = build_gnet(ds, epsilon=1.0)
+        assert_same_build(got, build_gnet(ds, epsilon=1.0, method="vectorized"))
         if not normalized:
-            assert grid.level_sizes[0] < ds.n
+            assert got.level_sizes[0] < ds.n
 
-    @pytest.mark.parametrize(
-        "constant, value",
-        [("_JOIN_BLOCK_COORDS", 50), ("_JOIN_MAX_CELLS_PER_AXIS", 3)],
-    )
-    def test_tuning_constants_do_not_change_the_result(
-        self, uniform3d, monkeypatch, constant, value
-    ):
-        """Tiny blocks (many block boundaries, single-point blocks over
-        budget) and a cell cap that widens every cell past its radius."""
-        want = build_gnet(uniform3d, epsilon=0.5, method="vectorized")
-        monkeypatch.setattr(gnet_module, constant, value)
-        assert_same_build(build_gnet(uniform3d, epsilon=0.5, method="grid"), want)
+    def test_tree_metric(self, rng):
+        metric = TreeMetric(height=9)
+        leaves = np.sort(rng.choice(metric.num_leaves, size=80, replace=False))
+        ds = Dataset(metric, leaves.astype(np.int64))
+        want = build_gnet(ds, epsilon=0.5, method="vectorized")
+        assert_same_build(build_gnet(ds, epsilon=0.5), want)
+
+    def test_stretched_axis_metric(self, rng):
+        ds = Dataset(StretchedFirstAxis(), rng.uniform(0, 300, size=(90, 2)))
+        want = build_gnet(ds, epsilon=0.5, method="vectorized")
+        assert_same_build(build_gnet(ds, epsilon=0.5), want)
+
+    @pytest.mark.parametrize("levels_off", [-2, 2])
+    def test_explicit_diameter(self, uniform3d, levels_off):
+        """A diameter above the derived height adds singleton top levels;
+        one below it leaves several points in the top net, whose in-edges
+        are capped at the top radius."""
+        derived = build_gnet(uniform3d, epsilon=1.0).params.height
+        diameter = 2.0 ** (derived + levels_off)
+        got = build_gnet(uniform3d, epsilon=1.0, diameter=diameter)
+        assert got.params.height == derived + levels_off
+        assert got.hierarchy.height == got.params.height
+        want = build_gnet(uniform3d, epsilon=1.0, method="vectorized", diameter=diameter)
+        assert_same_build(got, want)
+        if levels_off < 0:
+            assert got.level_sizes[-1] > 1
 
     def test_benchmark_shaped_default_build(self, rng):
         """n = 1000, d = 3, planted closest pair, through the front door
@@ -340,23 +356,14 @@ class TestGridJoin:
         assert np.array_equal(targets, want_targets)
         assert index.built.meta["level_edge_counts"] == want.level_edge_counts
 
-    def test_distance_evaluations_are_output_sensitive(self, rng):
-        """Theorem 1.1's shape as a count, which repeats exactly: the join
-        evaluates a pinned fraction of the n * sum |Y_i| pairs a scan of
-        every level costs, never a pair twice, and grows sub-quadratically
-        in n at a fixed aspect ratio."""
-        counts = {}
-        for n in (1000, 2000):
-            pts = planted_pair_cube(rng, n, 2, 0.002)
-            ds, _ = normalize_min_distance(Dataset(EuclideanMetric(), pts))
-            counting = CountingMetric(ds.metric)
-            ds = Dataset(counting, pts)
-            hierarchy = NetHierarchy(ds)
-            counting.reset()
-            res = build_gnet(ds, epsilon=1.0, method="grid", hierarchy=hierarchy)
-            counts[n] = counting.reset()
-            assert res.graph.num_edges <= counts[n] <= n * n
-            assert counts[n] < 0.10 * n * sum(res.level_sizes)
-            build_gnet(ds, epsilon=1.0, method="grid", hierarchy=hierarchy)
-            assert counting.count == counts[n]
-        assert counts[2000] < 3.0 * counts[1000]
+    def test_default_build_evaluates_n_squared_distances(self, rng):
+        """One row per point, nothing more: the traversal's n rows are
+        the whole build, and the count repeats exactly."""
+        pts = planted_pair_cube(rng, 600, 2, 0.004)
+        ds, _ = normalize_min_distance(Dataset(EuclideanMetric(), pts))
+        counting = CountingMetric(ds.metric)
+        ds = Dataset(counting, pts)
+        build_gnet(ds, epsilon=1.0)
+        assert counting.reset() == ds.n * ds.n
+        build_gnet(ds, epsilon=1.0)
+        assert counting.count == ds.n * ds.n

@@ -129,17 +129,19 @@ class TestGNetJoinEquivalence:
     )
     @settings(max_examples=40, deadline=None)
     def test_grid_join_equals_vectorized(self, seed, n, dim, metric, normalized, epsilon):
-        """The range join against the level-by-level reference: same CSR
-        arrays, same per-level bookkeeping."""
+        """The default build (edges read off the net traversal) against
+        the level-by-level reference: same CSR arrays, same per-level
+        bookkeeping."""
         rng = np.random.default_rng(seed)
         ds = Dataset(metric, rng.uniform(0, 50, size=(n, dim)))
         if normalized:
             ds, _ = normalize_min_distance(ds)
-        a = build_gnet(ds, epsilon, method="grid")
+        a = build_gnet(ds, epsilon)
         b = build_gnet(ds, epsilon, method="vectorized")
         for got, want in zip(a.graph.csr(), b.graph.csr()):
             assert np.array_equal(got, want)
         assert a.level_edge_counts == b.level_edge_counts
+        assert a.level_sizes == b.level_sizes
 
 
 class TestAdversarialMetricRandomized:

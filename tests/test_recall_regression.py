@@ -45,7 +45,7 @@ EPS = 1.0
 CONFIGS = {
     "gnet": {},
     "theta": {"theta": 0.25, "method": "sweep"},
-    "merged": {"theta": 0.25, "gnet_method": "grid", "theta_method": "sweep"},
+    "merged": {"theta": 0.25, "theta_method": "sweep"},
     "hnsw": {"m": 8, "ef_construction": 64},
     "vamana": {"max_degree": 16},
 }

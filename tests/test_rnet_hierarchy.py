@@ -163,3 +163,37 @@ class TestNetHierarchy:
         hier = NetHierarchy(ds)
         for i in range(hier.height + 1):
             verify_rnet(ds, hier.level(i), float(2**i))
+
+    def test_top_level_per_point(self, uniform2d):
+        hier = NetHierarchy(uniform2d)
+        for i in range(hier.height + 1):
+            members = set(map(int, hier.level(i)))
+            assert all((hier.top_level[p] >= i) == (p in members) for p in range(uniform2d.n))
+
+    def test_recorded_in_edges_match_definition(self, rng):
+        """With phi, the traversal keeps every (p, y), p != y, with
+        D(p, y) <= phi * 2^top(y), and nothing else; a point in no level
+        (the raw input's close pair) gets no in-edge."""
+        pts = rng.uniform(0, 60, size=(90, 2))
+        pts[1] = pts[0] + 0.3
+        ds = Dataset(EuclideanMetric(), pts)
+        hier = NetHierarchy(ds, phi=9.0)
+        assert hier.level_size(0) < ds.n
+        sources, targets, dists = hier.take_in_edges()
+        got = set(zip(sources.tolist(), targets.tolist()))
+        assert len(got) == len(sources)
+        want = set()
+        for y in hier.level(0):
+            y = int(y)
+            row = ds.distances_from_index_to_all(y)
+            radius = 9.0 * 2.0 ** int(hier.top_level[y])
+            want.update((p, y) for p in np.flatnonzero(row <= radius).tolist() if p != y)
+        assert got == want
+        rows = np.array([ds.distances_from_index_to_all(i) for i in range(ds.n)])
+        assert np.array_equal(dists, rows[targets, sources])
+        with pytest.raises(ValueError, match="no in-edges recorded"):
+            hier.take_in_edges()
+
+    def test_no_in_edges_without_phi(self, uniform2d):
+        with pytest.raises(ValueError, match="no in-edges recorded"):
+            NetHierarchy(uniform2d).take_in_edges()
