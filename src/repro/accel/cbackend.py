@@ -1,12 +1,17 @@
 """The ``cffi`` backend: the traversal kernels as C, compiled on demand.
 
 This is the one compiled backend (it needs :mod:`cffi` and a C
-toolchain): the C below transcribes :mod:`repro.accel.kernels` — same
-heap comparators, same slice-order iteration, same budget checkpoints,
-and the same sequential float64 accumulation per distance.  It differs
-in *when* a distance is computed, never in its value or in the order results are
-ranked: an expansion gathers a row's unvisited targets into a block,
-prefetches their stored rows, evaluates the block, then ranks it.
+toolchain).  The search and construction kernels below transcribe
+:mod:`repro.accel.kernels` — same heap comparators, same slice-order
+iteration, same budget checkpoints, and the same sequential float64
+accumulation per distance.  They differ in *when* a distance is computed,
+never in its value or in the order results are ranked: an expansion
+gathers a row's unvisited targets into a block, prefetches their stored
+rows, evaluates the block, then ranks it.  ``repro_traverse`` and its
+CSR tail ``repro_in_edge_csr`` have no interpreted twin: they transcribe
+the numpy loop of :func:`repro.nets.hierarchy.farthest_point_order` and
+``NetHierarchy``'s in-edge record, with the same per-distance arithmetic
+as the kernels.
 
 Floating-point contract: the shared object is built with
 ``-ffp-contract=off`` and without any fast-math flag, so the compiler
@@ -42,6 +47,7 @@ __all__ = [
     "construction_kernel",
     "robust_prune_kernel",
     "commit_wave_kernel",
+    "call",
     "cache_dir",
     "ensure_compiled",
     "RELEASES_GIL",
@@ -111,6 +117,16 @@ int64_t repro_commit_wave(
     int64_t *cand_v, double *cand_d,
     int64_t *vs, double *ds, uint8_t *alive, double *sq,
     int64_t *out, int64_t *out2);
+
+int64_t repro_traverse(
+    const double *points, int64_t n, int64_t ddim,
+    int32_t kind, double factor, double phi, int64_t height,
+    double *cover, int64_t *order, int64_t *parent, int64_t *state,
+    int64_t *sources, int64_t *targets, double *dists, int64_t cap);
+
+int64_t repro_in_edge_csr(
+    int64_t n, int64_t m, const int64_t *sources, const int64_t *targets,
+    int64_t *first, int64_t *fill, int64_t *offsets, int64_t *out_targets);
 """
 
 _SOURCE = r"""
@@ -801,6 +817,108 @@ int64_t repro_commit_wave(
     }
     return 0;
 }
+
+/* row[p] = D(y, p) for every stored point p: point_dist's arithmetic, for
+ * L2 four points at a time (four independent sums, each still sequential). */
+static void dist_row(
+    const double *points, int64_t n, int64_t ddim, int32_t kind, double factor,
+    int64_t y, double *row)
+{
+    const double *xy = points + y * ddim;
+    int64_t p = 0;
+    for (; kind == KIND_FLAT_L2 && p + 4 <= n; p += 4) {
+        const double *x = points + p * ddim;
+        double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+        for (int64_t c = 0; c < ddim; c++) {
+            double t0 = xy[c] - x[c];
+            double t1 = xy[c] - x[ddim + c];
+            double t2 = xy[c] - x[2 * ddim + c];
+            double t3 = xy[c] - x[3 * ddim + c];
+            a0 += t0 * t0;
+            a1 += t1 * t1;
+            a2 += t2 * t2;
+            a3 += t3 * t3;
+        }
+        row[p] = factor * sqrt(a0);
+        row[p + 1] = factor * sqrt(a1);
+        row[p + 2] = factor * sqrt(a2);
+        row[p + 3] = factor * sqrt(a3);
+    }
+    for (; p < n; p++)
+        row[p] = point_dist(points, ddim, kind, factor, y, p);
+}
+
+/* Gonzalez farthest-point traversal, resumable: state[0] points placed
+ * (order[0] the start, its cover +inf), state[1] in-edges recorded.  Per
+ * point y = order[k]: the row D(y, .) into the record's free end, then one
+ * pass lowers cover[p] (parent[p] = y), keeps the in-edge p -> y if D <=
+ * phi * 2^top(y) (none for phi <= 0 or y below Y_0) and takes the argmax
+ * of cover, the smaller id on ties, as order[k + 1].  Returns 1, state
+ * saved, once fewer than n record entries are free; 0 when all are placed. */
+int64_t repro_traverse(
+    const double *points, int64_t n, int64_t ddim,
+    int32_t kind, double factor, double phi, int64_t height,
+    double *cover, int64_t *order, int64_t *parent, int64_t *state,
+    int64_t *sources, int64_t *targets, double *dists, int64_t cap)
+{
+    int64_t k = state[0], m = state[1];
+    for (; k < n && m + n <= cap; k++) {
+        int64_t y = order[k], next = -1;
+        double radius = -1.0, best = -INFINITY, *row = dists + m;
+        if (phi > 0.0 && cover[y] >= 1.0) { /* top(y): log2 of it, at most height */
+            int e = (int)height + 1;
+            if (cover[y] < INFINITY)
+                frexp(cover[y], &e);
+            radius = ldexp(phi, e - 1 < height ? e - 1 : (int)height);
+        }
+        cover[y] = -INFINITY; /* never re-selected */
+        dist_row(points, n, ddim, kind, factor, y, row);
+        for (int64_t p = 0; p < n; p++) {
+            double d = row[p]; /* read before the record overwrites it */
+            if (p != y) {
+                if (d < cover[p]) {
+                    cover[p] = d;
+                    parent[p] = y;
+                }
+                sources[m] = p;
+                targets[m] = y;
+                dists[m] = d;
+                m += d <= radius;
+            }
+            if (cover[p] > best) {
+                best = cover[p];
+                next = p;
+            }
+        }
+        if (k + 1 < n)
+            order[k + 1] = next;
+    }
+    state[0] = k;
+    state[1] = m;
+    return k < n;
+}
+
+/* CSR of m in-edges grouped by target, by a counting sort (offsets
+ * zeroed, first all -1): each group is scattered into its sources' rows in
+ * ascending target order, so every row comes out increasing. */
+int64_t repro_in_edge_csr(
+    int64_t n, int64_t m, const int64_t *sources, const int64_t *targets,
+    int64_t *first, int64_t *fill, int64_t *offsets, int64_t *out_targets)
+{
+    for (int64_t j = 0; j < m; j++) {
+        offsets[sources[j] + 1]++;
+        if (j == 0 || targets[j] != targets[j - 1])
+            first[targets[j]] = j;
+    }
+    for (int64_t p = 0; p < n; p++) {
+        fill[p] = offsets[p];
+        offsets[p + 1] += offsets[p];
+    }
+    for (int64_t y = 0; y < n; y++)
+        for (int64_t j = first[y]; j >= 0 && j < m && targets[j] == y; j++)
+            out_targets[fill[sources[j]]++] = y;
+    return 0;
+}
 """
 
 # Strict IEEE: no fused multiply-add contraction, no reassociation.
@@ -1045,3 +1163,14 @@ def commit_wave_kernel(
         _i64(ffi, vs), _f64(ffi, ds), _u8(ffi, alive), _f64(ffi, sq),
         _i64(ffi, out), _i64(ffi, out2),
     )
+
+
+def call(name, *args):
+    """Call the C routine ``name``: float64 / int64 arrays as pointers to
+    their data, anything else as it is."""
+    lib, ffi = _load()
+    ctype = {"float64": "double[]", "int64": "int64_t[]"}
+    return getattr(lib, name)(*(
+        ffi.from_buffer(ctype[a.dtype.name], a) if isinstance(a, np.ndarray) else a
+        for a in args
+    ))

@@ -49,6 +49,11 @@ same routing decisions — and the kernels replicate the engines' decision
 arithmetic (see :mod:`repro.accel.kernels`).  :func:`run_beam` leaves
 that evaluation to the first read of ``BeamBatch.dists``: the two-stage
 search over a quantized store reranks from the ids and never reads them.
+
+The G-net build asks for nothing: :func:`run_traverse` and
+:func:`run_in_edge_csr` run on cffi wherever it is (checked once, as by
+:func:`warm`, but installed for no search), else return ``None`` and the
+numpy loop builds, silently.
 """
 
 from __future__ import annotations
@@ -88,6 +93,8 @@ __all__ = [
     "run_greedy",
     "run_construction",
     "run_robust_prune",
+    "run_traverse",
+    "run_in_edge_csr",
     "construction_supported",
 ]
 
@@ -124,8 +131,11 @@ _KERNELS = {"cffi": _C, "python": _K}
 
 # name -> {"compile_seconds": float}; a backend listed here has been
 # compiled and has passed its self-check this process.
+_CHECKED: dict[str, dict[str, Any]] = {}
+# The checked backends warm() installed: "auto" searches may use these.
 _WARM: dict[str, dict[str, Any]] = {}
 _WARNED_NO_COMPILED = False
+_TRAVERSE_REFUSED = False  # cffi failed to build or check: G-nets stay numpy
 
 
 def available_backends() -> list[str]:
@@ -178,9 +188,11 @@ def reset() -> None:
 
     The row-split helper threads are not warm state: they belong to the
     process, not to a backend, and stay."""
-    global _WARNED_NO_COMPILED
+    global _WARNED_NO_COMPILED, _TRAVERSE_REFUSED
+    _CHECKED.clear()
     _WARM.clear()
     _WARNED_NO_COMPILED = False
+    _TRAVERSE_REFUSED = False
 
 
 def warm(backend: str | None = None) -> dict[str, Any]:
@@ -194,9 +206,10 @@ def warm(backend: str | None = None) -> dict[str, Any]:
 
     Warming loads the kernels (the cffi backend compiles-or-dlopens its
     cached shared object) and runs a small beam + greedy + construction
-    + prune workload against the numpy engines, refusing to install a
-    backend that does not reproduce them exactly.  The elapsed time is
-    recorded as ``compile_seconds``.
+    + prune workload (cffi: + a G-net traversal) against the numpy
+    engines, refusing to install a backend that does not reproduce them
+    exactly.  The elapsed time is recorded as ``compile_seconds``; a
+    backend a G-net build has already checked is not checked again.
     """
     global _WARNED_NO_COMPILED
     if backend is None or backend == "auto":
@@ -228,11 +241,18 @@ def warm(backend: str | None = None) -> dict[str, Any]:
             "compiler (cc/gcc/clang) is not available. Use backend='auto' "
             "to fall back gracefully."
         )
-    t0 = time.perf_counter()
-    _self_check(backend)  # the first kernel call compiles / loads
-    seconds = time.perf_counter() - t0
-    _WARM[backend] = {"compile_seconds": seconds}
-    return {"backend": backend, "compile_seconds": seconds}
+    rec = _WARM[backend] = _checked(backend)
+    return dict(rec, backend=backend)
+
+
+def _checked(backend: str) -> dict[str, Any]:
+    """Compile and self-check ``backend`` once per process; its record."""
+    rec = _CHECKED.get(backend)
+    if rec is None:
+        t0 = time.perf_counter()
+        _self_check(backend)  # the first kernel call compiles / loads
+        rec = _CHECKED[backend] = {"compile_seconds": time.perf_counter() - t0}
+    return rec
 
 
 def resolve_backend(requested: str | None) -> str:
@@ -919,6 +939,97 @@ def run_commit_wave(
     )
 
 
+#: Initial in-edge record of the traversal, entries per point; one that
+#: may not hold another row is doubled and the traversal resumed.
+_TRAVERSE_EDGES_PER_POINT = 512
+
+
+def _traverse_ready() -> bool:
+    """Does the G-net build run compiled here?  Where cffi is, it is
+    compiled (or loaded) and self-checked once per process, as :func:`warm`
+    would, but installed for no search; elsewhere the numpy loop builds,
+    silently: nothing was requested."""
+    global _TRAVERSE_REFUSED
+    if "cffi" not in _CHECKED and not _TRAVERSE_REFUSED and "cffi" in available_backends():
+        try:
+            _checked("cffi")
+        except AccelError as exc:
+            _TRAVERSE_REFUSED = True
+            _log.warning("G-net builds stay on the numpy traversal: %s", exc)
+    return "cffi" in _CHECKED
+
+
+def run_traverse(
+    dataset: Any, start: int, height: int | None, phi: float | None
+) -> tuple[np.ndarray, np.ndarray, tuple | None] | None:
+    """:func:`repro.nets.hierarchy.farthest_point_order` compiled, one pass
+    per point that also records ``NetHierarchy(phi=...)``'s in-edges:
+    ``(order, insertion_distances, in_edges or None)``, or ``None`` when
+    the numpy loop must run (not ``(n, d)`` float64 points under ``factor
+    * L2`` / ``factor * L_inf``, or no cffi here).
+
+    Floating-point contract: distances accumulate sequentially in float64,
+    so the *decisions* (order, in-edges) agree with the numpy loop wherever
+    its SIMD-dispatched ``einsum`` accumulation does not flip a comparison
+    at 1-ulp scale — which the equivalence suites pin empirically — and the
+    *reported* floats are numpy's: an unknown ``height`` comes from the
+    start point's numpy row, each insertion distance from the metric,
+    evaluated again from the centre that set it.
+    """
+    try:
+        kind, factor = _coord_kind(dataset.metric, _K.KIND_FLAT_L2, _K.KIND_FLAT_LINF)
+        points = _coords_f64(dataset.points, "points")
+    except UnsupportedWorkloadError:
+        return None
+    if not _traverse_ready():
+        return None
+    return _traverse(dataset, points, kind, factor, int(start), height, phi)
+
+
+def _traverse(dataset, points, kind, factor, start, height, phi) -> tuple:
+    from repro.nets.hierarchy import _derived_height
+
+    n = len(points)
+    if phi is not None and height is None:
+        row = dataset.metric.distances(dataset.points[start], dataset.points)
+        height = _derived_height(float(np.delete(row, start).max()))
+    cover, order, parent = np.full(n, np.inf), np.full(n, start), np.zeros(n, np.int64)
+    state = np.zeros(2, dtype=np.int64)  # points placed, in-edges recorded
+    cap = n if phi is None else _TRAVERSE_EDGES_PER_POINT * n
+    record = [np.empty(cap, np.int64), np.empty(cap, np.int64), np.empty(cap)]
+    while _C.call(
+        "repro_traverse", points, n, points.shape[1], kind, factor, phi or 0.0,
+        height or 0, cover, order, parent, state, *record, cap,
+    ):
+        cap *= 2
+        m = state[1]
+        record = [np.concatenate([a[:m], np.empty(cap - m, a.dtype)]) for a in record]
+    insertion = np.full(n, np.inf)
+    insertion[1:] = dataset.metric.distances_many(
+        dataset.points[parent[order[1:]]], dataset.points[order[1:]], np.ones(n - 1, np.int64)
+    )
+    return order, insertion, None if phi is None else tuple(a[: state[1]] for a in record)
+
+
+def run_in_edge_csr(
+    n: int, sources: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """G_net's in-edges ``sources[j] -> targets[j]``, grouped by target as
+    the traversal records them, as CSR ``(offsets, targets)`` by a counting
+    sort; ``None`` where the build does not run compiled."""
+    return _in_edge_csr(n, sources, targets) if _traverse_ready() else None
+
+
+def _in_edge_csr(n: int, sources: np.ndarray, targets: np.ndarray) -> tuple:
+    offsets, out = np.zeros(n + 1, np.int64), np.empty(len(sources), np.int64)
+    _C.call(
+        "repro_in_edge_csr", n, len(sources), np.ascontiguousarray(sources, np.int64),
+        np.ascontiguousarray(targets, np.int64), np.full(n, -1, np.int64),
+        np.empty(n, np.int64), offsets, out,
+    )
+    return offsets, out
+
+
 def construction_supported(dataset: Any) -> bool:
     """Cheap data-free probe: can the construction kernels serve this
     dataset (flat float64 coordinates under Euclidean/Chebyshev)?
@@ -991,8 +1102,37 @@ def _self_check(backend: str) -> None:
         or not same_c
         or want_p != got_p
         or rows_want.snapshot() != rows_got.snapshot()
+        or (backend == "cffi" and not _traverse_matches())
     ):
         raise AccelError(
             f"accel backend {backend!r} failed its warm-time self-check "
             "against the numpy engines; refusing to enable it"
         )
+
+
+def _traverse_matches() -> bool:
+    """The compiled traversal and CSR against the numpy loop (a counting
+    wrapper keeps the reference on it): an integer grid, ties everywhere,
+    and a random cloud with pairs below ``2^0``, under L2 and L_inf."""
+    from repro.metrics.base import Dataset, ScaledMetric
+    from repro.metrics.counting import CountingMetric
+    from repro.nets.hierarchy import NetHierarchy
+
+    grid = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), axis=-1).reshape(-1, 2)
+    points = np.concatenate([grid, np.random.default_rng(2024).uniform(0, 4, (15, 2))])
+    n = len(points)
+    for metric in (ScaledMetric(EuclideanMetric(), 2.0), ScaledMetric(ChebyshevMetric(), 2.0)):
+        want = NetHierarchy(Dataset(CountingMetric(metric), points), phi=9.0)
+        kind, factor = _coord_kind(metric, _K.KIND_FLAT_L2, _K.KIND_FLAT_LINF)
+        got = _traverse(Dataset(metric, points), points, kind, factor, 0, None, 9.0)
+        edges = want.take_in_edges()
+        offsets, targets = _in_edge_csr(n, *edges[:2])
+        pairs = np.repeat(np.arange(n), np.diff(offsets)) * n + targets
+        same = map(
+            np.array_equal,
+            (got[0], got[1], *got[2], pairs),
+            (want.order, want.insertion_distances, *edges, np.sort(edges[0] * n + edges[1])),
+        )
+        if not all(same):
+            return False
+    return True

@@ -734,13 +734,14 @@ _REQUIRED_CFLAG = "-ffp-contract=off"
 
 # The compiled construction path: wave location classifies its workload
 # through ``_plan`` (inheriting the full store-kind x metric table);
-# the prune/commit kernels run over raw float64 coordinates and must
-# route metrics through ``_coord_kind`` (both coordinate metrics plus
-# the explicit unsupported-metric error).
+# the prune/commit kernels and the G-net traversal run over raw float64
+# coordinates and must route metrics through ``_coord_kind`` (both
+# coordinate metrics plus the explicit unsupported-metric error).
 _CONSTRUCTION_ENTRY_POINTS = (
     ("run_construction", "_plan"),
     ("run_robust_prune", "_coord_kind"),
     ("run_commit_wave", "_coord_kind"),
+    ("run_traverse", "_coord_kind"),
 )
 
 

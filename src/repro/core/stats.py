@@ -92,19 +92,13 @@ def compute_ground_truth(
     for lo in range(0, m, step):
         hi = min(lo + step, m)
         mat = dataset.metric.cross_distances(arr[lo:hi], dataset.points)
-        for r in range(hi - lo):
-            row = mat[r]
-            # The Gram expansion behind the fast Euclidean path loses
-            # ~sqrt(eps) absolute precision to cancellation near zero, so
-            # re-evaluate every candidate within the error band with the
-            # exact one-to-many kernel; the result is then bit-identical
-            # to Dataset.nearest_neighbor's full linear scan.
-            band = row.min() + 1e-6 * (1.0 + float(np.abs(row).max()))
-            cand = np.flatnonzero(row <= band)
-            exact = dataset.distances_to_query(arr[lo + r], cand)
-            j = int(np.argmin(exact))
-            ids[lo + r] = cand[j]
-            dists[lo + r] = float(exact[j])
+        ids[lo:hi] = np.argmin(mat, axis=1)
+    if m:
+        # The winners' distances as the one-to-many kernel gives them,
+        # the floats Dataset.nearest_neighbor's linear scan reports.
+        dists[:] = dataset.metric.distances_many(
+            arr, dataset.points[ids], np.ones(m, dtype=np.int64)
+        )
     return ids, dists
 
 
@@ -115,9 +109,10 @@ def compute_ground_truth_k(
 
     The recall@k oracle for the regression suite and the build bench.
     Uses the chunked cross-distance path of :func:`compute_ground_truth`
-    with a row-wise partial sort; the tiny cancellation noise of the
-    Euclidean Gram expansion (~1e-8 absolute) can only permute ids at
-    exact distance ties, which recall@k treats as equivalent anyway.
+    with a row-wise partial sort; the Euclidean Gram expansion is exact
+    to a relative 2^-30 of ``d^2`` (closer pairs are evaluated directly),
+    so it can only permute ids at near-ties, which recall@k treats as
+    equivalent anyway.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

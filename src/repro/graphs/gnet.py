@@ -42,7 +42,9 @@ selects and knows ``top(y)`` from ``y``'s insertion distance, so
 from that row (``D(y, p)`` is the same float as ``D(p, y)`` for every
 metric here): ``n^2`` evaluations in all, each edge recorded once.  An
 edge's level in ``level_edge_counts`` is the first ``i`` with
-``D(p, y) <= phi * 2^i``; one sort of the pairs turns them into CSR.
+``D(p, y) <= phi * 2^i``.  The pairs come grouped by target, so a
+counting sort in ascending target order gives sorted CSR rows: compiled
+where the cffi backend is, one numpy sort of the pairs elsewhere.
 """
 
 from __future__ import annotations
@@ -205,19 +207,24 @@ def _csr_from_in_edges(
     """The traversal's ``(sources, targets, distances)`` as CSR, plus the
     number of edges a level-by-level build in ascending order would first
     have added at each level."""
+    from repro.accel import dispatch
+
     sources, targets, distances = in_edges
-    # Each (p, y) was recorded once, so sorting the pairs is all that is
-    # left of the CSR invariant (rows strictly increasing, no self-loop).
-    pair = sources * n + targets
-    pair.sort()
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(sources, minlength=n), out=offsets[1:])
+    csr = dispatch.run_in_edge_csr(n, sources, targets)  # a counting sort
+    if csr is None:
+        # Each (p, y) was recorded once, so sorting the pairs is all that
+        # is left of the CSR invariant (rows strictly increasing, no self-loop).
+        pair = sources * n + targets
+        pair.sort()
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=n), out=offsets[1:])
+        csr = offsets, pair % n
     # An edge is first added at the lowest level whose radius covers it.
     covered = [
         np.count_nonzero(distances <= params.level_radius(i))
         for i in range(params.height + 1)
     ]
-    graph = ProximityGraph.from_csr(n, offsets, pair % n, validate=False)
+    graph = ProximityGraph.from_csr(n, *csr, validate=False)
     return graph, np.diff(covered, prepend=0).tolist()
 
 

@@ -97,14 +97,13 @@ class MetricSpace(ABC):
         return out
 
     def pairwise(self, batch: Any) -> np.ndarray:
-        """Return the full symmetric distance matrix of ``batch``.
+        """Return the full symmetric distance matrix of ``batch``: its
+        :meth:`cross_distances` with itself, the diagonal exactly 0.
 
         Intended for tests and small inputs; quadratic in ``len(batch)``.
         """
-        m = len(batch)
-        out = np.zeros((m, m), dtype=np.float64)
-        for i in range(m):
-            out[i, :] = self.distances(batch[i], batch)
+        out = self.cross_distances(batch, batch)
+        np.fill_diagonal(out, 0.0)
         return out
 
     # ------------------------------------------------------------------
@@ -249,9 +248,6 @@ class ScaledMetric(MetricSpace):
 
     def cross_distances(self, queries: Any, batch: Any) -> np.ndarray:
         return self.factor * self.inner.cross_distances(queries, batch)
-
-    def pairwise(self, batch: Any) -> np.ndarray:
-        return self.factor * self.inner.pairwise(batch)
 
 
 class ExplicitMatrixMetric(MetricSpace):

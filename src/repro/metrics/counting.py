@@ -54,8 +54,3 @@ class CountingMetric(MetricSpace):
         out = self.inner.cross_distances(queries, batch)
         self.count += out.shape[0] * out.shape[1]
         return out
-
-    def pairwise(self, batch: Any) -> np.ndarray:
-        out = self.inner.pairwise(batch)
-        self.count += out.shape[0] * out.shape[1]
-        return out

@@ -52,24 +52,30 @@ class EuclideanMetric(MetricSpace):
 
     def cross_distances(self, queries: np.ndarray, batch: np.ndarray) -> np.ndarray:
         # ||q - p||^2 = ||q||^2 + ||p||^2 - 2 q.p with the cross term as
-        # one BLAS GEMM — the fast ground-truth path.
+        # one BLAS GEMM — the fast ground-truth path.  It is off by at most
+        # (2d + 4) eps (||q||^2 + ||p||^2), all of d^2 near zero: every
+        # entry under 2^30 times that bound (at the largest norms) is
+        # evaluated directly, so the rest are exact to 2^-30 of d^2.
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+        same = queries is batch  # pairwise: D(x, x) is 0, no second look
         q_sq = np.einsum("ij,ij->i", queries, queries)
-        b_sq = np.einsum("ij,ij->i", batch, batch)
+        b_sq = q_sq if same else np.einsum("ij,ij->i", batch, batch)
         d2 = q_sq[:, None] + b_sq[None, :] - 2.0 * (queries @ batch.T)
+        if same:
+            np.fill_diagonal(d2, np.inf)
+        bound = (q_sq.max(initial=0.0) + b_sq.max(initial=0.0)) * (2 * queries.shape[1] + 4)
+        bound *= 2.0**30 * np.finfo(np.float64).eps
+        rows, cols = np.nonzero(d2 <= bound) if d2.min(initial=np.inf) <= bound else ((), ())
         np.maximum(d2, 0.0, out=d2)
-        return np.sqrt(d2)
-
-    def pairwise(self, batch: np.ndarray) -> np.ndarray:
-        batch = np.asarray(batch, dtype=np.float64)
-        # ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y, clipped against fp noise.
-        sq = np.einsum("ij,ij->i", batch, batch)
-        gram = batch @ batch.T
-        d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-        np.maximum(d2, 0.0, out=d2)
-        np.fill_diagonal(d2, 0.0)
-        return np.sqrt(d2)
+        out = np.sqrt(d2, out=d2)
+        if same:
+            np.fill_diagonal(out, 0.0)
+        if len(rows):
+            out[rows, cols] = self.distances_many(
+                queries[rows], batch[cols], np.ones(len(rows), dtype=np.int64)
+            )
+        return out
 
 
 class ChebyshevMetric(MetricSpace):

@@ -25,6 +25,13 @@ costs ``O(n^2)`` scalar distance evaluations (vectorized row-at-a-time)
 against [15]'s ``O(n log(n Delta))``.  The substitution is safe because
 the proofs of Section 2 consume nothing about ``Y_i`` beyond the two
 r-net properties shown above — only the hierarchy's build time differs.
+
+Which traversal runs: for ``(n, d)`` float64 points under (scaled) L2 or
+L_inf, one C pass per point (:func:`repro.accel.dispatch.run_traverse`)
+wherever the cffi backend loads and passes its self-check, with no flag.
+Any other metric (L3, trees, matrices, a counting wrapper) or layout, or a
+box without cffi, runs :func:`farthest_point_order`: the numpy loop, and
+the reference the compiled pass is pinned against.
 """
 
 from __future__ import annotations
@@ -113,9 +120,17 @@ class NetHierarchy:
         self._height = height
         self._phi = phi
         self._in_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.order, self.insertion_distances = farthest_point_order(
-            dataset, start, visit=None if phi is None else self._record_in_edges
-        )
+        from repro.accel import dispatch
+
+        compiled = dispatch.run_traverse(dataset, start, height, phi)
+        if compiled is None:
+            self.order, self.insertion_distances = farthest_point_order(
+                dataset, start, visit=None if phi is None else self._record_in_edges
+            )
+        else:
+            self.order, self.insertion_distances, in_edges = compiled
+            if in_edges is not None:
+                self._in_parts.append(in_edges)
         finite = self.insertion_distances[1:]
         self._max_finite = float(finite.max()) if len(finite) else 0.0
         self.height = int(height if height is not None else _derived_height(self._max_finite))
@@ -161,6 +176,8 @@ class NetHierarchy:
         parts, self._in_parts = self._in_parts, []
         if not parts:
             raise ValueError("no in-edges recorded: pass phi, and take them once")
+        if len(parts) == 1:
+            return parts[0]
         sources, targets, distances = map(np.concatenate, zip(*parts))
         return sources, targets, distances
 

@@ -641,6 +641,10 @@ class TestKernelParityRule:
         def run_commit_wave(backend, dataset, adj, pids, pools):
             kind, factor = _coord_kind(dataset.metric)
             return kind
+
+        def run_traverse(dataset, start, height, phi):
+            kind, factor = _coord_kind(dataset.metric)
+            return kind
         """
 
     def test_full_coverage_passes(self):
@@ -671,6 +675,21 @@ class TestKernelParityRule:
         hits = run_rule(src, "kernel-parity")
         assert any(
             "run_robust_prune" in f.message and "_coord_kind" in f.message
+            for f in hits
+        )
+
+    def test_traverse_bypassing_coord_kind_fires(self):
+        """A G-net traversal that decides on its own which metrics run
+        compiled (here: a bare isinstance test) bypasses the gate."""
+        src = self.FULL_COVERAGE.replace(
+            """def run_traverse(dataset, start, height, phi):
+            kind, factor = _coord_kind(dataset.metric)""",
+            """def run_traverse(dataset, start, height, phi):
+            kind = 0 if isinstance(dataset.metric, EuclideanMetric) else 1""",
+        )
+        hits = run_rule(src, "kernel-parity")
+        assert any(
+            "run_traverse" in f.message and "_coord_kind" in f.message
             for f in hits
         )
 

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from repro import ProximityGraphIndex
+from repro import ProximityGraphIndex, accel
+from repro.accel import cbackend, dispatch
 from repro.anns import BruteForceANN, GridANN
 from repro.graphs import build_gnet, find_violations, gnet_parameters, greedy
 from repro.graphs.gnet import GNetParameters
+from repro.graphs.hybrid import build_hybrid_candidate
 from repro.metrics import (
     ChebyshevMetric,
     CountingMetric,
@@ -367,3 +370,179 @@ class TestGridJoin:
         assert counting.reset() == ds.n * ds.n
         build_gnet(ds, epsilon=1.0)
         assert counting.count == ds.n * ds.n
+
+
+needs_cffi = pytest.mark.skipif(
+    "cffi" not in accel.available_backends(),
+    reason="the compiled traversal needs cffi and a C compiler",
+)
+
+
+def on_numpy_loop(monkeypatch, build):
+    """``build()`` with no compiled traversal or CSR tail: the reference."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dispatch, "_traverse_ready", lambda: False)
+        return build()
+
+
+def assert_same_hierarchy(got, want) -> None:
+    assert got.height == want.height
+    assert np.array_equal(got.order, want.order)
+    assert np.array_equal(got.insertion_distances, want.insertion_distances)
+    assert np.array_equal(got.top_level, want.top_level)
+
+
+@needs_cffi
+class TestCompiledTraversal:
+    """The compiled traversal and counting-sort CSR against the numpy
+    loop, array for array: the hierarchy (order, insertion distances, top
+    levels) and the build (CSR, level sizes, per-level edge counts)."""
+
+    def check(self, monkeypatch, ds, **kw):
+        got = build_gnet(ds, **kw)
+        want = on_numpy_loop(monkeypatch, lambda: build_gnet(ds, **kw))
+        assert_same_build(got, want)
+        assert_same_hierarchy(got.hierarchy, want.hierarchy)
+        return got
+
+    @pytest.mark.parametrize("n", [250, 500, 1000])
+    @pytest.mark.parametrize("seed", [7, 23])
+    def test_benchmark_shaped_inputs(self, monkeypatch, seed, n):
+        pts = planted_pair_cube(np.random.default_rng(seed), n, 3, 0.02)
+        index = ProximityGraphIndex.build(pts, epsilon=1.0, method="gnet")
+        want = on_numpy_loop(
+            monkeypatch,
+            lambda: ProximityGraphIndex.build(pts, epsilon=1.0, method="gnet"),
+        )
+        assert index.scale == want.scale
+        for got_arr, want_arr in zip(index.graph.csr(), want.graph.csr()):
+            assert np.array_equal(got_arr, want_arr)
+        for key in ("params", "level_sizes", "level_edge_counts"):
+            assert index.built.meta[key] == want.built.meta[key]
+        assert_same_hierarchy(index.built.meta["hierarchy"], want.built.meta["hierarchy"])
+        self.check(monkeypatch, index.dataset, epsilon=1.0)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("metric", ["l2", "linf"])
+    def test_grid_join_inputs(self, monkeypatch, rng, metric, normalized, dim):
+        pts = rng.uniform(0, 40, size=(130, dim))
+        pts[1] = pts[0] + 0.3
+        ds = Dataset(_METRICS[metric](), pts)
+        if normalized:
+            ds, _ = normalize_min_distance(ds)
+        self.check(monkeypatch, ds, epsilon=1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16])
+    @pytest.mark.parametrize("metric", ["l2", "linf"])
+    def test_integer_grids(self, monkeypatch, rng, metric, dim):
+        """Exact distances, so ties everywhere: the smaller-id tie-break
+        and every threshold compare decide alike."""
+        pts = np.unique(rng.integers(0, 12 if dim == 1 else 4, size=(150, dim)), axis=0)
+        ds, _ = normalize_min_distance(Dataset(_METRICS[metric](), pts.astype(float)))
+        for epsilon in (1.0, 0.3):
+            self.check(monkeypatch, ds, epsilon=epsilon)
+
+    @pytest.mark.parametrize("levels_off", [-2, 2])
+    def test_explicit_diameter(self, monkeypatch, uniform3d, levels_off):
+        derived = build_gnet(uniform3d, epsilon=1.0).params.height
+        got = self.check(
+            monkeypatch, uniform3d, epsilon=1.0, diameter=2.0 ** (derived + levels_off)
+        )
+        assert got.params.height == derived + levels_off
+
+    def test_without_edges(self, monkeypatch, uniform2d):
+        """No ``phi``: the order alone, for the reference builds and the
+        hybrid candidate."""
+        self.check(monkeypatch, uniform2d, epsilon=0.5, method="vectorized")
+        got = build_hybrid_candidate(uniform2d, 1.0)
+        want = on_numpy_loop(monkeypatch, lambda: build_hybrid_candidate(uniform2d, 1.0))
+        assert_same_hierarchy(got.hierarchy, want.hierarchy)
+        for got_arr, want_arr in zip(got.graph.csr(), want.graph.csr()):
+            assert np.array_equal(got_arr, want_arr)
+        assert (got.spine_edges, got.lateral_edges) == (want.spine_edges, want.lateral_edges)
+
+    def test_counting_wrapper_keeps_the_numpy_loop(self, monkeypatch, uniform2d):
+        counting = CountingMetric(uniform2d.metric)
+        got = self.check(monkeypatch, Dataset(counting, uniform2d.points), epsilon=1.0)
+        assert_same_build(got, build_gnet(uniform2d, epsilon=1.0))
+
+    def test_record_grows_by_resuming(self, monkeypatch, uniform3d):
+        """A record of one edge per point overflows after the first row,
+        is doubled again and again, and the traversal picks up where it
+        stopped."""
+        want = build_gnet(uniform3d, epsilon=1.0)
+        monkeypatch.setattr(dispatch, "_TRAVERSE_EDGES_PER_POINT", 1)
+        got = build_gnet(uniform3d, epsilon=1.0)
+        assert_same_build(got, want)
+        assert_same_hierarchy(got.hierarchy, want.hierarchy)
+
+    def test_normalized_l2_build_computes_no_numpy_rows(self, monkeypatch, rng):
+        def numpy_row(self, i):
+            raise AssertionError("the numpy traversal ran")
+
+        monkeypatch.setattr(Dataset, "distances_from_index_to_all", numpy_row)
+        index = ProximityGraphIndex.build(
+            rng.uniform(size=(300, 3)), epsilon=1.0, method="gnet"
+        )
+        assert index.graph.num_edges > 0
+
+    def test_installs_nothing_for_auto_searches(self, uniform2d):
+        accel.reset()
+        try:
+            build_gnet(uniform2d, epsilon=1.0)
+            assert "cffi" in dispatch._CHECKED
+            assert accel.get_backend() == "numpy"
+            assert accel.warm("cffi")["compile_seconds"] == (
+                dispatch._CHECKED["cffi"]["compile_seconds"]
+            )  # checked once a process
+        finally:
+            accel.reset()
+
+    def test_self_check_refuses_a_wrong_csr(self, monkeypatch):
+        """A miscompiled tail (here: one target written to the wrong
+        slot) is refused at warm time, before it builds anything."""
+        real = cbackend.call
+
+        def miswritten(name, *args):
+            done = real(name, *args)
+            if name == "repro_in_edge_csr":
+                args[-1][[0, -1]] = args[-1][[-1, 0]]
+            return done
+
+        accel.reset()
+        monkeypatch.setattr(cbackend, "call", miswritten)
+        try:
+            with pytest.raises(accel.AccelError, match="self-check"):
+                accel.warm("cffi")
+        finally:
+            accel.reset()
+
+    def test_a_refused_backend_leaves_the_numpy_loop(self, monkeypatch, uniform2d, caplog):
+        def refuse(backend):
+            raise accel.AccelError("miscompiled")
+
+        accel.reset()
+        monkeypatch.setattr(dispatch, "_self_check", refuse)
+        try:
+            want = on_numpy_loop(monkeypatch, lambda: build_gnet(uniform2d, epsilon=1.0))
+            with caplog.at_level("WARNING", logger="repro.accel"):
+                assert_same_build(build_gnet(uniform2d, epsilon=1.0), want)
+            assert "miscompiled" in caplog.text
+            monkeypatch.setattr(dispatch, "_checked", None)  # never tried again
+            assert_same_build(build_gnet(uniform2d, epsilon=1.0), want)
+        finally:
+            accel.reset()
+
+
+def test_numpy_loop_without_cffi_is_silent(monkeypatch, uniform2d):
+    """Where cffi is missing nothing was requested: no warning, no import."""
+    accel.reset()
+    monkeypatch.setattr(dispatch, "available_backends", lambda: ["python"])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build_gnet(uniform2d, epsilon=1.0)
+        assert not dispatch._CHECKED
+    finally:
+        accel.reset()
