@@ -8,7 +8,8 @@ evaluated candidate.  This package runs the *entire* traversal of a
 query batch inside compiled code instead:
 
 * CSR neighbor gather straight from ``graph.csr()`` arrays,
-* fixed-capacity array heaps for the candidate queue and result pool,
+* preallocated arrays for the candidate queue and result pool (the
+  interpreted reference keeps two heaps, the C one sorted beam array),
 * a generation-stamped visited array (allocated once per batch),
 * inline Euclidean / Chebyshev distance evaluation, flat or SQ8, against the
   contiguous point / code arrays,

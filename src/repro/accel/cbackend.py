@@ -1,13 +1,18 @@
 """The ``cffi`` backend: the traversal kernels as C, compiled on demand.
 
 This is the one compiled backend (it needs :mod:`cffi` and a C
-toolchain).  The search and construction kernels below transcribe
-:mod:`repro.accel.kernels` — same heap comparators, same slice-order
-iteration, same budget checkpoints, and the same sequential float64
+toolchain).  The search and construction kernels below reproduce
+:mod:`repro.accel.kernels` — the same results, the same slice-order
+iteration, the same budget checkpoints, and the same sequential float64
 accumulation per distance.  They differ in *when* a distance is computed,
 never in its value or in the order results are ranked: an expansion
 gathers a row's unvisited targets into a block, prefetches their stored
-rows, evaluates the block, then ranks it.  ``repro_traverse`` and its
+rows, evaluates the block (flat L2 four rows at a time), then ranks it.
+Where the reference keeps a candidate heap and a pool heap,
+``repro_beam`` ranks the vertices the ``allowed`` mask admits into one
+array sorted by ``(d, v)`` and routes the ones it refuses through a
+min-heap; it pops, admits, evicts and stops exactly where the two heaps
+do, distance ties included.  ``repro_traverse`` and its
 CSR tail ``repro_in_edge_csr`` have no interpreted twin: they transcribe
 the numpy loop of :func:`repro.nets.hierarchy.farthest_point_order` and
 ``NetHierarchy``'s in-edge record, with the same per-distance arithmetic
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -57,77 +63,6 @@ __all__ = [
 #: threads can be inside these kernels at once; ``repro.accel.dispatch``
 #: splits the rows of a large call across cores only for such a backend.
 RELEASES_GIL = True
-
-_CDEF = """
-int64_t repro_beam(
-    const int64_t *offsets, const int64_t *targets,
-    int32_t kind, double factor,
-    const double *Q, int64_t qdim,
-    const double *data, int64_t ddim,
-    const uint8_t *codes, int64_t cdim,
-    const double *minv, const double *scale,
-    const int64_t *starts, const double *d0, int64_t nq,
-    int64_t beam_width, int64_t k_fetch, int64_t budget,
-    const uint8_t *allowed, int32_t has_allowed,
-    int64_t *out_ids, double *out_dists, int64_t *out_evals,
-    int64_t gen0, int32_t *visited, double *cand_d, int64_t *cand_v,
-    double *pool_d, int64_t *pool_v);
-
-int64_t repro_greedy(
-    const int64_t *offsets, const int64_t *targets,
-    int32_t kind, double factor,
-    const double *Q, int64_t qdim,
-    const double *data, int64_t ddim,
-    const uint8_t *codes, int64_t cdim,
-    const double *minv, const double *scale,
-    const int64_t *starts, const double *d0, int64_t nq,
-    int64_t budget,
-    const uint8_t *allowed, int32_t has_allowed,
-    int64_t *out_p, double *out_d, int64_t *out_evals,
-    int64_t *out_hops, int64_t *out_term,
-    int64_t *out_best_p, double *out_best_d,
-    int64_t *hops_buf, int64_t hops_cap);
-
-int64_t repro_construction(
-    const int64_t *offsets, const int64_t *targets,
-    int32_t kind, double factor,
-    const double *Q, int64_t qdim,
-    const double *data, int64_t ddim,
-    const uint8_t *codes, int64_t cdim,
-    const double *minv, const double *scale,
-    const int64_t *starts, const double *d0, int64_t nq,
-    int64_t beam_width, int64_t expand_per_round,
-    int64_t *out_ids, double *out_dists, int64_t *out_sizes,
-    int32_t *visited, uint8_t *pexp, int64_t *sel_buf);
-
-int64_t repro_robust_prune(
-    const double *points, int64_t ddim,
-    int32_t kind, double factor, int64_t pid,
-    const int64_t *v_in, const double *d_in, int64_t P,
-    double alpha, int64_t max_degree,
-    int64_t *vs, double *ds, uint8_t *alive, double *sq, int64_t *out);
-
-int64_t repro_commit_wave(
-    const double *points, int64_t ddim,
-    int32_t kind, double factor,
-    const int64_t *pids, int64_t w,
-    const int64_t *pool_ids, const double *pool_d, const int64_t *pool_off,
-    int32_t include_own, double alpha, int64_t max_degree,
-    int64_t *adj, int64_t cap, int64_t *deg,
-    int64_t *cand_v, double *cand_d,
-    int64_t *vs, double *ds, uint8_t *alive, double *sq,
-    int64_t *out, int64_t *out2);
-
-int64_t repro_traverse(
-    const double *points, int64_t n, int64_t ddim,
-    int32_t kind, double factor, double phi, int64_t height,
-    double *cover, int64_t *order, int64_t *parent, int64_t *state,
-    int64_t *sources, int64_t *targets, double *dists, int64_t cap);
-
-int64_t repro_in_edge_csr(
-    int64_t n, int64_t m, const int64_t *sources, const int64_t *targets,
-    int64_t *first, int64_t *fill, int64_t *offsets, int64_t *out_targets);
-"""
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -170,6 +105,29 @@ static inline int64_t gather_block(
     return nb;
 }
 
+/* out[0..3] = factor * |q - x_i|_2: four independent sums, each the
+ * sequential one a row at a time gives, so every float is unchanged. */
+static inline void l2_four(
+    const double *q, const double *x0, const double *x1, const double *x2,
+    const double *x3, int64_t dim, double factor, double *out)
+{
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    for (int64_t j = 0; j < dim; j++) {
+        double t0 = q[j] - x0[j];
+        double t1 = q[j] - x1[j];
+        double t2 = q[j] - x2[j];
+        double t3 = q[j] - x3[j];
+        a0 += t0 * t0;
+        a1 += t1 * t1;
+        a2 += t2 * t2;
+        a3 += t3 * t3;
+    }
+    out[0] = factor * sqrt(a0);
+    out[1] = factor * sqrt(a1);
+    out[2] = factor * sqrt(a2);
+    out[3] = factor * sqrt(a3);
+}
+
 /* out[b] = distance from query qi to vertex vs[b], b < nb.  kind is switched
  * once a block; each distance is the kernel source's _dist, operation for
  * operation, so every float is the one a vertex-at-a-time call returns. */
@@ -183,8 +141,13 @@ static inline void dist_block(
 {
     const double *q = Q + qi * qdim;
     switch (kind) {
-    case KIND_FLAT_L2:
-        for (int64_t b = 0; b < nb; b++) {
+    case KIND_FLAT_L2: {
+        int64_t b = 0;
+        for (; b + 4 <= nb; b += 4)
+            l2_four(q, data + vs[b] * ddim, data + vs[b + 1] * ddim,
+                    data + vs[b + 2] * ddim, data + vs[b + 3] * ddim,
+                    ddim, factor, out + b);
+        for (; b < nb; b++) {
             const double *x = data + vs[b] * ddim;
             double acc = 0.0;
             for (int64_t j = 0; j < ddim; j++) {
@@ -194,6 +157,7 @@ static inline void dist_block(
             out[b] = factor * sqrt(acc);
         }
         return;
+    }
     case KIND_FLAT_LINF:
         for (int64_t b = 0; b < nb; b++) {
             const double *x = data + vs[b] * ddim;
@@ -231,99 +195,73 @@ static inline void dist_block(
     }
 }
 
-/* Candidate min-heap on the key (d, v) and pool max-heap whose root is
- * the worst entry under the key (-d, v) — heapq's tuple orders in the
- * numpy engine's _BeamState, so pop/evict sequences match exactly. */
+/* The beam: the vertices the mask admits are one array sorted by (d, v),
+ * each entry v << 2 with two flag bits (v is unique, so a flag never decides
+ * an order).  IN_POOL marks the ones the bounded pool holds; a cursor runs to
+ * the first one not EXPANDED.  A vertex the mask refuses routes but is never
+ * reported: it waits in a min-heap on (d, v) that grows down from the
+ * buffers' far end, since a few allowed ids can leave thousands waiting. */
+#define IN_POOL 1
+#define EXPANDED 2
 
-static int64_t cand_push(double *cd, int64_t *cv, int64_t size, double d, int64_t v)
+/* Push (d, v) onto the routing heap: entry i lives at hd[-i], hv[-i]. */
+static void route_push(double *hd, int64_t *hv, int64_t size, double d, int64_t v)
 {
     int64_t i = size;
-    cd[i] = d;
-    cv[i] = v;
-    while (i > 0) {
+    for (; i > 0; i = (i - 1) >> 1) {
         int64_t p = (i - 1) >> 1;
-        if (cd[i] < cd[p] || (cd[i] == cd[p] && cv[i] < cv[p])) {
-            double td = cd[i]; cd[i] = cd[p]; cd[p] = td;
-            int64_t tv = cv[i]; cv[i] = cv[p]; cv[p] = tv;
-            i = p;
-        } else
+        if (!(d < hd[-p] || (d == hd[-p] && v < hv[-p])))
             break;
+        hd[-i] = hd[-p];
+        hv[-i] = hv[-p];
     }
-    return size + 1;
+    hd[-i] = d;
+    hv[-i] = v;
 }
 
-static int64_t cand_pop(double *cd, int64_t *cv, int64_t size)
+/* Pop the routing heap's root; returns the new size. */
+static int64_t route_pop(double *hd, int64_t *hv, int64_t size)
 {
-    size -= 1;
-    cd[0] = cd[size];
-    cv[0] = cv[size];
-    int64_t i = 0;
-    for (;;) {
-        int64_t left = 2 * i + 1;
-        if (left >= size)
+    size--;
+    double d = hd[-size];
+    int64_t v = hv[-size], i = 0;
+    for (int64_t c = 1; c < size; c = 2 * i + 1) {
+        if (c + 1 < size && (hd[-c - 1] < hd[-c] || (hd[-c - 1] == hd[-c] && hv[-c - 1] < hv[-c])))
+            c++;
+        if (!(hd[-c] < d || (hd[-c] == d && hv[-c] < v)))
             break;
-        int64_t small = left;
-        int64_t right = left + 1;
-        if (right < size &&
-            (cd[right] < cd[left] || (cd[right] == cd[left] && cv[right] < cv[left])))
-            small = right;
-        if (cd[small] < cd[i] || (cd[small] == cd[i] && cv[small] < cv[i])) {
-            double td = cd[i]; cd[i] = cd[small]; cd[small] = td;
-            int64_t tv = cv[i]; cv[i] = cv[small]; cv[small] = tv;
-            i = small;
-        } else
-            break;
+        hd[-i] = hd[-c];
+        hv[-i] = hv[-c];
+        i = c;
     }
+    hd[-i] = d;
+    hv[-i] = v;
     return size;
 }
 
-static int pool_worse(double d1, int64_t v1, double d2, int64_t v2)
+/* The pool has just reached L entries (evict 0) or L + 1 (evict 1).  Drop
+ * from it the entry heapq evicts — the largest d, the smallest v among its
+ * ties — set *worst to the largest d left, and cut every entry beyond it:
+ * the heap kernel would break on popping one.  Entries tied at *worst stay,
+ * it would pop and expand those.  Returns the new size.  The array always
+ * ends on a pool entry: one evicted earlier survives a cut only tied at
+ * *worst, and then ahead of the larger ids its eviction spared. */
+static int64_t beam_trim(const double *cd, int64_t *cv, int64_t size, int evict,
+                         double *worst)
 {
-    if (d1 > d2)
-        return 1;
-    if (d1 == d2 && v1 < v2)
-        return 1;
-    return 0;
-}
-
-static int64_t pool_push(double *pd, int64_t *pv, int64_t size, double d, int64_t v)
-{
-    int64_t i = size;
-    pd[i] = d;
-    pv[i] = v;
-    while (i > 0) {
-        int64_t p = (i - 1) >> 1;
-        if (pool_worse(pd[i], pv[i], pd[p], pv[p])) {
-            double td = pd[i]; pd[i] = pd[p]; pd[p] = td;
-            int64_t tv = pv[i]; pv[i] = pv[p]; pv[p] = tv;
-            i = p;
-        } else
-            break;
+    int64_t last = size - 1;
+    if (evict) {
+        int64_t first = last;
+        for (int64_t i = last - 1; i >= 0 && cd[i] == cd[last]; i--)
+            if ((cv[i] & IN_POOL) != 0)
+                first = i;
+        cv[first] &= ~(int64_t)IN_POOL;
+        while ((cv[last] & IN_POOL) == 0)
+            last--;
     }
-    return size + 1;
-}
-
-static int64_t pool_pop(double *pd, int64_t *pv, int64_t size)
-{
-    size -= 1;
-    pd[0] = pd[size];
-    pv[0] = pv[size];
-    int64_t i = 0;
-    for (;;) {
-        int64_t left = 2 * i + 1;
-        if (left >= size)
-            break;
-        int64_t worst = left;
-        int64_t right = left + 1;
-        if (right < size && pool_worse(pd[right], pv[right], pd[left], pv[left]))
-            worst = right;
-        if (pool_worse(pd[worst], pv[worst], pd[i], pv[i])) {
-            double td = pd[i]; pd[i] = pd[worst]; pd[worst] = td;
-            int64_t tv = pv[i]; pv[i] = pv[worst]; pv[worst] = tv;
-            i = worst;
-        } else
-            break;
-    }
+    *worst = cd[last];
+    while (cd[size - 1] > *worst)
+        size--;
     return size;
 }
 
@@ -338,26 +276,49 @@ int64_t repro_beam(
     int64_t beam_width, int64_t k_fetch, int64_t budget,
     const uint8_t *allowed, int32_t has_allowed,
     int64_t *out_ids, double *out_dists, int64_t *out_evals,
-    int64_t gen0, int32_t *visited, double *cand_d, int64_t *cand_v,
-    double *pool_d, int64_t *pool_v)
+    int64_t gen0, int32_t *visited, double *cand_d, int64_t *cand_v, int64_t cap)
 {
     int64_t blk[BLOCK];
     double dblk[BLOCK];
+    double *hd = cand_d + cap - 1;
+    int64_t *hv = cand_v + cap - 1;
     for (int64_t qi = 0; qi < nq; qi++) {
         int32_t gen = (int32_t)(gen0 + qi + 1);
         int64_t s = starts[qi];
-        int64_t csize = cand_push(cand_d, cand_v, 0, d0[qi], s);
-        int64_t psize = 0;
-        if (has_allowed == 0 || allowed[s] != 0)
-            psize = pool_push(pool_d, pool_v, 0, d0[qi], s);
+        /* size array entries, psize of them in the pool, whose largest d is
+         * worst once psize == L; hsize vertices on the routing heap. */
+        int64_t size = 0, cur = 0, psize = 0, hsize = 0;
+        double worst = INFINITY;
+        if (has_allowed == 0 || allowed[s] != 0) {
+            cand_d[0] = d0[qi];
+            cand_v[0] = s << 2 | IN_POOL;
+            size = psize = 1;
+            if (beam_width == 1)
+                worst = d0[qi];
+        } else {
+            route_push(hd, hv, hsize++, d0[qi], s);
+        }
         visited[s] = gen;
         int64_t evals = 1;
-        while (csize > 0) {
-            double dcur = cand_d[0];
-            int64_t u = cand_v[0];
-            csize = cand_pop(cand_d, cand_v, csize);
-            if (psize >= beam_width && dcur > pool_d[0])
+        for (;;) {
+            /* Pop the least (d, v) of both: a routing vertex beyond a full
+             * pool's worst is where the heap kernel breaks, and so is every
+             * one under it. */
+            while (cur < size && (cand_v[cur] & EXPANDED) != 0)
+                cur++;
+            if (hsize > 0 && psize >= beam_width && hd[0] > worst)
+                hsize = 0;
+            int64_t u;
+            if (hsize > 0 && (cur == size || hd[0] < cand_d[cur] ||
+                              (hd[0] == cand_d[cur] && hv[0] < cand_v[cur] >> 2))) {
+                u = hv[0];
+                hsize = route_pop(hd, hv, hsize);
+            } else if (cur < size) {
+                cand_v[cur] |= EXPANDED;
+                u = cand_v[cur++] >> 2;
+            } else {
                 break;
+            }
             int64_t ei = offsets[u];
             int64_t end = offsets[u + 1];
             while (ei < end) {
@@ -376,15 +337,30 @@ int64_t repro_beam(
                            codes, cdim, minv, scale, blk, take, dblk);
                 evals += take;
                 for (int64_t b = 0; b < take; b++) {
-                    int64_t v = blk[b];
                     double dv = dblk[b];
-                    if (psize < beam_width || dv < pool_d[0]) {
-                        csize = cand_push(cand_d, cand_v, csize, dv, v);
-                        if (has_allowed == 0 || allowed[v] != 0) {
-                            psize = pool_push(pool_d, pool_v, psize, dv, v);
-                            if (psize > beam_width)
-                                psize = pool_pop(pool_d, pool_v, psize);
-                        }
+                    int64_t v = blk[b];
+                    if (!(psize < beam_width || dv < worst))
+                        continue;
+                    if (has_allowed != 0 && allowed[v] == 0) {
+                        route_push(hd, hv, hsize++, dv, v);
+                        continue;
+                    }
+                    int64_t ev = v << 2 | IN_POOL;
+                    int64_t i = size++;
+                    for (; i > 0 && (cand_d[i - 1] > dv ||
+                                     (cand_d[i - 1] == dv && cand_v[i - 1] > ev)); i--) {
+                        cand_d[i] = cand_d[i - 1];
+                        cand_v[i] = cand_v[i - 1];
+                    }
+                    cand_d[i] = dv;
+                    cand_v[i] = ev;
+                    if (i < cur)
+                        cur = i;
+                    if (++psize >= beam_width) {
+                        size = beam_trim(cand_d, cand_v, size, psize > beam_width, &worst);
+                        psize = beam_width;
+                        if (cur > size)
+                            cur = size;
                     }
                 }
                 /* The budget cut this row: nothing more can be evaluated,
@@ -392,29 +368,16 @@ int64_t repro_beam(
                 if (take < nb)
                     goto report;
             }
-            /* The next pop is the heap's root: fetch its adjacency row. */
-            if (csize > 0)
-                __builtin_prefetch(targets + offsets[cand_v[0]]);
         }
     report:
-        /* Insertion-sort the pool ascending by (d, v) — the numpy
-         * path's sorted((-d, v)) report order. */
-        for (int64_t a = 1; a < psize; a++) {
-            double dd = pool_d[a];
-            int64_t vv = pool_v[a];
-            int64_t b = a - 1;
-            while (b >= 0 && (pool_d[b] > dd || (pool_d[b] == dd && pool_v[b] > vv))) {
-                pool_d[b + 1] = pool_d[b];
-                pool_v[b + 1] = pool_v[b];
-                b--;
+        /* The pool in array order: ascending (d, v), the numpy path's
+         * sorted((-d, v)) report order. */
+        for (int64_t a = 0, n_out = 0; a < size && n_out < k_fetch; a++) {
+            if ((cand_v[a] & IN_POOL) != 0) {
+                out_ids[qi * k_fetch + n_out] = cand_v[a] >> 2;
+                out_dists[qi * k_fetch + n_out] = cand_d[a];
+                n_out++;
             }
-            pool_d[b + 1] = dd;
-            pool_v[b + 1] = vv;
-        }
-        int64_t n_out = psize < k_fetch ? psize : k_fetch;
-        for (int64_t a = 0; a < n_out; a++) {
-            out_ids[qi * k_fetch + a] = pool_v[a];
-            out_dists[qi * k_fetch + a] = pool_d[a];
         }
         out_evals[qi] = evals;
     }
@@ -819,7 +782,7 @@ int64_t repro_commit_wave(
 }
 
 /* row[p] = D(y, p) for every stored point p: point_dist's arithmetic, for
- * L2 four points at a time (four independent sums, each still sequential). */
+ * L2 four points at a time. */
 static void dist_row(
     const double *points, int64_t n, int64_t ddim, int32_t kind, double factor,
     int64_t y, double *row)
@@ -828,21 +791,7 @@ static void dist_row(
     int64_t p = 0;
     for (; kind == KIND_FLAT_L2 && p + 4 <= n; p += 4) {
         const double *x = points + p * ddim;
-        double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-        for (int64_t c = 0; c < ddim; c++) {
-            double t0 = xy[c] - x[c];
-            double t1 = xy[c] - x[ddim + c];
-            double t2 = xy[c] - x[2 * ddim + c];
-            double t3 = xy[c] - x[3 * ddim + c];
-            a0 += t0 * t0;
-            a1 += t1 * t1;
-            a2 += t2 * t2;
-            a3 += t3 * t3;
-        }
-        row[p] = factor * sqrt(a0);
-        row[p + 1] = factor * sqrt(a1);
-        row[p + 2] = factor * sqrt(a2);
-        row[p + 3] = factor * sqrt(a3);
+        l2_four(xy, x, x + ddim, x + 2 * ddim, x + 3 * ddim, ddim, factor, row + p);
     }
     for (; p < n; p++)
         row[p] = point_dist(points, ddim, kind, factor, y, p);
@@ -920,6 +869,10 @@ int64_t repro_in_edge_csr(
     return 0;
 }
 """
+
+#: cffi's declarations: every exported ``repro_*`` signature, read off the
+#: source above so the two cannot drift apart.
+_CDEF = "".join(sig + ";\n" for sig in re.findall(r"^int64_t repro_\w+\([^)]*\)", _SOURCE, re.M))
 
 # Strict IEEE: no fused multiply-add contraction, no reassociation.
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-unsafe-math-optimizations"]
@@ -1059,12 +1012,11 @@ class SearchKernels:
             buf(f64, minv), buf(f64, scale),
         )
 
-    def scratch(self, visited, cand_d, cand_v, pool_d, pool_v):
+    def scratch(self, visited, cand_d, cand_v):
         """Per-thread scratch arrays in the form :meth:`beam` takes them."""
-        buf, f64, i64 = self._buf, self._f64, self._i64
         return (
-            buf("int32_t[]", visited), buf(f64, cand_d), buf(i64, cand_v),
-            buf(f64, pool_d), buf(i64, pool_v),
+            self._buf("int32_t[]", visited),
+            self._buf(self._f64, cand_d), self._buf(self._i64, cand_v), len(cand_d),
         )
 
     def _queries(self, Q, starts, d0):

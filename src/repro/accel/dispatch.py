@@ -526,18 +526,16 @@ class _Scratch:
     when int32 would overflow).
     """
 
-    __slots__ = ("width", "visited", "args", "_next")
+    __slots__ = ("visited", "args", "_next")
 
-    def __init__(self, plan: "_SearchPlan", width: int) -> None:
+    def __init__(self, plan: "_SearchPlan") -> None:
         n = plan.n
-        self.width = width
         self.visited = np.zeros(n, dtype=np.int32)
         self.args = plan.kernels.scratch(
             self.visited,
-            np.empty(n + 1, dtype=np.float64),  # candidate heap
+            # The beam's entries: each vertex enters at most once a query.
+            np.empty(n + 1, dtype=np.float64),
             np.empty(n + 1, dtype=np.int64),
-            np.empty(width + 1, dtype=np.float64),  # result pool
-            np.empty(width + 1, dtype=np.int64),
         )
         self._next = 0
 
@@ -580,11 +578,11 @@ class _SearchPlan:
         )
         self._local = threading.local()
 
-    def scratch(self, width: int) -> _Scratch:
-        """This thread's buffers, wide enough for a ``width`` beam."""
+    def scratch(self) -> _Scratch:
+        """This thread's buffers."""
         scratch = getattr(self._local, "scratch", None)
-        if scratch is None or scratch.width < width:
-            scratch = self._local.scratch = _Scratch(self, width)
+        if scratch is None:
+            scratch = self._local.scratch = _Scratch(self)
         return scratch
 
 
@@ -663,16 +661,13 @@ def run_beam(
     q_arr = _query_arrays(plan.layout, view)
     starts64 = np.ascontiguousarray(starts, dtype=np.int64)
     d0 = view.start_distances(starts64)
-    # A pool never holds more than the graph's n vertices, so a wider beam
-    # is the same search; scratch is sized by this, not by the request.
-    width = min(int(beam_width), graph.n)
     budget_i = -1 if budget is None else int(budget)
     allowed_u8, has_allowed = _allowed_arg(allowed)
 
     def rows(q_arr, starts, d0, out_ids, out_dists, out_evals) -> None:
-        scratch = plan.scratch(width)  # of the thread these rows run on
+        scratch = plan.scratch()  # of the thread these rows run on
         plan.kernels.beam(
-            q_arr, starts, d0, width, k_eff, budget_i,
+            q_arr, starts, d0, int(beam_width), k_eff, budget_i,
             allowed_u8, has_allowed, out_ids, out_dists, out_evals,
             scratch.stamps(len(starts)), *scratch.args,
         )
@@ -1075,6 +1070,15 @@ def _self_check(backend: str) -> None:
 
     want_beam = engine.beam_search_batch(graph, dataset, starts, Q, beam_width=6, k=4)
     got_beam = run_beam(backend, graph, dataset, starts, Q, beam_width=6, k=4)
+    # Integer points on a 3 x 3 grid tie distances everywhere; under a mask
+    # and a budget, which tied entry a beam keeps, expands or reports
+    # decides its ids and its eval count.
+    tied = Dataset(EuclideanMetric(), rng.integers(0, 3, size=(n, 2)).astype(np.float64))
+    Qt = rng.integers(0, 3, size=(mq, 2)).astype(np.float64)
+    mask = rng.random(n) < 0.3
+    tied_args = dict(beam_width=3, k=5, budget=40, allowed=mask)
+    want_tied = engine.beam_search_batch(graph, tied, starts, Qt, **tied_args)
+    got_tied = run_beam(backend, graph, tied, starts, Qt, **tied_args)
     want_greedy = engine.greedy_batch(graph, dataset, starts[:8], Q[:8])
     got_greedy = run_greedy(backend, graph, dataset, starts[:8], Q[:8])
     # The wave locates members of the graph, as a build does.
@@ -1098,6 +1102,7 @@ def _self_check(backend: str) -> None:
     run_commit_wave(backend, dataset, wave, pools_w, 1.2, 4, False, rows_got)
     if (
         want_beam != got_beam
+        or want_tied != got_tied
         or want_greedy != got_greedy
         or not same_c
         or want_p != got_p

@@ -4,7 +4,9 @@ Each function below is written as flat loops over preallocated arrays
 (no Python containers, no closures) and runs under the plain interpreter
 — that is the ``"python"`` backend the equivalence suites pin the
 compiled backend against, and the semantics contract the C backend
-(:mod:`repro.accel.cbackend`) mirrors line for line.
+(:mod:`repro.accel.cbackend`) reproduces: the same results, not the same
+structure (its beam keeps one sorted array where this one keeps two
+heaps).
 
 Semantics are replicated operation-for-operation from the numpy engines
 in :mod:`repro.graphs.engine`:
@@ -763,9 +765,11 @@ class SearchKernels:
         self._vectors = (data, codes, minv, scale)
 
     @staticmethod
-    def scratch(*arrays):
-        """Per-thread scratch arrays in the form :meth:`beam` takes them."""
-        return arrays
+    def scratch(visited, cand_d, cand_v):
+        """Per-thread scratch arrays in the form :meth:`beam` takes them,
+        plus a pool heap of the candidate heap's length (a pool holds at
+        most n vertices)."""
+        return visited, cand_d, cand_v, np.empty_like(cand_d), np.empty_like(cand_v)
 
     def beam(self, Q, *rest):
         """:func:`beam_kernel`; ``rest`` is its arguments from ``starts`` on."""

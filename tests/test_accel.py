@@ -14,6 +14,8 @@ Contract under test:
   and row ends, the compiled results equal the interpreted reference's
   and the numpy engines' — once more under UBSan — and the C source
   compiles warning-free;
+* the C beam's sorted array makes the two heaps' decisions on seeded
+  integer grids full of distance ties, under masks and budgets;
 * an explicitly requested backend that cannot run here raises
   :class:`AccelUnavailableError` with an actionable message, while
   ``backend="auto"`` silently serves numpy (one
@@ -273,6 +275,52 @@ def _check_long_rows(kind, backends):
             assert np.array_equal(dists, ref_dists), (kind, backend)
 
 
+def _check_grid_beams(seed, cases, backend="cffi"):
+    """``backend``'s beam against the numpy engine's on ``cases`` seeded
+    random workloads built for distance ties: integer points and queries
+    in ``{0..3}^d`` (d = 1-5), L2 or L-infinity, flat or SQ8, random
+    graphs, ``allowed`` masks admitting 5-90 % of the vertices, budgets,
+    beam widths 1-40 and ``k`` up to five past the width.  SQ8 under L2
+    with d >= 3 is the one mode whose numpy sums can round a tie apart
+    (``einsum`` picks the order); there the reference is the interpreted
+    heap kernel, whose arithmetic is the C's."""
+    rng = np.random.default_rng(seed)
+    for case in range(cases):
+        d, n = int(rng.integers(1, 6)), int(rng.integers(20, 90))
+        points = rng.integers(0, 4, size=(n, d)).astype(np.float64)
+        graph = ProximityGraph(n, rng.integers(0, n, size=(n, int(rng.integers(2, 9))))).freeze()
+        metric = (EuclideanMetric(), ChebyshevMetric())[case % 2]
+        store = make_store("sq8", metric, points, seed=0) if case % 3 == 0 else None
+        Q = rng.integers(0, 4, size=(6, d)).astype(np.float64)
+        starts = rng.integers(0, n, size=6)
+        density = (None, 0.05, 0.2, 0.5, 0.9)[case % 5]
+        allowed = None if density is None else rng.random(n) < density
+        width = 1 + (seed * cases + case) % 40
+        k = int(rng.integers(1, width + 6))
+        budget = None if case % 4 == 0 else int(rng.integers(1, 3 * n))
+        args = dict(beam_width=width, k=k, budget=budget, allowed=allowed, store=store)
+        dataset = Dataset(metric, points)
+        ref = "python" if store is not None and case % 2 == 0 and d >= 3 else None
+        # BeamBatch equality: ids, distances and evals.
+        assert beam_search_batch(
+            graph, dataset, starts, Q, backend=ref, **args
+        ) == beam_search_batch(
+            graph, dataset, starts, Q, backend=backend, **args
+        ), (seed, case, d, n, type(metric).__name__, density, width, k, budget)
+
+
+@pytest.mark.skipif("cffi" not in BACKENDS, reason="cffi is not installed")
+class TestBeamArray:
+    """Where the reference keeps a candidate heap and a pool heap, the C
+    beam keeps the vertices a mask admits in one array sorted by (d, v)
+    and routes the rest through a min-heap; it must make every decision
+    the two heaps make, through distance ties, masks and budgets."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tied_grids_match_the_numpy_engine(self, seed):
+        _check_grid_beams(seed, 25)
+
+
 class TestBlockExpansion:
     """Rows longer than the C kernels' 32-target block, every kind."""
 
@@ -354,6 +402,7 @@ class TestCSource:
         try:
             for kind in KERNEL_KINDS:
                 _check_long_rows(kind, ["cffi"])
+            _check_grid_beams(0, 25)
         finally:
             accel.reset()
 
