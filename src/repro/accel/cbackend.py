@@ -73,6 +73,20 @@ _SOURCE = r"""
 #define KIND_SQ8_L2 2
 #define KIND_SQ8_LINF 3
 
+/* What a kernel call binds: the CSR graph, the stored vectors and, in the
+ * copy each thread searches through, that thread's beam scratch. */
+typedef struct {
+    const int64_t *offsets, *targets;
+    int32_t kind;
+    double factor;
+    const double *data, *minv, *scale;
+    const uint8_t *codes;
+    int64_t ddim, cdim;
+    int32_t *visited;
+    double *cand_d;
+    int64_t *cand_v, cap;
+} repro_plan;
+
 /* One expansion step works on a block: up to BLOCK unvisited targets of
  * a row are gathered, their stored rows prefetched while the scan goes
  * on, then evaluated together, then ranked in gather order; a longer row
@@ -83,17 +97,16 @@ _SOURCE = r"""
  * most BLOCK, in row order, and start fetching every cache line of each
  * one's stored row.  Advances *pos past what it scanned; stamps nothing. */
 static inline int64_t gather_block(
-    const int64_t *targets, int64_t *pos, int64_t end,
-    const int32_t *visited, int32_t gen, int32_t kind,
-    const double *data, int64_t ddim, const uint8_t *codes, int64_t cdim,
-    int64_t *blk)
+    const repro_plan *p, int64_t *pos, int64_t end,
+    const int32_t *visited, int32_t gen, int64_t *blk)
 {
-    const char *rows = kind <= KIND_FLAT_LINF ? (const char *)data : (const char *)codes;
-    int64_t row_bytes = kind <= KIND_FLAT_LINF ? ddim * (int64_t)sizeof(double) : cdim;
+    int flat = p->kind <= KIND_FLAT_LINF;
+    const char *rows = flat ? (const char *)p->data : (const char *)p->codes;
+    int64_t row_bytes = flat ? p->ddim * (int64_t)sizeof(double) : p->cdim;
     int64_t nb = 0;
     int64_t ei = *pos;
     for (; ei < end && nb < BLOCK; ei++) {
-        int64_t v = targets[ei];
+        int64_t v = p->targets[ei];
         if (visited[v] == gen)
             continue;
         blk[nb++] = v;
@@ -128,19 +141,16 @@ static inline void l2_four(
     out[3] = factor * sqrt(a3);
 }
 
-/* out[b] = distance from query qi to vertex vs[b], b < nb.  kind is switched
+/* out[b] = distance from query q to vertex vs[b], b < nb.  kind is switched
  * once a block; each distance is the kernel source's _dist, operation for
  * operation, so every float is the one a vertex-at-a-time call returns. */
 static inline void dist_block(
-    int32_t kind, double factor,
-    const double *Q, int64_t qdim, int64_t qi,
-    const double *data, int64_t ddim,
-    const uint8_t *codes, int64_t cdim,
-    const double *minv, const double *scale,
-    const int64_t *vs, int64_t nb, double *out)
+    const repro_plan *p, const double *q, const int64_t *vs, int64_t nb, double *out)
 {
-    const double *q = Q + qi * qdim;
-    switch (kind) {
+    const double factor = p->factor, *data = p->data, *minv = p->minv, *scale = p->scale;
+    const uint8_t *codes = p->codes;
+    int64_t ddim = p->ddim, cdim = p->cdim;
+    switch (p->kind) {
     case KIND_FLAT_L2: {
         int64_t b = 0;
         for (; b + 4 <= nb; b += 4)
@@ -266,18 +276,17 @@ static int64_t beam_trim(const double *cd, int64_t *cv, int64_t size, int evict,
 }
 
 int64_t repro_beam(
-    const int64_t *offsets, const int64_t *targets,
-    int32_t kind, double factor,
+    const repro_plan *plan,
     const double *Q, int64_t qdim,
-    const double *data, int64_t ddim,
-    const uint8_t *codes, int64_t cdim,
-    const double *minv, const double *scale,
     const int64_t *starts, const double *d0, int64_t nq,
     int64_t beam_width, int64_t k_fetch, int64_t budget,
     const uint8_t *allowed, int32_t has_allowed,
-    int64_t *out_ids, double *out_dists, int64_t *out_evals,
-    int64_t gen0, int32_t *visited, double *cand_d, int64_t *cand_v, int64_t cap)
+    int64_t *out_ids, int64_t *out_evals, int64_t gen0)
 {
+    const int64_t *offsets = plan->offsets;
+    int32_t *visited = plan->visited;
+    double *cand_d = plan->cand_d;
+    int64_t *cand_v = plan->cand_v, cap = plan->cap;
     int64_t blk[BLOCK];
     double dblk[BLOCK];
     double *hd = cand_d + cap - 1;
@@ -322,8 +331,7 @@ int64_t repro_beam(
             int64_t ei = offsets[u];
             int64_t end = offsets[u + 1];
             while (ei < end) {
-                int64_t nb = gather_block(targets, &ei, end, visited, gen, kind,
-                                          data, ddim, codes, cdim, blk);
+                int64_t nb = gather_block(plan, &ei, end, visited, gen, blk);
                 if (nb == 0)
                     break;
                 if (budget >= 0 && evals >= budget)
@@ -333,8 +341,7 @@ int64_t repro_beam(
                     take = budget - evals;
                 for (int64_t b = 0; b < take; b++)
                     visited[blk[b]] = gen;
-                dist_block(kind, factor, Q, qdim, qi, data, ddim,
-                           codes, cdim, minv, scale, blk, take, dblk);
+                dist_block(plan, Q + qi * qdim, blk, take, dblk);
                 evals += take;
                 for (int64_t b = 0; b < take; b++) {
                     double dv = dblk[b];
@@ -371,13 +378,14 @@ int64_t repro_beam(
         }
     report:
         /* The pool in array order: ascending (d, v), the numpy path's
-         * sorted((-d, v)) report order. */
-        for (int64_t a = 0, n_out = 0; a < size && n_out < k_fetch; a++) {
-            if ((cand_v[a] & IN_POOL) != 0) {
-                out_ids[qi * k_fetch + n_out] = cand_v[a] >> 2;
-                out_dists[qi * k_fetch + n_out] = cand_d[a];
-                n_out++;
-            }
+         * sorted((-d, v)) report order; -1 pads the row. */
+        {
+            int64_t *row = out_ids + qi * k_fetch, n_out = 0;
+            for (int64_t a = 0; a < size && n_out < k_fetch; a++)
+                if ((cand_v[a] & IN_POOL) != 0)
+                    row[n_out++] = cand_v[a] >> 2;
+            while (n_out < k_fetch)
+                row[n_out++] = -1;
         }
         out_evals[qi] = evals;
     }
@@ -385,12 +393,8 @@ int64_t repro_beam(
 }
 
 int64_t repro_greedy(
-    const int64_t *offsets, const int64_t *targets,
-    int32_t kind, double factor,
+    const repro_plan *plan,
     const double *Q, int64_t qdim,
-    const double *data, int64_t ddim,
-    const uint8_t *codes, int64_t cdim,
-    const double *minv, const double *scale,
     const int64_t *starts, const double *d0, int64_t nq,
     int64_t budget,
     const uint8_t *allowed, int32_t has_allowed,
@@ -399,6 +403,7 @@ int64_t repro_greedy(
     int64_t *out_best_p, double *out_best_d,
     int64_t *hops_buf, int64_t hops_cap)
 {
+    const int64_t *offsets = plan->offsets, *targets = plan->targets;
     double dblk[BLOCK];
     int64_t maxnh = 0;
     for (int64_t qi = 0; qi < nq; qi++) {
@@ -440,8 +445,7 @@ int64_t repro_greedy(
             for (int64_t i = 0; i < take; i += BLOCK) {
                 const int64_t *vs = targets + beg + i;
                 int64_t nb = take - i < BLOCK ? take - i : BLOCK;
-                dist_block(kind, factor, Q, qdim, qi, data, ddim,
-                           codes, cdim, minv, scale, vs, nb, dblk);
+                dist_block(plan, Q + qi * qdim, vs, nb, dblk);
                 for (int64_t b = 0; b < nb; b++) {
                     int64_t v = vs[b];
                     double dv = dblk[b];
@@ -490,17 +494,14 @@ int64_t repro_greedy(
  * visited dedup, bounded sorted insertion into the out_ids/out_dists
  * pool rows. */
 int64_t repro_construction(
-    const int64_t *offsets, const int64_t *targets,
-    int32_t kind, double factor,
+    const repro_plan *plan,
     const double *Q, int64_t qdim,
-    const double *data, int64_t ddim,
-    const uint8_t *codes, int64_t cdim,
-    const double *minv, const double *scale,
     const int64_t *starts, const double *d0, int64_t nq,
     int64_t beam_width, int64_t expand_per_round,
     int64_t *out_ids, double *out_dists, int64_t *out_sizes,
     int32_t *visited, uint8_t *pexp, int64_t *sel_buf)
 {
+    const int64_t *offsets = plan->offsets;
     int64_t blk[BLOCK];
     double dblk[BLOCK];
     int64_t ef = beam_width;
@@ -532,12 +533,10 @@ int64_t repro_construction(
                 int64_t ei = offsets[u];
                 int64_t end = offsets[u + 1];
                 while (ei < end) {
-                    int64_t nb = gather_block(targets, &ei, end, visited, gen, kind,
-                                              data, ddim, codes, cdim, blk);
+                    int64_t nb = gather_block(plan, &ei, end, visited, gen, blk);
                     for (int64_t b = 0; b < nb; b++)
                         visited[blk[b]] = gen;
-                    dist_block(kind, factor, Q, qdim, qi, data, ddim,
-                               codes, cdim, minv, scale, blk, nb, dblk);
+                    dist_block(plan, Q + qi * qdim, blk, nb, dblk);
                     for (int64_t b = 0; b < nb; b++) {
                         int64_t v = blk[b];
                         double dv = dblk[b];
@@ -870,9 +869,10 @@ int64_t repro_in_edge_csr(
 }
 """
 
-#: cffi's declarations: every exported ``repro_*`` signature, read off the
-#: source above so the two cannot drift apart.
-_CDEF = "".join(sig + ";\n" for sig in re.findall(r"^int64_t repro_\w+\([^)]*\)", _SOURCE, re.M))
+#: cffi's declarations: the plan struct and every exported ``repro_*``
+#: signature, read off the source above so the two cannot drift apart.
+_CDEF = "".join(decl + ";\n" for decl in re.findall(
+    r"^typedef struct \{[^}]*\} repro_plan|^int64_t repro_\w+\([^)]*\)", _SOURCE, re.M))
 
 # Strict IEEE: no fused multiply-add contraction, no reassociation.
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-unsafe-math-optimizations"]
@@ -987,59 +987,62 @@ def _u8(ffi, arr: np.ndarray):
     return ffi.from_buffer("uint8_t[]", arr)
 
 
+def _plan_fields(ffi, offsets, targets, kind, factor, data, codes, minv, scale):
+    """A ``repro_plan``'s graph and vector fields; keep them while it lives."""
+    buf, i64, f64 = ffi.from_buffer, "int64_t[]", "double[]"
+    return {
+        "offsets": buf(i64, offsets), "targets": buf(i64, targets),
+        "kind": int(kind), "factor": float(factor),
+        "data": buf(f64, data), "ddim": data.shape[1],
+        "codes": buf("uint8_t[]", codes), "cdim": codes.shape[1],
+        "minv": buf(f64, minv), "scale": buf(f64, scale),
+    }
+
+
 class SearchKernels:
     """``repro_beam`` / ``repro_greedy`` bound to the arrays that outlive
     a call — same interface as :class:`repro.accel.kernels.SearchKernels`.
 
     The pointers of the CSR arrays, the stored vectors and the quantiser
-    parameters are resolved here, once; :meth:`beam` and :meth:`greedy`
-    marshal only what changes from call to call.  Every pointer comes
-    from ``ffi.from_buffer``, which holds its array (or mapping) alive
-    and refuses one that is not C-contiguous.
+    parameters are resolved here, once, into a ``repro_plan`` (one per
+    thread with its scratch, by :meth:`scratch`); :meth:`beam` and
+    :meth:`greedy` marshal only what changes from call to call.  Every
+    pointer comes from ``ffi.from_buffer``, which holds its array (or
+    mapping) alive and refuses one that is not C-contiguous.
     """
 
     def __init__(self, offsets, targets, kind, factor, data, codes, minv, scale):
-        self._lib, ffi = _load()
-        self._buf = buf = ffi.from_buffer
-        self._f64 = f64 = ffi.typeof("double[]")
-        self._i64 = i64 = ffi.typeof("int64_t[]")
-        self._u8 = u8 = ffi.typeof("uint8_t[]")
-        self._graph = (
-            buf(i64, offsets), buf(i64, targets), int(kind), float(factor),
+        self._lib, self._ffi = _load()
+        self._buf = self._ffi.from_buffer
+        self._f64 = self._ffi.typeof("double[]")
+        self._i64 = self._ffi.typeof("int64_t[]")
+        self._fields = _plan_fields(
+            self._ffi, offsets, targets, kind, factor, data, codes, minv, scale
         )
-        self._vectors = (
-            buf(f64, data), data.shape[1], buf(u8, codes), codes.shape[1],
-            buf(f64, minv), buf(f64, scale),
-        )
+        self._plan = self._ffi.new("repro_plan *", self._fields)
 
     def scratch(self, visited, cand_d, cand_v):
-        """Per-thread scratch arrays in the form :meth:`beam` takes them."""
-        return (
-            self._buf("int32_t[]", visited),
-            self._buf(self._f64, cand_d), self._buf(self._i64, cand_v), len(cand_d),
-        )
-
-    def _queries(self, Q, starts, d0):
-        buf, f64 = self._buf, self._f64
-        return (
-            *self._graph,
-            buf(f64, Q), Q.shape[1],
-            *self._vectors,
-            buf(self._i64, starts), buf(f64, d0), starts.shape[0],
-        )
+        """This thread's plan, with its scratch arrays, in the form
+        :meth:`beam` takes it: the plan, then the pointers it holds."""
+        held = {
+            "visited": self._buf("int32_t[]", visited),
+            "cand_d": self._buf(self._f64, cand_d),
+            "cand_v": self._buf(self._i64, cand_v),
+        }
+        return self._ffi.new("repro_plan *", {**self._fields, **held, "cap": len(cand_d)}), held
 
     def beam(
         self, Q, starts, d0, beam_width, k_fetch, budget, allowed, has_allowed,
-        out_ids, out_dists, out_evals, gen0, *scratch,
+        out_ids, out_evals, gen0, plan, _held,
     ):
         """Same semantics as :func:`repro.accel.kernels.beam_kernel`."""
         buf, f64, i64 = self._buf, self._f64, self._i64
         return self._lib.repro_beam(
-            *self._queries(Q, starts, d0),
+            plan, buf(f64, Q), Q.shape[1],
+            buf(i64, starts), buf(f64, d0), starts.shape[0],
             beam_width, k_fetch, budget,
-            buf(self._u8, allowed), has_allowed,
-            buf(i64, out_ids), buf(f64, out_dists), buf(i64, out_evals),
-            gen0, *scratch,
+            buf("uint8_t[]", allowed) if has_allowed else self._ffi.NULL, has_allowed,
+            buf(i64, out_ids), buf(i64, out_evals), gen0,
         )
 
     def greedy(
@@ -1050,9 +1053,9 @@ class SearchKernels:
         """Same semantics as :func:`repro.accel.kernels.greedy_kernel`."""
         buf, f64, i64 = self._buf, self._f64, self._i64
         return self._lib.repro_greedy(
-            *self._queries(Q, starts, d0),
-            budget,
-            buf(self._u8, allowed), has_allowed,
+            self._plan, buf(f64, Q), Q.shape[1],
+            buf(i64, starts), buf(f64, d0), starts.shape[0],
+            budget, buf("uint8_t[]", allowed) if has_allowed else self._ffi.NULL, has_allowed,
             buf(i64, out_p), buf(f64, out_d), buf(i64, out_evals),
             buf(i64, out_hops), buf(i64, out_term),
             buf(i64, out_best_p), buf(f64, out_best_d),
@@ -1067,13 +1070,10 @@ def construction_kernel(
 ):
     """Same signature/semantics as :func:`repro.accel.kernels.construction_kernel`."""
     lib, ffi = _load()
+    fields = _plan_fields(ffi, offsets, targets, kind, factor, data, codes, minv, scale)
     return lib.repro_construction(
-        _i64(ffi, offsets), _i64(ffi, targets),
-        int(kind), float(factor),
+        ffi.new("repro_plan *", fields),
         _f64(ffi, Q), Q.shape[1],
-        _f64(ffi, data), data.shape[1],
-        _u8(ffi, codes), codes.shape[1],
-        _f64(ffi, minv), _f64(ffi, scale),
         _i64(ffi, starts), _f64(ffi, d0), starts.shape[0],
         int(beam_width), int(expand_per_round),
         _i64(ffi, out_ids), _f64(ffi, out_dists), _i64(ffi, out_sizes),

@@ -415,7 +415,6 @@ class _Plan:
 _EMPTY_F2 = np.empty((0, 0), dtype=np.float64)
 _EMPTY_U2 = np.empty((0, 0), dtype=np.uint8)
 _EMPTY_F1 = np.empty(0, dtype=np.float64)
-_EMPTY_U1 = np.empty(0, dtype=np.uint8)
 
 
 def _coord_kind(metric: Any, l2_kind: int, linf_kind: int) -> tuple[int, float]:
@@ -606,9 +605,9 @@ def _search_plan(
     return plan
 
 
-def _allowed_arg(allowed: np.ndarray | None) -> tuple[np.ndarray, int]:
+def _allowed_arg(allowed: np.ndarray | None) -> tuple[np.ndarray | None, int]:
     if allowed is None:
-        return _EMPTY_U1, 0
+        return None, 0  # the kernels read no mask
     return np.ascontiguousarray(allowed).view(np.uint8), 1
 
 
@@ -643,18 +642,17 @@ def run_beam(
     """Whole-batch compiled beam search; the result equals
     ``engine.beam_search_batch``'s (callers validate arguments first).
 
-    Ids and eval counts come straight from the kernel.  The distances
-    are evaluated through the numpy view when a caller first reads them
-    — a flat search does, they are its answer; the two-stage search
-    never does, it reranks from the ids alone.
+    Ids and eval counts come straight from the kernel, into arrays of this
+    call, never the plan's scratch.  The distances are evaluated through
+    the numpy view when a caller first reads them — a flat search does,
+    they are its answer; the two-stage search reranks from the ids alone.
     """
     m = len(queries)
     k_eff = max(int(k), 1)
-    out_ids = np.full((m, k_eff), -1, dtype=np.int64)
-    out_dists = np.empty((m, k_eff), dtype=np.float64)
-    out_evals = np.zeros(m, dtype=np.int64)
+    out_ids = np.empty((m, k_eff), dtype=np.int64)
+    out_evals = np.empty(m, dtype=np.int64)
     if m == 0:
-        return BeamBatch(out_ids, out_dists, out_evals)
+        return BeamBatch(out_ids, np.empty((0, k_eff)), out_evals)
     Q = _query_array(queries)
     plan = _search_plan(backend, graph, dataset, store, Q)
     view = _distance_view(dataset, Q, store)
@@ -664,19 +662,15 @@ def run_beam(
     budget_i = -1 if budget is None else int(budget)
     allowed_u8, has_allowed = _allowed_arg(allowed)
 
-    def rows(q_arr, starts, d0, out_ids, out_dists, out_evals) -> None:
+    def rows(q_arr, starts, d0, out_ids, out_evals) -> None:
         scratch = plan.scratch()  # of the thread these rows run on
         plan.kernels.beam(
             q_arr, starts, d0, int(beam_width), k_eff, budget_i,
-            allowed_u8, has_allowed, out_ids, out_dists, out_evals,
+            allowed_u8, has_allowed, out_ids, out_evals,
             scratch.stamps(len(starts)), *scratch.args,
         )
 
-    _split_rows(
-        backend, m,
-        (q_arr, starts64, d0, out_ids, out_dists, out_evals),
-        rows,
-    )
+    _split_rows(backend, m, (q_arr, starts64, d0, out_ids, out_evals), rows)
     return BeamBatch(
         out_ids,
         lambda: _reported_distances(view, out_ids, starts64, d0),
@@ -777,7 +771,6 @@ def run_construction(
     plan = _plan(dataset, store, Q)
     view = _distance_view(dataset, Q, store)
     q_arr = _query_arrays(plan, view)
-    graph.freeze()
     offsets, targets = graph.csr()
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     targets = np.ascontiguousarray(targets, dtype=np.int64)

@@ -220,7 +220,6 @@ def beam_kernel(
     allowed,
     has_allowed,
     out_ids,
-    out_dists,
     out_evals,
     gen0,
     visited,
@@ -234,10 +233,10 @@ def beam_kernel(
     Mirrors the per-query state transitions of
     ``engine.beam_search_batch`` (queries are independent, so the numpy
     path's lockstep rounds and this sequential sweep visit identical
-    states).  ``budget < 0`` means unbudgeted.  Outputs: ``out_ids`` /
-    ``out_dists`` hold each query's pool sorted ascending by
-    ``(distance, vertex)``, ``-1`` / ``inf`` padded past the pool size;
-    ``out_evals`` the exact distance-evaluation counts.
+    states).  ``budget < 0`` means unbudgeted.  Outputs: ``out_ids``
+    holds each query's pool sorted ascending by ``(distance, vertex)``,
+    ``-1`` padded past the pool size; ``out_evals`` the exact
+    distance-evaluation counts.
 
     ``visited`` is reused from call to call without clearing: query
     ``qi`` stamps it with ``gen0 + qi + 1``, so the caller hands in a
@@ -302,10 +301,8 @@ def beam_kernel(
                 b -= 1
             pool_d[b + 1] = dd
             pool_v[b + 1] = vv
-        n_out = psize if psize < k_fetch else k_fetch
-        for a in range(n_out):
-            out_ids[qi, a] = pool_v[a]
-            out_dists[qi, a] = pool_d[a]
+        for a in range(k_fetch):
+            out_ids[qi, a] = pool_v[a] if a < psize else -1
         out_evals[qi] = evals
     return 0
 

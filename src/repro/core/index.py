@@ -52,6 +52,7 @@ from repro.graphs.engine import (
     bulk_insert,
     greedy_batch,
 )
+from repro.graphs.greedy import BeamBatch
 from repro.graphs.navigability import NavigabilityViolation, find_violations
 from repro.metrics.base import Dataset, MetricSpace
 from repro.metrics.euclidean import EuclideanMetric, lp_decompose
@@ -66,6 +67,14 @@ __all__ = ["ProximityGraphIndex"]
 # Legacy query methods that already warned this process (the shims warn
 # exactly once per method, per the deprecation policy checked in CI).
 _DEPRECATION_WARNED: set[str] = set()
+
+
+def _unfound(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, k)`` result arrays holding nothing found: ids -1, distances inf."""
+    ids, dists = np.empty((m, k), dtype=np.int64), np.empty((m, k))
+    ids.fill(-1)
+    dists.fill(np.inf)
+    return ids, dists
 
 
 def _warn_deprecated(name: str, hint: str) -> None:
@@ -116,7 +125,7 @@ class ProximityGraphIndex:
         self.id_map = id_map if id_map is not None else IdMap.identity(dataset.n)
         if len(self.id_map) != dataset.n:
             raise ValueError("id map must cover every point")
-        self._tombstones = (
+        self._set_tombstones(
             np.asarray(tombstones, dtype=bool).copy()
             if tombstones is not None
             else np.zeros(dataset.n, dtype=bool)
@@ -227,24 +236,31 @@ class ProximityGraphIndex:
     @property
     def active_count(self) -> int:
         """Points that searches may return (not tombstoned)."""
-        return int((~self._tombstones).sum())
+        return self._live_count
 
     @property
     def tombstone_count(self) -> int:
-        return int(self._tombstones.sum())
+        return self.n - self._live_count
 
-    def _to_original(self, distance: float) -> float:
-        return distance / self.scale
+    def _set_tombstones(self, tombstones: np.ndarray) -> None:
+        """Install the deletion mask and what searches read off it, the live
+        mask (``None`` while nothing is deleted) and its count: every change
+        of the mask comes through here, so no search pays O(n) for it."""
+        self._tombstones = tombstones
+        self._live_count = len(tombstones) - int(np.count_nonzero(tombstones))
+        self._live = ~tombstones if self._live_count < len(tombstones) else None
 
     # ------------------------------------------------------------------
     # The unified search entry point
     # ------------------------------------------------------------------
 
     def _point_rank(self) -> int:
-        return max(np.ndim(self.dataset.points) - 1, 0)
+        return max(self.dataset.points.ndim - 1, 0)
 
     def _normalize_queries(self, queries: Any) -> tuple[Any, bool]:
-        """Canonicalize to a batch array; flag whether input was single."""
+        """Canonicalize to a batch array; flag whether input was single.
+        Real coordinate queries become float64 here, once: the numpy engines
+        promote to these very floats, and the compiled kernels read no other."""
         if isinstance(queries, np.ndarray):
             arr = queries
         else:
@@ -258,6 +274,8 @@ class ProximityGraphIndex:
             # An empty batch ([] or np.array([])) — never a single query.
             shape = (0,) + np.asarray(self.dataset.points).shape[1:]
             return np.empty(shape, dtype=np.float64), False
+        if rank == 1 and arr.dtype != np.float64 and arr.dtype.kind in "biuf":
+            arr = arr.astype(np.float64)
         if arr.ndim == rank:
             return arr[None] if rank else arr.reshape(1), True
         return arr, False
@@ -266,34 +284,42 @@ class ProximityGraphIndex:
         """Front-door input validation of a canonicalized query batch.
 
         Coordinate indexes reject what a network-facing caller will send
-        first: queries of the wrong dimensionality (previously a raw
-        numpy broadcast error from deep inside the engine) and
-        non-finite queries (NaN/inf previously traversed silently and
-        returned arbitrary ids with NaN distances).  Abstract-metric
-        indexes (object points, id-based metrics) pass through — there
-        is no coordinate shape to check.
+        first, each with a ``ValueError`` that names it: a batch that is
+        not 2-D, a dtype that is not real (complex, strings), the wrong
+        dimensionality, non-finite values.  Each used to fail deep inside
+        an engine, or not at all (NaN and complex queries returned
+        arbitrary ids).  Abstract-metric indexes (object points, id-based
+        metrics) pass through — there is no coordinate shape to check.
         """
         arr = np.asarray(Q)
-        if arr.dtype == object or arr.size == 0:
+        if arr.dtype == object:
             return
-        shape = np.shape(self.dataset.points)
-        if len(shape) == 2 and arr.ndim == 2 and arr.shape[1] != shape[1]:
-            raise ValueError(
-                f"query dim {arr.shape[1]} does not match index dim {shape[1]}"
-            )
-        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        shape = self.dataset.points.shape
+        if len(shape) == 2:
+            if arr.ndim != 2:
+                raise ValueError(
+                    f"query batch has shape {arr.shape}; expected ({shape[1]},) "
+                    f"for one query or (m, {shape[1]}) for a batch"
+                )
+            if arr.dtype.kind not in "biuf":
+                raise ValueError(f"queries must be real numbers, got dtype {arr.dtype}")
+            if len(arr) and arr.shape[1] != shape[1]:
+                raise ValueError(
+                    f"query dim {arr.shape[1]} does not match index dim {shape[1]}"
+                )
+        if arr.dtype.kind == "f" and np.count_nonzero(np.isfinite(arr)) < arr.size:
             raise ValueError("query contains non-finite values")
 
-    def _allowed_mask(self, params: SearchParams) -> np.ndarray | None:
-        """Combined tombstone + filter mask, or ``None`` when inactive."""
+    def _allowed_mask(self, params: SearchParams) -> tuple[np.ndarray | None, int]:
+        """Combined tombstone + filter mask (``None`` when inactive) and
+        how many points it admits."""
         if params.allowed_ids is None:
-            if not self._tombstones.any():
-                return None
-            return ~self._tombstones
+            return self._live, self._live_count
         mask = np.zeros(self.n, dtype=bool)
         mask[self.id_map.to_internal_known(params.allowed_ids)] = True
-        mask &= ~self._tombstones
-        return mask
+        if self._live is not None:
+            mask &= self._live
+        return mask, int(np.count_nonzero(mask))
 
     def search(
         self,
@@ -330,7 +356,7 @@ class ProximityGraphIndex:
         Q, single = self._normalize_queries(queries)
         self.validate_queries(Q)
         m = len(Q)
-        allowed = self._allowed_mask(params)
+        allowed, admitted = self._allowed_mask(params)
 
         store = self.store
         quantized = store.is_quantized
@@ -356,9 +382,8 @@ class ProximityGraphIndex:
                 "mode='auto') for k > 1"
             )
 
-        ids = np.full((m, k), -1, dtype=np.int64)
-        dists = np.full((m, k), np.inf, dtype=np.float64)
-        if m == 0 or (allowed is not None and not allowed.any()):
+        if m == 0 or not admitted:
+            ids, dists = _unfound(m, k)
             evals = np.zeros(m, dtype=np.int64)
             hops = np.zeros(m, dtype=np.int64) if mode == "greedy" else None
             return SearchResult(ids, dists, evals, hops=hops, single=single)
@@ -378,81 +403,67 @@ class ProximityGraphIndex:
                 budget=params.budget, allowed=allowed, store=traversal_store,
                 backend=params.backend,
             )
-            ids[:, 0] = self.id_map.to_external([r.point for r in results])
-            evals = np.fromiter(
-                (r.distance_evals for r in results), dtype=np.int64, count=m
+            # Each walk's end is a pool of one; over codes, the rerank prices it.
+            found = BeamBatch(
+                np.array([[r.point] for r in results], dtype=np.int64),
+                np.array([[r.distance] for r in results]),
+                np.fromiter((r.distance_evals for r in results), dtype=np.int64, count=m),
             )
-            if quantized:
-                # The walk measured code distances; report the exact one
-                # (through the store's rerank hook, so a disk-tier store
-                # is the only thing that touches full-precision rows).
-                for i, r in enumerate(results):
-                    if r.point >= 0:
-                        exact1 = store.rerank_distances(
-                            self.dataset, Q[i],
-                            np.asarray([r.point], dtype=np.intp),
-                        )
-                        dists[i, 0] = self._to_original(float(exact1[0]))
-                        evals[i] += 1
-            else:
-                dists[:, 0] = [self._to_original(r.distance) for r in results]
-            hops = np.fromiter(
-                (len(r.hops) for r in results), dtype=np.int64, count=m
+            hops = np.fromiter((len(r.hops) for r in results), dtype=np.int64, count=m)
+            two_stage = quantized
+        else:
+            # Stage 1: traversal.  Quantized (or an explicit rerank_factor
+            # > 1) over-fetches the pool; the beam width only grows when the
+            # fetch count would not fit it, so "equal beam width" comparisons
+            # across storages stay equal-width.
+            two_stage = quantized or rerank > 1
+            k_fetch = int(math.ceil(k * rerank)) if two_stage else k
+            width = params.beam_width if params.beam_width is not None else max(2 * k, 16)
+            if two_stage:
+                # Only the over-fetched pool may widen the beam; a plain
+                # search honors an explicit beam_width < k exactly as the
+                # pre-storage pipeline did (it returns at most width hits).
+                width = max(width, k_fetch)
+            if allowed is not None:
+                # A pool wider than the admissible set can never fill, which
+                # would disable the beam bound and degenerate to exhaustive
+                # traversal; clamp so termination stays meaningful.
+                width = max(min(width, admitted), 1)
+                k_fetch = min(k_fetch, width) if two_stage else k_fetch
+            found = beam_search_batch(
+                self.graph, self.dataset, starts, Q,
+                beam_width=width, k=k_fetch, budget=params.budget, allowed=allowed,
+                store=traversal_store, backend=params.backend,
             )
-            return SearchResult(ids, dists, evals, hops=hops, single=single)
-
-        # Stage 1: traversal.  Quantized (or an explicit rerank_factor
-        # > 1) over-fetches the pool; the beam width only grows when the
-        # fetch count would not fit it, so "equal beam width" comparisons
-        # across storages stay equal-width.
-        two_stage = quantized or rerank > 1
-        k_fetch = int(math.ceil(k * rerank)) if two_stage else k
-        width = params.beam_width if params.beam_width is not None else max(2 * k, 16)
-        if two_stage:
-            # Only the over-fetched pool may widen the beam; a plain
-            # search honors an explicit beam_width < k exactly as the
-            # pre-storage pipeline did (it returns at most width hits).
-            width = max(width, k_fetch)
-        if allowed is not None:
-            # A pool wider than the admissible set can never fill, which
-            # would disable the beam bound and degenerate to exhaustive
-            # traversal; clamp so termination stays meaningful.
-            width = max(min(width, int(allowed.sum())), 1)
-            k_fetch = min(k_fetch, width) if two_stage else k_fetch
-        found = beam_search_batch(
-            self.graph, self.dataset, starts, Q,
-            beam_width=width, k=k_fetch, budget=params.budget, allowed=allowed,
-            store=traversal_store, backend=params.backend,
-        )
+            hops = None
         evals = found.evals
         if not two_stage:
-            # k_fetch == k: the engine's (m, k) arrays are the answer.
+            # The engine's (m, k) arrays are the answer.
             ids, dists = found.ids, found.dists
         else:
             # Stage 2: exact rerank of the survivors with the flat metric.
             # A flat store's traversal distances are already exact, so only
             # quantized stores re-evaluate (and charge) the candidate pool.
-            counts = (found.ids >= 0).sum(axis=1)
-            if quantized:
-                evals = evals + counts
-            for i, count in enumerate(counts.tolist()):
-                if not count:
+            ids, dists = _unfound(m, k)
+            for i, row in enumerate(found.ids):
+                cand = row[row >= 0]  # the pool; -1 pads its tail
+                if not len(cand):
                     continue
-                cand = found.ids[i, :count]
-                # store.rerank_distances == dataset.distances_to_query
-                # bit-for-bit; disk-tier stores gather the rows in
-                # ascending file-offset order first.
-                exact = (
-                    store.rerank_distances(self.dataset, Q[i], cand)
-                    if quantized
-                    else found.dists[i, :count]
-                )
+                if quantized:
+                    # store.rerank_distances == dataset.distances_to_query
+                    # bit-for-bit; disk-tier stores gather the rows in
+                    # ascending file-offset order first.
+                    exact = store.rerank_distances(self.dataset, Q[i], cand)
+                    evals[i] += len(cand)
+                else:
+                    exact = found.dists[i, : len(cand)]
                 order = np.lexsort((cand, exact))[:k]
                 ids[i, : len(order)] = cand[order]
                 dists[i, : len(order)] = exact[order]
+        if self.scale != 1.0:
+            dists /= self.scale  # a fresh array on both paths above
         return SearchResult(
-            self.id_map.to_external(ids), dists / self.scale, evals,
-            hops=None, single=single,
+            self.id_map.to_external(ids), dists, evals, hops=hops, single=single
         )
 
     def _default_starts(self, seed: int, m: int) -> np.ndarray:
@@ -535,8 +546,8 @@ class ProximityGraphIndex:
                 # pre-validation left everything untouched, so the
                 # generic path can absorb the points instead.
                 self._add_repair(new_pts, batch_size=batch_size, backend=backend)
-        self._tombstones = np.concatenate(
-            [self._tombstones, np.zeros(count, dtype=bool)]
+        self._set_tombstones(
+            np.concatenate([self._tombstones, np.zeros(count, dtype=bool)])
         )
         # Keep the vector store in step: quantized stores encode the new
         # rows through their *frozen* training state and count them as
@@ -678,6 +689,7 @@ class ProximityGraphIndex:
         internal = self.id_map.to_internal(ids)
         newly = int((~self._tombstones[internal]).sum())
         self._tombstones[internal] = True
+        self._set_tombstones(self._tombstones)
         return newly
 
     def compact(self, seed: int | None = None) -> "ProximityGraphIndex":
@@ -689,9 +701,9 @@ class ProximityGraphIndex:
         indices renumber densely.  A no-op without tombstones.  Returns
         ``self`` for chaining.
         """
-        if not self._tombstones.any():
+        if self._live is None:
             return self
-        keep = np.flatnonzero(~self._tombstones)
+        keep = np.flatnonzero(self._live)
         if len(keep) < 2:
             raise ValueError(
                 "compacting would leave fewer than 2 points (the paper "
@@ -707,7 +719,7 @@ class ProximityGraphIndex:
         )
         self.dataset = dataset
         self.id_map = self.id_map.compact(keep)
-        self._tombstones = np.zeros(len(keep), dtype=bool)
+        self._set_tombstones(np.zeros(len(keep), dtype=bool))
         self._dynamic = None
         # Retrain the store over the survivors: post-build adds were
         # encoded with stale training statistics (the drift counter);

@@ -183,20 +183,19 @@ class IdMap:
             if externals is not None
             else np.empty(0, dtype=np.int64)
         )
-        # validated=True also transfers ownership: the caller (the v5
-        # loader) hands over a freshly-read private array, and _ext is
-        # only ever rebound (never written in place), so adopting it is
-        # safe and keeps the attach path copy-free.
-        self._ext = ext if validated else ext.copy()
-        if self._ext.ndim != 1:
+        if ext.ndim != 1:
             raise ValueError("external ids must be a flat sequence")
-        if len(self._ext) and self._ext.min() < 0:
+        # The ids, then -1: gathering from it maps the not-found sentinel
+        # -1 to itself, so to_external is one gather.  Only ever rebound,
+        # never written in place.
+        self._lookup = np.append(ext, -1)
+        if len(ext) and ext.min() < 0:
             # -1 is the not-found sentinel in SearchResult rows; negative
             # ids would be indistinguishable from padding.
             raise ValueError("external ids must be non-negative")
-        if not validated and len(self._ext):
-            uniq, counts = np.unique(self._ext, return_counts=True)
-            if uniq.size != self._ext.size:
+        if not validated and len(ext):
+            uniq, counts = np.unique(ext, return_counts=True)
+            if uniq.size != ext.size:
                 raise ValueError(
                     f"duplicate external id {int(uniq[counts > 1][0])}"
                 )
@@ -206,7 +205,11 @@ class IdMap:
         # the file was written; ``repro index info --validate`` re-checks
         # on demand) free of any per-element Python loop.
         self._reverse: dict[int, int] | None = None
-        self._next = int(self._ext.max()) + 1 if len(self._ext) else 0
+        self._next = int(ext.max()) + 1 if len(ext) else 0
+
+    @property
+    def _ext(self) -> np.ndarray:
+        return self._lookup[:-1]
 
     @property
     def _int(self) -> dict[int, int]:
@@ -263,11 +266,7 @@ class IdMap:
     def to_external(self, internal: Any) -> np.ndarray:
         """Map internal indices to external ids; ``-1`` passes through as
         the not-found sentinel."""
-        arr = np.asarray(internal, dtype=np.int64)
-        missing = arr < 0
-        if not missing.any():
-            return self._ext[arr]
-        return np.where(missing, -1, self._ext[np.where(missing, 0, arr)])
+        return self._lookup[internal]
 
     # ------------------------------------------------------------------
 
@@ -302,7 +301,7 @@ class IdMap:
         """
         new = self.check_assignable(count, external_ids)
         base = len(self._ext)
-        self._ext = np.concatenate([self._ext, new])
+        self._lookup = np.concatenate([self._ext, new, [-1]])
         if self._reverse is not None:  # still lazy: nothing to keep in step
             self._reverse.update(zip(new.tolist(), range(base, base + count)))
         self._next = max(self._next, int(new.max()) + 1) if len(new) else self._next
@@ -321,7 +320,7 @@ class IdMap:
         """An independent copy; :meth:`assign` on one never touches the
         other (the snapshot-isolation hook of ``index.snapshot()``)."""
         out = IdMap.__new__(IdMap)
-        out._ext = self._ext.copy()
+        out._lookup = self._lookup.copy()
         out._reverse = (
             None if self._reverse is None else dict(self._reverse)
         )

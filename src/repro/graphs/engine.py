@@ -131,7 +131,7 @@ def greedy_batch(
         if allowed.shape != (graph.n,):
             raise ValueError("allowed mask must cover every vertex")
     if backend is not None and backend != "numpy":
-        from repro import accel
+        import repro.accel as accel
 
         resolved = accel.resolve_backend(backend)
         if resolved != "numpy":
@@ -339,9 +339,8 @@ def beam_search_batch(
         allowed = np.asarray(allowed, dtype=bool)
         if allowed.shape != (graph.n,):
             raise ValueError("allowed mask must cover every vertex")
-    graph.freeze()
     if backend is not None and backend != "numpy":
-        from repro import accel
+        import repro.accel as accel
 
         resolved = accel.resolve_backend(backend)
         if resolved != "numpy":
@@ -493,7 +492,7 @@ def construction_beam_batch(
     if w == 0:
         return []
     if backend is not None and backend != "numpy":
-        from repro import accel
+        import repro.accel as accel
 
         resolved = accel.resolve_backend(backend)
         if resolved != "numpy":
@@ -761,7 +760,7 @@ def robust_prune(
     float64 coordinates under a coordinate metric) supports it.
     """
     if backend is not None and backend != "numpy":
-        from repro import accel
+        import repro.accel as accel
 
         resolved = accel.resolve_backend(backend)
         if resolved != "numpy":
@@ -981,7 +980,7 @@ def commit_wave_pools(
     ``"numpy"`` run the pinned per-member loop.
     """
     if backend is not None and backend != "numpy":
-        from repro import accel
+        import repro.accel as accel
 
         resolved = accel.resolve_backend(backend)
         if resolved != "numpy":

@@ -8,6 +8,15 @@ argument`` three frames deep.  A network front door receives exactly
 these inputs first, so they must all fail at the boundary with errors
 that name the problem.
 
+A batch that is not 2-D (``(2, 3, d)``) used to die deep inside a store
+or backend with an einsum or shape error, and complex queries skipped the
+finiteness check and were cut to their real part; both are now front-door
+errors that name the shape or dtype.  Real queries of another dtype
+(float32, ints, bools) are cast to float64 once, at the front door, so
+they run on the compiled kernels like any other query and answer exactly
+like their cast (before, ``"auto"`` silently ran them on the numpy
+engines and an explicit ``"cffi"`` raised on a flat index).
+
 Also pins two contracts that were true but untested: ``delete()`` batch
 atomicity (an unknown id raises ``KeyError`` and leaves zero partial
 tombstones) and the ``k > live`` padding tail (``ids == -1``,
@@ -19,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ProximityGraphIndex, SearchParams, ShardedIndex
+from repro import ProximityGraphIndex, SearchParams, ShardedIndex, accel
 from repro.core.builders import (
     BUILDER_OPTIONS,
     available_builders,
@@ -30,6 +39,9 @@ from repro.workloads import uniform_cube
 
 KINDS = ["flat", "sharded"]
 STORAGES = ["flat", "sq8"]
+needs_cffi = pytest.mark.skipif(
+    "cffi" not in accel.available_backends(), reason="no compiled backend here"
+)
 
 
 def _build(kind: str, storage: str = "flat", n: int = 80, seed: int = 3):
@@ -99,6 +111,81 @@ class TestDimensionMismatch:
         index = _build(kind)
         with pytest.raises(ValueError, match="query dim 2"):
             index.search(np.zeros((5, 2)), k=1)
+
+
+# ----------------------------------------------------------------------
+# Batch shape and query dtype
+# ----------------------------------------------------------------------
+
+
+INDEXES = [("flat", "flat"), ("sharded", "flat"), ("flat", "sq8")]
+
+
+class TestBatchShapeAndDtype:
+    @pytest.mark.parametrize("kind,storage", INDEXES)
+    def test_a_3d_batch_names_its_shape(self, kind, storage):
+        index = _build(kind, storage)
+        with pytest.raises(ValueError, match=r"shape \(2, 3, 4\)"):
+            index.search(np.zeros((2, 3, 4)), k=1)
+
+    @pytest.mark.parametrize("kind,storage", INDEXES)
+    def test_complex_queries_name_their_dtype(self, kind, storage):
+        index = _build(kind, storage)
+        with pytest.raises(ValueError, match="complex128"):
+            index.search(np.full(4, 0.5 + 0j), k=1)
+        q = np.full(4, 0.5 + 0j)
+        q[1] = complex(np.nan, 0.0)  # the real part of it is NaN too
+        with pytest.raises(ValueError, match="complex128"):
+            index.search(q[None], k=1)
+
+
+class TestQueryDtypes:
+    """Real queries of another dtype answer like their float64 cast, on
+    every engine and storage: ids, distances and eval counts."""
+
+    @pytest.mark.parametrize("backend", ["numpy", pytest.param("cffi", marks=needs_cffi)])
+    @pytest.mark.parametrize("storage", STORAGES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.bool_])
+    def test_a_real_query_answers_like_its_float64_cast(self, dtype, storage, backend):
+        index = _build("flat", storage)
+        Q = (uniform_cube(6, 4, np.random.default_rng(8)) * 2).astype(dtype)
+        for params in (
+            SearchParams(beam_width=16, backend=backend),
+            SearchParams(mode="greedy", backend=backend),
+        ):
+            k = 1 if params.mode == "greedy" else 3
+            got = index.search(Q, k=k, params=params)
+            want = index.search(Q.astype(np.float64), k=k, params=params)
+            for field in ("ids", "distances", "evals"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            one = index.search(Q[2], k=k, params=params)
+            assert np.array_equal(one.ids, want.ids[2:3])
+
+    @needs_cffi
+    @pytest.mark.parametrize("storage", STORAGES)
+    def test_float32_on_the_numpy_engine_equals_auto_on_the_kernels(
+        self, storage, monkeypatch
+    ):
+        index = _build("flat", storage)
+        Q = uniform_cube(6, 4, np.random.default_rng(9)).astype(np.float32)
+        want = index.search(Q, k=3, params=SearchParams(beam_width=16, backend="numpy"))
+        accel.warm()
+        compiled = []
+        run_beam = accel.run_beam
+
+        def counted(*args, **kwargs):
+            out = run_beam(*args, **kwargs)  # raises where the kernels refuse
+            compiled.append(len(out))
+            return out
+
+        monkeypatch.setattr(accel, "run_beam", counted)
+        try:
+            got = index.search(Q, k=3, params=SearchParams(beam_width=16, backend="auto"))
+        finally:
+            accel.reset()
+        assert compiled == [6]
+        for field in ("ids", "distances", "evals"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 # ----------------------------------------------------------------------
