@@ -23,8 +23,6 @@ breaks:
 ``kernel-parity``         the accel planner covers every store kind ×
                           metric the engines accept, and the C build
                           keeps ``-ffp-contract=off``
-``shim-shape``            ``DeprecationWarning`` only behind the pinned
-                          warn-once latch pattern
 ``unused-symbol``         no unused imports (``__init__`` re-export
                           surfaces exempt)
 ``typing-complete``       every def in the strict-mypy packages is
@@ -54,7 +52,6 @@ __all__ = [
     "DeterminismRule",
     "KernelParityRule",
     "MmapHygieneRule",
-    "ShimShapeRule",
     "SpawnSafetyRule",
     "TypingCompleteRule",
     "UnusedSymbolRule",
@@ -887,97 +884,6 @@ class KernelParityRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# shim-shape
-# ----------------------------------------------------------------------
-
-
-def _mentions_deprecation(call: ast.Call) -> bool:
-    for arg in list(call.args) + [kw.value for kw in call.keywords]:
-        for sub in ast.walk(arg):
-            if (
-                _last_component(_dotted(sub)) == "DeprecationWarning"
-            ):
-                return True
-    return False
-
-
-def _latchish(node: ast.AST) -> str | None:
-    name = _last_component(_dotted(node))
-    return name if "warned" in name.lower() else None
-
-
-class ShimShapeRule(Rule):
-    """Legacy delegates follow the pinned warn-once pattern.
-
-    Every ``DeprecationWarning`` must sit behind a module-level latch
-    (``_DEPRECATION_WARNED`` set membership, or a ``_*_WARNED`` boolean
-    flipped after the first warn) so a hot loop over a legacy shim warns
-    once, not once per call — the shape ``core/index.py`` and
-    ``baselines/vamana.py`` pin down.
-    """
-
-    id = "shim-shape"
-    rationale = (
-        "deprecation shims must warn once via a _*WARNED latch; "
-        "per-call warnings flood hot loops and break warn-once tests"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[tuple[ast.AST | int, str]]:
-        parents: dict[ast.AST, ast.AST] = {}
-        for node in ast.walk(ctx.tree):
-            for child in ast.iter_child_nodes(node):
-                parents[child] = node
-
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _dotted(node.func)
-            if _last_component(name) != "warn" or not _mentions_deprecation(
-                node
-            ):
-                continue
-            fn: ast.AST | None = parents.get(node)
-            while fn is not None and not isinstance(
-                fn, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                fn = parents.get(fn)
-            if fn is None:
-                yield (
-                    node,
-                    "module-level DeprecationWarning fires on import; wrap "
-                    "it in a warn-once delegate (module __getattr__ with a "
-                    "_*WARNED latch)",
-                )
-                continue
-            has_guard = any(
-                isinstance(sub, ast.If)
-                and any(_latchish(s) for s in ast.walk(sub.test))
-                for sub in ast.walk(fn)
-            )
-            has_latch_write = False
-            for sub in ast.walk(fn):
-                if isinstance(sub, ast.Assign) and any(
-                    _latchish(t) for t in sub.targets
-                ):
-                    has_latch_write = True
-                elif (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "add"
-                    and _latchish(sub.func.value)
-                ):
-                    has_latch_write = True
-            if not (has_guard and has_latch_write):
-                yield (
-                    node,
-                    "DeprecationWarning without the warn-once latch "
-                    "pattern; guard with a _*WARNED set/boolean checked "
-                    "before and written after the warn (see "
-                    "core/index.py:_warn_deprecated)",
-                )
-
-
-# ----------------------------------------------------------------------
 # unused-symbol
 # ----------------------------------------------------------------------
 
@@ -1121,7 +1027,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     ArenaHygieneRule,
     MmapHygieneRule,
     KernelParityRule,
-    ShimShapeRule,
     UnusedSymbolRule,
     TypingCompleteRule,
 )

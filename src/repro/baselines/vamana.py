@@ -32,39 +32,15 @@ on — through the one RobustPrune wave inserter,
 
 from __future__ import annotations
 
-import warnings
 from typing import Any
 
 import numpy as np
 
 from repro.baselines.nsw import scalar_beam
 from repro.graphs.engine import RepairInserter, bulk_insert
-from repro.graphs.engine import robust_prune as _engine_robust_prune
 from repro.metrics.base import Dataset
 
-# robust_prune moved to repro.graphs.engine with the rest of the shared
-# wave-repair plumbing (PR 4).  ``repro.baselines.vamana.robust_prune``
-# stays importable as a deprecated delegate (module __getattr__ below,
-# DeprecationWarning once per process) so downstream callers keep
-# working while the warning points them at the new home.
-__all__ = ["VamanaIndex", "robust_prune"]
-
-_DELEGATE_WARNED = False
-
-
-def __getattr__(name: str):
-    if name == "robust_prune":
-        global _DELEGATE_WARNED
-        if not _DELEGATE_WARNED:
-            _DELEGATE_WARNED = True
-            warnings.warn(
-                "repro.baselines.vamana.robust_prune is deprecated; import "
-                "it from repro.graphs.engine",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return _engine_robust_prune
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["VamanaIndex"]
 
 
 class VamanaIndex(RepairInserter):

@@ -32,7 +32,6 @@ Example
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Any, Sequence
 
 import numpy as np
@@ -64,28 +63,12 @@ from repro.storage.flat import FlatStore
 __all__ = ["ProximityGraphIndex"]
 
 
-# Legacy query methods that already warned this process (the shims warn
-# exactly once per method, per the deprecation policy checked in CI).
-_DEPRECATION_WARNED: set[str] = set()
-
-
 def _unfound(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``(m, k)`` result arrays holding nothing found: ids -1, distances inf."""
     ids, dists = np.empty((m, k), dtype=np.int64), np.empty((m, k))
     ids.fill(-1)
     dists.fill(np.inf)
     return ids, dists
-
-
-def _warn_deprecated(name: str, hint: str) -> None:
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"ProximityGraphIndex.{name}() is deprecated; use {hint}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class ProximityGraphIndex:
@@ -104,7 +87,6 @@ class ProximityGraphIndex:
         dataset: Dataset,
         built: BuiltGraph,
         scale: float,
-        rng: np.random.Generator,
         seed: int = 0,
         id_map: IdMap | None = None,
         tombstones: np.ndarray | None = None,
@@ -114,7 +96,6 @@ class ProximityGraphIndex:
         self.built = built
         self.scale = scale
         self.seed = int(seed)
-        self._rng = rng
         # How the vectors are held for traversal; FlatStore (exact, the
         # raw array) unless build()/set_storage() installed a quantizer.
         self.store: VectorStore = (
@@ -214,7 +195,7 @@ class ProximityGraphIndex:
             **(storage_options or {}),
         )
         return cls(
-            dataset=dataset, built=built, scale=scale, rng=rng, seed=seed,
+            dataset=dataset, built=built, scale=scale, seed=seed,
             id_map=id_map, store=store,
         )
 
@@ -758,7 +739,6 @@ class ProximityGraphIndex:
             dataset=self.dataset,
             built=built,
             scale=self.scale,
-            rng=np.random.default_rng(self.seed),
             seed=self.seed,
             id_map=self.id_map.clone(),
             tombstones=self._tombstones,  # the constructor copies
@@ -779,115 +759,6 @@ class ProximityGraphIndex:
             seed=self.seed if seed is None else seed, **options,
         )
         return self
-
-    # ------------------------------------------------------------------
-    # Legacy query methods — thin deprecation shims over search()
-    # ------------------------------------------------------------------
-
-    def query(
-        self,
-        q: Any,
-        p_start: int | None = None,
-        budget: int | None = None,
-    ) -> tuple[int, float]:
-        """Greedy (1+eps)-ANN query; returns ``(point_id, distance)``.
-
-        .. deprecated:: 1.1
-            Use :meth:`search`; this shim delegates to
-            ``search(q, k=1, params=SearchParams(mode="greedy", ...))``
-            and returns bit-identical results.
-        """
-        _warn_deprecated("query", "search(q)")
-        start = int(p_start) if p_start is not None else int(self._rng.integers(self.n))
-        result = self.search(
-            q, k=1, params=SearchParams(mode="greedy", budget=budget, starts=[start])
-        )
-        return result.top1()
-
-    def query_k(
-        self,
-        q: Any,
-        k: int,
-        beam_width: int | None = None,
-        p_start: int | None = None,
-        budget: int | None = None,
-    ) -> list[tuple[int, float]]:
-        """Top-``k`` search via beam search.
-
-        .. deprecated:: 1.1
-            Use :meth:`search`; this shim delegates to
-            ``search(q, k=k, params=SearchParams(mode="beam", ...))``
-            and returns bit-identical results.  (``budget`` now works
-            here too — it is forwarded to the beam engine.)
-        """
-        _warn_deprecated("query_k", "search(q, k=k)")
-        start = int(p_start) if p_start is not None else int(self._rng.integers(self.n))
-        result = self.search(
-            q,
-            k=k,
-            params=SearchParams(
-                mode="beam", beam_width=beam_width, budget=budget, starts=[start]
-            ),
-        )
-        return result.pairs(0)
-
-    def query_batch(
-        self,
-        queries: Sequence[Any],
-        starts: Sequence[int] | None = None,
-        budget: int | None = None,
-    ) -> list[tuple[int, float]]:
-        """Greedy (1+eps)-ANN for a whole query batch in lockstep.
-
-        .. deprecated:: 1.1
-            Use :meth:`search`; this shim delegates to
-            ``search(queries, params=SearchParams(mode="greedy", ...))``
-            and returns bit-identical results.
-        """
-        _warn_deprecated("query_batch", "search(queries)")
-        if len(queries) == 0:
-            return []
-        if starts is None:
-            starts = self._rng.integers(self.n, size=len(queries))
-        result = self.search(
-            queries,
-            k=1,
-            params=SearchParams(mode="greedy", budget=budget, starts=starts),
-        )
-        return [
-            (int(result.ids[i, 0]), float(result.distances[i, 0]))
-            for i in range(result.m)
-        ]
-
-    def query_k_batch(
-        self,
-        queries: Sequence[Any],
-        k: int,
-        beam_width: int | None = None,
-        starts: Sequence[int] | None = None,
-        budget: int | None = None,
-    ) -> list[list[tuple[int, float]]]:
-        """Top-``k`` beam search for a whole query batch in lockstep.
-
-        .. deprecated:: 1.1
-            Use :meth:`search`; this shim delegates to
-            ``search(queries, k=k, params=SearchParams(mode="beam", ...))``
-            and returns bit-identical results.  (``budget`` now works
-            here too.)
-        """
-        _warn_deprecated("query_k_batch", "search(queries, k=k)")
-        if len(queries) == 0:
-            return []
-        if starts is None:
-            starts = self._rng.integers(self.n, size=len(queries))
-        result = self.search(
-            queries,
-            k=k,
-            params=SearchParams(
-                mode="beam", beam_width=beam_width, budget=budget, starts=starts
-            ),
-        )
-        return [result.pairs(i) for i in range(result.m)]
 
     # ------------------------------------------------------------------
     # Persistence (single-file .npz; see repro.core.persistence)

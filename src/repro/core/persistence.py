@@ -442,7 +442,6 @@ def _load_disk_index(
         dataset=dataset,
         built=built,
         scale=float(header["scale"]),
-        rng=np.random.default_rng(int(header["seed"])),
         # validated=True: uniqueness was enforced when the file was
         # written, and re-deriving the reverse map eagerly would put an
         # O(n) Python loop back on the millisecond attach path.
@@ -466,9 +465,8 @@ def load_index(
     to the saved one: the CSR arrays are adopted verbatim, the points
     array round-trips losslessly, and the scale and metric constants
     survive JSON exactly (Python floats serialize shortest-round-trip).
-    The query rng is re-seeded from the saved build seed, so per-call
-    random starts follow the same stream a freshly built index would
-    use.  v1 files predate the mutable collection: they load with the
+    The build seed is restored, so default random starts are the ones
+    the saved index would draw.  v1 files predate the mutable collection: they load with the
     identity id map and no tombstones.  v1–v3-era files predate the
     storage layer: they load as flat (exact) storage; v4 files restore
     the saved store — codes, offsets/scales, and training stats
@@ -566,7 +564,6 @@ def load_index(
         dataset=dataset,
         built=built,
         scale=float(header["scale"]),
-        rng=np.random.default_rng(int(header["seed"])),
         id_map=IdMap(external_ids),
         tombstones=tombstones,
         store=store,

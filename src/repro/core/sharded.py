@@ -37,7 +37,8 @@ Semantics carried over from the flat index, unchanged:
 * **stable external ids** — ``add()`` routes a batch to the least
   loaded shard, ``delete()`` to the owning shard; ids never change
   meaning across mutations or a save/load round trip (format v3, a
-  manifest directory of per-shard v2 files);
+  manifest directory of per-shard v4 ``.npz`` files, or of v5
+  directories with ``format="disk"``);
 * **filters and budgets** — ``allowed_ids`` masks and eval budgets
   apply per shard; ``SearchResult.evals`` sums the per-shard counts and
   ``SearchResult.shard_evals`` keeps the breakdown;
@@ -348,7 +349,6 @@ def rehydrate_shard(
         dataset=Dataset(metric, points),
         built=built,
         scale=float(payload["scale"]),
-        rng=np.random.default_rng(int(payload["seed"])),
         seed=int(payload["seed"]),
         id_map=IdMap(payload["external_ids"]),
         tombstones=payload["tombstones"],
@@ -565,7 +565,7 @@ class ShardedIndex:
 
                 concrete = accel.get_backend()
                 if concrete != "numpy" and accel.construction_supported(
-                    Dataset(metric, arr)
+                    Dataset(metric, points)
                 ):
                     options["backend"] = concrete
             index = cls._build_pooled(
@@ -680,7 +680,6 @@ class ShardedIndex:
                     dataset=Dataset(shard_metric, arena.view(*spans[j])),
                     built=built,
                     scale=float(res["scale"]),
-                    rng=np.random.default_rng(seed + j),
                     seed=seed + j,
                     id_map=IdMap(global_ids[mem]),
                 )

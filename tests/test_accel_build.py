@@ -245,15 +245,18 @@ class TestBackendSelection:
 
 
 class TestShardedPooledBuild:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", [*BACKENDS, "auto"])
     def test_pooled_build_identity_under_spawn(self, points, backend):
-        """Worker processes receive the concrete backend name, warm it
-        from the on-disk kernel cache, and build each shard
-        bit-identically to the in-process numpy build."""
+        """Worker processes receive the concrete backend name (``"auto"``
+        resolved in the parent), warm it from the on-disk kernel cache,
+        and build each shard bit-identically to the in-process numpy
+        build."""
         ref = ShardedIndex.build(
             points, method="vamana", seed=5, shards=2, workers=1,
             batch_size=BATCH, **BUILDERS["vamana"],
         )
+        if backend == "auto" and BACKENDS:
+            accel.warm(BACKENDS[0])  # so the parent resolves "auto" to it
         acc = ShardedIndex.build(
             points, method="vamana", seed=5, shards=2, workers=2,
             batch_size=BATCH, backend=backend, **BUILDERS["vamana"],

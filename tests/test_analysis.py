@@ -723,91 +723,6 @@ class TestKernelParityRule:
 
 
 # ----------------------------------------------------------------------
-# shim-shape
-# ----------------------------------------------------------------------
-
-
-class TestShimShapeRule:
-    def test_unlatched_deprecation_fires(self):
-        hits = run_rule(
-            """
-            import warnings
-
-            def query(self, q):
-                warnings.warn("use search()", DeprecationWarning, stacklevel=2)
-                return self.search(q)
-            """,
-            "shim-shape",
-        )
-        assert any("warn-once" in f.message for f in hits)
-
-    def test_module_level_deprecation_fires(self):
-        hits = run_rule(
-            """
-            import warnings
-
-            warnings.warn("legacy module", DeprecationWarning)
-            """,
-            "shim-shape",
-        )
-        assert any("module-level" in f.message for f in hits)
-
-    def test_set_latch_pattern_passes(self):
-        # The pinned core/index.py shape.
-        assert not run_rule(
-            """
-            import warnings
-
-            _DEPRECATION_WARNED = set()
-
-            def _warn_deprecated(name, hint):
-                if name in _DEPRECATION_WARNED:
-                    return
-                _DEPRECATION_WARNED.add(name)
-                warnings.warn(
-                    f"{name} is deprecated; {hint}",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            """,
-            "shim-shape",
-        )
-
-    def test_boolean_latch_pattern_passes(self):
-        # The pinned baselines/vamana.py module-__getattr__ shape.
-        assert not run_rule(
-            """
-            import warnings
-
-            _DELEGATE_WARNED = False
-
-            def __getattr__(name):
-                global _DELEGATE_WARNED
-                if name == "_robust_prune":
-                    if not _DELEGATE_WARNED:
-                        warnings.warn(
-                            "delegate moved", DeprecationWarning, stacklevel=2
-                        )
-                        _DELEGATE_WARNED = True
-                    return _engine_robust_prune
-                raise AttributeError(name)
-            """,
-            "shim-shape",
-        )
-
-    def test_other_warning_categories_pass(self):
-        assert not run_rule(
-            """
-            import warnings
-
-            def fallback():
-                warnings.warn("no compiled backend", RuntimeWarning)
-            """,
-            "shim-shape",
-        )
-
-
-# ----------------------------------------------------------------------
 # unused-symbol
 # ----------------------------------------------------------------------
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import (
     ProximityGraphIndex,
+    SearchParams,
     available_builders,
     build,
     measure_queries,
@@ -57,7 +58,7 @@ class TestIndexFacade:
         ds = Dataset(EuclideanMetric(), pts)
         for _ in range(15):
             q = rng.uniform(size=2)
-            pid, dist = index.query(q)
+            pid, dist = index.search(q, params=SearchParams(mode="greedy")).top1()
             nn_id, nn_dist = ds.nearest_neighbor(q)
             assert dist <= (1 + 0.5) * nn_dist + 1e-9
             # reported distance is in original units
@@ -70,7 +71,7 @@ class TestIndexFacade:
         index = ProximityGraphIndex.build(pts, epsilon=1.0, method="gnet")
         ds = Dataset(EuclideanMetric(), pts)
         q = rng.uniform(size=2)
-        got = [i for i, _ in index.query_k(q, k=5, beam_width=40)]
+        got = index.search(q, k=5, params=SearchParams(mode="beam", beam_width=40)).ids[0]
         assert ds.nearest_neighbor(q)[0] in got
 
     def test_stats_fields(self, rng):
@@ -107,7 +108,7 @@ class TestIndexFacade:
             normalize=False,
         )
         q = int(rng.integers(256))
-        pid, dist = index.query(q)
+        pid, dist = index.search(q, params=SearchParams(mode="greedy")).top1()
         ds = Dataset(TreeMetric(8), leaves)
         assert dist <= 2 * ds.nearest_neighbor(q)[1] + 1e-9
 
@@ -127,8 +128,11 @@ class TestIndexFacade:
     def test_budget_query(self, rng):
         pts = uniform_cube(60, 2, rng)
         index = ProximityGraphIndex.build(pts, epsilon=1.0, method="gnet")
-        pid, dist = index.query(rng.uniform(size=2), budget=10)
-        assert 0 <= pid < 60
+        r = index.search(
+            rng.uniform(size=2), params=SearchParams(mode="greedy", budget=10)
+        )
+        assert 0 <= r.top1()[0] < 60
+        assert int(r.evals[0]) <= 10
 
 
 class TestMeasureQueries:

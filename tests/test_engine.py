@@ -212,30 +212,34 @@ class TestMeasureQueriesParity:
 
 class TestIndexBatchAPI:
     def test_query_batch_matches_query(self, rng):
-        from repro import ProximityGraphIndex
+        from repro import ProximityGraphIndex, SearchParams
 
         points = np.random.default_rng(5).uniform(size=(150, 2))
         index = ProximityGraphIndex.build(points, epsilon=1.0, method="gnet")
         queries = rng.uniform(size=(12, 2))
         starts = rng.integers(index.n, size=len(queries))
         singles = [
-            index.query(q, p_start=int(s)) for q, s in zip(queries, starts)
+            index.search(q, params=SearchParams(mode="greedy", starts=[s])).top1()
+            for q, s in zip(queries, starts)
         ]
-        batched = index.query_batch(list(queries), starts=starts)
-        assert singles == batched
+        batched = index.search(
+            queries, params=SearchParams(mode="greedy", starts=starts)
+        )
+        assert singles == [batched.pairs(i)[0] for i in range(len(queries))]
 
     def test_query_k_batch_matches_query_k(self, rng):
-        from repro import ProximityGraphIndex
+        from repro import ProximityGraphIndex, SearchParams
 
         points = np.random.default_rng(5).uniform(size=(150, 2))
         index = ProximityGraphIndex.build(points, epsilon=1.0, method="gnet")
         queries = rng.uniform(size=(8, 2))
         starts = rng.integers(index.n, size=len(queries))
         singles = [
-            index.query_k(q, k=3, p_start=int(s)) for q, s in zip(queries, starts)
+            index.search(q, k=3, params=SearchParams(mode="beam", starts=[s])).pairs(0)
+            for q, s in zip(queries, starts)
         ]
-        batched = index.query_k_batch(list(queries), k=3, starts=starts)
-        assert singles == batched
+        batched = index.search(queries, k=3, params=SearchParams(mode="beam", starts=starts))
+        assert singles == [batched.pairs(i) for i in range(len(queries))]
 
 
 class TestCSRPersistence:

@@ -25,8 +25,6 @@ from repro.core.integrity import (
 )
 from repro.core.persistence import MANIFEST_NAME
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 def _points(seed: int = 0, n: int = 80, d: int = 3) -> np.ndarray:
     return np.random.default_rng(seed).uniform(size=(n, d))

@@ -1,8 +1,8 @@
 """Index persistence round-trip tests.
 
 The contract (ISSUE 2): ``save()``/``load()`` must round-trip every
-registered builder exactly — a loaded index answers ``query_batch`` /
-``query_k_batch`` with identical ids, distances, and stats — and
+registered builder exactly — a loaded index answers greedy and beam
+``search`` calls with identical ids, distances, and stats — and
 non-coordinate metrics must refuse to serialize with a clear error
 rather than silently pickling.
 """
@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import ProximityGraphIndex, available_builders
+from repro.core import ProximityGraphIndex, SearchParams, available_builders
 from repro.core.persistence import (
     FORMAT_VERSION,
     metric_from_spec,
@@ -51,12 +51,14 @@ def _assert_round_trip(index, loaded, queries, starts):
     assert loaded.built.epsilon == index.built.epsilon
     assert loaded.built.guaranteed == index.built.guaranteed
     # Queries are answered identically: same ids, same distances (exact).
-    assert loaded.query_batch(queries, starts=starts) == index.query_batch(
-        queries, starts=starts
-    )
-    assert loaded.query_k_batch(queries, k=5, starts=starts) == index.query_k_batch(
-        queries, k=5, starts=starts
-    )
+    for k, params in [
+        (1, SearchParams(mode="greedy", starts=starts)),
+        (5, SearchParams(mode="beam", starts=starts)),
+    ]:
+        got = loaded.search(queries, k=k, params=params)
+        want = index.search(queries, k=k, params=params)
+        assert np.array_equal(got.ids, want.ids)
+        assert np.array_equal(got.distances, want.distances)
     assert loaded.stats() == index.stats()
 
 

@@ -179,7 +179,6 @@ def lattice_index(n: int, hub: bool = False) -> ProximityGraphIndex:
         Dataset(EuclideanMetric(), pts),
         BuiltGraph("lattice", graph, 1.0, False),
         scale=1.0,
-        rng=np.random.default_rng(0),
     )
 
 

@@ -4,10 +4,9 @@ Contract under test:
 
 * ``search()`` accepts one query or a batch and returns dense ``(m, k)``
   arrays of external ids and original-unit distances;
-* the four legacy query methods are shims that *delegate* to
-  ``search()`` and return bit-identical results (checked against the
-  raw engines across three seeds);
-* legacy methods emit ``DeprecationWarning`` exactly once per method;
+* ``search()`` returns bit-identical results to the raw engines
+  (checked across three seeds);
+* ``search()`` never emits a ``DeprecationWarning``;
 * empty batches are handled cleanly everywhere (``m = 0``);
 * repeated identical calls are reproducible by default — no shared-rng
   call-order dependence — and ``SearchParams(seed=..., starts=...)``
@@ -25,7 +24,6 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.core.index as index_module
 from repro import ProximityGraphIndex, SearchParams
 from repro.core.search import IdMap
 from repro.graphs.engine import beam_search_batch, greedy_batch
@@ -67,8 +65,6 @@ class TestShapes:
         for empty in ([], np.empty((0, 2))):
             r = index.search(empty, k=4)
             assert r.ids.shape == (0, 4) and len(r) == 0
-        assert index.query_batch([]) == []
-        assert index.query_k_batch([], k=3) == []
         stats = index.measure([])
         assert stats.num_queries == 0 and stats.max_distance_evals == 0
 
@@ -95,8 +91,8 @@ class TestShapes:
 
 
 class TestLegacyShimEquivalence:
-    """The acceptance bar: shims delegate and stay bit-identical to the
-    engines they used to call directly, across three seeds."""
+    """``search()`` stays bit-identical to the raw engines the removed
+    legacy query methods used to call, across three seeds."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_greedy_paths_bit_identical(self, seed):
@@ -117,9 +113,6 @@ class TestLegacyShimEquivalence:
             for i in range(15)
         ]
         assert got_search == expect
-        assert index.query_batch(queries, starts=starts) == expect
-        for i in range(15):
-            assert index.query(queries[i], p_start=int(starts[i])) == expect[i]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_beam_paths_bit_identical(self, seed):
@@ -143,50 +136,9 @@ class TestLegacyShimEquivalence:
             params=SearchParams(mode="beam", beam_width=width, starts=starts),
         )
         assert [via_search.pairs(i) for i in range(12)] == expect
-        assert index.query_k_batch(queries, k=k, beam_width=width, starts=starts) == expect
-        for i in range(12):
-            assert (
-                index.query_k(queries[i], k=k, beam_width=width, p_start=int(starts[i]))
-                == expect[i]
-            )
-
-    def test_legacy_rng_draw_matches_search_with_same_starts(self):
-        """A shim call without p_start draws from the legacy shared rng;
-        replaying the draw must reproduce it through search()."""
-        pts = uniform_cube(120, 2, np.random.default_rng(3))
-        a = ProximityGraphIndex.build(pts, epsilon=1.0, method="gnet", seed=9)
-        b = ProximityGraphIndex.build(pts, epsilon=1.0, method="gnet", seed=9)
-        q = np.array([0.4, 0.6])
-        got = a.query(q)
-        start = int(b._rng.integers(b.n))
-        r = b.search(q, params=SearchParams(mode="greedy", starts=[start]))
-        assert got == r.top1()
 
 
 class TestDeprecationWarnings:
-    def test_each_legacy_method_warns_exactly_once(self, monkeypatch):
-        monkeypatch.setattr(index_module, "_DEPRECATION_WARNED", set())
-        pts = uniform_cube(80, 2, np.random.default_rng(0))
-        index = ProximityGraphIndex.build(pts, epsilon=1.0, method="gnet")
-        q = np.array([0.5, 0.5])
-        calls = [
-            lambda: index.query(q),
-            lambda: index.query_k(q, k=2),
-            lambda: index.query_batch([q, q]),
-            lambda: index.query_k_batch([q, q], k=2),
-        ]
-        for call in calls:
-            with warnings.catch_warnings(record=True) as first:
-                warnings.simplefilter("always")
-                call()
-            assert len(first) == 1, "first call must warn"
-            assert issubclass(first[0].category, DeprecationWarning)
-            assert "deprecated" in str(first[0].message)
-            with warnings.catch_warnings(record=True) as second:
-                warnings.simplefilter("always")
-                call()
-            assert second == [], "second call must not warn again"
-
     def test_search_never_warns(self, index, queries):
         with warnings.catch_warnings(record=True) as w:
             warnings.simplefilter("always")
@@ -240,16 +192,17 @@ class TestBudgetParity:
         assert (capped.evals <= 10).all()
 
     def test_query_k_budget_now_honored(self, index, queries):
-        """Satellite parity fix: the legacy beam shim forwards budget."""
-        pairs = index.query_k(queries[0], k=3, budget=25, p_start=0)
-        assert pairs  # still returns something
+        """A single beam query from an explicit start honours the budget."""
+        free = index.search(
+            queries[0], k=3, params=SearchParams(mode="beam", starts=[0])
+        )
         r = index.search(
             queries[0],
             k=3,
             params=SearchParams(mode="beam", budget=25, starts=[0]),
         )
-        assert r.pairs(0) == pairs
-        assert int(r.evals[0]) <= 25
+        assert r.pairs(0)  # still returns something
+        assert int(r.evals[0]) <= 25 < int(free.evals[0])
 
 
 class TestFilteredSearch:

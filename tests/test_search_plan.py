@@ -312,7 +312,6 @@ def lattice_index(n: int) -> ProximityGraphIndex:
         Dataset(EuclideanMetric(), pts),
         BuiltGraph("lattice", graph, 1.0, False),
         scale=1.0,
-        rng=np.random.default_rng(0),
     )
     return index.set_storage("sq8")
 

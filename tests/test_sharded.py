@@ -24,8 +24,6 @@ from repro.core.sharded import partition_points, rehydrate_shard, shard_payload
 from repro.core.stats import compute_ground_truth_k, recall_at_k
 from repro.metrics import Dataset, EuclideanMetric
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 def _points(seed: int, n: int = 240, d: int = 3) -> np.ndarray:
     return np.random.default_rng(seed).uniform(size=(n, d))
