@@ -8,27 +8,19 @@ evaluated candidate.  This package runs the *entire* traversal of a
 query batch inside compiled code instead:
 
 * CSR neighbor gather straight from ``graph.csr()`` arrays,
-* preallocated arrays for the candidate queue and result pool (the
-  interpreted reference keeps two heaps, the C one sorted beam array),
+* one sorted beam array for the candidate queue and result pool,
 * a generation-stamped visited array (allocated once per batch),
 * inline Euclidean / Chebyshev distance evaluation, flat or SQ8, against the
   contiguous point / code arrays,
 * ``allowed``-mask and ``budget`` semantics replicated operation for
   operation from the numpy engines.
 
-Two backends share one kernel semantics (see
-:mod:`repro.accel.kernels` for the pinned reference source):
-
-``cffi``
-    The kernels as C, compiled on demand with the system C compiler
-    under strict IEEE semantics (``-ffp-contract=off``) and cached on
-    disk.  Available wherever ``cffi`` (``pip install
-    repro-proximity-graphs[accel]``) and a C compiler are.
-``python``
-    The kernel source executed by the plain interpreter — slow, but
-    exactly the arithmetic the compiled backend must reproduce; the
-    equivalence suites pin cffi against it bit for bit.  Never what
-    ``"auto"`` picks.
+The kernels are C (:mod:`repro.accel.cbackend`, the ``cffi`` backend),
+compiled on demand with the system C compiler under strict IEEE
+semantics (``-ffp-contract=off``) and cached on disk.  They are
+available wherever ``cffi`` (``pip install
+repro-proximity-graphs[accel]``) and a C compiler are, and are pinned
+against the numpy engines, which stay the fallback and the oracle.
 
 Backend selection is runtime and graceful.  A backend only serves
 searches after it has been **warmed** (compiled and self-checked) by
@@ -41,9 +33,9 @@ compiled once per worker process), and ``measure_queries``:
 * ``"auto"`` (the default) — cffi once *warmed*, else the numpy
   engines (see :func:`get_backend`);
 * ``"numpy"`` — always the pinned engines;
-* ``"cffi"`` / ``"python"`` — that backend, warmed on demand; raises
-  :class:`AccelUnavailableError` with a clear message when the backend
-  cannot run here (e.g. no C compiler).
+* ``"cffi"`` — the compiled kernels, warmed on demand; raises
+  :class:`AccelUnavailableError` with a clear message when they cannot
+  run here (e.g. no C compiler).
 
 Reported distances are bit-identical to the numpy engines by
 construction: kernels drive the traversal with their own deterministic

@@ -1,30 +1,37 @@
 """The ``cffi`` backend: the traversal kernels as C, compiled on demand.
 
 This is the one compiled backend (it needs :mod:`cffi` and a C
-toolchain).  The search and construction kernels below reproduce
-:mod:`repro.accel.kernels` — the same results, the same slice-order
-iteration, the same budget checkpoints, and the same sequential float64
-accumulation per distance.  They differ in *when* a distance is computed,
-never in its value or in the order results are ranked: an expansion
-gathers a row's unvisited targets into a block, prefetches their stored
-rows, evaluates the block (flat L2 four rows at a time), then ranks it.
-Where the reference keeps a candidate heap and a pool heap,
-``repro_beam`` ranks the vertices the ``allowed`` mask admits into one
-array sorted by ``(d, v)`` and routes the ones it refuses through a
-min-heap; it pops, admits, evicts and stops exactly where the two heaps
-do, distance ties included.  ``repro_traverse`` and its
-CSR tail ``repro_in_edge_csr`` have no interpreted twin: they transcribe
-the numpy loop of :func:`repro.nets.hierarchy.farthest_point_order` and
-``NetHierarchy``'s in-edge record, with the same per-distance arithmetic
-as the kernels.
+toolchain), and the C source below is its own specification, pinned
+against the numpy engines of :mod:`repro.graphs.engine` decision for
+decision: candidates pop in ``(distance, vertex)`` order and the pool
+evicts its largest distance, smallest vertex first (``_BeamState``'s
+``heapq`` orders), a row is evaluated and ranked in CSR order, and
+``budget`` and ``allowed`` cut and gate at the engines' points, so ids
+and eval counts agree through distance ties.  The kernels differ in
+*when* a distance is computed, never in its value or in the order
+results are ranked: an expansion gathers a row's unvisited targets into
+a block, prefetches their stored rows, evaluates the block (flat L2 four
+rows at a time), then ranks it.  Where the engines keep a candidate heap
+and a pool heap, ``repro_beam`` ranks the vertices the ``allowed`` mask
+admits into one array sorted by ``(d, v)`` and routes the ones it
+refuses through a min-heap; it pops, admits, evicts and stops exactly
+where the two heaps do.  ``repro_traverse`` and its CSR tail
+``repro_in_edge_csr`` transcribe the numpy loop of
+:func:`repro.nets.hierarchy.farthest_point_order` and ``NetHierarchy``'s
+in-edge record.  Kernels never allocate; a ``kind`` code (``KIND_*``)
+selects the distance mode.  cffi releases the GIL around every call, so
+dispatch splits the rows of a large call across cores.
 
 Floating-point contract: the shared object is built with
 ``-ffp-contract=off`` and without any fast-math flag, so the compiler
-neither fuses multiply-adds nor reassociates reductions — the C
-arithmetic is the IEEE-754 sequence the kernel source spells out,
-matching the interpreted kernels bit for bit.  The warm-time
-self-check in :mod:`repro.accel.dispatch` enforces this before the
-backend serves any search.
+neither fuses multiply-adds nor reassociates reductions — every distance
+sums its coordinates left to right in float64.  numpy's ``einsum`` may
+sum in another, SIMD-dependent order, so a decision can differ from the
+engines' only where a comparison flips at 1-ulp scale; the equivalence
+suites pin the kernels against the engines, over a left-to-right-summing
+L2 where that order decides ties.  Reported distances are the engines'
+own: dispatch re-evaluates them through the numpy distance view, and its
+warm-time self-check runs before the backend serves any search.
 
 Build artifacts are content-addressed (source hash + compiler) and
 cached under ``$REPRO_ACCEL_CACHE`` (default: a per-user directory in
@@ -56,13 +63,13 @@ __all__ = [
     "call",
     "cache_dir",
     "ensure_compiled",
-    "RELEASES_GIL",
 ]
 
-#: cffi drops the GIL around every call into the shared object, so two
-#: threads can be inside these kernels at once; ``repro.accel.dispatch``
-#: splits the rows of a large call across cores only for such a backend.
-RELEASES_GIL = True
+# The distance modes, as the C source's ``#define KIND_*`` numbers them.
+KIND_FLAT_L2 = 0
+KIND_FLAT_LINF = 1
+KIND_SQ8_L2 = 2
+KIND_SQ8_LINF = 3
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -1001,7 +1008,7 @@ def _plan_fields(ffi, offsets, targets, kind, factor, data, codes, minv, scale):
 
 class SearchKernels:
     """``repro_beam`` / ``repro_greedy`` bound to the arrays that outlive
-    a call — same interface as :class:`repro.accel.kernels.SearchKernels`.
+    a call; :mod:`repro.accel.dispatch` builds one per search plan.
 
     The pointers of the CSR arrays, the stored vectors and the quantiser
     parameters are resolved here, once, into a ``repro_plan`` (one per
@@ -1035,7 +1042,11 @@ class SearchKernels:
         self, Q, starts, d0, beam_width, k_fetch, budget, allowed, has_allowed,
         out_ids, out_evals, gen0, plan, _held,
     ):
-        """Same semantics as :func:`repro.accel.kernels.beam_kernel`."""
+        """``engine.beam_search_batch`` over the rows of ``Q``: each row's
+        pool ascending by ``(distance, vertex)`` into ``out_ids`` (``-1``
+        past its size), its exact eval count into ``out_evals``.  A
+        ``budget`` below 0 is none.  Row ``i`` stamps ``visited`` with
+        ``gen0 + i + 1``, so ``gen0`` is at least every stamp it holds."""
         buf, f64, i64 = self._buf, self._f64, self._i64
         return self._lib.repro_beam(
             plan, buf(f64, Q), Q.shape[1],
@@ -1050,7 +1061,11 @@ class SearchKernels:
         out_p, out_d, out_evals, out_hops, out_term, out_best_p, out_best_d,
         hops_buf, hops_cap,
     ):
-        """Same semantics as :func:`repro.accel.kernels.greedy_kernel`."""
+        """``engine.greedy_batch`` over the rows of ``Q``: end vertex,
+        evals, hop count, self-termination and the best allowed vertex
+        per row, the hops into ``hops_buf`` up to ``hops_cap`` a row.
+        Returns the longest walk's hop count; over ``hops_cap``, the
+        caller retries with a larger buffer."""
         buf, f64, i64 = self._buf, self._f64, self._i64
         return self._lib.repro_greedy(
             self._plan, buf(f64, Q), Q.shape[1],
@@ -1068,7 +1083,13 @@ def construction_kernel(
     starts, d0, beam_width, expand_per_round,
     out_ids, out_dists, out_sizes, visited, pexp, sel_buf,
 ):
-    """Same signature/semantics as :func:`repro.accel.kernels.construction_kernel`."""
+    """``engine.construction_beam_batch`` over the rows of ``Q``: row ``i``'s
+    pool, ascending by distance, into ``out_ids[i]`` / ``out_dists[i]``
+    and its length into ``out_sizes[i]``.  A round marks the first
+    ``expand_per_round`` unexpanded entries before it inserts any
+    neighbour.  The pool equals the engine's; where distances tie, the
+    order of the tied entries may differ from the engine's one-step
+    merge of a round.  ``visited`` is stamped from 1 and must be zero."""
     lib, ffi = _load()
     fields = _plan_fields(ffi, offsets, targets, kind, factor, data, codes, minv, scale)
     return lib.repro_construction(
@@ -1085,7 +1106,12 @@ def robust_prune_kernel(
     points, kind, factor, pid, v_in, d_in, alpha, max_degree,
     vs, ds, alive, sq, out,
 ):
-    """Same signature/semantics as :func:`repro.accel.kernels.robust_prune_kernel`."""
+    """``engine.robust_prune`` over raw float64 ``points``: candidates in
+    ``(distance, vertex)`` order, ``pid`` and repeated ids dropped, then
+    the alpha scan.  Kept-to-candidate distances follow the metric's
+    ``pairwise`` entry for entry (the Gram identity with a zero diagonal
+    for L2, with sequential dots where numpy calls BLAS).  Writes the
+    kept ids to ``out`` and returns their count."""
     lib, ffi = _load()
     return lib.repro_robust_prune(
         _f64(ffi, points), points.shape[1],
@@ -1102,7 +1128,12 @@ def commit_wave_kernel(
     include_own, alpha, max_degree, adj, deg,
     cand_v, cand_d, vs, ds, alive, sq, out, out2,
 ):
-    """Same signature/semantics as :func:`repro.accel.kernels.commit_wave_kernel`."""
+    """``engine.commit_wave_pools`` in one call: in wave order, each
+    member's pool (plus its current out-edges when ``include_own``) is
+    pruned into its row of the padded store ``adj`` / ``deg``, then
+    linked back from every kept neighbour, re-pruning a row that
+    overflows ``max_degree``.  The other arrays are scratch sized to
+    the longest candidate list."""
     lib, ffi = _load()
     return lib.repro_commit_wave(
         _f64(ffi, points), points.shape[1],

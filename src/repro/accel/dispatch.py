@@ -3,9 +3,10 @@
 This module owns the three runtime questions the accel layer answers:
 
 1. **Which backends can run here?**  ``"cffi"`` when the :mod:`cffi`
-   package and a system C compiler are present, ``"python"`` (the
-   interpreted kernel source in :mod:`repro.accel.kernels`, the
-   bit-exact reference) always.  ``available_backends()`` reports them.
+   package and a system C compiler are present, none otherwise;
+   ``available_backends()`` reports it.  The numpy engines are always
+   there: they are the fallback and the oracle every kernel is pinned
+   against.
 
 2. **Which backend serves a search?**  A backend must be *warmed*
    (compiled and self-checked against the numpy engines, via
@@ -25,8 +26,8 @@ This module owns the three runtime questions the accel layer answers:
 :func:`run_beam` / :func:`run_greedy` then execute a whole batch in one
 kernel call.  What does not change between two searches of one index
 generation — the classification, the contiguous CSR / vector / quantiser
-exports, the backend's kernels bound to them (for cffi: the C pointers)
-and per-thread scratch — is a :class:`_SearchPlan`, built by the first
+exports, the C kernels bound to them (their pointers) and per-thread
+scratch — is a :class:`_SearchPlan`, built by the first
 search and kept on the graph object; :func:`_search_plan` uses it only
 for the very graph arrays, dataset, store and code matrix it was built
 from, so nothing has to invalidate it.  Per call: the numpy distance
@@ -38,15 +39,15 @@ The rows of a batch are independent, so :func:`run_beam` and
 :func:`_split_rows`: contiguous row chunks, each run by the same bound
 kernel on the matching slices of the inputs and outputs, claimed by the
 calling thread and by a process-wide pool of helper threads — one per
-further usable core (``os.sched_getaffinity``), and only for a backend
-whose kernels release the GIL.  A short call, one core or a GIL-holding
-backend is the same function with the caller as its only worker.
+further usable core (``os.sched_getaffinity``); cffi releases the GIL
+around every C call, so they run at once.  A short call or one core is
+the same function with the caller as its only worker.
 
 Reported distances are **evaluated through the same numpy distance
 view** the engines use (``FlatQueryView`` / SQ8 ``segmented``),
 so a compiled search returns bit-identical floats whenever it makes the
 same routing decisions — and the kernels replicate the engines' decision
-arithmetic (see :mod:`repro.accel.kernels`).  :func:`run_beam` leaves
+arithmetic (see :mod:`repro.accel.cbackend`).  :func:`run_beam` leaves
 that evaluation to the first read of ``BeamBatch.dists``: the two-stage
 search over a quantized store reranks from the ids and never reads them.
 
@@ -71,7 +72,6 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.accel import cbackend as _C
-from repro.accel import kernels as _K
 from repro.graphs.engine import _distance_view
 from repro.graphs.greedy import BeamBatch, GreedyResult
 from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric
@@ -119,15 +119,8 @@ class AccelFallbackWarning(UserWarning):
 
 
 #: Every value a ``backend=`` takes; ``SearchParams``, the CLI and the
-#: HTTP body validate against this one tuple.  ``"auto"`` / ``warm()``
-#: only ever pick cffi: the interpreted ``"python"`` backend is slower
-#: than the numpy engines and exists as the bit-exact reference.
-BACKEND_CHOICES = ("auto", "numpy", "cffi", "python")
-
-# The modules holding a backend's kernels: ``SearchKernels``,
-# ``construction_kernel``, ``robust_prune_kernel`` and
-# ``commit_wave_kernel``, one calling convention for both.
-_KERNELS = {"cffi": _C, "python": _K}
+#: HTTP body validate against this one tuple.
+BACKEND_CHOICES = ("auto", "numpy", "cffi")
 
 # name -> {"compile_seconds": float}; a backend listed here has been
 # compiled and has passed its self-check this process.
@@ -139,12 +132,12 @@ _TRAVERSE_REFUSED = False  # cffi failed to build or check: G-nets stay numpy
 
 
 def available_backends() -> list[str]:
-    """Compiled/reference backends that *can* run here (warm or not)."""
+    """Compiled backends that *can* run here (warm or not)."""
     compiled = (
         importlib.util.find_spec("cffi") is not None
         and _C._find_compiler() is not None
     )
-    return ["cffi", "python"] if compiled else ["python"]
+    return ["cffi"] if compiled else []
 
 
 def get_backend() -> str:
@@ -160,25 +153,22 @@ def get_backend() -> str:
 
 def backend_status() -> dict[str, Any]:
     """JSON-safe status for ``index.stats()`` / ``repro index info``."""
-    available = available_backends()
-    backends: dict[str, Any] = {
-        "numpy": {"available": True, "warm": True, "compile_seconds": 0.0}
-    }
-    for name in _KERNELS:
-        rec = _WARM.get(name)
-        backends[name] = {
-            "available": name in available,
-            "warm": rec is not None,
-            "compile_seconds": None if rec is None else rec["compile_seconds"],
-        }
+    rec = _WARM.get("cffi")
     active = get_backend()
-    releases_gil = _releases_gil(active)
+    compiled = active == "cffi"  # cffi releases the GIL in every C call
     return {
         "active": active,
-        "backends": backends,
+        "backends": {
+            "numpy": {"available": True, "warm": True, "compile_seconds": 0.0},
+            "cffi": {
+                "available": bool(available_backends()),
+                "warm": rec is not None,
+                "compile_seconds": None if rec is None else rec["compile_seconds"],
+            },
+        },
         "threads": {
-            "split": _usable_cores() if releases_gil else 1,
-            "releases_gil": releases_gil,
+            "split": _usable_cores() if compiled else 1,
+            "releases_gil": compiled,
         },
     }
 
@@ -196,20 +186,19 @@ def reset() -> None:
 
 
 def warm(backend: str | None = None) -> dict[str, Any]:
-    """Compile and self-check a backend; returns its warm record.
+    """Compile and self-check cffi; returns its warm record.
 
     ``backend=None`` (or ``"auto"``) picks cffi; when it is not
     available it emits one :class:`AccelFallbackWarning` per process and
     records ``"numpy"`` — callers keep working on the pinned engines.
-    An explicit name warms that backend or raises
-    :class:`AccelUnavailableError`.
+    ``"cffi"`` warms it or raises :class:`AccelUnavailableError`.
 
-    Warming loads the kernels (the cffi backend compiles-or-dlopens its
-    cached shared object) and runs a small beam + greedy + construction
-    + prune workload (cffi: + a G-net traversal) against the numpy
-    engines, refusing to install a backend that does not reproduce them
-    exactly.  The elapsed time is recorded as ``compile_seconds``; a
-    backend a G-net build has already checked is not checked again.
+    Warming compiles-or-dlopens the cached shared object and runs a small
+    beam + greedy + construction + prune + G-net traversal workload
+    against the numpy engines, refusing to install kernels that do not
+    reproduce them exactly.  The elapsed time is recorded as
+    ``compile_seconds``; kernels a G-net build has already checked are
+    not checked again.
     """
     global _WARNED_NO_COMPILED
     if backend is None or backend == "auto":
@@ -229,29 +218,28 @@ def warm(backend: str | None = None) -> dict[str, Any]:
         backend = "cffi"
     if backend == "numpy":
         return {"backend": "numpy", "compile_seconds": 0.0}
-    if backend in _WARM:
-        return dict(_WARM[backend], backend=backend)
-    if backend not in _KERNELS:
+    if backend != "cffi":
         raise ValueError(
             f"unknown accel backend {backend!r}; choose from {BACKEND_CHOICES}"
         )
-    if backend not in available_backends():
-        raise AccelUnavailableError(
-            "backend='cffi' was requested but cffi and/or a system C "
-            "compiler (cc/gcc/clang) is not available. Use backend='auto' "
-            "to fall back gracefully."
-        )
-    rec = _WARM[backend] = _checked(backend)
-    return dict(rec, backend=backend)
+    if backend not in _WARM:
+        if not available_backends():
+            raise AccelUnavailableError(
+                "backend='cffi' was requested but cffi and/or a system C "
+                "compiler (cc/gcc/clang) is not available. Use backend='auto' "
+                "to fall back gracefully."
+            )
+        _WARM[backend] = _checked()
+    return dict(_WARM[backend], backend=backend)
 
 
-def _checked(backend: str) -> dict[str, Any]:
-    """Compile and self-check ``backend`` once per process; its record."""
-    rec = _CHECKED.get(backend)
+def _checked() -> dict[str, Any]:
+    """Compile and self-check cffi once per process; its record."""
+    rec = _CHECKED.get("cffi")
     if rec is None:
         t0 = time.perf_counter()
-        _self_check(backend)  # the first kernel call compiles / loads
-        rec = _CHECKED[backend] = {"compile_seconds": time.perf_counter() - t0}
+        _self_check()  # the first kernel call compiles / loads
+        rec = _CHECKED["cffi"] = {"compile_seconds": time.perf_counter() - t0}
     return rec
 
 
@@ -314,14 +302,6 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _releases_gil(backend: str) -> bool:
-    """Do this backend's kernels run with the GIL released?  Only then can
-    two threads be inside a kernel at once."""
-    if backend == "numpy":
-        return False
-    return bool(getattr(_KERNELS[backend], "RELEASES_GIL", False))
-
-
 def _helper_pool(count: int) -> ThreadPoolExecutor:
     """The process's helper threads, ``count`` of them or more."""
     global _helpers, _forked
@@ -351,7 +331,6 @@ def _helper_pool(count: int) -> ThreadPoolExecutor:
 
 
 def _split_rows(
-    backend: str,
     m: int,
     arrays: tuple[np.ndarray, ...],
     run: Callable[..., None],
@@ -363,14 +342,14 @@ def _split_rows(
     ``run(*arrays)`` executes the kernel on them, with scratch of the
     thread it runs on.  A row never sees another row's state, so however
     the rows are cut and whichever thread runs a chunk, every row's
-    result is the one-call result.  With enough rows, more than one
-    usable core and kernels that release the GIL, ``run`` gets
+    result is the one-call result.  With enough rows and more than one
+    usable core (cffi releases the GIL, so helpers run at once), ``run`` gets
     contiguous row ranges of every array, claimed by the caller and by
     helper threads as they come free; otherwise the caller is the only
     worker and runs all rows at once.
     """
     cores = threads = 1
-    if m >= 2 * _ROWS_PER_THREAD and _releases_gil(backend):
+    if m >= 2 * _ROWS_PER_THREAD:
         cores = _usable_cores()
         threads = min(cores, m // _ROWS_PER_THREAD)
     if threads == 1:
@@ -469,12 +448,12 @@ def _plan(dataset: Any, store: Any, Q: np.ndarray) -> _Plan:
         view = _distance_view(dataset, Q[:0], store)
         plan.data = _coords_f64(view.points, "points")
         plan.kind, plan.factor = _coord_kind(
-            view.metric, _K.KIND_FLAT_L2, _K.KIND_FLAT_LINF
+            view.metric, _C.KIND_FLAT_L2, _C.KIND_FLAT_LINF
         )
         plan.dim = plan.data.shape[1]
     elif kind == "sq8":
         plan.kind, plan.factor = _coord_kind(
-            store.metric, _K.KIND_SQ8_L2, _K.KIND_SQ8_LINF
+            store.metric, _C.KIND_SQ8_L2, _C.KIND_SQ8_LINF
         )
         plan.codes = np.ascontiguousarray(store.codes)
         plan.minv = np.ascontiguousarray(store.params.minv, dtype=np.float64)
@@ -557,9 +536,8 @@ class _SearchPlan:
     the very objects it was built from (:func:`_search_plan` compares
     identities — a new store, or an old one whose code matrix was
     rebound, gets a new plan).  Holds the workload's :class:`_Plan`, the
-    backend's kernels bound to the CSR and vector arrays (for cffi:
-    their C pointers), and per-thread scratch — two threads may search
-    one index object at once.
+    C kernels bound to the CSR and vector arrays' pointers, and
+    per-thread scratch — two threads may search one index object at once.
     """
 
     __slots__ = ("key", "layout", "kernels", "n", "_local")
@@ -569,7 +547,7 @@ class _SearchPlan:
         self.key = key
         self.layout = layout
         self.n = graph.n
-        self.kernels = _KERNELS[key[0]].SearchKernels(
+        self.kernels = _C.SearchKernels(
             np.ascontiguousarray(offsets, dtype=np.int64),
             np.ascontiguousarray(targets, dtype=np.int64),
             layout.kind, layout.factor,
@@ -585,22 +563,20 @@ class _SearchPlan:
         return scratch
 
 
-def _search_plan(
-    backend: str, graph: Any, dataset: Any, store: Any, Q: np.ndarray
-) -> _SearchPlan:
-    """The plan of this (backend, graph, dataset, store), built on first use."""
+def _search_plan(graph: Any, dataset: Any, store: Any, Q: np.ndarray) -> _SearchPlan:
+    """The plan of this (graph, dataset, store), built on first use."""
     targets = graph.csr()[1]
     codes = None if store is None else store.codes
     plan = getattr(graph, "_accel_plan", None)
     if plan is not None:
-        p_backend, p_targets, p_dataset, p_store, p_codes = plan.key
+        p_targets, p_dataset, p_store, p_codes = plan.key
         if (
-            p_backend == backend and p_targets is targets
-            and p_dataset is dataset and p_store is store and p_codes is codes
+            p_targets is targets and p_dataset is dataset
+            and p_store is store and p_codes is codes
         ):
             return plan
     plan = graph._accel_plan = _SearchPlan(
-        (backend, targets, dataset, store, codes), graph, _plan(dataset, store, Q)
+        (targets, dataset, store, codes), graph, _plan(dataset, store, Q)
     )
     return plan
 
@@ -628,7 +604,6 @@ def _reported_distances(
 
 
 def run_beam(
-    backend: str,
     graph: Any,
     dataset: Any,
     starts: Any,
@@ -654,7 +629,7 @@ def run_beam(
     if m == 0:
         return BeamBatch(out_ids, np.empty((0, k_eff)), out_evals)
     Q = _query_array(queries)
-    plan = _search_plan(backend, graph, dataset, store, Q)
+    plan = _search_plan(graph, dataset, store, Q)
     view = _distance_view(dataset, Q, store)
     q_arr = _query_arrays(plan.layout, view)
     starts64 = np.ascontiguousarray(starts, dtype=np.int64)
@@ -670,7 +645,7 @@ def run_beam(
             scratch.stamps(len(starts)), *scratch.args,
         )
 
-    _split_rows(backend, m, (q_arr, starts64, d0, out_ids, out_evals), rows)
+    _split_rows(m, (q_arr, starts64, d0, out_ids, out_evals), rows)
     return BeamBatch(
         out_ids,
         lambda: _reported_distances(view, out_ids, starts64, d0),
@@ -679,7 +654,6 @@ def run_beam(
 
 
 def run_greedy(
-    backend: str,
     graph: Any,
     dataset: Any,
     starts: Any,
@@ -694,7 +668,7 @@ def run_greedy(
     if m == 0:
         return []
     Q = _query_array(queries)
-    plan = _search_plan(backend, graph, dataset, store, Q)
+    plan = _search_plan(graph, dataset, store, Q)
     view = _distance_view(dataset, Q, store)
     q_arr = _query_arrays(plan.layout, view)
     starts64 = np.ascontiguousarray(starts, dtype=np.int64)
@@ -753,7 +727,6 @@ def run_greedy(
 
 
 def run_construction(
-    backend: str,
     graph: Any,
     dataset: Any,
     starts: Any,
@@ -789,10 +762,8 @@ def run_construction(
     out_dists = np.full((w, ef), np.inf, dtype=np.float64)
     out_sizes = np.zeros(w, dtype=np.int64)
     expand = int(expand_per_round)
-    kernel = _KERNELS[backend].construction_kernel
-
     def rows(q_arr, starts, d0, out_ids, out_dists, out_sizes) -> None:
-        kernel(
+        _C.construction_kernel(
             offsets, targets, plan.kind, plan.factor,
             q_arr, plan.data, plan.codes, plan.minv, plan.scale,
             starts, d0, ef, expand, out_ids, out_dists, out_sizes,
@@ -803,11 +774,7 @@ def run_construction(
             np.zeros(max(expand, 1), dtype=np.int64),  # sel_buf
         )
 
-    _split_rows(
-        backend, w,
-        (q_arr, starts64, d0, out_ids, out_dists, out_sizes),
-        rows,
-    )
+    _split_rows(w, (q_arr, starts64, d0, out_ids, out_dists, out_sizes), rows)
     # Re-evaluate every reported pool distance through the numpy view —
     # segmented() reductions are per-row independent, so these floats
     # are bit-identical to the engine's round-time evaluations.
@@ -830,7 +797,6 @@ def run_construction(
 
 
 def run_robust_prune(
-    backend: str,
     dataset: Any,
     pid: int,
     v_arr: Any,
@@ -844,10 +810,9 @@ def run_robust_prune(
     uses exact points regardless of the traversal store), so only the
     dataset's metric and point layout gate kernel support.
     """
-    prune_fn = _KERNELS[backend].robust_prune_kernel
     pts = _coords_f64(dataset.points, "points")
     kind, factor = _coord_kind(
-        dataset.metric, _K.KIND_FLAT_L2, _K.KIND_FLAT_LINF
+        dataset.metric, _C.KIND_FLAT_L2, _C.KIND_FLAT_LINF
     )
     v64 = np.ascontiguousarray(np.asarray(v_arr), dtype=np.int64)
     d64 = np.ascontiguousarray(np.asarray(d_arr), dtype=np.float64)
@@ -859,7 +824,7 @@ def run_robust_prune(
     alive = np.empty(P, dtype=np.uint8)
     sq = np.empty(P, dtype=np.float64)
     out = np.empty(max(int(max_degree), 1), dtype=np.int64)
-    kept = prune_fn(
+    kept = _C.robust_prune_kernel(
         pts, kind, factor, int(pid), v64, d64, float(alpha),
         int(max_degree), vs, ds, alive, sq, out,
     )
@@ -867,7 +832,6 @@ def run_robust_prune(
 
 
 def run_commit_wave(
-    backend: str,
     dataset: Any,
     pids: Any,
     pools: Any,
@@ -888,10 +852,9 @@ def run_commit_wave(
     are computed in-kernel with the same sequential arithmetic stance as
     the traversal kernels.
     """
-    commit_fn = _KERNELS[backend].commit_wave_kernel
     pts = _coords_f64(dataset.points, "points")
     kind, factor = _coord_kind(
-        dataset.metric, _K.KIND_FLAT_L2, _K.KIND_FLAT_LINF
+        dataset.metric, _C.KIND_FLAT_L2, _C.KIND_FLAT_LINF
     )
     w = len(pids)
     lens = np.fromiter((len(p[0]) for p in pools), dtype=np.int64, count=w)
@@ -918,7 +881,7 @@ def run_commit_wave(
         sc["sq"] = np.empty(max_p, dtype=np.float64)
         sc["out"] = np.empty(md, dtype=np.int64)
         sc["out2"] = np.empty(md, dtype=np.int64)
-    commit_fn(
+    _C.commit_wave_kernel(
         pts, kind, factor, pids64, pool_ids, pool_d, pool_off,
         1 if include_own else 0, float(alpha), int(max_degree),
         rows.arr, rows.deg,
@@ -938,9 +901,9 @@ def _traverse_ready() -> bool:
     would, but installed for no search; elsewhere the numpy loop builds,
     silently: nothing was requested."""
     global _TRAVERSE_REFUSED
-    if "cffi" not in _CHECKED and not _TRAVERSE_REFUSED and "cffi" in available_backends():
+    if "cffi" not in _CHECKED and not _TRAVERSE_REFUSED and available_backends():
         try:
-            _checked("cffi")
+            _checked()
         except AccelError as exc:
             _TRAVERSE_REFUSED = True
             _log.warning("G-net builds stay on the numpy traversal: %s", exc)
@@ -965,7 +928,7 @@ def run_traverse(
     evaluated again from the centre that set it.
     """
     try:
-        kind, factor = _coord_kind(dataset.metric, _K.KIND_FLAT_L2, _K.KIND_FLAT_LINF)
+        kind, factor = _coord_kind(dataset.metric, _C.KIND_FLAT_L2, _C.KIND_FLAT_LINF)
         points = _coords_f64(dataset.points, "points")
     except UnsupportedWorkloadError:
         return None
@@ -1029,7 +992,7 @@ def construction_supported(dataset: Any) -> bool:
     """
     try:
         _coords_f64(dataset.points, "points")
-        _coord_kind(dataset.metric, _K.KIND_FLAT_L2, _K.KIND_FLAT_LINF)
+        _coord_kind(dataset.metric, _C.KIND_FLAT_L2, _C.KIND_FLAT_LINF)
     except UnsupportedWorkloadError:
         return False
     return True
@@ -1039,18 +1002,18 @@ def construction_supported(dataset: Any) -> bool:
 # warm-time self-check
 
 
-def _self_check(backend: str) -> None:
-    """Refuse to warm a backend that does not reproduce the numpy
-    engines on a small smoke workload."""
+def _self_check() -> None:
+    """Refuse to warm cffi if it does not reproduce the numpy engines on a
+    small smoke workload."""
     from repro.graphs import engine
     from repro.graphs.base import ProximityGraph
     from repro.metrics.base import Dataset
 
     rng = np.random.default_rng(12345)
     # Two threads' worth of rows in the beam batch and in the construction
-    # wave: wherever there is a second core the row split cuts both, so a
-    # backend whose rows do not survive being run in chunks on helper
-    # threads is refused here, not found out in a result.
+    # wave: wherever there is a second core the row split cuts both, so
+    # kernels whose rows do not survive being run in chunks on helper
+    # threads are refused here, not found out in a result.
     n, d, mq = 48, 6, 2 * _ROWS_PER_THREAD
     points = rng.standard_normal((n, d))
     dataset = Dataset(EuclideanMetric(), points)
@@ -1062,7 +1025,7 @@ def _self_check(backend: str) -> None:
     wave = [int(p) for p in rng.permutation(n)[:mq]]
 
     want_beam = engine.beam_search_batch(graph, dataset, starts, Q, beam_width=6, k=4)
-    got_beam = run_beam(backend, graph, dataset, starts, Q, beam_width=6, k=4)
+    got_beam = run_beam(graph, dataset, starts, Q, beam_width=6, k=4)
     # Integer points on a 3 x 3 grid tie distances everywhere; under a mask
     # and a budget, which tied entry a beam keeps, expands or reports
     # decides its ids and its eval count.
@@ -1071,12 +1034,12 @@ def _self_check(backend: str) -> None:
     mask = rng.random(n) < 0.3
     tied_args = dict(beam_width=3, k=5, budget=40, allowed=mask)
     want_tied = engine.beam_search_batch(graph, tied, starts, Qt, **tied_args)
-    got_tied = run_beam(backend, graph, tied, starts, Qt, **tied_args)
+    got_tied = run_beam(graph, tied, starts, Qt, **tied_args)
     want_greedy = engine.greedy_batch(graph, dataset, starts[:8], Q[:8])
-    got_greedy = run_greedy(backend, graph, dataset, starts[:8], Q[:8])
+    got_greedy = run_greedy(graph, dataset, starts[:8], Q[:8])
     # The wave locates members of the graph, as a build does.
     want_c = engine.construction_beam_batch(graph, dataset, starts, points[wave], beam_width=6)
-    got_c = run_construction(backend, graph, dataset, starts, points[wave], beam_width=6)
+    got_c = run_construction(graph, dataset, starts, points[wave], beam_width=6)
     same_c = len(want_c) == len(got_c) and all(
         np.array_equal(wi, gi) and np.array_equal(wd, gd)
         for (wi, wd), (gi, gd) in zip(want_c, got_c)
@@ -1084,7 +1047,7 @@ def _self_check(backend: str) -> None:
     v_arr = np.arange(n, dtype=np.intp)
     d_arr = dataset.distances_from_index(0, v_arr)
     want_p = engine.robust_prune(dataset, 0, v_arr, d_arr, 1.2, 6)
-    got_p = run_robust_prune(backend, dataset, 0, v_arr, d_arr, 1.2, 6)
+    got_p = run_robust_prune(dataset, 0, v_arr, d_arr, 1.2, 6)
     # One whole-wave commit of half that wave and its pools onto the
     # graph's rows (the commit is order-dependent and never split),
     # kernel vs the pinned per-member prune-and-link loop.
@@ -1092,7 +1055,7 @@ def _self_check(backend: str) -> None:
     rows_got = engine.CommitMirror.from_csr(graph, 0, 4)
     wave, pools_w = wave[:8], want_c[:8]
     engine.commit_wave_pools(dataset, rows_want, wave, pools_w, 1.2, 4)
-    run_commit_wave(backend, dataset, wave, pools_w, 1.2, 4, False, rows_got)
+    run_commit_wave(dataset, wave, pools_w, 1.2, 4, False, rows_got)
     if (
         want_beam != got_beam
         or want_tied != got_tied
@@ -1100,10 +1063,10 @@ def _self_check(backend: str) -> None:
         or not same_c
         or want_p != got_p
         or rows_want.snapshot() != rows_got.snapshot()
-        or (backend == "cffi" and not _traverse_matches())
+        or not _traverse_matches()
     ):
         raise AccelError(
-            f"accel backend {backend!r} failed its warm-time self-check "
+            "accel backend 'cffi' failed its warm-time self-check "
             "against the numpy engines; refusing to enable it"
         )
 
@@ -1121,7 +1084,7 @@ def _traverse_matches() -> bool:
     n = len(points)
     for metric in (ScaledMetric(EuclideanMetric(), 2.0), ScaledMetric(ChebyshevMetric(), 2.0)):
         want = NetHierarchy(Dataset(CountingMetric(metric), points), phi=9.0)
-        kind, factor = _coord_kind(metric, _K.KIND_FLAT_L2, _K.KIND_FLAT_LINF)
+        kind, factor = _coord_kind(metric, _C.KIND_FLAT_L2, _C.KIND_FLAT_LINF)
         got = _traverse(Dataset(metric, points), points, kind, factor, 0, None, 9.0)
         edges = want.take_in_edges()
         offsets, targets = _in_edge_csr(n, *edges[:2])

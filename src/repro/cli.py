@@ -556,9 +556,9 @@ def _parser() -> argparse.ArgumentParser:
                    choices=accel.BACKEND_CHOICES,
                    help="traversal backend: 'auto' uses the compiled cffi "
                    "kernels once warmed (numpy until repro.accel.warm() ran), "
-                   "'numpy' pins the pure-numpy engines, 'cffi' / 'python' "
-                   "(the interpreted reference) force that backend "
-                   "(warming on demand; error if unavailable)")
+                   "'numpy' pins the pure-numpy engines, 'cffi' forces the "
+                   "compiled kernels (warming on demand; error if "
+                   "unavailable)")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("index", help="saved-index utilities")

@@ -195,9 +195,8 @@ def build(
     ``backend`` selects the accel backend for the batched builders'
     construction inner loops (candidate location + RobustPrune):
     ``None``/``"numpy"`` run the pinned numpy engines, ``"auto"`` the
-    best warmed compiled backend (falling back silently), and an
-    explicit name (``"cffi"``/``"python"``) that backend, warmed on
-    demand, raising when unavailable.  Like ``batch_size`` it is
+    best warmed compiled backend (falling back silently), and ``"cffi"``
+    the compiled kernels, warmed on demand, raising when unavailable.  Like ``batch_size`` it is
     rejected for builders without an insertion loop.  It is an
     execution choice, not provenance — every backend builds the same
     graph — so unlike ``batch_size`` it is not recorded in

@@ -78,13 +78,11 @@ class SearchParams:
         :mod:`repro.accel` compiled backend and otherwise the pinned
         numpy engines — nothing changes until ``repro.accel.warm()``
         has been called in the process.  ``"numpy"`` always runs the
-        pinned engines.  ``"cffi"`` (the compiled kernels) / ``"python"``
-        (their interpreted reference) force that accel backend, warming
-        it on demand, and raise ``AccelUnavailableError`` when it cannot
-        run here.  Results are
-        bit-identical across backends; the sharded fan-out resolves
-        ``"auto"`` in the parent and ships the concrete name to its
-        workers, which compile once per process.
+        pinned engines.  ``"cffi"`` forces the compiled kernels, warming
+        them on demand, and raises ``AccelUnavailableError`` when they
+        cannot run here.  Results are bit-identical across backends; the
+        sharded fan-out resolves ``"auto"`` in the parent and ships the
+        concrete name to its workers, which compile once per process.
     """
 
     mode: str = "auto"

@@ -133,11 +133,10 @@ def greedy_batch(
     if backend is not None and backend != "numpy":
         import repro.accel as accel
 
-        resolved = accel.resolve_backend(backend)
-        if resolved != "numpy":
+        if accel.resolve_backend(backend) != "numpy":
             try:
                 return accel.run_greedy(
-                    resolved, graph, dataset, starts, queries,
+                    graph, dataset, starts, queries,
                     budget=budget, allowed=allowed, store=store,
                 )
             except accel.UnsupportedWorkloadError:
@@ -342,11 +341,10 @@ def beam_search_batch(
     if backend is not None and backend != "numpy":
         import repro.accel as accel
 
-        resolved = accel.resolve_backend(backend)
-        if resolved != "numpy":
+        if accel.resolve_backend(backend) != "numpy":
             try:
                 return accel.run_beam(
-                    resolved, graph, dataset, starts, queries,
+                    graph, dataset, starts, queries,
                     beam_width=beam_width, k=k, budget=budget,
                     allowed=allowed, store=store,
                 )
@@ -494,11 +492,10 @@ def construction_beam_batch(
     if backend is not None and backend != "numpy":
         import repro.accel as accel
 
-        resolved = accel.resolve_backend(backend)
-        if resolved != "numpy":
+        if accel.resolve_backend(backend) != "numpy":
             try:
                 return accel.run_construction(
-                    resolved, graph, dataset, starts, queries,
+                    graph, dataset, starts, queries,
                     beam_width=beam_width, expand_per_round=expand_per_round,
                     store=store,
                 )
@@ -762,11 +759,10 @@ def robust_prune(
     if backend is not None and backend != "numpy":
         import repro.accel as accel
 
-        resolved = accel.resolve_backend(backend)
-        if resolved != "numpy":
+        if accel.resolve_backend(backend) != "numpy":
             try:
                 return accel.run_robust_prune(
-                    resolved, dataset, pid, v_arr, d_arr, alpha, max_degree
+                    dataset, pid, v_arr, d_arr, alpha, max_degree
                 )
             except accel.UnsupportedWorkloadError:
                 if backend != "auto":
@@ -982,11 +978,10 @@ def commit_wave_pools(
     if backend is not None and backend != "numpy":
         import repro.accel as accel
 
-        resolved = accel.resolve_backend(backend)
-        if resolved != "numpy":
+        if accel.resolve_backend(backend) != "numpy":
             try:
                 accel.run_commit_wave(
-                    resolved, dataset, pids, pools, alpha, max_degree,
+                    dataset, pids, pools, alpha, max_degree,
                     include_own, rows,
                 )
                 return

@@ -2,8 +2,7 @@
 
 Contract under test:
 
-* every available accel backend (the cffi C backend when a compiler
-  is present, the interpreted ``python`` reference always) returns
+* the cffi C backend (where cffi and a compiler are present) returns
   **bit-identical** results to the pinned numpy engines — ids,
   distances, eval counts, hop counts — across
   3 seeds, both engine modes, and both storages (flat/SQ8);
@@ -11,11 +10,10 @@ Contract under test:
   allowed masks (subset, empty, fully-masked), and budget truncation;
 * the C kernels expand a vertex in 32-target blocks: on rows longer than
   one block and than two, every distance kind, budgets around the block
-  and row ends, the compiled results equal the interpreted reference's
-  and the numpy engines' — once more under UBSan — and the C source
-  compiles warning-free;
-* the C beam's sorted array makes the two heaps' decisions on seeded
-  integer grids full of distance ties, under masks and budgets;
+  and row ends, the compiled results equal the numpy engines' — once
+  more under UBSan — and the C source compiles warning-free;
+* the C beam's sorted array makes the engines' two-heap decisions on
+  seeded integer grids full of distance ties, under masks and budgets;
 * an explicitly requested backend that cannot run here raises
   :class:`AccelUnavailableError` with an actionable message, while
   ``backend="auto"`` silently serves numpy (one
@@ -53,9 +51,7 @@ from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric
 from repro.storage import make_store
 from repro.workloads import uniform_cube
 
-#: Backends this environment can actually run (cffi and/or the
-#: interpreted reference).  Always non-empty: "python" is available
-#: on every box.
+#: Compiled backends this environment can run: ``["cffi"]``, or none.
 BACKENDS = accel.available_backends()
 SEEDS = (0, 1, 2)
 
@@ -255,24 +251,48 @@ def _check_long_rows(kind, backends):
                     graph, dataset, starts, Q, budget=budget, allowed=mask,
                     store=store, backend=backend,
                 ), (*ctx, backend)
-    # Construction pools: against the interpreted kernel always, against
-    # the numpy engine where distances are continuous — it merges a round
-    # at once, so quantised L-infinity ties come out in another order.
-    pools = {
-        backend: construction_beam_batch(
+    # Construction pools.  The numpy engine merges a round at once, so on
+    # sq8-linf, where quantised distances tie, tied entries may come out
+    # in another order: there the pools are compared as (distance, id)
+    # sorted.  No build reaches that order: builds locate over the raw
+    # points (no store=), and robust_prune lexsorts by (distance, id).
+    ref = construction_beam_batch(graph, dataset, starts, Q, beam_width=40, store=store)
+    assert [len(ids) for ids, _ in ref] == [40] * len(Q), kind
+    for backend in backends:
+        got = construction_beam_batch(
             graph, dataset, starts, Q, beam_width=40, store=store, backend=backend
         )
-        for backend in {*backends, "python"}
-    }
-    if kind != "sq8-linf":
-        pools["numpy"] = construction_beam_batch(
-            graph, dataset, starts, Q, beam_width=40, store=store
-        )
-    for backend, got in pools.items():
-        assert [len(ids) for ids, _ in got] == [40] * len(Q), (kind, backend)
-        for (ids, dists), (ref_ids, ref_dists) in zip(got, pools["python"]):
+        assert len(got) == len(ref), (kind, backend)
+        for pools in zip(got, ref):
+            if kind == "sq8-linf":
+                pools = [_by_distance_then_id(*pool) for pool in pools]
+            (ids, dists), (ref_ids, ref_dists) = pools
             assert np.array_equal(ids, ref_ids), (kind, backend)
             assert np.array_equal(dists, ref_dists), (kind, backend)
+
+
+def _by_distance_then_id(ids, dists):
+    order = np.lexsort((ids, dists))
+    return ids[order], dists[order]
+
+
+class _LeftToRightL2(EuclideanMetric):
+    """L2 that sums each row's squares left to right, as the C kernels
+    do; ``einsum`` picks an order that depends on the machine's SIMD."""
+
+    def distances(self, a, batch):
+        batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+        return self._norms(batch - np.asarray(a, dtype=np.float64))
+
+    def distances_many(self, queries, batch, lens):
+        batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        return self._norms(batch - np.repeat(queries, np.asarray(lens), axis=0))
+
+    @staticmethod
+    def _norms(diff):
+        sq = diff * diff
+        return np.sqrt(np.add.reduce(sq.T, axis=0))
 
 
 def _check_grid_beams(seed, cases, backend="cffi"):
@@ -282,15 +302,18 @@ def _check_grid_beams(seed, cases, backend="cffi"):
     graphs, ``allowed`` masks admitting 5-90 % of the vertices, budgets,
     beam widths 1-40 and ``k`` up to five past the width.  SQ8 under L2
     with d >= 3 is the one mode whose numpy sums can round a tie apart
-    (``einsum`` picks the order); there the reference is the interpreted
-    heap kernel, whose arithmetic is the C's."""
+    (``einsum`` picks the order); there both sides measure with
+    :class:`_LeftToRightL2`, whose arithmetic is the C's."""
     rng = np.random.default_rng(seed)
     for case in range(cases):
         d, n = int(rng.integers(1, 6)), int(rng.integers(20, 90))
         points = rng.integers(0, 4, size=(n, d)).astype(np.float64)
         graph = ProximityGraph(n, rng.integers(0, n, size=(n, int(rng.integers(2, 9))))).freeze()
         metric = (EuclideanMetric(), ChebyshevMetric())[case % 2]
-        store = make_store("sq8", metric, points, seed=0) if case % 3 == 0 else None
+        sq8 = case % 3 == 0
+        if sq8 and case % 2 == 0 and d >= 3:
+            metric = _LeftToRightL2()
+        store = make_store("sq8", metric, points, seed=0) if sq8 else None
         Q = rng.integers(0, 4, size=(6, d)).astype(np.float64)
         starts = rng.integers(0, n, size=6)
         density = (None, 0.05, 0.2, 0.5, 0.9)[case % 5]
@@ -300,10 +323,9 @@ def _check_grid_beams(seed, cases, backend="cffi"):
         budget = None if case % 4 == 0 else int(rng.integers(1, 3 * n))
         args = dict(beam_width=width, k=k, budget=budget, allowed=allowed, store=store)
         dataset = Dataset(metric, points)
-        ref = "python" if store is not None and case % 2 == 0 and d >= 3 else None
         # BeamBatch equality: ids, distances and evals.
         assert beam_search_batch(
-            graph, dataset, starts, Q, backend=ref, **args
+            graph, dataset, starts, Q, **args
         ) == beam_search_batch(
             graph, dataset, starts, Q, backend=backend, **args
         ), (seed, case, d, n, type(metric).__name__, density, width, k, budget)
@@ -311,7 +333,7 @@ def _check_grid_beams(seed, cases, backend="cffi"):
 
 @pytest.mark.skipif("cffi" not in BACKENDS, reason="cffi is not installed")
 class TestBeamArray:
-    """Where the reference keeps a candidate heap and a pool heap, the C
+    """Where the numpy engine keeps a candidate heap and a pool heap, the C
     beam keeps the vertices a mask admits in one array sorted by (d, v)
     and routes the rest through a min-heap; it must make every decision
     the two heaps make, through distance ties, masks and budgets."""
@@ -420,15 +442,9 @@ class TestBackendSelection:
 
     def test_unknown_backend_name_rejected_early(self):
         # "numba" is a name like any other the library never heard of.
-        for name in ("cuda", "numba"):
+        for name in ("cuda", "numba", "python"):
             with pytest.raises(ValueError, match="unknown accel backend"):
                 SearchParams(backend=name)
-
-    def test_python_reference_is_available_everywhere(self, monkeypatch):
-        assert "python" in accel.available_backends()
-        assert "python" in accel.BACKEND_CHOICES
-        monkeypatch.setattr(cbackend, "_find_compiler", lambda: None)
-        assert accel.available_backends() == ["python"]
 
     def test_auto_is_inert_until_warmed(self, index, queries):
         accel.reset()
@@ -446,16 +462,14 @@ class TestBackendSelection:
         finally:
             accel.reset()
 
+    @pytest.mark.skipif("cffi" not in BACKENDS, reason="cffi is not installed")
     def test_auto_serves_warmed_backend(self, index, queries):
         accel.reset()
         try:
             rec = accel.warm(BACKENDS[0])
             assert rec["backend"] == BACKENDS[0]
             assert rec["compile_seconds"] >= 0.0
-            # "auto" only ever resolves to the compiled backend.
-            assert accel.get_backend() == (
-                "cffi" if BACKENDS[0] == "cffi" else "numpy"
-            )
+            assert accel.get_backend() == "cffi"
             ref = index.search(
                 queries, k=4, params=SearchParams(seed=0, backend="numpy")
             )
@@ -466,6 +480,7 @@ class TestBackendSelection:
         finally:
             accel.reset()
 
+    @pytest.mark.skipif("cffi" not in BACKENDS, reason="cffi is not installed")
     def test_warm_is_idempotent(self):
         accel.reset()
         try:
@@ -492,31 +507,14 @@ class TestBackendSelection:
         finally:
             accel.reset()
 
-    def test_python_backend_never_auto_selected(self, monkeypatch):
-        """The interpreted reference is opt-in only: with no C compiler,
-        ``warm(auto)`` prefers numpy over it, and once warmed by name it
-        still is not what ``"auto"`` resolves to."""
-        accel.reset()
-        monkeypatch.setattr(dispatch, "available_backends", lambda: ["python"])
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", accel.AccelFallbackWarning)
-                assert accel.warm()["backend"] == "numpy"
-            assert accel.warm("python")["backend"] == "python"
-            assert accel.get_backend() == "numpy"
-            assert accel.resolve_backend("auto") == "numpy"
-            assert accel.backend_status()["active"] == "numpy"
-        finally:
-            accel.reset()
-
-
     def test_cli_search_rejects_an_unknown_backend(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit) as exc:
-            main(["search", "unused.npz", "--q", "0.5", "--backend", "numba"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'numba'" in capsys.readouterr().err
+        for name in ("numba", "python"):
+            with pytest.raises(SystemExit) as exc:
+                main(["search", "unused.npz", "--q", "0.5", "--backend", name])
+            assert exc.value.code == 2
+            assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(
@@ -566,6 +564,7 @@ class TestCompileCache:
         assert stat.S_IMODE(cache.stat().st_mode) == 0o700
 
 
+@pytest.mark.skipif("cffi" not in BACKENDS, reason="cffi is not installed")
 class TestStatusReporting:
     def test_stats_reports_backend_status(self, index):
         accel.reset()
@@ -578,10 +577,8 @@ class TestStatusReporting:
                 assert status["backends"][name]["warm"] is False
             accel.warm(BACKENDS[0])
             status = index.stats()["accel"]
-            assert status["active"] == (
-                "cffi" if BACKENDS[0] == "cffi" else "numpy"
-            )
-            assert set(status["backends"]) == {"numpy", "cffi", "python"}
+            assert status["active"] == "cffi"
+            assert set(status["backends"]) == {"numpy", "cffi"}
             assert status["backends"][BACKENDS[0]]["warm"] is True
             assert status["backends"][BACKENDS[0]]["compile_seconds"] >= 0.0
         finally:
@@ -589,18 +586,15 @@ class TestStatusReporting:
 
     def test_status_reports_the_row_split(self, index, monkeypatch):
         """The thread count a large call is split over: the usable cores
-        when the active backend's kernels release the GIL, else one."""
+        once cffi, whose kernels release the GIL, is active, else one."""
         monkeypatch.setattr(dispatch, "_usable_cores", lambda: 5)
         accel.reset()
         try:
             threads = index.stats()["accel"]["threads"]
             assert threads == {"split": 1, "releases_gil": False}
-            for name in BACKENDS:
-                accel.reset()
-                accel.warm(name)
-                threads = accel.backend_status()["threads"]
-                assert threads["releases_gil"] is (name == "cffi")
-                assert threads["split"] == (5 if name == "cffi" else 1)
+            accel.warm("cffi")
+            threads = accel.backend_status()["threads"]
+            assert threads == {"split": 5, "releases_gil": True}
         finally:
             accel.reset()
 
@@ -627,6 +621,7 @@ class TestSharded:
         )
         _assert_equal(got, ref, backend)
 
+    @pytest.mark.skipif("cffi" not in BACKENDS, reason="cffi is not installed")
     def test_auto_resolved_before_fanout(self, sharded, queries):
         """The parent pins ``"auto"`` to a concrete backend name so
         workers never re-resolve against their own (cold) warm state."""

@@ -191,7 +191,7 @@ class TestBackendSelection:
             )
 
     def test_unknown_backend_name_rejected(self, points):
-        for name in ("fortran", "numba"):
+        for name in ("fortran", "numba", "python"):
             with pytest.raises(ValueError, match="unknown accel backend"):
                 ProximityGraphIndex.build(
                     points, method="vamana", seed=0, batch_size=BATCH,

@@ -513,7 +513,7 @@ def test_a_split_construction_wave_equals_the_one_thread_wave(indexes, cores):
 
     def locate():
         return accel.run_construction(
-            "cffi", index.graph, index.dataset, starts, wave, beam_width=24
+            index.graph, index.dataset, starts, wave, beam_width=24
         )
 
     cores(1)

@@ -671,6 +671,7 @@ class TestHTTP:
                 "bad_k": {"query": [0.5] * 4, "k": 0},
                 "not_numeric": {"query": ["a", "b"]},
                 "unknown_backend": {"query": [0.5] * 4, "backend": "numba"},
+                "python_backend": {"query": [0.5] * 4, "backend": "python"},
             }.items():
                 try:
                     await _afetch(base, "/search", payload)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ProximityGraphIndex, SearchParams, ShardedIndex
+from repro import ProximityGraphIndex, SearchParams, ShardedIndex, accel
 from repro.metrics.base import ScaledMetric
 from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric, MinkowskiMetric
 from repro.storage import (
@@ -539,20 +539,22 @@ class TestFlatFloat32:
         after = snap.search(queries, k=5, params=p)
         assert np.array_equal(want.ids, after.ids)
 
+    @pytest.mark.skipif(
+        "cffi" not in accel.available_backends(),
+        reason="cffi is not installed",
+    )
     def test_accel_explicit_backend_rejects_auto_falls_back(self):
         """Compiled kernels are float64-only: an explicit backend on a
         float32 flat store raises the workload error, ``auto`` silently
         runs the numpy engines."""
-        from repro import accel
-
         pts, _, f32 = self._build_pair(n=200)
         queries = np.random.default_rng(11).normal(size=(4, 12))
         try:
-            accel.warm("python")
+            accel.warm("cffi")
             with pytest.raises(accel.UnsupportedWorkloadError, match="float64"):
                 f32.search(
                     queries, k=3,
-                    params=SearchParams(seed=0, backend="python"),
+                    params=SearchParams(seed=0, backend="cffi"),
                 )
             res = f32.search(
                 queries, k=3, params=SearchParams(seed=0, backend="auto")
