@@ -13,7 +13,9 @@ Contract under test:
   and row ends, the compiled results equal the numpy engines' — once
   more under UBSan — and the C source compiles warning-free;
 * the C beam's sorted array makes the engines' two-heap decisions on
-  seeded integer grids full of distance ties, under masks and budgets;
+  seeded integer grids full of distance ties, under masks and budgets,
+  and the C sums an SQ8-L2 row's squares left to right where that order
+  decides between two candidates;
 * an explicitly requested backend that cannot run here raises
   :class:`AccelUnavailableError` with an actionable message, while
   ``backend="auto"`` silently serves numpy (one
@@ -49,6 +51,7 @@ from repro.graphs.engine import (
 from repro.metrics.base import Dataset
 from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric
 from repro.storage import make_store
+from repro.storage.sq8 import decode_sq8
 from repro.workloads import uniform_cube
 
 #: Compiled backends this environment can run: ``["cffi"]``, or none.
@@ -278,7 +281,8 @@ def _by_distance_then_id(ids, dists):
 
 class _LeftToRightL2(EuclideanMetric):
     """L2 that sums each row's squares left to right, as the C kernels
-    do; ``einsum`` picks an order that depends on the machine's SIMD."""
+    do; ``einsum`` picks an order that depends on the machine's SIMD, and
+    ``np.add.reduce`` sums a contiguous run of 8 or more pairwise."""
 
     def distances(self, a, batch):
         batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
@@ -292,7 +296,10 @@ class _LeftToRightL2(EuclideanMetric):
     @staticmethod
     def _norms(diff):
         sq = diff * diff
-        return np.sqrt(np.add.reduce(sq.T, axis=0))
+        acc = np.zeros(len(sq))
+        for column in sq.T:
+            acc += column
+        return np.sqrt(acc)
 
 
 def _check_grid_beams(seed, cases, backend="cffi"):
@@ -331,6 +338,32 @@ def _check_grid_beams(seed, cases, backend="cffi"):
         ), (seed, case, d, n, type(metric).__name__, density, width, k, budget)
 
 
+def _summation_order_case(d=8, draws=100):
+    """The first seeded draw where the order of an SQ8-L2 sum decides.
+
+    A palindromic query ``q`` and a code row ``a`` on the grid ``c / 255``
+    (which an SQ8 store trained on the zero and all-ones rows decodes
+    exactly), with ``b`` its reverse: ``D(q, a) = D(q, b)`` in exact
+    arithmetic, and the draw taken rounds them apart one way when each
+    row's squares are summed left to right and the other way right to
+    left.  Returns the points (zero, ones, a, b), the store, ``q`` and
+    the row that left-to-right sums put first."""
+    rng = np.random.default_rng(0)
+    metric = _LeftToRightL2()
+    for _ in range(draws):
+        half = rng.uniform(size=d // 2)
+        q = np.concatenate([half, half[::-1]])
+        a = rng.integers(0, 256, size=d) / 255.0
+        points = np.stack([np.zeros(d), np.ones(d), a, a[::-1]])
+        store = make_store("sq8", metric, points, seed=0)
+        rows = decode_sq8(store.params, store.codes[1:])
+        fwd = metric.distances(q, rows)
+        bwd = metric.distances(q[::-1], rows[:, ::-1])
+        if (fwd[1] < fwd[2]) != (bwd[1] < bwd[2]) and fwd[0] > fwd[1:].max():
+            return points, store, q, 2 + int(np.argmin(fwd[1:]))
+    raise AssertionError(f"no draw of {draws} lets the summation order decide")
+
+
 @pytest.mark.skipif("cffi" not in BACKENDS, reason="cffi is not installed")
 class TestBeamArray:
     """Where the numpy engine keeps a candidate heap and a pool heap, the C
@@ -341,6 +374,25 @@ class TestBeamArray:
     @pytest.mark.parametrize("seed", range(8))
     def test_tied_grids_match_the_numpy_engine(self, seed):
         _check_grid_beams(seed, 25)
+
+    def test_sq8_l2_rows_sum_left_to_right(self):
+        """Reported distances are re-evaluated in numpy, so the C's
+        summation order shows only where it decides between candidates:
+        from a far start whose one row is ``{a, b}``, greedy and the beam
+        go where left-to-right sums put the query nearer."""
+        points, store, q, winner = _summation_order_case()
+        graph = ProximityGraph(4, [[], [2, 3], [], []]).freeze()
+        dataset, Q, starts = Dataset(store.metric, points), q[None], [1]
+        for width in (1, 2):
+            args = dict(beam_width=width, k=width, store=store)
+            ref = beam_search_batch(graph, dataset, starts, Q, **args)
+            assert ref.ids[0, 0] == winner
+            assert ref == beam_search_batch(
+                graph, dataset, starts, Q, backend="cffi", **args
+            ), width
+        ref = greedy_batch(graph, dataset, starts, Q, store=store)
+        assert ref[0].point == winner
+        assert ref == greedy_batch(graph, dataset, starts, Q, store=store, backend="cffi")
 
 
 class TestBlockExpansion:

@@ -106,18 +106,24 @@ class TestAddRepair:
         assert not idx.built.guaranteed
         assert idx.built.meta["repaired_inserts"] == 10
 
-    def test_recall_after_add_matches_fresh_build(self):
+    @pytest.mark.parametrize(
+        ("method", "opts"),
+        [("vamana", {}), ("hnsw", {"m": 8, "ef_construction": 64})],
+        ids=["vamana", "hnsw"],
+    )
+    def test_recall_after_add_matches_fresh_build(self, method, opts):
         """An index grown by 25% stays within a small recall@10 margin of
-        building over the full set from scratch (the acceptance bench
-        does this at 1k scale; this is the fast in-suite version)."""
+        building over the full set from scratch."""
         rng = np.random.default_rng(13)
         pts = uniform_cube(500, 2, rng)
         queries = rng.uniform(size=(80, 2))
         grown = ProximityGraphIndex.build(
-            pts[:400], epsilon=1.0, method="vamana", seed=6
+            pts[:400], epsilon=1.0, method=method, seed=6, **opts
         )
         grown.add(pts[400:], batch_size=50)
-        fresh = ProximityGraphIndex.build(pts, epsilon=1.0, method="vamana", seed=6)
+        fresh = ProximityGraphIndex.build(
+            pts, epsilon=1.0, method=method, seed=6, **opts
+        )
 
         def recall(index):
             r = index.search(

@@ -226,14 +226,16 @@ class TestFilteredSearch:
         r = index.search(queries[:4], k=3, params=SearchParams(allowed_ids=[]))
         assert (r.ids == -1).all() and np.isinf(r.distances).all()
 
-    def test_filter_recall_floor_vs_masked_brute_force(self):
+    @pytest.mark.parametrize("selectivity", [0.5, 0.1])
+    def test_filter_recall_floor_vs_masked_brute_force(self, selectivity):
         """Filtered beam search must reach what brute force finds on the
-        allowed subset (recall@10 floor on the pinned workload)."""
+        allowed subset (recall@10 floor on the pinned workload), also
+        when only a tenth of the points are allowed."""
         rng = np.random.default_rng(2025)
         pts = uniform_cube(1000, 2, rng)
         index = ProximityGraphIndex.build(pts, epsilon=1.0, method="vamana", seed=42)
         queries = rng.uniform(size=(100, 2))
-        allowed = np.flatnonzero(rng.uniform(size=1000) < 0.5)
+        allowed = np.flatnonzero(rng.uniform(size=1000) < selectivity)
 
         ds = Dataset(EuclideanMetric(), pts[allowed])
         hits, total = 0, 0
