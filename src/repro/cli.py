@@ -1,16 +1,12 @@
-"""Command-line interface: build, query, validate, and inspect proximity
-graphs from the shell.
+"""Command-line interface: build, save, query, validate, and inspect
+proximity-graph indexes from the shell.
 
-    python -m repro build   points.npy graph.npz --method gnet --epsilon 0.5
-    python -m repro query   points.npy graph.npz --q 0.25 0.75
-    python -m repro stats   points.npy graph.npz
-    python -m repro validate points.npy graph.npz --queries 200
     python -m repro save-index points.npy index.npz --method vamana
     python -m repro save-index points.npy index_dir --shards 4 --workers 4
     python -m repro save-index points.npy index.npz --storage sq8
     python -m repro save-index points.npy index.v5 --format disk
-    python -m repro load-index index.npz --q 0.25 0.75
-    python -m repro load-index index.v5 --mmap --q 0.25 0.75
+    python -m repro load-index index.npz --q 0.25 0.75 --start 7
+    python -m repro validate index.npz --queries 200
     python -m repro search index.npz --q 0.25 0.75 --k 10 --beam-width 32
     python -m repro search index.npz --q 0.25 0.75 --k 10 --rerank-factor 4
     python -m repro search index_dir --queries-file queries.npy --k 10 --workers 4
@@ -20,23 +16,22 @@ graphs from the shell.
     python -m repro delete index.npz --ids 3 17 29 --compact
     python -m repro builders
 
-Points files are ``.npy`` arrays of shape ``(n, d)``.  Bare graphs
-persist in the library's ``.npz`` CSR format next to a ``.json``
-metadata sidecar (method, epsilon, normalization factor) so
-``query``/``validate`` can reconstruct the exact search setting; a
-*full index* (graph + points + provenance in one self-contained file)
-persists via ``save-index``/``load-index``.  ``save-index --shards K``
-builds a sharded index instead (process-parallel with ``--workers``)
-and saves it as a manifest *directory*; every index-consuming
-subcommand (``search``/``add``/``delete``/``load-index``/``index
-info``) accepts either kind transparently.  ``save-index --storage
-{flat,sq8}`` selects the vector storage (sq8 indexes traverse
-compressed codes and exact-rerank; tune with ``search
---rerank-factor``); ``index info`` prints the memory breakdown.
+Points files are ``.npy`` arrays of shape ``(n, d)``.  ``save-index``
+builds a full index (graph + points + provenance) and saves it in one
+self-contained file; ``--shards K`` builds a sharded index instead
+(process-parallel with ``--workers``) and saves it as a manifest
+*directory*.  Every index-consuming subcommand (``load-index``/
+``search``/``add``/``delete``/``index info``/``serve``) accepts either
+kind transparently (``validate`` checks flat indexes), and
+``add``/``delete`` write the index back in the layout it was loaded
+from.  ``save-index --storage {flat,sq8}`` selects the vector storage
+(sq8 indexes traverse compressed codes and exact-rerank; tune with
+``search --rerank-factor``); ``index info`` prints the memory
+breakdown.
 ``save-index --format disk`` writes the memory-mappable v5 directory
-(``--no-compress`` speeds up the npz path); ``load-index``/``serve``
-``--mmap`` lazily attach it so the index opens in milliseconds and the
-full-precision vectors stay on disk until the exact-rerank stage.
+(``--no-compress`` speeds up the npz path), which every loader attaches
+lazily: the index opens in milliseconds and the full-precision vectors
+stay on disk until the exact-rerank stage.
 """
 
 from __future__ import annotations
@@ -50,19 +45,13 @@ from pathlib import Path
 import numpy as np
 
 from repro import accel
-from repro.core.builders import BATCHED_BUILDERS, available_builders, build
+from repro.core.builders import available_builders
 from repro.core.index import ProximityGraphIndex
-from repro.core.persistence import load_any
+from repro.core.persistence import _saved_format, load_any
 from repro.core.search import SearchParams
 from repro.core.sharded import ShardedIndex
-from repro.core.stats import measure_queries, storage_breakdown, timed
+from repro.core.stats import storage_breakdown, timed
 from repro.storage import STORAGE_KINDS
-from repro.graphs.base import ProximityGraph
-from repro.graphs.greedy import greedy
-from repro.graphs.navigability import find_violations
-from repro.metrics.base import Dataset
-from repro.metrics.euclidean import EuclideanMetric
-from repro.metrics.scaling import normalize_min_distance
 from repro.workloads.queries import near_data_queries, uniform_queries
 
 __all__ = ["main"]
@@ -75,106 +64,33 @@ def _load_points(path: str) -> np.ndarray:
     return points.astype(np.float64)
 
 
-def _dataset(points: np.ndarray) -> tuple[Dataset, float]:
-    return normalize_min_distance(Dataset(EuclideanMetric(), points))
-
-
-def _sidecar(graph_path: str) -> Path:
-    return Path(graph_path).with_suffix(".json")
-
-
 def _cmd_builders(_args: argparse.Namespace) -> int:
     for name in available_builders():
         print(name)
     return 0
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
-    points = _load_points(args.points)
-    dataset, factor = _dataset(points)
-    rng = np.random.default_rng(args.seed)
-    built, seconds = timed(
-        lambda: build(
-            args.method, dataset, args.epsilon, rng,
-            batch_size=getattr(args, "batch_size", None),
-        )
-    )
-    built.graph.save(args.graph)
-    meta = {
-        "method": args.method,
-        "epsilon": args.epsilon,
-        "seed": args.seed,
-        "scale_factor": factor,
-        "guaranteed": built.guaranteed,
-        "build_seconds": round(seconds, 3),
-        **built.graph.summary(),
-    }
-    _sidecar(args.graph).write_text(json.dumps(meta, indent=2))
-    print(json.dumps(meta, indent=2))
-    return 0
-
-
-def _load_graph(points_path: str, graph_path: str):
-    points = _load_points(points_path)
-    dataset, factor = _dataset(points)
-    graph = ProximityGraph.load(graph_path)
-    if graph.n != dataset.n:
-        raise SystemExit(
-            f"graph has {graph.n} vertices but points file has {dataset.n}"
-        )
-    meta = {}
-    sidecar = _sidecar(graph_path)
-    if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
-    return dataset, graph, factor, meta
-
-
-def _cmd_query(args: argparse.Namespace) -> int:
-    dataset, graph, factor, meta = _load_graph(args.points, args.graph)
-    q = np.array(args.q, dtype=np.float64)
-    rng = np.random.default_rng(args.seed)
-    start = args.start if args.start is not None else int(rng.integers(graph.n))
-    result = greedy(graph, dataset, start, q)
-    print(
-        json.dumps(
-            {
-                "point_id": result.point,
-                "distance": result.distance / factor,
-                "hops": len(result.hops),
-                "distance_evals": result.distance_evals,
-                "start": start,
-                "epsilon": meta.get("epsilon"),
-            },
-            indent=2,
-        )
-    )
-    return 0
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    _dataset_, graph, _factor, meta = _load_graph(args.points, args.graph)
-    out = dict(graph.summary())
-    out.update({k: v for k, v in meta.items() if k not in out})
-    print(json.dumps(out, indent=2))
-    return 0
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
-    dataset, graph, _factor, meta = _load_graph(args.points, args.graph)
-    epsilon = args.epsilon if args.epsilon is not None else meta.get("epsilon")
-    if epsilon is None:
-        raise SystemExit("no epsilon on record; pass --epsilon")
+    """Navigability check of a saved flat index against its own epsilon:
+    exit 1 on any query whose greedy answer is not a (1+eps)-ANN."""
+    index = load_any(args.index)
+    if isinstance(index, ShardedIndex):
+        raise SystemExit(
+            "validate checks one flat index; a sharded index has no single "
+            "graph to route on (run it on a shard, or use index info "
+            "--validate for the structural checks)"
+        )
     rng = np.random.default_rng(args.seed)
-    points = np.asarray(dataset.points)
+    points = np.asarray(index.dataset.points)
     queries = list(uniform_queries(args.queries // 2, points, rng))
     queries += list(near_data_queries(args.queries - len(queries), points, rng))
-    violations = find_violations(graph, dataset, queries, epsilon, stop_at=None)
-    stats = measure_queries(graph, dataset, queries, epsilon=epsilon, rng=rng)
+    violations = index.validate(queries, stop_at=None)
+    stats = index.measure(queries, seed=args.seed)
     print(
         json.dumps(
             {
                 "queries": len(queries),
-                "epsilon": epsilon,
+                "epsilon": index.epsilon,
                 "violations": len(violations),
                 "recall_at_1": stats.recall_at_1,
                 "eps_satisfied_fraction": stats.epsilon_satisfied_fraction,
@@ -236,7 +152,7 @@ def _cmd_save_index(args: argparse.Namespace) -> int:
 def _cmd_load_index(args: argparse.Namespace) -> int:
     """Load a saved index (either kind); print its stats, optionally
     answer a query through the unified front door."""
-    index = load_any(args.index, mmap=True if args.mmap else None)
+    index = load_any(args.index)
     out = dict(index.stats())
     if args.q is not None:
         q = np.array(args.q, dtype=np.float64)
@@ -247,6 +163,8 @@ def _cmd_load_index(args: argparse.Namespace) -> int:
         out["query"] = [
             {"point_id": pid, "distance": dist} for pid, dist in result.pairs(0)
         ]
+        out["evals"] = int(result.evals[0])
+        out["hops"] = None if result.hops is None else int(result.hops[0])
     print(json.dumps(out, indent=2))
     return 0
 
@@ -305,7 +223,9 @@ def _cmd_add(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
         )
     )
-    written = index.save(args.out or args.index)
+    written = index.save(
+        args.out or args.index, format=_saved_format(args.index)
+    )
     out = dict(index.stats())
     out["added"] = len(new_ids)
     out["new_ids"] = [int(i) for i in new_ids[:20]]
@@ -324,7 +244,9 @@ def _cmd_delete(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc))
     if args.compact:
         index.compact()
-    written = index.save(args.out or args.index)
+    written = index.save(
+        args.out or args.index, format=_saved_format(args.index)
+    )
     out = dict(index.stats())
     out["deleted"] = removed
     out["compacted"] = bool(args.compact)
@@ -338,28 +260,16 @@ def _cmd_index_info(args: argparse.Namespace) -> int:
     index (either kind); ``--validate`` adds the structural integrity
     checks (CSR shape, id-map/tombstone consistency, manifest shard
     agreement) and exits nonzero on any violated invariant."""
-    if getattr(args, "validate", False):
-        # On-disk agreement is checked *before* loading: a manifest
-        # whose shard count disagrees with its files — or a v5 disk
-        # directory whose header disagrees with its raw array files —
-        # should name the invariant, not die inside the loader.
-        if Path(args.index).is_dir():
-            from repro.core.integrity import (
-                check_disk_layout,
-                check_sharded_manifest,
-            )
-            from repro.core.persistence import DISK_HEADER_NAME
-
-            pre = (
-                check_disk_layout(args.index)
-                if (Path(args.index) / DISK_HEADER_NAME).is_file()
-                else check_sharded_manifest(args.index)
-            )
-            if pre:
-                for violation in pre:
-                    print(f"INTEGRITY VIOLATION: {violation}", file=sys.stderr)
-                return 1
-    index = load_any(args.index)
+    try:
+        index = load_any(args.index)
+    except ValueError as exc:
+        if not args.validate:
+            raise
+        # The loaders refuse a torn or mislabeled layout through the
+        # same invariant-named checks --validate reports, one per line.
+        for violation in str(exc).splitlines():
+            print(f"INTEGRITY VIOLATION: {violation}", file=sys.stderr)
+        return 1
     out = {
         "kind": "sharded" if isinstance(index, ShardedIndex) else "flat",
         "n": int(index.n),
@@ -374,7 +284,7 @@ def _cmd_index_info(args: argparse.Namespace) -> int:
         out["builder"] = index.shards[0].built.name
     else:
         out["builder"] = index.built.name
-    if getattr(args, "validate", False):
+    if args.validate:
         from repro.core.integrity import integrity_report
 
         report = integrity_report(index, path=args.index)
@@ -447,7 +357,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "accel backend %s (warmed in %.3f s)",
             warmed["backend"], warmed["compile_seconds"],
         )
-    index = load_any(args.index, mmap=True if args.mmap else None)
+    index = load_any(args.index)
     if args.workers is not None and isinstance(index, ShardedIndex):
         index.workers = args.workers
     server = SearchServer(
@@ -469,19 +379,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("builders", help="list registered graph builders")
     p.set_defaults(fn=_cmd_builders)
-
-    p = sub.add_parser("build", help="build a graph from an (n, d) .npy file")
-    p.add_argument("points")
-    p.add_argument("graph", help="output .npz path")
-    p.add_argument("--method", default="gnet", choices=available_builders())
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--batch-size", type=int, default=None,
-        help="wave size for the batched construction engine "
-        f"(insertion builders only: {sorted(BATCHED_BUILDERS)})",
-    )
-    p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser(
         "save-index",
@@ -507,7 +404,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="npz", choices=["npz", "disk"],
                    help="persistence format: npz (single compressed file, "
                    "v4) or disk (v5 directory of raw array files that "
-                   "load/serve --mmap attach lazily)")
+                   "every loader attaches lazily)")
     p.add_argument("--no-compress", action="store_true",
                    help="npz format only: write np.savez instead of "
                    "savez_compressed (bigger file, much faster save)")
@@ -520,12 +417,19 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("index")
     p.add_argument("--q", type=float, nargs="+", default=None)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--start", type=int, default=None)
-    p.add_argument("--mmap", action="store_true",
-                   help="lazily attach a disk-format (v5) index via "
-                   "np.memmap instead of reading it into RAM (error on "
-                   ".npz files — re-save with --format disk)")
+    p.add_argument("--start", type=int, default=None,
+                   help="pin the search's start vertex")
     p.set_defaults(fn=_cmd_load_index)
+
+    p = sub.add_parser(
+        "validate",
+        help="navigability check of a saved flat index against its own "
+        "epsilon (exit 1 on violations)",
+    )
+    p.add_argument("index")
+    p.add_argument("--queries", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser(
         "search",
@@ -638,11 +542,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("index", help="saved index (.npz file, manifest dir, "
                    "or v5 disk dir)")
-    p.add_argument("--mmap", action="store_true",
-                   help="serve a disk-format (v5) index straight off its "
-                   "memory-mapped files: millisecond start, vectors paged "
-                   "in only at rerank; add/delete still work (mutations "
-                   "materialize copy-on-write, never write the mapping)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080)
     p.add_argument("--max-batch", type=int, default=64,
@@ -652,29 +551,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="fan-out worker processes (sharded indexes only)")
     p.set_defaults(fn=_cmd_serve)
-
-    p = sub.add_parser("query", help="greedy (1+eps)-ANN query")
-    p.add_argument("points")
-    p.add_argument("graph")
-    p.add_argument("--q", type=float, nargs="+", required=True)
-    p.add_argument("--start", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_query)
-
-    p = sub.add_parser("stats", help="structural statistics of a saved graph")
-    p.add_argument("points")
-    p.add_argument("graph")
-    p.set_defaults(fn=_cmd_stats)
-
-    p = sub.add_parser(
-        "validate", help="navigability check (exit 1 on violations)"
-    )
-    p.add_argument("points")
-    p.add_argument("graph")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--queries", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_validate)
 
     return parser
 

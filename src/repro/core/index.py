@@ -761,7 +761,7 @@ class ProximityGraphIndex:
         return self
 
     # ------------------------------------------------------------------
-    # Persistence (single-file .npz; see repro.core.persistence)
+    # Persistence (v4 .npz or v5 directory; see repro.core.persistence)
     # ------------------------------------------------------------------
 
     def save(
@@ -787,17 +787,16 @@ class ProximityGraphIndex:
         return save_index(self, path, format=format, compress=compress)
 
     @classmethod
-    def load(cls, path: Any, mmap: bool | None = None) -> "ProximityGraphIndex":
-        """Load an index previously written by :meth:`save` (v1–v5).
+    def load(cls, path: Any) -> "ProximityGraphIndex":
+        """Load an index previously written by :meth:`save` (v4 or v5).
 
-        A v5 disk directory lazily attaches via ``np.memmap`` by
-        default (millisecond opens, vectors paged in only at rerank);
-        ``mmap=False`` reads it eagerly.  ``.npz`` files always load
-        eagerly and reject ``mmap=True``.
+        A v5 disk directory attaches via ``np.memmap`` (millisecond
+        opens, vectors paged in only at rerank); a ``.npz`` file loads
+        into RAM.
         """
         from repro.core.persistence import load_index
 
-        return load_index(path, cls, mmap=mmap)
+        return load_index(path, cls)
 
     # ------------------------------------------------------------------
 

@@ -22,6 +22,11 @@ buggy migration, or a bad manual edit breaks first:
   — and the CSR arrays it maps pass the same structural checks a live
   graph would.
 
+The two on-disk layout checks are :mod:`repro.core.persistence`'s own,
+the very ones its loaders raise on, so a load and ``--validate`` can
+never disagree about a directory; this module adds the deep CSR check
+the mmap open skips.
+
 Every violation names its invariant (``csr-offsets-monotone``,
 ``manifest-shard-count``, ...) so a failing ``repro index info
 --validate`` run reads as a diagnosis, not a stack trace.  Like the
@@ -31,11 +36,12 @@ validator that never fires is worse than none.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any
 
 import numpy as np
+
+from repro.core.persistence import _attach_array, _disk_layout, _manifest_layout
 
 __all__ = [
     "IntegrityError",
@@ -157,152 +163,32 @@ def check_sharded_index(index: Any) -> list[str]:
 
 
 def check_sharded_manifest(path: str | Path) -> list[str]:
-    """Does the manifest's declared shard count agree with reality?
-
-    Checks declared ``shards`` against both the ``shard_files`` list it
-    carries and the files actually present on disk — a manifest edited
-    by hand (or a partially copied directory) fails here with the
-    invariant named, before any load is attempted.
-    """
-    from repro.core.persistence import MANIFEST_NAME
-
-    path = Path(path)
-    directory = path if path.is_dir() else path.parent
-    manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.is_file():
-        return [
-            f"manifest-missing: {directory} has no {MANIFEST_NAME}; not a "
-            "sharded index directory"
-        ]
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"manifest-unreadable: cannot parse {manifest_path}: {exc}"]
-
-    violations: list[str] = []
-    declared = manifest.get("shards")
-    shard_files = manifest.get("shard_files") or []
-    if not isinstance(declared, int):
-        violations.append(
-            f"manifest-shard-count: manifest declares shards={declared!r}; "
-            "expected an integer count"
-        )
-        return violations
-    if declared != len(shard_files):
-        violations.append(
-            f"manifest-shard-count: manifest declares {declared} shards "
-            f"but lists {len(shard_files)} shard file(s)"
-        )
-    # A shard entry is a .npz file or (shard_format="disk") a v5
-    # directory; either way it must exist.
-    missing = [f for f in shard_files if not (directory / f).exists()]
-    if missing:
-        violations.append(
-            f"manifest-shard-files: {len(missing)} listed shard file(s) "
-            f"missing on disk: {missing}"
-        )
-    return violations
-
-
-def _map_array(
-    file_path: Path, dtype: np.dtype, shape: tuple[int, ...]
-) -> np.ndarray:
-    """A read-only mapping of one raw array file, owned by the caller
-    (released with the last reference; zero-size arrays need no file)."""
-    if int(np.prod(shape, dtype=np.int64)) == 0:
-        return np.empty(shape, dtype=dtype)
-    return np.memmap(file_path, dtype=dtype, mode="r", shape=shape)
+    """Does the manifest agree with itself and with the shard entries
+    on disk?  The checks are the ones :func:`load_sharded_index
+    <repro.core.persistence.load_sharded_index>` raises on."""
+    return _manifest_layout(Path(path))[2]
 
 
 def check_disk_layout(path: str | Path) -> list[str]:
     """Structural violations of one v5 disk directory (pre-attach).
 
-    Validates the layer :func:`repro.core.persistence.load_index`
-    skips on its millisecond mmap path: that ``header.json`` parses,
-    declares the right version/kind, that every array it lists exists
-    with exactly ``dtype * prod(shape)`` bytes, that per-point arrays
-    hold ``n`` rows — and, when the sizes allow it, that the mapped
-    CSR arrays satisfy the same shape/monotonicity/range invariants a
-    live graph enforces.  Every violation names its invariant
-    (``disk-file-missing``, ``disk-array-size``, ...).
+    The header and array-file checks :func:`load_index
+    <repro.core.persistence.load_index>` raises on, plus the deep check
+    its millisecond mmap open skips: when their sizes allow it, the
+    mapped CSR arrays must satisfy the same shape/monotonicity/range
+    invariants a live graph enforces.
     """
-    from repro.core.persistence import DISK_FORMAT_VERSION, DISK_HEADER_NAME
-
-    directory = Path(path)
-    header_path = directory / DISK_HEADER_NAME
-    if not header_path.is_file():
-        return [
-            f"disk-header-missing: {directory} has no {DISK_HEADER_NAME}; "
-            "not a v5 disk-index directory"
-        ]
-    try:
-        header = json.loads(header_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"disk-header-unreadable: cannot parse {header_path}: {exc}"]
-    violations: list[str] = []
-    version = header.get("format_version")
-    if version != DISK_FORMAT_VERSION or header.get("kind") != "disk-index":
-        return [
-            f"disk-header-version: {header_path} declares "
-            f"format_version={version!r}, kind={header.get('kind')!r}; "
-            f"expected {DISK_FORMAT_VERSION} / 'disk-index'"
-        ]
-    entries = header.get("arrays")
-    if not isinstance(entries, dict):
-        return [f"disk-manifest-missing: {header_path} lists no arrays"]
-    required = (
-        "csr_offsets", "csr_targets", "vectors", "external_ids", "tombstones"
-    )
-    for stem in required:
-        if stem not in entries:
-            violations.append(
-                f"disk-array-missing: {header_path} declares no entry for "
-                f"required array {stem!r}"
-            )
-    sized: dict[str, tuple[np.dtype, tuple[int, ...]]] = {}
-    for stem, entry in entries.items():
-        file_path = directory / entry["file"]
-        if not file_path.is_file():
-            violations.append(
-                f"disk-file-missing: declared array file {entry['file']} "
-                "does not exist"
-            )
-            continue
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(int(s) for s in entry["shape"])
-        expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        actual = file_path.stat().st_size
-        if actual != expected:
-            violations.append(
-                f"disk-array-size: {entry['file']} holds {actual} bytes "
-                f"but {DISK_HEADER_NAME} declares {dtype} x {shape} = "
-                f"{expected} bytes"
-            )
-            continue
-        sized[stem] = (dtype, shape)
-    n = int(header.get("n", -1))
-    for stem in ("vectors", "external_ids", "tombstones"):
-        if stem in sized and sized[stem][1][0] != n:
-            violations.append(
-                f"disk-array-rows: {entries[stem]['file']} holds "
-                f"{sized[stem][1][0]} rows but {DISK_HEADER_NAME} declares "
-                f"n={n}"
-            )
-    if "csr_offsets" in sized and "csr_targets" in sized:
-        # The deep check the mmap load path defers: map the CSR arrays
-        # (read-only, paged on demand) and run the live-graph checks.
-        offsets = _map_array(
-            directory / entries["csr_offsets"]["file"], *sized["csr_offsets"]
-        )
-        targets = _map_array(
-            directory / entries["csr_targets"]["file"], *sized["csr_targets"]
-        )
-        violations.extend(_check_csr(n, offsets, targets))
+    header, arrays, violations = _disk_layout(Path(path))
+    if "csr_offsets" in arrays and "csr_targets" in arrays:
+        offsets = _attach_array(*arrays["csr_offsets"], mmap=True)
+        targets = _attach_array(*arrays["csr_targets"], mmap=True)
+        violations.extend(_check_csr(int(header.get("n", -1)), offsets, targets))
     return violations
 
 
 def check_index(index: Any, path: str | Path | None = None) -> list[str]:
-    """Every applicable structural check for ``index`` (either kind)."""
+    """Every applicable structural check for ``index`` (either kind),
+    plus the on-disk layout at ``path`` it was loaded from."""
     # Shard lists only exist on sharded indexes; duck-typed so this
     # module needs no import of either index class.
     if hasattr(index, "shards"):
@@ -314,7 +200,9 @@ def check_index(index: Any, path: str | Path | None = None) -> list[str]:
         if path is not None and Path(path).is_dir():
             # A flat index loaded from a directory is the v5 disk
             # layout; validate the on-disk files against their header.
-            violations = check_disk_layout(path) + violations
+            # The deep CSR check is check_flat_index's: the index holds
+            # those very arrays, mapped.
+            violations = _disk_layout(Path(path))[2] + violations
     return violations
 
 
@@ -338,7 +226,8 @@ def integrity_report(
             "storage-count",
         ]
         + (
-            ["manifest-shard-count", "manifest-shard-files"]
+            ["manifest (missing/unreadable/version)",
+             "manifest-shard-count", "manifest-shard-files"]
             if hasattr(index, "shards")
             else []
         )

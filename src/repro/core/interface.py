@@ -20,7 +20,7 @@ The contract, in one place:
   and a save/load round trip.
 * :meth:`stats` — a JSON-safe structural summary.
 * :meth:`save` — persistence; see :mod:`repro.core.persistence` for the
-  format family (v1/v2 single-file flat, v3 sharded directory) and
+  layouts (v4 ``.npz``, v5 disk directory, v3 sharded directory) and
   ``load_any`` for the type-dispatching loader.
 """
 

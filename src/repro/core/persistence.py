@@ -1,42 +1,16 @@
-"""Index persistence — one ``.npz`` per index, JSON header inside.
+"""Index persistence: one saved index, three layouts, one reader each.
 
-A saved :class:`~repro.core.index.ProximityGraphIndex` is a single
-compressed ``.npz`` holding the graph's CSR arrays verbatim
-(``offsets``/``targets``), the normalized point coordinates, and a JSON
-header (builder name, epsilon, guarantee flag, normalization scale,
-metric spec, rng seed, and the JSON-safe slice of the builder's
-provenance ``meta``).  Loading reconstructs the metric from its spec,
-adopts the CSR arrays without per-row copies, and returns an index whose
-``search`` answers are *identical* — same ids, same distances — to the
-index that was saved.
-
-Format v2 additionally persists the *mutable-collection* state: the
-external id map (``external_ids``), the tombstone mask
-(``tombstones``), and the recorded builder options (so ``compact()``
-can replay the construction after a reload).  v1 files — written before
-the index was mutable — still load: they get the identity id map, an
-empty tombstone mask, and default builder options.
-
-Format v3 is the **sharded directory** layout of a
-:class:`~repro.core.sharded.ShardedIndex`: a ``manifest.json`` naming
-the shard files plus routing state (assignment policy, seed, worker
-count, next fresh external id), next to one flat per-shard file each —
-so the shard format and the flat format share one code path, and older
-flat files keep loading through the same :func:`load_index`.  Use
-:func:`load_any` when the on-disk kind is not known in advance; it
-dispatches on the manifest and returns whichever index type was saved.
-
-Format v4 adds the **vector store**: the storage spec (kind, quantizer
-options, training stats including the drift counter) joins the JSON
-header, and the store's arrays — SQ8 codes, offsets and scales — are
-written as ``store_*`` members.  Flat-storage indexes carry only the
-spec (no extra arrays).  v1–v3 files still load (as flat storage);
-sharded directories keep the v3 manifest and simply hold v4 shard files
-inside.
-
-Format v5 (this build) is the **disk directory** layout behind
-beyond-RAM indexes: ``save_index(index, path, format="disk")`` writes a
-directory of raw, page-aligned binary files —
+* **v4 ``.npz``** (``save_index(index, path)``): one compressed file
+  holding the graph's CSR arrays verbatim (``offsets``/``targets``), the
+  normalized point coordinates, the external id map, the tombstone
+  mask, the vector store's arrays as ``store_*`` members (SQ8 codes,
+  offsets and scales) and a JSON header: builder name, epsilon,
+  guarantee flag, normalization scale, metric spec, rng seed, storage
+  spec (kind, quantizer options, training stats including the drift
+  counter), the builder options ``compact()`` replays, and the
+  JSON-safe slice of the builder's provenance ``meta``.
+* **v5 disk directory** (``save_index(index, path, format="disk")``):
+  the same content as raw, page-aligned binary files::
 
     header.json          JSON header + per-array manifest (file, dtype, shape)
     csr_offsets.bin      (n+1,) int64   graph row pointers      | hot tier
@@ -47,18 +21,27 @@ directory of raw, page-aligned binary files —
     tombstones.bin       (n,)   uint8   deletion mask
     store_*.bin          quantizer training state (SQ8 offsets, scales)
 
-— each array in its own file at offset 0, so ``load(path, mmap=True)``
-attaches every large array with a read-only ``np.memmap`` in
-milliseconds and the full-precision ``vectors.bin`` is only ever paged
-in by the exact-rerank stage (see
-:class:`~repro.storage.disk.DiskTierStore`).  ``mmap=False`` reads the
-same files eagerly into RAM.  Content is identical to what v4 would
-have written, so search answers are bit-identical across formats.
+  Loading attaches every large array with a read-only ``np.memmap`` in
+  milliseconds; the full-precision ``vectors.bin`` is only ever paged in
+  by the exact-rerank stage (see
+  :class:`~repro.storage.disk.DiskTierStore`).
+* **v3 sharded manifest directory**
+  (:func:`save_sharded_index`): a ``manifest.json`` naming the shard
+  entries plus routing state (assignment policy, seed, worker count,
+  next fresh external id), next to one v4 file or v5 directory per
+  shard.
+
+Each layout has one check here — :func:`_disk_layout` and
+:func:`_manifest_layout` return every violation by invariant name; the
+loaders raise on them and :mod:`repro.core.integrity` reports them — and
+both flat readers rebuild the index through one :func:`_assemble`.
+:func:`load_any` dispatches on the shape of ``path``.  A loaded index
+answers ``search`` with ids and distances identical to the saved one.
 
 Only **coordinate metrics** (Euclidean, Chebyshev, Minkowski, optionally
 wrapped in the normalization :class:`~repro.metrics.base.ScaledMetric`)
 have an on-disk form: their state is a handful of floats and the points
-array round-trips losslessly through ``.npz``.  Abstract metrics —
+array round-trips losslessly.  Abstract metrics —
 :class:`~repro.metrics.counting.CountingMetric` (mutable counter),
 :class:`~repro.metrics.tree_metric.TreeMetric` and explicit-matrix
 spaces (id-based points) — raise :class:`NotImplementedError` from
@@ -70,7 +53,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import shutil
+from collections.abc import Callable
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -90,7 +75,6 @@ __all__ = [
     "FORMAT_VERSION",
     "SHARDED_FORMAT_VERSION",
     "DISK_FORMAT_VERSION",
-    "SUPPORTED_VERSIONS",
     "MANIFEST_NAME",
     "DISK_HEADER_NAME",
     "metric_to_spec",
@@ -105,11 +89,6 @@ __all__ = [
 FORMAT_VERSION = 4
 SHARDED_FORMAT_VERSION = 3
 DISK_FORMAT_VERSION = 5
-# Versions the single-file .npz reader accepts.  3 is the sharded
-# manifest *directory* and 5 the disk *directory* — both get precise
-# errors from load_index naming the right loader, never the generic
-# unsupported-version branch.
-SUPPORTED_VERSIONS = (1, 2, 4)
 MANIFEST_NAME = "manifest.json"
 DISK_HEADER_NAME = "header.json"
 
@@ -211,56 +190,49 @@ def save_index(
     v4 — compressed unless ``compress=False`` (uncompressed saves are
     several times faster on large indexes; the file is bigger but loads
     the same).  ``format="disk"`` writes the v5 directory of raw binary
-    files that ``load_index(path, mmap=True)`` attaches lazily; raw
-    files are inherently uncompressed, so ``compress`` is ignored
-    there.  Raises :class:`NotImplementedError` for indexes over
-    non-coordinate metrics (see the module docstring).  Returns the
-    path written (numpy appends ``.npz`` when missing).
+    files that :func:`load_index` attaches lazily; raw files are
+    inherently uncompressed, so ``compress`` is ignored there.  Raises
+    :class:`NotImplementedError` for indexes over non-coordinate metrics
+    (see the module docstring).  Returns the path written (numpy appends
+    ``.npz`` when missing).
     """
     if format == "disk":
         return _save_disk_index(index, path)
     if format != "npz":
         raise ValueError(f"unknown save format {format!r}; use 'npz' or 'disk'")
-    points = _coordinate_points(index)
-    offsets, targets = index.graph.csr()
+    arrays = _index_arrays(index)
     header = {"format_version": FORMAT_VERSION, **_flat_header(index)}
-    store_arrays = {
-        f"store_{name}": arr for name, arr in index.store.arrays().items()
-    }
     path = Path(path)
     writer = np.savez_compressed if compress else np.savez
     writer(
         path,
-        offsets=offsets.astype(np.int64, copy=False),
-        targets=targets.astype(np.int64, copy=False),
-        points=points,
-        external_ids=index.id_map.externals.astype(np.int64, copy=False),
-        tombstones=index._tombstones.astype(np.uint8, copy=False),
         header=np.frombuffer(
             json.dumps(header).encode("utf-8"), dtype=np.uint8
         ),
-        **store_arrays,
+        **{_NPZ_NAMES.get(stem, stem): arr for stem, arr in arrays.items()},
     )
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
-# ----------------------------------------------------------------------
-# Format v5: the disk directory (one raw binary file per array)
-# ----------------------------------------------------------------------
+# The v4 .npz member names that differ from the v5 file stems.
+_NPZ_NAMES = {
+    "csr_offsets": "offsets",
+    "csr_targets": "targets",
+    "vectors": "points",
+    "codes": "store_codes",
+}
 
 
-def _disk_array_files(
-    index: "ProximityGraphIndex",
-) -> dict[str, np.ndarray]:
-    """File stem -> array, for every array a v5 directory holds.
+def _index_arrays(index: "ProximityGraphIndex") -> dict[str, np.ndarray]:
+    """Every array a saved index holds, keyed by v5 file stem.
 
     CSR indices are widened to int64 on the way out so the loader (and
     the accel planner's ``ascontiguousarray``) can adopt the mappings
     without a converting copy; codes get their own ``codes.bin`` (the
-    hot tier), quantizer training state lands in ``store_*.bin``.
+    hot tier), quantizer training state lands in ``store_*``.
     """
     offsets, targets = index.graph.csr()
-    files = {
+    arrays = {
         "csr_offsets": offsets.astype(np.int64, copy=False),
         "csr_targets": targets.astype(np.int64, copy=False),
         "vectors": _coordinate_points(index),
@@ -268,104 +240,27 @@ def _disk_array_files(
         "tombstones": index._tombstones.astype(np.uint8, copy=False),
     }
     for name, arr in index.store.arrays().items():
-        files["codes" if name == "codes" else f"store_{name}"] = arr
-    return files
+        arrays["codes" if name == "codes" else f"store_{name}"] = arr
+    return arrays
 
 
-def _save_disk_index(index: "ProximityGraphIndex", path: str | Path) -> Path:
-    """Write the v5 directory: raw array files + ``header.json`` last.
-
-    The header doubles as the commit marker — an interrupted save
-    leaves a directory without ``header.json``, which the loader
-    rejects by name instead of attaching torn arrays.
-    """
-    path = Path(path)
-    if path.exists() and not path.is_dir():
-        raise ValueError(
-            f"{path} exists and is not a directory; a disk-format index "
-            "saves as a directory of raw array files"
-        )
-    files = _disk_array_files(index)
-    manifest: dict[str, Any] = {}
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-        for stem, arr in files.items():
-            arr = np.ascontiguousarray(arr)
-            arr.tofile(path / f"{stem}.bin")
-            manifest[stem] = {
-                "file": f"{stem}.bin",
-                "dtype": str(arr.dtype),
-                "shape": list(arr.shape),
-            }
-        header = {
-            "format_version": DISK_FORMAT_VERSION,
-            "kind": "disk-index",
-            **_flat_header(index),
-            "arrays": manifest,
-        }
-        (path / DISK_HEADER_NAME).write_text(
-            json.dumps(header, indent=2), encoding="utf-8"
-        )
-    except OSError as exc:
-        raise ValueError(
-            f"disk-dir-unwritable: cannot write v5 index into {path}: {exc}"
-        ) from exc
-    return path
-
-
-def _attach_array(
-    directory: Path, stem: str, entry: dict[str, Any], mmap: bool
-) -> np.ndarray:
-    """Open one v5 array file, validated against its header entry.
-
-    With ``mmap=True`` returns a read-only ``np.memmap`` whose
-    ownership transfers to the caller (the dataset/store/graph that
-    adopts it holds the mapping for the index's lifetime; numpy
-    releases it with the last reference).  With ``mmap=False`` the file
-    is read eagerly into a private RAM array.  A missing file or a size
-    that disagrees with ``dtype * prod(shape)`` — a truncated
-    ``vectors.bin``, a hand-edited header — fails loudly with the
-    invariant named.
-    """
-    file_path = directory / entry["file"]
-    dtype = np.dtype(entry["dtype"])
-    shape = tuple(int(s) for s in entry["shape"])
-    if not file_path.is_file():
-        raise ValueError(
-            f"disk-file-missing: {directory} declares array {stem!r} in "
-            f"{entry['file']} but the file does not exist"
-        )
-    expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-    actual = file_path.stat().st_size
-    if actual != expected:
-        raise ValueError(
-            f"disk-array-size: {entry['file']} holds {actual} bytes but "
-            f"header.json declares {dtype} x {shape} = {expected} bytes "
-            "(truncated or mislabeled array)"
-        )
-    if not mmap:
-        return np.fromfile(file_path, dtype=dtype).reshape(shape)
-    if expected == 0:
-        # np.memmap refuses zero-length mappings; an empty array needs
-        # no backing file anyway.
-        return np.empty(shape, dtype=dtype)
-    return np.memmap(file_path, dtype=dtype, mode="r", shape=shape)
-
-
-def _load_disk_index(
-    path: Path, cls: type | None, mmap: bool
+def _assemble(
+    cls: type | None,
+    header: dict[str, Any],
+    arrays: dict[str, np.ndarray],
+    mapped: bool,
 ) -> "ProximityGraphIndex":
-    """Load a v5 directory; ``mmap=True`` is the lazy-attach fast path.
+    """Rebuild an index from a flat header and its arrays, keyed by v5
+    file stem (``csr_offsets``, ``vectors``, ``codes``, ``store_*``, ...).
 
-    Large arrays (CSR, vectors, codes) attach as read-only memmaps —
-    opening is O(header size), not O(index size) — and the store is
-    wrapped in a :class:`~repro.storage.disk.DiskTierStore` so only the
-    exact-rerank stage ever pages in ``vectors.bin``.  Mutable state
-    (external ids, tombstone mask) is always read eagerly: ``delete()``
-    writes the mask in place and must never touch the mapping.  Deep
-    CSR content validation is skipped on the mmap path (it would fault
-    in the whole hot tier); ``repro index info --validate`` runs it on
-    demand via :func:`repro.core.integrity.check_disk_layout`.
+    ``mapped`` marks the v5 attach path, whose arrays are read-only
+    memmaps.  It skips the deep CSR validation (that would fault in the
+    whole hot tier; ``repro index info --validate`` runs it on demand),
+    wraps the store in a :class:`~repro.storage.disk.DiskTierStore` so
+    only exact rerank pages in the vectors, and adopts the id map as
+    validated: uniqueness was enforced when the file was written, and
+    re-deriving the reverse map eagerly would put an O(n) Python loop
+    back on the millisecond open.
     """
     if cls is None:
         from repro.core.index import ProximityGraphIndex as cls
@@ -373,61 +268,18 @@ def _load_disk_index(
     from repro.storage import store_from_arrays
     from repro.storage.disk import DiskTierStore
 
-    header_path = path / DISK_HEADER_NAME
-    try:
-        header = json.loads(header_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"corrupt disk-index header {header_path}: {exc}"
-        ) from exc
-    version = header.get("format_version")
-    if version != DISK_FORMAT_VERSION or header.get("kind") != "disk-index":
-        raise ValueError(
-            f"{header_path} is not a v{DISK_FORMAT_VERSION} disk-index "
-            f"header (format_version={version!r}, kind="
-            f"{header.get('kind')!r})"
-        )
-    entries = header.get("arrays")
-    if not isinstance(entries, dict):
-        raise ValueError(
-            f"{header_path} declares no array manifest; the directory "
-            "cannot be attached"
-        )
-    required = ("csr_offsets", "csr_targets", "vectors", "external_ids",
-                "tombstones")
-    missing = [stem for stem in required if stem not in entries]
-    if missing:
-        raise ValueError(
-            f"disk-array-missing: {header_path} lists no entry for "
-            f"{missing} — required by every v5 index"
-        )
-    n = int(header["n"])
-    arrays = {
-        stem: _attach_array(path, stem, entry, mmap=mmap and stem not in
-                            ("external_ids", "tombstones"))
-        for stem, entry in entries.items()
-    }
-    for stem in ("vectors", "external_ids", "tombstones"):
-        if len(arrays[stem]) != n:
-            raise ValueError(
-                f"disk-array-rows: {entries[stem]['file']} holds "
-                f"{len(arrays[stem])} rows but header.json declares n={n}"
-            )
     graph = ProximityGraph.from_csr(
-        n, arrays["csr_offsets"], arrays["csr_targets"], validate=not mmap
+        int(header["n"]), arrays["csr_offsets"], arrays["csr_targets"],
+        validate=not mapped,
     )
     metric = metric_from_spec(header["metric"])
     points = arrays["vectors"]
-    dataset = Dataset(metric, points)
     store_arrays = {
-        ("codes" if stem == "codes" else stem[len("store_"):]): arr
+        stem.removeprefix("store_"): arr
         for stem, arr in arrays.items()
         if stem == "codes" or stem.startswith("store_")
     }
-    inner = store_from_arrays(
-        header.get("storage") or {"kind": "flat"}, store_arrays, metric, points
-    )
-    store = DiskTierStore(inner, points)
+    store = store_from_arrays(header["storage"], store_arrays, metric, points)
     built = BuiltGraph(
         name=header["builder"],
         graph=graph,
@@ -438,54 +290,232 @@ def _load_disk_index(
     )
     if header["meta_dropped"]:
         built.meta["meta_dropped"] = list(header["meta_dropped"])
-    index = cls(
-        dataset=dataset,
+    return cls(
+        dataset=Dataset(metric, points),
         built=built,
         scale=float(header["scale"]),
-        # validated=True: uniqueness was enforced when the file was
-        # written, and re-deriving the reverse map eagerly would put an
-        # O(n) Python loop back on the millisecond attach path.
+        seed=int(header["seed"]),
         id_map=IdMap(
             arrays["external_ids"].astype(np.int64, copy=False),
-            validated=True,
+            validated=mapped,
         ),
         tombstones=arrays["tombstones"].astype(bool),
-        store=store,
+        store=DiskTierStore(store, points) if mapped else store,
     )
-    index.seed = int(header["seed"])
-    return index
+
+
+# ----------------------------------------------------------------------
+# Format v5: the disk directory (one raw binary file per array)
+# ----------------------------------------------------------------------
+
+# Arrays every v5 directory holds, and the mutable ones read eagerly:
+# delete() writes the tombstone mask in place and must never touch the
+# mapping.
+_DISK_REQUIRED = (
+    "csr_offsets", "csr_targets", "vectors", "external_ids", "tombstones"
+)
+_DISK_EAGER = ("external_ids", "tombstones")
+
+# One array file the layout check accepted: (path, dtype, shape).
+_ArraySpec = tuple[Path, np.dtype, tuple[int, ...]]
+
+
+def _write_replacing(target: Path, write: Callable[[Path], object]) -> None:
+    """Write ``target`` through a temporary sibling renamed onto it.
+
+    The index being saved may be mapped from the very file it replaces
+    (a v5 index re-saved into its own directory).  Truncating that file
+    in place would pull the pages out from under the mapping; a rename
+    leaves the old inode alive until the last mapping of it goes.
+    """
+    tmp = target.with_name(target.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, target)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _save_disk_index(index: "ProximityGraphIndex", path: str | Path) -> Path:
+    """Write the v5 directory: raw array files + ``header.json`` last.
+
+    The header is the commit marker.  A save into an existing directory
+    removes it before the first array changes, so an interrupted save
+    leaves a directory without ``header.json``, which the loader rejects
+    by name instead of attaching torn arrays.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_dir():
+        raise ValueError(
+            f"{path} exists and is not a directory; a disk-format index "
+            "saves as a directory of raw array files"
+        )
+    arrays = _index_arrays(index)
+    header = {
+        "format_version": DISK_FORMAT_VERSION,
+        "kind": "disk-index",
+        **_flat_header(index),
+    }
+    manifest: dict[str, Any] = {}
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        (path / DISK_HEADER_NAME).unlink(missing_ok=True)
+        for stem, arr in arrays.items():
+            arr = np.ascontiguousarray(arr)
+            _write_replacing(path / f"{stem}.bin", arr.tofile)
+            manifest[stem] = {
+                "file": f"{stem}.bin",
+                "dtype": str(arr.dtype),
+                "shape": list(arr.shape),
+            }
+        text = json.dumps({**header, "arrays": manifest}, indent=2)
+        _write_replacing(
+            path / DISK_HEADER_NAME,
+            lambda tmp: tmp.write_text(text, encoding="utf-8"),
+        )
+    except OSError as exc:
+        raise ValueError(
+            f"disk-dir-unwritable: cannot write v5 index into {path}: {exc}"
+        ) from exc
+    return path
+
+
+def _disk_layout(
+    directory: Path,
+) -> tuple[dict[str, Any], dict[str, _ArraySpec], list[str]]:
+    """Check a v5 directory's ``header.json`` against its array files.
+
+    Returns ``(header, arrays, violations)``: ``arrays`` maps each stem
+    whose file holds exactly ``dtype * prod(shape)`` bytes to its
+    ``_ArraySpec``.  Only the header and the file sizes are read,
+    never an array, so the mmap open stays O(header).  Every violation
+    names its invariant (``disk-file-missing``, ``disk-array-size``,
+    ...); :func:`load_index` raises on any, and
+    :func:`repro.core.integrity.check_disk_layout` reports them plus the
+    deep CSR check.
+    """
+    header_path = directory / DISK_HEADER_NAME
+    if not header_path.is_file():
+        return {}, {}, [
+            f"disk-header-missing: {directory} has no {DISK_HEADER_NAME}; "
+            "not a v5 disk-index directory"
+        ]
+    try:
+        header = json.loads(header_path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        return {}, {}, [
+            "disk-header-unreadable: corrupt disk-index header "
+            f"{header_path}: {exc}"
+        ]
+    if not isinstance(header, dict):
+        header = {}
+    version, kind = header.get("format_version"), header.get("kind")
+    if version != DISK_FORMAT_VERSION or kind != "disk-index":
+        return {}, {}, [
+            f"disk-header-version: {header_path} is not a "
+            f"v{DISK_FORMAT_VERSION} disk-index header "
+            f"(format_version={version!r}, kind={kind!r})"
+        ]
+    entries = header.get("arrays")
+    if not isinstance(entries, dict):
+        return {}, {}, [
+            f"disk-manifest-missing: {header_path} declares no array "
+            "manifest; the directory cannot be attached"
+        ]
+    violations = [
+        f"disk-array-missing: {header_path} lists no entry for required "
+        f"array {stem!r}"
+        for stem in _DISK_REQUIRED
+        if stem not in entries
+    ]
+    arrays: dict[str, _ArraySpec] = {}
+    for stem, entry in entries.items():
+        file_path = directory / entry["file"]
+        if not file_path.is_file():
+            violations.append(
+                f"disk-file-missing: {directory} declares array {stem!r} "
+                f"in {entry['file']} but the file does not exist"
+            )
+            continue
+        dtype = np.dtype(entry["dtype"])
+        shape = tuple(int(s) for s in entry["shape"])
+        expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+        actual = file_path.stat().st_size
+        if actual != expected:
+            violations.append(
+                f"disk-array-size: {entry['file']} holds {actual} bytes but "
+                f"{DISK_HEADER_NAME} declares {dtype} x {shape} = {expected} "
+                "bytes (truncated or mislabeled array)"
+            )
+            continue
+        arrays[stem] = (file_path, dtype, shape)
+    n = int(header.get("n", -1))
+    for stem in ("vectors", "external_ids", "tombstones"):
+        rows = (arrays[stem][2] or (0,))[0] if stem in arrays else n
+        if rows != n:
+            violations.append(
+                f"disk-array-rows: {entries[stem]['file']} holds {rows} "
+                f"rows but {DISK_HEADER_NAME} declares n={n}"
+            )
+    return header, arrays, violations
+
+
+def _attach_array(
+    file_path: Path, dtype: np.dtype, shape: tuple[int, ...], mmap: bool
+) -> np.ndarray:
+    """Open one v5 array file that :func:`_disk_layout` accepted.
+
+    With ``mmap=True`` returns a read-only ``np.memmap`` whose
+    ownership transfers to the caller (the dataset/store/graph that
+    adopts it holds the mapping for the index's lifetime; numpy
+    releases it with the last reference).  With ``mmap=False`` the file
+    is read eagerly into a private RAM array.
+    """
+    if not mmap:
+        return np.fromfile(file_path, dtype=dtype).reshape(shape)
+    if int(np.prod(shape, dtype=np.int64)) == 0:
+        # np.memmap refuses zero-length mappings; an empty array needs
+        # no backing file anyway.
+        return np.empty(shape, dtype=dtype)
+    return np.memmap(file_path, dtype=dtype, mode="r", shape=shape)
+
+
+def _load_disk_index(path: Path, cls: type | None) -> "ProximityGraphIndex":
+    """Attach a v5 directory: large arrays (CSR, vectors, codes) as
+    read-only memmaps, so opening is O(header size), not O(index size);
+    the mutable ids and tombstone mask eagerly."""
+    header, specs, violations = _disk_layout(path)
+    if violations:
+        raise ValueError("\n".join(violations))
+    arrays = {
+        stem: _attach_array(*spec, mmap=stem not in _DISK_EAGER)
+        for stem, spec in specs.items()
+    }
+    return _assemble(cls, header, arrays, mapped=True)
 
 
 def load_index(
-    path: str | Path, cls: type | None = None, mmap: bool | None = None
+    path: str | Path, cls: type | None = None
 ) -> "ProximityGraphIndex":
-    """Load an index saved by :func:`save_index` (format v1, v2, v4, v5).
+    """Load an index saved by :func:`save_index`: a v4 ``.npz`` file or
+    a v5 disk directory.
 
     The loaded index answers ``search`` with ids and distances identical
     to the saved one: the CSR arrays are adopted verbatim, the points
-    array round-trips losslessly, and the scale and metric constants
-    survive JSON exactly (Python floats serialize shortest-round-trip).
-    The build seed is restored, so default random starts are the ones
-    the saved index would draw.  v1 files predate the mutable collection: they load with the
-    identity id map and no tombstones.  v1–v3-era files predate the
-    storage layer: they load as flat (exact) storage; v4 files restore
-    the saved store — codes, offsets/scales, and training stats
-    (including the drift counter) — exactly.
+    array round-trips losslessly, the scale and metric constants survive
+    JSON exactly (Python floats serialize shortest-round-trip), and the
+    store — codes, offsets/scales, training stats including the drift
+    counter — is restored exactly.  The build seed is restored, so
+    default random starts are the ones the saved index would draw.
 
-    A v5 disk directory (``header.json`` inside) lazily attaches via
-    ``np.memmap`` by default — pass ``mmap=False`` to read it eagerly
-    into RAM instead.  ``mmap=True`` on an ``.npz`` file is an error
-    (zip members cannot be mapped); re-save with ``format="disk"``.
+    A v5 directory (``header.json`` inside) attaches lazily via
+    ``np.memmap``: millisecond opens, vectors paged in only at rerank.
     """
-    if cls is None:
-        from repro.core.index import ProximityGraphIndex as cls
-    from repro.core.search import IdMap
-    from repro.storage import store_from_arrays
-
     path = Path(path)
     if path.is_dir():
         if (path / DISK_HEADER_NAME).is_file():
-            return _load_disk_index(path, cls, mmap=mmap is not False)
+            return _load_disk_index(path, cls)
         if (path / MANIFEST_NAME).is_file():
             raise ValueError(
                 f"{path} is a sharded (format v3) manifest directory — "
@@ -497,79 +527,23 @@ def load_index(
             f"format v5) or {MANIFEST_NAME} (sharded format v3) — not a "
             "saved index"
         )
-    if mmap:
-        raise ValueError(
-            f"{path} is a single-file .npz index; zip members cannot be "
-            "memory-mapped — re-save with save_index(..., format='disk') "
-            "to get an mmap-able v5 directory"
-        )
     with np.load(path, allow_pickle=False) as data:
         header = json.loads(bytes(data["header"].tobytes()).decode("utf-8"))
         version = header.get("format_version")
-        if version == SHARDED_FORMAT_VERSION:
+        if version != FORMAT_VERSION:
             raise ValueError(
-                f"{path} is labeled format version "
-                f"{SHARDED_FORMAT_VERSION}, the sharded manifest-directory "
-                "layout — a flat file can never carry it; load the "
-                "enclosing directory via ShardedIndex.load / "
-                "load_sharded_index / load_any"
+                f"{path} has index format version {version!r}; this build "
+                f"reads .npz files of format version {FORMAT_VERSION} only. "
+                "To recover it, open it with a release that still reads "
+                "it and save it again."
             )
-        if version == DISK_FORMAT_VERSION:
-            raise ValueError(
-                f"{path} is labeled format version {DISK_FORMAT_VERSION}, "
-                "the disk directory layout — a single .npz can never carry "
-                "it; load the v5 directory itself (load_index on the "
-                "directory, or load_any)"
-            )
-        if version not in SUPPORTED_VERSIONS:
-            raise ValueError(
-                f"unsupported index format version {version!r} "
-                f"(this build reads versions {list(SUPPORTED_VERSIONS)})"
-            )
-        n = int(header["n"])
-        graph = ProximityGraph.from_csr(
-            n,
-            data["offsets"].astype(np.int64),
-            data["targets"].astype(np.intp),
-            validate=True,
-        )
-        points = data["points"]
-        if version >= 2:
-            external_ids = data["external_ids"].astype(np.int64)
-            tombstones = data["tombstones"].astype(bool)
-        else:
-            external_ids = np.arange(n, dtype=np.int64)
-            tombstones = np.zeros(n, dtype=bool)
-        store_arrays = {
-            name[len("store_"):]: data[name]
+        stems = {name: stem for stem, name in _NPZ_NAMES.items()}
+        arrays = {
+            stems.get(name, name): data[name]
             for name in data.files
-            if name.startswith("store_")
+            if name != "header"
         }
-    metric = metric_from_spec(header["metric"])
-    dataset = Dataset(metric, points)
-    store = store_from_arrays(
-        header.get("storage") or {"kind": "flat"}, store_arrays, metric, points
-    )
-    built = BuiltGraph(
-        name=header["builder"],
-        graph=graph,
-        epsilon=float(header["epsilon"]),
-        guaranteed=bool(header["guaranteed"]),
-        meta=_rehydrate_meta(header["meta"]),
-        options=_stored_options(header),
-    )
-    if header["meta_dropped"]:
-        built.meta["meta_dropped"] = list(header["meta_dropped"])
-    index = cls(
-        dataset=dataset,
-        built=built,
-        scale=float(header["scale"]),
-        id_map=IdMap(external_ids),
-        tombstones=tombstones,
-        store=store,
-    )
-    index.seed = int(header["seed"])
-    return index
+    return _assemble(cls, header, arrays, mapped=False)
 
 
 # ----------------------------------------------------------------------
@@ -641,67 +615,82 @@ def save_sharded_index(
     return path
 
 
+def _manifest_layout(path: Path) -> tuple[dict[str, Any], Path, list[str]]:
+    """Check a sharded manifest against the shard entries on disk.
+
+    Returns ``(manifest, root, violations)``; ``path`` is the manifest
+    directory or the manifest file itself.  A manifest edited by hand or
+    a partially copied directory fails here with the invariant named
+    (``manifest-shard-count``, ``manifest-shard-files``, ...) before
+    any shard is opened: :func:`load_sharded_index` raises on any
+    violation, and :func:`repro.core.integrity.check_sharded_manifest`
+    reports them.
+    """
+    manifest_path = path / MANIFEST_NAME if path.is_dir() else path
+    root = manifest_path.parent
+    if not manifest_path.is_file():
+        return {}, root, [
+            f"manifest-missing: {path} is not a sharded index: no "
+            f"{MANIFEST_NAME} found"
+        ]
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        return {}, root, [
+            "manifest-unreadable: corrupt sharded-index manifest "
+            f"{manifest_path}: {exc}"
+        ]
+    if not isinstance(manifest, dict) or manifest.get("kind") != "sharded-index":
+        return {}, root, [
+            f"manifest-version: {manifest_path} is not a sharded-index "
+            "manifest (missing kind: 'sharded-index')"
+        ]
+    version = manifest.get("format_version")
+    if version != SHARDED_FORMAT_VERSION:
+        return {}, root, [
+            f"manifest-version: unsupported sharded format version "
+            f"{version!r} in {manifest_path} (this build reads version "
+            f"{SHARDED_FORMAT_VERSION})"
+        ]
+    declared = manifest.get("shards")
+    shard_files = manifest.get("shard_files") or []
+    violations: list[str] = []
+    if not shard_files or declared != len(shard_files):
+        violations.append(
+            f"manifest-shard-count: corrupt sharded-index manifest "
+            f"{manifest_path}: declares {declared!r} shards but lists "
+            f"{len(shard_files)} shard file(s)"
+        )
+    # A shard entry is a .npz file or (shard_format="disk") a v5
+    # directory; either way it must exist.
+    violations.extend(
+        f"manifest-shard-files: sharded index at {root} is incomplete: "
+        f"missing shard file {name} (declared in {MANIFEST_NAME})"
+        for name in shard_files
+        if not (root / name).exists()
+    )
+    return manifest, root, violations
+
+
 def load_sharded_index(
-    path: str | Path, cls: type | None = None, mmap: bool | None = None
+    path: str | Path, cls: type | None = None
 ) -> "ShardedIndex":
     """Load a directory written by :func:`save_sharded_index`.
 
-    Shards saved with ``format="disk"`` are per-shard v5 directories;
-    they lazily mmap-attach by default (``mmap=False`` forces eager
-    reads).  Errors are diagnosed precisely: a missing manifest, corrupt
-    manifest JSON, a wrong format version, a shard-count mismatch, and
-    missing shard files each raise ``ValueError`` naming the problem —
-    a partially copied index directory must never load quietly.
+    Shards saved with ``format="disk"`` are per-shard v5 directories
+    and attach lazily.  A missing or corrupt manifest, a wrong kind or
+    format version, a shard-count mismatch, and missing shard files
+    each raise ``ValueError`` naming the problem — a partially copied
+    index directory must never load quietly.
     """
     if cls is None:
         from repro.core.sharded import ShardedIndex as cls
 
-    path = Path(path)
-    manifest_path = path / MANIFEST_NAME if path.is_dir() else path
-    if not manifest_path.exists():
-        raise ValueError(
-            f"{path} is not a sharded index: no {MANIFEST_NAME} found"
-        )
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"corrupt sharded-index manifest {manifest_path}: {exc}"
-        ) from exc
-    if not isinstance(manifest, dict) or manifest.get("kind") != "sharded-index":
-        raise ValueError(
-            f"{manifest_path} is not a sharded-index manifest "
-            "(missing kind: 'sharded-index')"
-        )
-    version = manifest.get("format_version")
-    if version != SHARDED_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported sharded format version {version!r} "
-            f"(this build reads version {SHARDED_FORMAT_VERSION})"
-        )
-    root = manifest_path.parent
-    shard_files = manifest.get("shard_files")
-    declared = manifest.get("shards")
-    if not shard_files or declared != len(shard_files):
-        raise ValueError(
-            f"corrupt sharded-index manifest {manifest_path}: declares "
-            f"{declared!r} shards but lists {len(shard_files or [])} files"
-        )
-    shards = []
-    for name in shard_files:
-        shard_path = root / name
-        if not shard_path.exists():
-            raise ValueError(
-                f"sharded index at {root} is incomplete: missing shard "
-                f"file {name} (declared in {MANIFEST_NAME})"
-            )
-        shards.append(
-            load_index(shard_path, mmap=mmap)
-            if shard_path.is_dir()
-            else load_index(shard_path)
-        )
+    manifest, root, violations = _manifest_layout(Path(path))
+    if violations:
+        raise ValueError("\n".join(violations))
     return cls(
-        shards,
+        [load_index(root / name) for name in manifest["shard_files"]],
         seed=int(manifest.get("seed", 0)),
         workers=int(manifest.get("workers", 1)),
         assignment=manifest.get("assignment", "random"),
@@ -710,22 +699,31 @@ def load_sharded_index(
     )
 
 
-def load_any(
-    path: str | Path, mmap: bool | None = None
-) -> "ProximityGraphIndex | ShardedIndex":
+def load_any(path: str | Path) -> "ProximityGraphIndex | ShardedIndex":
     """Load whichever index kind lives at ``path``.
 
-    Dispatches on shape: a directory with a ``header.json`` loads as a
-    flat v5 disk index, a directory with a ``manifest.json`` (or the
-    manifest itself) as a :class:`ShardedIndex`, and a single file as a
-    flat :class:`ProximityGraphIndex`.  ``mmap`` passes through to the
-    disk-format loaders (directories attach lazily by default).  The
-    one loader every CLI entry point uses, so saved indexes of either
-    kind are interchangeable from the shell.
+    Dispatches on shape: a directory with a ``manifest.json`` (or the
+    manifest itself) loads as a :class:`ShardedIndex`; anything else —
+    a v5 directory or a single ``.npz`` file — as a flat
+    :class:`ProximityGraphIndex`.  The one loader every CLI entry point
+    uses, so saved indexes of either kind are interchangeable from the
+    shell.
     """
     path = Path(path)
-    if path.is_dir() and (path / DISK_HEADER_NAME).is_file():
-        return load_index(path, mmap=mmap)
-    if path.is_dir() or path.name == MANIFEST_NAME:
-        return load_sharded_index(path, mmap=mmap)
-    return load_index(path, mmap=mmap)
+    if _is_manifest(path):
+        return load_sharded_index(path)
+    return load_index(path)
+
+
+def _is_manifest(path: Path) -> bool:
+    return path.name == MANIFEST_NAME or (path / MANIFEST_NAME).is_file()
+
+
+def _saved_format(path: str | Path) -> str:
+    """The ``format`` that writes an index back in the layout saved at
+    ``path``: ``"disk"`` for a v5 directory, the manifest's
+    ``shard_format`` for a sharded directory, ``"npz"`` for a file."""
+    path = Path(path)
+    if _is_manifest(path):
+        return str(_manifest_layout(path)[0].get("shard_format", "npz"))
+    return "disk" if path.is_dir() else "npz"

@@ -1204,15 +1204,12 @@ class ShardedIndex:
         return save_sharded_index(self, path, format=format, compress=compress)
 
     @classmethod
-    def load(cls, path: Any, mmap: bool | None = None) -> "ShardedIndex":
-        """Load a directory written by :meth:`save`.
-
-        ``format="disk"`` shards lazily mmap-attach by default; pass
-        ``mmap=False`` to read them eagerly into RAM.
-        """
+    def load(cls, path: Any) -> "ShardedIndex":
+        """Load a directory written by :meth:`save`; ``format="disk"``
+        shards attach lazily via ``np.memmap``."""
         from repro.core.persistence import load_sharded_index
 
-        return load_sharded_index(path, cls, mmap=mmap)
+        return load_sharded_index(path, cls)
 
     # ------------------------------------------------------------------
 

@@ -8,19 +8,18 @@ container has two physical states:
   builders append into while constructing;
 * **frozen** — flat CSR storage (``offsets``/``targets``), the canonical
   form every finished graph lives in.  Frozen adjacency is what the
-  batch query engine (:mod:`repro.graphs.engine`) gathers from, and it
-  is byte-compatible with the on-disk ``.npz`` format.
+  batch query engine (:mod:`repro.graphs.engine`) gathers from, and
+  what a saved index stores verbatim (:mod:`repro.core.persistence`).
 
 ``freeze()`` moves a graph into CSR in place; any mutating call on a
 frozen graph transparently thaws it back into the per-vertex buffer, so
 the public API (``out_neighbors``/``add_edges``/``set_out_neighbors``/
-``merge``/``save``/``load``) behaves identically in both states.
+``merge``) behaves identically in both states.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -262,35 +261,6 @@ class ProximityGraph:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "frozen" if self.frozen else "mutable"
         return f"ProximityGraph(n={self.n}, edges={self.num_edges}, {state})"
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Serialize to ``.npz`` (the CSR offsets + targets verbatim)."""
-        if self._adj is None:
-            offsets, targets = self._offsets, self._targets
-        else:
-            offsets, targets = self._build_csr()
-        np.savez_compressed(
-            Path(path), n=np.int64(self.n), offsets=offsets, targets=targets
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ProximityGraph":
-        """Load a saved graph; the result is frozen (CSR-native)."""
-        data = np.load(Path(path))
-        n = int(data["n"])
-        offsets = data["offsets"].astype(np.int64)
-        targets = data["targets"].astype(np.intp)
-        try:
-            return cls.from_csr(n, offsets, targets, validate=True)
-        except ValueError:
-            # Hand-crafted files may hold unsorted rows; fall back to the
-            # cleaning constructor and freeze the result.
-            adj = [targets[offsets[u] : offsets[u + 1]] for u in range(n)]
-            return cls(n, adj).freeze()
 
     def degree_histogram(self) -> dict[int, int]:
         values, counts = np.unique(self.out_degrees(), return_counts=True)

@@ -64,3 +64,22 @@ def mixed_queries(dataset: Dataset, rng: np.random.Generator, m: int = 30):
             ]
         )
     )
+
+
+def saved_graphs(graph, directory) -> list:
+    """``graph`` as a saved index stores it: wrapped in a flat index over
+    random points, saved as a v4 ``.npz`` and as a v5 directory, and
+    read back — one reloaded graph per format."""
+    from repro.core import BuiltGraph, ProximityGraphIndex
+    from repro.core.persistence import load_index
+
+    points = np.random.default_rng(0).uniform(size=(graph.n, 2))
+    index = ProximityGraphIndex(
+        Dataset(EuclideanMetric(), points),
+        BuiltGraph(name="knn", graph=graph, epsilon=1.0, guaranteed=False),
+        scale=1.0,
+    )
+    return [
+        load_index(index.save(directory / "v4.npz")).graph,
+        load_index(index.save(directory / "v5", format="disk")).graph,
+    ]

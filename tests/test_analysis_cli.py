@@ -9,6 +9,7 @@ import pytest
 
 from repro.analysis import fit_linear, fit_power_law, gnet_theory_report
 from repro.cli import main
+from repro.core.persistence import load_any
 from repro.graphs import build_gnet
 from repro.workloads import make_dataset, uniform_cube
 
@@ -92,48 +93,51 @@ class TestCli:
         out = capsys.readouterr().out
         assert "gnet" in out and "hnsw" in out
 
-    def test_build_writes_graph_and_sidecar(self, points_file, tmp_path, capsys):
-        graph_path = tmp_path / "g.npz"
+    def test_save_index_writes_a_loadable_index(
+        self, points_file, tmp_path, capsys
+    ):
+        index_path = tmp_path / "idx.npz"
         code = main(
-            ["build", str(points_file), str(graph_path), "--method", "gnet",
-             "--epsilon", "1.0"]
-        )
-        assert code == 0
-        assert graph_path.exists()
-        meta = json.loads((tmp_path / "g.json").read_text())
-        assert meta["method"] == "gnet"
-        assert meta["edges"] > 0
-
-    def test_query_roundtrip(self, points_file, tmp_path, capsys):
-        graph_path = tmp_path / "g.npz"
-        main(["build", str(points_file), str(graph_path), "--epsilon", "1.0"])
-        capsys.readouterr()
-        code = main(
-            ["query", str(points_file), str(graph_path), "--q", "0.5", "0.5"]
+            ["save-index", str(points_file), str(index_path), "--method",
+             "gnet", "--epsilon", "1.0"]
         )
         assert code == 0
         out = json.loads(capsys.readouterr().out)
-        assert 0 <= out["point_id"] < 80
-        assert out["distance"] >= 0
+        assert out["builder"] == "gnet" and out["edges"] > 0
+        assert out["index_file"] == str(index_path)
+        assert load_any(index_path).n == 80
+
+    def test_query_roundtrip(self, points_file, tmp_path, capsys):
+        index_path = tmp_path / "idx.npz"
+        main(["save-index", str(points_file), str(index_path),
+              "--epsilon", "1.0"])
+        capsys.readouterr()
+        code = main(["load-index", str(index_path), "--q", "0.5", "0.5"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        (hit,) = out["query"]
+        assert 0 <= hit["point_id"] < 80
+        assert hit["distance"] >= 0
+        assert out["evals"] > 0 and out["hops"] >= 0
 
     def test_stats(self, points_file, tmp_path, capsys):
-        graph_path = tmp_path / "g.npz"
-        main(["build", str(points_file), str(graph_path)])
+        index_path = tmp_path / "idx.npz"
+        main(["save-index", str(points_file), str(index_path)])
         capsys.readouterr()
-        assert main(["stats", str(points_file), str(graph_path)]) == 0
+        assert main(["load-index", str(index_path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["n"] == 80
 
     def test_validate_clean_graph(self, points_file, tmp_path, capsys):
-        graph_path = tmp_path / "g.npz"
-        main(["build", str(points_file), str(graph_path), "--epsilon", "1.0"])
+        index_path = tmp_path / "idx.npz"
+        main(["save-index", str(points_file), str(index_path),
+              "--epsilon", "1.0"])
         capsys.readouterr()
-        code = main(
-            ["validate", str(points_file), str(graph_path), "--queries", "40"]
-        )
+        code = main(["validate", str(index_path), "--queries", "40"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["violations"] == 0
+        assert out["epsilon"] == 1.0  # taken from the index
 
     def test_validate_flags_bad_graph(self, points_file, tmp_path, capsys, rng):
         # Two clusters + knn graph: validation must exit nonzero.
@@ -141,22 +145,19 @@ class TestCli:
         b = rng.normal(0, 0.01, size=(30, 2)) + 7.0
         pts_path = tmp_path / "two.npy"
         np.save(pts_path, np.vstack([a, b]))
-        graph_path = tmp_path / "bad.npz"
-        main(["build", str(pts_path), str(graph_path), "--method", "knn",
+        index_path = tmp_path / "bad.npz"
+        main(["save-index", str(pts_path), str(index_path), "--method", "knn",
               "--epsilon", "0.5"])
         capsys.readouterr()
-        code = main(
-            ["validate", str(pts_path), str(graph_path), "--queries", "60"]
-        )
+        code = main(["validate", str(index_path), "--queries", "60"])
         assert code == 1
 
-    def test_graph_points_mismatch_rejected(self, points_file, tmp_path, rng):
-        graph_path = tmp_path / "g.npz"
-        main(["build", str(points_file), str(graph_path)])
-        other = tmp_path / "other.npy"
-        np.save(other, uniform_cube(10, 2, rng))
-        with pytest.raises(SystemExit):
-            main(["stats", str(other), str(graph_path)])
+    def test_validate_refuses_a_sharded_index(self, points_file, tmp_path):
+        out = tmp_path / "sharded"
+        main(["save-index", str(points_file), str(out), "--method", "vamana",
+              "--shards", "2"])
+        with pytest.raises(SystemExit, match="flat index"):
+            main(["validate", str(out)])
 
 
 class TestTraceReport:

@@ -1,19 +1,13 @@
-"""Tests for the dynamic ANN substrates: brute force (oracle), cover tree,
-and hash grid — including cross-validation among them."""
+"""Tests for the dynamic ANN substrates: brute force (oracle) and cover
+tree — including cross-validation between them."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.anns import BruteForceANN, CoverTree, GridANN
-from repro.metrics import (
-    ChebyshevMetric,
-    Dataset,
-    EuclideanMetric,
-    ExplicitMatrixMetric,
-    TreeMetric,
-)
+from repro.anns import BruteForceANN, CoverTree
+from repro.metrics import Dataset, EuclideanMetric, TreeMetric
 
 
 def _random_dataset(rng, n=60, dim=2):
@@ -177,85 +171,3 @@ class TestCoverTree:
         assert tree.nearest(ds.points[0]) is None
         tree.insert(2)
         assert tree.nearest(ds.points[2]) == (2, 0.0)
-
-
-class TestGridANN:
-    def test_range_matches_bruteforce_l2(self, rng):
-        ds = _random_dataset(rng, n=90)
-        grid = GridANN(ds, cell_size=10.0, point_ids=range(ds.n))
-        brute = BruteForceANN(ds, point_ids=range(ds.n))
-        for radius in [3.0, 15.0, 60.0]:
-            q = rng.uniform(0, 100, size=2)
-            got = {i for i, _ in grid.range_search(q, radius)}
-            want = {i for i, _ in brute.range_search(q, radius)}
-            assert got == want
-
-    def test_range_matches_bruteforce_linf(self, rng):
-        pts = rng.uniform(0, 50, size=(60, 3))
-        ds = Dataset(ChebyshevMetric(), pts)
-        grid = GridANN(ds, cell_size=7.0, point_ids=range(ds.n))
-        brute = BruteForceANN(ds, point_ids=range(ds.n))
-        q = rng.uniform(0, 50, size=3)
-        got = {i for i, _ in grid.range_search(q, 12.0)}
-        want = {i for i, _ in brute.range_search(q, 12.0)}
-        assert got == want
-
-    def test_nearest_exact(self, rng):
-        ds = _random_dataset(rng, n=70)
-        grid = GridANN(ds, cell_size=5.0, point_ids=range(ds.n))
-        for _ in range(25):
-            q = rng.uniform(-50, 150, size=2)
-            got = grid.nearest(q)
-            want = ds.nearest_neighbor(q)
-            assert got[1] == pytest.approx(want[1])
-
-    def test_knn_exact(self, rng):
-        ds = _random_dataset(rng, n=70)
-        grid = GridANN(ds, cell_size=8.0, point_ids=range(ds.n))
-        brute = BruteForceANN(ds, point_ids=range(ds.n))
-        q = rng.uniform(0, 100, size=2)
-        got = [round(d, 9) for _, d in grid.knn(q, 6)]
-        want = [round(d, 9) for _, d in brute.knn(q, 6)]
-        assert got == want
-
-    def test_insert_delete(self, rng):
-        ds = _random_dataset(rng, n=30)
-        grid = GridANN(ds, cell_size=10.0, point_ids=range(ds.n))
-        grid.delete(5)
-        assert len(grid) == 29
-        assert 5 not in {i for i, _ in grid.range_search(ds.points[5], 1e9)}
-        grid.insert(5)
-        assert grid.nearest(ds.points[5]) == (5, pytest.approx(0.0))
-
-    def test_buckets_in_metric_units_under_a_scaled_metric(self, uniform2d):
-        """Radii and the cell width arrive in the *metric's* units; a
-        normalized dataset's metric is a ScaledMetric, and bucketing its
-        raw coordinates by those numbers left one occupied cell."""
-        level0_radius = 9.0  # phi * 2^0 at eps = 1
-        grid = GridANN(uniform2d, cell_size=level0_radius, point_ids=range(uniform2d.n))
-        brute = BruteForceANN(uniform2d, point_ids=range(uniform2d.n))
-        assert len(grid._cells) > 1
-        low, high = uniform2d.points.min(axis=0), uniform2d.points.max(axis=0)
-        for q in np.random.default_rng(3).uniform(low, high, size=(12, 2)):
-            for radius in (level0_radius, 4 * level0_radius):
-                assert grid.range_search(q, radius) == brute.range_search(q, radius)
-            assert grid.nearest(q) == brute.nearest(q)
-            assert grid.knn(q, 5) == brute.knn(q, 5)
-        far = high + 50.0 * (high - low)
-        assert grid.nearest(far) == brute.nearest(far)
-
-    def test_rejects_non_coordinate_metric(self, rng):
-        ds = Dataset(ExplicitMatrixMetric(np.zeros((6, 6))), rng.uniform(size=(6, 2)))
-        with pytest.raises(ValueError, match="L_p coordinate metric"):
-            GridANN(ds, cell_size=1.0)
-
-    def test_rejects_bad_cell_size(self, rng):
-        ds = _random_dataset(rng, n=5)
-        with pytest.raises(ValueError):
-            GridANN(ds, cell_size=0.0)
-
-    def test_requires_coordinates(self):
-        metric = TreeMetric(height=4)
-        ds = Dataset(metric, np.arange(16, dtype=np.int64))
-        with pytest.raises(ValueError, match="coordinate"):
-            GridANN(ds, cell_size=1.0)

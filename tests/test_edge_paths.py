@@ -1,6 +1,5 @@
-"""Edge-path coverage: branches exercised nowhere else (grid fallback
-scan, theory budgets driving real queries, CLI start pinning, top-level
-re-exports)."""
+"""Edge-path coverage: branches exercised nowhere else (theory budgets
+driving real queries, CLI start pinning, top-level re-exports)."""
 
 from __future__ import annotations
 
@@ -9,33 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.anns import BruteForceANN, GridANN
 from repro.graphs import build_gnet, build_merged_graph, query
-from repro.metrics import Dataset, EuclideanMetric
 from repro.workloads import make_dataset, uniform_cube
-
-
-class TestGridFallbackScan:
-    def test_huge_radius_takes_occupied_cell_scan(self, rng):
-        """A radius spanning vastly more cells than exist must flip to
-        the occupied-cells scan and stay exact."""
-        pts = rng.uniform(0, 10, size=(40, 2))
-        ds = Dataset(EuclideanMetric(), pts)
-        grid = GridANN(ds, cell_size=0.01, point_ids=range(ds.n))  # tiny cells
-        brute = BruteForceANN(ds, point_ids=range(ds.n))
-        q = np.array([5.0, 5.0])
-        got = {i for i, _ in grid.range_search(q, 100.0)}
-        want = {i for i, _ in brute.range_search(q, 100.0)}
-        assert got == want == set(range(40))
-
-    def test_far_query_nearest_terminates(self, rng):
-        pts = rng.uniform(0, 1, size=(20, 2))
-        ds = Dataset(EuclideanMetric(), pts)
-        grid = GridANN(ds, cell_size=0.2, point_ids=range(ds.n))
-        q = np.array([500.0, -300.0])
-        got = grid.nearest(q)
-        want = ds.nearest_neighbor(q)
-        assert got[1] == pytest.approx(want[1])
 
 
 class TestTheoryBudgetsDriveQueries:
@@ -74,31 +48,28 @@ class TestTheoryBudgetsDriveQueries:
 class TestCliStartPinning:
     def test_query_with_explicit_start(self, tmp_path, rng, capsys):
         from repro.cli import main
+        from repro.core import SearchParams
+        from repro.core.persistence import load_any
 
         pts = uniform_cube(50, 2, rng)
         pts_path = tmp_path / "p.npy"
         np.save(pts_path, pts)
-        g_path = tmp_path / "g.npz"
-        main(["build", str(pts_path), str(g_path), "--epsilon", "1.0"])
+        idx_path = tmp_path / "idx.npz"
+        main(["save-index", str(pts_path), str(idx_path), "--epsilon", "1.0"])
         capsys.readouterr()
         assert main(
-            ["query", str(pts_path), str(g_path), "--q", "0.1", "0.9",
-             "--start", "7"]
+            ["load-index", str(idx_path), "--q", "0.1", "0.9", "--start", "7"]
         ) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["start"] == 7
-
-    def test_validate_needs_epsilon_without_sidecar(self, tmp_path, rng):
-        from repro.cli import main
-        from repro.graphs import ProximityGraph
-
-        pts = uniform_cube(20, 2, rng)
-        pts_path = tmp_path / "p.npy"
-        np.save(pts_path, pts)
-        g_path = tmp_path / "bare.npz"
-        ProximityGraph(20).save(g_path)  # no sidecar written
-        with pytest.raises(SystemExit, match="epsilon"):
-            main(["validate", str(pts_path), str(g_path)])
+        want = load_any(idx_path).search(
+            np.array([0.1, 0.9]), params=SearchParams(starts=[7])
+        )
+        assert out["query"] == [
+            {"point_id": pid, "distance": dist} for pid, dist in want.pairs(0)
+        ]
+        assert (out["evals"], out["hops"]) == (
+            int(want.evals[0]), int(want.hops[0])
+        )
 
 
 class TestCliSaveIndex:

@@ -26,7 +26,7 @@ from repro.metrics import (
     ExplicitMatrixMetric,
 )
 from repro.workloads import uniform_cube, uniform_queries
-from tests.conftest import mixed_queries
+from tests.conftest import mixed_queries, saved_graphs
 
 
 def random_graph(n: int, rng: np.random.Generator, mean_degree: float = 6.0):
@@ -243,6 +243,10 @@ class TestIndexBatchAPI:
 
 
 class TestCSRPersistence:
+    """A saved index stores its CSR verbatim in both formats; empty rows
+    and a graph without a single edge (a zero-length ``csr_targets``,
+    which v5 cannot memory-map) must survive."""
+
     def test_roundtrip_with_empty_rows(self, tmp_path, rng):
         n = 30
         g = ProximityGraph(n)
@@ -252,38 +256,13 @@ class TestCSRPersistence:
                 continue
             g.add_edges(u, rng.integers(n, size=3))
         g.freeze()
-        path = tmp_path / "csr.npz"
-        g.save(path)
-        loaded = ProximityGraph.load(path)
-        assert loaded.frozen
-        assert loaded == g
-        assert len(loaded.out_neighbors(7)) == 0
-        assert len(loaded.out_neighbors(n - 1)) == 0
+        for loaded in saved_graphs(g, tmp_path):
+            assert loaded.frozen
+            assert loaded == g
+            assert len(loaded.out_neighbors(7)) == 0
+            assert len(loaded.out_neighbors(n - 1)) == 0
 
     def test_roundtrip_fully_empty(self, tmp_path):
         g = ProximityGraph(5).freeze()
-        path = tmp_path / "empty.npz"
-        g.save(path)
-        loaded = ProximityGraph.load(path)
-        assert loaded.frozen and loaded == g and loaded.num_edges == 0
-
-    def test_mutable_and_frozen_save_identically(self, tmp_path, rng):
-        n = 25
-        edges = [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(80)]
-        mutable = ProximityGraph.from_edge_list(n, edges)
-        frozen = mutable.copy().freeze()
-        p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
-        mutable.save(p1)
-        frozen.save(p2)
-        assert ProximityGraph.load(p1) == ProximityGraph.load(p2)
-        assert not mutable.frozen  # save never flips physical state
-
-    def test_legacy_unsorted_file_still_loads(self, tmp_path):
-        # Hand-crafted npz with an unsorted row: load() falls back to the
-        # cleaning constructor instead of rejecting the file.
-        offsets = np.array([0, 2, 2, 2], dtype=np.int64)
-        targets = np.array([2, 1], dtype=np.intp)
-        path = tmp_path / "legacy.npz"
-        np.savez_compressed(path, n=np.int64(3), offsets=offsets, targets=targets)
-        g = ProximityGraph.load(path)
-        assert list(map(int, g.out_neighbors(0))) == [1, 2]
+        for loaded in saved_graphs(g, tmp_path):
+            assert loaded.frozen and loaded == g and loaded.num_edges == 0

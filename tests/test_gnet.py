@@ -10,7 +10,7 @@ import pytest
 
 from repro import ProximityGraphIndex, accel
 from repro.accel import cbackend, dispatch
-from repro.anns import BruteForceANN, GridANN
+from repro.anns import BruteForceANN
 from repro.graphs import build_gnet, find_violations, gnet_parameters, greedy
 from repro.graphs.gnet import GNetParameters
 from repro.graphs.hybrid import build_hybrid_candidate
@@ -142,20 +142,6 @@ class TestEdgeSetDefinition:
             epsilon=1.0,
             method="paper",
             ann_factory=lambda ds, ids: BruteForceANN(ds, point_ids=ids),
-        )
-        assert a.graph == b.graph
-
-    def test_methods_agree_paper_grid_ann(self, rng):
-        """GridANN under a normalized (scaled) metric: real bucketing."""
-        ds, _ = normalize_min_distance(
-            Dataset(EuclideanMetric(), rng.uniform(size=(40, 2)))
-        )
-        a = build_gnet(ds, epsilon=1.0, method="vectorized")
-        b = build_gnet(
-            ds,
-            epsilon=1.0,
-            method="paper",
-            ann_factory=lambda ds, ids: GridANN(ds, cell_size=18.0, point_ids=ids),
         )
         assert a.graph == b.graph
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import ProximityGraph
+from tests.conftest import saved_graphs
 
 
 class TestConstruction:
@@ -167,19 +168,20 @@ class TestFreezeThaw:
 
 
 class TestPersistence:
+    """The container through a saved index (v4 and v5), the one place a
+    graph persists."""
+
     def test_roundtrip(self, tmp_path, rng):
         n = 20
         edges = [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(100)]
         g = ProximityGraph.from_edge_list(n, edges)
-        path = tmp_path / "graph.npz"
-        g.save(path)
-        assert ProximityGraph.load(path) == g
+        for loaded in saved_graphs(g, tmp_path):
+            assert loaded == g
 
     def test_roundtrip_empty(self, tmp_path):
         g = ProximityGraph(4)
-        path = tmp_path / "empty.npz"
-        g.save(path)
-        assert ProximityGraph.load(path) == g
+        for loaded in saved_graphs(g, tmp_path):
+            assert loaded == g and loaded.num_edges == 0
 
     def test_edges_iterator(self):
         g = ProximityGraph.from_edge_list(3, [(0, 2), (1, 0)])

@@ -23,7 +23,7 @@ from repro.workloads import (
     make_dataset,
     uniform_cube,
 )
-from tests.conftest import mixed_queries
+from tests.conftest import mixed_queries, saved_graphs
 
 GUARANTEED = ["gnet", "theta", "merged", "diskann", "complete"]
 
@@ -81,13 +81,9 @@ class TestEndToEndPersistence:
     def test_graph_roundtrip_preserves_navigability(self, tmp_path, rng):
         ds = make_dataset(uniform_cube(60, 2, rng))
         res = build_gnet(ds, epsilon=0.5)
-        path = tmp_path / "gnet.npz"
-        res.graph.save(path)
-        from repro.graphs import ProximityGraph
-
-        loaded = ProximityGraph.load(path)
         queries = mixed_queries(ds, rng, m=12)
-        assert find_violations(loaded, ds, queries, 0.5, stop_at=None) == []
+        for loaded in saved_graphs(res.graph, tmp_path):
+            assert find_violations(loaded, ds, queries, 0.5, stop_at=None) == []
 
 
 class TestFacadeAcrossBuilders:

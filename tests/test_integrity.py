@@ -261,6 +261,32 @@ class TestCliValidate:
         assert "INTEGRITY VIOLATION" in err
         assert "manifest-shard-count" in err
 
+    @pytest.mark.parametrize("fault, invariant", [
+        (None, None),
+        ("truncate-vectors", "disk-array-size"),
+        ("target-out-of-range", "csr-targets-range"),
+    ])
+    def test_disk_directory_validate(
+        self, tmp_path, flat_index, capsys, fault, invariant
+    ):
+        """A v5 directory: a layout the loader refuses is reported by the
+        loader's own invariant names; a layout it attaches (its CSR is
+        not read on open) still fails on the live-graph CSR checks."""
+        out = flat_index.save(tmp_path / "v5", format="disk")
+        if fault == "truncate-vectors":
+            data = (out / "vectors.bin").read_bytes()
+            (out / "vectors.bin").write_bytes(data[: len(data) // 2])
+        elif fault == "target-out-of-range":
+            targets = np.fromfile(out / "csr_targets.bin", dtype=np.int64)
+            targets[0] = flat_index.n + 5
+            targets.tofile(out / "csr_targets.bin")
+        code = main(["index", "info", str(out), "--validate"])
+        err = capsys.readouterr().err
+        if fault is None:
+            assert code == 0 and err == ""
+        else:
+            assert code == 1 and f"INTEGRITY VIOLATION: {invariant}" in err
+
     def test_info_without_validate_still_works(self, tmp_path, flat_index, capsys):
         saved = flat_index.save(tmp_path / "flat.npz")
         assert main(["index", "info", str(saved)]) == 0

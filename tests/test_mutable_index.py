@@ -17,13 +17,11 @@ Contract under test (ISSUE 3):
 
 from __future__ import annotations
 
-import json
 
 import numpy as np
 import pytest
 
 from repro import ProximityGraphIndex, SearchParams
-from repro.core.persistence import FORMAT_VERSION
 from repro.metrics import Dataset, EuclideanMetric
 from repro.workloads import uniform_cube
 
@@ -321,38 +319,6 @@ class TestMutationPersistence:
         # compact() works after reload: builder options were persisted
         loaded.compact()
         assert loaded.n == 107 and 510 not in loaded.id_map
-
-    def test_v1_files_still_load(self, tmp_path):
-        """Backward compatibility: a v1 file (no id/tombstone arrays)
-        loads with the identity map and nothing deleted."""
-        pts = uniform_cube(60, 2, np.random.default_rng(1))
-        idx = ProximityGraphIndex.build(pts, epsilon=1.0, method="gnet", seed=4)
-        path = idx.save(tmp_path / "v2.npz")
-
-        with np.load(path) as data:
-            payload = {k: data[k] for k in data.files}
-        header = json.loads(bytes(payload["header"].tobytes()).decode())
-        assert header["format_version"] == FORMAT_VERSION == 4
-        header["format_version"] = 1
-        del header["options"]
-        del header["storage"]
-        del payload["external_ids"], payload["tombstones"]
-        payload["header"] = np.frombuffer(
-            json.dumps(header).encode(), dtype=np.uint8
-        )
-        np.savez(tmp_path / "v1.npz", **payload)
-
-        loaded = ProximityGraphIndex.load(tmp_path / "v1.npz")
-        assert loaded.id_map.is_identity() and loaded.tombstone_count == 0
-        assert loaded.built.options == {}
-        queries = np.random.default_rng(2).uniform(size=(10, 2))
-        p = SearchParams(seed=0)
-        a, b = idx.search(queries, params=p), loaded.search(queries, params=p)
-        assert np.array_equal(a.ids, b.ids)
-        # and the v1-loaded index is fully mutable going forward
-        loaded.delete([5])
-        loaded.add(np.array([[0.9, 0.9]]))
-        assert loaded.n == 61 and loaded.tombstone_count == 1
 
     def test_save_after_dynamic_add_round_trips(self, tmp_path):
         # A pure grid keeps every pairwise distance at or above the

@@ -3,7 +3,7 @@
 The contract (PR 9 tentpole): ``save(format="disk")`` writes a
 directory of raw binary array files committed by a trailing
 ``header.json``; ``load(path)`` lazily attaches them read-only via
-``np.memmap`` (``mmap=False`` reads eagerly) and wraps the store in a
+``np.memmap`` and wraps the store in a
 :class:`~repro.storage.disk.DiskTierStore` so graph traversal touches
 only the hot tier (codes + CSR) while ``vectors.bin`` — the cold tier
 — is paged in solely by the exact-rerank gather.  Everything must be
@@ -15,6 +15,7 @@ loudly with the violated invariant named.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from repro.core.persistence import (
     FORMAT_VERSION,
     MANIFEST_NAME,
     load_index,
-    load_sharded_index,
     save_index,
 )
 from repro.serve.state import IndexHolder
@@ -85,20 +85,19 @@ def _assert_identical(a, b) -> None:
 
 
 class TestV5RoundTrip:
-    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "eager"])
     @pytest.mark.parametrize("storage", STORAGES)
-    def test_bit_identical_search(self, storage, mmap, queries, tmp_path):
+    def test_bit_identical_search(self, storage, queries, tmp_path):
         index = _build(storage)
         want = _search(index, queries)
         out = index.save(tmp_path / "idx", format="disk")
-        loaded = load_index(out, mmap=mmap)
+        loaded = load_index(out)
         assert isinstance(loaded.store, DiskTierStore)
         assert loaded.store.kind == storage
         _assert_identical(want, _search(loaded, queries))
 
     def test_mmap_is_the_default_and_lazily_attaches(self, tmp_path):
         out = _build("sq8").save(tmp_path / "idx", format="disk")
-        loaded = ProximityGraphIndex.load(out)  # mmap=None -> attach
+        loaded = ProximityGraphIndex.load(out)
         # Cold tier and hot-tier codes are mapped, not read: the codes
         # come back as a zero-copy view over the mapping (the store's
         # ``np.asarray`` strips the subclass but not the backing file).
@@ -109,12 +108,6 @@ class TestV5RoundTrip:
         # tombstone mask in place and must never touch the mapping.
         assert not isinstance(loaded._tombstones, np.memmap)
         assert not isinstance(loaded.id_map.externals, np.memmap)
-
-    def test_eager_load_owns_its_arrays(self, tmp_path):
-        out = _build("sq8").save(tmp_path / "idx", format="disk")
-        loaded = load_index(out, mmap=False)
-        assert not isinstance(loaded.dataset.points, np.memmap)
-        assert not isinstance(loaded.store.codes, np.memmap)
 
     def test_layout_on_disk(self, tmp_path):
         out = _build("sq8").save(tmp_path / "idx", format="disk")
@@ -157,6 +150,24 @@ class TestV5RoundTrip:
         again.save(tmp_path / "v5b", format="disk")
         final = load_any(tmp_path / "v5b")
         _assert_identical(want, _search(final, queries))
+
+    def test_resave_into_its_own_directory(self, queries, tmp_path):
+        """A mapped index re-saved into the directory it is mapped from
+        must not read its own arrays back truncated: every file is
+        replaced by rename, never rewritten in place.  (n = 600 makes
+        ``csr_offsets.bin`` larger than a stdio buffer, so an in-place
+        rewrite fails with an error rather than a bus error.)"""
+        index = _build("sq8", n=600)
+        out = index.save(tmp_path / "idx", format="disk")
+        mapped = load_any(out)
+        assert isinstance(mapped.store, DiskTierStore)
+        index.delete([3])
+        mapped.delete([3])
+        mapped.save(out, format="disk")
+        reloaded = load_any(out)
+        _assert_identical(_search(index, queries), _search(reloaded, queries))
+        assert np.array_equal(reloaded._tombstones, index._tombstones)
+        assert check_disk_layout(out) == []
 
     def test_mutation_state_round_trips(self, queries, tmp_path):
         index = _build("sq8")
@@ -232,33 +243,11 @@ class TestStoredBackendIsIgnored:
 
 
 # ----------------------------------------------------------------------
-# Precise wrong-loader errors (satellite: SUPPORTED_VERSIONS handling)
+# Precise wrong-loader errors
 # ----------------------------------------------------------------------
 
 
 class TestPreciseLoaderErrors:
-    def _relabel(self, path, version: int) -> None:
-        _edit_npz_header(path, lambda h: h.update(format_version=version))
-
-    def test_v3_labeled_flat_file_names_the_sharded_loader(self, tmp_path):
-        """A flat file can never carry v3; the error must say so and
-        name the loader that handles manifest directories."""
-        path = _build("flat").save(tmp_path / "bad.npz")
-        self._relabel(path, 3)
-        with pytest.raises(
-            ValueError,
-            match=r"format version 3.*manifest-directory.*load_sharded_index",
-        ):
-            load_index(path)
-
-    def test_v5_labeled_flat_file_names_the_disk_layout(self, tmp_path):
-        path = _build("flat").save(tmp_path / "bad.npz")
-        self._relabel(path, 5)
-        with pytest.raises(
-            ValueError, match=r"format version 5.*disk directory layout"
-        ):
-            load_index(path)
-
     def test_manifest_dir_fed_to_load_index(self, tmp_path):
         pts = uniform_cube(60, D, np.random.default_rng(1))
         out = ShardedIndex.build(pts, method="vamana", shards=2, seed=1).save(
@@ -268,13 +257,6 @@ class TestPreciseLoaderErrors:
             ValueError, match=r"manifest directory.*load_sharded_index"
         ):
             load_index(out)
-
-    def test_mmap_on_npz_file_is_an_error(self, tmp_path):
-        path = _build("flat").save(tmp_path / "flat.npz")
-        with pytest.raises(
-            ValueError, match=r"zip members cannot be memory-mapped"
-        ):
-            load_index(path, mmap=True)
 
     def test_directory_without_either_marker(self, tmp_path):
         (tmp_path / "junk").mkdir()
@@ -385,6 +367,67 @@ class TestDiskRobustness:
         assert any(
             "disk-array-missing" in v for v in check_disk_layout(saved)
         )
+
+    @staticmethod
+    def _truncate_vectors(saved):
+        data = (saved / "vectors.bin").read_bytes()
+        (saved / "vectors.bin").write_bytes(data[: len(data) // 2])
+
+    @staticmethod
+    def _edit_header(saved, edit):
+        header = json.loads((saved / DISK_HEADER_NAME).read_text())
+        edit(header)
+        (saved / DISK_HEADER_NAME).write_text(json.dumps(header))
+
+    @pytest.mark.parametrize("invariant, fault", [
+        ("disk-array-size", lambda s: TestDiskRobustness._truncate_vectors(s)),
+        ("disk-file-missing", lambda s: (s / "codes.bin").unlink()),
+        ("disk-array-rows", lambda s: TestDiskRobustness._edit_header(
+            s, lambda h: h.update(n=h["n"] - 1))),
+        ("disk-array-missing", lambda s: TestDiskRobustness._edit_header(
+            s, lambda h: h["arrays"].pop("external_ids"))),
+        ("disk-header-version", lambda s: TestDiskRobustness._edit_header(
+            s, lambda h: h.update(format_version=99))),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_loader_and_checker_name_the_same_invariant(
+        self, saved, invariant, fault
+    ):
+        """One layout check serves both: whatever the loader refuses a
+        directory for, ``check_disk_layout`` reports under the same
+        invariant names (plus its deep CSR checks, which the mmap open
+        skips)."""
+        fault(saved)
+        with pytest.raises(ValueError) as exc:
+            load_index(saved)
+        refused = {line.split(":", 1)[0] for line in str(exc.value).splitlines()}
+        checked = {v.split(":", 1)[0] for v in check_disk_layout(saved)}
+        assert invariant in refused
+        assert refused == {name for name in checked if not name.startswith("csr-")}
+
+    def test_interrupted_resave_is_refused_by_name(self, saved, monkeypatch):
+        """A re-save that dies after replacing its first array must leave
+        no ``header.json`` behind, so the directory is refused by name
+        instead of attaching a mix of old and new arrays."""
+        index = _build("sq8")
+        index.delete([3])
+        real_replace = os.replace
+        calls = []
+
+        def replace_once(src, dst):
+            calls.append(dst)
+            if len(calls) > 1:
+                raise OSError("simulated crash mid-save")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_once)
+        with pytest.raises(ValueError, match="disk-dir-unwritable"):
+            index.save(saved, format="disk")
+        monkeypatch.undo()
+        assert len(calls) == 2 and not list(saved.glob("*.tmp"))
+        with pytest.raises(ValueError, match=DISK_HEADER_NAME):
+            load_any(saved)
+        violations = check_disk_layout(saved)
+        assert len(violations) == 1 and "disk-header-missing" in violations[0]
 
     def test_unwritable_target_named_at_save_time(self, tmp_path):
         # A file where a path component should be a directory trips the
@@ -582,14 +625,6 @@ class TestShardedDiskFormat:
             isinstance(s.store, DiskTierStore) for s in loaded.shards
         )
 
-    def test_eager_load(self, sharded, queries, tmp_path):
-        out = sharded.save(tmp_path / "idx", format="disk")
-        loaded = load_sharded_index(out, mmap=False)
-        got = loaded.search(queries, k=5)
-        want = sharded.search(queries, k=5)
-        assert np.array_equal(want.ids, got.ids)
-        assert not isinstance(loaded.shards[0].dataset.points, np.memmap)
-
     def test_resave_npz_cleans_stale_disk_shards(self, sharded, tmp_path):
         out = sharded.save(tmp_path / "reused", format="disk")
         assert list(out.glob("shard-*.disk"))
@@ -604,3 +639,41 @@ class TestShardedDiskFormat:
         loaded.delete([1, 2])
         new = loaded.add(np.random.default_rng(13).uniform(size=(2, D)))
         assert loaded.tombstone_count == 2 and len(new) == 2
+
+
+class TestCliWritesBackInPlace:
+    @pytest.mark.parametrize("shards", [1, 2], ids=["flat", "sharded"])
+    def test_add_and_delete_keep_the_loaded_layout(
+        self, shards, tmp_path, capsys
+    ):
+        """``repro add`` / ``repro delete`` on a v5 directory (or on a
+        manifest of v5 shards) update that directory, in the layout it
+        was loaded from — no ``.npz`` sibling, no format switch."""
+        from repro.cli import main
+
+        np.save(tmp_path / "p.npy", uniform_cube(N, D, np.random.default_rng(5)))
+        np.save(tmp_path / "new.npy", np.random.default_rng(6).uniform(size=(4, D)))
+        idx = tmp_path / "idx.v5"
+        assert main(
+            ["save-index", str(tmp_path / "p.npy"), str(idx), "--method",
+             "vamana", "--format", "disk", "--shards", str(shards)]
+        ) == 0
+        capsys.readouterr()
+        for command in (
+            ["add", str(idx), str(tmp_path / "new.npy")],
+            ["delete", str(idx), "--ids", "0", "1"],
+        ):
+            assert main(command) == 0
+            assert json.loads(capsys.readouterr().out)["index_file"] == str(idx)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "idx.v5", "new.npy", "p.npy"
+        ]
+        loaded = load_any(idx)
+        assert (loaded.n, loaded.tombstone_count) == (N + 4, 2)
+        if shards == 1:
+            assert (idx / DISK_HEADER_NAME).is_file()
+            assert isinstance(loaded.store, DiskTierStore)
+        else:
+            manifest = json.loads((idx / MANIFEST_NAME).read_text())
+            assert manifest["shard_format"] == "disk"
+            assert not list(idx.glob("*.npz"))

@@ -1,13 +1,9 @@
-"""The persistence migration chain: v1 -> v2 -> v4 (+ v3 directories).
+"""Flat indexes into v3 sharded manifest directories, and back out.
 
-v1 (graph + points only) and v2 (id map + tombstones + options) flat
-files must still load — they predate the storage layer and come back
-with flat (exact) storage; a loaded v1/v2 index re-saves as v4 (which
-adds the vector-store spec, and codes/codebooks when quantized); any
-flat file can be adopted as a shard of a v3 manifest directory; and
-search answers survive the whole chain bit-for-bit.  Partial or
-corrupt v3 directories must fail loudly with an error naming the
-problem — never load quietly.
+Any flat file can be adopted as a shard of a v3 manifest directory,
+search answers survive the step bit-for-bit, and a reloaded sharded
+index stays fully mutable.  Partial or corrupt v3 directories must fail
+loudly with an error naming the problem — never load quietly.
 """
 
 from __future__ import annotations
@@ -19,34 +15,12 @@ import pytest
 
 from repro import ProximityGraphIndex, SearchParams, ShardedIndex, load_any
 from repro.core.persistence import (
-    FORMAT_VERSION,
     MANIFEST_NAME,
     SHARDED_FORMAT_VERSION,
     load_index,
     load_sharded_index,
 )
 from repro.workloads import uniform_cube
-
-
-def _write_v1(idx: ProximityGraphIndex, path) -> None:
-    """Rewrite a freshly saved file in the v1 layout (no id map, no
-    tombstones, no options, no storage) — the pre-mutable on-disk form."""
-    saved = idx.save(path)
-    with np.load(saved) as data:
-        payload = {k: data[k] for k in data.files}
-    header = json.loads(bytes(payload["header"].tobytes()).decode())
-    header["format_version"] = 1
-    del header["options"]
-    del header["storage"]
-    del payload["external_ids"], payload["tombstones"]
-    payload["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    np.savez(saved, **payload)
-
-
-def _header_version(path) -> int:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"].tobytes()).decode())
-    return header["format_version"]
 
 
 @pytest.fixture
@@ -61,42 +35,8 @@ def queries() -> np.ndarray:
 
 
 class TestMigrationChain:
-    def test_v1_resaves_as_current(self, flat_index, queries, tmp_path):
-        _write_v1(flat_index, tmp_path / "old.npz")
-        loaded_v1 = load_index(tmp_path / "old.npz")
-        assert loaded_v1.store.kind == "flat"  # pre-storage files are flat
-        resaved = loaded_v1.save(tmp_path / "new.npz")
-        assert _header_version(resaved) == FORMAT_VERSION == 4
-        loaded_v2 = load_index(resaved)
-        p = SearchParams(seed=0)
-        a = flat_index.search(queries, k=5, params=p)
-        b = loaded_v2.search(queries, k=5, params=p)
-        assert np.array_equal(a.ids, b.ids)
-        assert np.array_equal(a.distances, b.distances)
-
-    def test_v2_still_loads_as_flat_storage(self, flat_index, queries, tmp_path):
-        """A v2-era file (id map + tombstones, but no storage layer)
-        loads with flat storage and identical answers."""
-        saved = flat_index.save(tmp_path / "v2.npz")
-        with np.load(saved) as data:
-            payload = {k: data[k] for k in data.files}
-        header = json.loads(bytes(payload["header"].tobytes()).decode())
-        header["format_version"] = 2
-        del header["storage"]
-        payload["header"] = np.frombuffer(
-            json.dumps(header).encode(), dtype=np.uint8
-        )
-        np.savez(saved, **payload)
-        loaded = load_index(saved)
-        assert loaded.store.kind == "flat"
-        p = SearchParams(seed=0)
-        a = flat_index.search(queries, k=5, params=p)
-        b = loaded.search(queries, k=5, params=p)
-        assert np.array_equal(a.ids, b.ids)
-        assert np.array_equal(a.distances, b.distances)
-
     def test_v2_shard_adopts_into_v3(self, flat_index, queries, tmp_path):
-        """A flat v2 file becomes the single shard of a v3 directory."""
+        """A flat file becomes the single shard of a v3 directory."""
         saved = flat_index.save(tmp_path / "flat.npz")
         adopted = ShardedIndex([load_index(saved)], seed=flat_index.seed)
         out = adopted.save(tmp_path / "sharded")
@@ -109,23 +49,6 @@ class TestMigrationChain:
         b = loaded.search(queries, k=5, params=p)
         assert np.array_equal(a.ids, b.ids)
         assert np.array_equal(a.distances, b.distances)
-
-    def test_full_chain_v1_to_v3(self, flat_index, queries, tmp_path):
-        p = SearchParams(seed=0)
-        want = flat_index.search(queries, k=5, params=p)
-        _write_v1(flat_index, tmp_path / "v1.npz")
-        step_v2 = load_any(tmp_path / "v1.npz")
-        step_v2.save(tmp_path / "v2.npz")
-        sharded = ShardedIndex([load_any(tmp_path / "v2.npz")])
-        sharded.save(tmp_path / "v3")
-        final = load_any(tmp_path / "v3")
-        got = final.search(queries, k=5, params=p)
-        assert np.array_equal(want.ids, got.ids)
-        assert np.array_equal(want.distances, got.distances)
-        # the chain's end is fully mutable: stable ids keep working
-        final.delete([3])
-        new = final.add(np.array([[0.4, 0.6]]))
-        assert final.tombstone_count == 1 and int(new[0]) == 80
 
     def test_v3_round_trip_preserves_mutation_state(self, tmp_path, queries):
         pts = uniform_cube(90, 2, np.random.default_rng(8))
