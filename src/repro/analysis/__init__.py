@@ -10,7 +10,7 @@ Two halves live here:
 * the *static* toolkit (:mod:`~repro.analysis.lint`) — an AST rule
   engine that checks the conventions the test suite can only catch
   after they break: seeded determinism, async/spawn safety, arena
-  hygiene, kernel-planner parity, and the strict-typing surface.
+  hygiene, and the strict-typing surface.
 """
 
 from repro.analysis.fits import LinearFit, PowerLawFit, fit_linear, fit_power_law

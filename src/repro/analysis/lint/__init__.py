@@ -2,9 +2,8 @@
 
 The stack's correctness rests on conventions no general-purpose tool
 checks: seeded determinism, a non-blocking event loop in ``serve/``,
-spawn-safe process-pool payloads, shared-memory arena lifecycle,
-kernel-planner parity with the numpy engines, and a fully annotated
-``core``/``storage``/``serve``/``analysis`` surface.  This subpackage is
+spawn-safe process-pool payloads, shared-memory arena lifecycle, and a
+fully annotated ``core``/``storage``/``serve``/``analysis`` surface.  This subpackage is
 an AST rule engine (stdlib :mod:`ast` only) that turns each convention
 into a named rule with line suppressions (``# repro: ignore[rule-id]``),
 run by the ``repro lint`` CLI subcommand, which exits nonzero on any

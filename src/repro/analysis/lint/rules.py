@@ -16,13 +16,6 @@ breaks:
 ``arena-hygiene``         every ``SharedArena``/``SharedMemory``
                           creation pairs with close/unlink in a
                           ``finally`` or context manager
-``mmap-hygiene``          every ``np.memmap``/``mmap.mmap`` acquisition
-                          is context-managed, explicitly closed, or
-                          ownership-transferred (returned / stored on
-                          an owning object)
-``kernel-parity``         the accel planner covers every store kind ×
-                          metric the engines accept, and the C build
-                          keeps ``-ffp-contract=off``
 ``unused-symbol``         no unused imports (``__init__`` re-export
                           surfaces exempt)
 ``typing-complete``       every def in the strict-mypy packages is
@@ -31,10 +24,7 @@ breaks:
 ========================  ==============================================
 
 Rules are pure AST checks — no imports of the code under analysis, so a
-file that cannot even import (missing optional dep) still lints.  The
-single exception is ``kernel-parity`` reading
-``repro.storage.STORAGE_KINDS`` so the planner's expected coverage can
-never drift from what the engines accept.
+file that cannot even import (missing optional dep) still lints.
 """
 
 from __future__ import annotations
@@ -50,8 +40,6 @@ __all__ = [
     "AsyncBlockingRule",
     "AsyncLockHeldRule",
     "DeterminismRule",
-    "KernelParityRule",
-    "MmapHygieneRule",
     "SpawnSafetyRule",
     "TypingCompleteRule",
     "UnusedSymbolRule",
@@ -604,286 +592,6 @@ class ArenaHygieneRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# mmap-hygiene
-# ----------------------------------------------------------------------
-
-_MMAP_CREATORS = frozenset({"np.memmap", "numpy.memmap", "memmap", "mmap.mmap"})
-
-
-def _is_mmap_creation(node: ast.Call) -> str | None:
-    name = _dotted(node.func)
-    if name is None:
-        return None
-    if name in _MMAP_CREATORS:
-        return name
-    tail2 = ".".join(name.split(".")[-2:])
-    if tail2 in ("np.memmap", "numpy.memmap", "mmap.mmap"):
-        return tail2
-    return None
-
-
-class MmapHygieneRule(Rule):
-    """Every memory mapping must have a visible owner or release path.
-
-    The file-descriptor/mapping behind ``np.memmap`` (and a raw
-    ``mmap.mmap``) lives until the object is collected — an anonymous
-    mapping built mid-expression and dropped on an exception keeps the
-    fd pinned, and on Windows keeps the file locked.  Mirror of
-    ``arena-hygiene``, with ownership transfer broadened to match how
-    the v5 disk tier threads mappings around: a creation must be
-    (a) a context manager, (b) part of a ``return`` expression
-    (ownership leaves with the value — the adopting dataset / store /
-    graph holds the mapping for its lifetime), (c) stored on an
-    attribute (owned by an object with its own lifecycle), or (d) bound
-    to a local that is closed in a ``finally``.
-    """
-
-    id = "mmap-hygiene"
-    rationale = (
-        "an unowned memory mapping pins its file descriptor until GC; "
-        "context-manage it, return it (ownership transfer), store it "
-        "on an owning object, or close it in a finally"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[tuple[ast.AST | int, str]]:
-        parents: dict[ast.AST, ast.AST] = {}
-        for node in ast.walk(ctx.tree):
-            for child in ast.iter_child_nodes(node):
-                parents[child] = node
-
-        def enclosing_function(node: ast.AST) -> ast.AST | None:
-            cur = parents.get(node)
-            while cur is not None:
-                if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    return cur
-                cur = parents.get(cur)
-            return None
-
-        def under_with(node: ast.AST) -> bool:
-            cur, prev = parents.get(node), node
-            while cur is not None:
-                if isinstance(cur, ast.withitem) and cur.context_expr is prev:
-                    return True
-                prev, cur = cur, parents.get(cur)
-            return False
-
-        def enclosing_statement(node: ast.AST) -> ast.AST | None:
-            cur = node
-            while cur is not None and not isinstance(cur, ast.stmt):
-                cur = parents.get(cur)
-            return cur
-
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            what = _is_mmap_creation(node)
-            if what is None:
-                continue
-            if under_with(node):
-                continue
-            stmt = enclosing_statement(node)
-            if isinstance(stmt, ast.Return):
-                continue  # ownership transferred with the return value
-            if isinstance(stmt, ast.Assign) and all(
-                isinstance(t, ast.Attribute) for t in stmt.targets
-            ):
-                continue  # owned by the object; released with it
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and stmt.value is node
-            ):
-                fn = enclosing_function(node)
-                if fn is not None and self._closed_in_finally(
-                    fn, stmt.targets[0].id
-                ):
-                    continue
-            yield (
-                node,
-                f"{what}(...) is neither context-managed, returned, "
-                "stored on an owning object, nor closed in a finally — "
-                "the mapping (and its fd) leaks until GC on the first "
-                "exception",
-            )
-
-    @staticmethod
-    def _closed_in_finally(fn: ast.AST, name: str) -> bool:
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Try) or not node.finalbody:
-                continue
-            for stmt in node.finalbody:
-                for sub in ast.walk(stmt):
-                    if isinstance(sub, ast.Call) and _dotted(sub.func) in (
-                        f"{name}.close",
-                        f"{name}._mmap.close",
-                    ):
-                        return True
-        return False
-
-
-# ----------------------------------------------------------------------
-# kernel-parity
-# ----------------------------------------------------------------------
-
-_REQUIRED_METRICS = ("EuclideanMetric", "ChebyshevMetric")
-_REQUIRED_CFLAG = "-ffp-contract=off"
-
-# The compiled construction path: wave location classifies its workload
-# through ``_plan`` (inheriting the full store-kind x metric table);
-# the prune/commit kernels and the G-net traversal run over raw float64
-# coordinates and must route metrics through ``_coord_kind`` (both
-# coordinate metrics plus the explicit unsupported-metric error).
-_CONSTRUCTION_ENTRY_POINTS = (
-    ("run_construction", "_plan"),
-    ("run_robust_prune", "_coord_kind"),
-    ("run_commit_wave", "_coord_kind"),
-    ("run_traverse", "_coord_kind"),
-)
-
-
-def _expected_store_kinds() -> tuple[str, ...]:
-    try:
-        from repro.storage import STORAGE_KINDS
-
-        return tuple(STORAGE_KINDS)
-    except Exception:  # pragma: no cover - only outside the package
-        return ("flat", "sq8")
-
-
-class KernelParityRule(Rule):
-    """The accel planner must cover what the engines accept.
-
-    ``accel/dispatch.py`` routes (store kind × metric) workloads to
-    compiled kernels; a kind the engines accept but ``_plan`` does not
-    handle silently falls back (or worse, raises) the day someone adds
-    a store.  The *construction* entry points must stay on the same
-    table: wave location through ``_plan`` (every store kind × both
-    coordinate metrics), prune/commit through ``_coord_kind`` (both
-    coordinate metrics over the raw float64 points).  And the cffi
-    build must keep ``-ffp-contract=off`` — fused multiply-adds change
-    float results and break the backend bit-identity gate.
-    """
-
-    id = "kernel-parity"
-    rationale = (
-        "the dispatch table must stay in lockstep with the store kinds "
-        "and metrics the numpy engines accept, and compiled kernels "
-        "must keep -ffp-contract=off for bit-identity"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[tuple[ast.AST | int, str]]:
-        plan_fn = None
-        cflags_node: ast.Assign | None = None
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.FunctionDef) and node.name == "_plan":
-                plan_fn = node
-            elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "_CFLAGS"
-                for t in node.targets
-            ):
-                cflags_node = node
-
-        if plan_fn is not None:
-            handled: set[str] = set()
-            for node in ast.walk(plan_fn):
-                if not isinstance(node, ast.Compare):
-                    continue
-                names = {_last_component(_dotted(node.left))} | {
-                    _last_component(_dotted(c)) for c in node.comparators
-                }
-                if not any("kind" in n for n in names if n):
-                    continue
-                for side in [node.left] + list(node.comparators):
-                    if isinstance(side, ast.Constant) and isinstance(
-                        side.value, str
-                    ):
-                        handled.add(side.value)
-            for kind in _expected_store_kinds():
-                if kind not in handled:
-                    yield (
-                        plan_fn,
-                        f"_plan() does not handle store kind {kind!r}, "
-                        "which the engines accept (repro.storage."
-                        "STORAGE_KINDS) — extend the workload table",
-                    )
-            checked: set[str] = set()
-            for node in ast.walk(ctx.tree):
-                if (
-                    isinstance(node, ast.Call)
-                    and _dotted(node.func) == "isinstance"
-                    and len(node.args) == 2
-                ):
-                    checked.add(_last_component(_dotted(node.args[1])))
-            for metric in _REQUIRED_METRICS:
-                if metric not in checked:
-                    yield (
-                        plan_fn,
-                        f"the planner never dispatches on {metric}; every "
-                        "coordinate metric the engines accept needs a "
-                        "kernel route (or an explicit unsupported branch)",
-                    )
-            yield from self._check_construction(ctx, plan_fn)
-
-        if cflags_node is not None:
-            flags = {
-                sub.value
-                for sub in ast.walk(cflags_node.value)
-                if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-            }
-            if _REQUIRED_CFLAG not in flags:
-                yield (
-                    cflags_node,
-                    f"_CFLAGS is missing {_REQUIRED_CFLAG!r}; without it "
-                    "the C backend fuses multiply-adds and loses bit-"
-                    "identity with the numpy engines",
-                )
-
-    @staticmethod
-    def _check_construction(
-        ctx: FileContext, plan_fn: ast.FunctionDef
-    ) -> Iterator[tuple[ast.AST | int, str]]:
-        """The construction workloads ride the same dispatch table.
-
-        A dispatch module (identified by its ``_plan``) must define all
-        three construction entry points, and each must route through
-        its workload classifier — otherwise a store kind or metric the
-        search path covers silently loses its compiled build path.
-        """
-        fns = {
-            node.name: node
-            for node in ast.walk(ctx.tree)
-            if isinstance(node, ast.FunctionDef)
-        }
-        for name, router in _CONSTRUCTION_ENTRY_POINTS:
-            fn = fns.get(name)
-            if fn is None:
-                yield (
-                    plan_fn,
-                    f"the dispatch module defines no {name}(); the "
-                    "construction path must cover the same store kinds "
-                    "and coordinate metrics as search — add the entry "
-                    f"point and classify its workload via {router}()",
-                )
-                continue
-            called = {
-                _last_component(_dotted(sub.func))
-                for sub in ast.walk(fn)
-                if isinstance(sub, ast.Call)
-            }
-            if router not in called:
-                yield (
-                    fn,
-                    f"{name}() never classifies its workload through "
-                    f"{router}(); construction coverage of every store "
-                    "kind (repro.storage.STORAGE_KINDS) and both "
-                    "coordinate metrics rides that table — route "
-                    "through it (or raise UnsupportedWorkloadError "
-                    "there)",
-                )
-
-
-# ----------------------------------------------------------------------
 # unused-symbol
 # ----------------------------------------------------------------------
 
@@ -1025,8 +733,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     AsyncLockHeldRule,
     SpawnSafetyRule,
     ArenaHygieneRule,
-    MmapHygieneRule,
-    KernelParityRule,
     UnusedSymbolRule,
     TypingCompleteRule,
 )

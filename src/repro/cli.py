@@ -483,7 +483,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="project-contract linter (determinism, async/spawn safety, "
-             "arena hygiene, kernel parity, typing); nonzero on findings",
+             "arena hygiene, typing); nonzero on findings",
     )
     p.add_argument(
         "paths", nargs="*", help="files or directories to lint"

@@ -41,7 +41,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.persistence import _attach_array, _disk_layout, _manifest_layout
+from repro.core.persistence import (
+    DISK_HEADER_NAME,
+    _attach_array,
+    _disk_layout,
+    _manifest_layout,
+)
 
 __all__ = [
     "IntegrityError",
@@ -173,12 +178,24 @@ def check_disk_layout(path: str | Path) -> list[str]:
     """Structural violations of one v5 disk directory (pre-attach).
 
     The header and array-file checks :func:`load_index
-    <repro.core.persistence.load_index>` raises on, plus the deep check
-    its millisecond mmap open skips: when their sizes allow it, the
-    mapped CSR arrays must satisfy the same shape/monotonicity/range
-    invariants a live graph enforces.
+    <repro.core.persistence.load_index>` raises on, plus two it skips:
+    no ``.bin`` file a loadable header does not list (the loader ignores
+    one), and the deep check its millisecond mmap open skips: when their
+    sizes allow it, the mapped CSR arrays must satisfy the same
+    shape/monotonicity/range invariants a live graph enforces.
     """
-    header, arrays, violations = _disk_layout(Path(path))
+    directory = Path(path)
+    header, arrays, violations = _disk_layout(directory)
+    if not violations:
+        # Only a header the loader accepts says which files are stale: one
+        # that drops a required entry is itself the fault to name.
+        listed = {entry["file"] for entry in header["arrays"].values()}
+        violations.extend(
+            f"disk-file-unlisted: {directory} holds {stale.name}, which "
+            f"{DISK_HEADER_NAME} does not list (a stale array file)"
+            for stale in sorted(directory.glob("*.bin"))
+            if stale.name not in listed
+        )
     if "csr_offsets" in arrays and "csr_targets" in arrays:
         offsets = _attach_array(*arrays["csr_offsets"], mmap=True)
         targets = _attach_array(*arrays["csr_targets"], mmap=True)

@@ -343,7 +343,9 @@ def _save_disk_index(index: "ProximityGraphIndex", path: str | Path) -> Path:
     The header is the commit marker.  A save into an existing directory
     removes it before the first array changes, so an interrupted save
     leaves a directory without ``header.json``, which the loader rejects
-    by name instead of attaching torn arrays.
+    by name instead of attaching torn arrays.  Array files the new
+    header does not list (an sq8 index re-saved as flat leaves its
+    ``codes.bin``) are removed once the header is in place.
     """
     path = Path(path)
     if path.exists() and not path.is_dir():
@@ -374,6 +376,10 @@ def _save_disk_index(index: "ProximityGraphIndex", path: str | Path) -> Path:
             path / DISK_HEADER_NAME,
             lambda tmp: tmp.write_text(text, encoding="utf-8"),
         )
+        listed = {entry["file"] for entry in manifest.values()}
+        for stale in path.glob("*.bin"):
+            if stale.name not in listed:
+                stale.unlink()
     except OSError as exc:
         raise ValueError(
             f"disk-dir-unwritable: cannot write v5 index into {path}: {exc}"
@@ -573,6 +579,11 @@ def save_sharded_index(
     The manifest records the fan-out state that lives *above* the
     shards: assignment policy, build seed, worker count, and the next
     fresh external id (so id stability survives delete-then-reload).
+
+    The manifest is the commit marker, as ``header.json`` is for a v5
+    directory: a re-save removes it before the first shard changes and
+    writes it last, so an interrupted save leaves a directory the
+    loader refuses instead of a mix of old and new shards.
     """
     if format not in ("npz", "disk"):
         raise ValueError(f"unknown save format {format!r}; use 'npz' or 'disk'")
@@ -583,6 +594,7 @@ def save_sharded_index(
             "saves as a manifest directory"
         )
     path.mkdir(parents=True, exist_ok=True)
+    (path / MANIFEST_NAME).unlink(missing_ok=True)
     shard_files = []
     for j, shard in enumerate(index.shards):
         save_index(
@@ -611,7 +623,10 @@ def save_sharded_index(
         "search_chunk": int(index.search_chunk),
         "next_id": int(index._next),
     }
-    (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
+    text = json.dumps(manifest, indent=2)
+    _write_replacing(
+        path / MANIFEST_NAME, lambda tmp: tmp.write_text(text, encoding="utf-8")
+    )
     return path
 
 

@@ -6,16 +6,11 @@ time* is wall time of the builder.  :func:`measure_queries` runs greedy
 over a query batch and reports exactly those quantities plus solution
 quality against the exact (linear-scan) nearest neighbor.
 
-Two fast paths keep replayed measurements cheap:
-
-* ``engine="batch"`` (the default) routes the whole query batch through
-  the lockstep engine of :mod:`repro.graphs.engine`, which returns
-  bit-identical :class:`~repro.graphs.greedy.GreedyResult` objects with
-  far less Python overhead;
-* :func:`compute_ground_truth` evaluates all exact NNs in one
-  cross-distance matrix and its output can be passed back in as
-  ``ground_truth`` whenever the same query batch is replayed across
-  builders (every benchmark re-uses one batch per workload).
+The whole query batch runs through the lockstep engine of
+:mod:`repro.graphs.engine`.  :func:`compute_ground_truth` evaluates all
+exact NNs in one cross-distance matrix and its output can be passed
+back in as ``ground_truth`` whenever the same query batch is replayed
+across builders (every benchmark re-uses one batch per workload).
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ import numpy as np
 
 from repro.graphs.base import ProximityGraph
 from repro.graphs.engine import greedy_batch
-from repro.graphs.greedy import greedy
 from repro.metrics.base import Dataset
 
 __all__ = [
@@ -241,7 +235,6 @@ def measure_queries(
     rng: np.random.Generator | None = None,
     keep_per_query: bool = False,
     ground_truth: tuple[np.ndarray, np.ndarray] | None = None,
-    engine: str = "batch",
     seed: int | None = None,
     backend: str | None = None,
 ) -> QueryStats:
@@ -256,16 +249,12 @@ def measure_queries(
     the exact NN from a linear scan; queries whose NN distance is 0
     count as satisfied only on exact hits.  ``ground_truth`` accepts a
     precomputed ``(nn_ids, nn_dists)`` pair (see
-    :func:`compute_ground_truth`); ``engine`` selects the lockstep batch
-    engine (default) or the scalar per-query loop — their results are
-    bit-identical.  An empty query batch aggregates to all-zero stats
-    instead of tripping numpy's empty reductions.  ``backend`` threads
+    :func:`compute_ground_truth`).  An empty query batch aggregates to
+    all-zero stats instead of tripping numpy's empty reductions.  ``backend`` threads
     through to the batch engine (see ``SearchParams.backend``; ``None``
     means ``"auto"``) — compiled backends return the same statistics
     bit for bit.
     """
-    if engine not in ("batch", "scalar"):
-        raise ValueError(f"unknown engine {engine!r}; use 'batch' or 'scalar'")
     m = len(queries)
     if m == 0:
         return QueryStats(
@@ -283,16 +272,10 @@ def measure_queries(
         gen = rng if rng is not None else np.random.default_rng(seed or 0)
         starts = gen.integers(graph.n, size=m)
 
-    if engine == "batch":
-        results = greedy_batch(
-            graph, dataset, starts, queries, budget=budget,
-            backend="auto" if backend is None else backend,
-        )
-    else:
-        results = [
-            greedy(graph, dataset, int(start), q, budget=budget)
-            for q, start in zip(queries, starts)
-        ]
+    results = greedy_batch(
+        graph, dataset, starts, queries, budget=budget,
+        backend="auto" if backend is None else backend,
+    )
 
     evals, hops, ratios, hits, ok = [], [], [], [], []
     per_query: list[dict] = []

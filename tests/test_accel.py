@@ -12,6 +12,10 @@ Contract under test:
   one block and than two, every distance kind, budgets around the block
   and row ends, the compiled results equal the numpy engines' — once
   more under UBSan — and the C source compiles warning-free;
+* every store kind in ``STORAGE_KINDS`` under both coordinate metrics
+  has its own planner mode, each construction entry point runs compiled
+  for it and refuses Minkowski, and the C builds with
+  ``-ffp-contract=off``;
 * the C beam's sorted array makes the engines' two-heap decisions on
   seeded integer grids full of distance ties, under masks and budgets,
   and the C sums an SQ8-L2 row's squares left to right where that order
@@ -44,13 +48,14 @@ from repro.accel import cbackend, dispatch
 from repro.core.sharded import ShardedIndex
 from repro.graphs.base import ProximityGraph
 from repro.graphs.engine import (
+    CommitMirror,
     beam_search_batch,
     construction_beam_batch,
     greedy_batch,
 )
 from repro.metrics.base import Dataset
-from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric
-from repro.storage import make_store
+from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric, MinkowskiMetric
+from repro.storage import STORAGE_KINDS, make_store
 from repro.storage.sq8 import decode_sq8
 from repro.workloads import uniform_cube
 
@@ -198,12 +203,12 @@ class TestBitIdentity:
                 assert (got.evals <= budget).all()
 
 
-#: Every distance mode the kernels switch on: (metric, store kind).
+#: Every distance mode the kernels switch on: (metric, store kind), one
+#: per store kind the engines accept times each coordinate metric.
 KERNEL_KINDS = {
-    "flat-l2": (EuclideanMetric(), None),
-    "flat-linf": (ChebyshevMetric(), None),
-    "sq8-l2": (EuclideanMetric(), "sq8"),
-    "sq8-linf": (ChebyshevMetric(), "sq8"),
+    f"{store_kind}-{name}": (metric, store_kind)
+    for store_kind in STORAGE_KINDS
+    for name, metric in (("l2", EuclideanMetric()), ("linf", ChebyshevMetric()))
 }
 
 
@@ -215,7 +220,7 @@ def _long_row_workload(kind):
     points = rng.standard_normal((n, d))
     graph = ProximityGraph(n, rng.integers(0, n, (n, 100))).freeze()
     metric, store_kind = KERNEL_KINDS[kind]
-    store = make_store(store_kind, metric, points, seed=0) if store_kind else None
+    store = make_store(store_kind, metric, points, seed=0)
     Q = rng.standard_normal((m, d))
     return graph, Dataset(metric, points), store, Q, np.zeros(m, dtype=np.int64)
 
@@ -305,7 +310,7 @@ class _LeftToRightL2(EuclideanMetric):
 def _check_grid_beams(seed, cases, backend="cffi"):
     """``backend``'s beam against the numpy engine's on ``cases`` seeded
     random workloads built for distance ties: integer points and queries
-    in ``{0..3}^d`` (d = 1-5), L2 or L-infinity, flat or SQ8, random
+    in ``{0..3}^d`` (d = 1-5), each of :data:`KERNEL_KINDS` in turn, random
     graphs, ``allowed`` masks admitting 5-90 % of the vertices, budgets,
     beam widths 1-40 and ``k`` up to five past the width.  SQ8 under L2
     with d >= 3 is the one mode whose numpy sums can round a tie apart
@@ -316,11 +321,10 @@ def _check_grid_beams(seed, cases, backend="cffi"):
         d, n = int(rng.integers(1, 6)), int(rng.integers(20, 90))
         points = rng.integers(0, 4, size=(n, d)).astype(np.float64)
         graph = ProximityGraph(n, rng.integers(0, n, size=(n, int(rng.integers(2, 9))))).freeze()
-        metric = (EuclideanMetric(), ChebyshevMetric())[case % 2]
-        sq8 = case % 3 == 0
-        if sq8 and case % 2 == 0 and d >= 3:
+        metric, store_kind = list(KERNEL_KINDS.values())[case % len(KERNEL_KINDS)]
+        if store_kind == "sq8" and isinstance(metric, EuclideanMetric) and d >= 3:
             metric = _LeftToRightL2()
-        store = make_store("sq8", metric, points, seed=0) if sq8 else None
+        store = make_store(store_kind, metric, points, seed=0)
         Q = rng.integers(0, 4, size=(6, d)).astype(np.float64)
         starts = rng.integers(0, n, size=6)
         density = (None, 0.05, 0.2, 0.5, 0.9)[case % 5]
@@ -443,6 +447,79 @@ class TestBlockExpansion:
         for got in results[1:]:
             _assert_equal(got, results[0], backend)
         assert (results[0].evals == index.n).all()
+
+
+def _entry_point_calls(metric, store_kind):
+    """Call each construction entry point once on a small workload under
+    ``metric``; each one's result, or the UnsupportedWorkloadError it
+    raised."""
+    rng = np.random.default_rng(9)
+    n, d = 40, 3
+    points = rng.standard_normal((n, d))
+    dataset = Dataset(metric, points)
+    store = make_store(store_kind, metric, points, seed=0)
+    graph = ProximityGraph(n, rng.integers(0, n, (n, 6))).freeze()
+    Q = rng.standard_normal((4, d))
+    pool = (np.arange(1, 9), metric.distances(points[0], points[1:9]))
+    calls = {
+        "run_construction": lambda: dispatch.run_construction(
+            graph, dataset, np.zeros(len(Q), dtype=np.int64), Q, 8, store=store
+        ),
+        "run_robust_prune": lambda: dispatch.run_robust_prune(
+            dataset, 0, pool[0], pool[1], 1.2, 4
+        ),
+        "run_commit_wave": lambda: dispatch.run_commit_wave(
+            dataset, [0], [pool], 1.2, 4, True, CommitMirror(n, 0, 4)
+        ),
+        "run_traverse": lambda: dispatch.run_traverse(dataset, 0, None, None),
+    }
+    outcomes = {}
+    for name, call in calls.items():
+        try:
+            outcomes[name] = call()
+        except accel.UnsupportedWorkloadError as exc:
+            outcomes[name] = exc
+    return outcomes
+
+
+class TestPlannerCoverage:
+    """Every store kind the engines accept, under both coordinate metrics,
+    has a compiled kernel of its own: a store kind added to
+    ``STORAGE_KINDS`` without a planner branch, or a construction entry
+    point that stops routing a coordinate metric, fails here."""
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_every_kind_has_a_compiled_route(self, kind):
+        # 1. The planner gives each (store kind, metric) its own kernel
+        #    mode, without any backend warmed.
+        modes = {
+            other: dispatch._plan(*_long_row_workload(other)[1:4]).kind
+            for other in KERNEL_KINDS
+        }
+        assert list(modes.values()).count(modes[kind]) == 1, modes
+        # 2. With cffi warm, every construction entry point runs compiled
+        #    for both coordinate metrics and refuses a metric it has no
+        #    kernel for.
+        metric, store_kind = KERNEL_KINDS[kind]
+        for backend in BACKENDS:
+            accel.reset()
+            try:
+                accel.warm(backend)
+                compiled = _entry_point_calls(metric, store_kind)
+                refused = _entry_point_calls(MinkowskiMetric(3.0), store_kind)
+            finally:
+                accel.reset()
+            for name, got in compiled.items():
+                assert not isinstance(got, Exception), (kind, name, got)
+            assert compiled["run_traverse"] is not None, kind
+            for name, got in refused.items():
+                if name == "run_traverse":
+                    assert got is None, kind
+                else:
+                    assert isinstance(got, accel.UnsupportedWorkloadError), (kind, name)
+        # 3. The kernels are built without fused multiply-adds, which would
+        #    round their distances apart from the numpy engines'.
+        assert "-ffp-contract=off" in cbackend._CFLAGS
 
 
 @pytest.mark.skipif(

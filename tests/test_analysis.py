@@ -450,279 +450,6 @@ class TestArenaHygieneRule:
 
 
 # ----------------------------------------------------------------------
-# mmap-hygiene
-# ----------------------------------------------------------------------
-
-
-class TestMmapHygieneRule:
-    def test_unowned_local_mapping_fires(self):
-        hits = run_rule(
-            """
-            import numpy as np
-
-            def peek(path, shape):
-                arr = np.memmap(path, dtype="float64", mode="r", shape=shape)
-                return float(arr[0, 0])
-            """,
-            "mmap-hygiene",
-        )
-        assert any("ownership" in f.message or "mapping" in f.message
-                   for f in hits)
-
-    def test_bare_raw_mmap_fires(self):
-        assert run_rule(
-            """
-            import mmap
-
-            def scan(fd, size):
-                buf = mmap.mmap(fd, size)
-                return buf[:16]
-            """,
-            "mmap-hygiene",
-        )
-
-    def test_return_transfer_passes(self):
-        # The v5 loader's blessed idiom: the helper returns the mapping,
-        # the adopting dataset/store/graph owns it for the index's life.
-        assert not run_rule(
-            """
-            import numpy as np
-
-            def attach(path, dtype, shape):
-                return np.memmap(path, dtype=dtype, mode="r", shape=shape)
-            """,
-            "mmap-hygiene",
-        )
-
-    def test_nested_return_transfer_passes(self):
-        # Ownership also transfers when the creation is nested inside
-        # the returned expression (the wrapper adopts the mapping).
-        assert not run_rule(
-            """
-            import numpy as np
-
-            def open_store(inner, path, shape):
-                return DiskTierStore(
-                    inner, np.memmap(path, dtype="f8", mode="r", shape=shape)
-                )
-            """,
-            "mmap-hygiene",
-        )
-
-    def test_attribute_assignment_passes(self):
-        assert not run_rule(
-            """
-            import numpy as np
-
-            class Holder:
-                def bind(self, path, shape):
-                    self._vectors = np.memmap(
-                        path, dtype="f8", mode="r", shape=shape
-                    )
-            """,
-            "mmap-hygiene",
-        )
-
-    def test_finally_close_passes(self):
-        assert not run_rule(
-            """
-            import numpy as np
-
-            def checksum(path, shape):
-                arr = np.memmap(path, dtype="f8", mode="r", shape=shape)
-                try:
-                    return float(arr.sum())
-                finally:
-                    arr._mmap.close()
-            """,
-            "mmap-hygiene",
-        )
-
-    def test_with_block_passes(self):
-        assert not run_rule(
-            """
-            import mmap
-
-            def scan(fd, size):
-                with mmap.mmap(fd, size) as buf:
-                    return buf[:16]
-            """,
-            "mmap-hygiene",
-        )
-
-    def test_suppression_comment(self):
-        findings = lint_source(
-            textwrap.dedent(
-                """
-                import numpy as np
-
-                def peek(path):
-                    arr = np.memmap(path, dtype="u1", mode="r")  # repro: ignore[mmap-hygiene]
-                    return arr[0]
-                """
-            ),
-            path="<fixture>",
-            config=LintConfig(select=frozenset({"mmap-hygiene"})),
-        )
-        assert findings and all(f.suppressed for f in findings)
-
-
-# ----------------------------------------------------------------------
-# kernel-parity
-# ----------------------------------------------------------------------
-
-
-class TestKernelParityRule:
-    def test_missing_store_kind_fires(self):
-        hits = run_rule(
-            """
-            def _plan(dataset, store, Q):
-                kind = store.kind
-                if kind == "flat":
-                    return make_flat_plan()
-                raise UnsupportedWorkloadError(kind)
-            """,
-            "kernel-parity",
-        )
-        missing = " ".join(f.message for f in hits)
-        assert "'sq8'" in missing and "'pq'" not in missing
-
-    def test_missing_metric_fires(self):
-        hits = run_rule(
-            """
-            def _plan(dataset, store, Q):
-                kind = store.kind
-                if kind in ("flat", "sq8"):
-                    return _coord_kind(dataset.metric)
-
-            def _coord_kind(metric):
-                if isinstance(metric, EuclideanMetric):
-                    return 0
-                raise UnsupportedWorkloadError(metric)
-            """,
-            "kernel-parity",
-        )
-        assert any("ChebyshevMetric" in f.message for f in hits)
-
-    def test_missing_fp_contract_flag_fires(self):
-        hits = run_rule(
-            """
-            _CFLAGS = ["-O2", "-fPIC", "-shared"]
-            """,
-            "kernel-parity",
-        )
-        assert any("-ffp-contract=off" in f.message for f in hits)
-
-    FULL_COVERAGE = """
-        _CFLAGS = ["-O2", "-fPIC", "-ffp-contract=off"]
-
-        def _plan(dataset, store, Q):
-            kind = store.kind
-            if kind == "flat":
-                return flat_plan()
-            elif kind == "sq8":
-                return sq8_plan()
-            raise UnsupportedWorkloadError(kind)
-
-        def _coord_kind(metric):
-            if isinstance(metric, EuclideanMetric):
-                return 0
-            if isinstance(metric, ChebyshevMetric):
-                return 1
-            raise UnsupportedWorkloadError(metric)
-
-        def run_construction(backend, graph, dataset, starts, queries):
-            return _plan(dataset, None, queries)
-
-        def run_robust_prune(backend, dataset, pid, v_arr, d_arr):
-            kind, factor = _coord_kind(dataset.metric)
-            return kind
-
-        def run_commit_wave(backend, dataset, adj, pids, pools):
-            kind, factor = _coord_kind(dataset.metric)
-            return kind
-
-        def run_traverse(dataset, start, height, phi):
-            kind, factor = _coord_kind(dataset.metric)
-            return kind
-        """
-
-    def test_full_coverage_passes(self):
-        assert not run_rule(self.FULL_COVERAGE, "kernel-parity")
-
-    def test_missing_construction_entry_point_fires(self):
-        """A dispatch module whose construction path lost an entry point
-        (here: no run_commit_wave at all) must fire."""
-        src = self.FULL_COVERAGE.replace(
-            "def run_commit_wave", "def some_other_helper"
-        )
-        hits = run_rule(src, "kernel-parity")
-        assert any("run_commit_wave" in f.message for f in hits)
-
-    def test_construction_bypassing_workload_table_fires(self):
-        """A construction entry point that classifies its own workload
-        inline (never consulting _coord_kind) silently loses metric
-        coverage — true positive."""
-        src = self.FULL_COVERAGE.replace(
-            """def run_robust_prune(backend, dataset, pid, v_arr, d_arr):
-            kind, factor = _coord_kind(dataset.metric)
-            return kind""",
-            """def run_robust_prune(backend, dataset, pid, v_arr, d_arr):
-            if isinstance(dataset.metric, EuclideanMetric):
-                return 0
-            return 1""",
-        )
-        hits = run_rule(src, "kernel-parity")
-        assert any(
-            "run_robust_prune" in f.message and "_coord_kind" in f.message
-            for f in hits
-        )
-
-    def test_traverse_bypassing_coord_kind_fires(self):
-        """A G-net traversal that decides on its own which metrics run
-        compiled (here: a bare isinstance test) bypasses the gate."""
-        src = self.FULL_COVERAGE.replace(
-            """def run_traverse(dataset, start, height, phi):
-            kind, factor = _coord_kind(dataset.metric)""",
-            """def run_traverse(dataset, start, height, phi):
-            kind = 0 if isinstance(dataset.metric, EuclideanMetric) else 1""",
-        )
-        hits = run_rule(src, "kernel-parity")
-        assert any(
-            "run_traverse" in f.message and "_coord_kind" in f.message
-            for f in hits
-        )
-
-    def test_locate_bypassing_plan_fires(self):
-        src = self.FULL_COVERAGE.replace(
-            "return _plan(dataset, None, queries)",
-            "return flat_plan()",
-        )
-        hits = run_rule(src, "kernel-parity")
-        assert any(
-            "run_construction" in f.message and "_plan" in f.message
-            for f in hits
-        )
-
-    def test_real_dispatch_module_passes(self):
-        """False-positive guard: the shipped dispatch module satisfies
-        the construction-coverage contract."""
-        src = (REPO_SRC / "accel" / "dispatch.py").read_text()
-        hits = run_rule(src, "kernel-parity", path=str(REPO_SRC / "accel" / "dispatch.py"))
-        assert not hits
-
-    def test_unrelated_module_passes(self):
-        assert not run_rule(
-            """
-            def plan_dinner(kind):
-                if kind == "flat":
-                    return "pancakes"
-            """,
-            "kernel-parity",
-        )
-
-
-# ----------------------------------------------------------------------
 # unused-symbol
 # ----------------------------------------------------------------------
 

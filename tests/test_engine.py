@@ -172,32 +172,19 @@ class TestMeasureQueriesParity:
         built = build("gnet", uniform2d, 1.0, rng)
         queries = mixed_queries(uniform2d, rng, m=20)
         starts = rng.integers(uniform2d.n, size=len(queries))
-        a = measure_queries(
+        scanned = measure_queries(
             built.graph, uniform2d, queries, epsilon=1.0, starts=starts,
-            engine="scalar",
         )
-        b = measure_queries(
-            built.graph, uniform2d, queries, epsilon=1.0, starts=starts,
-            engine="batch",
-        )
-        assert a == b  # dataclass equality: every aggregate identical
         gt = compute_ground_truth(uniform2d, queries)
-        c = measure_queries(
+        given = measure_queries(
             built.graph, uniform2d, queries, epsilon=1.0, starts=starts,
             ground_truth=gt,
         )
-        assert c.mean_distance_evals == b.mean_distance_evals
-        assert c.recall_at_1 == pytest.approx(b.recall_at_1)
-        assert c.epsilon_satisfied_fraction == pytest.approx(
-            b.epsilon_satisfied_fraction
+        assert given.mean_distance_evals == scanned.mean_distance_evals
+        assert given.recall_at_1 == pytest.approx(scanned.recall_at_1)
+        assert given.epsilon_satisfied_fraction == pytest.approx(
+            scanned.epsilon_satisfied_fraction
         )
-
-    def test_unknown_engine_rejected(self, uniform2d, rng):
-        built = build("gnet", uniform2d, 1.0, rng)
-        with pytest.raises(ValueError):
-            measure_queries(
-                built.graph, uniform2d, [np.zeros(2)], epsilon=1.0, engine="turbo"
-            )
 
     def test_ground_truth_matches_linear_scan(self, uniform2d, rng):
         # Includes exact data points as queries (true NN distance 0), the

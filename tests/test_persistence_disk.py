@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro import (
     load_any,
 )
 from repro.accel.dispatch import _plan
+from repro.core import persistence
 from repro.core.integrity import check_disk_layout
 from repro.core.persistence import (
     DISK_FORMAT_VERSION,
@@ -429,6 +431,23 @@ class TestDiskRobustness:
         violations = check_disk_layout(saved)
         assert len(violations) == 1 and "disk-header-missing" in violations[0]
 
+    def test_resave_removes_the_files_its_header_drops(self, saved):
+        """An sq8 directory re-saved as flat keeps no ``codes.bin`` or
+        ``store_*.bin``; a ``.bin`` the header does not list is reported
+        by name, and the loader still opens the directory."""
+        index = _build("sq8")
+        index.set_storage("flat")
+        index.save(saved, format="disk")
+        header = json.loads((saved / DISK_HEADER_NAME).read_text())
+        listed = {entry["file"] for entry in header["arrays"].values()}
+        assert {p.name for p in saved.iterdir()} == listed | {DISK_HEADER_NAME}
+        assert check_disk_layout(saved) == []
+        (saved / "codes.bin").write_bytes(bytes(8))
+        violations = check_disk_layout(saved)
+        assert len(violations) == 1
+        assert violations[0].startswith("disk-file-unlisted") and "codes.bin" in violations[0]
+        assert load_any(saved).n == index.n
+
     def test_unwritable_target_named_at_save_time(self, tmp_path):
         # A file where a path component should be a directory trips the
         # same OSError funnel as a read-only filesystem, and does so
@@ -639,6 +658,50 @@ class TestShardedDiskFormat:
         loaded.delete([1, 2])
         new = loaded.add(np.random.default_rng(13).uniform(size=(2, D)))
         assert loaded.tombstone_count == 2 and len(new) == 2
+
+
+class TestShardedResave:
+    @pytest.fixture(scope="class")
+    def sharded(self):
+        pts = uniform_cube(120, D, np.random.default_rng(8))
+        return ShardedIndex.build(pts, epsilon=1.0, method="vamana", shards=2, seed=8)
+
+    @pytest.mark.parametrize("fmt", ["npz", "disk"])
+    @pytest.mark.parametrize("fail_at", ["shard-000", "shard-001", MANIFEST_NAME])
+    def test_interrupted_resave_never_loads_a_mix(
+        self, sharded, fmt, fail_at, tmp_path, monkeypatch
+    ):
+        """A re-save that dies at any shard, or at the manifest, leaves a
+        directory the loader refuses by name: never the old manifest over
+        a mix of old and new shards."""
+        out = sharded.save(tmp_path / "idx", format=fmt)
+        index = load_any(out)
+        index.delete(np.arange(0, index.n, 2))
+        real_save, real_write = persistence.save_index, Path.write_text
+
+        def save_failing(shard, path, **kw):
+            if Path(path).name.startswith(fail_at):
+                raise OSError("simulated crash mid-save")
+            return real_save(shard, path, **kw)
+
+        def write_failing(target, *args, **kw):
+            if target.name.startswith(fail_at):
+                raise OSError("simulated crash mid-save")
+            return real_write(target, *args, **kw)
+
+        monkeypatch.setattr(persistence, "save_index", save_failing)
+        monkeypatch.setattr(Path, "write_text", write_failing)
+        with pytest.raises(OSError, match="simulated crash"):
+            index.save(out, format=fmt)
+        monkeypatch.undo()
+        assert not list(out.glob("*.tmp"))
+        with pytest.raises(ValueError, match=MANIFEST_NAME):
+            load_any(out)
+        index.save(out, format=fmt)
+        again = load_any(out)
+        assert [s.tombstone_count for s in again.shards] == [
+            s.tombstone_count for s in index.shards
+        ]
 
 
 class TestCliWritesBackInPlace:
