@@ -46,6 +46,7 @@ from repro.core.persistence import (
     _attach_array,
     _disk_layout,
     _manifest_layout,
+    _unlisted_bins,
 )
 
 __all__ = [
@@ -174,28 +175,34 @@ def check_sharded_manifest(path: str | Path) -> list[str]:
     return _manifest_layout(Path(path))[2]
 
 
+def _disk_files(
+    directory: Path,
+) -> tuple[dict[str, Any], dict[str, Any], list[str]]:
+    """:func:`_disk_layout` plus one check the loader skips: no ``.bin``
+    file the header does not list (the loader ignores one).  Only a
+    header the loader accepts says which files are stale: one it refuses
+    is itself the fault to name."""
+    header, arrays, violations = _disk_layout(directory)
+    if not violations:
+        violations.extend(
+            f"disk-file-unlisted: {directory} holds {stale.name}, which "
+            f"{DISK_HEADER_NAME} does not list (a stale array file)"
+            for stale in _unlisted_bins(directory, header)
+        )
+    return header, arrays, violations
+
+
 def check_disk_layout(path: str | Path) -> list[str]:
     """Structural violations of one v5 disk directory (pre-attach).
 
     The header and array-file checks :func:`load_index
     <repro.core.persistence.load_index>` raises on, plus two it skips:
-    no ``.bin`` file a loadable header does not list (the loader ignores
-    one), and the deep check its millisecond mmap open skips: when their
-    sizes allow it, the mapped CSR arrays must satisfy the same
-    shape/monotonicity/range invariants a live graph enforces.
+    the stale-file check of :func:`_disk_files`, and the deep check its
+    millisecond mmap open skips: when their sizes allow it, the mapped
+    CSR arrays must satisfy the same shape/monotonicity/range invariants
+    a live graph enforces.
     """
-    directory = Path(path)
-    header, arrays, violations = _disk_layout(directory)
-    if not violations:
-        # Only a header the loader accepts says which files are stale: one
-        # that drops a required entry is itself the fault to name.
-        listed = {entry["file"] for entry in header["arrays"].values()}
-        violations.extend(
-            f"disk-file-unlisted: {directory} holds {stale.name}, which "
-            f"{DISK_HEADER_NAME} does not list (a stale array file)"
-            for stale in sorted(directory.glob("*.bin"))
-            if stale.name not in listed
-        )
+    header, arrays, violations = _disk_files(Path(path))
     if "csr_offsets" in arrays and "csr_targets" in arrays:
         offsets = _attach_array(*arrays["csr_offsets"], mmap=True)
         targets = _attach_array(*arrays["csr_targets"], mmap=True)
@@ -219,7 +226,7 @@ def check_index(index: Any, path: str | Path | None = None) -> list[str]:
             # layout; validate the on-disk files against their header.
             # The deep CSR check is check_flat_index's: the index holds
             # those very arrays, mapped.
-            violations = _disk_layout(Path(path))[2] + violations
+            violations = _disk_files(Path(path))[2] + violations
     return violations
 
 
@@ -253,6 +260,7 @@ def integrity_report(
                 "disk-header (missing/unreadable/version)",
                 "disk-array (missing/size/rows)",
                 "disk-file-missing",
+                "disk-file-unlisted",
             ]
             if path is not None and Path(path).is_dir()
             and not hasattr(index, "shards")

@@ -371,20 +371,26 @@ def _save_disk_index(index: "ProximityGraphIndex", path: str | Path) -> Path:
                 "dtype": str(arr.dtype),
                 "shape": list(arr.shape),
             }
-        text = json.dumps({**header, "arrays": manifest}, indent=2)
+        header["arrays"] = manifest
+        text = json.dumps(header, indent=2)
         _write_replacing(
             path / DISK_HEADER_NAME,
             lambda tmp: tmp.write_text(text, encoding="utf-8"),
         )
-        listed = {entry["file"] for entry in manifest.values()}
-        for stale in path.glob("*.bin"):
-            if stale.name not in listed:
-                stale.unlink()
+        for stale in _unlisted_bins(path, header):
+            stale.unlink()
     except OSError as exc:
         raise ValueError(
             f"disk-dir-unwritable: cannot write v5 index into {path}: {exc}"
         ) from exc
     return path
+
+
+def _unlisted_bins(directory: Path, header: dict[str, Any]) -> list[Path]:
+    """The ``.bin`` files in ``directory`` that ``header`` lists no array
+    in: left by an older save, ignored by the loader."""
+    listed = {entry["file"] for entry in header["arrays"].values()}
+    return sorted(p for p in directory.glob("*.bin") if p.name not in listed)
 
 
 def _disk_layout(

@@ -34,6 +34,7 @@ Contract under test:
 
 from __future__ import annotations
 
+import functools
 import os
 import stat
 import subprocess
@@ -212,23 +213,25 @@ KERNEL_KINDS = {
 }
 
 
-def _long_row_workload(kind):
+def _long_row_workload(kind, with_store=True):
     """A graph whose rows hold 77-93 targets — three 32-target blocks —
-    under one kernel distance mode; every query starts at vertex 0."""
+    under one kernel distance mode; every query starts at vertex 0.
+    ``with_store=False`` passes no store, as callers of the engines
+    without an index do."""
     rng = np.random.default_rng(5)
     n, d, m = 300, 8, 6
     points = rng.standard_normal((n, d))
     graph = ProximityGraph(n, rng.integers(0, n, (n, 100))).freeze()
     metric, store_kind = KERNEL_KINDS[kind]
-    store = make_store(store_kind, metric, points, seed=0)
+    store = make_store(store_kind, metric, points, seed=0) if with_store else None
     Q = rng.standard_normal((m, d))
     return graph, Dataset(metric, points), store, Q, np.zeros(m, dtype=np.int64)
 
 
-def _check_long_rows(kind, backends):
+def _check_long_rows(kind, backends, with_store=True):
     """``backends`` against the numpy engines over :func:`_long_row_workload`:
     beam (ids, distances, evals), greedy, and the construction pools."""
-    graph, dataset, store, Q, starts = _long_row_workload(kind)
+    graph, dataset, store, Q, starts = _long_row_workload(kind, with_store)
     n, row = graph.n, len(graph.out_neighbors(0))
     assert row > 2 * 32
     allowed = np.zeros(n, dtype=bool)
@@ -331,7 +334,10 @@ def _check_grid_beams(seed, cases, backend="cffi"):
         allowed = None if density is None else rng.random(n) < density
         width = 1 + (seed * cases + case) % 40
         k = int(rng.integers(1, width + 6))
-        budget = None if case % 4 == 0 else int(rng.integers(1, 3 * n))
+        # A quarter of the cases run unbudgeted, drawn apart from the kind
+        # so that every kind meets both.
+        unbudgeted = (case // len(KERNEL_KINDS)) % 4 == 0
+        budget = None if unbudgeted else int(rng.integers(1, 3 * n))
         args = dict(beam_width=width, k=k, budget=budget, allowed=allowed, store=store)
         dataset = Dataset(metric, points)
         # BeamBatch equality: ids, distances and evals.
@@ -406,6 +412,10 @@ class TestBlockExpansion:
     def test_long_rows_every_kind(self, kind):
         _check_long_rows(kind, BACKENDS)
 
+    @pytest.mark.parametrize("kind", ["flat-l2", "flat-linf"])
+    def test_long_rows_without_a_store(self, kind):
+        _check_long_rows(kind, BACKENDS, with_store=False)
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_gnet_rows_through_the_front_door(self, backend):
         points = uniform_cube(200, 2, np.random.default_rng(3))
@@ -449,22 +459,27 @@ class TestBlockExpansion:
         assert (results[0].evals == index.n).all()
 
 
-def _entry_point_calls(metric, store_kind):
+def _entry_point_calls(metric, store_kinds):
     """Call each construction entry point once on a small workload under
-    ``metric``; each one's result, or the UnsupportedWorkloadError it
-    raised."""
+    ``metric``: ``run_construction`` once per store kind, the three that
+    take coordinates alone once.  Each one's result, or the
+    UnsupportedWorkloadError it raised."""
     rng = np.random.default_rng(9)
     n, d = 40, 3
     points = rng.standard_normal((n, d))
     dataset = Dataset(metric, points)
-    store = make_store(store_kind, metric, points, seed=0)
     graph = ProximityGraph(n, rng.integers(0, n, (n, 6))).freeze()
     Q = rng.standard_normal((4, d))
+    starts = np.zeros(len(Q), dtype=np.int64)
     pool = (np.arange(1, 9), metric.distances(points[0], points[1:9]))
     calls = {
-        "run_construction": lambda: dispatch.run_construction(
-            graph, dataset, np.zeros(len(Q), dtype=np.int64), Q, 8, store=store
-        ),
+        f"run_construction[{store_kind}]": functools.partial(
+            dispatch.run_construction, graph, dataset, starts, Q, 8,
+            store=make_store(store_kind, metric, points, seed=0),
+        )
+        for store_kind in store_kinds
+    }
+    calls.update({
         "run_robust_prune": lambda: dispatch.run_robust_prune(
             dataset, 0, pool[0], pool[1], 1.2, 4
         ),
@@ -472,7 +487,7 @@ def _entry_point_calls(metric, store_kind):
             dataset, [0], [pool], 1.2, 4, True, CommitMirror(n, 0, 4)
         ),
         "run_traverse": lambda: dispatch.run_traverse(dataset, 0, None, None),
-    }
+    })
     outcomes = {}
     for name, call in calls.items():
         try:
@@ -488,38 +503,43 @@ class TestPlannerCoverage:
     ``STORAGE_KINDS`` without a planner branch, or a construction entry
     point that stops routing a coordinate metric, fails here."""
 
-    @pytest.mark.parametrize("kind", KERNEL_KINDS)
-    def test_every_kind_has_a_compiled_route(self, kind):
-        # 1. The planner gives each (store kind, metric) its own kernel
-        #    mode, without any backend warmed.
+    def test_every_kind_has_its_own_plan(self):
+        # The planner gives each (store kind, metric) its own kernel mode,
+        # without any backend warmed; and the kernels are built without
+        # fused multiply-adds, which would round their distances apart
+        # from the numpy engines'.
         modes = {
-            other: dispatch._plan(*_long_row_workload(other)[1:4]).kind
-            for other in KERNEL_KINDS
+            kind: dispatch._plan(*_long_row_workload(kind)[1:4]).kind
+            for kind in KERNEL_KINDS
         }
-        assert list(modes.values()).count(modes[kind]) == 1, modes
-        # 2. With cffi warm, every construction entry point runs compiled
-        #    for both coordinate metrics and refuses a metric it has no
-        #    kernel for.
-        metric, store_kind = KERNEL_KINDS[kind]
-        for backend in BACKENDS:
-            accel.reset()
-            try:
-                accel.warm(backend)
-                compiled = _entry_point_calls(metric, store_kind)
-                refused = _entry_point_calls(MinkowskiMetric(3.0), store_kind)
-            finally:
-                accel.reset()
-            for name, got in compiled.items():
-                assert not isinstance(got, Exception), (kind, name, got)
-            assert compiled["run_traverse"] is not None, kind
-            for name, got in refused.items():
-                if name == "run_traverse":
-                    assert got is None, kind
-                else:
-                    assert isinstance(got, accel.UnsupportedWorkloadError), (kind, name)
-        # 3. The kernels are built without fused multiply-adds, which would
-        #    round their distances apart from the numpy engines'.
+        assert len(set(modes.values())) == len(KERNEL_KINDS), modes
         assert "-ffp-contract=off" in cbackend._CFLAGS
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_construction_entry_points_run_compiled(self, backend):
+        # Every construction entry point runs compiled for both coordinate
+        # metrics and every store kind, and refuses a metric it has no
+        # kernel for.
+        metrics = {type(metric).__name__: metric for metric, _ in KERNEL_KINDS.values()}
+        accel.reset()
+        try:
+            accel.warm(backend)
+            compiled = {
+                name: _entry_point_calls(metric, STORAGE_KINDS)
+                for name, metric in metrics.items()
+            }
+            refused = _entry_point_calls(MinkowskiMetric(3.0), STORAGE_KINDS)
+        finally:
+            accel.reset()
+        for metric, outcomes in compiled.items():
+            for name, got in outcomes.items():
+                assert not isinstance(got, Exception), (metric, name, got)
+            assert outcomes["run_traverse"] is not None, metric
+        for name, got in refused.items():
+            if name == "run_traverse":
+                assert got is None
+            else:
+                assert isinstance(got, accel.UnsupportedWorkloadError), name
 
 
 @pytest.mark.skipif(

@@ -431,10 +431,13 @@ class TestDiskRobustness:
         violations = check_disk_layout(saved)
         assert len(violations) == 1 and "disk-header-missing" in violations[0]
 
-    def test_resave_removes_the_files_its_header_drops(self, saved):
+    def test_resave_removes_the_files_its_header_drops(self, saved, capsys):
         """An sq8 directory re-saved as flat keeps no ``codes.bin`` or
         ``store_*.bin``; a ``.bin`` the header does not list is reported
-        by name, and the loader still opens the directory."""
+        by name, by ``repro index info --validate`` too, and the loader
+        still opens the directory."""
+        from repro.cli import main
+
         index = _build("sq8")
         index.set_storage("flat")
         index.save(saved, format="disk")
@@ -446,6 +449,8 @@ class TestDiskRobustness:
         violations = check_disk_layout(saved)
         assert len(violations) == 1
         assert violations[0].startswith("disk-file-unlisted") and "codes.bin" in violations[0]
+        assert main(["index", "info", str(saved), "--validate"]) == 1
+        assert "INTEGRITY VIOLATION: disk-file-unlisted" in capsys.readouterr().err
         assert load_any(saved).n == index.n
 
     def test_unwritable_target_named_at_save_time(self, tmp_path):
