@@ -130,20 +130,20 @@ def test_beam_search_extension(benchmark, bench_rng):
     """Practical extension: beam search (ef-style) on the guaranteed
     graphs recovers exact NN at modest extra cost — the bridge between
     the paper's greedy model and deployed systems."""
-    from repro.graphs import beam_search
+    from repro.graphs import beam_search_batch
 
     ds = make_dataset(gaussian_clusters(600, 2, np.random.default_rng(1)))
     built = build("gnet", ds, EPS, np.random.default_rng(0))
     queries = list(uniform_queries(60, np.asarray(ds.points), bench_rng))
     rows = []
+    starts = [0] * len(queries)
     for width in [1, 4, 16]:
-        hits = evals_total = 0
-        for q in queries:
-            found, evals = beam_search(
-                built.graph, ds, 0, q, beam_width=width, k=1
-            )
-            evals_total += evals
-            hits += found[0][0] == ds.nearest_neighbor(q)[0]
+        found = beam_search_batch(built.graph, ds, starts, queries, beam_width=width, k=1)
+        evals_total = int(found.evals.sum())
+        hits = sum(
+            int(found.ids[i, 0]) == ds.nearest_neighbor(q)[0]
+            for i, q in enumerate(queries)
+        )
         rows.append(
             [width, round(hits / len(queries), 3),
              round(evals_total / len(queries), 1)]
@@ -160,7 +160,7 @@ def test_beam_search_extension(benchmark, bench_rng):
 
     q = queries[0]
     benchmark.pedantic(
-        lambda: beam_search(built.graph, ds, 0, q, beam_width=16, k=1),
+        lambda: beam_search_batch(built.graph, ds, [0], [q], beam_width=16, k=1),
         rounds=3,
         iterations=1,
     )

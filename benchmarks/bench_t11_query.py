@@ -71,7 +71,7 @@ def test_query_cost_vs_log_delta(benchmark, bench_rng):
 def test_hops_bounded_by_h(benchmark, bench_rng):
     """Lemma 2.2: the hop at which greedy first holds a (1+eps)-ANN is at
     most h+1, for every start vertex and query."""
-    from repro.graphs import greedy
+    from repro.graphs import greedy_batch
 
     ds = make_dataset(uniform_cube(800, 2, bench_rng))
     eps = 0.5
@@ -80,6 +80,7 @@ def test_hops_bounded_by_h(benchmark, bench_rng):
     rows = []
     worst_first_ann = 0
     coords = np.asarray(ds.points)
+    queries, starts, nns = [], [], []
     for trial in range(150):
         # Adversarial regime: query a hair away from a data point (NN
         # distance ~ 0, so almost nothing qualifies as an ANN) and start
@@ -87,9 +88,11 @@ def test_hops_bounded_by_h(benchmark, bench_rng):
         target = int(bench_rng.integers(ds.n))
         q = coords[target] + bench_rng.normal(size=2) * 1e-6
         dists = ds.distances_to_query_all(q)
-        nn = float(dists.min())
-        start = int(np.argmax(dists))
-        result = greedy(res.graph, ds, start, q)
+        queries.append(q)
+        nns.append(float(dists.min()))
+        starts.append(int(np.argmax(dists)))
+    results = greedy_batch(res.graph, ds, starts, queries)
+    for q, nn, result in zip(queries, nns, results):
         first_ann = next(
             k
             for k, p in enumerate(result.hops)
@@ -108,7 +111,7 @@ def test_hops_bounded_by_h(benchmark, bench_rng):
 
     q = bench_rng.uniform(-10, 100, size=2)
     benchmark.pedantic(
-        lambda: greedy(res.graph, ds, 0, q), rounds=3, iterations=1
+        lambda: greedy_batch(res.graph, ds, [0], [q]), rounds=3, iterations=1
     )
 
 

@@ -106,15 +106,16 @@ def test_jackpot_condition_empirics(benchmark, bench_rng):
         window = math.ceil(math.log(ds.n) * max(merged.params.height, 1))
         # Walk greedy traces on the merge; measure the longest stretch of
         # consecutive non-jackpot hop vertices.
-        from repro.graphs import greedy
+        from repro.graphs import greedy_batch
 
-        longest = 0
+        queries, starts = [], []
         for _ in range(40):
-            q = bench_rng.uniform(-5, 1200, size=2)
-            start = int(bench_rng.integers(ds.n))
-            trace = greedy(merged.graph, ds, start, q).hops
+            queries.append(bench_rng.uniform(-5, 1200, size=2))
+            starts.append(int(bench_rng.integers(ds.n)))
+        longest = 0
+        for result in greedy_batch(merged.graph, ds, starts, queries):
             run = 0
-            for p in trace:
+            for p in result.hops:
                 run = 0 if merged.jackpot[p] else run + 1
                 longest = max(longest, run)
         rows.append([z, round(merged.tau, 3), window, longest])

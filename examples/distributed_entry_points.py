@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs import build_gnet, greedy
+from repro.graphs import build_gnet, greedy_batch
 from repro.workloads import make_dataset, uniform_cube, uniform_queries
 
 
@@ -41,9 +41,9 @@ def main() -> None:
     def run(entry_policy: str) -> tuple[np.ndarray, float]:
         load = np.zeros(n, dtype=np.int64)
         worst_ratio = 1.0
-        for q in queries:
-            start = 0 if entry_policy == "fixed" else int(rng.integers(n))
-            result = greedy(res.graph, ds, start, q)
+        starts = [0 if entry_policy == "fixed" else int(rng.integers(n)) for _ in queries]
+        results = greedy_batch(res.graph, ds, starts, queries)
+        for q, result in zip(queries, results):
             for hop in result.hops:
                 load[hop] += 1
             nn = ds.distances_to_query_all(q).min()

@@ -18,7 +18,7 @@ certified (1+eps)-PG.
 from __future__ import annotations
 
 from repro.baselines import build_complete_graph
-from repro.graphs import build_gnet, greedy
+from repro.graphs import build_gnet, greedy_batch
 from repro.lowerbounds import (
     attack_block_graph,
     attack_tree_graph,
@@ -44,7 +44,7 @@ def act_one() -> None:
     cert = attack_tree_graph(g, inst)
     assert cert is not None
     print(f"Adversary's query: leaf {cert.query} (the NN is the query itself)")
-    result = greedy(g, inst.dataset, cert.p_start, cert.query)
+    result = greedy_batch(g, inst.dataset, [cert.p_start], [cert.query])[0]
     print(
         f"greedy({cert.p_start}, q) returned point {result.point} at distance "
         f"{result.distance} — the true NN distance is {cert.nn_distance}."

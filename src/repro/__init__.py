@@ -37,7 +37,6 @@ from repro.graphs import (
     build_merged_graph,
     build_theta_graph,
     bulk_insert,
-    greedy,
     greedy_batch,
 )
 from repro.metrics import Dataset, EuclideanMetric, MetricSpace
@@ -67,7 +66,6 @@ __all__ = [
     "bulk_insert",
     "compute_ground_truth",
     "compute_ground_truth_k",
-    "greedy",
     "greedy_batch",
     "load_any",
     "make_store",

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from repro.graphs.base import ProximityGraph
-from repro.graphs.greedy import greedy
+from repro.graphs.engine import greedy_batch
 from repro.metrics.base import Dataset
 
 __all__ = ["HopRecord", "TraceReport", "trace_report"]
@@ -86,7 +86,7 @@ def trace_report(
     budget: int | None = None,
 ) -> TraceReport:
     """Run greedy and annotate every hop with the analysis quantities."""
-    result = greedy(graph, dataset, p_start, q, budget=budget)
+    result = greedy_batch(graph, dataset, [p_start], [q], budget=budget)[0]
     dists = dataset.distances_to_query_all(q)
     nn_vertex = int(np.argmin(dists))
     nn_distance = float(dists[nn_vertex])

@@ -534,6 +534,13 @@ def load_index(
                 "load it via ShardedIndex.load / load_sharded_index / "
                 "load_any, not load_index"
             )
+        if any(path.glob("shard-*")):
+            raise ValueError(
+                f"{path} holds shard-* entries but no {MANIFEST_NAME}: a "
+                "sharded save was cut short before its manifest was written. "
+                "The shards are still there; save the index to this path "
+                "again to finish it"
+            )
         raise ValueError(
             f"{path} is a directory without {DISK_HEADER_NAME} (disk "
             f"format v5) or {MANIFEST_NAME} (sharded format v3) — not a "

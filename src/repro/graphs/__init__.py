@@ -1,7 +1,8 @@
-"""Proximity graphs: the container, the greedy routing procedure, the
-navigability oracle (Fact 2.1), and the paper's three constructions
-(G_net of Theorem 1.1, theta-graphs of Section 5.1, and the merged
-Euclidean graph of Theorem 1.3)."""
+"""Proximity graphs: the container, the batch engines that run the
+greedy routing procedure (``greedy_batch``) and its beam extension
+(``beam_search_batch``), the navigability oracle (Fact 2.1), and the
+paper's three constructions (G_net of Theorem 1.1, theta-graphs of
+Section 5.1, and the merged Euclidean graph of Theorem 1.3)."""
 
 from repro.graphs.base import ProximityGraph
 from repro.graphs.cones import ConeFamily, build_cone_family
@@ -19,14 +20,13 @@ from repro.graphs.gnet import (
     build_gnet,
     gnet_parameters,
 )
-from repro.graphs.greedy import BeamBatch, GreedyResult, beam_search, greedy, query
+from repro.graphs.greedy import BeamBatch, GreedyResult
 from repro.graphs.merged import MergedBuildResult, build_merged_graph, jackpot_rate
 from repro.graphs.navigability import (
     NavigabilityViolation,
     assert_navigable,
     check_navigability_for_query,
     find_violations,
-    greedy_matches_navigability,
 )
 from repro.graphs.theta import ThetaBuildResult, build_theta_graph, theta_for_epsilon
 from repro.graphs.validate import (
@@ -49,7 +49,6 @@ __all__ = [
     "ProximityGraph",
     "ThetaBuildResult",
     "assert_navigable",
-    "beam_search",
     "beam_search_batch",
     "build_cone_family",
     "bulk_insert",
@@ -63,11 +62,8 @@ __all__ = [
     "exhaustive_greedy_check",
     "find_violations",
     "gnet_parameters",
-    "greedy",
     "greedy_batch",
-    "greedy_matches_navigability",
     "jackpot_rate",
-    "query",
     "validate_proximity_graph",
     "theta_for_epsilon",
 ]

@@ -313,10 +313,10 @@ class DynamicGNet:
 
     def query(self, q: np.ndarray, p_start: int | None = None):
         """Greedy (1+eps)-ANN over the current snapshot."""
-        from repro.graphs.greedy import greedy
+        from repro.graphs.engine import greedy_batch
 
         if self.n == 0:
             raise ValueError("empty index")
         start = 0 if p_start is None else int(p_start)
-        result = greedy(self.graph(), self.dataset(), start, np.asarray(q, float))
+        result = greedy_batch(self.graph(), self.dataset(), [start], [np.asarray(q, float)])[0]
         return result.point, result.distance

@@ -1,22 +1,21 @@
 """Vectorized batch query engine — many searches in lockstep.
 
-The scalar :func:`repro.graphs.greedy.greedy` loop issues one small
-distance batch per hop per query; at production query rates the Python
-per-hop overhead dominates the arithmetic.  This engine runs a whole
-query batch in lockstep instead: per hop it gathers every active query's
-neighbor slice straight from the graph's CSR storage, issues **one**
-segmented :meth:`~repro.metrics.base.MetricSpace.distances_many` call
-for all (query, neighbor) pairs, and advances every active query at
-once with segmented reductions.
+A per-query greedy loop issues one small distance batch per hop per
+query; at production query rates the Python per-hop overhead dominates
+the arithmetic.  This engine runs a whole query batch in lockstep
+instead: per hop it gathers every active query's neighbor slice straight
+from the graph's CSR storage, issues **one** segmented
+:meth:`~repro.metrics.base.MetricSpace.distances_many` call for all
+(query, neighbor) pairs, and advances every active query at once with
+segmented reductions.
 
-Semantics are *bit-identical* to the scalar procedures: the same
-distance kernels evaluate the same operands in the same per-segment
-order, eval budgets are charged per query exactly as the paper's
-``query(p_start, q, Q)`` does, and ties still break toward the smallest
-vertex id (first index of the per-segment minimum).  ``greedy_batch``
-therefore returns the very :class:`GreedyResult` objects the scalar loop
-would have produced — the throughput win is pure overhead removal, not
-an accounting change.
+``greedy_batch`` is the library's one greedy: the Section 1.1 procedure
+and its budgeted ``query(p_start, q, Q)``, with the paper's accounting
+(eval budgets charged per query, ties broken toward the smallest vertex
+id — the first index of the per-segment minimum).  It returns one
+:class:`GreedyResult` per query, bit-identical to the one-query-at-a-time
+reference loop in ``tests/reference.py``; the compiled kernels of
+:mod:`repro.accel` are held bit-identical to it in turn.
 """
 
 from __future__ import annotations
@@ -83,6 +82,13 @@ def _distance_view(dataset: Dataset, Q: np.ndarray, store: Any):
     return store.bind(Q)
 
 
+def _check_budget(budget: int | None) -> None:
+    """Refuse a budget below 1 before any backend sees it: the compiled
+    kernels read a negative budget as none at all."""
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be at least 1")
+
+
 def greedy_batch(
     graph: ProximityGraph,
     dataset: Dataset,
@@ -95,10 +101,11 @@ def greedy_batch(
 ) -> list[GreedyResult]:
     """Run ``greedy(starts[i], queries[i])`` for all ``i`` in lockstep.
 
-    Returns one :class:`GreedyResult` per query, bit-identical (point,
-    distance, hops, distance_evals, self_terminated) to calling the
-    scalar :func:`~repro.graphs.greedy.greedy` per query with the same
-    ``budget``.
+    Returns one :class:`GreedyResult` per query (point, distance, hops,
+    distance_evals, self_terminated).  ``budget`` is the paper's ``Q``:
+    a walk stops once it has computed that many distances, and must be
+    at least 1.  One query is a batch of one:
+    ``greedy_batch(graph, dataset, [s], [q], budget=b)[0]``.
 
     ``allowed`` (a boolean mask over the vertex set) restricts which
     vertices may be *returned*: the walk itself is unchanged — greedy
@@ -106,8 +113,7 @@ def greedy_batch(
     the reported ``(point, distance)`` is the closest *allowed* vertex
     among all vertices the walk evaluated.  A query that never evaluated
     an allowed vertex reports ``(-1, inf)``.  With ``allowed=None`` the
-    masked bookkeeping is skipped entirely and results stay bit-identical
-    to the scalar routine.
+    masked bookkeeping is skipped entirely.
 
     ``store`` selects the :class:`~repro.storage.base.VectorStore` to
     traverse against (approximate distances over codes); ``None`` walks
@@ -119,6 +125,7 @@ def greedy_batch(
     (``"auto"`` silently stays here when no backend is warmed or the
     workload has no compiled kernel).
     """
+    _check_budget(budget)
     m = len(queries)
     starts = np.asarray(starts, dtype=np.intp)
     if len(starts) != m:
@@ -146,8 +153,7 @@ def greedy_batch(
     Q = _as_query_array(queries)
     view = _distance_view(dataset, Q, store)
 
-    # The initial distance of each query is the same scalar evaluation
-    # the sequential loop performs (one per query, once).
+    # The initial distance of each query: one evaluation per query, once.
     p_cur = starts.copy()
     d_cur = np.array(
         [view.scalar(i, int(starts[i])) for i in range(m)],
@@ -298,11 +304,12 @@ def beam_search_batch(
 
     Per round every live query pops its best candidate and contributes
     its unvisited out-neighbors to one shared segmented distance call;
-    heap updates then replay the scalar :func:`beam_search` logic per
-    query, so results and eval counts match the scalar routine exactly.
-    The :class:`~repro.graphs.greedy.BeamBatch` returned holds them as
-    dense arrays; ``batch[i]`` is the scalar routine's ``(pairs,
-    evals)`` of query ``i``.
+    heap updates then replay one query's best-first search per query, so
+    results and eval counts match the one-query-at-a-time reference loop
+    exactly.  The :class:`~repro.graphs.greedy.BeamBatch` returned holds
+    them as dense arrays: row ``i`` of ``.ids``/``.dists`` and
+    ``.evals[i]`` are query ``i``'s pool and count.  ``budget``, when
+    given, must be at least 1.
 
     ``allowed`` (a boolean mask over the vertex set) restricts which
     vertices may enter the *result pool*: disallowed vertices are still
@@ -330,6 +337,7 @@ def beam_search_batch(
     """
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
+    _check_budget(budget)
     m = len(queries)
     starts = np.asarray(starts, dtype=np.intp)
     if len(starts) != m:
@@ -446,7 +454,7 @@ def construction_beam_batch(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Fully vectorized lockstep beam search for *construction* waves.
 
-    :func:`beam_search_batch` preserves the scalar routine's per-query
+    :func:`beam_search_batch` preserves one query's best-first
     heap discipline bit-for-bit, which leaves Python work proportional
     to the number of node expansions.  Candidate location during a
     batched build has no such contract — its quality is gated by recall

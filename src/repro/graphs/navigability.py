@@ -26,7 +26,6 @@ __all__ = [
     "check_navigability_for_query",
     "find_violations",
     "assert_navigable",
-    "greedy_matches_navigability",
 ]
 
 
@@ -112,26 +111,3 @@ def assert_navigable(
     violations = find_violations(graph, dataset, queries, epsilon, stop_at=1)
     if violations:
         raise AssertionError(f"graph is not (1+{epsilon})-navigable: {violations[0]}")
-
-
-def greedy_matches_navigability(
-    graph: ProximityGraph,
-    dataset: Dataset,
-    q: Any,
-    epsilon: float,
-    starts: Sequence[int] | None = None,
-) -> bool:
-    """Cross-check of Fact 2.1's if-direction: on a navigable graph,
-    greedy from every start must return a (1+eps)-ANN of ``q``.
-
-    Used by tests to tie the two definitions together on real runs.
-    """
-    from repro.graphs.greedy import greedy
-
-    dists = dataset.distances_to_query_all(q)
-    threshold = (1.0 + epsilon) * float(dists.min()) * (1.0 + 1e-12)
-    if starts is None:
-        starts = range(graph.n)
-    return all(
-        greedy(graph, dataset, int(s), q).distance <= threshold for s in starts
-    )

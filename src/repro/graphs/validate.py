@@ -20,7 +20,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.graphs.base import ProximityGraph
-from repro.graphs.greedy import greedy
+from repro.graphs.engine import greedy_batch
 from repro.graphs.navigability import find_violations
 from repro.metrics.base import Dataset
 
@@ -60,16 +60,17 @@ def exhaustive_greedy_check(
     """Run the Section 1.1 definition literally: greedy from every start
     (default: all vertices) for every query must return a (1+eps)-ANN.
 
-    Complete but expensive — ``O(|starts| * |queries|)`` greedy runs.
+    Complete but expensive — ``O(|starts| * |queries|)`` greedy runs,
+    one :func:`~repro.graphs.engine.greedy_batch` call per query.
+    Failures come in (query, start) order, cut at ``stop_at``.
     """
-    if starts is None:
-        starts = range(graph.n)
+    starts = np.arange(graph.n) if starts is None else np.asarray(starts, np.intp)
     failures: list[GreedyFailure] = []
     for q in queries:
         nn_dist = float(dataset.distances_to_query_all(q).min())
         threshold = (1.0 + epsilon) * nn_dist * (1.0 + 1e-12)
-        for s in starts:
-            result = greedy(graph, dataset, int(s), q)
+        results = greedy_batch(graph, dataset, starts, [q] * len(starts))
+        for s, result in zip(starts, results):
             if result.distance > threshold:
                 failures.append(
                     GreedyFailure(

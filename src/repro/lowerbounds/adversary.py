@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.graphs.base import ProximityGraph
-from repro.graphs.greedy import greedy
+from repro.graphs.engine import greedy_batch
 from repro.lowerbounds.block_instance import BlockHardInstance
 from repro.lowerbounds.tree_instance import TreeHardInstance
 
@@ -85,7 +85,7 @@ def attack_tree_graph(
         return None
     v1, v2 = missing[0]
     q = instance.dataset.points[v2]  # the leaf itself is the query
-    result = greedy(graph, instance.dataset, p_start=v1, q=q)
+    result = greedy_batch(graph, instance.dataset, [v1], [q])[0]
     nn_dist = 0.0  # q = v2 is a data point
     cert = AdversaryCertificate(
         missing_edge=(v1, v2),
@@ -115,7 +115,7 @@ def attack_block_graph(
         return None
     p1, p2 = missing[0]
     committed, query_id = instance.committed_dataset(p_star=p2)
-    result = greedy(graph, committed, p_start=p1, q=query_id)
+    result = greedy_batch(graph, committed, [p1], [query_id])[0]
     nn_dist = float(instance.side - 1)  # D(q, p*) = s - 1 by construction
     cert = AdversaryCertificate(
         missing_edge=(p1, p2),

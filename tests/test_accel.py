@@ -181,7 +181,7 @@ class TestBitIdentity:
             allowed=mask, backend=backend,
         )
         assert got == ref
-        assert all(pairs == [] for pairs, _evals in got)
+        assert (got.ids == -1).all()
         gref = greedy_batch(graph, dataset, starts, queries, allowed=mask)
         ggot = greedy_batch(
             graph, dataset, starts, queries, allowed=mask, backend=backend

@@ -14,7 +14,7 @@ from repro.baselines import (
     build_diskann_slow,
     build_knn_digraph,
 )
-from repro.graphs import find_violations, greedy
+from repro.graphs import find_violations, greedy_batch
 from tests.conftest import mixed_queries
 
 
@@ -174,5 +174,5 @@ class TestTrivial:
     def test_greedy_on_complete_graph_exact(self, uniform2d, rng):
         g = build_complete_graph(uniform2d)
         q = rng.uniform(0, 30, size=2)
-        result = greedy(g, uniform2d, p_start=0, q=q)
+        result = greedy_batch(g, uniform2d, [0], [q])[0]
         assert result.point == uniform2d.nearest_neighbor(q)[0]

@@ -8,14 +8,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.graphs import build_gnet, build_merged_graph, query
+from repro.graphs import build_gnet, build_merged_graph, greedy_batch
 from repro.workloads import make_dataset, uniform_cube
 
 
 class TestTheoryBudgetsDriveQueries:
     def test_gnet_query_budget_suffices(self, rng):
         """The explicit Section 2.3 budget, fed to the paper's budgeted
-        query(), must always land on a (1+eps)-ANN."""
+        query() (greedy_batch with a budget), must always land on a (1+eps)-ANN."""
         eps = 0.5
         ds = make_dataset(uniform_cube(200, 2, rng))
         res = build_gnet(ds, epsilon=eps)
@@ -23,7 +23,7 @@ class TestTheoryBudgetsDriveQueries:
         for _ in range(10):
             q = rng.uniform(-5, 40, size=2)
             nn = ds.distances_to_query_all(q).min()
-            r = query(res.graph, ds, int(rng.integers(ds.n)), q, budget=budget)
+            r = greedy_batch(res.graph, ds, [rng.integers(ds.n)], [q], budget=budget)[0]
             assert r.distance <= (1 + eps) * nn + 1e-9
 
     def test_merged_query_budget_suffices(self, rng):
@@ -36,7 +36,7 @@ class TestTheoryBudgetsDriveQueries:
         for _ in range(8):
             q = rng.uniform(-5, 40, size=2)
             nn = ds.distances_to_query_all(q).min()
-            r = query(merged.graph, ds, int(rng.integers(ds.n)), q, budget=budget)
+            r = greedy_batch(merged.graph, ds, [rng.integers(ds.n)], [q], budget=budget)[0]
             assert r.distance <= (1 + eps) * nn + 1e-9
 
     def test_hop_bound_value(self, rng):

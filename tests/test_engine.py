@@ -1,9 +1,10 @@
-"""Scalar/batch engine equivalence and CSR persistence.
+"""Reference/batch engine equivalence and CSR persistence.
 
-The batch engine's contract is *bit-identical* replay of the scalar
-procedures: same returned vertex, same float distance, same hop
-sequence, same distance-eval accounting, same termination flag — across
-random graphs, budgets, metrics, and tie-heavy inputs.
+The batch engine's contract is *bit-identical* replay of the
+one-query-at-a-time loops in ``tests/reference.py``: same returned
+vertex, same float distance, same hop sequence, same distance-eval
+accounting, same termination flag — across random graphs, budgets,
+metrics, and tie-heavy inputs.
 """
 
 from __future__ import annotations
@@ -12,13 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import build, compute_ground_truth, measure_queries
-from repro.graphs import (
-    ProximityGraph,
-    beam_search,
-    beam_search_batch,
-    greedy,
-    greedy_batch,
-)
+from repro.graphs import ProximityGraph, beam_search_batch, greedy_batch
 from repro.metrics import (
     CountingMetric,
     Dataset,
@@ -27,6 +22,7 @@ from repro.metrics import (
 )
 from repro.workloads import uniform_cube, uniform_queries
 from tests.conftest import mixed_queries, saved_graphs
+from tests.reference import beam_search, greedy
 
 
 def random_graph(n: int, rng: np.random.Generator, mean_degree: float = 6.0):
@@ -162,9 +158,12 @@ class TestBeamEquivalence:
         batch = beam_search_batch(
             graph, ds, starts, queries, beam_width=width, k=k, budget=budget
         )
-        for (sf, se), (bf, be) in zip(scalar, batch):
-            assert sf == bf
-            assert se == be
+        for i, (sf, se) in enumerate(scalar):
+            count = len(sf)
+            assert batch.ids[i, :count].tolist() == [v for v, _ in sf]
+            assert batch.dists[i, :count].tolist() == [d for _, d in sf]
+            assert (batch.ids[i, count:] == -1).all()
+            assert batch.evals[i] == se
 
 
 class TestMeasureQueriesParity:

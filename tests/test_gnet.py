@@ -11,7 +11,7 @@ import pytest
 from repro import ProximityGraphIndex, accel
 from repro.accel import cbackend, dispatch
 from repro.anns import BruteForceANN
-from repro.graphs import build_gnet, find_violations, gnet_parameters, greedy
+from repro.graphs import build_gnet, find_violations, gnet_parameters, greedy_batch
 from repro.graphs.gnet import GNetParameters
 from repro.graphs.hybrid import build_hybrid_candidate
 from repro.metrics import (
@@ -223,7 +223,7 @@ class TestQueryTimeTheory:
             q = rng.uniform(-5, 30, size=2)
             nn_dist = uniform2d.distances_to_query_all(q).min()
             start = int(rng.integers(uniform2d.n))
-            result = greedy(res.graph, uniform2d, start, q)
+            result = greedy_batch(res.graph, uniform2d, [start], [q])[0]
             ann_positions = [
                 k
                 for k, p in enumerate(result.hops)
@@ -243,7 +243,7 @@ class TestQueryTimeTheory:
             p_star = int(np.argmin(dists))
             nn_dist = float(dists[p_star])
             start = int(rng.integers(uniform2d.n))
-            trace = greedy(res.graph, uniform2d, start, q).hops
+            trace = greedy_batch(res.graph, uniform2d, [start], [q])[0].hops
             logs = []
             for p in trace:
                 if uniform2d.distance_to_query(q, p) > (1 + eps) * nn_dist + 1e-12:

@@ -17,6 +17,11 @@ they run on the compiled kernels like any other query and answer exactly
 like their cast (before, ``"auto"`` silently ran them on the numpy
 engines and an explicit ``"cffi"`` raised on a flat index).
 
+A search budget below 1 is refused by both batch engines before they
+pick a backend.  Before, the numpy engines returned the start after one
+eval while the compiled kernels read a negative budget as no budget and
+walked on.
+
 Also pins two contracts that were true but untested: ``delete()`` batch
 atomicity (an unknown id raises ``KeyError`` and leaves zero partial
 tombstones) and the ``k > live`` padding tail (``ids == -1``,
@@ -35,6 +40,7 @@ from repro.core.builders import (
     builder_options,
     validate_builder_options,
 )
+from repro.graphs import beam_search_batch, greedy_batch
 from repro.workloads import uniform_cube
 
 KINDS = ["flat", "sharded"]
@@ -186,6 +192,29 @@ class TestQueryDtypes:
         assert compiled == [6]
         for field in ("ids", "distances", "evals"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+class TestEngineBudget:
+    """Both batch engines refuse a budget below 1 on every backend, with
+    the message ``SearchParams`` uses."""
+
+    @pytest.mark.parametrize("backend", [None, "auto"])
+    @pytest.mark.parametrize("budget", [0, -3])
+    @pytest.mark.parametrize("engine", ["greedy", "beam"])
+    def test_budget_below_one_raises(self, engine, budget, backend):
+        index = _build("flat")
+        Q = uniform_cube(3, 4, np.random.default_rng(4))
+        args = (index.graph, index.dataset, [0, 1, 2], Q)
+        if backend == "auto" and "cffi" in accel.available_backends():
+            accel.warm()
+        try:
+            with pytest.raises(ValueError, match="budget must be at least 1"):
+                if engine == "greedy":
+                    greedy_batch(*args, budget=budget, backend=backend)
+                else:
+                    beam_search_batch(*args, beam_width=8, k=2, budget=budget, backend=backend)
+        finally:
+            accel.reset()
 
 
 # ----------------------------------------------------------------------

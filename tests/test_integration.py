@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ProximityGraphIndex, build
-from repro.graphs import build_gnet, find_violations, greedy
+from repro.graphs import build_gnet, find_violations, greedy_batch
 from repro.metrics import (
     Dataset,
     EuclideanMetric,
@@ -43,7 +43,7 @@ class TestAllGuaranteedBuildersSatisfyEpsilon:
             q = rng.uniform(-2, 35, size=2)
             nn = ds.distances_to_query_all(q).min()
             for start in rng.integers(ds.n, size=4):
-                result = greedy(built.graph, ds, int(start), q)
+                result = greedy_batch(built.graph, ds, [start], [q])[0]
                 assert result.distance <= (1 + eps) * nn + 1e-9, (
                     f"{name} violated (1+eps) from start {start}"
                 )

@@ -10,7 +10,7 @@ from repro.graphs import (
     build_merged_graph,
     build_theta_graph,
     find_violations,
-    greedy,
+    greedy_batch,
     jackpot_rate,
 )
 from tests.conftest import mixed_queries
@@ -93,7 +93,7 @@ class TestMergedNavigability:
             q = rng.uniform(-5, 30, size=2)
             nn = uniform2d.distances_to_query_all(q).min()
             start = int(rng.integers(uniform2d.n))
-            result = greedy(res.graph, uniform2d, start, q)
+            result = greedy_batch(res.graph, uniform2d, [start], [q])[0]
             assert result.distance <= (1 + eps) * nn + 1e-9
 
     def test_query_budget_positive(self, uniform2d, rng):

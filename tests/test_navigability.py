@@ -9,9 +9,9 @@ from repro.baselines import build_complete_graph, build_knn_digraph
 from repro.graphs import (
     assert_navigable,
     check_navigability_for_query,
+    exhaustive_greedy_check,
     find_violations,
-    greedy,
-    greedy_matches_navigability,
+    greedy_batch,
 )
 from repro.metrics import Dataset, EuclideanMetric
 
@@ -55,7 +55,7 @@ class TestKnnDigraphFails:
         g = build_knn_digraph(two_clusters, k=5)
         q = np.array([10.0, 0.0])
         v = check_navigability_for_query(g, two_clusters, q, epsilon=1.0)[0]
-        result = greedy(g, two_clusters, p_start=v.vertex, q=q)
+        result = greedy_batch(g, two_clusters, [v.vertex], [q])[0]
         nn_dist = two_clusters.distances_to_query_all(q).min()
         assert result.distance > 2.0 * nn_dist
 
@@ -72,7 +72,7 @@ class TestFactTwoOneIfDirection:
         g = build_complete_graph(two_clusters)
         for _ in range(5):
             q = rng.uniform(-2, 12, size=2)
-            assert greedy_matches_navigability(g, two_clusters, q, epsilon=0.25)
+            assert not exhaustive_greedy_check(g, two_clusters, [q], 0.25, stop_at=1)
 
 
 class TestOracleMechanics:

@@ -198,7 +198,7 @@ class TestGreedyDescentRandomGraphs:
         """On arbitrary random digraphs (no navigability whatsoever),
         greedy's hop sequence still descends strictly — a structural
         invariant of the procedure itself."""
-        from repro.graphs import greedy
+        from repro.graphs import greedy_batch
 
         rng = np.random.default_rng(seed)
         pts = rng.uniform(size=(n, 2))
@@ -211,7 +211,7 @@ class TestGreedyDescentRandomGraphs:
         ]
         g = ProximityGraph(len(pts), adj)
         q = rng.uniform(size=2)
-        result = greedy(g, ds, int(rng.integers(len(pts))), q)
+        result = greedy_batch(g, ds, [rng.integers(len(pts))], [q])[0]
         dists = [ds.distance_to_query(q, p) for p in result.hops]
         assert all(a > b for a, b in zip(dists, dists[1:]))
         assert result.self_terminated

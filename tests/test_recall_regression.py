@@ -103,8 +103,8 @@ def test_recall_at_10_floor(name, workload, graphs):
         graphs[name], ds, starts, queries, beam_width=32, k=10
     )
     hits = sum(
-        len({v for v, _ in pairs} & set(gt10[i].tolist()))
-        for i, (pairs, _evals) in enumerate(found)
+        len(set(row[row >= 0].tolist()) & set(gt10[i].tolist()))
+        for i, row in enumerate(found.ids)
     )
     recall = hits / (len(queries) * 10)
     floor = FLOORS[name][1]
@@ -143,8 +143,8 @@ def test_batched_builds_meet_the_same_floors(workload):
         assert stats.recall_at_1 >= FLOORS[name][0], f"{name} batched recall@1"
         found = beam_search_batch(graph, ds, starts, queries, beam_width=32, k=10)
         hits = sum(
-            len({v for v, _ in pairs} & set(gt10[i].tolist()))
-            for i, (pairs, _evals) in enumerate(found)
+            len(set(row[row >= 0].tolist()) & set(gt10[i].tolist()))
+            for i, row in enumerate(found.ids)
         )
         recall = hits / (len(queries) * 10)
         assert recall >= FLOORS[name][1], f"{name} batched recall@10"

@@ -127,7 +127,8 @@ class TestLegacyShimEquivalence:
             index.graph, index.dataset, starts, queries, beam_width=width, k=k
         )
         expect = [
-            [(v, d / index.scale) for v, d in pairs] for pairs, _evals in raw
+            [(v, d / index.scale) for v, d in zip(ids.tolist(), dists.tolist()) if v >= 0]
+            for ids, dists in zip(raw.ids, raw.dists)
         ]
 
         via_search = index.search(

@@ -113,8 +113,8 @@ class TestEdgeCases:
             index.graph, index.dataset, starts, queries,
             beam_width=32, k=5, store=index.store,
         )
-        for i, (pairs, _ev) in enumerate(found):
-            approx_ids = [v for v, _ in pairs]
+        for i, row in enumerate(found.ids):
+            approx_ids = row[row >= 0].tolist()
             exact = index.dataset.distances_to_query(
                 queries[i], np.asarray(approx_ids, dtype=np.intp)
             )
@@ -181,12 +181,11 @@ class TestFlatStoreBitIdentity:
         found = beam_search_batch(
             index.graph, index.dataset, starts, queries, beam_width=24, k=5
         )
-        for i, (pairs, ev) in enumerate(found):
-            assert r.evals[i] == ev
-            assert r.ids[i].tolist() == [v for v, _ in pairs]
-            assert np.array_equal(
-                r.distances[i], np.array([d for _, d in pairs]) / index.scale
-            )
+        for i, row in enumerate(found.ids):
+            hit = row >= 0
+            assert r.evals[i] == found.evals[i]
+            assert r.ids[i].tolist() == row[hit].tolist()
+            assert np.array_equal(r.distances[i], found.dists[i][hit] / index.scale)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_beam_path_narrower_than_k(self, seed):
@@ -204,10 +203,10 @@ class TestFlatStoreBitIdentity:
         found = beam_search_batch(
             index.graph, index.dataset, starts, queries, beam_width=4, k=10
         )
-        for i, (pairs, ev) in enumerate(found):
-            assert r.evals[i] == ev
-            take = len(pairs)
-            assert r.ids[i, :take].tolist() == [v for v, _ in pairs]
+        for i, row in enumerate(found.ids):
+            assert r.evals[i] == found.evals[i]
+            take = int((row >= 0).sum())
+            assert r.ids[i, :take].tolist() == row[:take].tolist()
             assert np.all(r.ids[i, take:] == -1)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

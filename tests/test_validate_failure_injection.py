@@ -10,13 +10,33 @@ import pytest
 from repro.baselines import build_knn_digraph
 from repro.graphs import build_gnet
 from repro.graphs.validate import (
+    GreedyFailure,
     corrupt_graph,
     exhaustive_greedy_check,
     validate_proximity_graph,
 )
-from repro.lowerbounds import build_tree_instance
+from repro.lowerbounds import build_block_instance, build_tree_instance
 from repro.metrics import Dataset, EuclideanMetric
 from repro.workloads import make_dataset, uniform_cube
+from tests.reference import greedy
+
+
+def reference_check(graph, dataset, queries, epsilon, stop_at):
+    """The exhaustive check as one reference greedy walk per (query,
+    start), in that order."""
+    failures = []
+    for q in queries:
+        nn_dist = float(dataset.distances_to_query_all(q).min())
+        threshold = (1.0 + epsilon) * nn_dist * (1.0 + 1e-12)
+        for s in range(graph.n):
+            result = greedy(graph, dataset, s, q)
+            if result.distance > threshold:
+                failures.append(
+                    GreedyFailure(q, s, result.point, result.distance, nn_dist)
+                )
+                if stop_at is not None and len(failures) >= stop_at:
+                    return failures
+    return failures
 
 
 class TestExhaustiveGreedyCheck:
@@ -58,6 +78,40 @@ class TestExhaustiveGreedyCheck:
             g, ds, [np.array([8.0, 0.0])], 0.5, stop_at=2
         )
         assert len(failures) == 2
+
+
+class TestBatchedCheckMatchesReference:
+    """One batch per query over all starts returns the failures the
+    per-(query, start) reference loop finds, in the same order and cut at
+    the same ``stop_at``."""
+
+    @pytest.mark.parametrize("stop_at", [1, 3, None])
+    def test_block_instance_committed_metric(self, stop_at):
+        inst = build_block_instance(side=3, copies=2, dim=2)
+        res = build_gnet(
+            inst.normalized_dataset(), epsilon=inst.epsilon, method="vectorized"
+        )
+        bad = corrupt_graph(res.graph, np.random.default_rng(5), 0.7, victims=12)
+        for p_star in (0, 4, 11):
+            ds, qid = inst.committed_dataset(p_star)
+            queries = list(range(inst.n)) + [qid]
+            want = reference_check(bad, ds, queries, inst.epsilon, stop_at)
+            got = exhaustive_greedy_check(
+                bad, ds, queries, inst.epsilon, stop_at=stop_at
+            )
+            assert len(want) == stop_at if stop_at else len(want) > 100
+            assert got == want
+
+    @pytest.mark.parametrize("stop_at", [1, 3, None])
+    def test_tree_instance(self, stop_at):
+        inst = build_tree_instance(16, 128)
+        res = build_gnet(inst.dataset, epsilon=1.0, method="vectorized")
+        bad = corrupt_graph(res.graph, np.random.default_rng(5), 0.7, victims=8)
+        queries = list(inst.all_metric_points())
+        want = reference_check(bad, inst.dataset, queries, 1.0, stop_at)
+        got = exhaustive_greedy_check(bad, inst.dataset, queries, 1.0, stop_at=stop_at)
+        assert len(want) == stop_at if stop_at else len(want) > 100
+        assert got == want
 
 
 class TestCrossCheck:
