@@ -72,7 +72,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.accel import cbackend as _C
-from repro.graphs.engine import _distance_view
+from repro.graphs.engine import _check_budget, _distance_view
 from repro.graphs.greedy import BeamBatch, GreedyResult
 from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric
 from repro.storage.base import decompose_metric
@@ -615,13 +615,15 @@ def run_beam(
     store: Any = None,
 ) -> BeamBatch:
     """Whole-batch compiled beam search; the result equals
-    ``engine.beam_search_batch``'s (callers validate arguments first).
+    ``engine.beam_search_batch``'s.  A budget below 1 raises the engines'
+    ``ValueError`` here too; callers validate the other arguments first.
 
     Ids and eval counts come straight from the kernel, into arrays of this
     call, never the plan's scratch.  The distances are evaluated through
     the numpy view when a caller first reads them — a flat search does,
     they are its answer; the two-stage search reranks from the ids alone.
     """
+    _check_budget(budget)
     m = len(queries)
     k_eff = max(int(k), 1)
     out_ids = np.empty((m, k_eff), dtype=np.int64)
@@ -663,7 +665,9 @@ def run_greedy(
     store: Any = None,
 ) -> list[GreedyResult]:
     """Whole-batch compiled greedy routing; returns the engines'
-    ``GreedyResult`` objects (full hop paths included)."""
+    ``GreedyResult`` objects (full hop paths included).  A budget below 1
+    raises like ``run_beam``."""
+    _check_budget(budget)
     m = len(queries)
     if m == 0:
         return []

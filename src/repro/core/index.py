@@ -130,7 +130,6 @@ class ProximityGraphIndex:
         seed: int = 0,
         ids: Sequence[int] | None = None,
         storage: str = "flat",
-        storage_options: dict[str, Any] | None = None,
         **options: Any,
     ) -> "ProximityGraphIndex":
         """Build an index over raw points.
@@ -162,9 +161,8 @@ class ProximityGraphIndex:
             bit-identical to indexes built before the storage layer) or
             ``"sq8"`` (8-bit scalar quantization).  Quantized indexes
             traverse compressed and exact-rerank an over-fetched pool —
-            see ``SearchParams.rerank_factor``.  ``storage_options``
-            passes store options through (``dtype`` for flat; sq8
-            takes none).
+            see ``SearchParams.rerank_factor``.  Neither kind takes
+            options.
 
         Extra options (including ``batch_size``, the batched
         construction wave size for the insertion builders — see
@@ -178,8 +176,8 @@ class ProximityGraphIndex:
         if metric is None:
             points = np.asarray(points, dtype=np.float64)
             metric = EuclideanMetric()
-        # Fail fast on a bad quantizer config, BEFORE the graph build.
-        validate_storage_options(storage, storage_options)
+        # Fail fast on an unknown storage kind, BEFORE the graph build.
+        validate_storage_options(storage)
         dataset = Dataset(metric, points)
         scale = 1.0
         if normalize:
@@ -190,10 +188,7 @@ class ProximityGraphIndex:
             raise ValueError(
                 f"need exactly {dataset.n} external ids, got {len(id_map)}"
             )
-        store = make_store(
-            storage, dataset.metric, dataset.points, seed=seed,
-            **(storage_options or {}),
-        )
+        store = make_store(storage, dataset.metric, dataset.points, seed=seed)
         return cls(
             dataset=dataset, built=built, scale=scale, seed=seed,
             id_map=id_map, store=store,
@@ -321,12 +316,11 @@ class ProximityGraphIndex:
         identical arguments return identical results: default start
         vertices come from a fresh seeded generator, never shared state.
 
-        With quantized storage (``sq8``, or flat ``dtype="float32"``)
-        the search is **two-stage**: the graph walk runs over the
-        store's compressed codes, an over-fetched pool of ``k *
-        rerank_factor`` candidates survives, and one exact-distance pass
-        over the raw vectors returns the top ``k`` — reported distances
-        are always exact, in original units.
+        With quantized storage (``sq8``) the search is **two-stage**:
+        the graph walk runs over the store's compressed codes, an
+        over-fetched pool of ``k * rerank_factor`` candidates survives,
+        and one exact-distance pass over the raw vectors returns the top
+        ``k`` — reported distances are always exact, in original units.
         The rerank's exact evaluations are included in ``evals`` (they
         are not subject to ``budget``, which caps traversal only).
         """
@@ -746,7 +740,7 @@ class ProximityGraphIndex:
         )
 
     def set_storage(
-        self, kind: str, seed: int | None = None, **options: Any
+        self, kind: str, seed: int | None = None
     ) -> "ProximityGraphIndex":
         """Re-encode the collection under a different vector storage.
 
@@ -756,7 +750,7 @@ class ProximityGraphIndex:
         """
         self.store = make_store(
             kind, self.dataset.metric, self.dataset.points,
-            seed=self.seed if seed is None else seed, **options,
+            seed=self.seed if seed is None else seed,
         )
         return self
 

@@ -78,14 +78,9 @@ from repro.metrics.arena import ArenaSpec, AttachedArena, SharedArena, attach
 from repro.metrics.base import Dataset, MetricSpace
 from repro.metrics.euclidean import EuclideanMetric
 from repro.metrics.specs import metric_from_spec, metric_to_spec
-from repro.storage import (
-    encode_with_params,
-    store_from_arrays,
-    store_from_params,
-    train_store_params,
-    validate_storage_options,
-)
+from repro.storage import store_from_arrays, validate_storage_options
 from repro.storage.flat import FlatStore
+from repro.storage.sq8 import SQ8Store, encode_sq8, train_sq8
 
 __all__ = [
     "ShardedIndex",
@@ -228,24 +223,10 @@ def _rebalance_min_size(
 # ----------------------------------------------------------------------
 
 
-class _AttachmentSet:
-    """Several arena attachments behind one ``close()`` — a rehydrated
-    shard may hold both a points view and a codes view."""
-
-    def __init__(self, parts: Sequence[AttachedArena | None]) -> None:
-        self._parts = [p for p in parts if p is not None]
-
-    def close(self) -> None:
-        for part in self._parts:
-            part.close()
-
-
 def shard_payload(
     shard: ProximityGraphIndex,
     arena_spec: ArenaSpec | None = None,
     span: tuple[int, int] | None = None,
-    code_arena_spec: ArenaSpec | None = None,
-    code_span: tuple[int, int] | None = None,
 ) -> dict:
     """The picklable wire form of one shard for a search worker.
 
@@ -253,10 +234,8 @@ def shard_payload(
     the points travel by *reference* — an arena spec plus row span —
     when the shard's dataset is still arena-backed, or inline otherwise
     (after a mutation replaced the shard's point array).  A quantized
-    shard additionally ships its storage: the spec and training arrays
-    (offsets/scales — small) inline, and the code matrix either by
-    codes-arena reference (``code_arena_spec`` + ``code_span``) or
-    inline.
+    shard additionally ships its storage inline: the spec, the training
+    arrays (offsets/scales) and the code matrix.
     """
     offsets, targets = shard.graph.csr()
     payload: dict[str, Any] = {
@@ -279,40 +258,26 @@ def shard_payload(
         payload["span"] = (int(span[0]), int(span[1]))
     else:
         payload["points"] = np.asarray(shard.dataset.points)
-    store = getattr(shard, "store", None)
-    if store is not None and store.is_quantized:
-        entry: dict[str, Any] = {
-            "spec": store.spec(),
-            "aux": store.param_arrays(),
-        }
-        if code_arena_spec is not None:
-            if code_span is None:
-                raise ValueError("an arena-backed code payload needs its span")
-            entry["codes_arena"] = code_arena_spec
-            entry["codes_span"] = (int(code_span[0]), int(code_span[1]))
-        elif store.codes is not None:
-            entry["codes"] = np.asarray(store.codes)
-        # A code-free traversal store (flat dtype="float32") ships by
-        # spec alone — the worker re-derives its traversal copy.
-        payload["storage"] = entry
+    store = shard.store
+    if store.is_quantized:
+        payload["storage"] = {"spec": store.spec(), "arrays": store.arrays()}
     return payload
 
 
 def rehydrate_shard(
     payload: dict,
-) -> tuple[ProximityGraphIndex, _AttachmentSet | None]:
+) -> tuple[ProximityGraphIndex, AttachedArena | None]:
     """Rebuild a queryable shard index from its wire form.
 
-    Returns ``(index, attachment)`` where ``attachment`` is the arena
-    handle (or handle set) to close after use (``None`` for fully
-    inline payloads).  Graph CSR arrays are adopted verbatim, so the
-    rehydrated shard answers ``search`` identically to the parent's.
+    Returns ``(index, attachment)`` where ``attachment`` is the points
+    arena handle to close after use (``None`` for an inline payload).
+    Graph CSR arrays are adopted verbatim, so the rehydrated shard
+    answers ``search`` identically to the parent's.
     """
     metric = metric_from_spec(payload["metric"])
     point_att = None
     if "arena" in payload:
-        # Ownership transfers to the caller via the returned
-        # _AttachmentSet; callers close it after use.
+        # Ownership transfers to the caller, who closes it after use.
         point_att = attach(payload["arena"])  # repro: ignore[arena-hygiene]
         lo, hi = payload["span"]
         points = point_att.view(lo, hi)
@@ -331,20 +296,10 @@ def rehydrate_shard(
         epsilon=float(payload["epsilon"]),
         guaranteed=bool(payload["guaranteed"]),
     )
-    code_att = None
     store = None
     storage = payload.get("storage")
     if storage is not None:
-        arrays = dict(storage["aux"])
-        if "codes_arena" in storage:
-            # Same ownership transfer as point_att above: released by
-            # the caller through the returned _AttachmentSet.
-            code_att = attach(storage["codes_arena"])  # repro: ignore[arena-hygiene]
-            lo, hi = storage["codes_span"]
-            arrays["codes"] = code_att.view(lo, hi)
-        elif "codes" in storage:
-            arrays["codes"] = storage["codes"]
-        store = store_from_arrays(storage["spec"], arrays, metric, points)
+        store = store_from_arrays(storage["spec"], storage["arrays"], metric, points)
     index = ProximityGraphIndex(
         dataset=Dataset(metric, points),
         built=built,
@@ -354,9 +309,7 @@ def rehydrate_shard(
         tombstones=payload["tombstones"],
         store=store,
     )
-    if point_att is None and code_att is None:
-        return index, None
-    return index, _AttachmentSet([point_att, code_att])
+    return index, point_att
 
 
 def _shard_build_entry(task: dict) -> dict:
@@ -441,10 +394,6 @@ class ShardedIndex:
             self._arena_spans is None or len(self._arena_spans) != len(self.shards)
         ):
             raise ValueError("need one arena span per shard")
-        # Quantized storage: one codes arena shared by every fan-out
-        # worker (filled by set_storage when the points arena exists).
-        self._code_arena: SharedArena | None = None
-        self._code_spans: list[tuple[int, int]] | None = None
         # External id -> shard routing table, assembled from the shards'
         # own id maps (tombstoned ids stay routed until compacted away).
         self._owner: dict[int, int] = {}
@@ -484,7 +433,6 @@ class ShardedIndex:
         backend: str | None = None,
         search_chunk: int = DEFAULT_SEARCH_CHUNK,
         storage: str = "flat",
-        storage_options: dict[str, Any] | None = None,
         **options: Any,
     ) -> "ShardedIndex":
         """Partition ``points`` into ``shards`` and build every shard.
@@ -502,12 +450,10 @@ class ShardedIndex:
         Shard ``j`` builds with seed ``seed + j``; external ids
         (``ids``, defaulting to ``0..n-1``) are global and stable.
 
-        ``storage`` selects the vector store (``"flat"``/``"sq8"``).
-        Quantizer training runs **once** over the whole collection —
-        every shard shares the same SQ8 offsets / scales — and with a
-        pooled build the per-shard code matrices live in a
-        second :class:`~repro.metrics.arena.SharedArena`, so fan-out
-        search workers attach to the compressed shards zero-copy.
+        ``storage`` selects the vector store (``"flat"``/``"sq8"``;
+        neither takes options).  SQ8 training runs **once** over the
+        whole collection — every shard shares the same offsets / scales
+        — and each shard encodes its own rows (see :meth:`set_storage`).
 
         ``backend`` selects the accel backend for the insertion
         builders' construction inner loops.  With a pooled build the
@@ -524,10 +470,10 @@ class ShardedIndex:
         if metric is None:
             points = np.asarray(points, dtype=np.float64)
             metric = EuclideanMetric()
-        # Fail fast on a bad quantizer config — BEFORE the (potentially
+        # Fail fast on an unknown storage kind — BEFORE the (potentially
         # multi-process, minutes-long) graph build, mirroring the
         # metric_to_spec fail-fast below.
-        validate_storage_options(storage, storage_options)
+        validate_storage_options(storage)
         n = len(points)
         rng = np.random.default_rng(seed)
         members = partition_points(points, shards, assignment, rng)
@@ -572,8 +518,8 @@ class ShardedIndex:
                 points, epsilon, method, metric, normalize, members,
                 global_ids, workers, assignment, seed, options, search_chunk,
             )
-            if storage != "flat" or storage_options:
-                index.set_storage(storage, seed=seed, **(storage_options or {}))
+            if storage != "flat":
+                index.set_storage(storage, seed=seed)
             return index
 
         shard_indexes = [
@@ -593,8 +539,8 @@ class ShardedIndex:
             shard_indexes, seed=seed, workers=workers, assignment=assignment,
             search_chunk=search_chunk,
         )
-        if storage != "flat" or storage_options:
-            index.set_storage(storage, seed=seed, **(storage_options or {}))
+        if storage != "flat":
+            index.set_storage(storage, seed=seed)
         return index
 
     @classmethod
@@ -725,17 +671,14 @@ class ShardedIndex:
         return (self._token, self._generation, j)
 
     def _payload_for(self, j: int) -> dict:
-        """The shard's wire form — by arena reference while its dataset
-        (and, when quantized, its code block) is still arena-backed,
-        inline after a mutation replaced it."""
+        """The shard's wire form — points by arena reference while its
+        dataset is still arena-backed, inline after a mutation replaced
+        it."""
         arena_ok = self._arena is not None and self._shard_arena_backed(j)
-        codes_ok = self._shard_codes_arena_backed(j)
         return shard_payload(
             self.shards[j],
             arena_spec=self._arena.spec if arena_ok else None,
             span=self._arena_spans[j] if arena_ok else None,
-            code_arena_spec=self._code_arena.spec if codes_ok else None,
-            code_span=self._code_spans[j] if codes_ok else None,
         )
 
     def _shard_arena_backed(self, j: int) -> bool:
@@ -749,91 +692,39 @@ class ShardedIndex:
             or pts.base is getattr(self._arena.array, "base", None)
         )
 
-    def _shard_codes_arena_backed(self, j: int) -> bool:
-        """Same test for the codes arena: a post-build add() re-encodes
-        the shard's codes into a fresh array, detaching it."""
-        if self._code_arena is None or self._code_spans is None:
-            return False
-        codes = self.shards[j].store.codes
-        if codes is None:
-            return False
-        return codes.base is not None and (
-            codes.base is self._code_arena.array
-            or codes.base is getattr(self._code_arena.array, "base", None)
-        )
-
     # ------------------------------------------------------------------
     # Storage: quantizer trained once, shared by every shard
     # ------------------------------------------------------------------
 
     def set_storage(
-        self, kind: str, seed: int | None = None, **options: Any
+        self, kind: str, seed: int | None = None
     ) -> "ShardedIndex":
         """Re-encode every shard under storage ``kind``, training once.
 
-        Quantizer training (SQ8 offsets and scales) runs over the
-        concatenated collection so all shards share one training state
-        — a fan-out search therefore measures every candidate against
-        the same geometry, and cross-shard merge order is consistent.
-        While the build's points arena is still live, the per-shard
-        code matrices are written into one shared codes arena so search
-        workers fan out over the compressed shards zero-copy.
+        SQ8 training (offsets and scales) runs over the shards' points
+        together, so all shards share one training state — a fan-out
+        search therefore measures every candidate against the same
+        geometry, and cross-shard merge order is consistent.  Each shard
+        then encodes its own rows under that state.  ``seed`` is accepted
+        like the flat index's; neither kind's training draws.
         """
-        seed = self.seed if seed is None else seed
-        validate_storage_options(kind, options)
-        self._close_code_arena()
+        validate_storage_options(kind)
         if kind == "flat":
             for shard in self.shards:
-                shard.store = FlatStore(
-                    shard.dataset.metric, shard.dataset.points, **options
-                )
-            self._bump_generation()
-            return self
-        arena_ok = all(self._shard_arena_backed(j) for j in range(self.n_shards))
-        if arena_ok:
-            # Shard datasets are contiguous rows of the grouped points
-            # arena — train straight off it (no full-collection copy)
-            # and encode it once: the code blocks land at the very same
-            # spans.
-            params = train_store_params(
-                kind, self._arena.array, seed=seed, **options
-            )
-            codes_full = encode_with_params(kind, params, self._arena.array)
-            self._code_arena = SharedArena.create(codes_full)
-            self._code_spans = list(self._arena_spans)
-            code_views = [
-                self._code_arena.view(lo, hi) for lo, hi in self._code_spans
-            ]
-            total = len(self._arena.array)
+                shard.store = FlatStore(shard.dataset.metric, shard.dataset.points)
         else:
             shard_pts = [
-                np.asarray(s.dataset.points, dtype=np.float64)
-                for s in self.shards
+                np.asarray(s.dataset.points, dtype=np.float64) for s in self.shards
             ]
-            params = train_store_params(
-                kind, np.concatenate(shard_pts), seed=seed, **options
-            )
-            code_views = [encode_with_params(kind, params, pts) for pts in shard_pts]
+            params = train_sq8(np.concatenate(shard_pts))
             total = sum(len(pts) for pts in shard_pts)
-        for shard, codes in zip(self.shards, code_views):
-            shard.store = store_from_params(
-                kind, shard.dataset.metric, shard.dataset.points, params,
-                codes=codes, options=options, trained_on=total,
-            )
+            for shard, pts in zip(self.shards, shard_pts):
+                shard.store = SQ8Store(
+                    shard.dataset.metric, params, encode_sq8(params, pts),
+                    trained_on=total,
+                )
         self._bump_generation()
         return self
-
-    def _close_code_arena(self) -> None:
-        """Detach every still-arena-backed shard store (copying its code
-        block) before the codes arena unlinks."""
-        if self._code_arena is None:
-            return
-        for j, shard in enumerate(self.shards):
-            if self._shard_codes_arena_backed(j):
-                shard.store._codes = np.array(shard.store.codes, copy=True)
-        self._code_arena.close()
-        self._code_arena = None
-        self._code_spans = None
 
     def search(
         self,
@@ -1078,8 +969,7 @@ class ShardedIndex:
         candidates against diverging geometries.
         """
         store0 = self.shards[0].store
-        storage_kind, storage_options = store0.kind, dict(store0.options)
-        quantized = store0.is_quantized
+        storage_kind, quantized = store0.kind, store0.is_quantized
         if not any(s.tombstone_count for s in self.shards):
             return self
         if quantized:
@@ -1105,9 +995,7 @@ class ShardedIndex:
                 # failed compact, over the untouched collection — the
                 # quantized state must be restored either way).
                 self.set_storage(
-                    storage_kind,
-                    seed=self.seed if seed is None else seed,
-                    **storage_options,
+                    storage_kind, seed=self.seed if seed is None else seed
                 )
         survivors = set()
         for shard in self.shards:
@@ -1121,14 +1009,13 @@ class ShardedIndex:
 
         Each shard is snapshotted like the flat index (shared immutable
         arrays, private mutation containers) — but any shard whose
-        points or codes are still *views into this index's shared-memory
-        arenas* gets them copied into private arrays first: the original
-        index unlinks its arenas on :meth:`close` (or garbage
-        collection), which would invalidate every view a longer-lived
-        snapshot still holds.  The copy therefore starts arena-free and
-        with no worker pool; fan-out search lazily spawns its own pool
-        and ships the (now inline) shard payloads, exactly like any
-        post-mutation shard.
+        points are still *views into this index's shared-memory arena*
+        gets them copied into private arrays first: the original index
+        unlinks its arena on :meth:`close` (or garbage collection), which
+        would invalidate every view a longer-lived snapshot still holds.
+        The copy therefore starts arena-free and with no worker pool;
+        fan-out search lazily spawns its own pool and ships the (now
+        inline) shard payloads, exactly like any post-mutation shard.
         """
         shards = []
         for j, shard in enumerate(self.shards):
@@ -1137,11 +1024,9 @@ class ShardedIndex:
                 pts = np.array(np.asarray(snap.dataset.points), copy=True)
                 snap.dataset = Dataset(snap.dataset.metric, pts)
                 if snap.store.kind == "flat":
-                    # Rebind onto the private copy (refresh preserves a
-                    # float32 store's dtype); quantized stores keep
+                    # Rebind onto the private copy; quantized stores keep
                     # their codes and never touch the arena points.
                     snap.store = snap.store.refresh(snap.dataset, 0)
-            snap.store.detach()
             shards.append(snap)
         return ShardedIndex(
             shards,
@@ -1223,7 +1108,6 @@ class ShardedIndex:
             return
         self._closed = True
         self._discard_pool()
-        self._close_code_arena()
         if self._arena is not None:
             # Detach every shard dataset from the arena before the
             # backing block unlinks (copies only still-arena-backed

@@ -4,18 +4,18 @@ The layer between metrics and the graph engines::
 
     metrics  →  storage  →  engine  →  index / sharded
 
-See :mod:`repro.storage.base` for the contract.  Most callers go
+See :mod:`repro.storage.base` for the contract.  Two kinds ship,
+``"flat"`` and ``"sq8"``, and neither takes options.  Callers go
 through one of the factories here:
 
-* :func:`make_store` — train-and-encode in one step (the flat index's
-  ``build(..., storage=...)`` path);
-* :func:`train_store_params` / :func:`store_from_params` /
-  :func:`encode_with_params` — the split form the sharded index uses to
-  train SQ8's per-dimension scales **once** over the whole collection
-  and share them across shards (each shard encodes its own rows against
-  the shared training state);
+* :func:`make_store` — train-and-encode in one step (the ``build(...,
+  storage=...)`` and ``set_storage`` path);
 * :func:`store_from_arrays` — reconstruction from a persisted or
   process-shipped wire form (spec dict + arrays).
+
+The sharded index trains SQ8 once over all its shards' points with
+:func:`~repro.storage.sq8.train_sq8` and encodes each shard under that
+state with :func:`~repro.storage.sq8.encode_sq8`.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ from repro.storage.base import (
     decompose_metric,
 )
 from repro.storage.disk import DiskTierStore, advise_memmap
-from repro.storage.flat import FLAT_DTYPES, FlatStore
-from repro.storage.sq8 import SQ8Params, SQ8Store, encode_sq8, train_sq8
+from repro.storage.flat import FlatStore
+from repro.storage.sq8 import SQ8Params, SQ8Store
 
 __all__ = [
-    "FLAT_DTYPES",
     "STORAGE_KINDS",
     "DiskTierStore",
     "FlatQueryView",
@@ -50,104 +49,35 @@ __all__ = [
     "VectorStore",
     "advise_memmap",
     "decompose_metric",
-    "encode_with_params",
     "make_store",
     "store_from_arrays",
-    "store_from_params",
-    "train_store_params",
     "validate_storage_options",
 ]
 
 STORAGE_KINDS = ("flat", "sq8")
 
-_FLAT_OPTION_KEYS = frozenset({"dtype"})
 
+def validate_storage_options(kind: str) -> None:
+    """Fail-fast, data-free check of a storage kind.
 
-def validate_storage_options(kind: str, options: dict[str, Any] | None = None) -> None:
-    """Fail-fast, data-free validation of a storage configuration.
-
-    The one home of the per-kind option rules: every front door (flat
-    and sharded ``build``/``set_storage``, the factories here) routes
-    through it, so a bad config raises :class:`StorageConfigError`
-    *before* any expensive work — in particular before a multi-process
-    sharded graph build.
+    Both ``build`` front doors call it before the graph build — in
+    particular before a multi-process sharded build — so an unknown kind
+    raises :class:`StorageConfigError` before any expensive work;
+    :func:`make_store` and ``ShardedIndex.set_storage`` call it too.
     """
-    opts = dict(options or {})
     if kind not in STORAGE_KINDS:
         raise StorageConfigError(
             f"unknown storage kind {kind!r}; use one of {STORAGE_KINDS}"
         )
+
+
+def make_store(kind: str, metric: Any, points: Any, seed: int = 0) -> VectorStore:
+    """Train a store of ``kind`` over ``points`` and encode them.
+    ``seed`` is accepted for every kind; neither kind's training draws."""
+    validate_storage_options(kind)
     if kind == "flat":
-        unknown = set(opts) - _FLAT_OPTION_KEYS
-        if unknown:
-            raise StorageConfigError(
-                f"unknown flat options {sorted(unknown)}; "
-                f"valid: {sorted(_FLAT_OPTION_KEYS)}"
-            )
-        dtype = opts.get("dtype", "float64")
-        if dtype not in FLAT_DTYPES:
-            raise StorageConfigError(
-                f"flat dtype must be one of {FLAT_DTYPES}, got {dtype!r}"
-            )
-        return
-    if opts:
-        raise StorageConfigError(
-            f"{kind} storage takes no options, got {sorted(opts)}"
-        )
-
-
-def make_store(
-    kind: str, metric: Any, points: Any, seed: int = 0, **options: Any
-) -> VectorStore:
-    """Train a store of ``kind`` over ``points`` and encode them."""
-    validate_storage_options(kind, options)
-    if kind == "flat":
-        return FlatStore(metric, points, **options)
-    return SQ8Store.train(metric, points, seed=seed, **options)
-
-
-def train_store_params(
-    kind: str, points: Any, seed: int = 0, **options: Any
-) -> Any:
-    """Training state only — no codes.  ``None`` for flat storage.
-
-    The sharded build trains once over the *full* collection through
-    this, then hands the same params to every shard's
-    :func:`store_from_params`.
-    """
-    validate_storage_options(kind, options)
-    if kind == "flat":
-        return None
-    return train_sq8(points)
-
-
-def encode_with_params(kind: str, params: Any, points: Any) -> np.ndarray | None:
-    """Encode rows under frozen training state (``None`` for flat)."""
-    if kind == "flat":
-        return None
-    if kind == "sq8":
-        return encode_sq8(params, points)
-    raise StorageConfigError(
-        f"unknown storage kind {kind!r}; use one of {STORAGE_KINDS}"
-    )
-
-
-def store_from_params(
-    kind: str,
-    metric: Any,
-    points: Any,
-    params: Any,
-    codes: np.ndarray | None = None,
-    options: dict[str, Any] | None = None,
-    trained_on: int | None = None,
-) -> VectorStore:
-    """Assemble a store from shared training state (+ optional
-    pre-encoded codes, e.g. a shared-arena view)."""
-    if kind == "flat":
-        return FlatStore(metric, points, **(options or {}))
-    if codes is None:
-        codes = encode_with_params(kind, params, points)
-    return SQ8Store(metric, params, codes, options=options, trained_on=trained_on)
+        return FlatStore(metric, points)
+    return SQ8Store.train(metric, points)
 
 
 def store_from_arrays(
@@ -155,10 +85,16 @@ def store_from_arrays(
 ) -> VectorStore:
     """Inverse of ``store.spec()`` + ``store.arrays()`` — the load path
     of persistence format v4 and v5, of sharded manifests' shard files
-    and of worker shard payloads."""
+    and of worker shard payloads.
+
+    Indexes saved while flat storage had a float32 traversal copy carry
+    ``"dtype": "float32"`` in their spec, and sq8 specs of that time an
+    ``"options"`` key; both are read past, so such an index opens as the
+    exact flat or the plain sq8 store.
+    """
     kind = spec.get("kind", "flat")
     if kind == "flat":
-        return FlatStore(metric, points, dtype=spec.get("dtype", "float64"))
+        return FlatStore(metric, points)
     if kind == "sq8":
         params = SQ8Params(
             minv=np.asarray(arrays["minv"], dtype=np.float64),
@@ -168,7 +104,6 @@ def store_from_arrays(
             metric,
             params,
             np.asarray(arrays["codes"], dtype=np.uint8),
-            options=spec.get("options"),
             drift=int(spec.get("drift", 0)),
             trained_on=spec.get("trained_on"),
         )

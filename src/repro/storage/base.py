@@ -57,7 +57,7 @@ class StorageError(Exception):
 
 class StorageConfigError(StorageError, ValueError):
     """A store was configured with parameters it cannot honor (wrong
-    point shape, unknown kind or option, a kind no longer supported,
+    point shape, unknown kind, a kind no longer supported,
     ...)."""
 
 
@@ -105,8 +105,7 @@ class QueryDistanceView:
       evaluates its reported ids in one :meth:`segmented` call when the
       distances are first read (``BeamBatch.dists``); a start vertex
       keeps its :meth:`scalar` value on both;
-    * quantized store (``sq8``/flat-float32) through
-      ``index.search()`` — the exact rerank
+    * quantized store (``sq8``) through ``index.search()`` — the exact rerank
       (:meth:`VectorStore.rerank_distances` over the candidate ids);
       the traversal's approximate distances are not read, so a compiled
       search does not evaluate them;
@@ -191,9 +190,6 @@ class VectorStore(ABC):
     #: Vectors encoded with training statistics older than the data —
     #: grows on every post-build add(), reset by a retrain (compact()).
     drift: int = 0
-    #: The keyword options the store was trained with (replayed by
-    #: retrained() so compaction keeps the configured quantizer).
-    options: dict[str, Any]
 
     # -- traversal ------------------------------------------------------
 
@@ -224,8 +220,8 @@ class VectorStore(ABC):
 
     @abstractmethod
     def retrained(self, dataset: Any, seed: int) -> "VectorStore":
-        """A freshly trained store over ``dataset`` with the same
-        options — the compaction path.  Drift resets to zero."""
+        """A freshly trained store of the same kind over ``dataset`` —
+        the compaction path.  Drift resets to zero."""
 
     # -- accounting -----------------------------------------------------
 
@@ -251,12 +247,11 @@ class VectorStore(ABC):
 
     @abstractmethod
     def spec(self) -> dict[str, Any]:
-        """JSON-safe description (kind, options, training stats)."""
+        """JSON-safe description (kind, training stats)."""
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         """Training-state arrays *excluding* codes (small; SQ8's offsets
-        and scales).  Ships inline in worker payloads while codes may
-        travel by shared-memory reference."""
+        and scales)."""
         return {}
 
     def arrays(self) -> dict[str, np.ndarray]:
@@ -274,26 +269,10 @@ class VectorStore(ABC):
         Valid because stores follow a rebind discipline: ``refresh()``
         *rebinds* attributes (``self._codes = concatenate(...)``) and
         never writes into an existing array, so a shallow copy shares
-        immutable arrays safely.  Mutable per-instance containers
-        (``options``) are copied.  This is the snapshot-isolation hook
+        immutable arrays safely.  This is the snapshot-isolation hook
         of ``ProximityGraphIndex.snapshot()``.
         """
-        out = copy.copy(self)
-        out.options = dict(self.options)
-        return out
-
-    def detach(self) -> "VectorStore":
-        """Copy any view-backed code matrix into private memory.
-
-        A sharded index keeps per-shard codes as views into a
-        shared-memory arena that is unlinked when that index closes; a
-        snapshot that outlives it must own its arrays.  Returns ``self``.
-        """
-        codes = self.codes
-        if codes is not None and codes.base is not None:
-            # Every code-holding store keeps its matrix in ``_codes``.
-            self._codes = codes.copy()  # type: ignore[attr-defined]
-        return self
+        return copy.copy(self)
 
     def summary(self) -> dict[str, Any]:
         """JSON-safe stats()-style summary."""

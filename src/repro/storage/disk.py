@@ -14,7 +14,7 @@ installs (see :mod:`repro.core.persistence`): it delegates the whole
 :class:`~repro.storage.base.VectorStore` traversal surface to an inner
 SQ8/flat store — same ``kind``, same ``codes``, same ``bind`` — so
 the engines, the accel planner, and ``store.spec()`` round-trips are
-all unchanged, and overrides exactly the three behaviors where disk
+all unchanged, and overrides exactly the two behaviors where disk
 residency matters:
 
 * :meth:`rerank_distances` gathers candidate rows from the cold tier in
@@ -22,10 +22,6 @@ residency matters:
   minimizing page faults and readahead waste) and scatters the
   distances back to candidate order — bit-identical to the direct
   fancy-index because the metric's ``distances`` kernel is row-wise;
-* :meth:`detach` is a no-op: the base class copies view-backed codes
-  into private memory because shared-*arena* views die with their
-  owner, but a file-backed mapping outlives every snapshot, so copying
-  would defeat the whole tier;
 * :meth:`refresh` **unwraps**: ``add()`` concatenates the memmap with
   the new rows into a fresh RAM array (copy-on-write materialization —
   nothing is ever written through the mapping), after which the cold
@@ -124,10 +120,6 @@ class DiskTierStore(VectorStore):
         return self.inner.drift
 
     @property
-    def options(self) -> dict[str, Any]:  # type: ignore[override]
-        return self.inner.options
-
-    @property
     def metric(self) -> Any:
         return self.inner.metric  # type: ignore[attr-defined]
 
@@ -191,14 +183,6 @@ class DiskTierStore(VectorStore):
         out.inner = self.inner.clone()
         out.vectors = self.vectors
         return out
-
-    def detach(self) -> "DiskTierStore":
-        # The base class copies view-backed codes because arena views
-        # die with their owning index; a file mapping does not, and
-        # copying it into RAM is exactly what this store exists to
-        # avoid.  Arena-backed codes never occur here: this store is
-        # only ever constructed by the v5 loader over file arrays.
-        return self
 
     # -- collection lifecycle -------------------------------------------
 

@@ -5,15 +5,6 @@ references the dataset's point array and delegates every distance to the
 metric through :class:`~repro.storage.base.FlatQueryView` — the same
 calls the engines made before the storage layer existed, so search
 results are bit-identical to the pre-storage behavior.
-
-``dtype="float32"`` opts into a SIMD-friendly half-width *traversal*
-copy of the points: graph traversal measures distances against the
-float32 array (rows upconvert to float64 on gather, exactly the SQ8
-dequantize-on-gather shape, so the metric kernels are unchanged), while
-the exact rerank pass and every reported distance still use the raw
-float64 points.  That halves traversal-resident bytes per vector at a
-recall cost bounded by float32 rounding (~1e-7 relative), pinned by
-``tests/test_storage.py``.
 """
 
 from __future__ import annotations
@@ -23,57 +14,35 @@ from typing import Any
 import numpy as np
 
 from repro.metrics.base import MetricSpace
-from repro.storage.base import FlatQueryView, StorageConfigError, VectorStore
+from repro.storage.base import FlatQueryView, VectorStore
 
 __all__ = ["FlatStore"]
 
-FLAT_DTYPES = ("float64", "float32")
-
 
 class FlatStore(VectorStore):
-    """The raw coordinate (or id) array, measured exactly — or, with
-    ``dtype="float32"``, traversed through a float32 shadow copy and
-    reranked exactly."""
+    """The raw coordinate (or id) array, measured exactly."""
 
     kind = "flat"
     is_quantized = False
     default_rerank_factor = 1
 
-    def __init__(
-        self, metric: MetricSpace, points: Any, dtype: str = "float64"
-    ) -> None:
-        if dtype not in FLAT_DTYPES:
-            raise StorageConfigError(
-                f"flat dtype must be one of {FLAT_DTYPES}, got {dtype!r}"
-            )
+    def __init__(self, metric: MetricSpace, points: Any) -> None:
         self.metric = metric
         self.points = points
-        self.dtype = dtype
         self.drift = 0
-        if dtype == "float32":
-            self._traversal: Any = np.ascontiguousarray(
-                np.asarray(points), dtype=np.float32
-            )
-            # Two-stage search: traverse the rounded coordinates, rerank
-            # the reported pool against the exact float64 points.
-            self.is_quantized = True
-            self.options: dict[str, Any] = {"dtype": "float32"}
-        else:
-            self._traversal = points
-            self.options = {}
 
     # -- traversal ------------------------------------------------------
 
     def bind(self, Q: Any) -> FlatQueryView:
-        return FlatQueryView(self.metric, self._traversal, Q)
+        return FlatQueryView(self.metric, self.points, Q)
 
     # -- collection lifecycle ------------------------------------------
 
     def refresh(self, dataset: Any, added: int) -> "FlatStore":
-        return FlatStore(dataset.metric, dataset.points, dtype=self.dtype)
+        return FlatStore(dataset.metric, dataset.points)
 
     def retrained(self, dataset: Any, seed: int) -> "FlatStore":
-        return FlatStore(dataset.metric, dataset.points, dtype=self.dtype)
+        return FlatStore(dataset.metric, dataset.points)
 
     # -- accounting -----------------------------------------------------
 
@@ -82,7 +51,7 @@ class FlatStore(VectorStore):
         return len(self.points)
 
     def traversal_bytes_per_vector(self) -> float:
-        arr = np.asarray(self._traversal)
+        arr = np.asarray(self.points)
         if arr.dtype == object or not len(arr):
             return 0.0
         return arr.nbytes / len(arr)
@@ -93,6 +62,4 @@ class FlatStore(VectorStore):
     # -- wire form ------------------------------------------------------
 
     def spec(self) -> dict[str, Any]:
-        if self.dtype == "float64":
-            return {"kind": "flat"}
-        return {"kind": "flat", "dtype": self.dtype}
+        return {"kind": "flat"}

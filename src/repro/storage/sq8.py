@@ -141,7 +141,6 @@ class SQ8Store(VectorStore):
         metric: MetricSpace,
         params: SQ8Params,
         codes: np.ndarray,
-        options: dict[str, Any] | None = None,
         drift: int = 0,
         trained_on: int | None = None,
     ) -> None:
@@ -152,17 +151,11 @@ class SQ8Store(VectorStore):
         # kernels as a zero-copy view (persistence and callers may pass
         # slices or otherwise non-contiguous arrays).
         self._codes = np.ascontiguousarray(codes, dtype=np.uint8)
-        self.options = dict(options or {})
         self.drift = int(drift)
         self.trained_on = int(trained_on if trained_on is not None else len(codes))
 
     @classmethod
-    def train(
-        cls, metric: MetricSpace, points: Any, seed: int = 0, **options: Any
-    ) -> "SQ8Store":
-        from repro.storage import validate_storage_options
-
-        validate_storage_options("sq8", options)
+    def train(cls, metric: MetricSpace, points: Any) -> "SQ8Store":
         params = train_sq8(points)
         return cls(metric, params, encode_sq8(params, points))
 
@@ -186,7 +179,7 @@ class SQ8Store(VectorStore):
         return self
 
     def retrained(self, dataset: Any, seed: int) -> "SQ8Store":
-        return SQ8Store.train(dataset.metric, dataset.points, seed=seed)
+        return SQ8Store.train(dataset.metric, dataset.points)
 
     # -- accounting -----------------------------------------------------
 
@@ -214,7 +207,6 @@ class SQ8Store(VectorStore):
     def spec(self) -> dict[str, Any]:
         return {
             "kind": "sq8",
-            "options": dict(self.options),
             "trained_on": int(self.trained_on),
             "drift": int(self.drift),
             "constant_dims": self.params.constant_dims,

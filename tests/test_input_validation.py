@@ -195,12 +195,15 @@ class TestQueryDtypes:
 
 
 class TestEngineBudget:
-    """Both batch engines refuse a budget below 1 on every backend, with
-    the message ``SearchParams`` uses."""
+    """Both batch engines, and the compiled entry points they dispatch to,
+    refuse a budget below 1 on every backend, with the message
+    ``SearchParams`` uses.  The accel entry points check it before any
+    plan or compile, so they raise even where no compiled backend is
+    warm or installed."""
 
     @pytest.mark.parametrize("backend", [None, "auto"])
     @pytest.mark.parametrize("budget", [0, -3])
-    @pytest.mark.parametrize("engine", ["greedy", "beam"])
+    @pytest.mark.parametrize("engine", ["greedy", "beam", "run_greedy", "run_beam"])
     def test_budget_below_one_raises(self, engine, budget, backend):
         index = _build("flat")
         Q = uniform_cube(3, 4, np.random.default_rng(4))
@@ -211,8 +214,12 @@ class TestEngineBudget:
             with pytest.raises(ValueError, match="budget must be at least 1"):
                 if engine == "greedy":
                     greedy_batch(*args, budget=budget, backend=backend)
-                else:
+                elif engine == "beam":
                     beam_search_batch(*args, beam_width=8, k=2, budget=budget, backend=backend)
+                elif engine == "run_greedy":
+                    accel.run_greedy(*args, budget=budget)
+                else:
+                    accel.run_beam(*args, beam_width=8, k=2, budget=budget)
         finally:
             accel.reset()
 

@@ -497,9 +497,6 @@ class TestDiskTierStore:
             want = mapped.dataset.distances_to_query(q, cand)
             assert np.array_equal(got, want)
 
-    def test_detach_is_a_noop(self, mapped):
-        assert mapped.store.detach() is mapped.store
-
     def test_clone_shares_the_mapping(self, mapped):
         clone = mapped.store.clone()
         assert clone is not mapped.store

@@ -1,11 +1,17 @@
-"""Every ``from repro... import name`` in the scripts resolves.
+"""Every ``repro`` import in the scripts resolves.
 
-The paper-claim benches (``benchmarks/bench_*.py``) are not collected by
-the tier-1 suite and the examples are not run by it, so a name the
-library drops would break them silently.  This walks their syntax trees
-— and the tests' own, where an import inside a test function is only
-reached when that test runs — and resolves every imported name against
-the live package, at module level and inside functions alike.
+The paper-claim benches (``benchmarks/bench_*.py``) and the benchmark
+harness (``benchmarks/harness/``) are not collected by the tier-1 suite
+and the examples are not run by it, so a name the library drops would
+break them silently — the harness only at benchmark time.  This walks
+their syntax trees — and the tests' own, where an import inside a test
+function is only reached when that test runs — and resolves every
+imported name against the live package, at module level and inside
+functions alike.  Two forms are read:
+
+* ``from repro... import name`` — ``name`` must exist in the module;
+* ``import repro.x as y`` — ``repro.x`` must import, and every ``y.attr``
+  the script reads must exist in it.
 
 A name that resolves only to a submodule is an error where the script
 calls it: ``from repro.graphs import greedy`` finds the module
@@ -20,32 +26,69 @@ import types
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SCRIPT_DIRS = ("benchmarks", "examples", "tests")
+SCRIPT_GLOBS = (
+    "benchmarks/*.py",
+    "benchmarks/harness/**/*.py",
+    "examples/*.py",
+    "tests/*.py",
+)
 
 
-def repro_imports(path: Path) -> list[tuple[int, str, str, bool]]:
-    """``(line, module, name, called)`` for every ``from repro... import
-    name`` anywhere in ``path``; ``called`` says whether the script calls
-    the name it binds."""
+def _is_repro(module: str) -> bool:
+    return module == "repro" or module.startswith("repro.")
+
+
+def repro_imports(path: Path) -> list[tuple[int, str, str | None, bool]]:
+    """``(line, module, name, called)`` for every ``repro`` import anywhere
+    in ``path``: one entry per ``from repro... import name``, one with
+    ``name`` ``None`` per ``import repro.x as y`` (the module itself) and
+    one per ``y.attr`` read; ``called`` says whether the script calls
+    what the entry names."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     called = {
         node.func.id
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
-    return [
-        (node.lineno, node.module, alias.name, (alias.asname or alias.name) in called)
+    called_attrs = {
+        id(node.func)
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        and node.level == 0
-        and node.module is not None
-        and (node.module == "repro" or node.module.startswith("repro."))
-        for alias in node.names
-    ]
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    found: list[tuple[int, str, str | None, bool]] = []
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or node.module is None or not _is_repro(node.module):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                found.append((node.lineno, node.module, alias.name, bound in called))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if _is_repro(alias.name):
+                    found.append((node.lineno, alias.name, None, False))
+                    if alias.asname:
+                        aliases[alias.asname] = alias.name
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            module = aliases[node.value.id]
+            found.append((node.lineno, module, node.attr, id(node) in called_attrs))
+    return sorted(found, key=lambda entry: entry[0])
 
 
-def resolves(module: str, name: str, called: bool) -> bool:
-    mod = importlib.import_module(module)
+def resolves(module: str, name: str | None, called: bool) -> bool:
+    try:
+        mod = importlib.import_module(module)
+    except ModuleNotFoundError:
+        return False
+    if name is None:
+        return True
     if not hasattr(mod, name):
         try:
             importlib.import_module(f"{module}.{name}")
@@ -54,17 +97,23 @@ def resolves(module: str, name: str, called: bool) -> bool:
     return not (called and isinstance(getattr(mod, name), types.ModuleType))
 
 
+def _describe(module: str, name: str | None) -> str:
+    return f"import {module}" if name is None else f"{module}.{name}"
+
+
 def test_every_repro_import_in_the_scripts_resolves() -> None:
-    checked = 0
+    checked, harness = 0, 0
     unresolved = []
-    for folder in SCRIPT_DIRS:
-        for path in sorted((REPO_ROOT / folder).glob("*.py")):
+    for pattern in SCRIPT_GLOBS:
+        for path in sorted(REPO_ROOT.glob(pattern)):
+            where = path.relative_to(REPO_ROOT)
             for line, module, name, called in repro_imports(path):
                 checked += 1
+                harness += where.parts[:2] == ("benchmarks", "harness")
                 if not resolves(module, name, called):
-                    where = path.relative_to(REPO_ROOT)
-                    unresolved.append(f"{where}:{line}: from {module} import {name}")
-    assert checked > 500  # the walk found the imports it is meant to check
+                    unresolved.append(f"{where}:{line}: {_describe(module, name)}")
+    # The walk found the imports it is meant to check, the harness's too.
+    assert checked > 500 and harness > 20
     assert unresolved == []
 
 
@@ -82,5 +131,26 @@ def test_a_dropped_name_is_reported(tmp_path: Path) -> None:
         ("repro.graphs", "greedy", True),
         ("repro.graphs", "greedy_batch", False),
         ("repro.graphs", "no_such_routine", False),
+    ]
+    assert [resolves(m, n, c) for _, m, n, c in found] == [True, False, True, False]
+
+
+def test_a_dropped_module_or_module_attribute_is_reported(tmp_path: Path) -> None:
+    script = tmp_path / "workload_x.py"
+    script.write_text(
+        "def install(tracer):\n"
+        "    import repro.core.index as core_index\n"
+        "    import repro.core.no_such_module as gone\n"
+        "    tracer.wrap(core_index.ProximityGraphIndex, 'search')\n"
+        "    core_index.no_such_name()\n"
+        "    core_index.graphs = None\n"
+        "    return gone\n"
+    )
+    found = repro_imports(script)
+    assert [(m, n, c) for _, m, n, c in found] == [
+        ("repro.core.index", None, False),
+        ("repro.core.no_such_module", None, False),
+        ("repro.core.index", "ProximityGraphIndex", False),
+        ("repro.core.index", "no_such_name", True),
     ]
     assert [resolves(m, n, c) for _, m, n, c in found] == [True, False, True, False]

@@ -4,7 +4,7 @@ Contract under test (ISSUE 19):
 
 * a batch is its rows: with ``SearchParams.starts`` pinned,
   ``search(q_i)`` one row at a time equals row ``i`` of ``search(Q)`` —
-  ids, distances, evals, dtypes — for flat / flat-float32 / sq8
+  ids, distances, evals, dtypes — for flat / sq8
   storage, in RAM and off a memory-mapped v5 directory, on the numpy
   engines, on ``"auto"`` and on an explicitly named compiled backend,
   for a plain search, ``k`` above the number of live points, an
@@ -74,11 +74,7 @@ ROUTES = [
     pytest.param("auto", marks=needs_compiled),
     pytest.param("compiled", marks=needs_compiled),
 ]
-STORAGES = {
-    "flat": ("flat", None),
-    "flat32": ("flat", {"dtype": "float32"}),
-    "sq8": ("sq8", None),
-}
+STORAGES = ["flat", "sq8"]
 N, DIM, M = 400, 8, 12
 CALL_CEILING = 132  # 120 calls with a tombstone, 110 without, + 10 %
 
@@ -106,10 +102,9 @@ def indexes(tmp_path_factory):
     """Every storage, built once, in RAM and reopened through mmap."""
     points = uniform_cube(N, DIM, np.random.default_rng(17))
     out = {}
-    for name, (storage, options) in STORAGES.items():
+    for name in STORAGES:
         ram = ProximityGraphIndex.build(
-            points, epsilon=1.0, method="vamana", seed=3,
-            storage=storage, storage_options=options,
+            points, epsilon=1.0, method="vamana", seed=3, storage=name
         )
         path = ram.save(tmp_path_factory.mktemp(name) / "v5", format="disk")
         out[name, "ram"] = ram
@@ -153,7 +148,7 @@ def _case(name: str, index: ProximityGraphIndex):
 
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("residency", ["ram", "mmap"])
-@pytest.mark.parametrize("storage", list(STORAGES))
+@pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize(
     "case", ["plain", "k_over_live", "filter", "budget", "all_tombstoned"]
 )
@@ -170,12 +165,6 @@ def test_each_row_alone_equals_its_row_of_the_batch(
         )
         return index.search(Q, k=k, params=params)
 
-    if storage == "flat32" and route == "compiled" and case != "all_tombstoned":
-        # No kernel reads float32 rows: a named backend says so, "auto"
-        # (covered by its own route) serves numpy.
-        with pytest.raises(accel.UnsupportedWorkloadError):
-            search(queries, slice(None))
-        return
     batch = search(queries, slice(None))
     assert batch.ids.shape == batch.distances.shape == (M, k)
     for i in range(M):

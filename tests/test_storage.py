@@ -3,10 +3,13 @@ v4 persistence of codes + scales + training stats."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro import ProximityGraphIndex, SearchParams, ShardedIndex, accel
+from repro import ProximityGraphIndex, SearchParams, ShardedIndex
+from repro.core.persistence import DISK_HEADER_NAME
 from repro.metrics.base import ScaledMetric
 from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric, MinkowskiMetric
 from repro.storage import (
@@ -14,7 +17,6 @@ from repro.storage import (
     StorageConfigError,
     make_store,
     store_from_arrays,
-    train_store_params,
 )
 from repro.storage.sq8 import decode_sq8, encode_sq8, train_sq8
 from repro.workloads import uniform_cube
@@ -67,7 +69,7 @@ class TestSQ8Encoder:
             train_sq8(np.arange(10))
 
     def test_rejects_options(self, points):
-        with pytest.raises(StorageConfigError, match="no options"):
+        with pytest.raises(TypeError, match="bogus"):
             make_store("sq8", EuclideanMetric(), points, bogus=1)
 
 
@@ -277,8 +279,6 @@ def test_store_from_arrays_rejects_unknown_kind(points):
         store_from_arrays({"kind": "zstd"}, {}, EuclideanMetric(), points)
     with pytest.raises(StorageConfigError, match="unknown storage"):
         make_store("zstd", EuclideanMetric(), points)
-    with pytest.raises(StorageConfigError, match="unknown storage"):
-        train_store_params("zstd", points)
 
 
 # ----------------------------------------------------------------------
@@ -323,34 +323,41 @@ def test_sharded_compact_restores_shared_codebooks():
 
 
 def test_sharded_set_storage_flat_rejects_options():
+    """Storage takes no options: ``set_storage`` refuses a keyword on
+    both index kinds, and an unknown kind names the known ones."""
     pts = uniform_cube(100, 3, np.random.default_rng(24))
     sharded = ShardedIndex.build(pts, epsilon=1.0, method="vamana", seed=1,
                                  shards=2)
     try:
-        with pytest.raises(StorageConfigError, match="unknown flat options"):
-            sharded.set_storage("flat", m=4)
+        with pytest.raises(TypeError, match="dtype"):
+            sharded.set_storage("flat", dtype="float32")
+        with pytest.raises(TypeError, match="dtype"):
+            sharded.shards[0].set_storage("flat", dtype="float32")
+        with pytest.raises(StorageConfigError, match="'flat', 'sq8'"):
+            sharded.set_storage("flat32")
     finally:
         sharded.close()
 
 
 def test_both_front_doors_reject_flat_storage_options():
-    """build(storage='flat', storage_options=...) must fail identically
-    for the flat and sharded kinds — never silently drop the options.
-    (``dtype`` is the one valid flat option; anything else rejects.)"""
+    """``storage_options=`` is gone from both ``build`` front doors: it is
+    an unknown build option, refused by name before anything is built,
+    never silently dropped."""
     pts = uniform_cube(100, 3, np.random.default_rng(25))
-    with pytest.raises(StorageConfigError, match="unknown flat options"):
+    with pytest.raises(ValueError, match="unknown build option.*'storage_options'"):
         ProximityGraphIndex.build(
-            pts, method="vamana", storage="flat", storage_options={"m": 4}
+            pts, method="vamana", storage="flat",
+            storage_options={"dtype": "float32"},
         )
-    with pytest.raises(StorageConfigError, match="unknown flat options"):
+    with pytest.raises(ValueError, match="unknown build option.*'storage_options'"):
         ShardedIndex.build(
             pts, method="vamana", shards=2, storage="flat",
-            storage_options={"m": 4},
+            storage_options={"dtype": "float32"},
         )
 
 
 def test_sharded_build_fails_fast_on_bad_quantizer_config():
-    """A bad sq8 config must raise BEFORE the (expensive, possibly
+    """An unknown storage kind must raise BEFORE the (expensive, possibly
     multi-process) graph build runs, not after."""
     pts = uniform_cube(100, 4, np.random.default_rng(26))
     import repro.core.sharded as sharded_module
@@ -361,13 +368,11 @@ def test_sharded_build_fails_fast_on_bad_quantizer_config():
     orig = sharded_module.partition_points
     sharded_module.partition_points = boom
     try:
-        with pytest.raises(StorageConfigError, match="no options"):
-            ShardedIndex.build(
-                pts, method="vamana", shards=2, storage="sq8",
-                storage_options={"m": 3},
-            )
-        with pytest.raises(StorageConfigError, match="unknown storage kind"):
-            ShardedIndex.build(pts, method="vamana", shards=2, storage="pq")
+        for kind in ("sq4", "pq"):
+            with pytest.raises(StorageConfigError, match="unknown storage kind"):
+                ShardedIndex.build(
+                    pts, method="vamana", shards=2, workers=2, storage=kind
+                )
     finally:
         sharded_module.partition_points = orig
 
@@ -384,17 +389,16 @@ def test_flat_build_fails_fast_on_bad_quantizer_config():
 
     index_module.build = boom
     try:
-        with pytest.raises(StorageConfigError, match="no options"):
-            ProximityGraphIndex.build(
-                pts, method="vamana", storage="sq8", storage_options={"m": 3}
-            )
+        for kind in ("sq4", "pq"):
+            with pytest.raises(StorageConfigError, match="unknown storage kind"):
+                ProximityGraphIndex.build(pts, method="vamana", storage=kind)
     finally:
         index_module.build = orig
 
 
 def test_sharded_quantized_fanout_workers_match_in_process():
-    """The pooled fan-out (codes shipped by shared-memory arena or
-    inline, the SQ8 view rebuilt in each worker) answers exactly like
+    """The pooled fan-out (codes shipped inline in the initializer
+    payload, the SQ8 view rebuilt in each worker) answers exactly like
     the in-process fan-out over the same shards."""
     pts = uniform_cube(240, 4, np.random.default_rng(17))
     queries = np.random.default_rng(18).uniform(size=(9, 4))
@@ -428,137 +432,96 @@ def test_sharded_build_trains_codebooks_once():
 
 
 # ----------------------------------------------------------------------
-# Flat float32 traversal storage
+# Indexes saved while storage still took options
 # ----------------------------------------------------------------------
 
 
-class TestFlatFloat32:
-    """``FlatStore(dtype="float32")``: traversal over a half-width copy,
-    exact float64 rerank, dtype recorded in the wire form."""
+def _edit_npz_header(path, edit) -> None:
+    """Rewrite a v4 ``.npz`` in place with ``edit(header)`` applied."""
+    with np.load(path) as data:
+        payload = {k: data[k] for k in data.files}
+    header = json.loads(bytes(payload["header"].tobytes()).decode())
+    edit(header)
+    payload["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    np.savez(path, **payload)
 
-    def _build_pair(self, n=500, d=12, seed=3):
-        pts = np.random.default_rng(5).normal(size=(n, d))
-        f64 = ProximityGraphIndex.build(pts, method="vamana", seed=seed)
-        f32 = ProximityGraphIndex.build(
-            pts, method="vamana", seed=seed,
-            storage="flat", storage_options={"dtype": "float32"},
+
+def _edit_disk_header(path, edit) -> None:
+    """Rewrite a v5 directory's ``header.json`` with ``edit(header)`` applied."""
+    header_path = path / DISK_HEADER_NAME
+    header = json.loads(header_path.read_text())
+    edit(header)
+    header_path.write_text(json.dumps(header))
+
+
+#: What the two kinds' specs looked like when flat storage could hold a
+#: float32 traversal copy and every sq8 spec carried an options dict.
+OLD_SPECS = {
+    "flat": lambda spec: spec.update(dtype="float32"),
+    "sq8": lambda spec: spec.update(options={}),
+}
+
+
+class TestOldStorageSpecsStillOpen:
+    """A saved ``{"kind": "flat", "dtype": "float32"}`` opens as the
+    exact flat store, and an sq8 spec's ``"options"`` key is read past;
+    both through a v4 ``.npz``, a v5 directory and a v3 manifest shard.
+    Answers are the plain index's, evals included."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        pts = uniform_cube(300, 4, np.random.default_rng(41))
+        queries = np.random.default_rng(42).uniform(size=(9, 4))
+        return pts, queries, SearchParams(beam_width=24, seed=0)
+
+    @staticmethod
+    def _assert_answers(got, want) -> None:
+        for field in ("ids", "distances", "evals"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    @pytest.mark.parametrize("kind", list(OLD_SPECS))
+    @pytest.mark.parametrize("layout", ["v4", "v5"])
+    def test_flat_index(self, setup, tmp_path, kind, layout):
+        pts, queries, p = setup
+        index = ProximityGraphIndex.build(
+            pts, epsilon=1.0, method="vamana", seed=3, storage=kind
         )
-        return pts, f64, f32
+        want = index.search(queries, k=5, params=p)
 
-    def test_option_validation(self, points):
-        with pytest.raises(StorageConfigError, match="flat dtype"):
-            make_store("flat", EuclideanMetric(), points, dtype="float16")
-        with pytest.raises(StorageConfigError, match="unknown flat options"):
-            make_store("flat", EuclideanMetric(), points, bits=32)
-        with pytest.raises(StorageConfigError, match="flat dtype"):
-            FlatStore(EuclideanMetric(), points, dtype="f32")
-        # sq8 stays option-free
-        with pytest.raises(StorageConfigError, match="no options"):
-            make_store("sq8", EuclideanMetric(), points, dtype="float32")
+        def edit(header):
+            OLD_SPECS[kind](header["storage"])
 
-    def test_store_shape(self, points):
-        st = make_store("flat", EuclideanMetric(), points, dtype="float32")
-        assert st.is_quantized  # two-stage search: traverse f32, rerank f64
-        assert st.codes is None
-        assert st.spec() == {"kind": "flat", "dtype": "float32"}
-        assert np.asarray(st.bind(points[:2]).points).dtype == np.float32
-        f64 = make_store("flat", EuclideanMetric(), points)
-        assert not f64.is_quantized and f64.spec() == {"kind": "flat"}
-        # traversal-resident bytes are halved
-        assert st.traversal_bytes_per_vector() == f64.traversal_bytes_per_vector() / 2
-        # lifecycle preserves the dtype
-        ds = type("DS", (), {"metric": EuclideanMetric(), "points": points})
-        assert st.refresh(ds, 0).dtype == "float32"
-        assert st.retrained(ds, 0).dtype == "float32"
+        if layout == "v4":
+            path = index.save(tmp_path / "idx.npz")
+            _edit_npz_header(path, edit)
+        else:
+            path = index.save(tmp_path / "idx", format="disk")
+            _edit_disk_header(path, edit)
+        loaded = ProximityGraphIndex.load(path)
+        assert loaded.store.kind == kind
+        assert loaded.store.spec() == index.store.spec()
+        self._assert_answers(loaded.search(queries, k=5, params=p), want)
 
-    def test_recall_delta_vs_float64_is_pinned(self):
-        """The recall cost of float32 rounding is bounded by ~1e-7
-        relative distance error: recall@10 may not drop more than one
-        percentage point below the float64 build on the same data."""
-        pts, f64, f32 = self._build_pair()
-        queries = np.random.default_rng(6).normal(size=(40, 12))
-        p = SearchParams(beam_width=48, seed=0)
-        exact = np.linalg.norm(pts[None, :, :] - queries[:, None, :], axis=2)
-        gt = np.argsort(exact, axis=1, kind="stable")[:, :10]
-        def recall(res):
-            return np.mean([
-                len(set(res.ids[i].tolist()) & set(gt[i].tolist())) / 10
-                for i in range(len(queries))
-            ])
-        r64 = recall(f64.search(queries, k=10, params=p))
-        r32 = recall(f32.search(queries, k=10, params=p))
-        assert r32 >= r64 - 0.01
-
-    def test_reported_distances_stay_exact_float64(self):
-        pts, _, f32 = self._build_pair(n=300)
-        queries = np.random.default_rng(8).normal(size=(7, 12))
-        res = f32.search(queries, k=5, params=SearchParams(beam_width=32, seed=0))
-        for i in range(len(queries)):
-            for j in range(5):
-                pid = int(res.ids[i, j])
-                want = float(np.linalg.norm(pts[pid] - queries[i]))
-                assert res.distances[i, j] == pytest.approx(want, abs=1e-12)
-
-    def test_v4_and_v5_round_trip_record_dtype(self, tmp_path):
-        pts, _, f32 = self._build_pair(n=250)
-        queries = np.random.default_rng(9).normal(size=(5, 12))
-        p = SearchParams(beam_width=32, seed=0)
-        want = f32.search(queries, k=5, params=p)
-        v4 = ProximityGraphIndex.load(f32.save(tmp_path / "idx.npz"))
-        assert v4.store.dtype == "float32" and v4.store.is_quantized
-        got = v4.search(queries, k=5, params=p)
-        assert np.array_equal(want.ids, got.ids)
-        assert np.array_equal(want.distances, got.distances)
-        v5 = ProximityGraphIndex.load(f32.save(tmp_path / "disk", format="disk"))
-        inner = getattr(v5.store, "inner", v5.store)
-        assert inner.dtype == "float32"
-        got5 = v5.search(queries, k=5, params=p)
-        assert np.array_equal(want.ids, got5.ids)
-        assert np.array_equal(want.distances, got5.distances)
-
-    def test_sharded_fanout_and_snapshot_keep_dtype(self):
-        pts = uniform_cube(240, 4, np.random.default_rng(21))
-        queries = np.random.default_rng(22).uniform(size=(9, 4))
-        p = SearchParams(beam_width=32, seed=0)
+    @pytest.mark.parametrize("kind", list(OLD_SPECS))
+    def test_v3_manifest_shard(self, setup, tmp_path, kind):
+        pts, queries, p = setup
         sharded = ShardedIndex.build(
-            pts, epsilon=1.0, method="vamana", seed=3, shards=2, workers=2,
-            storage="flat", storage_options={"dtype": "float32"},
+            pts, epsilon=1.0, method="vamana", seed=3, shards=2, storage=kind
         )
         try:
-            assert all(s.store.dtype == "float32" for s in sharded.shards)
             want = sharded.search(queries, k=5, params=p)
-            sharded.workers = 1
-            got = sharded.search(queries, k=5, params=p)
-            assert np.array_equal(want.ids, got.ids)
-            assert np.array_equal(want.distances, got.distances)
-            snap = sharded.snapshot()
+            path = sharded.save(tmp_path / "sharded")
         finally:
             sharded.close()
-        # the snapshot owns its arrays and keeps the traversal dtype
-        assert all(s.store.dtype == "float32" for s in snap.shards)
-        after = snap.search(queries, k=5, params=p)
-        assert np.array_equal(want.ids, after.ids)
-
-    @pytest.mark.skipif(
-        "cffi" not in accel.available_backends(),
-        reason="cffi is not installed",
-    )
-    def test_accel_explicit_backend_rejects_auto_falls_back(self):
-        """Compiled kernels are float64-only: an explicit backend on a
-        float32 flat store raises the workload error, ``auto`` silently
-        runs the numpy engines."""
-        pts, _, f32 = self._build_pair(n=200)
-        queries = np.random.default_rng(11).normal(size=(4, 12))
-        try:
-            accel.warm("cffi")
-            with pytest.raises(accel.UnsupportedWorkloadError, match="float64"):
-                f32.search(
-                    queries, k=3,
-                    params=SearchParams(seed=0, backend="cffi"),
-                )
-            res = f32.search(
-                queries, k=3, params=SearchParams(seed=0, backend="auto")
+        for shard_file in sorted(path.glob("shard-*.npz")):
+            _edit_npz_header(
+                shard_file, lambda header: OLD_SPECS[kind](header["storage"])
             )
-            assert (res.ids >= 0).all()
+        loaded = ShardedIndex.load(path)
+        try:
+            assert all(s.store.kind == kind for s in loaded.shards)
+            assert all("dtype" not in s.store.spec() for s in loaded.shards)
+            assert all("options" not in s.store.spec() for s in loaded.shards)
+            self._assert_answers(loaded.search(queries, k=5, params=p), want)
         finally:
-            accel.reset()
+            loaded.close()
