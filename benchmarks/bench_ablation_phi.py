@@ -43,7 +43,7 @@ def _build_with_phi_multiplier(ds, eps, multiplier):
             for y in level[d <= radius]:
                 if int(y) != p:
                     out_sets[p].add(int(y))
-    return ProximityGraph.from_sets(ds.n, out_sets), params
+    return ProximityGraph(ds.n, out_sets), params
 
 
 def test_phi_ablation(benchmark, bench_rng):
@@ -93,9 +93,7 @@ def test_reference_gnet_matches_multiplier_one(benchmark, bench_rng):
     pts = exponential_cluster_chain(4, 20, np.random.default_rng(9))
     ds = make_dataset(pts)
     ablation_graph, _ = _build_with_phi_multiplier(ds, 1.0, 1.0)
-    reference = build_gnet(ds, 1.0, method="vectorized")
+    reference = build_gnet(ds, 1.0)
     assert ablation_graph == reference.graph
 
-    benchmark.pedantic(
-        lambda: build_gnet(ds, 1.0, method="vectorized"), rounds=1, iterations=1
-    )
+    benchmark.pedantic(lambda: build_gnet(ds, 1.0), rounds=1, iterations=1)

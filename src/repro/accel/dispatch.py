@@ -564,19 +564,18 @@ class _SearchPlan:
 
 
 def _search_plan(graph: Any, dataset: Any, store: Any, Q: np.ndarray) -> _SearchPlan:
-    """The plan of this (graph, dataset, store), built on first use."""
-    targets = graph.csr()[1]
+    """The plan of this (graph, dataset, store), built on first use.
+
+    It hangs on the graph, whose CSR never changes, so only the vector
+    side is compared."""
     codes = None if store is None else store.codes
     plan = getattr(graph, "_accel_plan", None)
     if plan is not None:
-        p_targets, p_dataset, p_store, p_codes = plan.key
-        if (
-            p_targets is targets and p_dataset is dataset
-            and p_store is store and p_codes is codes
-        ):
+        p_dataset, p_store, p_codes = plan.key
+        if p_dataset is dataset and p_store is store and p_codes is codes:
             return plan
     plan = graph._accel_plan = _SearchPlan(
-        (targets, dataset, store, codes), graph, _plan(dataset, store, Q)
+        (dataset, store, codes), graph, _plan(dataset, store, Q)
     )
     return plan
 
@@ -1023,7 +1022,7 @@ def _self_check() -> None:
     dataset = Dataset(EuclideanMetric(), points)
     # Four draws a vertex; duplicates and self-loops drop out, so the
     # degrees vary.
-    graph = ProximityGraph(n, rng.integers(0, n, size=(n, 4))).freeze()
+    graph = ProximityGraph(n, rng.integers(0, n, size=(n, 4)))
     Q = rng.standard_normal((mq, d))
     starts = rng.integers(0, n, size=mq)
     wave = [int(p) for p in rng.permutation(n)[:mq]]

@@ -57,7 +57,6 @@ def build_diskann_slow(
     epsilon: float | None = None,
     max_degree: int | None = None,
     batch_size: int | None = None,
-    backend: str | None = None,
 ) -> DiskANNBuildResult:
     """Build the alpha-pruned graph by the quadratic-per-point scan.
 
@@ -75,11 +74,6 @@ def build_diskann_slow(
     the GEMM expansion rounds a tie differently (measure-zero on random
     inputs; ``batch_size in (None, 1)`` uses the sequential row kernel
     verbatim).
-
-    ``backend`` is accepted for API uniformity with the insertion-based
-    builders and ignored: this quadratic scan has no beam search or
-    RobustPrune inner loop for the accel kernels to replace, so every
-    backend builds the identical graph.
     """
     if (alpha is None) == (epsilon is None):
         raise ValueError("give exactly one of alpha or epsilon")

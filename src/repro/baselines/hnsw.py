@@ -115,11 +115,7 @@ class HNSWIndex:
     def base_layer_graph(self) -> ProximityGraph:
         """Level-0 adjacency as a flat directed graph."""
         return ProximityGraph(
-            self.dataset.n,
-            [
-                np.array(self._adj[0].get(u, []), dtype=np.intp)
-                for u in range(self.dataset.n)
-            ],
+            self.dataset.n, [self._adj[0].get(u, []) for u in range(self.dataset.n)]
         )
 
     # ------------------------------------------------------------------
@@ -243,7 +239,7 @@ class HNSWIndex:
         n = self.dataset.n
         snap_max = self.max_level
         layers = [
-            snapshot_graph(n, [self._adj[lvl].get(u, ()) for u in range(n)], sort=False)
+            snapshot_graph(n, [self._adj[lvl].get(u, ()) for u in range(n)])
             for lvl in range(snap_max + 1)
         ]
         q_arr = self.dataset.points[np.asarray(pids, dtype=np.intp)]

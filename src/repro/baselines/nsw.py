@@ -133,7 +133,7 @@ class NSWIndex:
             pids = pids[1:]
         if pids:
             idx = np.asarray(pids, dtype=np.intp)
-            prefix = snapshot_graph(self.dataset.n, self._adj, sort=False)
+            prefix = snapshot_graph(self.dataset.n, self._adj)
             ef = max(self.ef_construction, self.m)
             found = construction_beam_batch(
                 prefix,
@@ -159,10 +159,7 @@ class NSWIndex:
 
     def graph(self) -> ProximityGraph:
         """The (symmetric) adjacency as a directed graph."""
-        return ProximityGraph(
-            self.dataset.n,
-            [np.array(sorted(s), dtype=np.intp) for s in self._adj],
-        )
+        return ProximityGraph(self.dataset.n, self._adj)
 
     def search(self, q: Any, k: int = 1, ef: int | None = None) -> list[tuple[int, float]]:
         if not self._members:

@@ -21,10 +21,9 @@ __all__ = ["build_complete_graph", "build_knn_digraph"]
 
 
 def build_complete_graph(dataset: Dataset) -> ProximityGraph:
-    """All ``n * (n-1)`` directed edges."""
+    """All ``n * (n-1)`` directed edges (the constructor drops the self-loops)."""
     n = dataset.n
-    all_ids = np.arange(n, dtype=np.intp)
-    return ProximityGraph(n, [np.delete(all_ids, u) for u in range(n)])
+    return ProximityGraph(n, [np.arange(n)] * n)
 
 
 def build_knn_digraph(dataset: Dataset, k: int) -> ProximityGraph:

@@ -2,7 +2,6 @@
 helpers."""
 
 from repro.core.builders import (
-    BATCHED_BUILDERS,
     BuiltGraph,
     available_builders,
     build,
@@ -23,7 +22,6 @@ from repro.core.stats import (
 )
 
 __all__ = [
-    "BATCHED_BUILDERS",
     "BuiltGraph",
     "IdMap",
     "ProximityGraphIndex",

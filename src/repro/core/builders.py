@@ -33,7 +33,6 @@ __all__ = [
     "BuiltGraph",
     "BUILDERS",
     "BUILDER_OPTIONS",
-    "BATCHED_BUILDERS",
     "build",
     "available_builders",
     "builder_options",
@@ -133,21 +132,16 @@ def validate_builder_options(name: str, options: dict[str, Any]) -> None:
     only *after* an expensive normalization pass.  Cheap and data-free,
     so callers run it before any heavy work.
     """
-    if name not in BUILDERS:
-        raise ValueError(f"unknown builder {name!r}; have {available_builders()}")
-    if "batch_size" in options and name not in BATCHED_BUILDERS:
-        raise ValueError(
-            f"builder {name!r} does not support batched construction; "
-            f"batch_size applies to {sorted(BATCHED_BUILDERS)}"
-        )
-    if "backend" in options and name not in BATCHED_BUILDERS:
-        raise ValueError(
-            f"builder {name!r} has no accelerated construction path; "
-            f"backend applies to {sorted(BATCHED_BUILDERS)}"
-        )
-    allowed = BUILDER_OPTIONS.get(name)
+    allowed = builder_options(name)
     if allowed is None:
         return
+    for knob, lacking in (
+        ("batch_size", "does not support batched construction"),
+        ("backend", "has no accelerated construction path"),
+    ):
+        if knob in options and knob not in allowed:
+            takers = [b for b in available_builders() if knob in (builder_options(b) or ())]
+            raise ValueError(f"builder {name!r} {lacking}; {knob} applies to {takers}")
     unknown = sorted(set(options) - set(allowed))
     if unknown:
         accepts = (
@@ -160,11 +154,6 @@ def validate_builder_options(name: str, options: dict[str, Any]) -> None:
             f"{accepts}.  Select the construction itself with "
             f"method=<one of {available_builders()}>"
         )
-
-
-# Builders with an insertion loop the batched construction engine
-# (repro.graphs.engine.bulk_insert) can drive in waves.
-BATCHED_BUILDERS = frozenset({"hnsw", "nsw", "vamana", "diskann"})
 
 
 def build(
@@ -192,12 +181,14 @@ def build(
     raises ``ValueError``: the paper's constructions (gnet/theta/merged)
     are not insertion-ordered, so the knob has no meaning there.
 
-    ``backend`` selects the accel backend for the batched builders'
-    construction inner loops (candidate location + RobustPrune):
-    ``None``/``"numpy"`` run the pinned numpy engines, ``"auto"`` the
-    best warmed compiled backend (falling back silently), and ``"cffi"``
-    the compiled kernels, warmed on demand, raising when unavailable.  Like ``batch_size`` it is
-    rejected for builders without an insertion loop.  It is an
+    ``backend`` selects the accel backend for the construction inner
+    loops (candidate location + RobustPrune) of ``hnsw``, ``nsw`` and
+    ``vamana``: ``None``/``"numpy"`` run the pinned numpy engines,
+    ``"auto"`` the best warmed compiled backend (falling back silently),
+    and ``"cffi"`` the compiled kernels, warmed on demand, raising when
+    unavailable.  Like ``batch_size`` it is rejected, by name, for every
+    builder whose signature does not take it (``diskann``'s quadratic
+    scan has no inner loop for the kernels to replace).  It is an
     execution choice, not provenance — every backend builds the same
     graph — so unlike ``batch_size`` it is not recorded in
     ``built.options``: where an index was built must not decide where
@@ -206,18 +197,8 @@ def build(
     if name not in BUILDERS:
         raise ValueError(f"unknown builder {name!r}; have {available_builders()}")
     if batch_size is not None:
-        if name not in BATCHED_BUILDERS:
-            raise ValueError(
-                f"builder {name!r} does not support batched construction; "
-                f"batch_size applies to {sorted(BATCHED_BUILDERS)}"
-            )
         options["batch_size"] = batch_size
     if backend is not None:
-        if name not in BATCHED_BUILDERS:
-            raise ValueError(
-                f"builder {name!r} has no accelerated construction path; "
-                f"backend applies to {sorted(BATCHED_BUILDERS)}"
-            )
         options["backend"] = backend
     validate_builder_options(name, options)
     built = BUILDERS[name](
@@ -227,9 +208,6 @@ def build(
         **options,
     )
     built.options = {k: v for k, v in options.items() if k != "backend"}
-    # Finished graphs are CSR-native: freeze the builder's mutable buffer
-    # so queries gather from flat storage (mutation transparently thaws).
-    built.graph.freeze()
     return built
 
 

@@ -37,12 +37,12 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.builders import (
-    BATCHED_BUILDERS,
     BuiltGraph,
     build,
+    builder_options,
     validate_builder_options,
 )
-from repro.core.search import IdMap, SearchParams, SearchResult
+from repro.core.search import IdMap, SearchParams, SearchResult, resolve_mode
 from repro.core.stats import QueryStats, measure_queries
 from repro.graphs.base import ProximityGraph
 from repro.graphs.engine import (
@@ -188,7 +188,7 @@ class ProximityGraphIndex:
             raise ValueError(
                 f"need exactly {dataset.n} external ids, got {len(id_map)}"
             )
-        store = make_store(storage, dataset.metric, dataset.points, seed=seed)
+        store = make_store(storage, dataset.metric, dataset.points)
         return cls(
             dataset=dataset, built=built, scale=scale, seed=seed,
             id_map=id_map, store=store,
@@ -342,15 +342,7 @@ class ProximityGraphIndex:
         )
         traversal_store = store if quantized else None
 
-        mode = params.mode
-        if mode == "auto":
-            use_greedy = (
-                k == 1
-                and params.beam_width is None
-                and allowed is None
-                and not quantized
-            )
-            mode = "greedy" if use_greedy else "beam"
+        mode = resolve_mode(params, k, masked=allowed is not None, quantized=quantized)
         if mode == "greedy" and k != 1:
             raise ValueError(
                 "greedy returns a single neighbor; use mode='beam' (or "
@@ -594,7 +586,7 @@ class ProximityGraphIndex:
     def _adopt_dynamic_state(self, new_pts: np.ndarray) -> None:
         points = np.concatenate([np.asarray(self.dataset.points), new_pts], axis=0)
         self.dataset = Dataset(self.dataset.metric, points)
-        self.built.graph = self._dynamic.graph().freeze()
+        self.built.graph = self._dynamic.graph()
         # Static net provenance no longer describes the graph.
         for stale in ("hierarchy", "level_sizes", "level_edge_counts"):
             self.built.meta.pop(stale, None)
@@ -613,9 +605,9 @@ class ProximityGraphIndex:
         Cost per call: distance work proportional to ``count * beam *
         degree`` (locate + RobustPrune, through ``backend``), plus a
         constant number of array copies of the point and edge arrays —
-        the frozen CSR is loaded into :class:`RepairInserter`'s padded
-        row store (the one adjacency a Vamana build also runs on),
-        repaired there, and frozen again, all with array ops.  Nothing
+        the CSR is loaded into :class:`RepairInserter`'s padded row
+        store (the one adjacency a Vamana build also runs on), repaired
+        there, and read back out as a new CSR, all with array ops.  Nothing
         here visits every vertex or edge in Python.  The entry point is
         a real sample medoid, unlike ``VamanaIndex``'s (see its
         ``__init__``).
@@ -689,7 +681,7 @@ class ProximityGraphIndex:
         rng = np.random.default_rng(self.seed if seed is None else seed)
         self.built = build(
             self.built.name, dataset, self.epsilon, rng,
-            backend="auto" if self.built.name in BATCHED_BUILDERS else None,
+            backend="auto" if "backend" in (builder_options(self.built.name) or ()) else None,
             **self.built.options,
         )
         self.dataset = dataset
@@ -699,9 +691,7 @@ class ProximityGraphIndex:
         # Retrain the store over the survivors: post-build adds were
         # encoded with stale training statistics (the drift counter);
         # compaction is where that debt is repaid.
-        self.store = self.store.retrained(
-            self.dataset, self.seed if seed is None else seed
-        )
+        self.store = self.store.retrained(self.dataset)
         return self
 
     def snapshot(self) -> "ProximityGraphIndex":
@@ -739,19 +729,14 @@ class ProximityGraphIndex:
             store=self.store.clone(),
         )
 
-    def set_storage(
-        self, kind: str, seed: int | None = None
-    ) -> "ProximityGraphIndex":
+    def set_storage(self, kind: str) -> "ProximityGraphIndex":
         """Re-encode the collection under a different vector storage.
 
         Trains a fresh store of ``kind`` (``"flat"``/``"sq8"``)
         over the current points and installs it; the graph is untouched,
         only traversal distances change.  Returns ``self`` for chaining.
         """
-        self.store = make_store(
-            kind, self.dataset.metric, self.dataset.points,
-            seed=self.seed if seed is None else seed,
-        )
+        self.store = make_store(kind, self.dataset.metric, self.dataset.points)
         return self
 
     # ------------------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.accel import BACKEND_CHOICES
 
-__all__ = ["SearchParams", "SearchResult", "IdMap"]
+__all__ = ["SearchParams", "SearchResult", "IdMap", "resolve_mode"]
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,8 @@ class SearchParams:
     mode:
         ``"auto"`` (default) picks the paper's greedy routine for plain
         ``k=1`` searches and beam search otherwise (``k > 1``, an
-        explicit ``beam_width``, or an active filter/tombstone mask).
+        explicit ``beam_width``, an active filter/tombstone mask, or
+        quantized storage; :func:`resolve_mode` is the rule).
         ``"greedy"`` / ``"beam"`` force the engine.
     beam_width:
         Beam pool size (HNSW's ``ef``); defaults to ``max(2 * k, 16)``
@@ -110,6 +111,20 @@ class SearchParams:
             raise ValueError("budget must be at least 1")
         if self.rerank_factor is not None and self.rerank_factor < 1:
             raise ValueError("rerank_factor must be at least 1")
+
+
+def resolve_mode(params: SearchParams, k: int, masked: bool, quantized: bool) -> str:
+    """The engine ``params`` picks: ``"greedy"`` or ``"beam"``.
+
+    ``mode="auto"`` runs the paper's greedy routine only for a plain
+    search: ``k == 1``, no explicit ``beam_width``, no filter or
+    tombstone mask (``masked``) and exact storage (not ``quantized``).
+    Anything else runs beam search.
+    """
+    if params.mode != "auto":
+        return params.mode
+    plain = k == 1 and params.beam_width is None and not masked and not quantized
+    return "greedy" if plain else "beam"
 
 
 @dataclass

@@ -61,13 +61,13 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.builders import (
-    BATCHED_BUILDERS,
     BuiltGraph,
     build,
+    builder_options,
     validate_builder_options,
 )
 from repro.core.index import ProximityGraphIndex
-from repro.core.search import IdMap, SearchParams, SearchResult
+from repro.core.search import IdMap, SearchParams, SearchResult, resolve_mode
 from repro.graphs.base import ProximityGraph
 from repro.graphs.engine import (
     preload_shard_cache,
@@ -466,6 +466,8 @@ class ShardedIndex:
         # BEFORE partitioning and the (potentially multi-process,
         # minutes-long) graph build; a typo must never surface as a
         # worker-process TypeError.
+        if backend is not None:
+            options["backend"] = backend
         validate_builder_options(method, options)
         if metric is None:
             points = np.asarray(points, dtype=np.float64)
@@ -486,18 +488,11 @@ class ShardedIndex:
             raise ValueError(f"need exactly {n} external ids, got {global_ids.shape}")
         if batch_size == "auto":
             batch_size = None
-            if shards > 1 and method in BATCHED_BUILDERS:
+            if shards > 1 and "batch_size" in (builder_options(method) or ()):
                 per_shard = int(math.ceil(n / shards))
                 batch_size = max(32, min(1024, per_shard // 8))
         if batch_size is not None:
             options["batch_size"] = int(batch_size)
-        if backend is not None:
-            if method not in BATCHED_BUILDERS:
-                raise ValueError(
-                    f"builder {method!r} has no accelerated construction path; "
-                    f"backend applies to {sorted(BATCHED_BUILDERS)}"
-                )
-            options["backend"] = backend
 
         if workers > 1:
             metric_to_spec(metric)  # fail fast: workers need a spec form
@@ -519,7 +514,7 @@ class ShardedIndex:
                 global_ids, workers, assignment, seed, options, search_chunk,
             )
             if storage != "flat":
-                index.set_storage(storage, seed=seed)
+                index.set_storage(storage)
             return index
 
         shard_indexes = [
@@ -540,7 +535,7 @@ class ShardedIndex:
             search_chunk=search_chunk,
         )
         if storage != "flat":
-            index.set_storage(storage, seed=seed)
+            index.set_storage(storage)
         return index
 
     @classmethod
@@ -696,17 +691,14 @@ class ShardedIndex:
     # Storage: quantizer trained once, shared by every shard
     # ------------------------------------------------------------------
 
-    def set_storage(
-        self, kind: str, seed: int | None = None
-    ) -> "ShardedIndex":
+    def set_storage(self, kind: str) -> "ShardedIndex":
         """Re-encode every shard under storage ``kind``, training once.
 
         SQ8 training (offsets and scales) runs over the shards' points
         together, so all shards share one training state — a fan-out
         search therefore measures every candidate against the same
         geometry, and cross-shard merge order is consistent.  Each shard
-        then encodes its own rows under that state.  ``seed`` is accepted
-        like the flat index's; neither kind's training draws.
+        then encodes its own rows under that state.
         """
         validate_storage_options(kind)
         if kind == "flat":
@@ -763,19 +755,11 @@ class ShardedIndex:
         # Resolve mode="auto" HERE, not per shard: shards disagree about
         # their tombstone state, and a fan-out where one shard runs
         # greedy (hops) while another runs beam (no hops) cannot merge.
-        # The rule mirrors the flat index's, with "any tombstone
-        # anywhere" standing in for the per-index mask check.
-        if params.mode == "auto":
-            use_greedy = (
-                k == 1
-                and params.beam_width is None
-                and params.allowed_ids is None
-                and self.tombstone_count == 0
-                and not self.shards[0].store.is_quantized
-            )
-            params = dataclasses.replace(
-                params, mode="greedy" if use_greedy else "beam"
-            )
+        # "Any tombstone anywhere" stands in for the flat index's mask.
+        masked = params.allowed_ids is not None or self.tombstone_count > 0
+        params = dataclasses.replace(params, mode=resolve_mode(
+            params, k, masked=masked, quantized=self.shards[0].store.is_quantized,
+        ))
 
         # Resolve backend="auto" HERE too: worker processes start with
         # no warmed accel backend, so the parent's resolution (the best
@@ -994,9 +978,7 @@ class ShardedIndex:
                 # One shared training pass over the survivors (or, on a
                 # failed compact, over the untouched collection — the
                 # quantized state must be restored either way).
-                self.set_storage(
-                    storage_kind, seed=self.seed if seed is None else seed
-                )
+                self.set_storage(storage_kind)
         survivors = set()
         for shard in self.shards:
             survivors.update(np.asarray(shard.id_map.externals).tolist())

@@ -1,62 +1,92 @@
-"""Directed proximity-graph container, CSR-native.
+"""Directed proximity-graph container: one read-only CSR.
 
 A proximity graph in the paper is a simple directed graph whose vertices
-correspond one-to-one to the data points of ``P`` (Section 1.1).  The
-container has two physical states:
+correspond one-to-one to the data points of ``P`` (Section 1.1).  Every
+graph here is a fixed edge set held as flat CSR: ``offsets``, the
+``(n+1,)`` row pointers, and ``targets``, the neighbor ids with each row
+strictly increasing and free of self-loops.  The batch query engines
+(:mod:`repro.graphs.engine`) and the compiled kernels gather from these
+two arrays, and a saved index stores them verbatim
+(:mod:`repro.core.persistence`).
 
-* **mutable** — one sorted ``numpy`` id array per vertex, the buffer
-  builders append into while constructing;
-* **frozen** — flat CSR storage (``offsets``/``targets``), the canonical
-  form every finished graph lives in.  Frozen adjacency is what the
-  batch query engine (:mod:`repro.graphs.engine`) gathers from, and
-  what a saved index stores verbatim (:mod:`repro.core.persistence`).
-
-``freeze()`` moves a graph into CSR in place; any mutating call on a
-frozen graph transparently thaws it back into the per-vertex buffer, so
-the public API (``out_neighbors``/``add_edges``/``set_out_neighbors``/
-``merge``) behaves identically in both states.
+Both arrays are read-only and no method changes a graph, so one graph
+can be shared by index snapshots, threads and serving generations.
+Builders hand their finished rows to the constructor, or their CSR to
+:meth:`ProximityGraph.from_csr`.  The one edit made to a finished graph
+is dropping some of its edges: failure injection, the lower-bound
+adversary's pruned graphs and Section 5's source sampling all go through
+:meth:`ProximityGraph.without_edges`, which returns a new graph.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
 __all__ = ["ProximityGraph"]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _row_ids(row: Any) -> np.ndarray:
+    if isinstance(row, (list, tuple, np.ndarray)):
+        return np.asarray(row, dtype=np.intp)
+    return np.fromiter(row, dtype=np.intp)  # a set, or any other iterable
+
+
+def _csr_of_pairs(
+    n: int, sources: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the ``(source, target)`` pairs: range check, one ``lexsort``
+    by (source, target), then duplicates and self-loops dropped."""
+    bad = (sources < 0) | (sources >= n) | (targets < 0) | (targets >= n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"edge ({sources[i]}, {targets[i]}) out of range for n={n}")
+    order = np.lexsort((targets, sources))
+    sources, targets = sources[order], targets[order]
+    keep = targets != sources
+    keep[1:] &= (targets[1:] != targets[:-1]) | (sources[1:] != sources[:-1])
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources[keep], minlength=n), out=offsets[1:])
+    return offsets, targets[keep]
+
+
 class ProximityGraph:
     """Out-adjacency of a simple directed graph on vertices ``0..n-1``.
 
-    Self-loops are rejected (they can never help ``greedy``: a self-loop
-    target is never strictly closer to the query) and parallel edges are
-    collapsed.  Per-vertex adjacency is always sorted by id, which fixes
-    greedy's smallest-id tie-breaking and makes membership tests binary
-    searches.
+    ``ProximityGraph(n, rows)`` takes one list, set or array of neighbor
+    ids per vertex (``rows=None`` gives the edgeless graph) and builds
+    the CSR in one vectorised pass.  Self-loops are dropped (a self-loop
+    target is never strictly closer to the query, so it can never help
+    ``greedy``) and parallel edges collapse.  Rows are sorted by id,
+    which fixes greedy's smallest-id tie-breaking and makes membership
+    tests binary searches.
     """
 
-    def __init__(self, n: int, out_neighbors: Iterable[np.ndarray] | None = None):
+    def __init__(self, n: int, rows: Iterable[Any] | None = None):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        self.n = int(n)
-        self._offsets: np.ndarray | None = None
-        self._targets: np.ndarray | None = None
-        if out_neighbors is None:
-            self._adj: list[np.ndarray] | None = [
-                np.empty(0, dtype=np.intp) for _ in range(self.n)
-            ]
-        else:
-            self._adj = [self._clean(u, nbrs) for u, nbrs in enumerate(out_neighbors)]
-            if len(self._adj) != self.n:
-                raise ValueError("out_neighbors length must equal n")
+        n = int(n)
+        if rows is None:
+            self._adopt(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.intp))
+            return
+        arrays = [_row_ids(r) for r in rows]
+        if len(arrays) != n:
+            raise ValueError("out_neighbors length must equal n")
+        sources = np.repeat(np.arange(n, dtype=np.intp), [len(a) for a in arrays])
+        self._adopt(n, *_csr_of_pairs(n, sources, np.concatenate(arrays)))
 
-    def _clean(self, u: int, nbrs) -> np.ndarray:
-        arr = np.unique(np.asarray(nbrs, dtype=np.intp))
-        if len(arr) and (arr.min() < 0 or arr.max() >= self.n):
-            raise ValueError(f"vertex {u}: neighbor id out of range")
-        return arr[arr != u]
+    def _adopt(self, n: int, offsets: np.ndarray, targets: np.ndarray) -> None:
+        self.n = n
+        self._offsets = _read_only(offsets)
+        self._targets = _read_only(targets)
 
     # ------------------------------------------------------------------
     # Construction
@@ -65,20 +95,14 @@ class ProximityGraph:
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "ProximityGraph":
         """Build from ``(u, v)`` pairs (duplicates and self-loops dropped)."""
-        buckets: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            buckets[int(u)].append(int(v))
-        return cls(n, [np.array(b, dtype=np.intp) for b in buckets])
-
-    @classmethod
-    def from_sets(cls, n: int, sets: list[set[int]]) -> "ProximityGraph":
-        return cls(n, [np.fromiter(s, dtype=np.intp, count=len(s)) for s in sets])
+        pairs = np.asarray(list(edges), dtype=np.intp).reshape(-1, 2)
+        return cls.from_csr(n, *_csr_of_pairs(n, pairs[:, 0], pairs[:, 1]), validate=False)
 
     @classmethod
     def from_csr(
         cls, n: int, offsets: np.ndarray, targets: np.ndarray, validate: bool = True
     ) -> "ProximityGraph":
-        """Adopt CSR arrays directly (no per-row copies) as a frozen graph.
+        """Adopt CSR arrays directly, without copying them.
 
         ``offsets`` must be the ``(n+1,)`` row-pointer array and
         ``targets`` the flat neighbor ids; each row must already be
@@ -101,82 +125,19 @@ class ProximityGraph:
                 if (np.diff(targets)[same_row] <= 0).any():
                     raise ValueError("CSR rows must be strictly increasing")
         graph = cls.__new__(cls)
-        graph.n = int(n)
-        graph._adj = None
-        graph._offsets = offsets
-        graph._targets = targets
+        graph._adopt(int(n), offsets, targets)
         return graph
 
-    # ------------------------------------------------------------------
-    # Physical state: mutable buffer <-> frozen CSR
-    # ------------------------------------------------------------------
-
-    @property
-    def frozen(self) -> bool:
-        """``True`` when adjacency lives in flat CSR storage."""
-        return self._adj is None
-
-    def _build_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        assert self._adj is not None
-        offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum([len(a) for a in self._adj], out=offsets[1:])
-        targets = (
-            np.concatenate(self._adj).astype(np.intp, copy=False)
-            if offsets[-1]
-            else np.empty(0, dtype=np.intp)
-        )
-        return offsets, targets
-
-    def freeze(self) -> "ProximityGraph":
-        """Compact the per-vertex buffers into CSR, in place.
-
-        Idempotent; returns ``self`` so builders can ``return
-        graph.freeze()``.
-        """
-        if self._adj is not None:
-            self._offsets, self._targets = self._build_csr()
-            self._adj = None
-        return self
-
-    def thaw(self) -> "ProximityGraph":
-        """Re-expand CSR into per-vertex buffers, in place (idempotent)."""
-        if self._adj is None:
-            assert self._offsets is not None and self._targets is not None
-            self._adj = [
-                self._targets[self._offsets[u] : self._offsets[u + 1]].copy()
-                for u in range(self.n)
-            ]
-            self._offsets = self._targets = None
-        return self
-
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(offsets, targets)``, freezing in place if needed.
-
-        The arrays are the live storage — callers must treat them as
-        read-only.
-        """
-        self.freeze()
-        assert self._offsets is not None and self._targets is not None
+        """Return ``(offsets, targets)``: read-only views of the storage."""
         return self._offsets, self._targets
 
     # ------------------------------------------------------------------
-    # Adjacency access and mutation
+    # Adjacency access
     # ------------------------------------------------------------------
 
     def out_neighbors(self, u: int) -> np.ndarray:
-        if self._adj is None:
-            return self._targets[self._offsets[u] : self._offsets[u + 1]]
-        return self._adj[u]
-
-    def set_out_neighbors(self, u: int, nbrs) -> None:
-        self.thaw()
-        self._adj[u] = self._clean(u, nbrs)
-
-    def add_edges(self, u: int, nbrs) -> None:
-        self.thaw()
-        self._adj[u] = self._clean(
-            u, np.concatenate([self._adj[u], np.asarray(nbrs, dtype=np.intp)])
-        )
+        return self._targets[self._offsets[u] : self._offsets[u + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
         # Adjacency is always sorted, so membership is a binary search.
@@ -193,14 +154,10 @@ class ProximityGraph:
 
     @property
     def num_edges(self) -> int:
-        if self._adj is None:
-            return int(self._offsets[-1])
-        return int(sum(len(a) for a in self._adj))
+        return int(self._offsets[-1])
 
     def out_degrees(self) -> np.ndarray:
-        if self._adj is None:
-            return np.diff(self._offsets).astype(np.intp)
-        return np.array([len(a) for a in self._adj], dtype=np.intp)
+        return np.diff(self._offsets).astype(np.intp)
 
     def max_out_degree(self) -> int:
         return int(self.out_degrees().max())
@@ -213,54 +170,59 @@ class ProximityGraph:
 
     # ------------------------------------------------------------------
 
+    def without_edges(self, drop: np.ndarray) -> "ProximityGraph":
+        """A new graph without the edges that ``drop`` selects.
+
+        ``drop`` is a boolean mask over ``targets`` (one entry per edge,
+        in CSR order).  Every vertex stays; this graph is untouched.
+        """
+        drop = np.asarray(drop, dtype=bool)
+        if drop.shape != self._targets.shape:
+            raise ValueError("drop must be a boolean mask with one entry per edge")
+        kept_before = np.concatenate([[0], np.cumsum(~drop)])
+        return ProximityGraph.from_csr(
+            self.n, kept_before[self._offsets], self._targets[~drop], validate=False
+        )
+
     def merge(self, other: "ProximityGraph") -> "ProximityGraph":
         """Edge-union with another graph on the same vertex set — the
         merging operation of Section 5.2 (out-edge set of each point is
         the union of those in the two graphs)."""
         if other.n != self.n:
             raise ValueError("cannot merge graphs with different vertex counts")
-        merged = []
-        for u in range(self.n):
-            a, b = self.out_neighbors(u), other.out_neighbors(u)
-            merged.append(np.union1d(a, b) if len(b) else a)
-        return ProximityGraph(self.n, merged)
+        sources = np.repeat(
+            np.tile(np.arange(self.n, dtype=np.intp), 2),
+            np.concatenate([self.out_degrees(), other.out_degrees()]),
+        )
+        targets = np.concatenate([self._targets, other._targets])
+        return ProximityGraph.from_csr(
+            self.n, *_csr_of_pairs(self.n, sources, targets), validate=False
+        )
 
     def subgraph_of_sources(self, sources: np.ndarray) -> "ProximityGraph":
         """Keep only out-edges of the given source vertices (all vertices
         remain) — the vertex-sampling step of Section 5."""
         keep = np.zeros(self.n, dtype=bool)
         keep[np.asarray(sources, dtype=np.intp)] = True
-        pruned = [
-            self.out_neighbors(u) if keep[u] else np.empty(0, dtype=np.intp)
-            for u in range(self.n)
-        ]
-        return ProximityGraph(self.n, pruned)
+        return self.without_edges(np.repeat(~keep, self.out_degrees()))
 
     def copy(self) -> "ProximityGraph":
-        if self._adj is None:
-            return ProximityGraph.from_csr(
-                self.n, self._offsets.copy(), self._targets.copy(), validate=False
-            )
-        return ProximityGraph(self.n, [a.copy() for a in self._adj])
+        return ProximityGraph.from_csr(
+            self.n, self._offsets.copy(), self._targets.copy(), validate=False
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProximityGraph):
             return NotImplemented
-        if self.n != other.n:
-            return False
-        if self.frozen and other.frozen:
-            # Sorted-unique rows make CSR canonical: two array compares.
-            return np.array_equal(self._offsets, other._offsets) and np.array_equal(
-                self._targets, other._targets
-            )
-        return all(
-            np.array_equal(self.out_neighbors(u), other.out_neighbors(u))
-            for u in range(self.n)
+        # Sorted-unique rows make CSR canonical: two array compares.
+        return (
+            self.n == other.n
+            and np.array_equal(self._offsets, other._offsets)
+            and np.array_equal(self._targets, other._targets)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        state = "frozen" if self.frozen else "mutable"
-        return f"ProximityGraph(n={self.n}, edges={self.num_edges}, {state})"
+        return f"ProximityGraph(n={self.n}, edges={self.num_edges})"
 
     def degree_histogram(self) -> dict[int, int]:
         values, counts = np.unique(self.out_degrees(), return_counts=True)

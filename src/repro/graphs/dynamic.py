@@ -191,7 +191,7 @@ class DynamicGNet:
 
     def graph(self) -> ProximityGraph:
         """Snapshot of the current graph."""
-        return ProximityGraph.from_sets(max(self.n, 1), [set(s) for s in self._out])
+        return ProximityGraph(max(self.n, 1), self._out)
 
     def dataset(self) -> Dataset:
         """Snapshot dataset over the current points."""

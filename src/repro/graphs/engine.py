@@ -917,7 +917,7 @@ class CommitMirror:
 
     def snapshot(self, sort: bool = False) -> ProximityGraph:
         """CSR freeze of the padded rows.  Rows keep their store order —
-        row-for-row ``snapshot_graph(n, adj, sort=False)`` over the
+        row-for-row ``snapshot_graph(n, adj)`` over the
         equivalent lists, which is all a beam's pool needs; ``sort=True``
         orders every row ascending instead (padding sorts last), the
         graph container's canonical form."""
@@ -1087,31 +1087,24 @@ class RepairInserter:
         )
 
 
-def snapshot_graph(n: int, rows: Sequence[Any], sort: bool = True) -> ProximityGraph:
-    """Freeze a builder's in-progress adjacency into a CSR graph, fast.
+def snapshot_graph(n: int, rows: Sequence[Any]) -> ProximityGraph:
+    """A builder's in-progress adjacency as a CSR graph, for wave location.
 
     ``rows`` holds one iterable of neighbor ids per vertex (list, set,
     or array — whatever the builder mutates).  Unlike the
-    :class:`ProximityGraph` constructor this skips per-row cleaning
-    (builders already guarantee no self-loops or duplicates), so a
-    snapshot costs ``O(E)`` numpy work rather than ``O(n)``
-    Python-level array constructions.  With ``sort=True`` all rows are
-    ordered by one ``lexsort``, restoring the container's canonical
-    sorted-row invariant (needed for ``has_edge`` and greedy's
-    smallest-id tie-break); construction waves pass ``sort=False``
-    since a beam's pool is order-insensitive.  The result is a frozen
-    graph suitable for the lockstep engines.
+    :class:`ProximityGraph` constructor this neither sorts nor cleans the
+    rows (builders already guarantee no self-loops or duplicates), so a
+    snapshot costs one flattening pass.  Rows keep the builder's order:
+    a construction beam's pool does not depend on it, but ``has_edge``
+    and greedy's smallest-id tie-break do, so a finished graph goes
+    through the constructor instead.
     """
     if len(rows) != n:
         raise ValueError("need exactly one adjacency row per vertex")
     lens = np.fromiter((len(r) for r in rows), dtype=np.int64, count=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lens, out=offsets[1:])
-    total = int(offsets[-1])
-    flat = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=total)
-    if sort and total:
-        row_ids = np.repeat(np.arange(n, dtype=np.intp), lens)
-        flat = flat[np.lexsort((flat, row_ids))]
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(offsets[-1]))
     return ProximityGraph.from_csr(n, offsets, flat, validate=False)
 
 

@@ -20,12 +20,10 @@ Properties proved in the paper and checked by our tests:
 * greedy reaches a (1+eps)-ANN within ``h`` hops (the log-drop property,
   Lemma 2.2(2)), giving ``O((1/eps)^lambda * log^2 Delta)`` query time.
 
-Three interchangeable build strategies produce the identical edge set:
+Two interchangeable build strategies produce the identical edge set:
 
 * ``"auto"`` — the edges read off the net traversal (the default; any
   metric);
-* ``"vectorized"`` — per level, batched distance rows against ``Y_i``
-  (the correctness reference);
 * ``"paper"`` — the Section 2.4 loop verbatim: a dynamic ANN structure
   per level, repeated 2-ANN extraction with deletions until the paper's
   ``2 * phi * 2^i`` stopping rule fires, then re-insertion.
@@ -63,7 +61,7 @@ from repro.nets.hierarchy import NetHierarchy
 
 __all__ = ["GNetParameters", "GNetBuildResult", "gnet_parameters", "build_gnet"]
 
-_METHODS = ("auto", "vectorized", "paper")
+_METHODS = ("auto", "paper")
 
 
 @dataclass(frozen=True)
@@ -141,8 +139,8 @@ def build_gnet(
     Parameters
     ----------
     method:
-        ``"auto"`` (edges recorded by the net traversal itself),
-        ``"vectorized"`` or ``"paper"`` (see the module docstring).
+        ``"auto"`` (edges recorded by the net traversal itself) or
+        ``"paper"`` (see the module docstring).
     diameter:
         Upper bound on ``diam(P)`` within a factor 2 (the Section 2.4
         remark's ``d_max_hat``); it fixes ``h`` before the traversal.
@@ -174,21 +172,14 @@ def build_gnet(
         )
     else:
         out_sets: list[set[int]] = [set() for _ in range(dataset.n)]
-        level_edge_counts = []
-        for i in range(params.height + 1):
-            level_ids = hierarchy.level(i)
-            radius = params.level_radius(i)
-            if method == "vectorized":
-                added = _level_edges_vectorized(dataset, level_ids, radius, out_sets)
-            else:
-                factory = ann_factory or (
-                    lambda ds, ids: CoverTree(ds, point_ids=ids)
-                )
-                added = _level_edges_paper(
-                    dataset, level_ids, radius, out_sets, factory
-                )
-            level_edge_counts.append(added)
-        graph = ProximityGraph.from_sets(dataset.n, out_sets)
+        factory = ann_factory or (lambda ds, ids: CoverTree(ds, point_ids=ids))
+        level_edge_counts = [
+            _level_edges_paper(
+                dataset, hierarchy.level(i), params.level_radius(i), out_sets, factory
+            )
+            for i in range(params.height + 1)
+        ]
+        graph = ProximityGraph(dataset.n, out_sets)
 
     return GNetBuildResult(
         graph=graph,
@@ -226,25 +217,6 @@ def _csr_from_in_edges(
     ]
     graph = ProximityGraph.from_csr(n, *csr, validate=False)
     return graph, np.diff(covered, prepend=0).tolist()
-
-
-def _level_edges_vectorized(
-    dataset: Dataset,
-    level_ids: np.ndarray,
-    radius: float,
-    out_sets: list[set[int]],
-) -> int:
-    """Reference path: one batched distance row per point against Y_i."""
-    added = 0
-    for p in range(dataset.n):
-        dists = dataset.distances_from_index(p, level_ids)
-        close = level_ids[dists <= radius]
-        for y in close:
-            y = int(y)
-            if y != p and y not in out_sets[p]:
-                out_sets[p].add(y)
-                added += 1
-    return added
 
 
 def _level_edges_paper(

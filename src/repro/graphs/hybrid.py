@@ -90,7 +90,7 @@ def build_hybrid_candidate(
                 lateral += 1
 
     return HybridBuildResult(
-        graph=ProximityGraph.from_sets(dataset.n, out),
+        graph=ProximityGraph(dataset.n, out),
         params=params,
         hierarchy=hierarchy,
         top_level=top,

@@ -109,7 +109,7 @@ def _build_vectorized(points: np.ndarray, cones: ConeFamily) -> ProximityGraph:
         masked = np.where(member, proj, np.inf)
         best = np.argmin(masked, axis=0)  # (k,)
         ok = masked[best, np.arange(cones.num_cones)] < np.inf
-        out.append(np.unique(best[ok]).astype(np.intp))
+        out.append(best[ok])
     return ProximityGraph(n, out)
 
 
@@ -124,7 +124,7 @@ def _build_sweep_2d(points: np.ndarray, cones: ConeFamily) -> ProximityGraph:
     edge_sets: list[set[int]] = [set() for _ in range(n)]
     for axis in cones.axes:
         _sweep_one_cone(points, axis, tan_half, edge_sets)
-    return ProximityGraph.from_sets(n, edge_sets)
+    return ProximityGraph(n, edge_sets)
 
 
 def _sweep_one_cone(

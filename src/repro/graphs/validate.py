@@ -130,16 +130,15 @@ def corrupt_graph(
     victims: int | None = None,
 ) -> ProximityGraph:
     """Failure injection: drop a random fraction of out-edges from a few
-    random vertices.  Returns a corrupted copy (input untouched)."""
+    random vertices.  Returns a corrupted graph (input untouched)."""
     if not 0 < drop_fraction <= 1:
         raise ValueError("drop_fraction must be in (0, 1]")
-    bad = graph.copy()
     if victims is None:
         victims = max(1, graph.n // 10)
+    offsets = graph.csr()[0]
+    drop = np.zeros(graph.num_edges, dtype=bool)
     for v in rng.choice(graph.n, size=min(victims, graph.n), replace=False):
-        nbrs = bad.out_neighbors(int(v))
-        if len(nbrs) == 0:
-            continue
-        keep = rng.random(len(nbrs)) > drop_fraction
-        bad.set_out_neighbors(int(v), nbrs[keep])
-    return bad
+        lo, hi = offsets[v], offsets[v + 1]
+        if hi > lo:
+            drop[lo:hi] = rng.random(hi - lo) <= drop_fraction
+    return graph.without_edges(drop)

@@ -28,7 +28,7 @@ repairs the graph with array operations only: per call, distance work
 proportional to ``count * beam * degree`` plus a constant number of
 copies of the point and edge arrays — no interpreter work per vertex,
 so the writer's hold on the GIL (which is what readers wait for) does
-not grow with the collection the way a thaw-to-lists repair did.  The
+not grow with the collection the way a per-vertex list repair would.  The
 writer passes ``backend="auto"``, the same default ``/search`` uses:
 once a compiled backend is warmed (``repro serve`` warms one before
 binding) the wave location and commit run in its kernels, which are

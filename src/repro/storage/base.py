@@ -219,7 +219,7 @@ class VectorStore(ABC):
         :attr:`drift`).  Returns the store to install (may be ``self``)."""
 
     @abstractmethod
-    def retrained(self, dataset: Any, seed: int) -> "VectorStore":
+    def retrained(self, dataset: Any) -> "VectorStore":
         """A freshly trained store of the same kind over ``dataset`` —
         the compaction path.  Drift resets to zero."""
 

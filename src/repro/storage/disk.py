@@ -194,5 +194,5 @@ class DiskTierStore(VectorStore):
         # the refreshed inner store and drop the wrapper.
         return self.inner.refresh(dataset, added)
 
-    def retrained(self, dataset: Any, seed: int) -> VectorStore:
-        return self.inner.retrained(dataset, seed)
+    def retrained(self, dataset: Any) -> VectorStore:
+        return self.inner.retrained(dataset)

@@ -41,7 +41,7 @@ class FlatStore(VectorStore):
     def refresh(self, dataset: Any, added: int) -> "FlatStore":
         return FlatStore(dataset.metric, dataset.points)
 
-    def retrained(self, dataset: Any, seed: int) -> "FlatStore":
+    def retrained(self, dataset: Any) -> "FlatStore":
         return FlatStore(dataset.metric, dataset.points)
 
     # -- accounting -----------------------------------------------------

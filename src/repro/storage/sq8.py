@@ -178,7 +178,7 @@ class SQ8Store(VectorStore):
         self.drift += added
         return self
 
-    def retrained(self, dataset: Any, seed: int) -> "SQ8Store":
+    def retrained(self, dataset: Any) -> "SQ8Store":
         return SQ8Store.train(dataset.metric, dataset.points)
 
     # -- accounting -----------------------------------------------------

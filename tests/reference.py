@@ -1,4 +1,4 @@
-"""One-query-at-a-time reference loops for the batch engines.
+"""Plain reference loops the library's fast paths are held to.
 
 The library runs greedy and beam search through ``repro.graphs.engine``'s
 ``greedy_batch`` and ``beam_search_batch`` (and their compiled twins in
@@ -6,7 +6,9 @@ The library runs greedy and beam search through ``repro.graphs.engine``'s
 held bit-identical to: :func:`greedy` is the Section 1.1 procedure with
 the budget of ``query(p_start, q, Q)``, and :func:`beam_search` is the
 best-first beam search (HNSW's ``ef`` search) with an eval budget.
-Only tests that hold a batch engine against them import them.
+:func:`build_gnet_vectorized` reads G_net's edge set level by level,
+the definition :func:`repro.graphs.gnet.build_gnet` takes off the net
+traversal.  Only tests import them.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ from typing import Any
 import numpy as np
 
 from repro.graphs.base import ProximityGraph
+from repro.graphs.gnet import GNetBuildResult, gnet_parameters
 from repro.graphs.greedy import GreedyResult
 from repro.metrics.base import Dataset
+from repro.nets.hierarchy import NetHierarchy
 
-__all__ = ["greedy", "beam_search"]
+__all__ = ["greedy", "beam_search", "build_gnet_vectorized"]
 
 
 def greedy(
@@ -116,3 +120,34 @@ def beam_search(
                     heapq.heappop(pool)
     best = sorted((-d, v) for d, v in pool)[: max(k, 1)]
     return [(v, d) for d, v in best], evals
+
+
+def build_gnet_vectorized(
+    dataset: Dataset, epsilon: float, diameter: float | None = None
+) -> GNetBuildResult:
+    """G_net by its definition: per level ``i``, one batched distance row
+    per point against ``Y_i``, keeping the net points within ``phi * 2^i``.
+    ``level_edge_counts`` counts the edges each level adds first."""
+    params = None if diameter is None else gnet_parameters(epsilon, diameter)
+    hierarchy = NetHierarchy(dataset, height=None if params is None else params.height)
+    if params is None:
+        params = gnet_parameters(epsilon, 2.0 * hierarchy.max_insertion_distance)
+    out_sets: list[set[int]] = [set() for _ in range(dataset.n)]
+    level_edge_counts = []
+    for i in range(params.height + 1):
+        level_ids = hierarchy.level(i)
+        added = 0
+        for p in range(dataset.n):
+            dists = dataset.distances_from_index(p, level_ids)
+            for y in level_ids[dists <= params.level_radius(i)]:
+                if int(y) != p and int(y) not in out_sets[p]:
+                    out_sets[p].add(int(y))
+                    added += 1
+        level_edge_counts.append(added)
+    return GNetBuildResult(
+        graph=ProximityGraph(dataset.n, out_sets),
+        params=params,
+        hierarchy=hierarchy,
+        level_sizes=[hierarchy.level_size(i) for i in range(params.height + 1)],
+        level_edge_counts=level_edge_counts,
+    )

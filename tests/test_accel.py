@@ -221,7 +221,7 @@ def _long_row_workload(kind, with_store=True):
     rng = np.random.default_rng(5)
     n, d, m = 300, 8, 6
     points = rng.standard_normal((n, d))
-    graph = ProximityGraph(n, rng.integers(0, n, (n, 100))).freeze()
+    graph = ProximityGraph(n, rng.integers(0, n, (n, 100)))
     metric, store_kind = KERNEL_KINDS[kind]
     store = make_store(store_kind, metric, points, seed=0) if with_store else None
     Q = rng.standard_normal((m, d))
@@ -323,7 +323,7 @@ def _check_grid_beams(seed, cases, backend="cffi"):
     for case in range(cases):
         d, n = int(rng.integers(1, 6)), int(rng.integers(20, 90))
         points = rng.integers(0, 4, size=(n, d)).astype(np.float64)
-        graph = ProximityGraph(n, rng.integers(0, n, size=(n, int(rng.integers(2, 9))))).freeze()
+        graph = ProximityGraph(n, rng.integers(0, n, size=(n, int(rng.integers(2, 9)))))
         metric, store_kind = list(KERNEL_KINDS.values())[case % len(KERNEL_KINDS)]
         if store_kind == "sq8" and isinstance(metric, EuclideanMetric) and d >= 3:
             metric = _LeftToRightL2()
@@ -391,7 +391,7 @@ class TestBeamArray:
         from a far start whose one row is ``{a, b}``, greedy and the beam
         go where left-to-right sums put the query nearer."""
         points, store, q, winner = _summation_order_case()
-        graph = ProximityGraph(4, [[], [2, 3], [], []]).freeze()
+        graph = ProximityGraph(4, [[], [2, 3], [], []])
         dataset, Q, starts = Dataset(store.metric, points), q[None], [1]
         for width in (1, 2):
             args = dict(beam_width=width, k=width, store=store)
@@ -468,7 +468,7 @@ def _entry_point_calls(metric, store_kinds):
     n, d = 40, 3
     points = rng.standard_normal((n, d))
     dataset = Dataset(metric, points)
-    graph = ProximityGraph(n, rng.integers(0, n, (n, 6))).freeze()
+    graph = ProximityGraph(n, rng.integers(0, n, (n, 6)))
     Q = rng.standard_normal((4, d))
     starts = np.zeros(len(Q), dtype=np.int64)
     pool = (np.arange(1, 9), metric.distances(points[0], points[1:9]))

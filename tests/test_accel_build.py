@@ -11,8 +11,8 @@ back silently.
 Coverage:
 
 * 3-seed bit-identity of every available compiled backend vs numpy
-  across the four insertion builders (hnsw / nsw / vamana / diskann)
-  and across the three storage kinds (construction always runs over the
+  across the three builders that take a backend (hnsw / nsw / vamana)
+  and across both storage kinds (construction always runs over the
   raw float64 points, so storage must not perturb the graph);
 * ``batch_size=1`` equivalence: the compiled singleton-wave schedule
   replays the sequential reference insertions exactly;
@@ -50,7 +50,6 @@ BUILDERS = {
     "hnsw": {"m": 6, "ef_construction": 32},
     "nsw": {"m": 6},
     "vamana": {"max_degree": 12, "beam_width": 24},
-    "diskann": {},
 }
 N, DIM, BATCH = 220, 4, 48
 

@@ -115,14 +115,12 @@ class TestSnapshotGraph:
     def test_matches_container_for_clean_rows(self):
         rows = [[1, 2], [0], [], [0, 1, 2]]
         snap = snapshot_graph(4, rows)
-        ref = ProximityGraph(4, [np.array(r, dtype=np.intp) for r in rows])
-        assert snap.frozen
-        assert snap == ref.freeze()
+        assert snap == ProximityGraph(4, rows)
 
-    def test_sorts_rows_by_default(self):
+    def test_keeps_the_builders_row_order(self):
         snap = snapshot_graph(3, [[2, 1], [], [1, 0]])
-        assert list(snap.out_neighbors(0)) == [1, 2]
-        assert list(snap.out_neighbors(2)) == [0, 1]
+        assert list(snap.out_neighbors(0)) == [2, 1]
+        assert list(snap.out_neighbors(2)) == [1, 0]
 
     def test_accepts_sets_and_arrays(self):
         snap = snapshot_graph(3, [{2, 1}, np.array([0]), []])

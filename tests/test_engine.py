@@ -235,20 +235,17 @@ class TestCSRPersistence:
 
     def test_roundtrip_with_empty_rows(self, tmp_path, rng):
         n = 30
-        g = ProximityGraph(n)
         # Leave vertices 0, 7, and n-1 isolated on purpose.
-        for u in range(1, n - 1):
-            if u == 7:
-                continue
-            g.add_edges(u, rng.integers(n, size=3))
-        g.freeze()
+        rows = [
+            [] if u in (0, 7, n - 1) else rng.integers(n, size=3) for u in range(n)
+        ]
+        g = ProximityGraph(n, rows)
         for loaded in saved_graphs(g, tmp_path):
-            assert loaded.frozen
             assert loaded == g
             assert len(loaded.out_neighbors(7)) == 0
             assert len(loaded.out_neighbors(n - 1)) == 0
 
     def test_roundtrip_fully_empty(self, tmp_path):
-        g = ProximityGraph(5).freeze()
+        g = ProximityGraph(5)
         for loaded in saved_graphs(g, tmp_path):
-            assert loaded.frozen and loaded == g and loaded.num_edges == 0
+            assert loaded == g and loaded.num_edges == 0

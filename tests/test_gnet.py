@@ -25,6 +25,7 @@ from repro.metrics import (
 )
 from repro.metrics.scaling import normalize_min_distance
 from tests.conftest import mixed_queries
+from tests.reference import build_gnet_vectorized
 
 
 def planted_pair_cube(rng, n: int, d: int, delta: float) -> np.ndarray:
@@ -123,20 +124,20 @@ class TestEdgeSetDefinition:
     def test_edges_match_definition(self, uniform2d):
         """Every edge (p, y) must be witnessed by some level i with
         y in Y_i and D(p, y) <= phi * 2^i, and conversely."""
-        res = build_gnet(uniform2d, epsilon=1.0, method="vectorized")
+        res = build_gnet_vectorized(uniform2d, 1.0)
         assert set(res.graph.edges()) == definition_edges(uniform2d, res)
 
     def test_methods_agree_vectorized_grid(self, uniform2d):
-        a = build_gnet(uniform2d, epsilon=1.0, method="vectorized")
+        a = build_gnet_vectorized(uniform2d, 1.0)
         assert_same_build(build_gnet(uniform2d, epsilon=1.0), a)
 
     def test_methods_agree_vectorized_paper_cover_tree(self, clustered2d):
-        a = build_gnet(clustered2d, epsilon=1.0, method="vectorized")
+        a = build_gnet_vectorized(clustered2d, 1.0)
         b = build_gnet(clustered2d, epsilon=1.0, method="paper")
         assert a.graph == b.graph
 
     def test_methods_agree_paper_bruteforce(self, clustered2d):
-        a = build_gnet(clustered2d, epsilon=1.0, method="vectorized")
+        a = build_gnet_vectorized(clustered2d, 1.0)
         b = build_gnet(
             clustered2d,
             epsilon=1.0,
@@ -147,7 +148,7 @@ class TestEdgeSetDefinition:
 
     def test_auto_dispatch(self, uniform2d):
         res = build_gnet(uniform2d, epsilon=1.0, method="auto")
-        ref = build_gnet(uniform2d, epsilon=1.0, method="vectorized")
+        ref = build_gnet_vectorized(uniform2d, 1.0)
         assert res.graph == ref.graph
 
     def test_auto_dispatches_on_the_metric_not_the_dtype(self, rng):
@@ -158,12 +159,12 @@ class TestEdgeSetDefinition:
         ds = Dataset(StretchedFirstAxis(), pts)
         res = build_gnet(ds, epsilon=1.0, method="auto")
         assert set(res.graph.edges()) == definition_edges(ds, res)
-        assert_same_build(res, build_gnet(ds, epsilon=1.0, method="vectorized"))
+        assert_same_build(res, build_gnet_vectorized(ds, 1.0))
 
     def test_unknown_method(self, uniform2d):
         with pytest.raises(
             ValueError,
-            match="unknown build method 'grid'; expected one of 'auto', 'vectorized', 'paper'$",
+            match="unknown build method 'grid'; expected one of 'auto', 'paper'$",
         ):
             build_gnet(uniform2d, epsilon=1.0, method="grid")
 
@@ -207,7 +208,7 @@ class TestNavigability:
         metric = TreeMetric(height=9)
         leaves = np.sort(rng.choice(metric.num_leaves, size=60, replace=False))
         ds = Dataset(metric, leaves.astype(np.int64))
-        res = build_gnet(ds, epsilon=1.0, method="vectorized")
+        res = build_gnet_vectorized(ds, 1.0)
         queries = rng.integers(0, metric.num_leaves, size=60).tolist()
         assert find_violations(res.graph, ds, queries, 1.0, stop_at=None) == []
 
@@ -287,7 +288,7 @@ _METRICS = {
 
 class TestGridJoin:
     """The default build — G_net's edges recorded by the farthest-point
-    traversal itself — against the ``"vectorized"`` reference, array for
+    traversal itself — against the level-by-level reference, array for
     array, on L_p coordinate data and on other metrics."""
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -302,7 +303,7 @@ class TestGridJoin:
         if normalized:
             ds, _ = normalize_min_distance(ds)
         got = build_gnet(ds, epsilon=1.0)
-        assert_same_build(got, build_gnet(ds, epsilon=1.0, method="vectorized"))
+        assert_same_build(got, build_gnet_vectorized(ds, 1.0))
         if not normalized:
             assert got.level_sizes[0] < ds.n
 
@@ -310,12 +311,12 @@ class TestGridJoin:
         metric = TreeMetric(height=9)
         leaves = np.sort(rng.choice(metric.num_leaves, size=80, replace=False))
         ds = Dataset(metric, leaves.astype(np.int64))
-        want = build_gnet(ds, epsilon=0.5, method="vectorized")
+        want = build_gnet_vectorized(ds, 0.5)
         assert_same_build(build_gnet(ds, epsilon=0.5), want)
 
     def test_stretched_axis_metric(self, rng):
         ds = Dataset(StretchedFirstAxis(), rng.uniform(0, 300, size=(90, 2)))
-        want = build_gnet(ds, epsilon=0.5, method="vectorized")
+        want = build_gnet_vectorized(ds, 0.5)
         assert_same_build(build_gnet(ds, epsilon=0.5), want)
 
     @pytest.mark.parametrize("levels_off", [-2, 2])
@@ -328,7 +329,7 @@ class TestGridJoin:
         got = build_gnet(uniform3d, epsilon=1.0, diameter=diameter)
         assert got.params.height == derived + levels_off
         assert got.hierarchy.height == got.params.height
-        want = build_gnet(uniform3d, epsilon=1.0, method="vectorized", diameter=diameter)
+        want = build_gnet_vectorized(uniform3d, 1.0, diameter=diameter)
         assert_same_build(got, want)
         if levels_off < 0:
             assert got.level_sizes[-1] > 1
@@ -338,7 +339,7 @@ class TestGridJoin:
         (normalization paid, method "auto")."""
         pts = planted_pair_cube(rng, 1000, 3, 0.02)
         index = ProximityGraphIndex.build(pts, epsilon=1.0, method="gnet")
-        want = build_gnet(index.dataset, epsilon=1.0, method="vectorized")
+        want = build_gnet_vectorized(index.dataset, 1.0)
         offsets, targets = index.graph.csr()
         want_offsets, want_targets = want.graph.csr()
         assert np.array_equal(offsets, want_offsets)
@@ -440,7 +441,10 @@ class TestCompiledTraversal:
     def test_without_edges(self, monkeypatch, uniform2d):
         """No ``phi``: the order alone, for the reference builds and the
         hybrid candidate."""
-        self.check(monkeypatch, uniform2d, epsilon=0.5, method="vectorized")
+        got = build_gnet_vectorized(uniform2d, 0.5)
+        want = on_numpy_loop(monkeypatch, lambda: build_gnet_vectorized(uniform2d, 0.5))
+        assert_same_build(got, want)
+        assert_same_hierarchy(got.hierarchy, want.hierarchy)
         got = build_hybrid_candidate(uniform2d, 1.0)
         want = on_numpy_loop(monkeypatch, lambda: build_hybrid_candidate(uniform2d, 1.0))
         assert_same_hierarchy(got.hierarchy, want.hierarchy)

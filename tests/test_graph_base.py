@@ -32,23 +32,35 @@ class TestConstruction:
             ProximityGraph(2, [np.array([5]), np.array([])])
 
     def test_from_sets(self):
-        g = ProximityGraph.from_sets(3, [{1, 2}, {0}, set()])
+        g = ProximityGraph(3, [{1, 2}, {0}, set()])
         assert g.num_edges == 3
         assert set(map(int, g.out_neighbors(0))) == {1, 2}
 
+    def test_row_count_must_equal_n(self):
+        with pytest.raises(ValueError, match="length must equal n"):
+            ProximityGraph(3, [[1], [0]])
 
-class TestMutation:
-    def test_add_edges_dedups(self):
-        g = ProximityGraph(4)
-        g.add_edges(0, [1, 2])
-        g.add_edges(0, [2, 3, 0])
-        assert set(map(int, g.out_neighbors(0))) == {1, 2, 3}
-
-    def test_set_out_neighbors(self):
-        g = ProximityGraph(3)
-        g.set_out_neighbors(1, [0, 2])
-        g.set_out_neighbors(1, [2])
-        assert list(g.out_neighbors(1)) == [2]
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_per_row_unique_cleaning(self, seed):
+        """One vectorised pass gives exactly the rows that cleaning each
+        row on its own does: ``np.unique``, then the self-loop dropped.
+        The rows mix duplicates, self-loops and empty rows, and come as
+        lists, sets and arrays."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        rows = []
+        for u in range(n):
+            row = rng.integers(0, n, size=int(rng.integers(0, 12)))
+            if rng.random() < 0.3:
+                row = np.append(row, [u, u])
+            rows.append([row.tolist(), set(row.tolist()), row][u % 3])
+        g = ProximityGraph(n, rows)
+        for u, row in enumerate(rows):
+            want = np.unique(np.fromiter(row, dtype=np.intp))
+            got = g.out_neighbors(u)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, want[want != u])
+        assert g == ProximityGraph.from_csr(n, *g.csr())  # the CSR invariant holds
 
 
 class TestStats:
@@ -92,69 +104,78 @@ class TestCombinators:
     def test_copy_independent(self):
         g = ProximityGraph.from_edge_list(2, [(0, 1)])
         c = g.copy()
-        c.set_out_neighbors(0, [])
-        assert g.has_edge(0, 1)
+        assert c == g
+        assert not np.shares_memory(c.csr()[1], g.csr()[1])
 
     def test_equality(self):
         a = ProximityGraph.from_edge_list(3, [(0, 1), (2, 1)])
         b = ProximityGraph.from_edge_list(3, [(2, 1), (0, 1)])
         assert a == b
-        b.add_edges(1, [0])
-        assert a != b
+        assert a != ProximityGraph.from_edge_list(3, [(2, 1), (0, 1), (1, 0)])
+        assert a != ProximityGraph.from_edge_list(4, [(2, 1), (0, 1)])
 
 
-class TestFreezeThaw:
-    def test_freeze_is_idempotent_and_preserves_adjacency(self):
-        g = ProximityGraph.from_edge_list(4, [(0, 1), (0, 2), (2, 3)])
-        rows = [list(map(int, g.out_neighbors(u))) for u in range(4)]
-        assert not g.frozen
-        assert g.freeze() is g and g.frozen
-        g.freeze()  # no-op
-        assert [list(map(int, g.out_neighbors(u))) for u in range(4)] == rows
-        assert g.num_edges == 3
+class TestWithoutEdges:
+    def test_drops_the_masked_edges_only(self):
+        g = ProximityGraph.from_edge_list(4, [(0, 1), (0, 2), (1, 3), (2, 0), (3, 1)])
+        drop = np.array([False, True, False, True, False])  # (0, 2) and (2, 0)
+        h = g.without_edges(drop)
+        assert sorted(h.edges()) == [(0, 1), (1, 3), (3, 1)]
+        assert h.n == 4 and h.out_degrees().tolist() == [1, 1, 0, 1]
+        assert g.num_edges == 5  # the original is untouched
 
+    def test_nothing_and_everything(self):
+        g = ProximityGraph.from_edge_list(3, [(0, 1), (1, 2), (2, 0)])
+        assert g.without_edges(np.zeros(3, dtype=bool)) == g
+        assert g.without_edges(np.ones(3, dtype=bool)) == ProximityGraph(3)
+
+    def test_mask_must_cover_every_edge(self):
+        g = ProximityGraph.from_edge_list(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="one entry per edge"):
+            g.without_edges(np.zeros(3, dtype=bool))
+
+
+class TestCSR:
     def test_csr_layout(self):
         g = ProximityGraph.from_edge_list(4, [(0, 2), (0, 1), (2, 3)])
         offsets, targets = g.csr()
-        assert g.frozen  # csr() freezes in place
         assert offsets.tolist() == [0, 2, 2, 3, 3]
         assert targets.tolist() == [1, 2, 3]
 
-    def test_mutation_thaws_transparently(self):
-        g = ProximityGraph.from_edge_list(3, [(0, 1)]).freeze()
-        g.add_edges(0, [2])
-        assert not g.frozen
-        assert set(map(int, g.out_neighbors(0))) == {1, 2}
-        g.freeze()
-        g.set_out_neighbors(0, [2])
-        assert list(map(int, g.out_neighbors(0))) == [2]
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ProximityGraph(3, [[1, 2], [0], []]),
+            lambda: ProximityGraph.from_edge_list(3, [(0, 1), (0, 2), (1, 0)]),
+            lambda: ProximityGraph.from_csr(3, np.array([0, 2, 3, 3]), np.array([1, 2, 0])),
+            lambda: ProximityGraph(3, [[1], [0], []]).merge(ProximityGraph(3, [[2], [], []])),
+        ],
+        ids=["rows", "edge_list", "from_csr", "merge"],
+    )
+    def test_views_are_read_only(self, build):
+        """No caller can edit a graph in place: writing through ``csr()``
+        or ``out_neighbors`` raises, and the graph stays as it was."""
+        g = build()
+        offsets, targets = g.csr()
+        with pytest.raises(ValueError, match="read-only"):
+            targets[0] = 2
+        with pytest.raises(ValueError, match="read-only"):
+            offsets[1] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            g.out_neighbors(0)[:] = 0
+        assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 0)]
 
-    def test_frozen_queries_and_stats(self):
-        g = ProximityGraph.from_edge_list(4, [(0, 1), (0, 2), (1, 3)]).freeze()
+    def test_from_csr_leaves_the_callers_arrays_writable(self):
+        offsets, targets = np.array([0, 1, 1]), np.array([1])
+        ProximityGraph.from_csr(2, offsets, targets)
+        targets[0] = 1  # still the caller's own array to write
+
+    def test_queries_and_stats(self):
+        g = ProximityGraph.from_edge_list(4, [(0, 1), (0, 2), (1, 3)])
         assert g.has_edge(0, 2) and not g.has_edge(0, 3)
         assert g.out_degrees().tolist() == [2, 1, 0, 0]
         assert g.degree_histogram() == {0: 2, 1: 1, 2: 1}
         assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 3)]
-
-    def test_copy_preserves_state(self):
-        g = ProximityGraph.from_edge_list(3, [(0, 1)])
-        assert not g.copy().frozen
-        f = g.freeze().copy()
-        assert f.frozen and f == g
-        f.add_edges(1, [2])  # thaws the copy only
-        assert g.frozen and not g.has_edge(1, 2)
-
-    def test_equality_across_states(self):
-        a = ProximityGraph.from_edge_list(3, [(0, 1), (2, 0)])
-        b = a.copy().freeze()
-        assert a == b and b == a
-
-    def test_merge_accepts_frozen_inputs(self):
-        a = ProximityGraph.from_edge_list(3, [(0, 1)]).freeze()
-        b = ProximityGraph.from_edge_list(3, [(0, 2), (1, 0)]).freeze()
-        m = a.merge(b)
-        assert set(map(int, m.out_neighbors(0))) == {1, 2}
-        assert a.frozen and b.frozen  # inputs untouched
 
     def test_from_csr_validates(self):
         with pytest.raises(ValueError):

@@ -257,6 +257,21 @@ class TestBuildOptionValidation:
         ):
             ProximityGraphIndex.build(pts, method="knn", k=4, batch_size=8)
 
+    def test_backend_on_diskann_is_refused_by_name(self):
+        """``diskann``'s quadratic scan has no inner loop for the accel
+        kernels, so its signature takes no ``backend`` and every front
+        door refuses one, naming the builder and the option."""
+        pts = uniform_cube(40, 3, np.random.default_rng(0))
+        lacking = "builder 'diskann' has no accelerated construction path; backend applies to"
+        with pytest.raises(ValueError, match=lacking):
+            ProximityGraphIndex.build(pts, method="diskann", backend="numpy")
+        with pytest.raises(ValueError, match=lacking):
+            ShardedIndex.build(pts, shards=2, method="diskann", backend="auto")
+        with pytest.raises(ValueError, match=lacking):
+            validate_builder_options("diskann", {"backend": "cffi"})
+        assert "backend" not in builder_options("diskann")
+        assert "backend" in builder_options("vamana")
+
     def test_valid_options_still_pass(self):
         pts = uniform_cube(40, 3, np.random.default_rng(0))
         index = ProximityGraphIndex.build(

@@ -24,6 +24,7 @@ from repro.workloads import (
     uniform_cube,
 )
 from tests.conftest import mixed_queries, saved_graphs
+from tests.reference import build_gnet_vectorized
 
 GUARANTEED = ["gnet", "theta", "merged", "diskann", "complete"]
 
@@ -54,7 +55,7 @@ class TestAcrossMetrics:
         pts = uniform_cube(60, 2, rng)
         ds = Dataset(MinkowskiMetric(4.0), pts)
         ds, _ = normalize_min_distance(ds)
-        res = build_gnet(ds, epsilon=1.0, method="vectorized")
+        res = build_gnet_vectorized(ds, 1.0)
         queries = [rng.uniform(-1, 35, size=2) for _ in range(15)]
         assert find_violations(res.graph, ds, queries, 1.0, stop_at=None) == []
 
@@ -124,7 +125,7 @@ class TestGNetPropertyBased:
         if ds.n < 2:
             return
         ds, _ = normalize_min_distance(ds)
-        res = build_gnet(ds, epsilon=eps, method="vectorized")
+        res = build_gnet_vectorized(ds, eps)
         queries = [rng.uniform(-10, 150, size=2) for _ in range(6)]
         queries += [np.asarray(ds.points)[int(rng.integers(ds.n))]]
         assert find_violations(res.graph, ds, queries, eps, stop_at=None) == []
@@ -139,5 +140,5 @@ class TestGNetPropertyBased:
         if ds.n < 2:
             return
         ds, _ = normalize_min_distance(ds)
-        res = build_gnet(ds, epsilon=1.0, method="vectorized")
+        res = build_gnet_vectorized(ds, 1.0)
         assert res.graph.min_out_degree() >= 1

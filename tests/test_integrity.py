@@ -24,6 +24,7 @@ from repro.core.integrity import (
     integrity_report,
 )
 from repro.core.persistence import MANIFEST_NAME
+from repro.graphs import ProximityGraph
 
 
 def _points(seed: int = 0, n: int = 80, d: int = 3) -> np.ndarray:
@@ -137,6 +138,15 @@ class TestFlatInvariants:
         assert violation.startswith("shard[1]: storage-count")
 
 
+def _rot_first_target(index: ProximityGraphIndex, value: int) -> None:
+    """Install a copy of the index's graph whose first edge points at
+    ``value`` (graphs are read-only, so the rot comes in a new graph)."""
+    offsets, targets = index.graph.csr()
+    rotten = targets.copy()
+    rotten[0] = value
+    index.built.graph = ProximityGraph.from_csr(index.n, offsets, rotten, validate=False)
+
+
 class TestRealIndexes:
     def test_built_flat_index_is_clean(self, flat_index):
         assert check_flat_index(flat_index) == []
@@ -144,15 +154,13 @@ class TestRealIndexes:
         assert report["ok"] and report["violations"] == []
 
     def test_corrupted_targets_fire_on_real_index(self, flat_index):
-        _, targets = flat_index.graph.csr()
-        targets[0] = flat_index.n + 5  # simulated bit-rot
+        _rot_first_target(flat_index, flat_index.n + 5)  # simulated bit-rot
         assert "csr-targets-range" in _violation_names(
             check_flat_index(flat_index)
         )
 
     def test_strict_mode_raises_with_invariant_name(self, flat_index):
-        _, targets = flat_index.graph.csr()
-        targets[0] = -3
+        _rot_first_target(flat_index, -3)
         with pytest.raises(IntegrityError, match="csr-targets-range"):
             integrity_report(flat_index, strict=True)
 

@@ -15,6 +15,12 @@ from repro.lowerbounds import (
 )
 
 
+
+def _without_edge(g, u, v):
+    """``g`` less its edge ``(u, v)``."""
+    sources = np.repeat(np.arange(g.n), g.out_degrees())
+    return g.without_edges((sources == u) & (g.csr()[1] == v))
+
 class TestTreeInstanceConstruction:
     def test_paper_preconditions_enforced(self):
         with pytest.raises(ValueError, match="powers of two"):
@@ -53,7 +59,7 @@ class TestTreeLowerBound:
         """Consistency: G_net at eps=1 is a 2-PG, so it must carry every
         P1 x P2 edge — the lower bound is tight against our own builder."""
         inst = build_tree_instance(16, 128)
-        res = build_gnet(inst.dataset, epsilon=1.0, method="vectorized")
+        res = build_gnet(inst.dataset, epsilon=1.0)
         assert inst.missing_required_edges(res.graph) == []
         assert res.graph.num_edges >= inst.required_edge_count
 
@@ -61,7 +67,7 @@ class TestTreeLowerBound:
         """The query universe M (all 2*Delta leaves) is finite: check
         Fact 2.1 on every single query point."""
         inst = build_tree_instance(4, 16, strict=False)
-        res = build_gnet(inst.dataset, epsilon=1.0, method="vectorized")
+        res = build_gnet(inst.dataset, epsilon=1.0)
         violations = find_violations(
             res.graph, inst.dataset, list(inst.all_metric_points()), 1.0,
             stop_at=None,
@@ -79,10 +85,7 @@ class TestTreeLowerBound:
         inst = build_tree_instance(4, 16, strict=False)
         base = build_complete_graph(inst.dataset)
         for v1, v2 in list(inst.required_edges())[:12]:
-            g = base.copy()
-            g.set_out_neighbors(
-                v1, [x for x in g.out_neighbors(v1) if int(x) != v2]
-            )
+            g = _without_edge(base, v1, v2)
             cert = attack_tree_graph(g, inst)
             assert cert is not None, f"adversary failed on missing edge {(v1, v2)}"
             assert cert.is_valid()
@@ -91,9 +94,8 @@ class TestTreeLowerBound:
 
     def test_certificate_reports_greedy_stuck_at_start(self):
         inst = build_tree_instance(4, 16, strict=False)
-        g = build_complete_graph(inst.dataset)
         v1, v2 = next(inst.required_edges())
-        g.set_out_neighbors(v1, [x for x in g.out_neighbors(v1) if int(x) != v2])
+        g = _without_edge(build_complete_graph(inst.dataset), v1, v2)
         cert = attack_tree_graph(g, inst)
         # The Section 3 analysis: no out-neighbor improves, so greedy
         # cannot leave v1.
@@ -132,9 +134,7 @@ class TestBlockLowerBound:
         """G_net at eps = 1/(2s) must survive Alice — so it carries every
         intra-block edge."""
         inst = build_block_instance(side=2, copies=2, dim=2)
-        res = build_gnet(
-            inst.normalized_dataset(), epsilon=inst.epsilon, method="vectorized"
-        )
+        res = build_gnet(inst.normalized_dataset(), epsilon=inst.epsilon)
         assert inst.missing_required_edges(res.graph) == []
         assert res.graph.num_edges >= inst.required_edge_count
 
@@ -147,8 +147,7 @@ class TestBlockLowerBound:
         inst = build_block_instance(side=2, copies=2, dim=1)
         base = build_complete_graph(inst.dataset)
         for p1, p2 in list(inst.required_edges())[:8]:
-            g = base.copy()
-            g.set_out_neighbors(p1, [x for x in g.out_neighbors(p1) if int(x) != p2])
+            g = _without_edge(base, p1, p2)
             cert = attack_block_graph(g, inst)
             assert cert is not None and cert.is_valid()
             assert cert.missing_edge == (p1, p2)
@@ -157,8 +156,7 @@ class TestBlockLowerBound:
         inst = build_block_instance(side=3, copies=2, dim=2)
         base = build_complete_graph(inst.dataset)
         p1, p2 = next(inst.required_edges())
-        g = base.copy()
-        g.set_out_neighbors(p1, [x for x in g.out_neighbors(p1) if int(x) != p2])
+        g = _without_edge(base, p1, p2)
         cert = attack_block_graph(g, inst)
         assert cert.nn_distance == inst.side - 1
         assert cert.returned_distance >= inst.side

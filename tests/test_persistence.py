@@ -42,7 +42,6 @@ def query_batch():
 
 def _assert_round_trip(index, loaded, queries, starts):
     assert loaded.graph == index.graph
-    assert loaded.graph.frozen
     assert np.array_equal(
         np.asarray(loaded.dataset.points), np.asarray(index.dataset.points)
     )
@@ -70,27 +69,6 @@ class TestRoundTrip:
         path = tmp_path / f"{method}.npz"
         index.save(path)
         loaded = ProximityGraphIndex.load(path)
-        _assert_round_trip(index, loaded, queries, starts)
-
-    def test_frozen_csr_graph(self, points, query_batch, tmp_path):
-        queries, starts = query_batch
-        index = ProximityGraphIndex.build(points, epsilon=1.0, method="vamana", seed=3)
-        index.graph.freeze()
-        assert index.graph.frozen
-        index.save(tmp_path / "frozen.npz")
-        loaded = ProximityGraphIndex.load(tmp_path / "frozen.npz")
-        _assert_round_trip(index, loaded, queries, starts)
-
-    def test_thawed_then_refrozen_graph(self, points, query_batch, tmp_path):
-        queries, starts = query_batch
-        index = ProximityGraphIndex.build(points, epsilon=1.0, method="vamana", seed=3)
-        index.graph.thaw()
-        assert not index.graph.frozen
-        # save() freezes through csr(); thaw -> freeze must be lossless.
-        index.save(tmp_path / "thawed.npz")
-        index.graph.thaw()
-        index.graph.freeze()
-        loaded = ProximityGraphIndex.load(tmp_path / "thawed.npz")
         _assert_round_trip(index, loaded, queries, starts)
 
     def test_second_generation_round_trip(self, points, query_batch, tmp_path):

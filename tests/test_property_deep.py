@@ -21,6 +21,7 @@ from repro.metrics import (
     normalize_min_distance,
 )
 from tests.conftest import saved_graphs
+from tests.reference import build_gnet_vectorized
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +139,7 @@ class TestGNetJoinEquivalence:
         if normalized:
             ds, _ = normalize_min_distance(ds)
         a = build_gnet(ds, epsilon)
-        b = build_gnet(ds, epsilon, method="vectorized")
+        b = build_gnet_vectorized(ds, epsilon)
         for got, want in zip(a.graph.csr(), b.graph.csr()):
             assert np.array_equal(got, want)
         assert a.level_edge_counts == b.level_edge_counts

@@ -5,7 +5,7 @@ Contract under test (ISSUE 15):
 * the graph ``add(mode="repair")`` produces — CSR offsets, targets and
   their dtypes — together with the id map and the tombstone mask, is
   array-equal after every one of several add/delete rounds to
-  :func:`reference_repair` below, the thaw-to-lists repair the index
+  :func:`reference_repair` below, the per-vertex-list repair the index
   used to run, kept here as the oracle.  Routes: L2 on the numpy
   engines, L2 on a compiled backend (skipped where none is warmable),
   L1 (no compiled kernel, so ``"auto"`` falls back to numpy), ``sq8``
@@ -56,8 +56,8 @@ def reference_repair(
     index: ProximityGraphIndex, new_pts: np.ndarray, batch_size: int = 64
 ) -> ProximityGraph:
     """The graph ``index.add(new_pts, mode="repair")`` must produce:
-    thaw every row into a Python list, locate each wave against a list
-    snapshot, commit member by member, freeze with sorted rows."""
+    copy every row into a Python list, locate each wave against a list
+    snapshot, commit member by member, then build the graph from the lists."""
     graph, n_old, count = index.graph, index.dataset.n, len(new_pts)
     points = np.concatenate([np.asarray(index.dataset.points), new_pts], axis=0)
     dataset = Dataset(index.dataset.metric, points)
@@ -72,7 +72,7 @@ def reference_repair(
     for lo in range(0, count, batch_size):
         wave = list(range(n_old + lo, n_old + min(lo + batch_size, count)))
         pools = construction_beam_batch(
-            snapshot_graph(len(adj), adj, sort=False),
+            snapshot_graph(len(adj), adj),
             dataset,
             [entry] * len(wave),
             dataset.points[wave],
@@ -85,7 +85,7 @@ def reference_repair(
                 np.asarray(dists, dtype=np.float64),
                 1.2, degree_cap,
             )
-    return snapshot_graph(len(adj), adj, sort=True)
+    return ProximityGraph(len(adj), adj)
 
 
 def assert_same_graph(got: ProximityGraph, want: ProximityGraph) -> None:

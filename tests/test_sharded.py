@@ -20,6 +20,7 @@ from repro import (
     SearchParams,
     ShardedIndex,
 )
+from repro.core.search import resolve_mode
 from repro.core.sharded import partition_points, rehydrate_shard, shard_payload
 from repro.core.stats import compute_ground_truth_k, recall_at_k
 from repro.metrics import Dataset, EuclideanMetric
@@ -224,6 +225,37 @@ class TestEmptyAndTombstoned:
         )
         assert g.hops is not None and g.hops.shape == (4,)
         assert victim not in set(g.ids.ravel().tolist())
+
+    @pytest.mark.parametrize("storage", ["flat", "sq8"])
+    @pytest.mark.parametrize("tombstone", [False, True])
+    def test_auto_picks_the_flat_index_engine(self, storage, tombstone):
+        """One ``mode="auto"`` rule: a sharded index and the flat index
+        over the same points, with the same tombstone, run the same
+        engine (hops are reported by greedy only) for the same params."""
+        pts = _points(31)
+        flat = ProximityGraphIndex.build(pts, method="vamana", seed=31, storage=storage)
+        sharded = ShardedIndex.build(
+            pts, method="vamana", shards=2, seed=31, storage=storage
+        )
+        if tombstone:
+            flat.delete([7])
+            sharded.delete([7])
+        cases = [
+            (1, SearchParams()),
+            (1, SearchParams(beam_width=8)),
+            (3, SearchParams()),
+            (1, SearchParams(allowed_ids=list(range(100)))),
+            (1, SearchParams(mode="greedy")),
+            (1, SearchParams(mode="beam")),
+        ]
+        for k, params in cases:
+            want = resolve_mode(
+                params, k, masked=tombstone or params.allowed_ids is not None,
+                quantized=storage == "sq8",
+            )
+            for index in (flat, sharded):
+                got = index.search(_queries(31, m=3), k=k, params=params)
+                assert (got.hops is not None) == (want == "greedy"), (k, params)
 
 
 class TestMutationRouting:

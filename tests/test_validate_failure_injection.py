@@ -88,9 +88,7 @@ class TestBatchedCheckMatchesReference:
     @pytest.mark.parametrize("stop_at", [1, 3, None])
     def test_block_instance_committed_metric(self, stop_at):
         inst = build_block_instance(side=3, copies=2, dim=2)
-        res = build_gnet(
-            inst.normalized_dataset(), epsilon=inst.epsilon, method="vectorized"
-        )
+        res = build_gnet(inst.normalized_dataset(), epsilon=inst.epsilon)
         bad = corrupt_graph(res.graph, np.random.default_rng(5), 0.7, victims=12)
         for p_star in (0, 4, 11):
             ds, qid = inst.committed_dataset(p_star)
@@ -105,7 +103,7 @@ class TestBatchedCheckMatchesReference:
     @pytest.mark.parametrize("stop_at", [1, 3, None])
     def test_tree_instance(self, stop_at):
         inst = build_tree_instance(16, 128)
-        res = build_gnet(inst.dataset, epsilon=1.0, method="vectorized")
+        res = build_gnet(inst.dataset, epsilon=1.0)
         bad = corrupt_graph(res.graph, np.random.default_rng(5), 0.7, victims=8)
         queries = list(inst.all_metric_points())
         want = reference_check(bad, inst.dataset, queries, 1.0, stop_at)
@@ -140,7 +138,7 @@ class TestCrossCheck:
         enumerated, both views must agree exactly — the complete decision
         procedure for 'is G a 2-PG'."""
         inst = build_tree_instance(4, 16, strict=False)
-        res = build_gnet(inst.dataset, epsilon=1.0, method="vectorized")
+        res = build_gnet(inst.dataset, epsilon=1.0)
         report = validate_proximity_graph(
             res.graph,
             inst.dataset,
