@@ -7,7 +7,8 @@ loop is still interpreted: per-query ``heapq`` pools, per-neighbor
 evaluated candidate.  This package runs the *entire* traversal of a
 query batch inside compiled code instead:
 
-* CSR neighbor gather straight from ``graph.csr()`` arrays,
+* CSR neighbor gather straight from ``graph.csr()`` arrays (int64 row
+  pointers, int32 vertex ids, bound without a copy),
 * one sorted beam array for the candidate queue and result pool,
 * a generation-stamped visited array (allocated once per batch),
 * inline Euclidean / Chebyshev distance evaluation, flat or SQ8, against the

@@ -80,10 +80,12 @@ _SOURCE = r"""
 #define KIND_SQ8_L2 2
 #define KIND_SQ8_LINF 3
 
-/* What a kernel call binds: the CSR graph, the stored vectors and, in the
- * copy each thread searches through, that thread's beam scratch. */
+/* What a kernel call binds: the CSR graph (int64 row pointers, int32
+ * vertex ids), the stored vectors and, in the copy each thread searches
+ * through, that thread's beam scratch. */
 typedef struct {
-    const int64_t *offsets, *targets;
+    const int64_t *offsets;
+    const int32_t *targets;
     int32_t kind;
     double factor;
     const double *data, *minv, *scale;
@@ -149,7 +151,7 @@ static inline void l2_four(
 }
 
 /* out[b] = distance from query q to vertex vs[b], b < nb.  kind is switched
- * once a block; each distance is the kernel source's _dist, operation for
+ * once a block; each distance sums its coordinates in order, operation for
  * operation, so every float is the one a vertex-at-a-time call returns. */
 static inline void dist_block(
     const repro_plan *p, const double *q, const int64_t *vs, int64_t nb, double *out)
@@ -259,8 +261,8 @@ static int64_t route_pop(double *hd, int64_t *hv, int64_t size)
 /* The pool has just reached L entries (evict 0) or L + 1 (evict 1).  Drop
  * from it the entry heapq evicts — the largest d, the smallest v among its
  * ties — set *worst to the largest d left, and cut every entry beyond it:
- * the heap kernel would break on popping one.  Entries tied at *worst stay,
- * it would pop and expand those.  Returns the new size.  The array always
+ * the numpy engine's beam stops on popping one.  Entries tied at *worst
+ * stay, it pops and expands those.  Returns the new size.  The array always
  * ends on a pool entry: one evicted earlier survives a cut only tied at
  * *worst, and then ahead of the larger ids its eviction spared. */
 static int64_t beam_trim(const double *cd, int64_t *cv, int64_t size, int evict,
@@ -318,8 +320,8 @@ int64_t repro_beam(
         int64_t evals = 1;
         for (;;) {
             /* Pop the least (d, v) of both: a routing vertex beyond a full
-             * pool's worst is where the heap kernel breaks, and so is every
-             * one under it. */
+             * pool's worst is where the numpy engine's beam stops, and so is
+             * every one under it. */
             while (cur < size && (cand_v[cur] & EXPANDED) != 0)
                 cur++;
             if (hsize > 0 && psize >= beam_width && hd[0] > worst)
@@ -378,7 +380,7 @@ int64_t repro_beam(
                     }
                 }
                 /* The budget cut this row: nothing more can be evaluated,
-                 * so the pops the kernel source still makes change nothing. */
+                 * so the pops the numpy engine still makes change nothing. */
                 if (take < nb)
                     goto report;
             }
@@ -410,7 +412,9 @@ int64_t repro_greedy(
     int64_t *out_best_p, double *out_best_d,
     int64_t *hops_buf, int64_t hops_cap)
 {
-    const int64_t *offsets = plan->offsets, *targets = plan->targets;
+    const int64_t *offsets = plan->offsets;
+    const int32_t *targets = plan->targets;
+    int64_t blk[BLOCK];
     double dblk[BLOCK];
     int64_t maxnh = 0;
     for (int64_t qi = 0; qi < nq; qi++) {
@@ -450,11 +454,12 @@ int64_t repro_greedy(
             double hop_ad = INFINITY;
             int64_t hop_av = -1;
             for (int64_t i = 0; i < take; i += BLOCK) {
-                const int64_t *vs = targets + beg + i;
                 int64_t nb = take - i < BLOCK ? take - i : BLOCK;
-                dist_block(plan, Q + qi * qdim, vs, nb, dblk);
+                for (int64_t b = 0; b < nb; b++)
+                    blk[b] = targets[beg + i + b];
+                dist_block(plan, Q + qi * qdim, blk, nb, dblk);
                 for (int64_t b = 0; b < nb; b++) {
-                    int64_t v = vs[b];
+                    int64_t v = blk[b];
                     double dv = dblk[b];
                     if (has_allowed != 0 && allowed[v] != 0 && dv < hop_ad) {
                         hop_ad = dv;
@@ -855,10 +860,11 @@ int64_t repro_traverse(
 
 /* CSR of m in-edges grouped by target, by a counting sort (offsets
  * zeroed, first all -1): each group is scattered into its sources' rows in
- * ascending target order, so every row comes out increasing. */
+ * ascending target order, so every row comes out increasing.  The targets
+ * come out as the graph holds them, int32. */
 int64_t repro_in_edge_csr(
     int64_t n, int64_t m, const int64_t *sources, const int64_t *targets,
-    int64_t *first, int64_t *fill, int64_t *offsets, int64_t *out_targets)
+    int64_t *first, int64_t *fill, int64_t *offsets, int32_t *out_targets)
 {
     for (int64_t j = 0; j < m; j++) {
         offsets[sources[j] + 1]++;
@@ -871,7 +877,7 @@ int64_t repro_in_edge_csr(
     }
     for (int64_t y = 0; y < n; y++)
         for (int64_t j = first[y]; j >= 0 && j < m && targets[j] == y; j++)
-            out_targets[fill[sources[j]]++] = y;
+            out_targets[fill[sources[j]]++] = (int32_t)y;
     return 0;
 }
 """
@@ -995,10 +1001,17 @@ def _u8(ffi, arr: np.ndarray):
 
 
 def _plan_fields(ffi, offsets, targets, kind, factor, data, codes, minv, scale):
-    """A ``repro_plan``'s graph and vector fields; keep them while it lives."""
+    """A ``repro_plan``'s graph and vector fields; keep them while it lives.
+    ``from_buffer`` reads any buffer as the type it is given, so the CSR
+    widths are checked here: int64 offsets, int32 targets."""
+    if offsets.dtype != np.int64 or targets.dtype != np.int32:
+        raise TypeError(
+            f"CSR arrays must be int64 offsets and int32 targets, got "
+            f"{offsets.dtype} and {targets.dtype}"
+        )
     buf, i64, f64 = ffi.from_buffer, "int64_t[]", "double[]"
     return {
-        "offsets": buf(i64, offsets), "targets": buf(i64, targets),
+        "offsets": buf(i64, offsets), "targets": buf("int32_t[]", targets),
         "kind": int(kind), "factor": float(factor),
         "data": buf(f64, data), "ddim": data.shape[1],
         "codes": buf("uint8_t[]", codes), "cdim": codes.shape[1],
@@ -1149,10 +1162,10 @@ def commit_wave_kernel(
 
 
 def call(name, *args):
-    """Call the C routine ``name``: float64 / int64 arrays as pointers to
-    their data, anything else as it is."""
+    """Call the C routine ``name``: float64 / int64 / int32 arrays as
+    pointers to their data, anything else as it is."""
     lib, ffi = _load()
-    ctype = {"float64": "double[]", "int64": "int64_t[]"}
+    ctype = {"float64": "double[]", "int64": "int64_t[]", "int32": "int32_t[]"}
     return getattr(lib, name)(*(
         ffi.from_buffer(ctype[a.dtype.name], a) if isinstance(a, np.ndarray) else a
         for a in args

@@ -543,14 +543,11 @@ class _SearchPlan:
     __slots__ = ("key", "layout", "kernels", "n", "_local")
 
     def __init__(self, key: tuple, graph: Any, layout: _Plan) -> None:
-        offsets, targets = graph.csr()
         self.key = key
         self.layout = layout
         self.n = graph.n
         self.kernels = _C.SearchKernels(
-            np.ascontiguousarray(offsets, dtype=np.int64),
-            np.ascontiguousarray(targets, dtype=np.int64),
-            layout.kind, layout.factor,
+            *graph.csr(), layout.kind, layout.factor,
             layout.data, layout.codes, layout.minv, layout.scale,
         )
         self._local = threading.local()
@@ -748,8 +745,6 @@ def run_construction(
     view = _distance_view(dataset, Q, store)
     q_arr = _query_arrays(plan, view)
     offsets, targets = graph.csr()
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    targets = np.ascontiguousarray(targets, dtype=np.int64)
     starts64 = np.ascontiguousarray(np.asarray(starts), dtype=np.int64)
     # The numpy path seeds every pool through one segmented() call;
     # replicate that composition so seed floats are bit-identical.
@@ -975,7 +970,7 @@ def run_in_edge_csr(
 
 
 def _in_edge_csr(n: int, sources: np.ndarray, targets: np.ndarray) -> tuple:
-    offsets, out = np.zeros(n + 1, np.int64), np.empty(len(sources), np.int64)
+    offsets, out = np.zeros(n + 1, np.int64), np.empty(len(sources), np.int32)
     _C.call(
         "repro_in_edge_csr", n, len(sources), np.ascontiguousarray(sources, np.int64),
         np.ascontiguousarray(targets, np.int64), np.full(n, -1, np.int64),

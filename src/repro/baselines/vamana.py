@@ -92,17 +92,15 @@ class VamanaIndex(RepairInserter):
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         n = dataset.n
-        # Entry point: the sample member closest to the sample's FIRST
-        # point — which is that point itself, so the entry is simply
-        # ``sample[0]``, a uniformly random vertex.  The canonical Vamana
-        # entry is the medoid (``ProximityGraphIndex._add_repair``
-        # computes a real sample medoid for its repair waves); switching
-        # changes every Vamana graph, so it waits for ROADMAP item 4(b).
+        # Entry point: a uniformly random vertex, the first of a random
+        # sample drawn whole (the draw advances ``rng``, which the
+        # insertion order below reads).  The canonical Vamana entry is the
+        # medoid (``ProximityGraphIndex._add_repair`` computes a real
+        # sample medoid for its repair waves); switching changes every
+        # Vamana graph, so it waits for ROADMAP item 1's follow-on, which
+        # makes it ``prefix[0]``.
         sample = rng.choice(n, size=min(n, 256), replace=False)
-        coords_like = dataset.points[sample]
-        entry = int(
-            sample[np.argmin(dataset.metric.distances(coords_like[0], coords_like))]
-        )
+        entry = int(sample[0])
         super().__init__(
             dataset, None, entry, max_degree, beam_width, alpha, backend
         )

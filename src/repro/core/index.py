@@ -44,7 +44,7 @@ from repro.core.builders import (
 )
 from repro.core.search import IdMap, SearchParams, SearchResult, resolve_mode
 from repro.core.stats import QueryStats, measure_queries
-from repro.graphs.base import ProximityGraph
+from repro.graphs.base import ProximityGraph, check_vertex_count
 from repro.graphs.engine import (
     RepairInserter,
     beam_search_batch,
@@ -173,6 +173,7 @@ class ProximityGraphIndex:
         # (e.g. builder= instead of method=), BEFORE the normalization
         # pass (a closest-pair search) and the graph build.
         validate_builder_options(method, options)
+        check_vertex_count(len(points))
         if metric is None:
             points = np.asarray(points, dtype=np.float64)
             metric = EuclideanMetric()

@@ -258,7 +258,7 @@ def integrity_report(
         + (
             [
                 "disk-header (missing/unreadable/version)",
-                "disk-array (missing/size/rows)",
+                "disk-array (missing/size/rows/dtype)",
                 "disk-file-missing",
                 "disk-file-unlisted",
             ]

@@ -14,7 +14,7 @@
 
     header.json          JSON header + per-array manifest (file, dtype, shape)
     csr_offsets.bin      (n+1,) int64   graph row pointers      | hot tier
-    csr_targets.bin      (e,)   int64   flat neighbor ids       | hot tier
+    csr_targets.bin      (e,)   int32   flat neighbor ids       | hot tier
     codes.bin            (n, m) uint8   quantized codes         | hot tier
     vectors.bin          (n, d) float64 full-precision rows     | COLD tier
     external_ids.bin     (n,)   int64   stable external ids
@@ -24,7 +24,10 @@
   Loading attaches every large array with a read-only ``np.memmap`` in
   milliseconds; the full-precision ``vectors.bin`` is only ever paged in
   by the exact-rerank stage (see
-  :class:`~repro.storage.disk.DiskTierStore`).
+  :class:`~repro.storage.disk.DiskTierStore`).  Files written before
+  vertex ids were int32 hold int64 targets: they load through a one-time
+  cast, held in memory rather than mapped (a WARNING on this module's
+  logger says so), and a re-save writes int32.
 * **v3 sharded manifest directory**
   (:func:`save_sharded_index`): a ``manifest.json`` naming the shard
   entries plus routing state (assignment policy, seed, worker count,
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import os
 import shutil
 from collections.abc import Callable
@@ -95,6 +99,29 @@ DISK_HEADER_NAME = "header.json"
 # Tag for GNetParameters entries in the serialized meta (the one
 # provenance object stats() needs back as a real object).
 _GNET_PARAMS_TAG = "__gnet_parameters__"
+
+_log = logging.getLogger(__name__)
+
+# The CSR widths a saved index may hold: int64 row pointers, and int32
+# vertex ids — or int64 ones, as files written before ids were int32
+# hold them (read through one cast).
+_CSR_DTYPES = {
+    "csr_offsets": (np.dtype(np.int64),),
+    "csr_targets": (np.dtype(np.int32), np.dtype(np.int64)),
+}
+
+
+def _csr_dtype_violation(source: Path, stem: str, dtype: np.dtype) -> str | None:
+    """The ``disk-array-dtype`` violation of one array, if it is a CSR
+    array of a width the graph cannot adopt (a float array would be
+    truncated to ids without complaint)."""
+    allowed = _CSR_DTYPES.get(stem)
+    if allowed is None or dtype in allowed:
+        return None
+    return (
+        f"disk-array-dtype: {source} holds {stem} as {dtype}, but it must be "
+        + " or ".join(map(str, allowed))
+    )
 
 
 # metric_to_spec / metric_from_spec live in repro.metrics.specs (the
@@ -226,15 +253,15 @@ _NPZ_NAMES = {
 def _index_arrays(index: "ProximityGraphIndex") -> dict[str, np.ndarray]:
     """Every array a saved index holds, keyed by v5 file stem.
 
-    CSR indices are widened to int64 on the way out so the loader (and
-    the accel planner's ``ascontiguousarray``) can adopt the mappings
+    The CSR arrays leave as the graph holds them, int64 offsets and int32
+    targets, so the loader (and the accel planner) adopt the mappings
     without a converting copy; codes get their own ``codes.bin`` (the
     hot tier), quantizer training state lands in ``store_*``.
     """
     offsets, targets = index.graph.csr()
     arrays = {
-        "csr_offsets": offsets.astype(np.int64, copy=False),
-        "csr_targets": targets.astype(np.int64, copy=False),
+        "csr_offsets": offsets,
+        "csr_targets": targets,
         "vectors": _coordinate_points(index),
         "external_ids": index.id_map.externals.astype(np.int64, copy=False),
         "tombstones": index._tombstones.astype(np.uint8, copy=False),
@@ -249,9 +276,16 @@ def _assemble(
     header: dict[str, Any],
     arrays: dict[str, np.ndarray],
     mapped: bool,
+    source: Path,
 ) -> "ProximityGraphIndex":
     """Rebuild an index from a flat header and its arrays, keyed by v5
-    file stem (``csr_offsets``, ``vectors``, ``codes``, ``store_*``, ...).
+    file stem (``csr_offsets``, ``vectors``, ``codes``, ``store_*``, ...),
+    read from ``source`` (the ``.npz`` file or the v5 directory).
+
+    CSR arrays of another width than the graph's are refused by name
+    (``disk-array-dtype``); int64 targets, as older files hold them, are
+    validated and cast to int32 once, with a WARNING: that copy lives in
+    memory.
 
     ``mapped`` marks the v5 attach path, whose arrays are read-only
     memmaps.  It skips the deep CSR validation (that would fault in the
@@ -268,9 +302,26 @@ def _assemble(
     from repro.storage import store_from_arrays
     from repro.storage.disk import DiskTierStore
 
+    violations = [
+        violation
+        for stem in _CSR_DTYPES
+        if (violation := _csr_dtype_violation(source, stem, arrays[stem].dtype))
+    ]
+    if violations:
+        raise ValueError("\n".join(violations))
+    # The cast reads every target anyway, so it checks them first: an
+    # int64 id past 2**31 must not wrap into a valid-looking one.
+    cast = arrays["csr_targets"].dtype != np.int32
+    if cast:
+        _log.warning(
+            "%s holds int64 csr_targets (written before vertex ids were "
+            "int32): they are cast to int32 and held in memory, not mapped; "
+            "saving the index again writes int32",
+            source,
+        )
     graph = ProximityGraph.from_csr(
         int(header["n"]), arrays["csr_offsets"], arrays["csr_targets"],
-        validate=not mapped,
+        validate=cast or not mapped,
     )
     metric = metric_from_spec(header["metric"])
     points = arrays["vectors"]
@@ -403,7 +454,7 @@ def _disk_layout(
     ``_ArraySpec``.  Only the header and the file sizes are read,
     never an array, so the mmap open stays O(header).  Every violation
     names its invariant (``disk-file-missing``, ``disk-array-size``,
-    ...); :func:`load_index` raises on any, and
+    ``disk-array-dtype``, ...); :func:`load_index` raises on any, and
     :func:`repro.core.integrity.check_disk_layout` reports them plus the
     deep CSR check.
     """
@@ -450,7 +501,18 @@ def _disk_layout(
                 f"in {entry['file']} but the file does not exist"
             )
             continue
-        dtype = np.dtype(entry["dtype"])
+        try:
+            dtype = np.dtype(entry["dtype"])
+        except TypeError:
+            violations.append(
+                f"disk-array-dtype: {header_path} declares {stem} as "
+                f"{entry['dtype']!r}, which is not a dtype"
+            )
+            continue
+        violation = _csr_dtype_violation(header_path, stem, dtype)
+        if violation:
+            violations.append(violation)
+            continue
         shape = tuple(int(s) for s in entry["shape"])
         expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
         actual = file_path.stat().st_size
@@ -504,7 +566,7 @@ def _load_disk_index(path: Path, cls: type | None) -> "ProximityGraphIndex":
         stem: _attach_array(*spec, mmap=stem not in _DISK_EAGER)
         for stem, spec in specs.items()
     }
-    return _assemble(cls, header, arrays, mapped=True)
+    return _assemble(cls, header, arrays, mapped=True, source=path)
 
 
 def load_index(
@@ -562,7 +624,7 @@ def load_index(
             for name in data.files
             if name != "header"
         }
-    return _assemble(cls, header, arrays, mapped=False)
+    return _assemble(cls, header, arrays, mapped=False, source=path)
 
 
 # ----------------------------------------------------------------------

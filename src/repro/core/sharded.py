@@ -285,10 +285,7 @@ def rehydrate_shard(
         points = payload["points"]
     n = int(payload["n"])
     graph = ProximityGraph.from_csr(
-        n,
-        np.asarray(payload["offsets"], dtype=np.int64),
-        np.asarray(payload["targets"], dtype=np.intp),
-        validate=False,
+        n, payload["offsets"], payload["targets"], validate=False
     )
     built = BuiltGraph(
         name=payload["builder"],
@@ -340,8 +337,8 @@ def _shard_build_entry(task: dict) -> dict:
         meta_kept, meta_dropped = _sanitize_meta(built.meta)
         return {
             "shard": task["shard"],
-            "offsets": np.asarray(offsets, dtype=np.int64),
-            "targets": np.asarray(targets, dtype=np.int64),
+            "offsets": offsets,
+            "targets": targets,
             "scale": float(scale),
             "guaranteed": bool(built.guaranteed),
             "meta": meta_kept,
@@ -597,10 +594,7 @@ class ShardedIndex:
         shard_indexes = []
         for j, (mem, res) in enumerate(zip(members, results)):
             graph = ProximityGraph.from_csr(
-                len(mem),
-                res["offsets"],
-                res["targets"].astype(np.intp),
-                validate=False,
+                len(mem), res["offsets"], res["targets"], validate=False
             )
             meta = _rehydrate_meta(res["meta"])
             if res["meta_dropped"]:

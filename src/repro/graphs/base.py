@@ -3,8 +3,11 @@
 A proximity graph in the paper is a simple directed graph whose vertices
 correspond one-to-one to the data points of ``P`` (Section 1.1).  Every
 graph here is a fixed edge set held as flat CSR: ``offsets``, the
-``(n+1,)`` row pointers, and ``targets``, the neighbor ids with each row
-strictly increasing and free of self-loops.  The batch query engines
+``(n+1,)`` int64 row pointers, and ``targets``, the int32 neighbor ids
+with each row strictly increasing and free of self-loops.  A vertex id
+fits in 4 bytes, so a graph has fewer than ``2**31`` vertices
+(:func:`check_vertex_count`); the edge count may pass ``2**31``, so the
+offsets stay 8 bytes wide.  The batch query engines
 (:mod:`repro.graphs.engine`) and the compiled kernels gather from these
 two arrays, and a saved index stores them verbatim
 (:mod:`repro.core.persistence`).
@@ -25,7 +28,19 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["ProximityGraph"]
+__all__ = ["MAX_VERTICES", "ProximityGraph", "check_vertex_count"]
+
+#: A graph holds fewer vertices than this: its targets are int32.
+MAX_VERTICES = 2**31
+
+
+def check_vertex_count(n: int) -> None:
+    """Refuse a vertex count whose ids do not fit the int32 targets."""
+    if n >= MAX_VERTICES:
+        raise ValueError(
+            f"n={n} vertices: vertex ids are int32, so a graph holds at "
+            f"most {MAX_VERTICES - 1} vertices"
+        )
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -44,7 +59,8 @@ def _csr_of_pairs(
     n: int, sources: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """CSR of the ``(source, target)`` pairs: range check, one ``lexsort``
-    by (source, target), then duplicates and self-loops dropped."""
+    by (source, target), then duplicates and self-loops dropped.  The
+    pairs may come in any integer width; the targets leave as int32."""
     bad = (sources < 0) | (sources >= n) | (targets < 0) | (targets >= n)
     if bad.any():
         i = int(np.argmax(bad))
@@ -55,7 +71,7 @@ def _csr_of_pairs(
     keep[1:] &= (targets[1:] != targets[:-1]) | (sources[1:] != sources[:-1])
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(sources[keep], minlength=n), out=offsets[1:])
-    return offsets, targets[keep]
+    return offsets, targets[keep].astype(np.int32)
 
 
 class ProximityGraph:
@@ -74,8 +90,9 @@ class ProximityGraph:
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         n = int(n)
+        check_vertex_count(n)
         if rows is None:
-            self._adopt(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.intp))
+            self._adopt(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32))
             return
         arrays = [_row_ids(r) for r in rows]
         if len(arrays) != n:
@@ -107,9 +124,12 @@ class ProximityGraph:
         ``offsets`` must be the ``(n+1,)`` row-pointer array and
         ``targets`` the flat neighbor ids; each row must already be
         strictly increasing with no self-loops (the container invariant).
+        int64 offsets and int32 targets are adopted as they are; any other
+        integer width is converted once (validated first, if asked).
         """
+        check_vertex_count(n)
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        targets = np.ascontiguousarray(targets, dtype=np.intp)
+        targets = np.ascontiguousarray(targets)
         if validate:
             if offsets.shape != (n + 1,) or offsets[0] != 0:
                 raise ValueError("offsets must be (n+1,) starting at 0")
@@ -125,7 +145,7 @@ class ProximityGraph:
                 if (np.diff(targets)[same_row] <= 0).any():
                     raise ValueError("CSR rows must be strictly increasing")
         graph = cls.__new__(cls)
-        graph._adopt(int(n), offsets, targets)
+        graph._adopt(int(n), offsets, np.ascontiguousarray(targets, dtype=np.int32))
         return graph
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:

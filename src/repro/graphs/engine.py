@@ -930,8 +930,7 @@ class CommitMirror:
             rows = np.sort(
                 np.where(valid, rows, np.iinfo(np.int64).max), axis=1
             )
-        flat = rows[valid].astype(np.intp, copy=False)
-        return ProximityGraph.from_csr(n, offsets, flat, validate=False)
+        return ProximityGraph.from_csr(n, offsets, rows[valid], validate=False)
 
 
 def _commit_pool(
@@ -1104,7 +1103,7 @@ def snapshot_graph(n: int, rows: Sequence[Any]) -> ProximityGraph:
     lens = np.fromiter((len(r) for r in rows), dtype=np.int64, count=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lens, out=offsets[1:])
-    flat = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(offsets[-1]))
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=int(offsets[-1]))
     return ProximityGraph.from_csr(n, offsets, flat, validate=False)
 
 

@@ -58,7 +58,7 @@ class TestConstruction:
         for u, row in enumerate(rows):
             want = np.unique(np.fromiter(row, dtype=np.intp))
             got = g.out_neighbors(u)
-            assert got.dtype == np.intp
+            assert got.dtype == np.int32
             assert np.array_equal(got, want[want != u])
         assert g == ProximityGraph.from_csr(n, *g.csr())  # the CSR invariant holds
 

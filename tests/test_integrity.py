@@ -20,10 +20,11 @@ from repro.core.integrity import (
     check_flat_index,
     check_index,
     check_sharded_index,
+    check_disk_layout,
     check_sharded_manifest,
     integrity_report,
 )
-from repro.core.persistence import MANIFEST_NAME
+from repro.core.persistence import DISK_HEADER_NAME, MANIFEST_NAME, load_any
 from repro.graphs import ProximityGraph
 
 
@@ -285,7 +286,9 @@ class TestCliValidate:
             data = (out / "vectors.bin").read_bytes()
             (out / "vectors.bin").write_bytes(data[: len(data) // 2])
         elif fault == "target-out-of-range":
-            targets = np.fromfile(out / "csr_targets.bin", dtype=np.int64)
+            entry = json.loads((out / DISK_HEADER_NAME).read_text())["arrays"]
+            dtype = entry["csr_targets"]["dtype"]
+            targets = np.fromfile(out / "csr_targets.bin", dtype=dtype)
             targets[0] = flat_index.n + 5
             targets.tofile(out / "csr_targets.bin")
         code = main(["index", "info", str(out), "--validate"])
@@ -300,3 +303,56 @@ class TestCliValidate:
         assert main(["index", "info", str(saved)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "integrity" not in payload
+
+
+class TestCsrArrayDtype:
+    """A CSR array saved or labelled with a width the graph cannot adopt
+    is refused by name (``disk-array-dtype``), by the loader, by
+    ``check_disk_layout`` and by ``repro index info --validate``; read as
+    ids, a float array would pass as a graph of wrong edges.  The label
+    keeps the saved item size, so every array-size check still passes.
+    A header dtype that is no dtype at all is named the same way instead
+    of escaping as a ``TypeError``."""
+
+    @staticmethod
+    def _float_of_width(dtype: str) -> str:
+        return {4: "float32", 8: "float64"}[np.dtype(dtype).itemsize]
+
+    @pytest.mark.parametrize("stem", ["csr_offsets", "csr_targets"])
+    def test_v5_header_dtype(self, tmp_path, flat_index, capsys, stem):
+        out = flat_index.save(tmp_path / "v5", format="disk")
+        header = json.loads((out / DISK_HEADER_NAME).read_text())
+        entry = header["arrays"][stem]
+        entry["dtype"] = self._float_of_width(entry["dtype"])
+        (out / DISK_HEADER_NAME).write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=f"disk-array-dtype: .*{stem}"):
+            load_any(out)
+        assert any(
+            v.startswith("disk-array-dtype") and stem in v
+            for v in check_disk_layout(out)
+        )
+        assert main(["index", "info", str(out), "--validate"]) == 1
+        err = capsys.readouterr().err
+        assert "INTEGRITY VIOLATION: disk-array-dtype" in err
+
+    def test_v5_header_unknown_dtype(self, tmp_path, flat_index, capsys):
+        out = flat_index.save(tmp_path / "v5", format="disk")
+        header = json.loads((out / DISK_HEADER_NAME).read_text())
+        header["arrays"]["tombstones"]["dtype"] = "nonsense"
+        (out / DISK_HEADER_NAME).write_text(json.dumps(header))
+        with pytest.raises(ValueError, match="disk-array-dtype: .*'nonsense'"):
+            load_any(out)
+        assert main(["index", "info", str(out), "--validate"]) == 1
+        assert "INTEGRITY VIOLATION: disk-array-dtype" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("member", ["offsets", "targets"])
+    def test_v4_member_dtype(self, tmp_path, flat_index, capsys, member):
+        path = flat_index.save(tmp_path / "v4.npz")
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        payload[member] = payload[member].astype(np.float64)
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match="disk-array-dtype: .*csr_"):
+            load_any(path)
+        assert main(["index", "info", str(path), "--validate"]) == 1
+        assert "INTEGRITY VIOLATION: disk-array-dtype" in capsys.readouterr().err
