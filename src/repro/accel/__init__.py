@@ -44,11 +44,10 @@ float64 arithmetic, and the dispatch layer re-evaluates every reported
 candidate through the same per-batch distance view the numpy path
 uses.
 
-The *construction* inner loop is compiled the same way:
-:func:`run_construction` runs a whole insertion wave's candidate
-location (the ``construction_beam_batch`` semantics — multi-expansion
-rounds over a bounded pool with a generation-stamped visited array)
-and :func:`run_robust_prune` the RobustPrune neighbor selection, both
+Insertion builds run compiled the same way.  A wave's candidate
+location *is* a search — :func:`run_beam` over the prefix graph with
+``k`` equal to the beam width, HNSW's ``SEARCH-LAYER`` — and
+:func:`run_robust_prune` runs the RobustPrune neighbor selection, both
 behind a ``backend=`` seam on ``graphs.engine`` / the insertion
 builders / ``ProximityGraphIndex.build(...)`` /
 ``ShardedIndex.build(...)`` with the same auto/explicit fallback
@@ -75,7 +74,6 @@ from repro.accel.dispatch import (
     resolve_backend,
     run_beam,
     run_commit_wave,
-    run_construction,
     run_greedy,
     run_robust_prune,
     warm,
@@ -95,7 +93,6 @@ __all__ = [
     "resolve_backend",
     "run_beam",
     "run_commit_wave",
-    "run_construction",
     "run_greedy",
     "run_robust_prune",
     "warm",

@@ -57,7 +57,6 @@ import numpy as np
 
 __all__ = [
     "SearchKernels",
-    "construction_kernel",
     "robust_prune_kernel",
     "commit_wave_kernel",
     "call",
@@ -498,86 +497,6 @@ int64_t repro_greedy(
             maxnh = nh;
     }
     return maxnh;
-}
-
-/* Construction-wave beam location: per-query sequential replica of the
- * numpy engine's lockstep multi-expansion rounds — selection frozen in
- * sel_buf before insertions shift slot positions, generation-stamped
- * visited dedup, bounded sorted insertion into the out_ids/out_dists
- * pool rows. */
-int64_t repro_construction(
-    const repro_plan *plan,
-    const double *Q, int64_t qdim,
-    const int64_t *starts, const double *d0, int64_t nq,
-    int64_t beam_width, int64_t expand_per_round,
-    int64_t *out_ids, double *out_dists, int64_t *out_sizes,
-    int32_t *visited, uint8_t *pexp, int64_t *sel_buf)
-{
-    const int64_t *offsets = plan->offsets;
-    int64_t blk[BLOCK];
-    double dblk[BLOCK];
-    int64_t ef = beam_width;
-    for (int64_t qi = 0; qi < nq; qi++) {
-        int32_t gen = (int32_t)(qi + 1);
-        int64_t *ids = out_ids + qi * ef;
-        double *dists = out_dists + qi * ef;
-        for (int64_t a = 0; a < ef; a++)
-            pexp[a] = 0;
-        ids[0] = starts[qi];
-        dists[0] = d0[qi];
-        int64_t psize = 1;
-        visited[starts[qi]] = gen;
-        for (;;) {
-            int64_t nsel = 0;
-            for (int64_t slot = 0; slot < psize; slot++) {
-                if (pexp[slot] == 0) {
-                    sel_buf[nsel] = ids[slot];
-                    pexp[slot] = 1;
-                    nsel++;
-                    if (nsel >= expand_per_round)
-                        break;
-                }
-            }
-            if (nsel == 0)
-                break;
-            for (int64_t si = 0; si < nsel; si++) {
-                int64_t u = sel_buf[si];
-                int64_t ei = offsets[u];
-                int64_t end = offsets[u + 1];
-                while (ei < end) {
-                    int64_t nb = gather_block(plan, &ei, end, visited, gen, blk);
-                    for (int64_t b = 0; b < nb; b++)
-                        visited[blk[b]] = gen;
-                    dist_block(plan, Q + qi * qdim, blk, nb, dblk);
-                    for (int64_t b = 0; b < nb; b++) {
-                        int64_t v = blk[b];
-                        double dv = dblk[b];
-                        int64_t pos;
-                        if (psize < ef) {
-                            pos = psize;
-                            psize++;
-                        } else if (dv < dists[ef - 1]) {
-                            pos = ef - 1;
-                        } else {
-                            continue;
-                        }
-                        int64_t j = pos;
-                        while (j > 0 && dists[j - 1] > dv) {
-                            dists[j] = dists[j - 1];
-                            ids[j] = ids[j - 1];
-                            pexp[j] = pexp[j - 1];
-                            j--;
-                        }
-                        dists[j] = dv;
-                        ids[j] = v;
-                        pexp[j] = 0;
-                    }
-                }
-            }
-        }
-        out_sizes[qi] = psize;
-    }
-    return 0;
 }
 
 /* RobustPrune over raw float64 coordinates: (d, v)-ascending sort,
@@ -1089,30 +1008,6 @@ class SearchKernels:
             buf(i64, out_best_p), buf(f64, out_best_d),
             buf(i64, hops_buf), hops_cap,
         )
-
-
-def construction_kernel(
-    offsets, targets, kind, factor, Q, data, codes, minv, scale,
-    starts, d0, beam_width, expand_per_round,
-    out_ids, out_dists, out_sizes, visited, pexp, sel_buf,
-):
-    """``engine.construction_beam_batch`` over the rows of ``Q``: row ``i``'s
-    pool, ascending by distance, into ``out_ids[i]`` / ``out_dists[i]``
-    and its length into ``out_sizes[i]``.  A round marks the first
-    ``expand_per_round`` unexpanded entries before it inserts any
-    neighbour.  The pool equals the engine's; where distances tie, the
-    order of the tied entries may differ from the engine's one-step
-    merge of a round.  ``visited`` is stamped from 1 and must be zero."""
-    lib, ffi = _load()
-    fields = _plan_fields(ffi, offsets, targets, kind, factor, data, codes, minv, scale)
-    return lib.repro_construction(
-        ffi.new("repro_plan *", fields),
-        _f64(ffi, Q), Q.shape[1],
-        _i64(ffi, starts), _f64(ffi, d0), starts.shape[0],
-        int(beam_width), int(expand_per_round),
-        _i64(ffi, out_ids), _f64(ffi, out_dists), _i64(ffi, out_sizes),
-        ffi.from_buffer("int32_t[]", visited), _u8(ffi, pexp), _i64(ffi, sel_buf),
-    )
 
 
 def robust_prune_kernel(

@@ -34,13 +34,14 @@ from, so nothing has to invalidate it.  Per call: the numpy distance
 view of the batch, the query / start / output arrays and their
 pointers.
 
-The rows of a batch are independent, so :func:`run_beam` and
-:func:`run_construction` give a call with enough of them to
-:func:`_split_rows`: contiguous row chunks, each run by the same bound
-kernel on the matching slices of the inputs and outputs, claimed by the
-calling thread and by a process-wide pool of helper threads — one per
-further usable core (``os.sched_getaffinity``); cffi releases the GIL
-around every C call, so they run at once.  A short call or one core is
+The rows of a batch are independent, so :func:`run_beam` — searches,
+and the candidate location of every insertion-build wave — gives a
+call with enough of them to :func:`_split_rows`: contiguous row chunks,
+each run by the same bound kernel on the matching slices of the inputs
+and outputs, claimed by the calling thread and by a process-wide pool
+of helper threads — one per further usable core
+(``os.sched_getaffinity``); cffi releases the GIL around every C call,
+so they run at once.  A short call or one core is
 the same function with the caller as its only worker.
 
 Reported distances are **evaluated through the same numpy distance
@@ -91,7 +92,6 @@ __all__ = [
     "reset",
     "run_beam",
     "run_greedy",
-    "run_construction",
     "run_robust_prune",
     "run_traverse",
     "run_in_edge_csr",
@@ -194,7 +194,7 @@ def warm(backend: str | None = None) -> dict[str, Any]:
     ``"cffi"`` warms it or raises :class:`AccelUnavailableError`.
 
     Warming compiles-or-dlopens the cached shared object and runs a small
-    beam + greedy + construction + prune + G-net traversal workload
+    beam + greedy + prune + wave-commit + G-net traversal workload
     against the numpy engines, refusing to install kernels that do not
     reproduce them exactly.  The elapsed time is recorded as
     ``compile_seconds``; kernels a G-net build has already checked are
@@ -726,74 +726,6 @@ def run_greedy(
     return results
 
 
-def run_construction(
-    graph: Any,
-    dataset: Any,
-    starts: Any,
-    queries: Any,
-    beam_width: int,
-    expand_per_round: int = 4,
-    store: Any = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Whole-wave compiled construction beam; output shape and values
-    match ``engine.construction_beam_batch`` (callers validate first)."""
-    w = len(queries)
-    if w == 0:
-        return []
-    Q = _query_array(queries)
-    plan = _plan(dataset, store, Q)
-    view = _distance_view(dataset, Q, store)
-    q_arr = _query_arrays(plan, view)
-    offsets, targets = graph.csr()
-    starts64 = np.ascontiguousarray(np.asarray(starts), dtype=np.int64)
-    # The numpy path seeds every pool through one segmented() call;
-    # replicate that composition so seed floats are bit-identical.
-    d0 = np.ascontiguousarray(
-        view.segmented(
-            np.arange(w, dtype=np.intp), starts64, np.ones(w, dtype=np.int64)
-        ),
-        dtype=np.float64,
-    )
-    n = graph.n
-    ef = int(beam_width)
-    out_ids = np.full((w, ef), -1, dtype=np.int64)
-    out_dists = np.full((w, ef), np.inf, dtype=np.float64)
-    out_sizes = np.zeros(w, dtype=np.int64)
-    expand = int(expand_per_round)
-    def rows(q_arr, starts, d0, out_ids, out_dists, out_sizes) -> None:
-        _C.construction_kernel(
-            offsets, targets, plan.kind, plan.factor,
-            q_arr, plan.data, plan.codes, plan.minv, plan.scale,
-            starts, d0, ef, expand, out_ids, out_dists, out_sizes,
-            # The kernel stamps ``visited`` from 1 in every call, so each
-            # chunk gets a zeroed one, and the small buffers with it.
-            np.zeros(n, dtype=np.int32),
-            np.zeros(ef, dtype=np.uint8),  # pexp
-            np.zeros(max(expand, 1), dtype=np.int64),  # sel_buf
-        )
-
-    _split_rows(w, (q_arr, starts64, d0, out_ids, out_dists, out_sizes), rows)
-    # Re-evaluate every reported pool distance through the numpy view —
-    # segmented() reductions are per-row independent, so these floats
-    # are bit-identical to the engine's round-time evaluations.
-    counts = out_sizes
-    mask = np.arange(ef, dtype=np.int64)[None, :] < counts[:, None]
-    flat = out_ids[mask]
-    exact = np.empty(len(flat), dtype=np.float64)
-    nonzero = counts > 0
-    if flat.size:
-        exact[:] = view.segmented(
-            np.flatnonzero(nonzero), flat, counts[nonzero]
-        )
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    pos = 0
-    for qi in range(w):
-        c = int(counts[qi])
-        out.append((out_ids[qi, :c], exact[pos : pos + c]))
-        pos += c
-    return out
-
-
 def run_robust_prune(
     dataset: Any,
     pid: int,
@@ -832,7 +764,7 @@ def run_robust_prune(
 def run_commit_wave(
     dataset: Any,
     pids: Any,
-    pools: Any,
+    pools: BeamBatch,
     alpha: float,
     max_degree: int,
     include_own: bool,
@@ -840,7 +772,9 @@ def run_commit_wave(
 ) -> None:
     """Commit a whole construction wave in one compiled kernel call.
 
-    ``rows`` is the caller's adjacency, a
+    ``pools`` is the batch the wave's beam located: row ``i`` of its
+    ``ids`` / ``dists`` (``-1``-padded) is member ``i``'s pool, handed to
+    the kernel flat by one mask.  ``rows`` is the caller's adjacency, a
     :class:`repro.graphs.engine.CommitMirror` — the padded int64 row
     store the kernel mutates in place.  The workload is validated (and
     :class:`UnsupportedWorkloadError` raised) *before* the store is
@@ -855,15 +789,12 @@ def run_commit_wave(
         dataset.metric, _C.KIND_FLAT_L2, _C.KIND_FLAT_LINF
     )
     w = len(pids)
-    lens = np.fromiter((len(p[0]) for p in pools), dtype=np.int64, count=w)
+    found = pools.ids >= 0
+    lens = found.sum(axis=1)
     pool_off = np.zeros(w + 1, dtype=np.int64)
     np.cumsum(lens, out=pool_off[1:])
-    total = int(pool_off[-1])
-    pool_ids = np.empty(total, dtype=np.int64)
-    pool_d = np.empty(total, dtype=np.float64)
-    for i, (ids, dists) in enumerate(pools):
-        pool_ids[pool_off[i] : pool_off[i + 1]] = ids
-        pool_d[pool_off[i] : pool_off[i + 1]] = dists
+    pool_ids = np.ascontiguousarray(pools.ids[found], dtype=np.int64)
+    pool_d = np.ascontiguousarray(pools.dists[found], dtype=np.float64)
     pids64 = np.ascontiguousarray(np.asarray(pids), dtype=np.int64)
     max_p = (int(lens.max()) if w else 0) + rows.cap
     md = max(int(max_degree), 1)
@@ -1008,10 +939,10 @@ def _self_check() -> None:
     from repro.metrics.base import Dataset
 
     rng = np.random.default_rng(12345)
-    # Two threads' worth of rows in the beam batch and in the construction
-    # wave: wherever there is a second core the row split cuts both, so
-    # kernels whose rows do not survive being run in chunks on helper
-    # threads are refused here, not found out in a result.
+    # Two threads' worth of rows in the beam batch: wherever there is a
+    # second core the row split cuts it, so a kernel whose rows do not
+    # survive being run in chunks on helper threads is refused here, not
+    # found out in a result.
     n, d, mq = 48, 6, 2 * _ROWS_PER_THREAD
     points = rng.standard_normal((n, d))
     dataset = Dataset(EuclideanMetric(), points)
@@ -1020,7 +951,7 @@ def _self_check() -> None:
     graph = ProximityGraph(n, rng.integers(0, n, size=(n, 4)))
     Q = rng.standard_normal((mq, d))
     starts = rng.integers(0, n, size=mq)
-    wave = [int(p) for p in rng.permutation(n)[:mq]]
+    wave = [int(p) for p in rng.permutation(n)[:8]]
 
     want_beam = engine.beam_search_batch(graph, dataset, starts, Q, beam_width=6, k=4)
     got_beam = run_beam(graph, dataset, starts, Q, beam_width=6, k=4)
@@ -1035,30 +966,25 @@ def _self_check() -> None:
     got_tied = run_beam(graph, tied, starts, Qt, **tied_args)
     want_greedy = engine.greedy_batch(graph, dataset, starts[:8], Q[:8])
     got_greedy = run_greedy(graph, dataset, starts[:8], Q[:8])
-    # The wave locates members of the graph, as a build does.
-    want_c = engine.construction_beam_batch(graph, dataset, starts, points[wave], beam_width=6)
-    got_c = run_construction(graph, dataset, starts, points[wave], beam_width=6)
-    same_c = len(want_c) == len(got_c) and all(
-        np.array_equal(wi, gi) and np.array_equal(wd, gd)
-        for (wi, wd), (gi, gd) in zip(want_c, got_c)
-    )
     v_arr = np.arange(n, dtype=np.intp)
     d_arr = dataset.distances_from_index(0, v_arr)
     want_p = engine.robust_prune(dataset, 0, v_arr, d_arr, 1.2, 6)
     got_p = run_robust_prune(dataset, 0, v_arr, d_arr, 1.2, 6)
-    # One whole-wave commit of half that wave and its pools onto the
-    # graph's rows (the commit is order-dependent and never split),
-    # kernel vs the pinned per-member prune-and-link loop.
+    # One whole-wave commit onto the graph's rows (the commit is
+    # order-dependent and never split), kernel vs the pinned per-member
+    # prune-and-link loop, of pools the beam located for members of the
+    # graph, as a build does.
     rows_want = engine.CommitMirror.from_csr(graph, 0, 4)
     rows_got = engine.CommitMirror.from_csr(graph, 0, 4)
-    wave, pools_w = wave[:8], want_c[:8]
+    pools_w = engine.beam_search_batch(
+        graph, dataset, starts[:8], points[wave], beam_width=6, k=6
+    )
     engine.commit_wave_pools(dataset, rows_want, wave, pools_w, 1.2, 4)
     run_commit_wave(dataset, wave, pools_w, 1.2, 4, False, rows_got)
     if (
         want_beam != got_beam
         or want_tied != got_tied
         or want_greedy != got_greedy
-        or not same_c
         or want_p != got_p
         or rows_want.snapshot() != rows_got.snapshot()
         or not _traverse_matches()

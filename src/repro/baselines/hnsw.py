@@ -20,14 +20,15 @@ The structure exposes its level-0 adjacency as a
 machinery can interrogate it directly.
 
 ``batch_size`` selects the :func:`~repro.graphs.engine.bulk_insert` wave
-schedule: a whole wave descends the hierarchy in lockstep (one vectorized
-:func:`~repro.graphs.engine.construction_beam_batch` per layer per wave
-against frozen per-layer snapshots) before committing member-by-member.
+schedule: a whole wave descends the hierarchy in lockstep (one
+:func:`~repro.graphs.engine.beam_search_batch` per layer per wave — the
+search beam, ``SEARCH-LAYER`` itself — against frozen per-layer
+snapshots) before committing member-by-member.
 ``batch_size=1`` is edge-identical to the sequential build.  The one
 deviation of the wave path from the published algorithm: each layer's
 beam is seeded with the single best vertex found at the layer above
-rather than the full ``ef`` pool (the pool lives per-query inside the
-lockstep engine); the recall benches show no measurable quality loss.
+rather than the full ``ef`` pool (the batch beam takes one start per
+query); the recall benches show no measurable quality loss.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.baselines.nsw import scalar_beam
+from repro.baselines.nsw import beam_pairs, scalar_beam
 from repro.graphs.base import ProximityGraph
-from repro.graphs.engine import bulk_insert, construction_beam_batch, snapshot_graph
+from repro.graphs.engine import beam_search_batch, bulk_insert, snapshot_graph
 from repro.metrics.base import Dataset
 
 __all__ = ["HNSWIndex"]
@@ -250,21 +251,21 @@ class HNSWIndex:
             ins = [i for i, tl in enumerate(levels) if tl >= lvl]
             if desc:
                 idx = np.asarray(desc, dtype=np.intp)
-                found = construction_beam_batch(
+                found = beam_search_batch(
                     layers[lvl], self.dataset, entry[idx], q_arr[idx],
                     beam_width=1, backend=self.backend,
                 )
-                for i, (ids, _d) in zip(desc, found):
-                    entry[i] = ids[0]
+                entry[idx] = found.ids[:, 0]
             if ins:
                 idx = np.asarray(ins, dtype=np.intp)
-                found = construction_beam_batch(
+                ef = self.ef_construction
+                found = beam_search_batch(
                     layers[lvl], self.dataset, entry[idx], q_arr[idx],
-                    beam_width=self.ef_construction, backend=self.backend,
+                    beam_width=ef, k=ef, backend=self.backend,
                 )
-                for i, (ids, d) in zip(ins, found):
-                    by_level[i][lvl] = list(zip(d.tolist(), ids.tolist()))
-                    entry[i] = ids[0]
+                for i, pairs in zip(ins, beam_pairs(found)):
+                    by_level[i][lvl] = pairs
+                entry[idx] = found.ids[:, 0]
         pools += [(levels[i], by_level[i]) for i in range(len(pids))]
         return pools
 

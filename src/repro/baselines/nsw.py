@@ -7,9 +7,10 @@ by beam search on the graph built so far.  Early random insertions create
 long-range "small world" links; no worst-case guarantee exists.
 
 ``batch_size`` selects the :func:`~repro.graphs.engine.bulk_insert` wave
-schedule: each wave's candidates are found with one vectorized lockstep
-:func:`~repro.graphs.engine.construction_beam_batch` against the frozen
-prefix graph.  ``batch_size=1`` is edge-identical to the sequential build.
+schedule: each wave's candidates are found with one lockstep
+:func:`~repro.graphs.engine.beam_search_batch` — the search beam, keeping
+its whole ``ef``-wide pool — against the frozen prefix graph.
+``batch_size=1`` is edge-identical to the sequential build.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from repro.graphs.base import ProximityGraph
-from repro.graphs.engine import bulk_insert, construction_beam_batch, snapshot_graph
+from repro.graphs.engine import beam_search_batch, bulk_insert, snapshot_graph
+from repro.graphs.greedy import BeamBatch
 from repro.metrics.base import Dataset
 
-__all__ = ["NSWIndex", "scalar_beam"]
+__all__ = ["NSWIndex", "scalar_beam", "beam_pairs"]
 
 
 def scalar_beam(
@@ -61,6 +63,15 @@ def scalar_beam(
                 if len(best) > ef:
                     heapq.heappop(best)
     return sorted((-d, v) for d, v in best)
+
+
+def beam_pairs(found: BeamBatch) -> list[list[tuple[float, int]]]:
+    """Each row of a wave's beam as :func:`scalar_beam` returns one
+    search: its ``(distance, id)`` pairs, ascending, padding dropped."""
+    return [
+        [(d, v) for d, v in zip(dists, ids) if v >= 0]
+        for dists, ids in zip(found.dists.tolist(), found.ids.tolist())
+    ]
 
 
 class NSWIndex:
@@ -135,15 +146,16 @@ class NSWIndex:
             idx = np.asarray(pids, dtype=np.intp)
             prefix = snapshot_graph(self.dataset.n, self._adj)
             ef = max(self.ef_construction, self.m)
-            found = construction_beam_batch(
+            found = beam_search_batch(
                 prefix,
                 self.dataset,
                 [self._members[0]] * len(idx),
                 self.dataset.points[idx],
                 beam_width=ef,
+                k=ef,
                 backend=self.backend,
             )
-            pools += [list(zip(d.tolist(), v.tolist())) for v, d in found]
+            pools += beam_pairs(found)
         return pools
 
     def commit(self, pid: int, pool: list[tuple[float, int]] | None) -> None:

@@ -24,8 +24,9 @@ on — through the one RobustPrune wave inserter,
   beam search per insertion;
 * **batched** (``batch_size=k``) — the :func:`~repro.graphs.engine.bulk_insert`
   wave schedule: each wave of ``k`` points is located with one lockstep
-  :func:`~repro.graphs.engine.construction_beam_batch` against the frozen
-  prefix graph, then committed in order.  ``batch_size=1`` replays the
+  :func:`~repro.graphs.engine.beam_search_batch` (the search beam, its
+  whole ``L``-wide pool kept) against the frozen prefix graph, then
+  committed in order.  ``batch_size=1`` replays the
   sequential insertions exactly (identical edges); larger waves trade a
   little candidate staleness for vectorized distance evaluation.
 """

@@ -256,10 +256,12 @@ def _cmd_delete(args: argparse.Namespace) -> int:
 
 
 def _cmd_index_info(args: argparse.Namespace) -> int:
-    """Kind, counts, storage mode, and the memory breakdown of a saved
-    index (either kind); ``--validate`` adds the structural integrity
-    checks (CSR shape, id-map/tombstone consistency, manifest shard
-    agreement) and exits nonzero on any violated invariant."""
+    """Kind, counts (``unreachable``: live points no edge leads to, which
+    a search returns only from a start there), storage mode, and the
+    memory breakdown of a saved index (either kind); ``--validate`` adds
+    the structural integrity checks (CSR shape, id-map/tombstone
+    consistency, manifest shard agreement) and exits nonzero on any
+    violated invariant."""
     try:
         index = load_any(args.index)
     except ValueError as exc:
@@ -275,6 +277,7 @@ def _cmd_index_info(args: argparse.Namespace) -> int:
         "n": int(index.n),
         "active": int(index.active_count),
         "tombstones": int(index.tombstone_count),
+        "unreachable": int(index.unreachable_count),
         "epsilon": float(index.epsilon),
         "storage": storage_breakdown(index),
         "accel": accel.backend_status(),

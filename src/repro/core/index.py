@@ -219,6 +219,18 @@ class ProximityGraphIndex:
     def tombstone_count(self) -> int:
         return self.n - self._live_count
 
+    @property
+    def unreachable_count(self) -> int:
+        """Live points no edge leads to: a search returns one only when
+        it starts there.  A tombstoned point's out-edges still count, as
+        searches still route through it.  A target outside ``[0, n)`` (a
+        corrupt file, which ``repro index info --validate`` names) reaches
+        nothing."""
+        targets = self.graph.csr()[1]
+        targets = targets[(targets >= 0) & (targets < self.n)]
+        in_degree = np.bincount(targets, minlength=self.n)
+        return int(np.count_nonzero((in_degree == 0) & ~self._tombstones))
+
     def _set_tombstones(self, tombstones: np.ndarray) -> None:
         """Install the deletion mask and what searches read off it, the live
         mask (``None`` while nothing is deleted) and its count: every change
@@ -795,6 +807,7 @@ class ProximityGraphIndex:
         out["log2_n"] = round(math.log2(max(out["n"], 2)), 2)
         out["active"] = self.active_count
         out["tombstones"] = self.tombstone_count
+        out["unreachable"] = self.unreachable_count
         out["storage"] = self.store.summary()
         from repro import accel
 

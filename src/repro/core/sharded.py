@@ -644,6 +644,11 @@ class ShardedIndex:
         return sum(s.tombstone_count for s in self.shards)
 
     @property
+    def unreachable_count(self) -> int:
+        """Live points with no in-edge in their shard, summed."""
+        return sum(s.unreachable_count for s in self.shards)
+
+    @property
     def epsilon(self) -> float:
         return self.shards[0].epsilon
 
@@ -1028,6 +1033,7 @@ class ShardedIndex:
                     "edges": s["edges"],
                     "active": s["active"],
                     "tombstones": s["tombstones"],
+                    "unreachable": s["unreachable"],
                 }
             )
         out = {
@@ -1042,6 +1048,7 @@ class ShardedIndex:
             "edges": sum(p["edges"] for p in per_shard),
             "active": self.active_count,
             "tombstones": self.tombstone_count,
+            "unreachable": sum(p["unreachable"] for p in per_shard),
             "per_shard": per_shard,
         }
         storage = dict(self.shards[0].store.summary())

@@ -10,7 +10,6 @@ from repro.graphs.dynamic import DynamicGNet
 from repro.graphs.engine import (
     beam_search_batch,
     bulk_insert,
-    construction_beam_batch,
     greedy_batch,
     snapshot_graph,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "beam_search_batch",
     "build_cone_family",
     "bulk_insert",
-    "construction_beam_batch",
     "snapshot_graph",
     "build_gnet",
     "build_merged_graph",

@@ -35,7 +35,6 @@ from repro.storage.base import FlatQueryView
 __all__ = [
     "greedy_batch",
     "beam_search_batch",
-    "construction_beam_batch",
     "WaveInserter",
     "bulk_insert",
     "snapshot_graph",
@@ -274,9 +273,8 @@ class _BeamState:
     """Per-query beam bookkeeping for the lockstep rounds.
 
     Visited tracking lives outside the state, in the batch-shared
-    ``(m, n)`` bitmap — the same idiom :func:`construction_beam_batch`
-    uses — so the gather step is one vectorized row mask instead of a
-    per-neighbor Python ``set`` probe.
+    ``(m, n)`` bitmap, so the gather step is one vectorized row mask
+    instead of a per-neighbor Python ``set`` probe.
     """
 
     __slots__ = ("candidates", "pool", "evals", "done")
@@ -331,9 +329,11 @@ def beam_search_batch(
     (``"auto"`` silently stays here when no backend is warmed or the
     workload has no compiled kernel).
 
-    Visited tracking is a dense ``(m, n)`` bitmap shared with the
-    construction engine's idiom — memory is ``O(m * n)`` bits, sized
-    for driver-chunked query batches, not unbounded ones.
+    Visited tracking is a dense ``(m, n)`` bitmap — memory is
+    ``O(m * n)`` bits, sized for chunked query batches and
+    construction waves, not unbounded ones.  It is also the beam every
+    insertion builder locates a wave with (``k=beam_width``): HNSW's
+    ``SEARCH-LAYER``, one routine for building and querying.
     """
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
@@ -373,9 +373,7 @@ def beam_search_batch(
     ]
 
     # Batch-shared visited bitmap, generationless: row i is query i's
-    # visited set (the construction engine's idiom, satellite-converged
-    # here from the former per-query Python set — bit-identical, the
-    # gather below preserves CSR slice order).
+    # visited set (the gather below preserves CSR slice order).
     visited = np.zeros((m, graph.n), dtype=bool)
     if m:
         visited[np.arange(m), starts] = True
@@ -442,179 +440,6 @@ def beam_search_batch(
     return BeamBatch(ids, dists, evals)
 
 
-def construction_beam_batch(
-    graph: ProximityGraph,
-    dataset: Dataset,
-    starts: Sequence[int],
-    queries: Any,
-    beam_width: int,
-    expand_per_round: int = 4,
-    store: Any = None,
-    backend: str | None = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Fully vectorized lockstep beam search for *construction* waves.
-
-    :func:`beam_search_batch` preserves one query's best-first
-    heap discipline bit-for-bit, which leaves Python work proportional
-    to the number of node expansions.  Candidate location during a
-    batched build has no such contract — its quality is gated by recall
-    — so this variant keeps every query's beam pool in shared ``(w,
-    beam_width)`` arrays and advances all queries with pure array ops:
-    per round, every live query expands its ``expand_per_round``
-    closest unexpanded pool members, all discovered neighbors are
-    deduplicated (within the round by one key sort, across rounds by a
-    dense ``(w, n)`` visited bitmap), evaluated in **one** segmented
-    :meth:`~repro.metrics.base.Dataset.distances_to_queries` call, and
-    merged back into the pools with one stable row-wise argsort.
-    Python cost is per *round*, and multi-expansion divides the round
-    count by ``expand_per_round`` at the price of a few speculative
-    expansions near termination.
-
-    A query finishes when its pool holds no unexpanded member closer
-    than its current ``beam_width``-th best — the classic beam
-    termination.  Expanding only pool members (rather than every
-    evicted heap candidate) matches the published HNSW ``SEARCH-LAYER``
-    semantics up to distance ties.
-
-    Memory is ``O(w * n)`` bits for the visited bitmap — sized for
-    construction waves (``w = batch_size``), not for unbounded query
-    batches.  Returns one ``(ids, distances)`` array pair per query,
-    ascending by distance.
-
-    ``backend=None`` / ``"numpy"`` always run this pinned lockstep
-    code; ``"auto"`` and explicit accel backend names dispatch the
-    whole wave to the compiled construction kernel (``"auto"``
-    silently stays here when no backend is warmed or the workload has
-    no compiled kernel).
-    """
-    if beam_width < 1:
-        raise ValueError("beam width must be at least 1")
-    if expand_per_round < 1:
-        raise ValueError("expand_per_round must be at least 1")
-    w = len(queries)
-    starts = np.asarray(starts, dtype=np.intp)
-    if len(starts) != w:
-        raise ValueError("need exactly one start vertex per query")
-    if w == 0:
-        return []
-    if backend is not None and backend != "numpy":
-        import repro.accel as accel
-
-        if accel.resolve_backend(backend) != "numpy":
-            try:
-                return accel.run_construction(
-                    graph, dataset, starts, queries,
-                    beam_width=beam_width, expand_per_round=expand_per_round,
-                    store=store,
-                )
-            except accel.UnsupportedWorkloadError:
-                if backend != "auto":
-                    raise
-    offsets, targets = graph.csr()
-    n = graph.n
-    ef = int(beam_width)
-    Q = _as_query_array(queries)
-    view = _distance_view(dataset, Q, store)
-
-    pool_ids = np.full((w, ef), -1, dtype=np.int64)
-    pool_d = np.full((w, ef), np.inf, dtype=np.float64)
-    pool_exp = np.zeros((w, ef), dtype=bool)  # slot already expanded?
-    pool_ids[:, 0] = starts
-    pool_d[:, 0] = view.segmented(
-        np.arange(w, dtype=np.intp), starts, np.ones(w, dtype=np.int64)
-    )
-    visited = np.zeros((w, n), dtype=bool)
-    visited[np.arange(w), starts] = True
-
-    live = np.arange(w, dtype=np.intp)
-    while len(live):
-        ids_l, d_l, exp_l = pool_ids[live], pool_d[live], pool_exp[live]
-        # Frontier: each query's expand_per_round closest unexpanded pool
-        # members no worse than its current ef-th best; queries with no
-        # such member are done.
-        elig = ~exp_l & (ids_l >= 0) & (d_l <= d_l[:, ef - 1 :])
-        sel = elig & (np.cumsum(elig, axis=1) <= expand_per_round)
-        alive = sel.any(axis=1)
-        if not alive.any():
-            break
-        live, sel = live[alive], sel[alive]
-        rowpos, colpos = np.nonzero(sel)  # row-major: grouped by query
-        pool_exp[live[rowpos], colpos] = True
-        f_nodes = pool_ids[live[rowpos], colpos]
-
-        # Gather every frontier node's neighbor slice, flat; qrow maps
-        # each flat candidate back to its (global) query row.
-        deg = (offsets[f_nodes + 1] - offsets[f_nodes]).astype(np.int64)
-        total = int(deg.sum())
-        if total == 0:
-            continue
-        seg_stop = np.cumsum(deg)
-        seg_start = seg_stop - deg
-        flat = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(seg_start, deg)
-            + np.repeat(offsets[f_nodes], deg)
-        )
-        cand = targets[flat]
-        qrow = live[rowpos].repeat(deg)
-
-        # Dedup within the round (two frontier nodes of one query may
-        # share a neighbor) and against the visited bitmap.  The key
-        # sort also groups candidates by query, which the segmented
-        # distance call below requires.
-        key = qrow.astype(np.int64) * n + cand
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.ones(len(key), dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        qrow, cand = qrow[order][first], cand[order][first]
-        fresh = ~visited[qrow, cand]
-        qrow, cand = qrow[fresh], cand[fresh]
-        if not len(cand):
-            continue
-        visited[qrow, cand] = True
-
-        # One segmented distance call for the whole round.
-        sub, lens = np.unique(qrow, return_counts=True)
-        d_new = view.segmented(sub, cand, lens)
-
-        # Merge new candidates into the pools: pad to (|sub|, max_new),
-        # then one stable row-sort keeps each query's ef closest.
-        max_new = int(lens.max())
-        new_start = np.cumsum(lens) - lens
-        col = np.arange(len(cand), dtype=np.int64) - np.repeat(new_start, lens)
-        row = np.repeat(np.arange(len(sub), dtype=np.int64), lens)
-        pad_ids = np.full((len(sub), max_new), -1, dtype=np.int64)
-        pad_d = np.full((len(sub), max_new), np.inf, dtype=np.float64)
-        pad_ids[row, col] = cand
-        pad_d[row, col] = d_new
-
-        all_ids = np.concatenate([pool_ids[sub], pad_ids], axis=1)
-        all_d = np.concatenate([pool_d[sub], pad_d], axis=1)
-        all_exp = np.concatenate(
-            [pool_exp[sub], np.zeros((len(sub), max_new), dtype=bool)], axis=1
-        )
-        # Partition down to the ef closest first, then order just those —
-        # cheaper than a full stable row sort of the padded merge width.
-        if all_d.shape[1] > ef:
-            part = np.argpartition(all_d, ef - 1, axis=1)[:, :ef]
-            rowm = np.arange(len(sub))[:, None]
-            sub_d = all_d[rowm, part]
-            keep = np.take_along_axis(part, np.argsort(sub_d, axis=1), axis=1)
-        else:
-            keep = np.argsort(all_d, axis=1, kind="stable")
-            rowm = np.arange(len(sub))[:, None]
-        pool_ids[sub] = all_ids[rowm, keep]
-        pool_d[sub] = all_d[rowm, keep]
-        pool_exp[sub] = all_exp[rowm, keep]
-
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    for i in range(w):
-        valid = pool_ids[i] >= 0
-        out.append((pool_ids[i][valid], pool_d[i][valid]))
-    return out
-
-
 # ----------------------------------------------------------------------
 # Batched construction: the wave driver for insertion-based builders
 # ----------------------------------------------------------------------
@@ -629,11 +454,12 @@ class WaveInserter(Protocol):
 
     * :meth:`locate_wave` finds each wave member's candidate pool by
       searching the graph as it stands **before the wave** (the frozen
-      prefix).  Implementations vectorize this with
-      :func:`construction_beam_batch` over a :func:`snapshot_graph` of
-      the current adjacency, which is where the batched build speedup
-      comes from.  The pool type is builder-specific and opaque to the
-      driver.
+      prefix).  Implementations vectorize this with one
+      :func:`beam_search_batch` (``k=beam_width``, the search beam) over
+      a :func:`snapshot_graph` of the current adjacency, which is where
+      the batched build speedup comes from.  The pools' type is
+      builder-specific and opaque to :func:`bulk_insert`, which only
+      counts them.
     * :meth:`commit` performs one member's neighbor selection and
       linking from its located pool.  Commits run sequentially in wave
       order, so backlink pruning within a wave behaves exactly as in the
@@ -649,9 +475,12 @@ class WaveInserter(Protocol):
         """Insert ``pid`` exactly as the sequential builder would."""
         ...
 
-    def locate_wave(self, pids: Sequence[int]) -> list[Any]:
+    def locate_wave(self, pids: Sequence[int]) -> Any:
         """Return one candidate pool per wave member, located against the
-        frozen prefix graph (the state before any member of this wave)."""
+        frozen prefix graph (the state before any member of this wave): a
+        list, or — for an inserter with ``commit_wave`` — any sized
+        container that hook reads, such as a whole
+        :class:`~repro.graphs.greedy.BeamBatch`."""
         ...
 
     def commit(self, pid: int, pool: Any) -> None:
@@ -664,7 +493,6 @@ def bulk_insert(
     order: Iterable[int],
     batch_size: int,
     ramp: bool = True,
-    backend: str | None = None,
 ) -> int:
     """Insert ``order`` into ``inserter`` in waves of up to ``batch_size``.
 
@@ -687,11 +515,6 @@ def bulk_insert(
     second pass) can pass ``ramp=False`` to run full-width immediately.
     Returns the number of waves executed.
 
-    ``backend`` (when not ``None``) is pinned onto the inserter as its
-    ``backend`` attribute before any wave runs, so builders that thread
-    ``self.backend`` through their ``locate_wave`` / ``commit`` bodies
-    pick up the accel seam without a protocol change.
-
     One optional hook extends the protocol for the compiled commit
     path: an inserter exposing ``commit_wave(pids, pools)`` receives
     each multi-member wave whole (instead of per-member ``commit``
@@ -701,8 +524,6 @@ def bulk_insert(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    if backend is not None:
-        inserter.backend = backend  # type: ignore[attr-defined]
     commit_wave = getattr(inserter, "commit_wave", None)
     order = [int(p) for p in order]
     waves = 0
@@ -810,19 +631,22 @@ def locate_wave_pools(
     pids: Sequence[int],
     beam_width: int,
     backend: str | None = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> BeamBatch:
     """Locate one candidate pool per wave member against the frozen
-    prefix: freeze the row store's CSR once, then run one lockstep
-    :func:`construction_beam_batch` from ``entry`` for the whole wave.
-    Returns ``(ids, distances)`` pools ascending by distance.
+    prefix: freeze the row store's CSR once, then run one
+    :func:`beam_search_batch` from ``entry`` for the whole wave, keeping
+    each member's whole beam (``k=beam_width``).  Row ``i`` of the
+    returned batch's ``ids`` / ``dists`` is member ``i``'s pool,
+    ascending by ``(distance, vertex)`` and padded with ``-1`` / ``inf``.
     """
     idx = np.asarray(pids, dtype=np.intp)
-    return construction_beam_batch(
+    return beam_search_batch(
         rows.snapshot(),
         dataset,
         [int(entry)] * len(idx),
         dataset.points[idx],
         beam_width=beam_width,
+        k=beam_width,
         backend=backend,
     )
 
@@ -964,7 +788,7 @@ def commit_wave_pools(
     dataset: Dataset,
     rows: CommitMirror,
     pids: Sequence[int],
-    pools: Sequence[tuple[np.ndarray, np.ndarray]],
+    pools: BeamBatch,
     alpha: float,
     max_degree: int,
     backend: str | None = None,
@@ -972,7 +796,10 @@ def commit_wave_pools(
 ) -> None:
     """Commit a whole wave of located pools in order.
 
-    Per member this is exactly :func:`prune_and_link` (prepended, when
+    ``pools`` is the wave's :class:`~repro.graphs.greedy.BeamBatch` as
+    :func:`locate_wave_pools` returns it: row ``i`` of its ``ids`` /
+    ``dists`` (``-1``-padded) is member ``i``'s pool.  Per member this
+    is exactly :func:`prune_and_link` (prepended, when
     ``include_own`` is set, by Vamana's own-edge concatenation at
     recomputed distances).  With a compiled ``backend`` the entire wave
     — every RobustPrune, backlink append, and overflow re-prune — runs
@@ -995,8 +822,12 @@ def commit_wave_pools(
             except accel.UnsupportedWorkloadError:
                 if backend != "auto":
                     raise
-    for pid, pool in zip(pids, pools):
-        _commit_pool(dataset, rows, int(pid), pool, alpha, max_degree, include_own)
+    for pid, ids, dists in zip(pids, pools.ids, pools.dists):
+        found = ids >= 0
+        _commit_pool(
+            dataset, rows, int(pid), (ids[found], dists[found]), alpha,
+            max_degree, include_own,
+        )
 
 
 class RepairInserter:
@@ -1061,9 +892,9 @@ class RepairInserter:
     # -- WaveInserter protocol -----------------------------------------
 
     def insert_one(self, pid: int) -> None:
-        self.commit(pid, self.locate_wave([pid])[0])
+        self.commit_wave([pid], self.locate_wave([pid]))
 
-    def locate_wave(self, pids: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    def locate_wave(self, pids: Sequence[int]) -> BeamBatch:
         return locate_wave_pools(
             self.dataset, self._rows, self.entry_point, pids, self.beam_width,
             backend=self.backend,
@@ -1075,11 +906,7 @@ class RepairInserter:
             self.max_degree, self.include_own, backend=self.backend,
         )
 
-    def commit_wave(
-        self,
-        pids: Sequence[int],
-        pools: Sequence[tuple[np.ndarray, np.ndarray]],
-    ) -> None:
+    def commit_wave(self, pids: Sequence[int], pools: BeamBatch) -> None:
         commit_wave_pools(
             self.dataset, self._rows, pids, pools, self.alpha,
             self.max_degree, backend=self.backend, include_own=self.include_own,
@@ -1093,9 +920,10 @@ def snapshot_graph(n: int, rows: Sequence[Any]) -> ProximityGraph:
     or array — whatever the builder mutates).  Unlike the
     :class:`ProximityGraph` constructor this neither sorts nor cleans the
     rows (builders already guarantee no self-loops or duplicates), so a
-    snapshot costs one flattening pass.  Rows keep the builder's order:
-    a construction beam's pool does not depend on it, but ``has_edge``
-    and greedy's smallest-id tie-break do, so a finished graph goes
+    snapshot costs one flattening pass.  Rows keep the builder's order,
+    which a beam's pool depends on only through distance ties (both
+    backends read the same order), but ``has_edge`` and greedy's
+    smallest-id tie-break assume sorted rows, so a finished graph goes
     through the constructor instead.
     """
     if len(rows) != n:
@@ -1116,8 +944,8 @@ def chunk_spans(total: int, chunk: int) -> list[tuple[int, int]]:
     """Split ``range(total)`` into ``[start, stop)`` spans of ``chunk``.
 
     The lockstep engines hold per-query state for the whole batch (and
-    :func:`construction_beam_batch` a dense ``(w, n)`` visited bitmap),
-    so unbounded batches mean unbounded peak memory.  Drivers — the
+    :func:`beam_search_batch` a dense ``(m, n)`` visited bitmap), so
+    unbounded batches mean unbounded peak memory.  Callers — the
     sharded fan-out, the worker entry point below — run one engine call
     per span instead, bounding state at ``chunk`` queries while keeping
     every call fully vectorized.

@@ -14,8 +14,8 @@ Contract under test:
   more under UBSan — and the C source compiles warning-free;
 * every store kind in ``STORAGE_KINDS`` under both coordinate metrics
   has its own planner mode, each construction entry point runs compiled
-  for it and refuses Minkowski, and the C builds with
-  ``-ffp-contract=off``;
+  under both coordinate metrics and refuses Minkowski, and the C builds
+  with ``-ffp-contract=off``;
 * the C beam's sorted array makes the engines' two-heap decisions on
   seeded integer grids full of distance ties, under masks and budgets,
   and the C sums an SQ8-L2 row's squares left to right where that order
@@ -34,7 +34,6 @@ Contract under test:
 
 from __future__ import annotations
 
-import functools
 import os
 import stat
 import subprocess
@@ -51,9 +50,9 @@ from repro.graphs.base import ProximityGraph
 from repro.graphs.engine import (
     CommitMirror,
     beam_search_batch,
-    construction_beam_batch,
     greedy_batch,
 )
+from repro.graphs.greedy import BeamBatch
 from repro.metrics.base import Dataset
 from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric, MinkowskiMetric
 from repro.storage import STORAGE_KINDS, make_store
@@ -230,7 +229,7 @@ def _long_row_workload(kind, with_store=True):
 
 def _check_long_rows(kind, backends, with_store=True):
     """``backends`` against the numpy engines over :func:`_long_row_workload`:
-    beam (ids, distances, evals), greedy, and the construction pools."""
+    beam (ids, distances, evals) and greedy."""
     graph, dataset, store, Q, starts = _long_row_workload(kind, with_store)
     n, row = graph.n, len(graph.out_neighbors(0))
     assert row > 2 * 32
@@ -262,29 +261,6 @@ def _check_long_rows(kind, backends, with_store=True):
                     graph, dataset, starts, Q, budget=budget, allowed=mask,
                     store=store, backend=backend,
                 ), (*ctx, backend)
-    # Construction pools.  The numpy engine merges a round at once, so on
-    # sq8-linf, where quantised distances tie, tied entries may come out
-    # in another order: there the pools are compared as (distance, id)
-    # sorted.  No build reaches that order: builds locate over the raw
-    # points (no store=), and robust_prune lexsorts by (distance, id).
-    ref = construction_beam_batch(graph, dataset, starts, Q, beam_width=40, store=store)
-    assert [len(ids) for ids, _ in ref] == [40] * len(Q), kind
-    for backend in backends:
-        got = construction_beam_batch(
-            graph, dataset, starts, Q, beam_width=40, store=store, backend=backend
-        )
-        assert len(got) == len(ref), (kind, backend)
-        for pools in zip(got, ref):
-            if kind == "sq8-linf":
-                pools = [_by_distance_then_id(*pool) for pool in pools]
-            (ids, dists), (ref_ids, ref_dists) = pools
-            assert np.array_equal(ids, ref_ids), (kind, backend)
-            assert np.array_equal(dists, ref_dists), (kind, backend)
-
-
-def _by_distance_then_id(ids, dists):
-    order = np.lexsort((ids, dists))
-    return ids[order], dists[order]
 
 
 class _LeftToRightL2(EuclideanMetric):
@@ -459,35 +435,26 @@ class TestBlockExpansion:
         assert (results[0].evals == index.n).all()
 
 
-def _entry_point_calls(metric, store_kinds):
+def _entry_point_calls(metric):
     """Call each construction entry point once on a small workload under
-    ``metric``: ``run_construction`` once per store kind, the three that
-    take coordinates alone once.  Each one's result, or the
+    ``metric`` (a wave's location is ``run_beam``, which the search tests
+    cover for every store kind).  Each one's result, or the
     UnsupportedWorkloadError it raised."""
     rng = np.random.default_rng(9)
     n, d = 40, 3
     points = rng.standard_normal((n, d))
     dataset = Dataset(metric, points)
-    graph = ProximityGraph(n, rng.integers(0, n, (n, 6)))
-    Q = rng.standard_normal((4, d))
-    starts = np.zeros(len(Q), dtype=np.int64)
     pool = (np.arange(1, 9), metric.distances(points[0], points[1:9]))
+    pools = BeamBatch(pool[0][None], pool[1][None], np.ones(1, dtype=np.int64))
     calls = {
-        f"run_construction[{store_kind}]": functools.partial(
-            dispatch.run_construction, graph, dataset, starts, Q, 8,
-            store=make_store(store_kind, metric, points, seed=0),
-        )
-        for store_kind in store_kinds
-    }
-    calls.update({
         "run_robust_prune": lambda: dispatch.run_robust_prune(
             dataset, 0, pool[0], pool[1], 1.2, 4
         ),
         "run_commit_wave": lambda: dispatch.run_commit_wave(
-            dataset, [0], [pool], 1.2, 4, True, CommitMirror(n, 0, 4)
+            dataset, [0], pools, 1.2, 4, True, CommitMirror(n, 0, 4)
         ),
         "run_traverse": lambda: dispatch.run_traverse(dataset, 0, None, None),
-    })
+    }
     outcomes = {}
     for name, call in calls.items():
         try:
@@ -525,10 +492,10 @@ class TestPlannerCoverage:
         try:
             accel.warm(backend)
             compiled = {
-                name: _entry_point_calls(metric, STORAGE_KINDS)
+                name: _entry_point_calls(metric)
                 for name, metric in metrics.items()
             }
-            refused = _entry_point_calls(MinkowskiMetric(3.0), STORAGE_KINDS)
+            refused = _entry_point_calls(MinkowskiMetric(3.0))
         finally:
             accel.reset()
         for metric, outcomes in compiled.items():

@@ -1,8 +1,8 @@
 """Compiled construction vs the numpy wave engine.
 
-The accel build path (``repro.accel.run_construction`` /
-``run_robust_prune`` / ``run_commit_wave`` behind the ``backend=`` seam
-of the insertion builders) must produce graphs *bit-identical* to the
+The accel build path (``repro.accel.run_beam`` locating each wave,
+``run_robust_prune`` / ``run_commit_wave`` committing it, behind the
+``backend=`` seam of the insertion builders) must produce graphs *bit-identical* to the
 numpy wave engine — same adjacency, same order — on every workload it
 accepts, and must follow the same selection semantics as search: an
 explicitly requested backend that cannot run raises, ``"auto"`` falls

@@ -1,5 +1,5 @@
 """Tests for the batched construction engine: the ``bulk_insert`` wave
-driver, the vectorized construction beam, and the builders' batched
+schedule, wave location by the search beam, and the builders' batched
 paths.
 
 The contract under test (ISSUE 2): ``batch_size=1`` must be
@@ -18,14 +18,15 @@ import pytest
 from repro import ProximityGraphIndex, accel
 from repro.baselines import HNSWIndex, NSWIndex, VamanaIndex
 from repro.baselines.diskann import build_diskann_slow
+from repro.baselines.nsw import beam_pairs
 from repro.core import build, compute_ground_truth_k
 from repro.graphs import (
     ProximityGraph,
     beam_search_batch,
     bulk_insert,
-    construction_beam_batch,
     snapshot_graph,
 )
+from repro.graphs.engine import RepairInserter, locate_wave_pools
 from repro.metrics import Dataset, EuclideanMetric
 from repro.metrics.scaling import normalize_min_distance
 from repro.workloads import gaussian_clusters, uniform_cube, uniform_queries
@@ -132,11 +133,37 @@ class TestSnapshotGraph:
 
 
 # ----------------------------------------------------------------------
-# construction_beam_batch
+# Wave location is the search beam
 # ----------------------------------------------------------------------
 
+WAVE_BACKENDS = ["numpy", *accel.available_backends()]
 
-class TestConstructionBeam:
+
+class TestWavesRunTheSearchBeam:
+    """Every insertion builder locates a wave with the search beam: each
+    member's pool is its row of ``beam_search_batch(..., k=beam_width)``
+    over the frozen prefix, on numpy and on every compiled backend."""
+
+    N, WAVE = 300, 40
+
+    @pytest.fixture(autouse=True)
+    def _reset_accel(self):
+        yield
+        accel.reset()
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        pts = np.random.default_rng(21).standard_normal((self.N, 4))
+        return Dataset(EuclideanMetric(), pts)
+
+    def _wave(self):
+        return np.random.default_rng(22).permutation(self.N)[: self.WAVE].tolist()
+
+    def _beam(self, graph, ds, starts, pids, width):
+        return beam_search_batch(
+            graph, ds, starts, ds.points[pids], beam_width=width, k=width
+        )
+
     def test_exact_on_complete_graph(self):
         """On the complete graph one expansion reveals every vertex, so
         the pool must equal the exact top-ef neighbors."""
@@ -146,48 +173,84 @@ class TestConstructionBeam:
         queries = uniform_queries(10, np.asarray(ds.points), rng)
         starts = rng.integers(ds.n, size=10)
         ef = 8
-        pools = construction_beam_batch(g, ds, starts, queries, beam_width=ef)
+        pools = beam_search_batch(g, ds, starts, queries, beam_width=ef, k=ef)
         gt_ids, _ = compute_ground_truth_k(ds, queries, k=ef)
-        for (ids, dists), want in zip(pools, gt_ids):
+        for ids, dists, want in zip(pools.ids, pools.dists, gt_ids):
             assert sorted(ids.tolist()) == sorted(want.tolist())
             assert list(dists) == sorted(dists)
-
-    def test_matches_scalar_beam_pools(self):
-        """On a navigable sparse graph the vectorized construction beam's
-        pool should agree with the search beam's pool for the same width."""
-        ds = _dataset(n=120)
-        g = build("vamana", ds, 1.0, np.random.default_rng(0), max_degree=8).graph
-        rng = np.random.default_rng(4)
-        queries = uniform_queries(15, np.asarray(ds.points), rng)
-        starts = rng.integers(ds.n, size=15)
-        pools = construction_beam_batch(g, ds, starts, queries, beam_width=12)
-        ref = beam_search_batch(g, ds, starts, queries, beam_width=12, k=12)
-        agree = 0
-        for i, (ids, _d) in enumerate(pools):
-            want = ref.ids[i][ref.ids[i] >= 0]
-            agree += set(ids.tolist()) == set(want.tolist())
-        assert agree >= 13  # identical pools up to tie handling
-
-    def test_multi_expansion_matches_single(self):
-        ds = _dataset(n=120)
-        g = build("vamana", ds, 1.0, np.random.default_rng(0), max_degree=8).graph
-        rng = np.random.default_rng(4)
-        queries = uniform_queries(10, np.asarray(ds.points), rng)
-        starts = rng.integers(ds.n, size=10)
-        a = construction_beam_batch(g, ds, starts, queries, 12, expand_per_round=1)
-        b = construction_beam_batch(g, ds, starts, queries, 12, expand_per_round=4)
-        same = sum(
-            set(x[0].tolist()) == set(y[0].tolist()) for x, y in zip(a, b)
-        )
-        assert same >= 8  # speculative expansion may add, never lose, quality
 
     def test_validation(self):
         ds = _dataset(n=10)
         g = build("knn", ds, 1.0, k=3).graph
         with pytest.raises(ValueError):
-            construction_beam_batch(g, ds, [0], [ds.points[0]], beam_width=0)
+            beam_search_batch(g, ds, [0], [ds.points[0]], beam_width=0)
         with pytest.raises(ValueError):
-            construction_beam_batch(g, ds, [0, 1], [ds.points[0]], beam_width=4)
+            beam_search_batch(g, ds, [0, 1], [ds.points[0]], beam_width=4)
+
+    @pytest.mark.parametrize("backend", WAVE_BACKENDS)
+    def test_vamana_wave(self, ds, backend):
+        index = VamanaIndex(
+            ds, np.random.default_rng(0), max_degree=8, beam_width=24,
+            batch_size=64, backend=backend,
+        )
+        pids = self._wave()
+        want = self._beam(
+            index._rows.snapshot(), ds, [index.entry_point] * len(pids), pids, 24
+        )
+        assert index.locate_wave(pids) == want
+
+    @pytest.mark.parametrize("backend", WAVE_BACKENDS)
+    def test_repair_wave(self, ds, backend):
+        n0 = self.N - self.WAVE
+        base = VamanaIndex(
+            Dataset(EuclideanMetric(), ds.points[:n0]), np.random.default_rng(0),
+            max_degree=8, batch_size=64,
+        ).graph()
+        inserter = RepairInserter(ds, base, 5, 8, 32, backend=backend)
+        pids = list(range(n0, self.N))
+        rows = [base.out_neighbors(u) for u in range(n0)] + [[]] * self.WAVE
+        snap = snapshot_graph(self.N, rows)
+        want = self._beam(snap, ds, [5] * len(pids), pids, 32)
+        got = locate_wave_pools(ds, inserter._rows, 5, pids, 32, backend=backend)
+        assert got == want
+
+    @pytest.mark.parametrize("backend", WAVE_BACKENDS)
+    def test_nsw_wave(self, ds, backend):
+        index = NSWIndex(ds, np.random.default_rng(0), m=5, backend=backend)
+        pids = self._wave()
+        snap = snapshot_graph(self.N, index._adj)
+        ef = index.ef_construction
+        want = self._beam(snap, ds, [index._members[0]] * len(pids), pids, ef)
+        assert index.locate_wave(pids) == beam_pairs(want)
+
+    @pytest.mark.parametrize("backend", WAVE_BACKENDS)
+    def test_hnsw_wave(self, ds, backend):
+        index = HNSWIndex(
+            ds, np.random.default_rng(0), m=4, ef_construction=16, backend=backend
+        )
+        top = index.max_level
+        assert top >= 2
+        # Every member inserts at level 1: it descends the layers above at
+        # width 1, then collects ``ef_construction`` candidates at 1 and 0.
+        index._draw_level = lambda rng: 1
+        pids = self._wave()
+        layers = [
+            snapshot_graph(self.N, [index._adj[lvl].get(u, ()) for u in range(self.N)])
+            for lvl in range(top + 1)
+        ]
+        entry = np.full(len(pids), index.entry_point)
+        want = {}
+        for lvl in range(top, -1, -1):
+            if lvl > 1:
+                entry = self._beam(layers[lvl], ds, entry, pids, 1).ids[:, 0]
+            else:
+                found = self._beam(layers[lvl], ds, entry, pids, 16)
+                want[lvl] = beam_pairs(found)
+                entry = found.ids[:, 0]
+        pools = index.locate_wave(pids)
+        assert [level for level, _ in pools] == [1] * len(pids)
+        for i, (_, by_level) in enumerate(pools):
+            assert by_level == {1: want[1][i], 0: want[0][i]}, i
 
 
 # ----------------------------------------------------------------------

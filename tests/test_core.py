@@ -3,12 +3,17 @@ measurement helpers."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import (
+    BuiltGraph,
+    IdMap,
     ProximityGraphIndex,
     SearchParams,
+    ShardedIndex,
     available_builders,
     build,
     measure_queries,
@@ -16,6 +21,8 @@ from repro.core import (
     timed,
 )
 from repro.baselines import build_complete_graph
+from repro.cli import main
+from repro.graphs import ProximityGraph
 from repro.metrics import Dataset, EuclideanMetric, TreeMetric
 from repro.workloads import uniform_cube
 
@@ -179,3 +186,51 @@ class TestMeasureQueries:
         out, seconds = timed(lambda: 41 + 1)
         assert out == 42
         assert seconds >= 0.0
+
+
+class TestUnreachable:
+    """``unreachable``: live points with no in-edge, the points a search
+    returns only when it starts there."""
+
+    # 0 <-> 1 <-> 2 is the core; 3 -> 0 has no in-edge (an orphan);
+    # 4 -> 5 is 5's only in-edge and 4 is tombstoned: 5 stays reachable
+    # through it, and 4 itself is not live.
+    ROWS = [[1], [0, 2], [1], [0], [5], []]
+
+    @classmethod
+    def _index(cls, first_id=0, graph=None):
+        pts = np.random.default_rng(0).standard_normal((6, 2))
+        graph = ProximityGraph(6, cls.ROWS) if graph is None else graph
+        return ProximityGraphIndex(
+            Dataset(EuclideanMetric(), pts),
+            BuiltGraph("hand", graph, 1.0, False),
+            scale=1.0,
+            id_map=IdMap(np.arange(first_id, first_id + 6)),
+            tombstones=np.array([False, False, False, False, True, False]),
+        )
+
+    def test_flat_index(self):
+        index = self._index()
+        assert index.unreachable_count == 1
+        assert index.stats()["unreachable"] == 1
+
+    def test_a_corrupt_target_reaches_nothing(self):
+        # A file whose ids leave [0, n) still gets a count (``index info``
+        # prints it before --validate names the violation).  1 -> 2 now
+        # points at -1 and 3 -> 0 at 6 and 9: ids out of range reach
+        # nothing, so 2 joins 3 as unreachable, and 0 keeps 1 -> 0.
+        offsets = np.array([0, 1, 3, 4, 6, 7, 7])
+        targets = np.array([1, 0, -1, 1, 6, 9, 5], dtype=np.int32)
+        graph = ProximityGraph.from_csr(6, offsets, targets, validate=False)
+        assert self._index(graph=graph).unreachable_count == 2
+
+    def test_sharded_index_sums_its_shards(self):
+        sharded = ShardedIndex([self._index(0), self._index(6)])
+        stats = sharded.stats()
+        assert sharded.unreachable_count == stats["unreachable"] == 2
+        assert [s["unreachable"] for s in stats["per_shard"]] == [1, 1]
+
+    def test_index_info(self, tmp_path, capsys):
+        path = self._index().save(tmp_path / "hand.npz")
+        assert main(["index", "info", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["unreachable"] == 1

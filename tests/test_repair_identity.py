@@ -30,7 +30,7 @@ from repro import ProximityGraphIndex, accel
 from repro.core.builders import BuiltGraph
 from repro.graphs.base import ProximityGraph
 from repro.graphs.engine import (
-    construction_beam_batch,
+    beam_search_batch,
     prune_and_link,
     snapshot_graph,
 )
@@ -71,18 +71,21 @@ def reference_repair(
     entry = int(sample[np.argmin(pair.sum(axis=1))])
     for lo in range(0, count, batch_size):
         wave = list(range(n_old + lo, n_old + min(lo + batch_size, count)))
-        pools = construction_beam_batch(
+        width = max(32, 2 * degree_cap)
+        pools = beam_search_batch(
             snapshot_graph(len(adj), adj),
             dataset,
             [entry] * len(wave),
             dataset.points[wave],
-            beam_width=max(32, 2 * degree_cap),
+            beam_width=width,
+            k=width,
         )
-        for pid, (ids, dists) in zip(wave, pools):
+        for pid, ids, dists in zip(wave, pools.ids, pools.dists):
+            found = ids >= 0
             prune_and_link(
                 dataset, adj, pid,
-                np.asarray(ids, dtype=np.intp),
-                np.asarray(dists, dtype=np.float64),
+                np.asarray(ids[found], dtype=np.intp),
+                np.asarray(dists[found], dtype=np.float64),
                 1.2, degree_cap,
             )
     return ProximityGraph(len(adj), adj)

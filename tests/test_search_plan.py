@@ -34,8 +34,8 @@ And of the row split (ISSUE 21), which ``M = 12`` rows never reach:
 * a call cut into chunks and run on helper threads is still its rows: a
   70-row batch equals its rows searched one at a time for flat / sq8
   x RAM / mmap x plain / ``allowed_ids`` / ``budget`` with 1 to 4
-  usable cores (more than this box has: uneven chunks, idle helpers),
-  and a 300-row construction wave equals the one-thread wave;
+  usable cores (more than this box has: uneven chunks, idle helpers) —
+  a build wave's location is the same ``run_beam`` call;
 * the helper threads are one pool for every caller: two threads issuing
   split batches on one index return the serial answers;
 * a child process, forked or spawned after the parent's helper threads
@@ -492,31 +492,6 @@ def test_a_split_batch_equals_its_rows_searched_alone(
             assert a.dtype == b.dtype and np.array_equal(a, b), (i, field)
     # The batch was split over every core, a single row never is.
     assert cores.helpers == ([usable - 1] if usable > 1 else [])
-
-
-@needs_cffi
-def test_a_split_construction_wave_equals_the_one_thread_wave(indexes, cores):
-    index = indexes["flat", "ram"]
-    rng = np.random.default_rng(73)
-    wave = rng.uniform(size=(300, DIM))
-    starts = rng.integers(index.n, size=len(wave))
-
-    def locate():
-        return accel.run_construction(
-            index.graph, index.dataset, starts, wave, beam_width=24
-        )
-
-    cores(1)
-    alone = locate()
-    assert not cores.helpers
-    for usable in (2, 3):
-        cores(usable)
-        split = locate()
-        assert cores.helpers.pop() == usable - 1
-        assert len(split) == len(alone)
-        for (ids, dists), (want_ids, want_dists) in zip(split, alone):
-            assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
-            assert dists.dtype == want_dists.dtype and np.array_equal(dists, want_dists)
 
 
 @needs_cffi

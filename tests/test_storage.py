@@ -138,16 +138,17 @@ def test_flat_start_distances_are_scalar_row_by_row(points, metric, mapped, tmp_
 
 
 # ----------------------------------------------------------------------
-# Engine construction path over a store
+# The search beam over a store
 # ----------------------------------------------------------------------
 
 
-def test_construction_beam_batch_traverses_a_store(points):
-    """The construction engine's ``store`` hook: traversal over SQ8
-    codes equals traversal over the dequantized points (the store view
-    *is* the metric over decoded candidates), and a FlatStore equals
-    the default exact path bit for bit."""
-    from repro.graphs.engine import construction_beam_batch
+def test_beam_search_batch_traverses_a_store(points):
+    """The beam's ``store`` hook (search, and every build wave's
+    location): traversal over SQ8 codes equals traversal over the
+    dequantized points (the store view *is* the metric over decoded
+    candidates), and a FlatStore equals the default exact path bit for
+    bit."""
+    from repro.graphs.engine import beam_search_batch
     from repro.metrics.base import Dataset
 
     metric = EuclideanMetric()
@@ -160,24 +161,15 @@ def test_construction_beam_batch_traverses_a_store(points):
     Q = rng.normal(size=(6, points.shape[1]))
     starts = rng.integers(len(points), size=6)
 
-    plain = construction_beam_batch(graph, dataset, starts, Q, beam_width=12)
-    via_flat = construction_beam_batch(
-        graph, dataset, starts, Q, beam_width=12,
-        store=FlatStore(metric, points),
-    )
-    for (ids_a, d_a), (ids_b, d_b) in zip(plain, via_flat):
-        assert np.array_equal(ids_a, ids_b) and np.array_equal(d_a, d_b)
+    def beam(dataset, store=None):
+        return beam_search_batch(
+            graph, dataset, starts, Q, beam_width=12, k=12, store=store
+        )
 
+    assert beam(dataset) == beam(dataset, FlatStore(metric, points))
     store = make_store("sq8", metric, points)
     decoded = decode_sq8(store.params, store.codes)
-    via_store = construction_beam_batch(
-        graph, dataset, starts, Q, beam_width=12, store=store
-    )
-    over_decoded = construction_beam_batch(
-        graph, Dataset(metric, decoded), starts, Q, beam_width=12
-    )
-    for (ids_a, d_a), (ids_b, d_b) in zip(via_store, over_decoded):
-        assert np.array_equal(ids_a, ids_b) and np.array_equal(d_a, d_b)
+    assert beam(dataset, store) == beam(Dataset(metric, decoded))
 
 
 # ----------------------------------------------------------------------
