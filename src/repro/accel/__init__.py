@@ -10,7 +10,8 @@ query batch inside compiled code instead:
 * CSR neighbor gather straight from ``graph.csr()`` arrays (int64 row
   pointers, int32 vertex ids, bound without a copy),
 * one sorted beam array for the candidate queue and result pool,
-* a generation-stamped visited array (allocated once per batch),
+* a generation-stamped visited array, per-thread scratch of the
+  index's search plan whose stamps carry on from call to call,
 * inline Euclidean / Chebyshev distance evaluation, flat or SQ8, against the
   contiguous point / code arrays,
 * ``allowed``-mask and ``budget`` semantics replicated operation for
@@ -39,10 +40,14 @@ compiled once per worker process), and ``measure_queries``:
   run here (e.g. no C compiler).
 
 Reported distances are bit-identical to the numpy engines by
-construction: kernels drive the traversal with their own deterministic
-float64 arithmetic, and the dispatch layer re-evaluates every reported
-candidate through the same per-batch distance view the numpy path
-uses.
+construction.  Kernels drive the traversal with their own deterministic
+float64 arithmetic, start distance included.  A flat search's reported
+candidates are re-evaluated by the dispatch layer through the same
+per-batch distance view the numpy path uses.  The two-stage search over
+a quantized store is one kernel call: it reranks its pool on the raw
+rows and reports those floats, which the numpy rerank
+(``storage.base.exact_distances``) sums in the same left-to-right
+order.
 
 Insertion builds run compiled the same way.  A wave's candidate
 location *is* a search — :func:`run_beam` over the prefix graph with

@@ -29,9 +29,11 @@ sums its coordinates left to right in float64.  numpy's ``einsum`` may
 sum in another, SIMD-dependent order, so a decision can differ from the
 engines' only where a comparison flips at 1-ulp scale; the equivalence
 suites pin the kernels against the engines, over a left-to-right-summing
-L2 where that order decides ties.  Reported distances are the engines'
-own: dispatch re-evaluates them through the numpy distance view, and its
-warm-time self-check runs before the backend serves any search.
+L2 where that order decides ties.  A flat beam's reported distances are
+the engines' own: dispatch re-evaluates them through the numpy distance
+view.  The two-stage beam reports its rerank's floats, sums the numpy
+rerank makes in the same order.  The warm-time self-check runs both
+before the backend serves any search.
 
 Build artifacts are content-addressed (source hash + compiler) and
 cached under ``$REPRO_ACCEL_CACHE`` (default: a per-user directory in
@@ -81,12 +83,14 @@ _SOURCE = r"""
 
 /* What a kernel call binds: the CSR graph (int64 row pointers, int32
  * vertex ids), the stored vectors and, in the copy each thread searches
- * through, that thread's beam scratch. */
+ * through, that thread's beam scratch.  data holds the raw float64 rows:
+ * a flat plan walks them, an sq8 plan walks codes and reranks its pool on
+ * them under exact_kind and exact_factor. */
 typedef struct {
     const int64_t *offsets;
     const int32_t *targets;
-    int32_t kind;
-    double factor;
+    int32_t kind, exact_kind;
+    double factor, exact_factor;
     const double *data, *minv, *scale;
     const uint8_t *codes;
     int64_t ddim, cdim;
@@ -283,13 +287,42 @@ static int64_t beam_trim(const double *cd, int64_t *cv, int64_t size, int evict,
     return size;
 }
 
+/* dist_block outside repro_beam's expansion loop: the start and the
+ * rerank call it once a row, and a third inlined copy of the switch costs
+ * the loop's code ~8 % on 64-row flat calls. */
+static __attribute__((noinline)) void dist_once(
+    const repro_plan *p, const double *q, const int64_t *vs, int64_t nb, double *out)
+{
+    dist_block(p, q, vs, nb, out);
+}
+
+/* Rank the n pool ids in v by (d, v) ascending, d their distances. */
+static __attribute__((noinline)) void rank_pool(double *d, int64_t *v, int64_t n)
+{
+    for (int64_t i = 1; i < n; i++) {
+        double di = d[i];
+        int64_t vi = v[i], j = i;
+        for (; j > 0 && (d[j - 1] > di || (d[j - 1] == di && v[j - 1] > vi)); j--) {
+            d[j] = d[j - 1];
+            v[j] = v[j - 1];
+        }
+        d[j] = di;
+        v[j] = vi;
+    }
+}
+
+/* The beam, then the report.  rerank_k == 0 reports each row's pool into
+ * out_ids, k_fetch a row.  rerank_k > 0 is the two-stage search's exact
+ * stage: the first k_fetch pool entries are evaluated on the raw rows,
+ * ranked by (d, v), and the first rerank_k written to out_ids and out_d,
+ * rerank_k a row; their evaluations count in out_evals. */
 int64_t repro_beam(
     const repro_plan *plan,
     const double *Q, int64_t qdim,
-    const int64_t *starts, const double *d0, int64_t nq,
-    int64_t beam_width, int64_t k_fetch, int64_t budget,
+    const int64_t *starts, int64_t nq,
+    int64_t beam_width, int64_t k_fetch, int64_t rerank_k, int64_t budget,
     const uint8_t *allowed, int32_t has_allowed,
-    int64_t *out_ids, int64_t *out_evals, int64_t gen0)
+    int64_t *out_ids, double *out_d, int64_t *out_evals, int64_t gen0)
 {
     const int64_t *offsets = plan->offsets;
     int32_t *visited = plan->visited;
@@ -299,21 +332,27 @@ int64_t repro_beam(
     double dblk[BLOCK];
     double *hd = cand_d + cap - 1;
     int64_t *hv = cand_v + cap - 1;
+    repro_plan exact = *plan;
+    exact.kind = plan->exact_kind;
+    exact.factor = plan->exact_factor;
     for (int64_t qi = 0; qi < nq; qi++) {
+        const double *q = Q + qi * qdim;
         int32_t gen = (int32_t)(gen0 + qi + 1);
         int64_t s = starts[qi];
+        double d0;
+        dist_once(plan, q, &s, 1, &d0);
         /* size array entries, psize of them in the pool, whose largest d is
          * worst once psize == L; hsize vertices on the routing heap. */
         int64_t size = 0, cur = 0, psize = 0, hsize = 0;
         double worst = INFINITY;
         if (has_allowed == 0 || allowed[s] != 0) {
-            cand_d[0] = d0[qi];
+            cand_d[0] = d0;
             cand_v[0] = s << 2 | IN_POOL;
             size = psize = 1;
             if (beam_width == 1)
-                worst = d0[qi];
+                worst = d0;
         } else {
-            route_push(hd, hv, hsize++, d0[qi], s);
+            route_push(hd, hv, hsize++, d0, s);
         }
         visited[s] = gen;
         int64_t evals = 1;
@@ -349,7 +388,7 @@ int64_t repro_beam(
                     take = budget - evals;
                 for (int64_t b = 0; b < take; b++)
                     visited[blk[b]] = gen;
-                dist_block(plan, Q + qi * qdim, blk, take, dblk);
+                dist_block(plan, q, blk, take, dblk);
                 evals += take;
                 for (int64_t b = 0; b < take; b++) {
                     double dv = dblk[b];
@@ -386,14 +425,28 @@ int64_t repro_beam(
         }
     report:
         /* The pool in array order: ascending (d, v), the numpy path's
-         * sorted((-d, v)) report order; -1 pads the row. */
-        {
+         * sorted((-d, v)) report order; -1 pads the row.  The rerank
+         * moves it to the array's front instead: the heap is done with. */
+        if (rerank_k == 0) {
             int64_t *row = out_ids + qi * k_fetch, n_out = 0;
             for (int64_t a = 0; a < size && n_out < k_fetch; a++)
                 if ((cand_v[a] & IN_POOL) != 0)
                     row[n_out++] = cand_v[a] >> 2;
             while (n_out < k_fetch)
                 row[n_out++] = -1;
+        } else {
+            int64_t *row = out_ids + qi * rerank_k, n_pool = 0;
+            double *drow = out_d + qi * rerank_k;
+            for (int64_t a = 0; a < size && n_pool < k_fetch; a++)
+                if ((cand_v[a] & IN_POOL) != 0)
+                    cand_v[n_pool++] = cand_v[a] >> 2;
+            dist_once(&exact, q, cand_v, n_pool, cand_d);
+            evals += n_pool;
+            rank_pool(cand_d, cand_v, n_pool);
+            for (int64_t a = 0; a < rerank_k; a++) {
+                row[a] = a < n_pool ? cand_v[a] : -1;
+                drow[a] = a < n_pool ? cand_d[a] : INFINITY;
+            }
         }
         out_evals[qi] = evals;
     }
@@ -919,7 +972,9 @@ def _u8(ffi, arr: np.ndarray):
     return ffi.from_buffer("uint8_t[]", arr)
 
 
-def _plan_fields(ffi, offsets, targets, kind, factor, data, codes, minv, scale):
+def _plan_fields(
+    ffi, offsets, targets, kind, factor, data, codes, minv, scale, exact_kind, exact_factor,
+):
     """A ``repro_plan``'s graph and vector fields; keep them while it lives.
     ``from_buffer`` reads any buffer as the type it is given, so the CSR
     widths are checked here: int64 offsets, int32 targets."""
@@ -932,6 +987,7 @@ def _plan_fields(ffi, offsets, targets, kind, factor, data, codes, minv, scale):
     return {
         "offsets": buf(i64, offsets), "targets": buf("int32_t[]", targets),
         "kind": int(kind), "factor": float(factor),
+        "exact_kind": int(exact_kind), "exact_factor": float(exact_factor),
         "data": buf(f64, data), "ddim": data.shape[1],
         "codes": buf("uint8_t[]", codes), "cdim": codes.shape[1],
         "minv": buf(f64, minv), "scale": buf(f64, scale),
@@ -950,14 +1006,12 @@ class SearchKernels:
     mapping) alive and refuses one that is not C-contiguous.
     """
 
-    def __init__(self, offsets, targets, kind, factor, data, codes, minv, scale):
+    def __init__(self, offsets, targets, *layout):
         self._lib, self._ffi = _load()
         self._buf = self._ffi.from_buffer
         self._f64 = self._ffi.typeof("double[]")
         self._i64 = self._ffi.typeof("int64_t[]")
-        self._fields = _plan_fields(
-            self._ffi, offsets, targets, kind, factor, data, codes, minv, scale
-        )
+        self._fields = _plan_fields(self._ffi, offsets, targets, *layout)
         self._plan = self._ffi.new("repro_plan *", self._fields)
 
     def scratch(self, visited, cand_d, cand_v):
@@ -971,21 +1025,23 @@ class SearchKernels:
         return self._ffi.new("repro_plan *", {**self._fields, **held, "cap": len(cand_d)}), held
 
     def beam(
-        self, Q, starts, d0, beam_width, k_fetch, budget, allowed, has_allowed,
-        out_ids, out_evals, gen0, plan, _held,
+        self, Q, starts, beam_width, k_fetch, rerank_k, budget, allowed, has_allowed,
+        out_ids, out_d, out_evals, gen0, plan, _held,
     ):
         """``engine.beam_search_batch`` over the rows of ``Q``: each row's
         pool ascending by ``(distance, vertex)`` into ``out_ids`` (``-1``
-        past its size), its exact eval count into ``out_evals``.  A
-        ``budget`` below 0 is none.  Row ``i`` stamps ``visited`` with
-        ``gen0 + i + 1``, so ``gen0`` is at least every stamp it holds."""
+        past its size), its exact eval count into ``out_evals``.  With
+        ``rerank_k > 0`` the pool is reranked on the raw rows first and its
+        first ``rerank_k`` written, distances into ``out_d``.  A ``budget``
+        below 0 is none.  Row ``i`` stamps ``visited`` with ``gen0 + i +
+        1``, so ``gen0`` is at least every stamp it holds."""
         buf, f64, i64 = self._buf, self._f64, self._i64
         return self._lib.repro_beam(
             plan, buf(f64, Q), Q.shape[1],
-            buf(i64, starts), buf(f64, d0), starts.shape[0],
-            beam_width, k_fetch, budget,
+            buf(i64, starts), starts.shape[0],
+            beam_width, k_fetch, rerank_k, budget,
             buf("uint8_t[]", allowed) if has_allowed else self._ffi.NULL, has_allowed,
-            buf(i64, out_ids), buf(i64, out_evals), gen0,
+            buf(i64, out_ids), buf(f64, out_d), buf(i64, out_evals), gen0,
         )
 
     def greedy(

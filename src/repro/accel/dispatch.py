@@ -44,13 +44,16 @@ of helper threads — one per further usable core
 so they run at once.  A short call or one core is
 the same function with the caller as its only worker.
 
-Reported distances are **evaluated through the same numpy distance
-view** the engines use (``FlatQueryView`` / SQ8 ``segmented``),
-so a compiled search returns bit-identical floats whenever it makes the
-same routing decisions — and the kernels replicate the engines' decision
-arithmetic (see :mod:`repro.accel.cbackend`).  :func:`run_beam` leaves
-that evaluation to the first read of ``BeamBatch.dists``: the two-stage
-search over a quantized store reranks from the ids and never reads them.
+Reported distances of a plain beam are **evaluated through the same
+numpy distance view** the engines use (``FlatQueryView`` / SQ8
+``segmented``), so a compiled search returns bit-identical floats
+whenever it makes the same routing decisions — and the kernels replicate
+the engines' decision arithmetic (see :mod:`repro.accel.cbackend`).
+:func:`run_beam` leaves that evaluation to the first read of
+``BeamBatch.dists``.  With ``rerank`` (the two-stage search over a
+quantized store) the kernel reranks its own pool on the raw rows and
+writes the final top-k: one call, no numpy pass after it, and floats the
+numpy rerank reproduces (``storage.base.exact_distances``).
 
 The G-net build asks for nothing: :func:`run_traverse` and
 :func:`run_in_edge_csr` run on cffi wherever it is (checked once, as by
@@ -73,10 +76,11 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.accel import cbackend as _C
-from repro.graphs.engine import _check_budget, _distance_view
+from repro.graphs.engine import _check_budget, _check_rerank, _distance_view
 from repro.graphs.greedy import BeamBatch, GreedyResult
 from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric
 from repro.storage.base import decompose_metric
+from repro.storage.disk import DiskTierStore
 
 __all__ = [
     "AccelError",
@@ -194,9 +198,9 @@ def warm(backend: str | None = None) -> dict[str, Any]:
     ``"cffi"`` warms it or raises :class:`AccelUnavailableError`.
 
     Warming compiles-or-dlopens the cached shared object and runs a small
-    beam + greedy + prune + wave-commit + G-net traversal workload
-    against the numpy engines, refusing to install kernels that do not
-    reproduce them exactly.  The elapsed time is recorded as
+    beam + two-stage beam + greedy + prune + wave-commit + G-net traversal
+    workload against the numpy engines, refusing to install kernels that
+    do not reproduce them exactly.  The elapsed time is recorded as
     ``compile_seconds``; kernels a G-net build has already checked are
     not checked again.
     """
@@ -388,7 +392,9 @@ class _Plan:
     distance mode and the exported arrays.  Nothing in it depends on the
     query batch, so a search plan keeps it for as long as it lives."""
 
-    __slots__ = ("kind", "factor", "dim", "data", "codes", "minv", "scale")
+    __slots__ = (
+        "kind", "factor", "dim", "data", "codes", "minv", "scale", "exact_kind", "exact_factor",
+    )
 
 
 _EMPTY_F2 = np.empty((0, 0), dtype=np.float64)
@@ -433,10 +439,12 @@ def _plan(dataset: Any, store: Any, Q: np.ndarray) -> _Plan:
     already C-contiguous mapping returns a zero-copy ndarray view — the
     kernels then read straight from the page cache, and the hot tier's
     lazy-attach property survives compiled traversal (pinned by
-    ``tests/test_persistence_disk.py``).  A ``DiskTierStore`` is
-    invisible here: it delegates ``kind``/``codes``/``params``/
-    ``metric``/``bind`` to its inner store.
+    ``tests/test_persistence_disk.py``).  A ``DiskTierStore`` delegates
+    ``kind``/``codes``/``params``/``metric``/``bind`` to its inner store;
+    only the raw rows an sq8 plan reranks on are its own, the mapped
+    ``vectors``, so a mapped index's search never reads ``dataset.points``.
     """
+
     plan = _Plan()
     plan.data = _EMPTY_F2
     plan.codes = _EMPTY_U2
@@ -450,6 +458,7 @@ def _plan(dataset: Any, store: Any, Q: np.ndarray) -> _Plan:
         plan.kind, plan.factor = _coord_kind(
             view.metric, _C.KIND_FLAT_L2, _C.KIND_FLAT_LINF
         )
+        plan.exact_kind, plan.exact_factor = plan.kind, plan.factor
         plan.dim = plan.data.shape[1]
     elif kind == "sq8":
         plan.kind, plan.factor = _coord_kind(
@@ -459,6 +468,15 @@ def _plan(dataset: Any, store: Any, Q: np.ndarray) -> _Plan:
         plan.minv = np.ascontiguousarray(store.params.minv, dtype=np.float64)
         plan.scale = np.ascontiguousarray(store.params.scale, dtype=np.float64)
         plan.dim = plan.codes.shape[1]
+        raw = store.vectors if isinstance(store, DiskTierStore) else dataset.points
+        plan.data = _coords_f64(raw, "points")
+        if plan.data.shape != plan.codes.shape:
+            raise UnsupportedWorkloadError(
+                f"the raw rows {plan.data.shape} do not match the codes {plan.codes.shape}"
+            )
+        plan.exact_kind, plan.exact_factor = _coord_kind(
+            dataset.metric, _C.KIND_FLAT_L2, _C.KIND_FLAT_LINF
+        )
     else:
         raise UnsupportedWorkloadError(
             f"no compiled kernel for store kind {kind!r}; use backend='numpy'"
@@ -549,6 +567,7 @@ class _SearchPlan:
         self.kernels = _C.SearchKernels(
             *graph.csr(), layout.kind, layout.factor,
             layout.data, layout.codes, layout.minv, layout.scale,
+            layout.exact_kind, layout.exact_factor,
         )
         self._local = threading.local()
 
@@ -583,9 +602,7 @@ def _allowed_arg(allowed: np.ndarray | None) -> tuple[np.ndarray | None, int]:
     return np.ascontiguousarray(allowed).view(np.uint8), 1
 
 
-def _reported_distances(
-    view: Any, ids: np.ndarray, starts: np.ndarray, d0: np.ndarray
-) -> np.ndarray:
+def _reported_distances(view: Any, ids: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Distances of the reported ``(m, k)`` ids through the numpy view,
     ``inf`` where a row is padded — the floats the engines report: one
     ``segmented()`` call, and a start vertex keeps its ``scalar()``
@@ -596,7 +613,7 @@ def _reported_distances(
     dists = np.full(ids.shape, np.inf, dtype=np.float64)
     if len(rows):
         dists[found] = view.segmented(rows, ids[found], counts[rows])
-    return np.where(ids == starts[:, None], d0[:, None], dists)
+    return np.where(ids == starts[:, None], view.start_distances(starts)[:, None], dists)
 
 
 def run_beam(
@@ -609,46 +626,50 @@ def run_beam(
     budget: int | None = None,
     allowed: np.ndarray | None = None,
     store: Any = None,
+    rerank: int | None = None,
 ) -> BeamBatch:
     """Whole-batch compiled beam search; the result equals
-    ``engine.beam_search_batch``'s.  A budget below 1 raises the engines'
-    ``ValueError`` here too; callers validate the other arguments first.
+    ``engine.beam_search_batch``'s, ``rerank`` included.  A budget below 1
+    raises the engines' ``ValueError`` here too; callers validate the
+    other arguments first.
 
     Ids and eval counts come straight from the kernel, into arrays of this
-    call, never the plan's scratch.  The distances are evaluated through
-    the numpy view when a caller first reads them — a flat search does,
-    they are its answer; the two-stage search reranks from the ids alone.
+    call, never the plan's scratch.  Without ``rerank`` the distances are
+    evaluated through the numpy view when a caller first reads them — a
+    flat search does, they are its answer.  With it the kernel reranks on
+    the raw rows and writes the final ``(m, rerank)`` distances itself.
     """
     _check_budget(budget)
+    _check_rerank(rerank, store)
     m = len(queries)
     k_eff = max(int(k), 1)
-    out_ids = np.empty((m, k_eff), dtype=np.int64)
+    width = k_eff if rerank is None else int(rerank)
+    out_ids = np.empty((m, width), dtype=np.int64)
+    out_d = _EMPTY_F2 if rerank is None else np.empty((m, width), dtype=np.float64)
     out_evals = np.empty(m, dtype=np.int64)
     if m == 0:
-        return BeamBatch(out_ids, np.empty((0, k_eff)), out_evals)
+        return BeamBatch(out_ids, np.empty((0, width)), out_evals)
     Q = _query_array(queries)
     plan = _search_plan(graph, dataset, store, Q)
     view = _distance_view(dataset, Q, store)
     q_arr = _query_arrays(plan.layout, view)
     starts64 = np.ascontiguousarray(starts, dtype=np.int64)
-    d0 = view.start_distances(starts64)
     budget_i = -1 if budget is None else int(budget)
     allowed_u8, has_allowed = _allowed_arg(allowed)
+    rerank_k = 0 if rerank is None else width
 
-    def rows(q_arr, starts, d0, out_ids, out_evals) -> None:
+    def rows(q_arr, starts, out_ids, out_d, out_evals) -> None:
         scratch = plan.scratch()  # of the thread these rows run on
         plan.kernels.beam(
-            q_arr, starts, d0, int(beam_width), k_eff, budget_i,
-            allowed_u8, has_allowed, out_ids, out_evals,
+            q_arr, starts, int(beam_width), k_eff, rerank_k, budget_i,
+            allowed_u8, has_allowed, out_ids, out_d, out_evals,
             scratch.stamps(len(starts)), *scratch.args,
         )
 
-    _split_rows(m, (q_arr, starts64, d0, out_ids, out_evals), rows)
-    return BeamBatch(
-        out_ids,
-        lambda: _reported_distances(view, out_ids, starts64, d0),
-        out_evals,
-    )
+    _split_rows(m, (q_arr, starts64, out_ids, out_d, out_evals), rows)
+    if rerank is not None:
+        return BeamBatch(out_ids, out_d, out_evals)
+    return BeamBatch(out_ids, lambda: _reported_distances(view, out_ids, starts64), out_evals)
 
 
 def run_greedy(
@@ -937,6 +958,7 @@ def _self_check() -> None:
     from repro.graphs import engine
     from repro.graphs.base import ProximityGraph
     from repro.metrics.base import Dataset
+    from repro.storage.sq8 import SQ8Store
 
     rng = np.random.default_rng(12345)
     # Two threads' worth of rows in the beam batch: wherever there is a
@@ -964,6 +986,16 @@ def _self_check() -> None:
     tied_args = dict(beam_width=3, k=5, budget=40, allowed=mask)
     want_tied = engine.beam_search_batch(graph, tied, starts, Qt, **tied_args)
     got_tied = run_beam(graph, tied, starts, Qt, **tied_args)
+    # The two-stage search: a beam over sq8 codes that reranks its pool on
+    # the raw rows, on both data sets (on the grid, the rerank's ties too,
+    # and a k past what the pool holds).
+    two_stage = []
+    for data, queries, args in ((dataset, Q, dict(beam_width=6, k=8)), (tied, Qt, tied_args)):
+        args = dict(args, store=SQ8Store.train(data.metric, data.points), rerank=4)
+        two_stage.append(
+            engine.beam_search_batch(graph, data, starts, queries, **args)
+            == run_beam(graph, data, starts, queries, **args)
+        )
     want_greedy = engine.greedy_batch(graph, dataset, starts[:8], Q[:8])
     got_greedy = run_greedy(graph, dataset, starts[:8], Q[:8])
     v_arr = np.arange(n, dtype=np.intp)
@@ -984,6 +1016,7 @@ def _self_check() -> None:
     if (
         want_beam != got_beam
         or want_tied != got_tied
+        or not all(two_stage)
         or want_greedy != got_greedy
         or want_p != got_p
         or rows_want.snapshot() != rows_got.snapshot()

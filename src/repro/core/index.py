@@ -50,6 +50,7 @@ from repro.graphs.engine import (
     beam_search_batch,
     bulk_insert,
     greedy_batch,
+    rerank_pools,
 )
 from repro.graphs.greedy import BeamBatch
 from repro.graphs.navigability import NavigabilityViolation, find_violations
@@ -389,13 +390,16 @@ class ProximityGraphIndex:
                 np.array([[r.distance] for r in results]),
                 np.fromiter((r.distance_evals for r in results), dtype=np.int64, count=m),
             )
+            if quantized:
+                found = rerank_pools(self.dataset, store, Q, found, k)
             hops = np.fromiter((len(r.hops) for r in results), dtype=np.int64, count=m)
-            two_stage = quantized
         else:
-            # Stage 1: traversal.  Quantized (or an explicit rerank_factor
-            # > 1) over-fetches the pool; the beam width only grows when the
-            # fetch count would not fit it, so "equal beam width" comparisons
-            # across storages stay equal-width.
+            # Quantized (or an explicit rerank_factor > 1) over-fetches the
+            # pool; the beam width only grows when the fetch count would not
+            # fit it, so "equal beam width" comparisons across storages stay
+            # equal-width.  Over codes the beam reranks its pool exactly
+            # (stage 2); a flat store's pool is exact already, so its first
+            # k of the wider beam are the answer.
             two_stage = quantized or rerank > 1
             k_fetch = int(math.ceil(k * rerank)) if two_stage else k
             width = params.beam_width if params.beam_width is not None else max(2 * k, 16)
@@ -412,34 +416,12 @@ class ProximityGraphIndex:
                 k_fetch = min(k_fetch, width) if two_stage else k_fetch
             found = beam_search_batch(
                 self.graph, self.dataset, starts, Q,
-                beam_width=width, k=k_fetch, budget=params.budget, allowed=allowed,
-                store=traversal_store, backend=params.backend,
+                beam_width=width, k=k_fetch if quantized else k, budget=params.budget,
+                allowed=allowed, store=traversal_store, backend=params.backend,
+                rerank=k if quantized else None,
             )
             hops = None
-        evals = found.evals
-        if not two_stage:
-            # The engine's (m, k) arrays are the answer.
-            ids, dists = found.ids, found.dists
-        else:
-            # Stage 2: exact rerank of the survivors with the flat metric.
-            # A flat store's traversal distances are already exact, so only
-            # quantized stores re-evaluate (and charge) the candidate pool.
-            ids, dists = _unfound(m, k)
-            for i, row in enumerate(found.ids):
-                cand = row[row >= 0]  # the pool; -1 pads its tail
-                if not len(cand):
-                    continue
-                if quantized:
-                    # store.rerank_distances == dataset.distances_to_query
-                    # bit-for-bit; disk-tier stores gather the rows in
-                    # ascending file-offset order first.
-                    exact = store.rerank_distances(self.dataset, Q[i], cand)
-                    evals[i] += len(cand)
-                else:
-                    exact = found.dists[i, : len(cand)]
-                order = np.lexsort((cand, exact))[:k]
-                ids[i, : len(order)] = cand[order]
-                dists[i, : len(order)] = exact[order]
+        ids, dists, evals = found.ids, found.dists, found.evals
         if self.scale != 1.0:
             dists /= self.scale  # a fresh array on both paths above
         return SearchResult(

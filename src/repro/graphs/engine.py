@@ -35,6 +35,7 @@ from repro.storage.base import FlatQueryView
 __all__ = [
     "greedy_batch",
     "beam_search_batch",
+    "rerank_pools",
     "WaveInserter",
     "bulk_insert",
     "snapshot_graph",
@@ -86,6 +87,13 @@ def _check_budget(budget: int | None) -> None:
     kernels read a negative budget as none at all."""
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
+
+
+def _check_rerank(rerank: int | None, store: Any) -> None:
+    """A rerank re-evaluates the pool off the store's raw rows, so it needs
+    the store the beam traverses, and a k of at least 1."""
+    if rerank is not None and (store is None or rerank < 1):
+        raise ValueError("rerank needs a store and a k of at least 1")
 
 
 def greedy_batch(
@@ -297,6 +305,7 @@ def beam_search_batch(
     allowed: np.ndarray | None = None,
     store: Any = None,
     backend: str | None = None,
+    rerank: int | None = None,
 ) -> BeamBatch:
     """Lockstep best-first beam search over a query batch.
 
@@ -319,9 +328,11 @@ def beam_search_batch(
     code path.
 
     ``store`` selects the :class:`~repro.storage.base.VectorStore` to
-    traverse against (approximate distances over codes; the two-stage
-    search pipeline reranks the returned pool exactly); ``None`` walks
-    the exact flat path.
+    traverse against (approximate distances over codes); ``None`` walks
+    the exact flat path.  ``rerank=r`` (which needs a ``store``) is the
+    two-stage search's exact stage, :func:`rerank_pools`: each row's
+    pool of up to ``k`` is re-evaluated on the raw rows and the first
+    ``r`` returned, ``(m, r)``, its evaluations counted in ``evals``.
 
     ``backend`` selects the traversal engine: ``None``/``"numpy"`` is
     this pinned lockstep code; ``"auto"`` and explicit accel backend
@@ -338,6 +349,7 @@ def beam_search_batch(
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
     _check_budget(budget)
+    _check_rerank(rerank, store)
     m = len(queries)
     starts = np.asarray(starts, dtype=np.intp)
     if len(starts) != m:
@@ -354,7 +366,7 @@ def beam_search_batch(
                 return accel.run_beam(
                     graph, dataset, starts, queries,
                     beam_width=beam_width, k=k, budget=budget,
-                    allowed=allowed, store=store,
+                    allowed=allowed, store=store, rerank=rerank,
                 )
             except accel.UnsupportedWorkloadError:
                 if backend != "auto":
@@ -420,6 +432,11 @@ def beam_search_batch(
                 pos += len(arr)
                 st.evals += len(arr)
                 visited[i, arr] = True
+                if len(st.pool) >= beam_width:
+                    # A full pool stays full and its bound only tightens,
+                    # so what it refuses now it refuses below as well.
+                    near = seg < -st.pool[0][0]
+                    arr, seg = arr[near], seg[near]
                 for v, dv in zip(arr, seg):
                     if len(st.pool) < beam_width or dv < -st.pool[0][0]:
                         heapq.heappush(st.candidates, (float(dv), int(v)))
@@ -437,6 +454,30 @@ def beam_search_batch(
         if best:
             dists[i, : len(best)], ids[i, : len(best)] = zip(*best)
     evals = np.fromiter((st.evals for st in states), dtype=np.int64, count=m)
+    if rerank is not None:
+        return rerank_pools(dataset, store, Q, BeamBatch(ids, dists, evals), rerank)
+    return BeamBatch(ids, dists, evals)
+
+
+def rerank_pools(dataset: Dataset, store: Any, Q: Any, pools: BeamBatch, k: int) -> BeamBatch:
+    """The two-stage search's exact stage: row ``i``'s pool (its ids up to
+    the ``-1`` padding) re-evaluated by ``store.rerank_distances``, ranked
+    by ``(distance, id)`` and cut to ``k``, ``(m, k)`` padded with ``-1`` /
+    ``inf``.  The evaluations are added to ``pools.evals``, in place — that
+    array is the result's."""
+    m = len(pools)
+    ids = np.full((m, k), -1, dtype=np.int64)
+    dists = np.full((m, k), np.inf, dtype=np.float64)
+    evals = pools.evals
+    for i, row in enumerate(pools.ids):
+        cand = row[row >= 0]
+        if not len(cand):
+            continue
+        exact = store.rerank_distances(dataset, Q[i], cand)
+        evals[i] += len(cand)
+        order = np.lexsort((cand, exact))[:k]
+        ids[i, : len(order)] = cand[order]
+        dists[i, : len(order)] = exact[order]
     return BeamBatch(ids, dists, evals)
 
 

@@ -40,6 +40,7 @@ from typing import Any
 import numpy as np
 
 from repro.metrics.base import MetricSpace, ScaledMetric
+from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric
 
 __all__ = [
     "StorageError",
@@ -48,6 +49,7 @@ __all__ = [
     "FlatQueryView",
     "VectorStore",
     "decompose_metric",
+    "exact_distances",
 ]
 
 
@@ -77,6 +79,29 @@ def decompose_metric(metric: MetricSpace) -> tuple[MetricSpace, float]:
     return metric, factor
 
 
+def exact_distances(metric: MetricSpace, q: Any, rows: Any) -> np.ndarray:
+    """Distances from query ``q`` to each of ``rows``, as the two-stage
+    search's exact rerank reports them on every backend.
+
+    Under (scaled) Euclidean and Chebyshev these are the compiled
+    rerank's floats: :func:`decompose_metric`'s factor times the square
+    root of the squared differences summed coordinate by coordinate, left
+    to right (``np.add.accumulate`` is sequential whatever the shape;
+    ``np.add.reduce`` sums a contiguous run of 8 or more pairwise, which
+    a single row is), or times the largest absolute difference.  Any
+    other metric gives its own ``distances``.  Each row's float depends
+    on that row alone.
+    """
+    inner, factor = decompose_metric(metric)
+    if isinstance(inner, EuclideanMetric):
+        diff = np.asarray(rows, dtype=np.float64) - np.asarray(q, dtype=np.float64)
+        return factor * np.sqrt(np.add.accumulate(diff * diff, axis=1)[:, -1])
+    if isinstance(inner, ChebyshevMetric):
+        diff = np.asarray(rows, dtype=np.float64) - np.asarray(q, dtype=np.float64)
+        return factor * np.abs(diff).max(axis=1)
+    return metric.distances(q, rows)
+
+
 class QueryDistanceView:
     """Per-batch distance oracle the lockstep engines traverse against.
 
@@ -96,24 +121,23 @@ class QueryDistanceView:
 
     The view is also the **bit-identity oracle** of the compiled accel
     backends (:mod:`repro.accel`): a compiled traversal makes its
-    routing decisions in kernel arithmetic, seeded from
-    :meth:`start_distances`, and no float it computes is ever reported.
-    Where a reported distance comes from, per path:
+    routing decisions in kernel arithmetic, its start distance included,
+    and no float its beam computes is ever reported.  Where a reported
+    distance comes from, per path:
 
     * flat store, any backend — the view: the numpy engines report the
       :meth:`segmented` values they routed on, a compiled beam search
       evaluates its reported ids in one :meth:`segmented` call when the
       distances are first read (``BeamBatch.dists``); a start vertex
       keeps its :meth:`scalar` value on both;
-    * quantized store (``sq8``) through ``index.search()`` — the exact rerank
-      (:meth:`VectorStore.rerank_distances` over the candidate ids);
-      the traversal's approximate distances are not read, so a compiled
-      search does not evaluate them;
+    * quantized store (``sq8``) through ``index.search()`` — the exact
+      rerank, not the view: :meth:`VectorStore.rerank_distances` on
+      numpy, the kernel itself on a compiled backend, the same floats
+      (:func:`exact_distances`); the traversal's approximate distances
+      are not read, so a compiled search does not evaluate them;
     * quantized store through the engines directly
-      (``beam_search_batch(..., store=...)``) — the view, as for flat.
-
-    So whatever floats a view produces are the floats every backend
-    returns.
+      (``beam_search_batch(..., store=...)`` without ``rerank``) — the
+      view, as for flat.
     """
 
     def scalar(self, qi: int, v: int) -> float:
@@ -200,15 +224,16 @@ class VectorStore(ABC):
     def rerank_distances(self, dataset: Any, q: Any, cand: np.ndarray) -> np.ndarray:
         """Exact distances from query ``q`` to candidate rows ``cand``.
 
-        The hook the two-stage search's exact-rerank pass calls instead
-        of touching ``dataset.points`` directly, so a store that knows
-        *where* the full-precision vectors live can gather them well.
-        The in-RAM default delegates to the dataset verbatim;
+        The hook the numpy two-stage search's exact-rerank pass calls
+        instead of touching ``dataset.points`` directly, so a store that
+        knows *where* the full-precision vectors live can gather them
+        well.  The in-RAM default gathers ``dataset.points``;
         :class:`~repro.storage.disk.DiskTierStore` overrides it with an
-        ascending-offset gather over the memory-mapped cold tier.  Every
-        override must return distances bit-identical to this default.
+        ascending-offset gather over the memory-mapped cold tier.  Both
+        evaluate by :func:`exact_distances`, the compiled rerank's floats;
+        every override must return distances bit-identical to this default.
         """
-        return dataset.distances_to_query(q, cand)
+        return exact_distances(dataset.metric, q, dataset.points[cand])
 
     # -- collection lifecycle ------------------------------------------
 

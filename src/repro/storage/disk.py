@@ -13,15 +13,15 @@ and still answer bit-identically to the in-RAM index.
 installs (see :mod:`repro.core.persistence`): it delegates the whole
 :class:`~repro.storage.base.VectorStore` traversal surface to an inner
 SQ8/flat store — same ``kind``, same ``codes``, same ``bind`` — so
-the engines, the accel planner, and ``store.spec()`` round-trips are
-all unchanged, and overrides exactly the two behaviors where disk
-residency matters:
+the engines and ``store.spec()`` round-trips are all unchanged (the
+accel planner hands the compiled rerank ``vectors``), and overrides
+exactly the two behaviors where disk residency matters:
 
-* :meth:`rerank_distances` gathers candidate rows from the cold tier in
-  **ascending file-offset order** (one forward sweep over the mapping,
-  minimizing page faults and readahead waste) and scatters the
-  distances back to candidate order — bit-identical to the direct
-  fancy-index because the metric's ``distances`` kernel is row-wise;
+* :meth:`rerank_distances`, the numpy rerank, gathers candidate rows
+  from the cold tier in **ascending file-offset order** (one forward
+  sweep over the mapping, minimizing page faults and readahead waste)
+  and scatters the distances back to candidate order — bit-identical to
+  the direct fancy-index because the distance kernel is row-wise;
 * :meth:`refresh` **unwraps**: ``add()`` concatenates the memmap with
   the new rows into a fresh RAM array (copy-on-write materialization —
   nothing is ever written through the mapping), after which the cold
@@ -41,7 +41,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.storage.base import QueryDistanceView, VectorStore
+from repro.storage.base import QueryDistanceView, VectorStore, exact_distances
 
 __all__ = ["DiskTierStore", "advise_memmap"]
 
@@ -166,16 +166,15 @@ class DiskTierStore(VectorStore):
         Sorting the candidate ids turns the rerank's page accesses into
         one forward sweep over ``vectors.bin``; the distances are
         scattered back to the caller's candidate order, so the result is
-        bit-identical to ``dataset.distances_to_query(q, cand)`` (the
-        metric's ``distances`` kernel is row-wise — row order cannot
-        change any row's float).
+        bit-identical to the in-RAM store's (:func:`exact_distances` is
+        row-wise — row order cannot change any row's float).
         """
         order = cand.argsort(kind="stable")
         # Index a plain-ndarray view of the mapping: the same pages, but
         # the gather skips np.memmap's per-result subclass bookkeeping.
         gathered = np.asarray(self.vectors)[cand[order]]
         out = np.empty(len(order), dtype=np.float64)
-        out[order] = dataset.metric.distances(q, gathered)
+        out[order] = exact_distances(dataset.metric, q, gathered)
         return out
 
     def clone(self) -> "DiskTierStore":

@@ -16,6 +16,11 @@ Contract under test:
   has its own planner mode, each construction entry point runs compiled
   under both coordinate metrics and refuses Minkowski, and the C builds
   with ``-ffp-contract=off``;
+* the two-stage search over sq8 is one kernel call — start distance,
+  beam, exact rerank and top-k — that calls no store's
+  ``rerank_distances``, in RAM and off a mapped index, and agrees with
+  the numpy engine's rerank exactly under L2 and L_inf, tombstones, a
+  filter, a budget, a k past the pool and a row split;
 * the C beam's sorted array makes the engines' two-heap decisions on
   seeded integer grids full of distance ties, under masks and budgets,
   and the C sums an SQ8-L2 row's squares left to right where that order
@@ -45,6 +50,7 @@ import pytest
 
 from repro import ProximityGraphIndex, SearchParams, accel
 from repro.accel import cbackend, dispatch
+from repro.core.persistence import load_any
 from repro.core.sharded import ShardedIndex
 from repro.graphs.base import ProximityGraph
 from repro.graphs.engine import (
@@ -56,6 +62,8 @@ from repro.graphs.greedy import BeamBatch
 from repro.metrics.base import Dataset
 from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric, MinkowskiMetric
 from repro.storage import STORAGE_KINDS, make_store
+from repro.storage.base import VectorStore
+from repro.storage.disk import DiskTierStore
 from repro.storage.sq8 import decode_sq8
 from repro.workloads import uniform_cube
 
@@ -379,6 +387,62 @@ class TestBeamArray:
         ref = greedy_batch(graph, dataset, starts, Q, store=store)
         assert ref[0].point == winner
         assert ref == greedy_batch(graph, dataset, starts, Q, store=store, backend="cffi")
+
+
+def _sq8_index(metric, n=400):
+    points = uniform_cube(n, 4, np.random.default_rng(13))
+    return ProximityGraphIndex.build(
+        points, epsilon=1.0, method="vamana", metric=metric, seed=4, storage="sq8"
+    )
+
+
+@pytest.mark.skipif("cffi" not in BACKENDS, reason="cffi is not installed")
+class TestTwoStageInOneCall:
+    """``repro_beam`` prices its own start, reranks its pool on the raw
+    rows and writes the final top-k: the compiled two-stage search is one
+    kernel call, with the numpy engine's rerank as its oracle."""
+
+    def test_no_store_rerank_is_called(self, queries, tmp_path, monkeypatch):
+        index = _sq8_index(EuclideanMetric())
+        mapped = load_any(index.save(tmp_path / "idx", format="disk"))
+        assert isinstance(mapped.store, DiskTierStore)
+        cases = [(ix, Q) for ix in (index, mapped) for Q in (queries[0], queries)]
+        want = [
+            ix.search(Q, k=5, params=SearchParams(beam_width=16, seed=0, backend="numpy"))
+            for ix, Q in cases
+        ]
+        accel.warm("cffi")  # its self-check runs the numpy rerank
+
+        def refuse(self, dataset, q, cand):
+            raise AssertionError("the compiled rerank runs inside the kernel")
+
+        monkeypatch.setattr(VectorStore, "rerank_distances", refuse)
+        monkeypatch.setattr(DiskTierStore, "rerank_distances", refuse)
+        for (ix, Q), ref in zip(cases, want):
+            got = ix.search(Q, k=5, params=SearchParams(beam_width=16, seed=0, backend="cffi"))
+            _assert_equal(got, ref, type(ix.store).__name__)
+
+    @pytest.mark.parametrize("metric", [EuclideanMetric(), ChebyshevMetric()], ids=["l2", "linf"])
+    @pytest.mark.parametrize("m", [1, 64])
+    def test_compiled_rerank_equals_numpy(self, metric, m, monkeypatch):
+        # Two usable cores, so the 64-row calls are cut into chunks.
+        monkeypatch.setattr(dispatch, "_usable_cores", lambda: 2)
+        index = _sq8_index(metric)
+        index.delete(list(range(0, index.n, 9)))
+        Q = np.random.default_rng(m).uniform(size=(m, 4))
+        allowed = list(range(1, index.n, 5))
+        for k, extra in (
+            (10, {}),
+            (10, dict(budget=60)),
+            (10, dict(allowed_ids=allowed)),
+            (6, dict(allowed_ids=[1, 6, 11], beam_width=8)),  # k past the pool
+            (3, dict(rerank_factor=5, budget=25, allowed_ids=allowed)),
+        ):
+            ref, got = (
+                index.search(Q, k=k, params=SearchParams(seed=1, backend=name, **extra))
+                for name in ("numpy", "cffi")
+            )
+            _assert_equal(got, ref, (k, extra))
 
 
 class TestBlockExpansion:

@@ -154,3 +154,20 @@ def test_a_dropped_module_or_module_attribute_is_reported(tmp_path: Path) -> Non
         ("repro.core.index", "no_such_name", True),
     ]
     assert [resolves(m, n, c) for _, m, n, c in found] == [True, False, True, False]
+
+
+def test_the_harness_trace_targets_exist() -> None:
+    """The traced benchmark run wraps these attributes by name, each where
+    it is looked up at call time: ``search`` on the class itself, the beam
+    as ``repro.core.index``'s global, ``run_beam`` on the package, and the
+    rerank hook on both store classes that define it."""
+    import repro.accel
+    import repro.core.index as core_index
+    from repro.storage.base import VectorStore
+    from repro.storage.disk import DiskTierStore
+
+    assert callable(core_index.beam_search_batch)
+    assert callable(repro.accel.run_beam)
+    assert "search" in vars(core_index.ProximityGraphIndex)
+    assert "rerank_distances" in vars(VectorStore)
+    assert "rerank_distances" in vars(DiskTierStore)

@@ -10,7 +10,7 @@ import pytest
 
 from repro import ProximityGraphIndex, SearchParams, ShardedIndex
 from repro.core.persistence import DISK_HEADER_NAME
-from repro.metrics.base import ScaledMetric
+from repro.metrics.base import Dataset, ScaledMetric
 from repro.metrics.euclidean import ChebyshevMetric, EuclideanMetric, MinkowskiMetric
 from repro.storage import (
     FlatStore,
@@ -18,6 +18,7 @@ from repro.storage import (
     make_store,
     store_from_arrays,
 )
+from repro.storage.disk import DiskTierStore
 from repro.storage.sq8 import decode_sq8, encode_sq8, train_sq8
 from repro.workloads import uniform_cube
 
@@ -25,6 +26,29 @@ from repro.workloads import uniform_cube
 @pytest.fixture(scope="module")
 def points() -> np.ndarray:
     return np.random.default_rng(7).normal(size=(400, 8))
+
+
+@pytest.mark.parametrize("d", [3, 16, 17])
+def test_rerank_l2_sums_left_to_right(d):
+    """The numpy rerank returns the compiled rerank's floats: each L2
+    distance sums its squares column by column, left to right, then takes
+    the root and the scale — one candidate (where ``np.add.reduce`` would
+    sum pairwise) or many, in RAM and through the disk tier's gather."""
+    rng = np.random.default_rng(d)
+    points = rng.normal(size=(300, d)) * 10.0 ** rng.integers(-3, 4, size=(300, d))
+    metric = ScaledMetric(EuclideanMetric(), 0.7)
+    dataset = Dataset(metric, points)
+    store = make_store("sq8", metric, points, seed=0)
+    for r in (1, 2, 40):
+        q = rng.normal(size=d)
+        cand = rng.integers(len(points), size=r)
+        sq = (points[cand] - q) ** 2
+        acc = np.zeros(r)
+        for column in sq.T:
+            acc += column
+        want = 0.7 * np.sqrt(acc)
+        for s in (store, DiskTierStore(store, points)):
+            assert s.rerank_distances(dataset, q, cand).tobytes() == want.tobytes(), (r, s)
 
 
 # ----------------------------------------------------------------------
