@@ -60,9 +60,13 @@ semantics as search.  :func:`run_commit_wave` goes one step further
 and commits an entire insertion wave — every RobustPrune, backlink,
 and overflow re-prune, with candidate distances computed in-kernel —
 in a single kernel call on the caller's adjacency, the padded row
-store ``graphs.engine.CommitMirror`` that builds and repairs hold from
-their first insertion, which removes the per-commit dispatch overhead
-that otherwise dominates a compiled build.
+store ``graphs.engine.CommitMirror`` that builds and repairs commit
+into, which removes the per-commit dispatch overhead that otherwise
+dominates a compiled build.  The kernel reaches vertex ``v``'s row
+through the store's ``slot`` map: a build holds every row, a repair
+only the rows its waves can touch, and the dispatcher refuses a wave
+that would reach a row the store does not hold before the kernel
+runs.
 """
 
 from repro.accel.dispatch import (

@@ -691,25 +691,30 @@ static double point_dist(
     return factor * acc;
 }
 
-/* Commit a whole construction wave against a padded adjacency: per
+/* Commit a whole construction wave against a padded row store: per
  * member, RobustPrune its pool (plus, with include_own, its current
- * out-neighbors at in-kernel distances) into row pids[i], then add
- * backlinks with overflow re-pruning — engine.prune_and_link commit
- * by commit, in wave order. */
+ * out-neighbors at in-kernel distances) into its row, then add
+ * backlinks with overflow re-pruning — engine.prune_and_link commit by
+ * commit, in wave order.  Vertex v's row is adj row slot[v]; a vertex
+ * with no row there (slot -1) stops the wave and returns -1, before
+ * anything is written to it. */
 int64_t repro_commit_wave(
     const double *points, int64_t ddim,
     int32_t kind, double factor,
     const int64_t *pids, int64_t w,
     const int64_t *pool_ids, const double *pool_d, const int64_t *pool_off,
     int32_t include_own, double alpha, int64_t max_degree,
-    int64_t *adj, int64_t cap, int64_t *deg,
+    int64_t *adj, int64_t cap, int64_t *deg, const int64_t *slot,
     int64_t *cand_v, double *cand_d,
     int64_t *vs, double *ds, uint8_t *alive, double *sq,
     int64_t *out, int64_t *out2)
 {
     for (int64_t i = 0; i < w; i++) {
         int64_t pid = pids[i];
-        int64_t *row = adj + pid * cap;
+        int64_t sp = slot[pid];
+        if (sp < 0)
+            return -1;
+        int64_t *row = adj + sp * cap;
         int64_t P = 0;
         for (int64_t j = pool_off[i]; j < pool_off[i + 1]; j++) {
             cand_v[P] = pool_ids[j];
@@ -717,7 +722,7 @@ int64_t repro_commit_wave(
             P++;
         }
         if (include_own) {
-            for (int64_t j = 0; j < deg[pid]; j++) {
+            for (int64_t j = 0; j < deg[sp]; j++) {
                 int64_t v = row[j];
                 cand_v[P] = v;
                 cand_d[P] = point_dist(points, ddim, kind, factor, pid, v);
@@ -729,11 +734,14 @@ int64_t repro_commit_wave(
                                   vs, ds, alive, sq, out);
         for (int64_t j = 0; j < kept; j++)
             row[j] = out[j];
-        deg[pid] = kept;
+        deg[sp] = kept;
         for (int64_t j = 0; j < kept; j++) {
             int64_t v = out[j];
-            int64_t *vrow = adj + v * cap;
-            int64_t dv = deg[v];
+            int64_t sv = slot[v];
+            if (sv < 0)
+                return -1;
+            int64_t *vrow = adj + sv * cap;
+            int64_t dv = deg[sv];
             int present = 0;
             for (int64_t t = 0; t < dv; t++) {
                 if (vrow[t] == pid) {
@@ -744,9 +752,9 @@ int64_t repro_commit_wave(
             if (present)
                 continue;
             vrow[dv] = pid;
-            deg[v] = dv + 1;
-            if (deg[v] > max_degree) {
-                int64_t P2 = deg[v];
+            deg[sv] = dv + 1;
+            if (deg[sv] > max_degree) {
+                int64_t P2 = deg[sv];
                 for (int64_t t = 0; t < P2; t++) {
                     cand_v[t] = vrow[t];
                     cand_d[t] = point_dist(points, ddim, kind, factor,
@@ -757,7 +765,7 @@ int64_t repro_commit_wave(
                                         max_degree, vs, ds, alive, sq, out2);
                 for (int64_t t = 0; t < k2; t++)
                     vrow[t] = out2[t];
-                deg[v] = k2;
+                deg[sv] = k2;
             }
         }
     }
@@ -1089,15 +1097,16 @@ def robust_prune_kernel(
 
 def commit_wave_kernel(
     points, kind, factor, pids, pool_ids, pool_d, pool_off,
-    include_own, alpha, max_degree, adj, deg,
+    include_own, alpha, max_degree, adj, deg, slot,
     cand_v, cand_d, vs, ds, alive, sq, out, out2,
 ):
     """``engine.commit_wave_pools`` in one call: in wave order, each
     member's pool (plus its current out-edges when ``include_own``) is
     pruned into its row of the padded store ``adj`` / ``deg``, then
     linked back from every kept neighbour, re-pruning a row that
-    overflows ``max_degree``.  The other arrays are scratch sized to
-    the longest candidate list."""
+    overflows ``max_degree``.  Vertex ``v``'s row is ``adj[slot[v]]``;
+    a ``-1`` slot stops the wave with ``-1`` returned.  The other arrays
+    are scratch sized to the longest candidate list."""
     lib, ffi = _load()
     return lib.repro_commit_wave(
         _f64(ffi, points), points.shape[1],
@@ -1105,7 +1114,7 @@ def commit_wave_kernel(
         _i64(ffi, pids), pids.shape[0],
         _i64(ffi, pool_ids), _f64(ffi, pool_d), _i64(ffi, pool_off),
         int(include_own), float(alpha), int(max_degree),
-        _i64(ffi, adj), adj.shape[1], _i64(ffi, deg),
+        _i64(ffi, adj), adj.shape[1], _i64(ffi, deg), _i64(ffi, slot),
         _i64(ffi, cand_v), _f64(ffi, cand_d),
         _i64(ffi, vs), _f64(ffi, ds), _u8(ffi, alive), _f64(ffi, sq),
         _i64(ffi, out), _i64(ffi, out2),

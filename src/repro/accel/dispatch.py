@@ -797,13 +797,17 @@ def run_commit_wave(
     ``ids`` / ``dists`` (``-1``-padded) is member ``i``'s pool, handed to
     the kernel flat by one mask.  ``rows`` is the caller's adjacency, a
     :class:`repro.graphs.engine.CommitMirror` — the padded int64 row
-    store the kernel mutates in place.  The workload is validated (and
+    store the kernel mutates in place, each vertex's row found through
+    its ``slot`` map.  The workload is validated (and
     :class:`UnsupportedWorkloadError` raised) *before* the store is
     touched, so after a failed dispatch the numpy fallback picks up on
-    the same rows.  Like the per-call prune, this always operates on the
-    raw float64 coordinates; own-edge and backlink candidate distances
-    are computed in-kernel with the same sequential arithmetic stance as
-    the traversal kernels.
+    the same rows; so is the slot map: a member, a pool id or (with
+    ``include_own``) a member's out-neighbour whose row is not loaded
+    raises ``KeyError`` before the kernel runs, as the numpy loop would
+    on reaching it.  Like the per-call prune, this always operates on
+    the raw float64 coordinates; own-edge and backlink candidate
+    distances are computed in-kernel with the same sequential arithmetic
+    stance as the traversal kernels.
     """
     pts = _coords_f64(dataset.points, "points")
     kind, factor = _coord_kind(
@@ -817,6 +821,13 @@ def run_commit_wave(
     pool_ids = np.ascontiguousarray(pools.ids[found], dtype=np.int64)
     pool_d = np.ascontiguousarray(pools.dists[found], dtype=np.float64)
     pids64 = np.ascontiguousarray(np.asarray(pids), dtype=np.int64)
+    if not rows.complete:
+        # The kernel reaches a row through ``rows.slot``, where a -1 would
+        # be a write out of bounds: every row it can reach must be loaded.
+        rows.slots(pids64)
+        rows.slots(pool_ids)
+        if include_own:
+            rows.slots(rows.rows_of(pids64))
     max_p = (int(lens.max()) if w else 0) + rows.cap
     md = max(int(max_degree), 1)
     sc = rows.scratch
@@ -831,13 +842,14 @@ def run_commit_wave(
         sc["sq"] = np.empty(max_p, dtype=np.float64)
         sc["out"] = np.empty(md, dtype=np.int64)
         sc["out2"] = np.empty(md, dtype=np.int64)
-    _C.commit_wave_kernel(
+    if _C.commit_wave_kernel(
         pts, kind, factor, pids64, pool_ids, pool_d, pool_off,
         1 if include_own else 0, float(alpha), int(max_degree),
-        rows.arr, rows.deg,
+        rows.arr, rows.deg, rows.slot,
         sc["cand_v"], sc["cand_d"], sc["vs"], sc["ds"],
         sc["alive"], sc["sq"], sc["out"], sc["out2"],
-    )
+    ):
+        raise AccelError("the commit kernel met a vertex with no loaded row")
 
 
 #: Initial in-edge record of the traversal, entries per point; one that
@@ -1002,24 +1014,32 @@ def _self_check() -> None:
     d_arr = dataset.distances_from_index(0, v_arr)
     want_p = engine.robust_prune(dataset, 0, v_arr, d_arr, 1.2, 6)
     got_p = run_robust_prune(dataset, 0, v_arr, d_arr, 1.2, 6)
-    # One whole-wave commit onto the graph's rows (the commit is
-    # order-dependent and never split), kernel vs the pinned per-member
-    # prune-and-link loop, of pools the beam located for members of the
-    # graph, as a build does.
-    rows_want = engine.CommitMirror.from_csr(graph, 0, 4)
-    rows_got = engine.CommitMirror.from_csr(graph, 0, 4)
+    # One whole-wave commit (the commit is order-dependent and never
+    # split), kernel vs the pinned per-member prune-and-link loop, of
+    # pools the beam located for members of the graph, as a build does:
+    # onto every row of the graph, and onto a store holding only the
+    # wave's rows and its pool ids', as a repair does, where a kernel
+    # that reads its rows through the slot map wrongly shows.
     pools_w = engine.beam_search_batch(
         graph, dataset, starts[:8], points[wave], beam_width=6, k=6
     )
-    engine.commit_wave_pools(dataset, rows_want, wave, pools_w, 1.2, 4)
-    run_commit_wave(dataset, wave, pools_w, 1.2, 4, False, rows_got)
+    stores = []
+    for held in (np.arange(n), np.concatenate([wave, pools_w.ids.ravel()])):
+        rows_want = engine.CommitMirror(n, 4, graph)
+        rows_got = engine.CommitMirror(n, 4, graph)
+        for rows in (rows_want, rows_got):
+            rows.load(held[held >= 0])
+        engine.commit_wave_pools(dataset, rows_want, wave, pools_w, 1.2, 4)
+        run_commit_wave(dataset, wave, pools_w, 1.2, 4, False, rows_got)
+        stores += [rows_want, rows_got]
+    commits = [rows.snapshot() for rows in stores]
     if (
         want_beam != got_beam
         or want_tied != got_tied
         or not all(two_stage)
         or want_greedy != got_greedy
         or want_p != got_p
-        or rows_want.snapshot() != rows_got.snapshot()
+        or any(got != commits[0] for got in commits[1:])
         or not _traverse_matches()
     ):
         raise AccelError(

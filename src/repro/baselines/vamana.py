@@ -17,7 +17,8 @@ HNSW), and fast-and-guaranteed (G_net).
 
 Construction runs in one of two schedules, both on one adjacency — the
 :class:`~repro.graphs.engine.CommitMirror` row store ``add()`` repairs
-on — through the one RobustPrune wave inserter,
+on, here holding every row from the start (an ``add()`` loads only the
+rows its waves touch) — through the one RobustPrune wave inserter,
 :class:`~repro.graphs.engine.RepairInserter`:
 
 * **sequential** (``batch_size=None``) — the reference loop: one scalar

@@ -281,6 +281,11 @@ class ProximityGraphIndex:
         arbitrary ids).  Abstract-metric indexes (object points, id-based
         metrics) pass through — there is no coordinate shape to check.
         """
+        self._check_rows(Q, "query", "queries")
+
+    def _check_rows(self, Q: Any, one: str, many: str) -> None:
+        """:meth:`validate_queries`' checks, its messages naming the rows
+        ``one`` / ``many`` — :meth:`add` runs them on its points."""
         arr = np.asarray(Q)
         if arr.dtype == object:
             return
@@ -288,17 +293,17 @@ class ProximityGraphIndex:
         if len(shape) == 2:
             if arr.ndim != 2:
                 raise ValueError(
-                    f"query batch has shape {arr.shape}; expected ({shape[1]},) "
-                    f"for one query or (m, {shape[1]}) for a batch"
+                    f"{one} batch has shape {arr.shape}; expected ({shape[1]},) "
+                    f"for one {one} or (m, {shape[1]}) for a batch"
                 )
             if arr.dtype.kind not in "biuf":
-                raise ValueError(f"queries must be real numbers, got dtype {arr.dtype}")
+                raise ValueError(f"{many} must be real numbers, got dtype {arr.dtype}")
             if len(arr) and arr.shape[1] != shape[1]:
                 raise ValueError(
-                    f"query dim {arr.shape[1]} does not match index dim {shape[1]}"
+                    f"{one} dim {arr.shape[1]} does not match index dim {shape[1]}"
                 )
         if arr.dtype.kind == "f" and np.count_nonzero(np.isfinite(arr)) < arr.size:
-            raise ValueError("query contains non-finite values")
+            raise ValueError(f"{one} contains non-finite values")
 
     def _allowed_mask(self, params: SearchParams) -> tuple[np.ndarray | None, int]:
         """Combined tombstone + filter mask (``None`` when inactive) and
@@ -478,8 +483,11 @@ class ProximityGraphIndex:
           ``built.guaranteed`` records that the guarantee lapsed.
           Force ``mode="dynamic"`` to get the rejection instead.
 
-        New points are given in original units, like :meth:`build`.
-        ``ids`` assigns their external ids (fresh ones by default).
+        New points are given in original units, like :meth:`build`, and
+        checked as :meth:`validate_queries` checks queries (shape, real
+        dtype, dimension, finite values) before anything grows.
+        ``ids`` assigns their external ids (fresh ones by default):
+        integers, or ``ValueError``.
         ``backend`` selects the accel backend for the repair path's
         wave location and RobustPrune (the engine-wide seam:
         ``None``/``"numpy"`` = pinned engines, ``"auto"`` = best warmed
@@ -490,11 +498,13 @@ class ProximityGraphIndex:
             raise ValueError(f"unknown add mode {mode!r}")
         new_pts, _single = self._normalize_queries(points)
         new_pts = np.asarray(new_pts)
+        # Validate the points and the prospective ids BEFORE any structure
+        # grows, so a bad point or an id clash can never leave
+        # graph/dataset/id-map inconsistent.
+        self._check_rows(new_pts, "point", "points")
         count = len(new_pts)
         if count == 0:
             return np.empty(0, dtype=np.int64)
-        # Validate the prospective ids BEFORE any structure grows, so an
-        # id clash can never leave graph/dataset/id-map inconsistent.
         self.id_map.check_assignable(count, ids)
         if mode == "dynamic":
             self._add_dynamic(new_pts)
@@ -598,14 +608,16 @@ class ProximityGraphIndex:
         """Link ``new_pts`` into the graph by wave-batched repair.
 
         Cost per call: distance work proportional to ``count * beam *
-        degree`` (locate + RobustPrune, through ``backend``), plus a
-        constant number of array copies of the point and edge arrays —
-        the CSR is loaded into :class:`RepairInserter`'s padded row
-        store (the one adjacency a Vamana build also runs on), repaired
-        there, and read back out as a new CSR, all with array ops.  Nothing
-        here visits every vertex or edge in Python.  The entry point is
-        a real sample medoid, unlike ``VamanaIndex``'s (see its
-        ``__init__``).
+        degree`` (locate + RobustPrune, through ``backend``), plus one
+        copy of the point array and one of the CSR (and one more for
+        each later wave to be located on).  Only the rows a wave can
+        change — its members' and its pool ids', at most ``count *
+        (beam + 1)`` — are loaded into :class:`RepairInserter`'s padded
+        row store (the one adjacency a Vamana build also runs on) and
+        repaired there; the new CSR is the old one with those rows
+        sorted and spliced in.  Nothing here visits every vertex or edge
+        in Python.  The entry point is a real sample medoid, unlike
+        ``VamanaIndex``'s (see its ``__init__``).
         """
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")

@@ -175,6 +175,16 @@ class SearchResult:
         return [(int(v), float(d)) for v, d in zip(row_ids[keep], row_d[keep])]
 
 
+def integer_ids(external_ids: Any) -> np.ndarray:
+    """External ids as int64, refusing by name any other dtype — a float,
+    a bool or an object (``None``) is an error, never truncated to an
+    id.  An empty sequence is no ids."""
+    arr = np.asarray(external_ids)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"external ids must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 class IdMap:
     """Bidirectional external id ↔ internal index map.
 
@@ -259,7 +269,7 @@ class IdMap:
 
     def to_internal(self, external_ids: Any) -> np.ndarray:
         """Map external ids to internal indices; ``KeyError`` on unknowns."""
-        arr = np.atleast_1d(np.asarray(external_ids, dtype=np.int64))
+        arr = np.atleast_1d(integer_ids(external_ids))
         try:
             return np.fromiter(
                 (self._int[int(e)] for e in arr), dtype=np.intp, count=len(arr)
@@ -270,7 +280,7 @@ class IdMap:
     def to_internal_known(self, external_ids: Any) -> np.ndarray:
         """Map external ids to internal indices, silently dropping unknowns
         (the filter-mask path: a filter restricts, it never errors)."""
-        arr = np.atleast_1d(np.asarray(external_ids, dtype=np.int64))
+        arr = np.atleast_1d(integer_ids(external_ids))
         return np.fromiter(
             (self._int[e] for e in arr.tolist() if e in self._int),
             dtype=np.intp,
@@ -292,7 +302,7 @@ class IdMap:
         """
         if external_ids is None:
             return np.arange(self._next, self._next + count, dtype=np.int64)
-        new = np.asarray(external_ids, dtype=np.int64)
+        new = integer_ids(external_ids)
         if new.shape != (count,):
             raise ValueError(f"need exactly {count} external ids, got {new.shape}")
         if len(new) and new.min() < 0:

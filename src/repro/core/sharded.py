@@ -67,7 +67,13 @@ from repro.core.builders import (
     validate_builder_options,
 )
 from repro.core.index import ProximityGraphIndex
-from repro.core.search import IdMap, SearchParams, SearchResult, resolve_mode
+from repro.core.search import (
+    IdMap,
+    SearchParams,
+    SearchResult,
+    integer_ids,
+    resolve_mode,
+)
 from repro.graphs.base import ProximityGraph
 from repro.graphs.engine import (
     preload_shard_cache,
@@ -898,7 +904,7 @@ class ShardedIndex:
         if count == 0:
             return np.empty(0, dtype=np.int64)
         if ids is not None:
-            new_ids = np.asarray(ids, dtype=np.int64)
+            new_ids = integer_ids(ids)
             if new_ids.shape != (count,):
                 raise ValueError(
                     f"need exactly {count} external ids, got {new_ids.shape}"
@@ -927,7 +933,7 @@ class ShardedIndex:
         """Tombstone points by external id, each in its owning shard;
         returns how many were newly deleted.  Unknown ids raise
         ``KeyError`` *before* anything mutates."""
-        arr = np.atleast_1d(np.asarray(ids, dtype=np.int64))
+        arr = np.atleast_1d(integer_ids(ids))
         groups: dict[int, list[int]] = {}
         for e in arr.tolist():
             if int(e) not in self._owner:

@@ -674,7 +674,8 @@ def locate_wave_pools(
     backend: str | None = None,
 ) -> BeamBatch:
     """Locate one candidate pool per wave member against the frozen
-    prefix: freeze the row store's CSR once, then run one
+    prefix: splice the store's loaded rows into its base CSR once
+    (:meth:`CommitMirror.snapshot`), then run one
     :func:`beam_search_batch` from ``entry`` for the whole wave, keeping
     each member's whole beam (``k=beam_width``).  Row ``i`` of the
     returned batch's ``ids`` / ``dists`` is member ``i``'s pool,
@@ -726,76 +727,152 @@ def prune_and_link(
 
 
 class CommitMirror:
-    """The adjacency of a RobustPrune construction or repair: a padded
-    int64 row store, ``(n, cap)`` rows plus a ``deg`` length vector —
-    the layout the compiled commit kernel (``accel.run_commit_wave``)
-    mutates in place.
+    """The adjacency of a RobustPrune construction or repair: the rows
+    a commit may change, held in a padded int64 row store over the
+    immutable CSR that still holds every other row.
 
-    Despite the name it mirrors nothing: it is allocated once — empty
-    for a from-scratch build, by :meth:`from_csr` for a repair — and is
-    the only copy of the edges until :meth:`snapshot` freezes them.
-    ``store[v]`` reads a row (a list of Python ints, in insertion order)
-    and ``store[v] = ids`` assigns one, which is all
-    :func:`prune_and_link` needs; the wave kernel works on ``arr`` and
-    ``deg`` directly; ``snapshot()`` freezes CSR in store order for wave
-    location and ``snapshot(sort=True)`` emits the finished graph.
-    Nothing iterates over vertices in Python.
+    ``arr`` is ``(k, cap)`` rows with their lengths in ``deg``;
+    ``ids[s]`` is the vertex whose row sits in store row ``s`` and
+    ``slot[v]`` the store row of vertex ``v`` (``-1`` while it is still
+    the base graph's) — the layout the compiled commit kernel
+    (``accel.run_commit_wave``) mutates in place.  ``cap`` is one more
+    than the longer of ``max_degree`` and the longest loaded row:
+    headroom for the transient pre-prune backlink append.
 
-    Memory is ``n * cap`` int64, with ``cap`` one more than the longer
-    of ``max_degree`` and the ``longest`` row — headroom for the
-    transient pre-prune backlink append.  ``scratch`` persists the
-    dispatch layer's kernel buffers across waves.
+    A repair starts with ``base`` and no row loaded; :meth:`load` brings
+    in the rows a wave can touch — its members and the ids of their
+    located pools, since RobustPrune keeps a subset of the pool,
+    backlinks land only in kept rows and an overflow re-prune rewrites
+    only its own row.  Without ``base`` (a from-scratch build) every row
+    is loaded from the start, empty, with ``slot`` the identity.
+    ``store[v]`` reads a loaded row (a list of Python ints, in insertion
+    order) and ``store[v] = ids`` assigns one, which is all
+    :func:`prune_and_link` needs; a row that is not loaded raises
+    ``KeyError``.  :meth:`snapshot` splices the loaded rows into the
+    base CSR.  ``scratch`` persists the dispatch layer's kernel buffers
+    across waves.
     """
 
-    def __init__(self, n: int, longest: int, max_degree: int) -> None:
-        self.cap = max(int(max_degree), int(longest)) + 1
-        self.arr = np.zeros((n, self.cap), dtype=np.int64)
-        self.deg = np.zeros(n, dtype=np.int64)
+    def __init__(
+        self, n: int, max_degree: int, base: ProximityGraph | None = None
+    ) -> None:
+        self.n = int(n)
+        self.cap = int(max_degree) + 1
         self.scratch: dict[str, Any] = {}
+        self._identity = base is None
+        if base is None:
+            self._base = (np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int32))
+            self.ids = np.arange(self.n, dtype=np.int64)
+            self.slot = self.ids
+        else:
+            self._base = base.csr()
+            self.ids = np.empty(0, dtype=np.int64)
+            self.slot = np.full(self.n, -1, dtype=np.int64)
+        self.arr = np.zeros((len(self.ids), self.cap), dtype=np.int64)
+        self.deg = np.zeros(len(self.ids), dtype=np.int64)
 
-    def _valid(self) -> np.ndarray:
-        """Boolean ``(n, cap)`` mask of the occupied slots, row-major —
-        i.e. in CSR order."""
-        return np.arange(self.cap, dtype=np.int64)[None, :] < self.deg[:, None]
+    @property
+    def complete(self) -> bool:
+        """Is every row loaded (always, in a from-scratch build)?"""
+        return len(self.ids) == self.n
 
-    @classmethod
-    def from_csr(
-        cls, graph: ProximityGraph, extra: int, max_degree: int
-    ) -> "CommitMirror":
-        """The store holding ``graph``'s rows in their CSR order,
-        followed by ``extra`` empty rows for the vertices about to be
-        inserted."""
-        offsets, targets = graph.csr()
-        lens = np.diff(offsets)
-        store = cls(graph.n + extra, lens.max(initial=0), max_degree)
-        store.deg[: graph.n] = lens
-        store.arr[store._valid()] = targets
-        return store
+    def load(self, vertices: Any) -> None:
+        """Copy the base rows of ``vertices`` into the store; vertices
+        already loaded (or repeated) are skipped, and a vertex past the
+        base graph loads an empty row."""
+        v = np.asarray(vertices, dtype=np.int64).ravel()
+        v = np.unique(v[self.slot[v] < 0])
+        if not len(v):
+            return
+        off, tgt = self._base
+        nb = len(off) - 1
+        lo = off[np.minimum(v, nb)]
+        lens = off[np.minimum(v + 1, nb)] - lo
+        k, cap = len(self.ids), max(self.cap, int(lens.max()) + 1)
+        arr = np.zeros((k + len(v), cap), dtype=np.int64)
+        arr[:k, : self.cap] = self.arr
+        arr[k:][np.arange(cap) < lens[:, None]] = tgt[_ranges(lo, lens)]
+        self.arr, self.cap = arr, cap
+        self.deg = np.concatenate([self.deg, lens])
+        self.ids = np.concatenate([self.ids, v])
+        self.slot[v] = np.arange(k, k + len(v))
+
+    def _slot(self, v: int) -> int:
+        s = int(self.slot[v]) if 0 <= v < self.n else -1
+        if s < 0:
+            raise KeyError(f"the row of vertex {v} is not loaded in this store")
+        return s
+
+    def slots(self, vertices: Any) -> np.ndarray:
+        """The store rows of ``vertices``; ``KeyError`` naming the first
+        one whose row is not loaded or that is no vertex (``slot[v] == -1``
+        or ``v < 0`` would otherwise index the last row)."""
+        v = np.asarray(vertices, dtype=np.int64)
+        s = self.slot[np.clip(v, 0, self.n - 1)]
+        missing = v[(s < 0) | (v < 0) | (v >= self.n)]
+        if len(missing):
+            self._slot(int(missing[0]))
+        return s
 
     def __getitem__(self, v: int) -> list[int]:
-        return self.arr[v, : self.deg[v]].tolist()
+        s = self._slot(v)
+        return self.arr[s, : self.deg[s]].tolist()
 
     def __setitem__(self, v: int, row: Sequence[int]) -> None:
-        m = len(row)
-        self.arr[v, :m] = row
-        self.deg[v] = m
+        s, m = self._slot(v), len(row)
+        self.arr[s, :m] = row
+        self.deg[s] = m
+
+    def rows_of(self, vertices: Any) -> np.ndarray:
+        """The loaded rows of ``vertices``, concatenated."""
+        s = self.slots(vertices)
+        return self.arr[s][np.arange(self.cap) < self.deg[s][:, None]]
 
     def snapshot(self, sort: bool = False) -> ProximityGraph:
-        """CSR freeze of the padded rows.  Rows keep their store order —
-        row-for-row ``snapshot_graph(n, adj)`` over the
-        equivalent lists, which is all a beam's pool needs; ``sort=True``
-        orders every row ascending instead (padding sorts last), the
-        graph container's canonical form."""
-        n = len(self.deg)
+        """The base CSR with every loaded row spliced in.  Loaded rows
+        keep their store order — row-for-row ``snapshot_graph(n, adj)``
+        over the equivalent lists, which is all a beam's pool needs;
+        ``sort=True`` orders them ascending instead, the graph
+        container's canonical form (the base rows already are).  The
+        rows between two loaded ones are copied as one slice."""
+        n, ids, deg = self.n, self.ids, self.deg
+        off, tgt = self._base
+        nb = len(off) - 1
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.deg, out=offsets[1:])
-        valid = self._valid()
+        lens = offsets[1:]
+        np.subtract(off[1:], off[:-1], out=lens[:nb])
+        lens[ids] = deg
+        np.cumsum(lens, out=lens)
+        if not len(ids):
+            return ProximityGraph.from_csr(n, offsets, tgt, validate=False)
         rows = self.arr
+        valid = np.arange(self.cap) < deg[:, None]
         if sort:
-            rows = np.sort(
-                np.where(valid, rows, np.iinfo(np.int64).max), axis=1
-            )
-        return ProximityGraph.from_csr(n, offsets, rows[valid], validate=False)
+            rows = np.sort(np.where(valid, rows, np.iinfo(np.int64).max), axis=1)
+        if self._identity:
+            return ProximityGraph.from_csr(n, offsets, rows[valid], validate=False)
+        targets = np.empty(int(offsets[-1]), dtype=np.int32)
+        held = np.sort(ids)
+        lo = np.minimum(np.concatenate([[0], held + 1]), nb)
+        hi = np.minimum(np.concatenate([held, [n]]), nb)
+        run = off[hi] > off[lo]
+        lo, hi = lo[run], hi[run]
+        for a, b, c, d in zip(
+            offsets[lo].tolist(), offsets[hi].tolist(),
+            off[lo].tolist(), off[hi].tolist(),
+        ):
+            targets[a:b] = tgt[c:d]
+        targets[_ranges(offsets[ids], deg)] = rows[valid]
+        return ProximityGraph.from_csr(n, offsets, targets, validate=False)
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + l) for s, l in zip(starts, lens)])``
+    without the loop."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - (ends - lens), lens) + np.arange(
+        int(ends[-1]) if len(ends) else 0
+    )
 
 
 def _commit_pool(
@@ -874,6 +951,9 @@ def commit_wave_pools(
 class RepairInserter:
     """The :class:`WaveInserter` for RobustPrune graphs: one adjacency
     (a :class:`CommitMirror`), located and committed wave by wave.
+    Before a commit the store loads the rows it can touch: the members',
+    the ids' of their pools and, with ``include_own``, the members'
+    out-neighbours'.
 
     Each point's candidate pool is located by beam search over the
     current graph (vectorized per wave by :func:`bulk_insert` +
@@ -883,22 +963,23 @@ class RepairInserter:
 
     * **Repair** (the index facade's ``add()``): ``graph`` is the frozen
       graph over the first ``graph.n`` points of ``dataset``, the rest
-      are the points to insert.  Works for any builder's graph — it only
-      needs the dataset's distances — which is what lets every index
-      grow, at the price of the paper's worst-case guarantee (the facade
-      clears ``guaranteed`` on this path; ``gnet`` indexes keep it via
-      the dynamic-net path instead).
+      are the points to insert; the store starts with no row loaded.
+      Works for any builder's graph — it only needs the dataset's
+      distances — which is what lets every index grow, at the price of
+      the paper's worst-case guarantee (the facade clears
+      ``guaranteed`` on this path; ``gnet`` indexes keep it via the
+      dynamic-net path instead).
     * **Construction** (:class:`~repro.baselines.vamana.VamanaIndex`, a
       subclass): ``graph=None`` is the empty prefix over all of
-      ``dataset``; the subclass sets ``include_own`` (a re-inserted
-      point's current out-edges join its pool), moves ``alpha`` between
-      its passes and overrides :meth:`insert_one` with its sequential
-      reference insertion.
+      ``dataset``, every row loaded from the start; the subclass sets
+      ``include_own`` (a re-inserted point's current out-edges join its
+      pool), moves ``alpha`` between its passes and overrides
+      :meth:`insert_one` with its sequential reference insertion.
 
     The finished graph is read back with :meth:`graph`.  Besides the
-    distance work the cost is a constant number of array copies of the
-    edge set: no step visits every vertex or edge in Python, whichever
-    backend commits.
+    distance work a repair costs work on the rows it loads and one copy
+    of the CSR per wave: no step visits every vertex or edge in Python,
+    whichever backend commits.
     """
 
     include_own = False
@@ -919,12 +1000,7 @@ class RepairInserter:
         self.beam_width = int(beam_width)
         self.alpha = float(alpha)
         self.backend = backend
-        if graph is None:
-            self._rows = CommitMirror(dataset.n, 0, self.max_degree)
-        else:
-            self._rows = CommitMirror.from_csr(
-                graph, dataset.n - graph.n, self.max_degree
-            )
+        self._rows = CommitMirror(dataset.n, self.max_degree, graph)
 
     def graph(self) -> ProximityGraph:
         """The graph as it stands, rows sorted (the container's invariant)."""
@@ -941,13 +1017,25 @@ class RepairInserter:
             backend=self.backend,
         )
 
+    def _load(self, pids: Any, pool_ids: np.ndarray) -> None:
+        """Load the rows a commit of ``pids`` can touch: the members', the
+        pool ids', and with ``include_own`` the members' out-neighbours'."""
+        rows = self._rows
+        if rows.complete:
+            return
+        rows.load(np.concatenate([np.ravel(pids), pool_ids[pool_ids >= 0]]))
+        if self.include_own:
+            rows.load(rows.rows_of(pids))
+
     def commit(self, pid: int, pool: tuple[np.ndarray, np.ndarray]) -> None:
+        self._load([pid], np.asarray(pool[0]).ravel())
         _commit_pool(
             self.dataset, self._rows, int(pid), pool, self.alpha,
             self.max_degree, self.include_own, backend=self.backend,
         )
 
     def commit_wave(self, pids: Sequence[int], pools: BeamBatch) -> None:
+        self._load(pids, pools.ids.ravel())
         commit_wave_pools(
             self.dataset, self._rows, pids, pools, self.alpha,
             self.max_degree, backend=self.backend, include_own=self.include_own,

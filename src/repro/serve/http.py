@@ -53,6 +53,7 @@ from typing import Any
 import numpy as np
 
 from repro import accel
+from repro.core.search import integer_ids
 from repro.serve.cache import QueryCache
 from repro.serve.coalescer import BatchKey, Coalescer, RowResult
 from repro.serve.state import IndexHolder
@@ -96,7 +97,7 @@ def _parse_batch_key(body: dict[str, Any]) -> BatchKey:
     if allowed is not None:
         if not isinstance(allowed, list):
             raise _BadRequest("allowed_ids must be a list of ids")
-        allowed = tuple(sorted(int(v) for v in allowed))
+        allowed = tuple(sorted(integer_ids(allowed).tolist()))
     k = body.get("k", 1)
     if not isinstance(k, int) or k < 1:
         raise _BadRequest("k must be a positive integer")
@@ -358,7 +359,7 @@ class SearchServer:
     async def _delete(self, body: dict[str, Any]) -> dict[str, Any]:
         if "ids" not in body or not isinstance(body["ids"], list):
             raise _BadRequest("missing 'ids' (a list of external ids)")
-        ids = [int(v) for v in body["ids"]]
+        ids = body["ids"]
         loop = asyncio.get_running_loop()
         try:
             removed = await loop.run_in_executor(

@@ -25,11 +25,13 @@ its keys, so a swap implicitly invalidates every cached result.
 
 What a write costs.  The snapshot shares the heavy arrays, and ``add``
 repairs the graph with array operations only: per call, distance work
-proportional to ``count * beam * degree`` plus a constant number of
-copies of the point and edge arrays — no interpreter work per vertex,
-so the writer's hold on the GIL (which is what readers wait for) does
-not grow with the collection the way a per-vertex list repair would.  The
-writer passes ``backend="auto"``, the same default ``/search`` uses:
+proportional to ``count * beam * degree``, work on the at most
+``count * (beam + 1)`` rows its waves can touch, and one copy each of
+the point array and the CSR (the old CSR with the touched rows spliced
+in; one more for each later wave to be located on) — no interpreter
+work per vertex, so the writer's hold on the GIL (which is what readers
+wait for) does not grow with the collection the way a per-vertex list
+repair would.  The writer passes ``backend="auto"``, the same default ``/search`` uses:
 once a compiled backend is warmed (``repro serve`` warms one before
 binding) the wave location and commit run in its kernels, which are
 pinned bit-identical to numpy.  ``delete`` flips tombstone bits.

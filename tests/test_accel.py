@@ -515,7 +515,7 @@ def _entry_point_calls(metric):
             dataset, 0, pool[0], pool[1], 1.2, 4
         ),
         "run_commit_wave": lambda: dispatch.run_commit_wave(
-            dataset, [0], pools, 1.2, 4, True, CommitMirror(n, 0, 4)
+            dataset, [0], pools, 1.2, 4, True, CommitMirror(n, 4)
         ),
         "run_traverse": lambda: dispatch.run_traverse(dataset, 0, None, None),
     }

@@ -319,6 +319,78 @@ class TestDeleteAtomicity:
 
 
 # ----------------------------------------------------------------------
+# add(): points and ids checked before anything grows
+# ----------------------------------------------------------------------
+
+
+def _unchanged(index, n):
+    assert (index.n, index.active_count) == (n, n)
+    # Nothing was assigned either: the next fresh id is still n.
+    assert index.add(np.full((1, 4), 0.5)).tolist() == [n]
+
+
+class TestAddValidation:
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.array([[np.nan, 0.0, 0.0, 0.0]]), "point contains non-finite"),
+            (np.array([[np.inf, 0.0, 0.0, 0.0]]), "point contains non-finite"),
+            (np.array([[1 + 2j, 0, 0, 0]]), "points must be real numbers, got dtype complex"),
+            (np.zeros((1, 3)), "point dim 3 does not match index dim 4"),
+            (np.zeros((1, 2, 4)), r"point batch has shape \(1, 2, 4\)"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bad_points_are_refused_before_anything_grows(self, kind, bad, match):
+        index = _build(kind)
+        with pytest.raises(ValueError, match=match):
+            index.add(bad)
+        _unchanged(index, 80)
+
+    @pytest.mark.parametrize(
+        "ids, dtype",
+        [([60.7], "float64"), ([True], "bool"), ([None], "object")],
+    )
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_integer_ids_are_refused_by_dtype(self, kind, ids, dtype):
+        index = _build(kind)
+        with pytest.raises(ValueError, match=f"integers, got dtype {dtype}"):
+            index.add(np.zeros((1, 4)), ids=ids)
+        _unchanged(index, 80)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_integer_ids_of_any_width_are_assigned(self, kind):
+        index = _build(kind)
+        ids = index.add(np.zeros((2, 4)), ids=np.array([100, 200], dtype=np.uint16))
+        assert ids.tolist() == [100, 200]
+        assert index.add(np.zeros((0, 4)), ids=[]).tolist() == []
+
+
+class TestDeleteIds:
+    @pytest.mark.parametrize(
+        "ids, dtype",
+        [([3.9], "float64"), ([True], "bool"), ([None], "object"), (["3"], "<U1")],
+    )
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_integer_ids_are_refused_by_dtype(self, kind, ids, dtype):
+        index = _build(kind)
+        with pytest.raises(ValueError, match=f"integers, got dtype {dtype}"):
+            index.delete(ids)
+        assert index.tombstone_count == 0
+
+    def test_filters_refuse_them_too(self):
+        index = _build("flat")
+        with pytest.raises(ValueError, match="got dtype float64"):
+            index.search(np.zeros(4), k=3, params=SearchParams(allowed_ids=[1.5]))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_empty_and_integer_batches_still_delete(self, kind):
+        index = _build(kind)
+        assert index.delete([]) == 0
+        assert index.delete(np.array([3, 4], dtype=np.int32)) == 2
+
+
+# ----------------------------------------------------------------------
 # k > live padding contract
 # ----------------------------------------------------------------------
 

@@ -14,7 +14,14 @@ Contract under test (ISSUE 15):
 * the interpreter work of one ``add`` does not grow with the
   collection: the cProfile call count at n = 16 000 is under twice the
   count at n = 2 000 on both routes (the list-based repair made calls
-  in proportion to n).
+  in proportion to n);
+* an ``add`` holds only the rows its waves touch: the tracemalloc peak
+  of one ``add(8)`` at n = 16 000 stays under 1.75 times what it must
+  allocate anyway, the grown points and the new CSR (a padded store of
+  every row read about 4.7 times that);
+* a row that is not loaded is never read or written silently: the
+  numpy loop raises ``KeyError`` on reaching it, and the compiled
+  commit's dispatcher refuses the wave before the kernel runs.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import cProfile
 import math
 import pstats
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,8 +37,12 @@ import pytest
 from repro import ProximityGraphIndex, accel
 from repro.core.builders import BuiltGraph
 from repro.graphs.base import ProximityGraph
+from repro.graphs.greedy import BeamBatch
+from repro.accel import dispatch
 from repro.graphs.engine import (
+    CommitMirror,
     beam_search_batch,
+    commit_wave_pools,
     prune_and_link,
     snapshot_graph,
 )
@@ -206,3 +218,92 @@ class TestRepairScaling:
         small, large = calls_of_one_add(2_000, "auto"), calls_of_one_add(16_000, "auto")
         assert large < 2 * small, (small, large)
         assert large < 2_000  # the whole wave is two kernel calls
+
+
+def peak_of_one_add(n: int, backend: str | None) -> float:
+    """The tracemalloc peak of one ``add(8)``, over the bytes of the grown
+    points and the new CSR."""
+    index = lattice_index(n)
+    new = np.random.default_rng(6).standard_normal((8, DIM))
+    tracemalloc.start()
+    try:
+        index.add(new, mode="repair", backend=backend)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    offsets, targets = index.graph.csr()
+    return peak / (index.dataset.points.nbytes + offsets.nbytes + targets.nbytes)
+
+
+class TestRepairMemory:
+    def test_numpy_route_allocates_the_touched_rows_only(self):
+        assert peak_of_one_add(16_000, None) <= 1.75
+
+    @needs_compiled
+    def test_compiled_route_allocates_the_touched_rows_only(self):
+        accel.warm()
+        assert peak_of_one_add(16_000, "auto") <= 1.75
+
+
+class TestRowsOutsideTheStore:
+    """A store over a base graph holds only the rows loaded into it."""
+
+    def store_and_pools(self):
+        index = lattice_index(60)
+        points = np.concatenate(
+            [index.dataset.points, np.random.default_rng(8).standard_normal((2, DIM))]
+        )
+        dataset = Dataset(EuclideanMetric(), points)
+        pools = beam_search_batch(
+            index.graph, dataset, [0, 0], points[60:], beam_width=8, k=8
+        )
+        rows = CommitMirror(62, 8, index.graph)
+        return dataset, rows, pools
+
+    def test_reading_or_writing_an_unloaded_row_raises(self):
+        _, rows, _ = self.store_and_pools()
+        rows.load([60, 3])
+        assert rows[60] == []
+        assert rows[3] == lattice_index(60).graph.out_neighbors(3).tolist()
+        for v in (4, 59, 61, -1, 62):
+            with pytest.raises(KeyError):
+                rows[v]
+            with pytest.raises(KeyError):
+                rows[v] = [1]
+            with pytest.raises(KeyError):
+                rows.slots([3, v])
+
+    @pytest.mark.parametrize("backend", [None, *COMPILED])
+    def test_a_wave_reaching_an_unloaded_row_is_refused(self, backend):
+        dataset, rows, pools = self.store_and_pools()
+        wave = [60, 61]
+        rows.load(wave)  # the members' rows, not their pools'
+        before = rows.arr.copy(), rows.deg.copy()
+        with pytest.raises(KeyError, match="is not loaded"):
+            if backend is None:
+                commit_wave_pools(dataset, rows, wave, pools, 1.2, 8)
+            else:
+                dispatch.run_commit_wave(dataset, wave, pools, 1.2, 8, False, rows)
+        if backend is not None:
+            # Refused before the kernel wrote anything.
+            assert np.array_equal(rows.arr, before[0])
+            assert np.array_equal(rows.deg, before[1])
+        rows.load(pools.ids[pools.ids >= 0])
+        commit_wave_pools(dataset, rows, wave, pools, 1.2, 8, backend=backend)
+        assert rows[60] and rows[61]
+
+    @needs_compiled
+    def test_an_unloaded_own_row_is_refused_before_the_kernel(self):
+        dataset, rows, pools = self.store_and_pools()
+        found = pools.ids[pools.ids >= 0]
+        rows.load(np.concatenate([[60, 61], found]))
+        # Re-inserting vertex 0 reads its own out-edges, not loaded yet.
+        rows.load([0])
+        own = np.asarray(rows[0])
+        assert (rows.slot[own] < 0).any()
+        before = rows.arr.copy(), rows.deg.copy()
+        pool = BeamBatch(pools.ids[:1], pools.dists[:1], pools.evals[:1])
+        with pytest.raises(KeyError, match="is not loaded"):
+            dispatch.run_commit_wave(dataset, [0], pool, 1.2, 8, True, rows)
+        assert np.array_equal(rows.arr, before[0])
+        assert np.array_equal(rows.deg, before[1])

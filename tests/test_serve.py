@@ -782,6 +782,33 @@ class TestHTTP:
         assert health["active"] == 90  # id 0 survived the failed batch
         assert health["generation"] == 0  # nothing swapped
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/delete", {"ids": [7.9]}),
+            ("/delete", {"ids": [True]}),
+            ("/delete", {"ids": [None]}),
+            ("/add", {"points": [[0.5] * 4], "ids": [None]}),
+            ("/add", {"points": [[0.5] * 4], "ids": [60.7]}),
+            ("/search", {"query": [0.5] * 4, "k": 2, "allowed_ids": [1.5]}),
+            ("/search", {"query": [0.5] * 4, "k": 2, "allowed_ids": [None]}),
+        ],
+    )
+    def test_non_integer_ids_are_a_400_that_changes_nothing(self, path, body):
+        async def go(base, _server):
+            try:
+                await _afetch(base, path, body)
+                code, error = 200, None
+            except urllib.error.HTTPError as exc:
+                code, error = exc.code, json.loads(exc.read())["error"]
+            _, health = await _afetch(base, "/healthz")
+            return code, error, health
+
+        code, error, health = _serve_test(go)
+        assert code == 400
+        assert "external ids must be integers" in error
+        assert (health["n"], health["active"], health["generation"]) == (90, 90, 0)
+
     def test_padding_contract_over_json(self):
         async def go(base, _server):
             return await _afetch(
